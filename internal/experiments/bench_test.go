@@ -43,7 +43,7 @@ func BenchmarkExperimentSuite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(runCache.computes.Load()), "evolutions")
+	b.ReportMetric(float64(runTier.mem.computes.Load()), "evolutions")
 	b.ReportMetric(float64(studyCache.computes.Load()), "studies")
 	ResetCaches()
 }

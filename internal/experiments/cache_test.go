@@ -39,7 +39,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different run instance", i)
 		}
 	}
-	if n := runCache.computes.Load(); n != 1 {
+	if n := runTier.mem.computes.Load(); n != 1 {
 		t.Fatalf("%d evolutions for one unique key, want 1", n)
 	}
 
@@ -47,7 +47,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 	if _, err := runWorkload("cartpole", opt, 1); err != nil {
 		t.Fatal(err)
 	}
-	if n := runCache.computes.Load(); n != 2 {
+	if n := runTier.mem.computes.Load(); n != 2 {
 		t.Fatalf("%d evolutions for two unique keys, want 2", n)
 	}
 }

@@ -78,7 +78,7 @@ type comparison struct {
 // key is the run key of the underlying evolution (run 0), so the cache
 // is insensitive to option fields that do not change the run.
 func runComparison(wl string, opt Options) (*comparison, error) {
-	return priceCache.get(runKeyFor(wl, opt, 0), func() (*comparison, error) {
+	return priceCache.get(workloadKey(wl, opt, 0), func() (*comparison, error) {
 		return runComparisonUncached(wl, opt)
 	})
 }

@@ -20,8 +20,8 @@ import (
 	"repro/internal/env"
 	"repro/internal/evolve"
 	"repro/internal/gene"
-	"repro/internal/neat"
 	"repro/internal/platform"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -225,6 +225,17 @@ type evolved struct {
 	solved bool
 }
 
+// workloadKey is the run identity of one (workload, options, run)
+// figure request: run r of a workload evolves from seed Seed+r*7919.
+func workloadKey(workload string, opt Options, run int) store.Key {
+	return store.Key{
+		Workload:    workload,
+		Population:  opt.popFor(workload),
+		Generations: opt.gensFor(workload),
+		Seed:        opt.Seed + uint64(run)*7919,
+	}
+}
+
 // runWorkload returns the workload's evolved run, evolving it on the
 // first request and serving every later (or concurrent) request for
 // the same (workload, population, generations, seed, run) key from the
@@ -234,43 +245,8 @@ type evolved struct {
 // and trace but must not mutate them (re-scoring goes through
 // evolve.Runner.ScoreGenome).
 func runWorkload(workload string, opt Options, run int) (*evolved, error) {
-	key := runKeyFor(workload, opt, run)
-	return runCache.get(key, func() (*evolved, error) {
-		if e, ok := loadStored(key); ok {
-			return e, nil
-		}
-		e, err := evolveWorkload(workload, opt, run)
-		if err != nil {
-			return nil, err
-		}
-		commitStored(key, e)
-		return e, nil
-	})
-}
-
-// evolveWorkload evolves one workload with a trace recorder attached —
-// the uncached body of runWorkload.
-func evolveWorkload(workload string, opt Options, run int) (*evolved, error) {
-	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = opt.popFor(workload)
-	r, err := evolve.NewRunner(workload, cfg, opt.Seed+uint64(run)*7919)
-	if err != nil {
-		return nil, err
-	}
-	r.BatchWidth = opt.BatchWidth
-	tr := &trace.Trace{}
-	r.SetRecorder(tr)
-	evolutionsRun.Add(1)
-	solved, err := r.Run(opt.ctx(), opt.gensFor(workload))
-	if err != nil {
-		return nil, err
-	}
-	// The run cache retains this entry for the process lifetime, but
-	// consumers only read History/Pop/trace (re-scoring goes through the
-	// self-contained ScoreGenome), so the evaluation engine — worker
-	// pool, batch planes, phenotype cache — is dead weight from here on.
-	r.ReleaseEvalState()
-	return &evolved{runner: r, trace: tr, solved: solved}, nil
+	e, _, err := runTier.get(&JobRequest{Key: workloadKey(workload, opt, run), Ctx: opt.Ctx, BatchWidth: opt.BatchWidth})
+	return e, err
 }
 
 // genWorkload extracts the platform charge model's view of one

@@ -2,33 +2,24 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
+	"errors"
 
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
 	"repro/internal/store"
 )
 
-// This file threads the island-model run type through the same two
-// cache tiers ordinary runs use: a singleflight memory cache keyed on
-// the full island tuple, backed by the persistent store (one
-// islands.json artifact per key). The computation itself is
-// pluggable — the single-process reference by default, the
-// coordinator's distributed executor in cluster mode — because both
-// produce byte-identical IslandRuns, so what lands in the cache and
-// the store is independent of where the islands evolved.
+// This file is the island-model run kind over the shared tier: keys
+// carry the island fields, the store artifact is one islands.json. The
+// computation is pluggable — the single-process reference by default,
+// the coordinator's distributed executor in cluster mode — because
+// both produce byte-identical IslandRuns, so what lands in the cache
+// and the store is independent of where the islands evolved.
 
 // islandSchema stamps islands.json artifacts.
 const islandSchema = "genesys-island/1"
 
 const islandsFile = "islands.json"
-
-// islandDoc is the islands.json payload.
-type islandDoc struct {
-	Schema string            `json:"schema"`
-	Run    *evolve.IslandRun `json:"run"`
-}
 
 // IslandRequest describes one island-model run to resolve through the
 // shared cache. The tuple (Workload, Population, Generations, Islands,
@@ -68,150 +59,75 @@ type IslandOutcome struct {
 	Stored bool
 }
 
-func (req IslandRequest) key() islandKey {
-	return islandKey{
-		workload:       req.Workload,
-		population:     req.Population,
-		generations:    req.Generations,
-		islands:        req.Islands,
-		migrationEvery: req.MigrationEvery,
-		seed:           req.Seed,
-	}
-}
-
-func islandStoreKeyFor(k islandKey) store.Key {
-	return store.Key{
-		Workload:       k.workload,
-		Population:     k.population,
-		Generations:    k.generations,
-		Seed:           k.seed,
-		Islands:        k.islands,
-		MigrationEvery: k.migrationEvery,
-	}
-}
-
 // RunSharedIsland resolves one island-model run through the package's
 // singleflight cache and the persistent store, computing on a cold
 // miss via req.Run (or the single-process reference when unset).
 func RunSharedIsland(req IslandRequest) (*IslandOutcome, error) {
-	spec := evolve.IslandSpec{
-		Workload:       req.Workload,
-		Population:     req.Population,
-		Generations:    req.Generations,
-		Islands:        req.Islands,
-		MigrationEvery: req.MigrationEvery,
-		Seed:           req.Seed,
-		Parallelism:    req.Parallelism,
-		BatchWidth:     req.BatchWidth,
-		Phases:         req.Phases,
+	job := JobRequest{
+		Key: store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations,
+			Seed: req.Seed, Islands: req.Islands, MigrationEvery: req.MigrationEvery},
+		Ctx:         req.Ctx,
+		Parallelism: req.Parallelism,
+		BatchWidth:  req.BatchWidth,
+		Phases:      req.Phases,
 	}
-	if err := spec.Validate(); err != nil {
+	if req.Run != nil {
+		job.RunIslands = func(ctx context.Context, _ evolve.IslandSpec) (*evolve.IslandRun, error) { return req.Run(ctx) }
+	}
+	run, out, err := islandTier.get(&job)
+	if err != nil {
 		return nil, err
 	}
-	out := &IslandOutcome{}
-	key := req.key()
-	run, err := islandCache.get(key, func() (*evolve.IslandRun, error) {
-		if stored, ok := loadStoredIsland(key); ok {
-			out.Stored = true
-			return stored, nil
-		}
-		out.Computed = true
-		ctx := req.Ctx
-		if ctx == nil {
-			ctx = context.Background()
+	return &IslandOutcome{Run: run, Computed: out.Computed, Stored: out.Stored}, nil
+}
+
+// islandSpec maps an island key onto the evolve-layer tuple.
+func islandSpec(key store.Key) evolve.IslandSpec {
+	return evolve.IslandSpec{Workload: key.Workload, Population: key.Population, Generations: key.Generations,
+		Islands: key.Islands, MigrationEvery: key.MigrationEvery, Seed: key.Seed}
+}
+
+// islandTier caches island-model runs. Island runners never stream
+// live, so a computed run and a hit render the identical replay.
+var islandTier = tier[*evolve.IslandRun]{
+	check: func(key store.Key) error { return islandSpec(key).Validate() },
+	compute: func(key store.Key, req *JobRequest) (*evolve.IslandRun, bool, error) {
+		spec := islandSpec(key)
+		spec.Parallelism = req.Parallelism
+		spec.BatchWidth = req.BatchWidth
+		spec.Phases = req.Phases
+		run := evolve.RunIslands
+		if req.RunIslands != nil {
+			run = req.RunIslands
 		}
 		evolutionsRun.Add(1)
-		var r *evolve.IslandRun
-		var cerr error
-		if req.Run != nil {
-			r, cerr = req.Run(ctx)
-		} else {
-			r, cerr = evolve.RunIslands(ctx, spec)
+		r, err := run(req.ctx(), spec)
+		return r, false, err
+	},
+	encode: func(_ store.Key, run *evolve.IslandRun) (store.Meta, map[string][]byte, error) {
+		solved, best, gens := islandSummary(run)
+		files, err := encodeDoc(islandsFile, islandSchema, run)
+		return store.Meta{Solved: solved, BestFitness: best, Generations: gens}, files, err
+	},
+	decode: func(key store.Key, art *store.Artifact) (*evolve.IslandRun, error) {
+		run, err := decodeDoc[*evolve.IslandRun](art, islandsFile, islandSchema)
+		if err == nil && (run == nil || run.Seed != key.Seed || run.Islands != key.Islands) {
+			err = errors.New("islands.json does not match its key")
 		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		commitStoredIsland(key, r)
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Run = run
-	return out, nil
+		return run, err
+	},
+	records: func(_ store.Key, run *evolve.IslandRun, sink hwsim.Sink, _ bool) {
+		evolve.ReplayIslandRecords(run, sink)
+	},
+	summary: islandSummary,
 }
 
-// loadStoredIsland rehydrates an island run from the disk tier.
-func loadStoredIsland(k islandKey) (*evolve.IslandRun, bool) {
-	s := activeStore.Load()
-	if s == nil {
-		return nil, false
-	}
-	key := islandStoreKeyFor(k)
-	art, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var doc islandDoc
-	if err := json.Unmarshal(art.Files[islandsFile], &doc); err != nil || doc.Schema != islandSchema || doc.Run == nil {
-		reason := "decode: bad islands.json"
-		if err != nil {
-			reason = fmt.Sprintf("decode: %v", err)
-		}
-		s.QuarantineKey(key, reason)
-		return nil, false
-	}
-	if doc.Run.Seed != k.seed || doc.Run.Islands != k.islands {
-		s.QuarantineKey(key, "decode: islands.json does not match its key")
-		return nil, false
-	}
-	return doc.Run, true
-}
-
-// commitStoredIsland writes a freshly computed island run to the disk
-// tier (best-effort, like commitStored).
-func commitStoredIsland(k islandKey, run *evolve.IslandRun) {
-	s := activeStore.Load()
-	if s == nil {
-		return
-	}
-	payload, err := json.Marshal(&islandDoc{Schema: islandSchema, Run: run})
-	if err != nil {
-		return
-	}
+// islandSummary reports the run's outcome; its generation count is
+// the longest island history.
+func islandSummary(run *evolve.IslandRun) (bool, float64, int) {
 	gens := 0
 	for _, ir := range run.Results {
-		if len(ir.History) > gens {
-			gens = len(ir.History)
-		}
+		gens = max(gens, len(ir.History))
 	}
-	s.Put(islandStoreKeyFor(k),
-		store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: gens},
-		map[string][]byte{islandsFile: payload})
-}
-
-// PeekSharedIsland answers an island request from memory or disk
-// without computing — the coordinator's store-hit proxy for island
-// jobs, mirroring PeekShared.
-func PeekSharedIsland(workload string, population, generations, islands, migrationEvery int, seed uint64) (*evolve.IslandRun, bool, bool) {
-	k := islandKey{
-		workload:       workload,
-		population:     population,
-		generations:    generations,
-		islands:        islands,
-		migrationEvery: migrationEvery,
-		seed:           seed,
-	}
-	if run, ok := islandCache.peek(k); ok {
-		return run, false, true
-	}
-	stored, ok := loadStoredIsland(k)
-	if !ok {
-		return nil, false, false
-	}
-	run, err := islandCache.get(k, func() (*evolve.IslandRun, error) { return stored, nil })
-	if err != nil {
-		return nil, false, false
-	}
-	return run, true, true
+	return run.Solved, run.BestFitness, gens
 }

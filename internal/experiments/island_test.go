@@ -104,20 +104,22 @@ func TestPeekSharedIsland(t *testing.T) {
 	ResetCaches()
 
 	req := islandReq(888003)
-	if _, _, ok := PeekSharedIsland(req.Workload, req.Population, req.Generations, req.Islands, req.MigrationEvery, req.Seed); ok {
+	key := store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations,
+		Seed: req.Seed, Islands: req.Islands, MigrationEvery: req.MigrationEvery}
+	if _, _, ok := islandTier.peek(key); ok {
 		t.Fatal("peek hit before anything ran")
 	}
 	first, err := RunSharedIsland(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, stored, ok := PeekSharedIsland(req.Workload, req.Population, req.Generations, req.Islands, req.MigrationEvery, req.Seed)
+	run, stored, ok := islandTier.peek(key)
 	if !ok || stored || run != first.Run {
 		t.Fatalf("memory peek: ok=%v stored=%v same=%v", ok, stored, run == first.Run)
 	}
 
 	ResetCaches()
-	run, stored, ok = PeekSharedIsland(req.Workload, req.Population, req.Generations, req.Islands, req.MigrationEvery, req.Seed)
+	run, stored, ok = islandTier.peek(key)
 	if !ok || !stored {
 		t.Fatalf("disk peek: ok=%v stored=%v", ok, stored)
 	}

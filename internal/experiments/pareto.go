@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
@@ -11,22 +12,15 @@ import (
 	"repro/internal/store"
 )
 
-// This file threads the Pareto (multi-objective) run type through the
-// same two cache tiers ordinary and island runs use — a singleflight
-// memory cache keyed on the full pareto tuple, backed by the
-// persistent store (one pareto.json artifact per key) — and registers
-// the Pareto-front figure generator over the existing workloads.
+// This file is the Pareto (multi-objective) run kind over the shared
+// tier — keys carry the objective vector, the store artifact is one
+// pareto.json — and the Pareto-front figure generator over the
+// existing workloads.
 
 // paretoSchema stamps pareto.json artifacts.
 const paretoSchema = "genesys-pareto/1"
 
 const paretoFile = "pareto.json"
-
-// paretoDoc is the pareto.json payload.
-type paretoDoc struct {
-	Schema string            `json:"schema"`
-	Run    *evolve.ParetoRun `json:"run"`
-}
 
 // ParetoRequest describes one Pareto-mode run to resolve through the
 // shared cache. The tuple (Workload, Population, Generations, Seed,
@@ -64,164 +58,77 @@ type ParetoOutcome struct {
 
 // JoinObjectives renders an objective vector in the canonical '+'
 // form used by store keys and the wire ("fitness+genes+energy").
-func JoinObjectives(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += "+"
-		}
-		out += n
-	}
-	return out
-}
+func JoinObjectives(names []string) string { return strings.Join(names, "+") }
 
 // SplitObjectives parses the canonical '+' form back to a vector.
 func SplitObjectives(joined string) []string {
 	if joined == "" {
 		return nil
 	}
-	var out []string
-	start := 0
-	for i := 0; i <= len(joined); i++ {
-		if i == len(joined) || joined[i] == '+' {
-			out = append(out, joined[start:i])
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func (req ParetoRequest) key() paretoKey {
-	return paretoKey{
-		workload:    req.Workload,
-		population:  req.Population,
-		generations: req.Generations,
-		seed:        req.Seed,
-		objectives:  JoinObjectives(req.Objectives),
-	}
-}
-
-func paretoStoreKeyFor(k paretoKey) store.Key {
-	return store.Key{
-		Workload:    k.workload,
-		Population:  k.population,
-		Generations: k.generations,
-		Seed:        k.seed,
-		Objectives:  k.objectives,
-	}
+	return strings.Split(joined, "+")
 }
 
 // RunSharedPareto resolves one Pareto-mode run through the package's
 // singleflight cache and the persistent store, computing on a cold
 // miss via evolve.RunPareto.
 func RunSharedPareto(req ParetoRequest) (*ParetoOutcome, error) {
-	spec := evolve.ParetoSpec{
-		Workload:    req.Workload,
-		Population:  req.Population,
-		Generations: req.Generations,
-		Seed:        req.Seed,
-		Objectives:  req.Objectives,
+	run, out, err := paretoTier.get(&JobRequest{
+		Key: store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations,
+			Seed: req.Seed, Objectives: JoinObjectives(req.Objectives)},
+		Ctx:         req.Ctx,
+		Sink:        req.Sink,
 		Parallelism: req.Parallelism,
 		BatchWidth:  req.BatchWidth,
 		Phases:      req.Phases,
-		Sink:        req.Sink,
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	out := &ParetoOutcome{}
-	key := req.key()
-	run, err := paretoCache.get(key, func() (*evolve.ParetoRun, error) {
-		if stored, ok := loadStoredPareto(key); ok {
-			out.Stored = true
-			return stored, nil
-		}
-		out.Computed = true
-		ctx := req.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		evolutionsRun.Add(1)
-		r, cerr := evolve.RunPareto(ctx, spec)
-		if cerr != nil {
-			return nil, cerr
-		}
-		commitStoredPareto(key, r)
-		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Run = run
-	return out, nil
+	return &ParetoOutcome{Run: run, Computed: out.Computed, Stored: out.Stored}, nil
 }
 
-// loadStoredPareto rehydrates a Pareto run from the disk tier.
-func loadStoredPareto(k paretoKey) (*evolve.ParetoRun, bool) {
-	s := activeStore.Load()
-	if s == nil {
-		return nil, false
-	}
-	key := paretoStoreKeyFor(k)
-	art, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var doc paretoDoc
-	if err := json.Unmarshal(art.Files[paretoFile], &doc); err != nil || doc.Schema != paretoSchema || doc.Run == nil {
-		reason := "decode: bad pareto.json"
-		if err != nil {
-			reason = fmt.Sprintf("decode: %v", err)
+// paretoSpec maps a Pareto key onto the evolve-layer tuple.
+func paretoSpec(key store.Key) evolve.ParetoSpec {
+	return evolve.ParetoSpec{Workload: key.Workload, Population: key.Population, Generations: key.Generations,
+		Seed: key.Seed, Objectives: SplitObjectives(key.Objectives)}
+}
+
+// paretoTier caches Pareto runs. A computing request streams the
+// history live and gets the front records appended; a hit replays
+// both, so subscribers cannot tell the two apart.
+var paretoTier = tier[*evolve.ParetoRun]{
+	check: func(key store.Key) error { return paretoSpec(key).Validate() },
+	compute: func(key store.Key, req *JobRequest) (*evolve.ParetoRun, bool, error) {
+		spec := paretoSpec(key)
+		spec.Parallelism = req.Parallelism
+		spec.BatchWidth = req.BatchWidth
+		spec.Phases = req.Phases
+		spec.Sink = req.Sink
+		evolutionsRun.Add(1)
+		run, err := evolve.RunPareto(req.ctx(), spec)
+		return run, false, err
+	},
+	encode: func(_ store.Key, run *evolve.ParetoRun) (store.Meta, map[string][]byte, error) {
+		files, err := encodeDoc(paretoFile, paretoSchema, run)
+		return store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: len(run.History)}, files, err
+	},
+	decode: func(key store.Key, art *store.Artifact) (*evolve.ParetoRun, error) {
+		run, err := decodeDoc[*evolve.ParetoRun](art, paretoFile, paretoSchema)
+		if err == nil && (run == nil || run.Seed != key.Seed || JoinObjectives(run.Objectives) != key.Objectives) {
+			err = errors.New("pareto.json does not match its key")
 		}
-		s.QuarantineKey(key, reason)
-		return nil, false
-	}
-	if doc.Run.Seed != k.seed || JoinObjectives(doc.Run.Objectives) != k.objectives {
-		s.QuarantineKey(key, "decode: pareto.json does not match its key")
-		return nil, false
-	}
-	return doc.Run, true
-}
-
-// commitStoredPareto writes a freshly computed Pareto run to the disk
-// tier (best-effort, like commitStored).
-func commitStoredPareto(k paretoKey, run *evolve.ParetoRun) {
-	s := activeStore.Load()
-	if s == nil {
-		return
-	}
-	payload, err := json.Marshal(&paretoDoc{Schema: paretoSchema, Run: run})
-	if err != nil {
-		return
-	}
-	s.Put(paretoStoreKeyFor(k),
-		store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: len(run.History)},
-		map[string][]byte{paretoFile: payload})
-}
-
-// PeekSharedPareto answers a Pareto request from memory or disk
-// without computing — the coordinator's store-hit proxy for pareto
-// jobs, mirroring PeekShared/PeekSharedIsland.
-func PeekSharedPareto(workload string, population, generations int, seed uint64, objectives []string) (*evolve.ParetoRun, bool, bool) {
-	k := paretoKey{
-		workload:    workload,
-		population:  population,
-		generations: generations,
-		seed:        seed,
-		objectives:  JoinObjectives(objectives),
-	}
-	if run, ok := paretoCache.peek(k); ok {
-		return run, false, true
-	}
-	stored, ok := loadStoredPareto(k)
-	if !ok {
-		return nil, false, false
-	}
-	run, err := paretoCache.get(k, func() (*evolve.ParetoRun, error) { return stored, nil })
-	if err != nil {
-		return nil, false, false
-	}
-	return run, true, true
+		return run, err
+	},
+	records: func(_ store.Key, run *evolve.ParetoRun, sink hwsim.Sink, live bool) {
+		if live {
+			evolve.FrontRecords(run, sink)
+		} else {
+			evolve.ReplayParetoRecords(run, sink)
+		}
+	},
+	summary: func(run *evolve.ParetoRun) (bool, float64, int) {
+		return run.Solved, run.BestFitness, len(run.History)
+	},
 }
 
 // --- the Pareto-front figure ---

@@ -115,20 +115,22 @@ func TestPeekSharedPareto(t *testing.T) {
 	ResetCaches()
 
 	req := paretoReq(889003)
-	if _, _, ok := PeekSharedPareto(req.Workload, req.Population, req.Generations, req.Seed, req.Objectives); ok {
+	key := store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations,
+		Seed: req.Seed, Objectives: JoinObjectives(req.Objectives)}
+	if _, _, ok := paretoTier.peek(key); ok {
 		t.Fatal("peek hit before anything ran")
 	}
 	first, err := RunSharedPareto(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, stored, ok := PeekSharedPareto(req.Workload, req.Population, req.Generations, req.Seed, req.Objectives)
+	run, stored, ok := paretoTier.peek(key)
 	if !ok || stored || run != first.Run {
 		t.Fatalf("memory peek: ok=%v stored=%v same=%v", ok, stored, run == first.Run)
 	}
 
 	ResetCaches()
-	run, stored, ok = PeekSharedPareto(req.Workload, req.Population, req.Generations, req.Seed, req.Objectives)
+	run, stored, ok = paretoTier.peek(key)
 	if !ok || !stored {
 		t.Fatalf("disk peek: ok=%v stored=%v", ok, stored)
 	}
@@ -179,30 +181,45 @@ func TestRunSharedParetoValidates(t *testing.T) {
 	}
 }
 
-// TestParetoQuarantineOnBadSchema: a corrupt pareto.json is
-// quarantined and recomputed rather than replayed.
+// TestParetoQuarantineOnBadSchema: a corrupt payload of any run kind
+// is quarantined and recomputed rather than replayed. The tier's one
+// quarantine path serves all three kinds.
 func TestParetoQuarantineOnBadSchema(t *testing.T) {
-	s := withTestStore(t, store.Config{})
-	ResetCaches()
+	for _, tc := range []struct {
+		name string
+		key  store.Key
+		file string
+	}{
+		{"scalar", store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 889007}, historyFile},
+		{"island", store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 889007, Islands: 2, MigrationEvery: 1}, islandsFile},
+		{"pareto", store.Key{Workload: "cartpole", Population: 16, Generations: 4, Seed: 889007, Objectives: "fitness+genes+energy"}, paretoFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := withTestStore(t, store.Config{})
+			ResetCaches()
 
-	// Seed the store with a wrong-schema artifact under the run's key
-	// (content hashes valid, so only the semantic decode can catch it).
-	req := paretoReq(889007)
-	key := paretoStoreKeyFor(req.key())
-	if err := s.Put(key, store.Meta{}, map[string][]byte{
-		paretoFile: []byte(`{"schema":"genesys-wrong/9","run":null}`),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := RunSharedPareto(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Computed || out.Stored {
-		t.Fatalf("bad artifact replayed: Computed=%v Stored=%v", out.Computed, out.Stored)
-	}
-	if len(s.Quarantined()) == 0 {
-		t.Fatal("bad artifact not quarantined")
+			// Seed the store with a wrong-schema artifact under the run's
+			// key (content hashes valid, so only the semantic decode can
+			// catch it).
+			if err := s.Put(tc.key, store.Meta{}, map[string][]byte{
+				tc.file: []byte(`{"schema":"genesys-wrong/9","run":null}`),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			out, err := Resolve(JobRequest{Key: tc.key})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Computed || out.Stored {
+				t.Fatalf("bad artifact replayed: Computed=%v Stored=%v", out.Computed, out.Stored)
+			}
+			if len(s.Quarantined()) == 0 {
+				t.Fatal("bad artifact not quarantined")
+			}
+			if _, ok := s.Get(tc.key); !ok {
+				t.Fatal("recompute did not recommit")
+			}
+		})
 	}
 }
 

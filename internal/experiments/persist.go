@@ -12,16 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the run cache's disk tier. When a persistent store is
-// attached (the daemon does this at boot), every single-run cache miss
-// first consults the store — a committed artifact rehydrates into the
-// same immutable (runner, trace, solved) entry an in-process evolution
-// would have produced — and every freshly computed run is committed
-// back. The in-memory singleflight layer stays authoritative for
-// request coalescing; the store only changes what a cold miss costs:
-// a disk read instead of an evolution.
+// This file attaches the run cache's disk tier and holds the scalar
+// run's store codec. When a persistent store is attached (the daemon
+// does this at boot), every cache miss of any kind first consults the
+// store — a committed artifact rehydrates into the same immutable
+// entry an in-process evolution would have produced — and every
+// freshly computed run is committed back. The in-memory singleflight
+// layer stays authoritative for request coalescing; the store only
+// changes what a cold miss costs: a disk read instead of an evolution.
 //
-// Artifact layout per run (under the store's integrity manifest):
+// Scalar artifact layout (under the store's integrity manifest):
 //
 //	history.json    — schema-stamped GenStats slice + solved/seed
 //	population.json — the final population in neat checkpoint format
@@ -55,73 +55,35 @@ type historyDoc struct {
 var activeStore atomic.Pointer[store.Store]
 
 // UseStore attaches (or with nil detaches) the persistent run store
-// the single-run cache reads through and writes back to.
+// every run tier reads through and writes back to.
 func UseStore(s *store.Store) { activeStore.Store(s) }
 
-// storeKeyFor maps a cache key to its store key (same tuple, exported
-// form).
-func storeKeyFor(k runKey) store.Key {
-	return store.Key{Workload: k.workload, Population: k.population, Generations: k.generations, Seed: k.seed}
-}
-
-// loadStored tries to rehydrate a run from the disk tier. Any failure
-// degrades to (nil, false): semantic decode errors additionally
-// quarantine the artifact so the recompute can commit a fresh one.
-func loadStored(k runKey) (*evolved, bool) {
-	s := activeStore.Load()
-	if s == nil {
-		return nil, false
-	}
-	key := storeKeyFor(k)
-	art, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	e, err := decodeArtifact(k, art)
+// encodeRun renders a scalar run as its three payload files.
+func encodeRun(key store.Key, e *evolved) (store.Meta, map[string][]byte, error) {
+	history, err := json.Marshal(&historyDoc{Schema: runSchema, Solved: e.solved, Seed: key.Seed, History: e.runner.History})
 	if err != nil {
-		// Bytes verified but the payload doesn't decode: as corrupt as a
-		// checksum mismatch, handled the same way.
-		s.QuarantineKey(key, fmt.Sprintf("decode: %v", err))
-		return nil, false
+		return store.Meta{}, nil, err
 	}
-	return e, true
-}
-
-// commitStored writes a freshly computed run to the disk tier
-// (best-effort: a commit failure only means the next cold process
-// recomputes).
-func commitStored(k runKey, e *evolved) {
-	s := activeStore.Load()
-	if s == nil {
-		return
-	}
-	doc := historyDoc{Schema: runSchema, Solved: e.solved, Seed: k.seed, History: e.runner.History}
-	history, err := json.Marshal(&doc)
-	if err != nil {
-		return
-	}
-	var pop bytes.Buffer
+	var pop, tr bytes.Buffer
 	if err := e.runner.Pop.Save(&pop); err != nil {
-		return
+		return store.Meta{}, nil, err
 	}
-	var tr bytes.Buffer
 	if _, err := e.trace.WriteTo(&tr); err != nil {
-		return
+		return store.Meta{}, nil, err
 	}
 	var best float64
 	if n := len(e.runner.History); n > 0 {
 		best = e.runner.History[n-1].MaxFitness
 	}
-	s.Put(storeKeyFor(k),
-		store.Meta{Solved: e.solved, BestFitness: best, Generations: len(e.runner.History)},
-		map[string][]byte{historyFile: history, populationFile: pop.Bytes(), traceFile: tr.Bytes()})
+	return store.Meta{Solved: e.solved, BestFitness: best, Generations: len(e.runner.History)},
+		map[string][]byte{historyFile: history, populationFile: pop.Bytes(), traceFile: tr.Bytes()}, nil
 }
 
-// decodeArtifact rebuilds the immutable run entry from committed
-// payloads: the history replays verbatim, the population restores
-// through the checkpoint decoder (with full genome validation), and
-// the trace re-parses.
-func decodeArtifact(k runKey, art *store.Artifact) (*evolved, error) {
+// decodeRun rebuilds the immutable run entry from committed payloads:
+// the history replays verbatim, the population restores through the
+// checkpoint decoder (with full genome validation), and the trace
+// re-parses.
+func decodeRun(key store.Key, art *store.Artifact) (*evolved, error) {
 	var doc historyDoc
 	if err := json.Unmarshal(art.Files[historyFile], &doc); err != nil {
 		return nil, fmt.Errorf("%s: %w", historyFile, err)
@@ -129,12 +91,12 @@ func decodeArtifact(k runKey, art *store.Artifact) (*evolved, error) {
 	if doc.Schema != runSchema {
 		return nil, fmt.Errorf("%s: schema %q, want %q", historyFile, doc.Schema, runSchema)
 	}
-	if doc.Seed != k.seed {
-		return nil, fmt.Errorf("%s: seed %d, want %d", historyFile, doc.Seed, k.seed)
+	if doc.Seed != key.Seed {
+		return nil, fmt.Errorf("%s: seed %d, want %d", historyFile, doc.Seed, key.Seed)
 	}
 	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = k.population
-	r, err := evolve.NewRunner(k.workload, cfg, k.seed)
+	cfg.PopulationSize = key.Population
+	r, err := evolve.NewRunner(key.Workload, cfg, key.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -150,4 +112,30 @@ func decodeArtifact(k runKey, art *store.Artifact) (*evolved, error) {
 	r.History = doc.History
 	r.ReleaseEvalState()
 	return &evolved{runner: r, trace: parsed, solved: doc.Solved}, nil
+}
+
+// runDoc is the one-file payload of the island and Pareto kinds: the
+// schema stamp and the run exactly as JSON-encoded.
+type runDoc[R any] struct {
+	Schema string `json:"schema"`
+	Run    R      `json:"run"`
+}
+
+// encodeDoc renders run as the schema-stamped file.
+func encodeDoc[R any](file, schema string, run R) (map[string][]byte, error) {
+	b, err := json.Marshal(&runDoc[R]{Schema: schema, Run: run})
+	return map[string][]byte{file: b}, err
+}
+
+// decodeDoc parses the schema-stamped file; the caller checks the run
+// against its key.
+func decodeDoc[R any](art *store.Artifact, file, schema string) (R, error) {
+	var doc runDoc[R]
+	if err := json.Unmarshal(art.Files[file], &doc); err != nil {
+		return doc.Run, fmt.Errorf("%s: %w", file, err)
+	}
+	if doc.Schema != schema {
+		return doc.Run, fmt.Errorf("%s: schema %q, want %q", file, doc.Schema, schema)
+	}
+	return doc.Run, nil
 }

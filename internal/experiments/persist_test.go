@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/hw/hwsim"
 	"repro/internal/store"
 )
 
@@ -150,5 +152,101 @@ func TestStoreSkipsResumedRuns(t *testing.T) {
 	}
 	if s.Has(store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777003}) {
 		t.Fatal("resumed run was committed to the store")
+	}
+}
+
+// goldenKeys name the artifacts under testdata/golden: one tiny run of
+// each kind, committed by the store tier of the build before the kinds
+// shared one tier. They pin that the key strings, payload file names
+// and schemas of existing stores still load.
+var goldenKeys = []store.Key{
+	{Workload: "cartpole", Population: 8, Generations: 2, Seed: 5},
+	{Workload: "cartpole", Population: 8, Generations: 2, Seed: 5, Islands: 2, MigrationEvery: 1},
+	{Workload: "cartpole", Population: 8, Generations: 2, Seed: 5, Objectives: "fitness+genes+energy"},
+}
+
+// resolveStream resolves key through Resolve and returns its outcome
+// and record stream as JSON lines.
+func resolveStream(t *testing.T, key store.Key) (JobOutcome, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	out, err := Resolve(JobRequest{Key: key, Sink: hwsim.SinkFunc(func(r hwsim.Record) {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Error(err)
+		}
+		buf.Write(append(b, '\n'))
+	})})
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	return out, buf.String()
+}
+
+// TestGoldenArtifactsReplay loads the golden artifacts as store hits
+// with no evolution executed, and checks that each replays the record
+// stream and outcome of a fresh compute byte for byte and that the
+// fresh compute commits byte-identical payloads.
+func TestGoldenArtifactsReplay(t *testing.T) {
+	root := t.TempDir()
+	for _, key := range goldenKeys {
+		src := filepath.Join("testdata", "golden", "runs", key.String())
+		dst := filepath.Join(root, "runs", key.String())
+		files, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dst, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(src, f.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dst, f.Name()), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	golden := withTestStore(t, store.Config{Root: root})
+	ResetCaches()
+
+	outs := make([]JobOutcome, len(goldenKeys))
+	streams := make([]string, len(goldenKeys))
+	for i, key := range goldenKeys {
+		outs[i], streams[i] = resolveStream(t, key)
+		if !outs[i].Stored || outs[i].Computed {
+			t.Fatalf("%s: Stored=%v Computed=%v, want a store hit", key, outs[i].Stored, outs[i].Computed)
+		}
+	}
+	if n := EvolutionsExecuted(); n != 0 {
+		t.Fatalf("golden replay executed %d evolutions", n)
+	}
+
+	fresh := withTestStore(t, store.Config{})
+	ResetCaches()
+	for i, key := range goldenKeys {
+		out, stream := resolveStream(t, key)
+		if !out.Computed {
+			t.Fatalf("%s: fresh resolve did not compute", key)
+		}
+		if stream != streams[i] {
+			t.Fatalf("%s: golden stream differs from a fresh compute:\n%s\n%s", key, streams[i], stream)
+		}
+		out.Computed, out.Stored = false, true
+		if out != outs[i] {
+			t.Fatalf("%s: golden outcome %+v, fresh %+v", key, outs[i], out)
+		}
+		want, _ := golden.Get(key)
+		got, ok := fresh.Get(key)
+		if !ok || len(got.Files) != len(want.Files) {
+			t.Fatalf("%s: fresh commit has files %v, golden %v", key, got, want)
+		}
+		for name, b := range want.Files {
+			if !bytes.Equal(got.Files[name], b) {
+				t.Fatalf("%s: fresh %s differs from golden", key, name)
+			}
+		}
 	}
 }

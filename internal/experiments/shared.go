@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"os"
 
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -105,69 +107,23 @@ type SharedRun struct {
 // checkpointing, and cancellation), concurrent requests block on that
 // execution, later requests return the memoized run immediately.
 func RunShared(req SharedRequest) (*SharedRun, error) {
-	opt := Options{
-		Seed:           req.Seed,
-		MaxGenerations: req.Generations,
-		Population:     req.Population,
-		// Mirror the sizes into the RAM knobs so the cache key is the
-		// literal request tuple for RAM workloads too.
-		RAMPopulation:  req.Population,
-		RAMGenerations: req.Generations,
-	}
-	out := &SharedRun{}
-	key := runKeyFor(req.Workload, opt, 0)
-	e, err := runCache.get(key, func() (*evolved, error) {
-		if se, ok := loadStored(key); ok {
-			out.Stored = true
-			return se, nil
-		}
-		out.Computed = true
-		e, cerr := evolveSharedLocked(req, out)
-		if cerr != nil {
-			return nil, cerr
-		}
-		// A resumed run's History covers only the post-restore
-		// generations (the SharedRun contract), so committing it would
-		// poison byte-identical replay; only uninterrupted runs persist.
-		if !out.Resumed {
-			commitStored(key, e)
-		}
-		return e, nil
+	e, out, err := runTier.get(&JobRequest{
+		Key:             store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations, Seed: req.Seed},
+		Ctx:             req.Ctx,
+		Sink:            req.Sink,
+		Parallelism:     req.Parallelism,
+		BatchWidth:      req.BatchWidth,
+		Phases:          req.Phases,
+		CheckpointPath:  req.CheckpointPath,
+		CheckpointEvery: req.CheckpointEvery,
+		ResumeFromPath:  req.ResumeFromPath,
+		OnRunner:        req.OnRunner,
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Runner, out.Trace, out.Solved = e.runner, e.trace, e.solved
-	return out, nil
-}
-
-// PeekShared answers a run request from what this process already has
-// — the memory cache, then the persistent store — without ever
-// computing. It is the coordinator's store-hit proxy seam: before
-// dispatching a job to the fleet, the coordinator checks whether it
-// can replay the run locally. A store hit is memoized so repeated
-// peeks of the same key read disk once.
-func PeekShared(workload string, population, generations int, seed uint64) (*SharedRun, bool) {
-	opt := Options{
-		Seed:           seed,
-		MaxGenerations: generations,
-		Population:     population,
-		RAMPopulation:  population,
-		RAMGenerations: generations,
-	}
-	key := runKeyFor(workload, opt, 0)
-	if e, ok := runCache.peek(key); ok {
-		return &SharedRun{Runner: e.runner, Trace: e.trace, Solved: e.solved}, true
-	}
-	se, ok := loadStored(key)
-	if !ok {
-		return nil, false
-	}
-	e, err := runCache.get(key, func() (*evolved, error) { return se, nil })
-	if err != nil {
-		return nil, false
-	}
-	return &SharedRun{Runner: e.runner, Trace: e.trace, Solved: e.solved, Stored: true}, true
+	return &SharedRun{Runner: e.runner, Trace: e.trace, Solved: e.solved,
+		Resumed: out.Resumed, Computed: out.Computed, Stored: out.Stored}, nil
 }
 
 // EvolutionsExecuted reports how many evolution computations (single
@@ -176,18 +132,54 @@ func PeekShared(workload string, population, generations int, seed uint64) (*Sha
 // prove deduplication.
 func EvolutionsExecuted() int64 { return evolutionsExecuted() }
 
-// evolveSharedLocked is the cache-miss body of RunShared. It runs on
-// the requesting goroutine under the key's singleflight slot.
-func evolveSharedLocked(req SharedRequest, out *SharedRun) (*evolved, error) {
-	ctx := req.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+// runTier caches scalar runs: every figure's evolutions and the
+// daemon's ordinary jobs share it.
+var runTier = tier[*evolved]{
+	check:   checkRun,
+	compute: computeRun,
+	encode:  encodeRun,
+	decode:  decodeRun,
+	records: func(key store.Key, e *evolved, sink hwsim.Sink, live bool) {
+		if live {
+			return // the runner streamed every generation as it ran
+		}
+		for _, st := range e.runner.History {
+			sink.Record(hwsim.Record{Workload: key.Workload, Generation: st.Generation, Report: st.CounterReport()})
+		}
+	},
+	summary: func(e *evolved) (bool, float64, int) {
+		var best float64
+		for i, st := range e.runner.History {
+			if i == 0 || st.MaxFitness > best {
+				best = st.MaxFitness
+			}
+		}
+		return e.solved, best, len(e.runner.History)
+	},
+}
+
+func checkRun(key store.Key) error {
+	if _, err := evolve.WorkloadByName(key.Workload); err != nil {
+		return err
 	}
+	if key.Population < 2 {
+		return fmt.Errorf("population %d: need at least 2", key.Population)
+	}
+	if key.Generations < 1 {
+		return fmt.Errorf("generations %d: need at least 1", key.Generations)
+	}
+	return nil
+}
+
+// computeRun is the scalar cache-miss body: one evolution with a trace
+// recorder attached, run on the requesting goroutine under the key's
+// singleflight slot.
+func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = req.Population
-	r, err := evolve.NewRunner(req.Workload, cfg, req.Seed)
+	cfg.PopulationSize = key.Population
+	r, err := evolve.NewRunner(key.Workload, cfg, key.Seed)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	r.Parallelism = req.Parallelism
 	r.BatchWidth = req.BatchWidth
@@ -203,21 +195,22 @@ func evolveSharedLocked(req SharedRequest, out *SharedRun) (*evolved, error) {
 	if resume == "" {
 		resume = req.CheckpointPath
 	}
+	resumed := false
 	if resume != "" {
 		if _, serr := os.Stat(resume); serr == nil {
 			if rerr := r.RestoreCheckpoint(resume); rerr != nil {
-				return nil, rerr
+				return nil, false, rerr
 			}
-			out.Resumed = true
+			resumed = true
 		}
 	}
 	if req.OnRunner != nil {
 		req.OnRunner(r)
 	}
 	evolutionsRun.Add(1)
-	solved, err := r.Run(ctx, req.Generations)
+	solved, err := r.Run(req.ctx(), key.Generations)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	// A completed run's checkpoint has served its purpose; removing it
 	// keeps a later run that reuses the path (same key after a cache
@@ -235,5 +228,5 @@ func evolveSharedLocked(req SharedRequest, out *SharedRun) (*evolved, error) {
 	// otherwise every finished daemon job keeps its batch planes and
 	// environment pool live and GC scan time grows with jobs completed.
 	r.ReleaseEvalState()
-	return &evolved{runner: r, trace: tr, solved: solved}, nil
+	return &evolved{runner: r, trace: tr, solved: solved}, resumed, nil
 }

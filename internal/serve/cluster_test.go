@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"os"
@@ -171,7 +172,7 @@ func TestClusterFailoverResumes(t *testing.T) {
 	// Wait for the victim to have a rename-committed checkpoint on disk
 	// (a ".ckpt.tmp" still staging would be torn by the kill), then
 	// kill it.
-	key := spec.withDefaults().key()
+	key := spec.withDefaults().key().String()
 	waitFor(t, 20*time.Second, "victim checkpoint", func() bool {
 		ents, _ := os.ReadDir(ckptDir)
 		for _, e := range ents {
@@ -267,12 +268,16 @@ func TestClusterIslandDifferential(t *testing.T) {
 		t.Fatalf("island_distributed = %d, want 1 (the fleet executed it)", got)
 	}
 
-	run, _, ok := experiments.PeekSharedIsland(spec.Workload, spec.Population, spec.Generations, spec.Islands, spec.MigrationEvery, spec.Seed)
-	if !ok {
+	cached, err := experiments.RunSharedIsland(experiments.IslandRequest{
+		Workload: spec.Workload, Population: spec.Population, Generations: spec.Generations,
+		Islands: spec.Islands, MigrationEvery: spec.MigrationEvery, Seed: spec.Seed,
+		Run: func(context.Context) (*evolve.IslandRun, error) { return nil, errors.New("not cached") },
+	})
+	if err != nil || cached.Computed {
 		t.Fatal("island run not in the coordinator's cache")
 	}
 	jref, _ := json.Marshal(ref)
-	jgot, _ := json.Marshal(run)
+	jgot, _ := json.Marshal(cached.Run)
 	if string(jref) != string(jgot) {
 		t.Fatal("fleet island run is not byte-identical to the single-process reference")
 	}

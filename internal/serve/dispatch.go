@@ -42,9 +42,9 @@ type Dispatcher struct {
 	counters *hwsim.Counters
 	ctr      *hwsim.Counters
 	// phases aggregates per-phase generation wall-clock for every run
-	// the coordinator computes in-process (island local fallback, Pareto
-	// local resolution) — the same accounting localExecutor keeps, so
-	// a coordinator's /metrics carries the phase tree too.
+	// the coordinator computes in-process (any job on an empty fleet) —
+	// the same accounting localExecutor keeps, so a coordinator's
+	// /metrics carries the phase tree too.
 	phases *hwsim.Counters
 
 	mu       sync.Mutex
@@ -150,67 +150,30 @@ func (d *Dispatcher) track(workerID string, delta int) {
 	d.mu.Unlock()
 }
 
-// Execute routes one admitted job to the fleet. Jobs the coordinator
-// can answer from its own run cache or store never touch a worker.
+// Execute routes one admitted job. A run the coordinator already holds
+// in memory or in its store is replayed without touching a worker; on
+// an empty fleet the coordinator computes the job itself (runs are
+// deterministic, so the result is identical to a worker's); island
+// jobs are sharded across the fleet; every other job is dispatched to
+// its key's ring owner.
 func (d *Dispatcher) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
 	d.ensure()
-	if j.Spec.IsIsland() {
-		return d.executeIsland(ctx, j, sink)
-	}
-	if j.Spec.IsPareto() {
-		return d.executePareto(ctx, j, sink)
-	}
-	if run, ok := experiments.PeekShared(j.Spec.Workload, j.Spec.Population, j.Spec.Generations, j.Spec.Seed); ok {
+	if out, ok := experiments.Replay(j.Spec.key(), sink); ok {
 		d.ctr.AddInt("proxied_store_hits", 1)
-		return replayShared(j.Spec.Workload, run, sink), nil
+		return out, nil
 	}
-	return d.dispatch(ctx, j, sink)
-}
-
-// replayShared streams a locally cached run's history through sink and
-// folds it into an Outcome — the coordinator's store-hit proxy.
-func replayShared(workload string, run *experiments.SharedRun, sink hwsim.Sink) Outcome {
-	var best float64
-	for i, st := range run.Runner.History {
-		sink.Record(hwsim.Record{
-			Workload:   workload,
-			Generation: st.Generation,
-			Report:     st.CounterReport(),
-		})
-		if i == 0 || st.MaxFitness > best {
-			best = st.MaxFitness
+	req := experiments.JobRequest{Phases: d.phases}
+	switch {
+	case len(d.Members.Live()) == 0:
+		d.ctr.AddInt("local", 1)
+	case j.Spec.IsIsland():
+		req.RunIslands = func(ctx context.Context, spec evolve.IslandSpec) (*evolve.IslandRun, error) {
+			return d.runIslandsOnFleet(ctx, spec, j.Spec.key().String()+"@"+j.ID)
 		}
+	default:
+		return d.dispatch(ctx, j, sink)
 	}
-	return Outcome{
-		Solved: run.Solved,
-		Shared: true,
-		Stored: run.Stored,
-		Best:   best,
-		Gens:   len(run.Runner.History),
-	}
-}
-
-// executePareto resolves a Pareto-mode job: answered from the
-// coordinator's own run cache or store when possible, computed
-// in-process when the fleet is empty (mirroring the island local
-// fallback), and otherwise dispatched to the key's ring owner exactly
-// like an ordinary job — the worker streams history plus front
-// records, whose generation numbers continue monotonically, so the
-// coordinator's dedup proxy forwards them unchanged.
-func (d *Dispatcher) executePareto(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	objectives := experiments.SplitObjectives(j.Spec.Objectives)
-	if run, stored, ok := experiments.PeekSharedPareto(j.Spec.Workload, j.Spec.Population, j.Spec.Generations, j.Spec.Seed, objectives); ok {
-		d.ctr.AddInt("proxied_store_hits", 1)
-		evolve.ReplayParetoRecords(run, sink)
-		return paretoOutcome(run, true, stored), nil
-	}
-	if len(d.Members.Live()) == 0 {
-		// No fleet: the coordinator is the only compute. The run is
-		// deterministic, so the result is identical to a worker's.
-		d.ctr.AddInt("pareto_local", 1)
-		return resolveParetoLocal(ctx, j, sink, d.phases, 0, 0)
-	}
-	return d.dispatch(ctx, j, sink)
+	return resolve(ctx, j, sink, req)
 }
 
 // registerDispatch publishes a placed job for Rebalance to see.
@@ -274,8 +237,8 @@ func (d *Dispatcher) maybeRebalance(ld *liveDispatch) {
 	d.ctr.AddInt("rebalanced", 1)
 }
 
-// dispatch runs one ordinary job on the fleet with failover. Stream
-// state (last generation seen, best fitness, forwarded count) lives
+// dispatch runs one job on its ring owner with failover. Stream state
+// (last generation seen, best fitness, generations forwarded) lives
 // across attempts so a re-dispatched worker's history replay is
 // deduplicated and the outcome reflects the whole job.
 func (d *Dispatcher) dispatch(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
@@ -287,7 +250,7 @@ func (d *Dispatcher) dispatch(ctx context.Context, j *Job, sink hwsim.Sink) (Out
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
-		owner, ok := d.Members.Owner(j.Spec.key())
+		owner, ok := d.Members.Owner(j.Spec.key().String())
 		if !ok {
 			return Outcome{}, errors.New("serve: no live workers in the fleet")
 		}
@@ -339,7 +302,7 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 	if err != nil {
 		return Outcome{}, &workerFailure{err}
 	}
-	ld := &liveDispatch{key: j.Spec.key(), workerID: owner.ID, remoteID: st.ID, cl: cl}
+	ld := &liveDispatch{key: j.Spec.key().String(), workerID: owner.ID, remoteID: st.ID, cl: cl}
 	d.registerDispatch(j.ID, ld)
 	defer d.unregisterDispatch(j.ID)
 	// A membership change between Owner and this registration would
@@ -360,9 +323,14 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 			return nil // duplicate from a post-failover history replay
 		}
 		*lastGen = rec.Generation
-		*forwarded++
-		if mf := rec.Report.Float("max_fitness"); *forwarded == 1 || mf > *best {
-			*best = mf
+		// Generation records carry the bare workload name; tagged ones
+		// (a Pareto run's "#front" points) follow the history and are
+		// not generations.
+		if rec.Workload == j.Spec.Workload {
+			*forwarded++
+			if mf := rec.Report.Float("max_fitness"); *forwarded == 1 || mf > *best {
+				*best = mf
+			}
 		}
 		sink.Record(rec)
 		return nil
@@ -373,15 +341,12 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 	switch final.State {
 	case StateDone:
 		out := Outcome{
-			Solved:  final.Solved,
-			Shared:  final.Shared,
-			Resumed: final.Resumed,
-			Stored:  final.Stored,
-			Best:    *best,
-			Gens:    *forwarded,
-		}
-		if final.BestFitness > out.Best {
-			out.Best = final.BestFitness
+			Solved:   final.Solved,
+			Computed: !final.Shared,
+			Resumed:  final.Resumed,
+			Stored:   final.Stored,
+			Best:     max(*best, final.BestFitness),
+			Gens:     *forwarded,
 		}
 		if out.Gens == 0 {
 			out.Gens = final.Generations
@@ -405,43 +370,12 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 	}
 }
 
-// executeIsland resolves an island job through the shared island
-// cache, computing cold misses on the fleet (every live worker gets a
-// shard). The result is byte-identical to the single-process
-// reference, so cache and store contents are fleet-shape independent.
-func (d *Dispatcher) executeIsland(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	out, err := experiments.RunSharedIsland(experiments.IslandRequest{
-		Workload:       j.Spec.Workload,
-		Population:     j.Spec.Population,
-		Generations:    j.Spec.Generations,
-		Islands:        j.Spec.Islands,
-		MigrationEvery: j.Spec.MigrationEvery,
-		Seed:           j.Spec.Seed,
-		Ctx:            ctx,
-		Run: func(ctx context.Context) (*evolve.IslandRun, error) {
-			return d.runIslandsOnFleet(ctx, j)
-		},
-	})
-	if err != nil {
-		return Outcome{}, err
-	}
-	if out.Stored {
-		d.ctr.AddInt("proxied_store_hits", 1)
-	}
-	return islandOutcome(out, sink), nil
-}
-
-// runIslandsOnFleet computes one island run across the live workers,
-// restarting on the survivors when a shard's worker dies (the run is
-// deterministic, so the fleet shape never changes the result). With
-// no live workers the coordinator falls back to the local reference.
-func (d *Dispatcher) runIslandsOnFleet(ctx context.Context, j *Job) (*evolve.IslandRun, error) {
-	spec := j.Spec.islandSpec()
-	// The local fallback computes in-process; account its phase
-	// wall-clock like any other local run. (Distributed shards account
-	// on their own workers.)
-	spec.Phases = d.phases
-	session := j.Spec.key() + "@" + j.ID
+// runIslandsOnFleet computes one island run across the live workers —
+// the island kind's fleet hook — restarting on the survivors when a
+// shard's worker dies (the run is deterministic, so the fleet shape
+// never changes the result). Should the whole fleet die, the
+// coordinator finishes the run itself.
+func (d *Dispatcher) runIslandsOnFleet(ctx context.Context, spec evolve.IslandSpec, session string) (*evolve.IslandRun, error) {
 	var lastErr error
 	for attempt := 0; attempt < d.attempts(); attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -449,7 +383,7 @@ func (d *Dispatcher) runIslandsOnFleet(ctx context.Context, j *Job) (*evolve.Isl
 		}
 		workers := d.Members.Live()
 		if len(workers) == 0 {
-			d.ctr.AddInt("island_local", 1)
+			d.ctr.AddInt("local", 1)
 			return evolve.RunIslands(ctx, spec)
 		}
 		d.ctr.AddInt("island_distributed", 1)

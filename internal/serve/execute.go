@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/evolve"
 	"repro/internal/experiments"
 	"repro/internal/hw/hwsim"
 )
@@ -32,31 +31,20 @@ func newLocalExecutor(cfg Config) *localExecutor {
 // seam the cluster Dispatcher uses.
 func (e *localExecutor) Counters() *hwsim.Counters { return e.phases }
 
-// Execute resolves one job through the shared run cache (ordinary or
-// island flavor), streaming records through sink either live (cache
-// miss) or by replaying the memoized history (hit).
+// Execute resolves one job of any kind through the shared run tier,
+// streaming records through sink either live (cache miss) or by
+// replaying the memoized run (hit). Only scalar runs use the
+// checkpoint paths; island and Pareto runs are deterministic end to
+// end, so interruption means recomputation — the store tier still
+// dedupes across restarts.
 func (e *localExecutor) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	if j.Spec.IsIsland() {
-		return e.executeIsland(ctx, j, sink)
-	}
-	if j.Spec.IsPareto() {
-		return e.executePareto(ctx, j, sink)
-	}
-
-	req := experiments.SharedRequest{
-		Workload:    j.Spec.Workload,
-		Population:  j.Spec.Population,
-		Generations: j.Spec.Generations,
-		Seed:        j.Spec.Seed,
-		Ctx:         ctx,
-		Sink:        sink,
+	req := experiments.JobRequest{
 		Parallelism: e.cfg.RunnerParallelism,
 		BatchWidth:  e.cfg.RunnerBatchWidth,
-		OnRunner:    j.PublishRunner,
 		Phases:      e.phases,
 	}
 	if e.cfg.CheckpointDir != "" {
-		key := j.Spec.key()
+		key := j.Spec.key().String()
 		req.CheckpointPath = checkpointFile(e.cfg.CheckpointDir, key, e.cfg.WorkerID)
 		req.CheckpointEvery = e.cfg.CheckpointEvery
 		// Resume from the freshest checkpoint of this key regardless of
@@ -66,132 +54,17 @@ func (e *localExecutor) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (O
 			req.ResumeFromPath = resume
 		}
 	}
-
-	res, err := experiments.RunShared(req)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if !res.Computed {
-		// Served from the run cache (memory or disk tier): replay the
-		// memoized history so this job's subscribers see the same record
-		// stream a fresh execution would have produced.
-		for _, st := range res.Runner.History {
-			sink.Record(hwsim.Record{
-				Workload:   j.Spec.Workload,
-				Generation: st.Generation,
-				Report:     st.CounterReport(),
-			})
-		}
-	}
-	var best float64
-	for i, st := range res.Runner.History {
-		if i == 0 || st.MaxFitness > best {
-			best = st.MaxFitness
-		}
-	}
-	return Outcome{
-		Solved:  res.Solved,
-		Shared:  !res.Computed,
-		Resumed: res.Resumed,
-		Stored:  res.Stored,
-		Best:    best,
-		Gens:    len(res.Runner.History),
-	}, nil
+	return resolve(ctx, j, sink, req)
 }
 
-// executeIsland resolves an island-model job through the island run
-// cache. Island runs have no checkpoint machinery (each segment is
-// short and the whole run is deterministic), so interruption means
-// recomputation — the store tier still dedupes across restarts.
-func (e *localExecutor) executeIsland(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	out, err := experiments.RunSharedIsland(experiments.IslandRequest{
-		Workload:       j.Spec.Workload,
-		Population:     j.Spec.Population,
-		Generations:    j.Spec.Generations,
-		Islands:        j.Spec.Islands,
-		MigrationEvery: j.Spec.MigrationEvery,
-		Seed:           j.Spec.Seed,
-		Ctx:            ctx,
-		Parallelism:    e.cfg.RunnerParallelism,
-		BatchWidth:     e.cfg.RunnerBatchWidth,
-		Phases:         e.phases,
-	})
-	if err != nil {
-		return Outcome{}, err
-	}
-	return islandOutcome(out, sink), nil
-}
-
-// executePareto resolves a Pareto-mode job through the Pareto run
-// cache. On a cache miss this executor's run streams its history live
-// through sink and appends the front records once the run completes;
-// every hit (memory, store, or singleflight wait) replays the full
-// stream from the memoized run. Both paths produce byte-identical
-// record streams, so subscribers cannot tell a hit from a miss. Like
-// island jobs, Pareto runs have no checkpoint machinery — the run is
-// deterministic end to end and the store tier dedupes across restarts.
-func (e *localExecutor) executePareto(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	return resolveParetoLocal(ctx, j, sink, e.phases, e.cfg.RunnerParallelism, e.cfg.RunnerBatchWidth)
-}
-
-// resolveParetoLocal resolves a Pareto job through the shared Pareto
-// cache in-process — the body of localExecutor.executePareto, shared
-// with the Dispatcher's empty-fleet fallback.
-func resolveParetoLocal(ctx context.Context, j *Job, sink hwsim.Sink, phases *hwsim.Counters, parallelism, batchWidth int) (Outcome, error) {
-	out, err := experiments.RunSharedPareto(experiments.ParetoRequest{
-		Workload:    j.Spec.Workload,
-		Population:  j.Spec.Population,
-		Generations: j.Spec.Generations,
-		Seed:        j.Spec.Seed,
-		Objectives:  experiments.SplitObjectives(j.Spec.Objectives),
-		Ctx:         ctx,
-		Parallelism: parallelism,
-		BatchWidth:  batchWidth,
-		Phases:      phases,
-		Sink:        sink,
-	})
-	if err != nil {
-		return Outcome{}, err
-	}
-	if out.Computed {
-		// History already streamed live; finish with the front records.
-		evolve.FrontRecords(out.Run, sink)
-	} else {
-		evolve.ReplayParetoRecords(out.Run, sink)
-	}
-	return paretoOutcome(out.Run, !out.Computed, out.Stored), nil
-}
-
-// paretoOutcome folds a resolved Pareto run into a job Outcome.
-func paretoOutcome(run *evolve.ParetoRun, shared, stored bool) Outcome {
-	return Outcome{
-		Solved: run.Solved,
-		Shared: shared,
-		Stored: stored,
-		Best:   run.BestFitness,
-		Gens:   len(run.History),
-	}
-}
-
-// islandOutcome converts a shared island result into a job Outcome,
-// replaying the run's records through sink. Island runs always replay
-// (the per-island runners never stream live), so a computed run and a
-// cache hit produce the identical record stream.
-func islandOutcome(out *experiments.IslandOutcome, sink hwsim.Sink) Outcome {
-	evolve.ReplayIslandRecords(out.Run, sink)
-	gens := 0
-	for _, ir := range out.Run.Results {
-		if len(ir.History) > gens {
-			gens = len(ir.History)
-		}
-	}
-	return Outcome{
-		Solved: out.Run.Solved,
-		Shared: !out.Computed,
-		Stored: out.Stored,
-		Best:   out.Run.BestFitness,
-		Gens:   gens,
-	}
+// resolve runs one job in-process through experiments.Resolve — the
+// local executor's path and the coordinator's own compute path.
+func resolve(ctx context.Context, j *Job, sink hwsim.Sink, req experiments.JobRequest) (Outcome, error) {
+	req.Key = j.Spec.key()
+	req.Ctx = ctx
+	req.Sink = sink
+	req.OnRunner = j.PublishRunner
+	return experiments.Resolve(req)
 }
 
 // checkpointFile names the checkpoint a job writes: the cache key,

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/evolve"
 	"repro/internal/experiments"
+	"repro/internal/store"
 )
 
 // State is a job's lifecycle position. The transitions are:
@@ -86,65 +86,20 @@ func (sp Spec) IsIsland() bool { return sp.Islands > 0 }
 // IsPareto reports whether the spec requests a Pareto-mode run.
 func (sp Spec) IsPareto() bool { return sp.Objectives != "" }
 
-// paretoSpec maps the job spec onto the evolve-layer Pareto tuple.
-func (sp Spec) paretoSpec() evolve.ParetoSpec {
-	return evolve.ParetoSpec{
-		Workload:    sp.Workload,
-		Population:  sp.Population,
-		Generations: sp.Generations,
-		Seed:        sp.Seed,
-		Objectives:  experiments.SplitObjectives(sp.Objectives),
-	}
-}
-
-// islandSpec maps the job spec onto the evolve-layer island tuple.
-func (sp Spec) islandSpec() evolve.IslandSpec {
-	return evolve.IslandSpec{
-		Workload:       sp.Workload,
-		Population:     sp.Population,
-		Generations:    sp.Generations,
-		Islands:        sp.Islands,
-		MigrationEvery: sp.MigrationEvery,
-		Seed:           sp.Seed,
-	}
-}
-
 // validate rejects specs the scheduler would choke on.
-func (sp Spec) validate() error {
-	if _, err := evolve.WorkloadByName(sp.Workload); err != nil {
-		return err
-	}
-	if sp.Population < 2 {
-		return fmt.Errorf("population %d: need at least 2", sp.Population)
-	}
-	if sp.Generations < 1 {
-		return fmt.Errorf("generations %d: need at least 1", sp.Generations)
-	}
-	if sp.IsIsland() && sp.IsPareto() {
-		return fmt.Errorf("islands and objectives are mutually exclusive")
-	}
-	if sp.IsIsland() {
-		return sp.islandSpec().Validate()
-	}
-	if sp.IsPareto() {
-		return sp.paretoSpec().Validate()
-	}
-	return nil
-}
+func (sp Spec) validate() error { return experiments.Validate(sp.key()) }
 
-// key is the spec's run-cache identity rendered as a stable string —
-// used for checkpoint file names and cluster sharding, so an
-// interrupted job's resubmission finds its checkpoint and the ring
-// finds the same owner by construction. Matches store.Key.String().
-func (sp Spec) key() string {
-	base := fmt.Sprintf("%s-p%d-g%d-s%d", sp.Workload, sp.Population, sp.Generations, sp.Seed)
+// key is the spec's run identity, the run tier's and the store's key.
+// Its String() names checkpoint files and places the job on the
+// cluster ring, so an interrupted job's resubmission finds its
+// checkpoint and the ring finds the same owner by construction.
+func (sp Spec) key() store.Key {
+	k := store.Key{Workload: sp.Workload, Population: sp.Population, Generations: sp.Generations,
+		Seed: sp.Seed, Objectives: sp.Objectives}
 	if sp.IsIsland() {
-		base += fmt.Sprintf("-i%d-m%d", sp.Islands, sp.MigrationEvery)
+		k.Islands, k.MigrationEvery = sp.Islands, sp.MigrationEvery
 	}
-	if sp.IsPareto() {
-		base += "-o" + sp.Objectives
-	}
-	return base
+	return k
 }
 
 // Job is one submitted evolution with its lifecycle state and record
@@ -284,14 +239,14 @@ func (j *Job) requestCancel() (wasQueued, wasRunning bool) {
 }
 
 // setOutcome records a finished run's result fields before finish.
-func (j *Job) setOutcome(solved, shared, resumed, stored bool, best float64, gens int) {
+func (j *Job) setOutcome(out Outcome) {
 	j.mu.Lock()
-	j.solved = solved
-	j.shared = shared
-	j.resumed = resumed
-	j.stored = stored
-	j.best = best
-	j.gens = gens
+	j.solved = out.Solved
+	j.shared = !out.Computed
+	j.resumed = out.Resumed
+	j.stored = out.Stored
+	j.best = out.Best
+	j.gens = out.Gens
 	j.mu.Unlock()
 }
 

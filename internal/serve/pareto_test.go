@@ -169,6 +169,11 @@ func TestClusterParetoDispatch(t *testing.T) {
 	if fronts == 0 {
 		t.Fatal("coordinator stream carries no front records")
 	}
+	// The job's generation count is its history length wherever it ran:
+	// front records are not generations.
+	if hist := len(stream) - fronts; first.Generations != hist {
+		t.Fatalf("generations = %d, want the %d history records", first.Generations, hist)
+	}
 
 	st2, err := c.Submit(ctx, spec)
 	if err != nil {
@@ -209,40 +214,50 @@ func findChild(r hwsim.Report, name string) (hwsim.Report, bool) {
 }
 
 // TestClusterParetoLocalFallbackPhases: with no live workers the
-// coordinator computes the Pareto job in-process — and its /metrics
+// coordinator computes a job of any kind in-process — and its /metrics
 // tree carries the per-phase wall-clock counters, the accounting the
 // Dispatcher path previously lacked.
 func TestClusterParetoLocalFallbackPhases(t *testing.T) {
-	experiments.ResetCaches()
-	t.Cleanup(experiments.ResetCaches)
-	members := cluster.NewMembership(cluster.MembershipConfig{})
-	disp := &Dispatcher{Members: members}
-	sched := NewScheduler(Config{MaxRunning: 1, Executor: disp})
-	t.Cleanup(func() { sched.Drain(2 * time.Second) })
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"scalar", Spec{Workload: "cartpole", Population: 16, Generations: 3, Seed: seedPareto + 31}},
+		{"pareto", paretoSpec(seedPareto + 30)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			experiments.ResetCaches()
+			t.Cleanup(experiments.ResetCaches)
+			members := cluster.NewMembership(cluster.MembershipConfig{})
+			disp := &Dispatcher{Members: members}
+			sched := NewScheduler(Config{MaxRunning: 1, Executor: disp})
+			t.Cleanup(func() { sched.Drain(2 * time.Second) })
 
-	j, err := sched.Submit(paretoSpec(seedPareto + 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("local-fallback pareto job did not finish")
-	}
-	if j.State() != StateDone {
-		t.Fatalf("job finished %s", j.State())
-	}
-	if got := disp.Counters().Snapshot().Int("pareto_local"); got != 1 {
-		t.Fatalf("pareto_local = %d, want 1", got)
-	}
-	phases, ok := findChild(sched.Counters().Snapshot(), "phases")
-	if !ok {
-		t.Fatal("coordinator /metrics tree has no phases node")
-	}
-	for _, name := range []string{"generations", "evaluate_ns", "speciate_ns", "reproduce_ns"} {
-		if phases.Ints[name] <= 0 {
-			t.Fatalf("phase counter %s = %d, want > 0 (%+v)", name, phases.Ints[name], phases.Ints)
-		}
+			j, err := sched.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(60 * time.Second):
+				t.Fatal("local-fallback job did not finish")
+			}
+			if j.State() != StateDone {
+				t.Fatalf("job finished %s: %s", j.State(), j.Status().Error)
+			}
+			if got := disp.Counters().Snapshot().Int("local"); got != 1 {
+				t.Fatalf("local = %d, want 1", got)
+			}
+			phases, ok := findChild(sched.Counters().Snapshot(), "phases")
+			if !ok {
+				t.Fatal("coordinator /metrics tree has no phases node")
+			}
+			for _, name := range []string{"generations", "evaluate_ns", "speciate_ns", "reproduce_ns"} {
+				if phases.Ints[name] <= 0 {
+					t.Fatalf("phase counter %s = %d, want > 0 (%+v)", name, phases.Ints[name], phases.Ints)
+				}
+			}
+		})
 	}
 }
 
@@ -306,7 +321,7 @@ func TestRebalanceQueuedJobOnJoin(t *testing.T) {
 	found := false
 	for s := uint64(seedPareto + 50); s < seedPareto+250; s++ {
 		cand := Spec{Workload: "cartpole", Population: 16, Generations: 2, Seed: s}.withDefaults()
-		if owner, ok := scratch.Owner(cand.key()); ok && owner.ID == w2.id {
+		if owner, ok := scratch.Owner(cand.key().String()); ok && owner.ID == w2.id {
 			target, found = cand, true
 			break
 		}

@@ -103,7 +103,7 @@ func TestCrashRecoveryReplay(t *testing.T) {
 		Store: stB,
 	})
 	rep, requeued := schedB.Recover()
-	if len(rep.Interrupted) != 1 || rep.Interrupted[0].String() != slow.withDefaults().key() {
+	if len(rep.Interrupted) != 1 || rep.Interrupted[0].String() != slow.withDefaults().key().String() {
 		t.Fatalf("recovery found interrupted %v, want [%s]", rep.Interrupted, slow.withDefaults().key())
 	}
 	if rep.Verified != 1 {

@@ -78,15 +78,9 @@ type Config struct {
 	Executor Executor
 }
 
-// Outcome is an executor's report of one successfully completed job.
-type Outcome struct {
-	Solved  bool
-	Shared  bool
-	Resumed bool
-	Stored  bool
-	Best    float64
-	Gens    int
-}
+// Outcome is an executor's report of one successfully completed job;
+// a job whose result was not Computed by its own execution is shared.
+type Outcome = experiments.JobOutcome
 
 // Executor runs one admitted job to completion, streaming its
 // per-generation records through sink (live or replayed — the job's
@@ -470,13 +464,13 @@ func (s *Scheduler) runJob(j *Job) {
 		if out.Stored {
 			s.ctrJobs.AddInt("store_hits", 1)
 		}
-		if out.Shared {
+		if !out.Computed {
 			s.ctrJobs.AddInt("shared_cache", 1)
 		}
 		if out.Resumed {
 			s.ctrJobs.AddInt("resumed", 1)
 		}
-		j.setOutcome(out.Solved, out.Shared, out.Resumed, out.Stored, out.Best, out.Gens)
+		j.setOutcome(out)
 		s.finishJob(j, StateDone, "")
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/hw/hwsim"
+	"repro/internal/store"
 )
 
 // Seed ranges per test, so the process-global run cache never aliases
@@ -232,7 +234,7 @@ func TestCancelCheckpointResume(t *testing.T) {
 		t.Fatalf("cancelled job reports %s (err %q)", final.State, final.Error)
 	}
 
-	ckpt := filepath.Join(dir, spec.withDefaults().key()+".ckpt")
+	ckpt := filepath.Join(dir, spec.withDefaults().key().String()+".ckpt")
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("no checkpoint after cancel: %v", err)
 	}
@@ -370,5 +372,42 @@ func TestServeIntegration(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		t.Fatalf("shutdown after drain: %v", err)
+	}
+}
+
+// TestSpecKeyStringIsStable pins that a spec's store key renders the
+// same string the spec key always had, for the spec shapes the serve
+// tests submit, so checkpoint file names, store directories and ring
+// placement carry over from earlier daemons. legacy is that format.
+func TestSpecKeyStringIsStable(t *testing.T) {
+	legacy := func(sp Spec) string {
+		base := fmt.Sprintf("%s-p%d-g%d-s%d", sp.Workload, sp.Population, sp.Generations, sp.Seed)
+		if sp.Islands > 0 {
+			base += fmt.Sprintf("-i%d-m%d", sp.Islands, sp.MigrationEvery)
+		}
+		if sp.Objectives != "" {
+			base += "-o" + sp.Objectives
+		}
+		return base
+	}
+	for _, sp := range []Spec{
+		{Workload: "cartpole"},
+		{Workload: "cartpole", Population: 16, Generations: 2, Seed: seedCluster + 3},
+		slowSpec(seedRecovery, 1000),
+		{Workload: "cartpole", Population: 32, Generations: 8, Seed: seedCluster + 2, Islands: 2, MigrationEvery: 3},
+		{Workload: "cartpole", Population: 32, Generations: 8, Islands: 4},
+		paretoSpec(seedPareto + 1),
+		{Workload: "cartpole", Population: 16, Generations: 2, MigrationEvery: 3},
+		{Workload: "cartpole", Population: 16, Generations: 2, Islands: -1, MigrationEvery: 2},
+	} {
+		sp = sp.withDefaults()
+		if got, want := sp.key().String(), legacy(sp); got != want {
+			t.Errorf("%+v: key %q, want %q", sp, got, want)
+		}
+		if err := sp.validate(); err == nil {
+			if k, ok := store.ParseKeyFilename(sp.key().String() + ".ckpt"); !ok || k != sp.key() {
+				t.Errorf("%+v: checkpoint name does not parse back to its key (%+v, %v)", sp, k, ok)
+			}
+		}
 	}
 }

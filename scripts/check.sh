@@ -2,7 +2,8 @@
 # check.sh — the repository's local verification gate.
 #
 # Runs, in order: gofmt (fails on any unformatted file), go vet, a full
-# build, the full test suite, the race detector over the packages that
+# build, the full test suite, go vet and go test over the separate bench
+# module, the race detector over the packages that
 # exercise concurrency (the evolve evaluation pool and study runner, the
 # compiled-network kernel and its reuse cache, the hardware counter
 # registry, fault injector included, the experiment harness's
@@ -40,6 +41,12 @@ go build ./...
 
 echo "== go test"
 go test ./...
+
+echo "== bench module (go vet + go test)"
+# bench/ is its own Go module, so the ./... runs above never compile it,
+# yet it drives the experiments and serve APIs directly.
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "== go test -race (evolve, network, env, hw, experiments, serve, store, cluster, neat, gene, moea)"
 # env is in the race set since the batch engine: BatchEnv lane state is
