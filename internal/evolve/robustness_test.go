@@ -2,6 +2,7 @@ package evolve
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,6 +114,51 @@ func TestRunCancelledSavesCheckpoint(t *testing.T) {
 	}
 	if err := r2.RestoreCheckpoint(ckpt); err != nil {
 		t.Fatalf("cancellation checkpoint not restorable: %v", err)
+	}
+}
+
+// TestCheckpointFloats saves a checkpoint with a genome attribute at
+// each float boundary of the JSON encoding: a finite value restores
+// bit for bit, and NaN or ±Inf fails the save without leaving a
+// checkpoint or a staging file.
+func TestCheckpointFloats(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1e-7, 9.99e20, 1e21, 5e-324, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r, err := NewRunner("cartpole", smallConfig(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Pop.Genomes[3].Fitness = f
+		r.Pop.Genomes[4].Conns[0].Weight = f
+		ckpt := filepath.Join(t.TempDir(), "floats.ckpt")
+		err = r.SaveCheckpoint(ckpt)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			if err == nil {
+				t.Errorf("%v: saved", f)
+			}
+			for _, path := range []string{ckpt, ckpt + ".tmp"} {
+				if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+					t.Errorf("%v: %s left behind (%v)", f, filepath.Base(path), serr)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		back, err := NewRunner("cartpole", smallConfig(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.RestoreCheckpoint(ckpt); err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		if got := back.Pop.Genomes[3].Fitness; math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("fitness %v restored as %v", f, got)
+		}
+		if got := back.Pop.Genomes[4].Conns[0].Weight; math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("weight %v restored as %v", f, got)
+		}
 	}
 }
 

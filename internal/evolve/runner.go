@@ -128,7 +128,8 @@ type Runner struct {
 	TrackChampion bool
 	// Phases, when set, receives per-phase wall-clock accounting from
 	// every Step: evaluate_ns / speciate_ns / reproduce_ns accumulated
-	// across generations, plus a generations count. Wall-clock is
+	// across generations, plus a generations count, and checkpoint_ns
+	// for every checkpoint Run saves. Wall-clock is
 	// host-dependent by nature, so it lives only in this live counter
 	// node (surfaced through /metrics) and is deliberately kept out of
 	// GenStats and the per-generation record stream, which are pinned
@@ -661,7 +662,7 @@ func (r *Runner) Run(ctx context.Context, maxGenerations int) (bool, error) {
 	for r.Pop.Generation < maxGenerations {
 		if err := ctx.Err(); err != nil {
 			if r.CheckpointPath != "" {
-				if serr := r.SaveCheckpoint(r.CheckpointPath); serr != nil {
+				if serr := r.checkpoint(); serr != nil {
 					return false, errors.Join(err, serr)
 				}
 			}
@@ -674,7 +675,7 @@ func (r *Runner) Run(ctx context.Context, maxGenerations int) (bool, error) {
 			// PRNG is untouched during evaluation), so the checkpoint
 			// resumes bit-identically by re-evaluating the generation.
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) && r.CheckpointPath != "" {
-				if serr := r.SaveCheckpoint(r.CheckpointPath); serr != nil {
+				if serr := r.checkpoint(); serr != nil {
 					return false, errors.Join(err, serr)
 				}
 			}
@@ -686,12 +687,22 @@ func (r *Runner) Run(ctx context.Context, maxGenerations int) (bool, error) {
 		periodic := r.CheckpointEvery > 0 && r.Pop.Generation%r.CheckpointEvery == 0
 		requested := r.ckptReq.Swap(false)
 		if r.CheckpointPath != "" && (periodic || requested) {
-			if err := r.SaveCheckpoint(r.CheckpointPath); err != nil {
+			if err := r.checkpoint(); err != nil {
 				return false, fmt.Errorf("checkpoint: %w", err)
 			}
 		}
 	}
 	return false, nil
+}
+
+// checkpoint saves to CheckpointPath, charging the time to Phases.
+func (r *Runner) checkpoint() error {
+	start := time.Now()
+	err := r.SaveCheckpoint(r.CheckpointPath)
+	if r.Phases != nil {
+		r.Phases.AddInt("checkpoint_ns", time.Since(start).Nanoseconds())
+	}
+	return err
 }
 
 // SaveCheckpoint atomically persists the population state: the JSON is

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
@@ -136,8 +137,9 @@ type JobRequest struct {
 	// Parallelism and BatchWidth shape evaluation (0 = defaults).
 	Parallelism int
 	BatchWidth  int
-	// Phases, when set, receives a computation's per-phase wall-clock
-	// counters (metrics only, never stored).
+	// Phases, when set, receives a computation's wall-clock counters:
+	// per phase, per checkpoint and for its store commit (metrics only,
+	// never stored).
 	Phases *hwsim.Counters
 	// CheckpointPath, CheckpointEvery, ResumeFromPath and OnRunner
 	// apply to scalar runs only; see SharedRequest.
@@ -210,7 +212,7 @@ func (t *tier[R]) get(req *JobRequest) (R, JobOutcome, error) {
 		out.Computed = true
 		run, resumed, err := t.compute(req.Key, req)
 		if err == nil && !resumed {
-			t.commit(req.Key, run)
+			t.commit(req, run)
 		}
 		out.Resumed = resumed
 		return run, err
@@ -241,14 +243,19 @@ func (t *tier[R]) load(key store.Key) (R, bool) {
 }
 
 // commit writes a computed run to the attached store, best-effort: a
-// failed commit only means the next cold process recomputes.
-func (t *tier[R]) commit(key store.Key, run R) {
+// failed commit only means the next cold process recomputes. Its
+// time, encode and Put, is charged to req.Phases as commit_ns.
+func (t *tier[R]) commit(req *JobRequest, run R) {
 	s := activeStore.Load()
 	if s == nil {
 		return
 	}
-	if meta, files, err := t.encode(key, run); err == nil {
-		s.Put(key, meta, files)
+	start := time.Now()
+	if meta, files, err := t.encode(req.Key, run); err == nil {
+		s.Put(req.Key, meta, files)
+	}
+	if req.Phases != nil {
+		req.Phases.AddInt("commit_ns", time.Since(start).Nanoseconds())
 	}
 }
 

@@ -155,6 +155,43 @@ func TestStoreSkipsResumedRuns(t *testing.T) {
 	}
 }
 
+// TestPhasesChargeCheckpointAndCommit: a checkpointed computation
+// charges its checkpoints and its store commit to the request's phase
+// counters; a memory hit and a store hit of the same run charge
+// neither.
+func TestPhasesChargeCheckpointAndCommit(t *testing.T) {
+	withTestStore(t, store.Config{})
+	ResetCaches()
+	req := persistReq(777004)
+	req.CheckpointPath = filepath.Join(t.TempDir(), "phases.ckpt")
+	req.CheckpointEvery = 1
+	for _, step := range []struct {
+		name          string
+		reset, charge bool
+	}{
+		{"compute", false, true},
+		{"memory hit", false, false},
+		{"store hit", true, false},
+	} {
+		if step.reset {
+			ResetCaches()
+		}
+		req.Phases = hwsim.New("phases")
+		run, err := RunShared(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Computed != step.charge || run.Stored != step.reset {
+			t.Fatalf("%s: Computed=%v Stored=%v", step.name, run.Computed, run.Stored)
+		}
+		for _, name := range []string{"checkpoint_ns", "commit_ns"} {
+			if got := req.Phases.IntValue(name); (got > 0) != step.charge {
+				t.Errorf("%s: %s = %d", step.name, name, got)
+			}
+		}
+	}
+}
+
 // goldenKeys name the artifacts under testdata/golden: one tiny run of
 // each kind, committed by the store tier of the build before the kinds
 // shared one tier. They pin that the key strings, payload file names

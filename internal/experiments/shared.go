@@ -71,10 +71,11 @@ type SharedRequest struct {
 	// by the computing goroutine; callers must only use the
 	// goroutine-safe Runner surface.
 	OnRunner func(*evolve.Runner)
-	// Phases, when set, receives the runner's per-phase wall-clock
-	// counters (evaluate/speciate/reproduce) on a cache miss — a live
-	// accounting node, not part of the cache key or the memoized run.
-	// Cache hits and store replays execute no phases and charge nothing.
+	// Phases, when set, receives a cache miss's wall-clock counters:
+	// the runner's per phase (evaluate/speciate/reproduce) and per
+	// checkpoint, and the store commit's — a live accounting node, not
+	// part of the cache key or the memoized run. Cache hits and store
+	// replays execute no phases and charge nothing.
 	Phases *hwsim.Counters
 }
 

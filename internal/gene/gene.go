@@ -47,18 +47,15 @@ const (
 	Output NodeType = 2
 )
 
+// nodeTypeNames holds each node type's name, by type.
+var nodeTypeNames = [...]string{Hidden: "hidden", Input: "input", Output: "output"}
+
 // String names the node type.
 func (t NodeType) String() string {
-	switch t {
-	case Hidden:
-		return "hidden"
-	case Input:
-		return "input"
-	case Output:
-		return "output"
-	default:
-		return fmt.Sprintf("NodeType(%d)", uint8(t))
+	if int(t) < len(nodeTypeNames) {
+		return nodeTypeNames[t]
 	}
+	return fmt.Sprintf("NodeType(%d)", uint8(t))
 }
 
 // Activation enumerates the activation functions a node gene can select.
@@ -82,11 +79,13 @@ const (
 // NumActivations is the count of defined activation functions.
 const NumActivations = int(numActivations)
 
+// activationNames holds each activation function's name, by id.
+var activationNames = [NumActivations]string{"sigmoid", "tanh", "relu", "identity", "sin", "gauss", "abs", "clamped"}
+
 // String names the activation function.
 func (a Activation) String() string {
-	names := [...]string{"sigmoid", "tanh", "relu", "identity", "sin", "gauss", "abs", "clamped"}
-	if int(a) < len(names) {
-		return names[a]
+	if int(a) < len(activationNames) {
+		return activationNames[a]
 	}
 	return fmt.Sprintf("Activation(%d)", uint8(a))
 }
@@ -107,11 +106,13 @@ const (
 // NumAggregations is the count of defined aggregation functions.
 const NumAggregations = int(numAggregations)
 
+// aggregationNames holds each aggregation function's name, by id.
+var aggregationNames = [NumAggregations]string{"sum", "product", "max", "min", "mean"}
+
 // String names the aggregation function.
 func (a Aggregation) String() string {
-	names := [...]string{"sum", "product", "max", "min", "mean"}
-	if int(a) < len(names) {
-		return names[a]
+	if int(a) < len(aggregationNames) {
+		return aggregationNames[a]
 	}
 	return fmt.Sprintf("Aggregation(%d)", uint8(a))
 }

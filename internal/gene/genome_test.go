@@ -6,7 +6,7 @@ import (
 )
 
 // smallGenome builds a 2-input / 1-output genome with one hidden node.
-func smallGenome(t *testing.T) *Genome {
+func smallGenome(t testing.TB) *Genome {
 	t.Helper()
 	g := NewGenome(1)
 	g.PutNode(NewNode(0, Input))

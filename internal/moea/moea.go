@@ -4,13 +4,12 @@
 // pluggable objective vector (task fitness up, genome complexity down,
 // simulated chip energy down).
 //
-// Two sorting implementations coexist, exactly as the PR 9 epoch
-// kernel retained its slow speciation reference:
+// Two sorting implementations share one assembly step:
 //
-//   - ReferenceSort is the textbook O(M·N²) fast-non-dominated-sort
-//     (Deb et al. 2002): full pairwise domination sets S[p] and
-//     domination counts n[p], fronts peeled one rank at a time. It is
-//     the executable specification.
+//   - ReferenceSort, in the package's tests, is the textbook O(M·N²)
+//     fast-non-dominated-sort (Deb et al. 2002): full pairwise
+//     domination sets S[p] and domination counts n[p], fronts peeled
+//     one rank at a time. It is the executable specification.
 //   - Sort is the production kernel: ENS-SS (Zhang et al. 2015,
 //     "efficient non-dominated sort, sequential search"). Points are
 //     pre-sorted lexicographically, so a point can only be dominated
@@ -194,61 +193,6 @@ func Sort(points []Point, objectives []Objective) Result {
 			fronts = append(fronts, []int{i})
 			rank[i] = len(fronts) - 1
 		}
-	}
-
-	return assemble(points, vals, rank, fronts)
-}
-
-// ReferenceSort is the retained slow reference: the textbook O(M·N²)
-// fast non-dominated sort of Deb et al. (2002), kept as the executable
-// specification the kernel is differentially pinned against
-// (TestSortMatchesReference). Identical output to Sort.
-func ReferenceSort(points []Point, objectives []Objective) Result {
-	if err := Validate(points, objectives); err != nil {
-		panic(err)
-	}
-	vals := minimized(points, objectives)
-	n := len(points)
-
-	// S[p]: the set of points p dominates. domCount[p]: how many
-	// points dominate p.
-	dominated := make([][]int, n)
-	domCount := make([]int, n)
-	for p := 0; p < n; p++ {
-		for q := 0; q < n; q++ {
-			if p == q {
-				continue
-			}
-			if dominates(vals[p], vals[q]) {
-				dominated[p] = append(dominated[p], q)
-			} else if dominates(vals[q], vals[p]) {
-				domCount[p]++
-			}
-		}
-	}
-
-	rank := make([]int, n)
-	var fronts [][]int
-	var current []int
-	for p := 0; p < n; p++ {
-		if domCount[p] == 0 {
-			rank[p] = 0
-			current = append(current, p)
-		}
-	}
-	for len(current) > 0 {
-		fronts = append(fronts, current)
-		var next []int
-		for _, p := range current {
-			for _, q := range dominated[p] {
-				domCount[q]--
-				if domCount[q] == 0 {
-					rank[q] = len(fronts)
-					next = append(next, q)
-				}
-			}
-		}
-		current = next
 	}
 
 	return assemble(points, vals, rank, fronts)

@@ -2,6 +2,8 @@ package neat
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -27,6 +29,69 @@ func evolvedPopulation(t *testing.T) *Population {
 		}
 	}
 	return p
+}
+
+// referenceSave is Save's encoding/json implementation: the document
+// the hand-written envelope must reproduce byte for byte.
+func referenceSave(p *Population, w io.Writer) error {
+	st := p.rnd.State()
+	cp := checkpoint{
+		Config:        p.Config,
+		Generation:    p.Generation,
+		NextGenomeID:  p.nextGenomeID,
+		NextSpeciesID: p.nextSpeciesID,
+		NextNodeID:    p.ids.next,
+		Genomes:       p.Genomes,
+		BestEver:      p.BestEver,
+		RNG:           &st,
+	}
+	for _, s := range p.Species {
+		cp.Species = append(cp.Species, speciesCheckpoint{
+			ID:             s.ID,
+			Representative: s.Representative,
+			BestFitness:    s.BestFitness,
+			LastImproved:   s.LastImproved,
+			Created:        s.Created,
+		})
+	}
+	return json.NewEncoder(w).Encode(cp)
+}
+
+func TestSaveMatchesEncodingJSON(t *testing.T) {
+	fresh, err := NewPopulation(DefaultConfig(2, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Big enough for Save to flush several chunks mid-document.
+	cfg := DefaultConfig(24, 4)
+	cfg.PopulationSize = 60
+	big, err := NewPopulation(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(4)
+	for _, g := range big.Genomes {
+		g.Fitness = r.NormFloat64()
+	}
+	if _, err := big.Epoch(); err != nil {
+		t.Fatal(err)
+	}
+	big.rnd.NormFloat64() // leave a cached Gauss draw in the PRNG state
+	for name, p := range map[string]*Population{"fresh": fresh, "evolved": evolvedPopulation(t), "big": big} {
+		var got, want bytes.Buffer
+		if err := p.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := referenceSave(p, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: Save differs from encoding/json (%d vs %d bytes)", name, got.Len(), want.Len())
+		}
+		if name == "big" && got.Len() < 3*saveChunk {
+			t.Fatalf("big population is only %d bytes", got.Len())
+		}
+	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -161,6 +226,11 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		"not json":   "{",
 		"empty":      `{"config":{"PopulationSize":10,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[]}`,
 		"bad config": `{"config":{"PopulationSize":0},"genomes":[{"id":1,"nodes":[],"conns":[]}]}`,
+		"null genome": `{"config":{"PopulationSize":1,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full",` +
+			`"CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[null]}`,
+		"null representative": `{"config":{"PopulationSize":1,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full",` +
+			`"CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[{"id":1}],` +
+			`"species":[{"id":1,"representative":null}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := Restore(strings.NewReader(doc), 1); err == nil {
@@ -184,4 +254,35 @@ func TestRestorePreservesNodeIDCounter(t *testing.T) {
 		t.Fatalf("node id counter regressed: %d < %d — future splits would collide",
 			q.ids.next, before)
 	}
+}
+
+// BenchmarkCheckpoint measures writing and reading one RAM-scale
+// checkpoint: pop 50 genomes of 128×18 inputs×outputs (about 8 MB of
+// JSON), the population an atari job commits to the store.
+func BenchmarkCheckpoint(b *testing.B) {
+	p := benchPopulation(b, 128, 18, 50, 2)
+	var doc bytes.Buffer
+	if err := p.Save(&doc); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Save", func(b *testing.B) {
+		b.SetBytes(int64(doc.Len()))
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := p.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Restore", func(b *testing.B) {
+		b.SetBytes(int64(doc.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Restore(bytes.NewReader(doc.Bytes()), 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

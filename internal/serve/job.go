@@ -200,24 +200,30 @@ func (j *Job) start(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish moves the job into a terminal state and closes the stream
-// and done channel, reporting whether this call performed the
-// transition (false if already terminal — a DELETE racing completion
-// keeps the first outcome).
-func (j *Job) finish(state State, errMsg string) bool {
+// terminate moves the job into a terminal state, reporting whether
+// this call performed the transition (false if already terminal — a
+// DELETE racing completion keeps the first outcome). The stream and
+// done stay open until close, so whoever terminated the job can
+// settle its accounting before any watcher sees the end.
+func (j *Job) terminate(state State, errMsg string) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = state
 	j.err = errMsg
 	j.finished = time.Now()
 	j.cancel = nil
-	j.mu.Unlock()
+	return true
+}
+
+// close ends the record stream and the done channel of a job
+// terminate has moved to its terminal state; call it exactly once,
+// after a successful terminate.
+func (j *Job) close() {
 	j.stream.Close()
 	close(j.done)
-	return true
 }
 
 // requestCancel cancels a running job's context, or reports the job

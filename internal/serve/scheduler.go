@@ -476,9 +476,11 @@ func (s *Scheduler) runJob(j *Job) {
 }
 
 // finishJob finalizes a job exactly once: terminal state, client slot
-// release, outcome counters.
+// release and outcome counters, and only then the end of its stream
+// and done channel — so a client that has seen the job end finds it
+// counted and may submit again at once.
 func (s *Scheduler) finishJob(j *Job, state State, msg string) {
-	if !j.finish(state, msg) {
+	if !j.terminate(state, msg) {
 		return
 	}
 	client := j.Spec.Client
@@ -498,6 +500,7 @@ func (s *Scheduler) finishJob(j *Job, state State, msg string) {
 	case StateCancelled:
 		s.ctrJobs.AddInt("cancelled", 1)
 	}
+	j.close()
 	if d := j.stream.Dropped(); d > 0 {
 		s.ctrStream.AddInt("sse_dropped", d)
 	}

@@ -123,6 +123,35 @@ func TestServerSmoke(t *testing.T) {
 	}
 }
 
+// TestResubmitOnDone: a client capped at one job in flight that
+// submits its next job the moment it sees done is never shed, and
+// /metrics already counts every job it has seen finish — a job's slot
+// and outcome counter settle before its stream ends.
+func TestResubmitOnDone(t *testing.T) {
+	_, c, _ := startDaemon(t, Config{MaxRunning: 2, MaxQueue: 8, MaxPerClient: 1})
+	ctx := context.Background()
+	for done := 1; done <= 20; done++ {
+		st, err := c.Submit(ctx, Spec{Workload: "cartpole", Population: 16, Generations: 1, Seed: seedSmoke + uint64(done)})
+		if err != nil {
+			t.Fatalf("submit after %d done events: %v", done-1, err)
+		}
+		final, err := c.Watch(ctx, st.ID, func(hwsim.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateDone {
+			t.Fatalf("job %d ended %s (%q)", done, final.State, final.Error)
+		}
+		rep, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Int("jobs/completed"); got < int64(done) {
+			t.Fatalf("jobs/completed = %d after %d done events", got, done)
+		}
+	}
+}
+
 // TestAdmissionPerClientCap: one client over its in-flight cap is
 // shed with a Retry-After hint while another client is admitted — the
 // per-client fairness half of the load-shedding policy.

@@ -242,11 +242,12 @@ go test -run=NONE -bench='BenchmarkClusterThroughput' \
 go test -run=NONE -bench='BenchmarkNonDominatedSort' \
     -benchtime=1x ./internal/moea/
 
-echo "== fuzz smoke (trace, neat checkpoint, store manifest)"
+echo "== fuzz smoke (trace, genome codec, neat checkpoint, store manifest)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the ~5 KB
 # checkpoint corpus entries.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
+go test -run=NONE -fuzz=FuzzGenomeJSON -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 
