@@ -51,7 +51,6 @@ func main() {
 		queue      = flag.Int("queue", 16, "queued-job cap; submissions beyond it are shed with 429")
 		perClient  = flag.Int("per-client", 0, "per-client queued+running cap (0 = unlimited)")
 		evalPar    = flag.Int("eval-parallelism", 1, "per-job evaluation worker pool width")
-		batchWidth = flag.Int("batch-width", 0, "per-job batch evaluation engine lane cap (0 = engine default; results are identical at every width)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled)")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for job checkpoints; interrupted jobs resume on resubmission")
 		ckptEvery  = flag.Int("checkpoint-every", 5, "periodic checkpoint interval in generations (with -checkpoint-dir)")
@@ -144,7 +143,6 @@ func main() {
 		MaxQueue:          *queue,
 		MaxPerClient:      *perClient,
 		RunnerParallelism: *evalPar,
-		RunnerBatchWidth:  *batchWidth,
 		CheckpointDir:     *ckptDir,
 		CheckpointEvery:   *ckptEvery,
 		Store:             runStore,

@@ -3,6 +3,7 @@ package evolve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -19,27 +20,30 @@ import (
 //     NEAT populations are weight-mutation dominated, so groups are
 //     large;
 //  2. turns each group's (genome, episode) units into batch jobs of up
-//     to BatchWidth lanes, loads lanes with per-genome parameters, and
-//     advances network + environment in lock-step through
-//     struct-of-arrays planes;
+//     to defaultBatchWidth lanes, loads lanes with per-genome
+//     parameters, and advances network + environment in lock-step
+//     through struct-of-arrays planes;
 //  3. retires a lane the step its episode finishes — backfilling the
 //     next unit in place while units remain, then compacting the lane
 //     out of the active prefix with swap-retire — so no lane ever
 //     computes a dead episode.
 //
-// Every lane performs exactly the float and RNG operations of the
-// reference scalar path in the same order, episode fitness lands in
-// per-(genome, episode) slots, and the final mean sums in episode
-// order: results are byte-identical to Scalar mode (pinned by
-// differential_test.go).
+// Every lane performs exactly the float and RNG operations of a serial
+// episode-by-episode evaluation in the same order, episode fitness
+// lands in per-(genome, episode) slots, and the final mean sums in
+// episode order: results are byte-identical to the serial reference
+// evaluator in differential_test.go, the executable specification.
 
-// defaultBatchWidth is the lane cap when Runner.BatchWidth is unset:
-// wide enough to keep the 4-lane vector exp kernel and plane streaming
-// effective, small enough that per-worker planes stay cache-resident.
+// defaultBatchWidth is the lane cap: wide enough to keep the 4-lane
+// vector exp kernel and plane streaming effective, small enough that
+// per-worker planes stay cache-resident.
 const defaultBatchWidth = 64
 
 // minBatchUnits is the smallest group worth loading into the batch
-// engine; below it the scalar path is cheaper than lane setup.
+// engine; below it a per-episode job (runEpisode) is cheaper than lane
+// setup. At RAM scale (one episode, 2304-connection genomes) almost
+// every group past the first generation is a singleton, so per-episode
+// jobs carry nearly all of the evaluation there.
 const minBatchUnits = 2
 
 // batchWidthFor fits the lane width to a job's unit count: small
@@ -97,13 +101,13 @@ type evalGroup struct {
 }
 
 // batchJob is one dispatch unit: either a lane-range of a group's
-// episode units, or a single scalar (genome, episode) evaluation for
-// groups too small to batch.
+// episode units, or a single (genome, episode) evaluation for groups
+// too small to batch.
 type batchJob struct {
-	group  int // -1 for scalar jobs
+	group  int // -1 for per-episode jobs
 	lo, hi int // unit range within the group (batch jobs)
-	gIdx   int // population index (scalar jobs)
-	ep     int // episode (scalar jobs)
+	gIdx   int // population index (per-episode jobs)
+	ep     int // episode (per-episode jobs)
 	weight float64
 }
 
@@ -115,12 +119,38 @@ type chunkResult struct {
 	err     error
 }
 
-// evaluateGenerationBatch is the batch-engine body of
-// EvaluateGeneration. Workers and episode counts were resolved by the
-// caller; ctx was already checked once.
-func (r *Runner) evaluateGenerationBatch(ctx context.Context, workers, episodes int) (envSteps, macs, updates int64, err error) {
+// EvaluateGeneration scores every genome in the current population
+// (steps 1–6 of the walkthrough) through the batch engine, exploiting
+// population-level parallelism with the persistent worker pool. It
+// returns aggregate inference work. Dispatch stops as soon as ctx is
+// cancelled — in-flight jobs finish, queued jobs are never started,
+// and ctx.Err() is returned — so an interrupt does not have to wait out
+// a full generation of long episodes.
+func (r *Runner) EvaluateGeneration(ctx context.Context) (envSteps, macs, updates int64, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, 0, err
+	}
 	genomes := r.Pop.Genomes
-	width := r.BatchWidth
+	episodes := r.Workload.Episodes
+	if episodes < 1 {
+		episodes = 1
+	}
+	workers := r.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Evaluation is CPU-bound: workers beyond the scheduler's
+	// processors cannot overlap and only add context switches.
+	if mp := runtime.GOMAXPROCS(0); workers > mp {
+		workers = mp
+	}
+	if units := len(genomes) * episodes; workers > units {
+		workers = units
+	}
+	if err := r.ensureWorkers(workers); err != nil {
+		return 0, 0, 0, err
+	}
+	width := r.batchWidth
 	if width <= 0 {
 		width = defaultBatchWidth
 	}
@@ -197,7 +227,7 @@ func (r *Runner) evaluateGenerationBatch(ctx context.Context, workers, episodes 
 	}
 
 	// Mean per genome, summing in episode order — the exact float
-	// additions of the reference path.
+	// additions of a serial evaluation.
 	for i, g := range genomes {
 		var total float64
 		for ep := 0; ep < episodes; ep++ {
@@ -278,8 +308,10 @@ func (r *Runner) batchable(g *evalGroup, episodes int) bool {
 // makeJobs turns topology groups into an LPT-ordered job list. Batch
 // groups are split into lane-range chunks only as far as parallel
 // balance requires (a chunk never drops below one full batch width, so
-// backfill keeps lanes busy); the previous generation's fitness is the
-// episode-length proxy, exactly as the scalar LPT used it.
+// backfill keeps lanes busy). A genome's carried-over fitness is the
+// episode-length proxy (elites survive longest), so the longest jobs
+// are dispatched first and no worker idles behind a straggler sent
+// last.
 func (r *Runner) makeJobs(groups []evalGroup, width, workers, episodes int) []batchJob {
 	genomes := r.Pop.Genomes
 	totalUnits := 0
@@ -426,8 +458,8 @@ func (w *evalWorker) sweepNetSlots() {
 }
 
 // safeRunBatchRange shields the dispatcher from a panicking fitness
-// evaluation inside a batch, as safeEvaluateEpisode does for the
-// scalar path.
+// evaluation inside a batch, as safeEvaluateEpisode does for
+// per-episode jobs.
 func (r *Runner) safeRunBatchRange(w *evalWorker, grp *evalGroup, lo, hi int, perEp []float64, width, episodes int) (cr chunkResult) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -447,17 +479,15 @@ func swapPlaneCols(plane []float64, width, rows, a, b int) {
 
 // loadLane loads one (genome, episode) unit into a lane: parameters
 // into the batch program, a deterministic reset into the environment
-// lane, a fresh shaper. The episode seed is the reference formula —
-// schedule-independent, so any lane assignment reproduces the scalar
-// stream exactly.
+// lane (episodeSeed, so any lane assignment reproduces the serial
+// stream exactly), a fresh shaper.
 func (r *Runner) loadLane(ls *laneSet, bp *network.BatchProgram, obsPlane []float64, grp *evalGroup, lane, unit, episodes int) error {
 	mi, ep := unit/episodes, unit%episodes
 	g := r.Pop.Genomes[grp.members[mi]]
 	if err := bp.SetLane(lane, grp.progs[mi]); err != nil {
 		return fmt.Errorf("genome %d: %w", g.ID, err)
 	}
-	seed := r.seed ^ uint64(r.Pop.Generation)<<40 ^ uint64(g.ID)<<8 ^ uint64(ep)
-	ls.be.ResetLane(lane, seed, obsPlane)
+	ls.be.ResetLane(lane, r.episodeSeed(g, ep), obsPlane)
 	ls.shapers[lane].Reset()
 	ls.laneSteps[lane] = 0
 	ls.laneUnit[lane] = unit

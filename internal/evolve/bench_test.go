@@ -41,17 +41,15 @@ func BenchmarkEvaluateGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateGenerationScalar pins the reference serial
-// semantics — the pre-batch-engine evaluation path — on the identical
-// workload, so the batch engine's speedup is measured in-tree.
+// BenchmarkEvaluateGenerationScalar times the serial test reference
+// (evaluateReference: the pre-batch-engine semantics, one genome and
+// one episode at a time) on the identical workload, so the batch
+// engine's speedup is measured in-tree.
 func BenchmarkEvaluateGenerationScalar(b *testing.B) {
 	r := benchRunner(b, 64, 8)
-	r.Parallelism = 4
-	r.Scalar = true
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := r.EvaluateGeneration(ctx); err != nil {
+		if _, _, _, err := evaluateReference(r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +62,6 @@ func BenchmarkEvaluateGenerationScalar(b *testing.B) {
 func BenchmarkEvaluateGenerationBatch(b *testing.B) {
 	r := benchRunner(b, 64, 8)
 	r.Parallelism = 4
-	r.BatchWidth = 64
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

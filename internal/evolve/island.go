@@ -30,8 +30,8 @@ import (
 //     round-trip is exact, so both paths inject identical genomes.
 
 // IslandSpec describes one island-model run. The full tuple is the
-// identity: two specs differing only in Parallelism/BatchWidth (the
-// execution-shape knobs) produce byte-identical results.
+// identity: two specs differing only in Parallelism (the
+// execution-shape knob) produce byte-identical results.
 type IslandSpec struct {
 	Workload string
 	// Population is the total genome count, split evenly across
@@ -46,10 +46,9 @@ type IslandSpec struct {
 	MigrationEvery int
 	Seed           uint64
 
-	// Parallelism / BatchWidth shape each island runner's evaluation
-	// (see Runner); they do not affect results.
+	// Parallelism shapes each island runner's evaluation (see Runner);
+	// it does not affect results.
 	Parallelism int
-	BatchWidth  int
 
 	// Phases, when set, receives every island runner's per-phase
 	// wall-clock counters (see Runner.Phases). Metrics only — never
@@ -215,7 +214,6 @@ func NewIslandGroup(spec IslandSpec, islands []int) (*IslandGroup, error) {
 			return nil, err
 		}
 		r.Parallelism = spec.Parallelism
-		r.BatchWidth = spec.BatchWidth
 		r.Phases = spec.Phases
 		r.TrackChampion = true
 		g.Runners = append(g.Runners, r)

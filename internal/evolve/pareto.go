@@ -23,7 +23,7 @@ import (
 //     task fitness the evaluator just assigned, the genome's gene
 //     count, and a structural energy price from the Default15nm
 //     technology constants. Nothing host- or schedule-dependent enters
-//     the vector, so Parallelism/BatchWidth remain execution-shape.
+//     the vector, so Parallelism remains execution-shape.
 //  2. The NSGA-II assignment is serial with a strict total order
 //     (rank, then crowding, then genome ID — see package moea), and
 //     selection pressure is applied by re-writing each genome's
@@ -174,7 +174,7 @@ func (r *Runner) Front() []ParetoPoint { return r.front }
 
 // ParetoSpec describes one Pareto-mode run. The identity tuple is
 // (workload, population, generations, seed, objectives — order
-// included); Parallelism/BatchWidth are execution-shape only.
+// included); Parallelism is execution-shape only.
 type ParetoSpec struct {
 	Workload    string
 	Population  int
@@ -185,7 +185,6 @@ type ParetoSpec struct {
 	Objectives []string
 
 	Parallelism int
-	BatchWidth  int
 	// Phases, when set, receives the runner's per-phase wall-clock
 	// counters (see Runner.Phases) — live metrics only, never part of
 	// the result.
@@ -240,7 +239,6 @@ func newParetoRunner(spec ParetoSpec) (*Runner, error) {
 	}
 	r.Objectives = append([]string(nil), spec.Objectives...)
 	r.Parallelism = spec.Parallelism
-	r.BatchWidth = spec.BatchWidth
 	r.Phases = spec.Phases
 	r.Sink = spec.Sink
 	return r, nil

@@ -11,9 +11,10 @@ import (
 
 // TestRunParetoDeterministicAcrossShapes pins the Pareto mode's core
 // guarantee: the whole run — history and front — is byte-identical at
-// any Parallelism/BatchWidth and on the scalar reference path, because
-// objective values are pure functions of the deterministic evaluation
-// and the NSGA-II assignment is serial with a strict total order.
+// any Parallelism and lane width and on the serial reference
+// evaluator, because objective values are pure functions of the
+// deterministic evaluation and the NSGA-II assignment is serial with a
+// strict total order.
 func TestRunParetoDeterministicAcrossShapes(t *testing.T) {
 	base := ParetoSpec{
 		Workload:    "cartpole",
@@ -26,9 +27,9 @@ func TestRunParetoDeterministicAcrossShapes(t *testing.T) {
 		name        string
 		parallelism int
 		batchWidth  int
-		scalar      bool
+		reference   bool
 	}{
-		{"serial-scalar", 1, 0, true},
+		{"serial-reference", 1, 0, true},
 		{"parallel-batch", 4, 0, false},
 		{"parallel-narrow", 3, 2, false},
 	}
@@ -36,8 +37,7 @@ func TestRunParetoDeterministicAcrossShapes(t *testing.T) {
 	for _, sh := range shapes {
 		spec := base
 		spec.Parallelism = sh.parallelism
-		spec.BatchWidth = sh.batchWidth
-		run, err := runParetoShaped(t, spec, sh.scalar)
+		run, err := runParetoShaped(t, spec, sh.batchWidth, sh.reference)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
@@ -58,13 +58,15 @@ func TestRunParetoDeterministicAcrossShapes(t *testing.T) {
 	}
 }
 
-// runParetoShaped is RunPareto with the test-only Scalar knob exposed.
-func runParetoShaped(t *testing.T, spec ParetoSpec, scalar bool) (*ParetoRun, error) {
+// runParetoShaped is RunPareto with the test-only evaluation knobs
+// exposed: a lane width (0 = default), or the serial reference
+// evaluator in place of the batch engine.
+func runParetoShaped(t *testing.T, spec ParetoSpec, batchWidth int, reference bool) (*ParetoRun, error) {
 	t.Helper()
-	if !scalar {
+	if batchWidth == 0 && !reference {
 		return RunPareto(context.Background(), spec)
 	}
-	// Mirror RunPareto but force the scalar reference evaluator.
+	// Mirror RunPareto with the knobs applied.
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,8 +74,13 @@ func runParetoShaped(t *testing.T, spec ParetoSpec, scalar bool) (*ParetoRun, er
 	if err != nil {
 		return nil, err
 	}
-	r.Scalar = true
-	solved, err := r.Run(context.Background(), spec.Generations)
+	r.batchWidth = batchWidth
+	var solved bool
+	if reference {
+		solved, err = runReference(r, spec.Generations)
+	} else {
+		solved, err = r.Run(context.Background(), spec.Generations)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,15 +99,6 @@ type Runner struct {
 	// Parallelism caps the evaluation worker pool (population-level
 	// parallelism); 0 means GOMAXPROCS.
 	Parallelism int
-	// BatchWidth is the lane count of the tensorized batch engine (the
-	// number of episodes one worker advances in lock-step); 0 selects
-	// the default width. See batch.go.
-	BatchWidth int
-	// Scalar disables the batch engine and evaluates with the reference
-	// serial semantics (one episode at a time per worker). The batch
-	// engine is pinned byte-identical to this path by the differential
-	// tests; the knob exists for those tests and for debugging.
-	Scalar bool
 	// Sink, when set, receives one hwsim.Record per completed
 	// generation (the GenStats counter tree), tagged with the workload
 	// name.
@@ -155,6 +144,11 @@ type Runner struct {
 	// ckptReq is the cross-goroutine checkpoint request flag; see
 	// RequestCheckpoint.
 	ckptReq atomic.Bool
+	// batchWidth caps the batch engine's lanes (the episodes one worker
+	// advances in lock-step); 0 means defaultBatchWidth. Results are
+	// identical at every width; tests narrow it to force lane backfill
+	// and swap-retire.
+	batchWidth int
 
 	// workers is the persistent population-level-parallelism pool: one
 	// slot per evaluation worker, each owning an environment instance, a
@@ -168,8 +162,6 @@ type Runner struct {
 	// genome-level reuse: elites and champions carry their parent's
 	// stamp and skip recompilation.
 	phenos network.Cache
-	// dispatch is the reusable job-order scratch for EvaluateGeneration.
-	dispatch []int
 	// Batch-dispatch scratch, reused across generations so steady-state
 	// evaluation allocates nothing: per-(genome, episode) fitness slots,
 	// the LPT job list, topology groups (with their member slices), and
@@ -181,9 +173,10 @@ type Runner struct {
 }
 
 // evalWorker is one persistent slot of the evaluation pool. The first
-// three fields serve the scalar (reference) path; the rest are the
-// batch engine's per-worker resources, created lazily by ensureBatch
-// and reused across generations (zero-alloc steady state).
+// three fields run per-episode jobs (groups too small to batch) and,
+// on worker 0, compile the population; the rest are the batch engine's
+// per-worker resources, created lazily by ensureBatch and reused
+// across generations (zero-alloc steady state).
 type evalWorker struct {
 	env     env.Env
 	shaper  Shaper
@@ -230,11 +223,9 @@ func (r *Runner) SetRecorder(rec neat.Recorder) {
 	r.Pop.SetRecorder(neat.MultiRecorder(&r.opCounts, rec))
 }
 
-// evalResult carries one evaluation unit (a genome, or one of its
-// episodes) back from a worker.
+// evalResult is the outcome of one episode (runEpisode) or of all of
+// a genome's episodes (runEpisodes).
 type evalResult struct {
-	idx     int
-	ep      int
 	fitness float64
 	steps   int64
 	macs    int64
@@ -259,146 +250,6 @@ func (r *Runner) ensureWorkers(n int) error {
 	return nil
 }
 
-// EvaluateGeneration scores every genome in the current population
-// (steps 1–6 of the walkthrough), exploiting population-level
-// parallelism with the persistent worker pool. It returns aggregate
-// inference work. Dispatch stops as soon as ctx is cancelled — in-flight
-// work finishes, queued work is never started, and ctx.Err() is
-// returned — so an interrupt does not have to wait out a full
-// generation of long episodes.
-//
-// By default evaluation runs through the tensorized batch engine
-// (batch.go): same-topology genomes advance many episodes in lock-step
-// through struct-of-arrays planes. Results are byte-identical to the
-// reference serial semantics below (Scalar true), which remain the
-// executable specification.
-func (r *Runner) EvaluateGeneration(ctx context.Context) (envSteps, macs, updates int64, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, 0, err
-	}
-	genomes := r.Pop.Genomes
-	episodes := r.Workload.Episodes
-	if episodes < 1 {
-		episodes = 1
-	}
-	units := len(genomes) * episodes
-	workers := r.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Evaluation is CPU-bound: workers beyond the scheduler's
-	// processors cannot overlap and only add context switches.
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	if workers > units {
-		workers = units
-	}
-	if err := r.ensureWorkers(workers); err != nil {
-		return 0, 0, 0, err
-	}
-
-	if !r.Scalar {
-		return r.evaluateGenerationBatch(ctx, workers, episodes)
-	}
-
-	if workers == 1 {
-		// Single-worker fast path: no goroutines, no channels — the
-		// scheduler round-trips would be pure overhead on a one-core
-		// budget. Still ctx-aware between genomes.
-		w := r.workers[0]
-		for _, g := range genomes {
-			if err := ctx.Err(); err != nil {
-				return 0, 0, 0, err
-			}
-			res := r.safeEvaluateGenome(w, g)
-			if res.err != nil {
-				return 0, 0, 0, res.err
-			}
-			g.Fitness = res.fitness
-			envSteps += res.steps
-			macs += res.macs
-			updates += res.updates
-		}
-		r.phenos.Sweep()
-		return envSteps, macs, updates, nil
-	}
-
-	// The parallel unit is one episode, not one genome: episodes are
-	// independently seeded, so an elite's long episodes spread across
-	// workers instead of forming a serial chain that bounds the whole
-	// generation's wall time. Job j encodes (genome j/episodes,
-	// episode j%episodes).
-	jobs := make(chan int)
-	results := make(chan evalResult, units)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wk := r.workers[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res := r.safeEvaluateEpisode(wk, genomes[j/episodes], j%episodes)
-				res.idx, res.ep = j/episodes, j%episodes
-				results <- res
-			}
-		}()
-	}
-	// Dispatch expensive genomes first. A genome's carried-over fitness
-	// is a cheap proxy for its episode length (elites survive longest),
-	// and the wall time of a generation is bounded by whichever worker
-	// drew the longest chain: sending the long episodes first keeps the
-	// pool busy instead of idling behind a straggler dispatched last.
-	// Evaluation order does not affect results — every episode is fully
-	// determined by its (seed, generation, genome, episode) reset.
-	order := r.dispatch[:0]
-	for j := 0; j < units; j++ {
-		order = append(order, j)
-	}
-	r.dispatch = order
-	sort.SliceStable(order, func(a, b int) bool {
-		return genomes[order[a]/episodes].Fitness > genomes[order[b]/episodes].Fitness
-	})
-dispatch:
-	for _, j := range order {
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case jobs <- j:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	close(results)
-
-	// Per-episode fitness lands in its (genome, episode) slot so the
-	// mean below sums in episode order — the exact float additions the
-	// serial evaluator performed.
-	perEp := make([]float64, units)
-	for res := range results {
-		if res.err != nil {
-			return 0, 0, 0, res.err
-		}
-		perEp[res.idx*episodes+res.ep] = res.fitness
-		envSteps += res.steps
-		macs += res.macs
-		updates += res.updates
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, 0, 0, err
-	}
-	for i, g := range genomes {
-		var total float64
-		for ep := 0; ep < episodes; ep++ {
-			total += perEp[i*episodes+ep]
-		}
-		g.Fitness = total / float64(episodes)
-	}
-	// Retire cache entries no live genome touched this generation.
-	r.phenos.Sweep()
-	return envSteps, macs, updates, nil
-}
-
 // PhenoCache exposes the runner's compiled-phenotype reuse cache
 // (tests, diagnostics).
 func (r *Runner) PhenoCache() *network.Cache { return &r.phenos }
@@ -418,7 +269,6 @@ func (r *Runner) PhenoCache() *network.Cache { return &r.phenos }
 func (r *Runner) ReleaseEvalState() {
 	r.workers = nil
 	r.phenos.Reset()
-	r.dispatch = nil
 	r.perEpScratch = nil
 	r.jobScratch = nil
 	r.groupScratch = nil
@@ -455,27 +305,13 @@ func (r *Runner) ScoreGenome(ctx context.Context, g *gene.Genome) (fitness float
 	return res.fitness, res.err
 }
 
-// safeEvaluateGenome is the whole-genome evaluation unit of the serial
-// fast path: compile through the reuse cache, run every episode, with
-// the same panic shield as the parallel workers.
-func (r *Runner) safeEvaluateGenome(w *evalWorker, g *gene.Genome) (res evalResult) {
-	defer func() {
-		if p := recover(); p != nil {
-			res = evalResult{err: fmt.Errorf("genome %d: evaluation panic: %v", g.ID, p)}
-		}
-	}()
-	net, err := r.phenos.Get(w.builder, g)
-	if err != nil {
-		return evalResult{err: fmt.Errorf("genome %d: %w", g.ID, err)}
-	}
-	return r.runEpisodes(net, w.env, w.shaper, g)
-}
-
-// safeEvaluateEpisode shields the worker pool from a panicking fitness
-// evaluation: the panic surfaces as that episode's evaluation error
-// instead of unwinding the worker goroutine and killing the process. It
-// compiles the genome through the reuse cache, so an unchanged elite
-// costs two buffer allocations instead of a rebuild.
+// safeEvaluateEpisode runs one per-episode job — a (genome, episode)
+// unit of a topology group too small to batch — and shields the worker
+// pool from a panicking fitness evaluation: the panic surfaces as that
+// episode's evaluation error instead of unwinding the worker goroutine
+// and killing the process. It compiles the genome through the reuse
+// cache, so an unchanged elite costs two buffer allocations instead of
+// a rebuild.
 func (r *Runner) safeEvaluateEpisode(w *evalWorker, g *gene.Genome, ep int) (res evalResult) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -493,9 +329,7 @@ func (r *Runner) safeEvaluateEpisode(w *evalWorker, g *gene.Genome, ep int) (res
 // The inner step loop is allocation-free: Feed reuses the instance's
 // output buffer and the environments reuse their observation buffers.
 func (r *Runner) runEpisode(net *network.Network, e env.Env, shaper Shaper, g *gene.Genome, ep int) evalResult {
-	// Deterministic per-(generation, genome, episode) seed.
-	seed := r.seed ^ uint64(r.Pop.Generation)<<40 ^ uint64(g.ID)<<8 ^ uint64(ep)
-	obs := e.Reset(seed)
+	obs := e.Reset(r.episodeSeed(g, ep))
 	shaper.Reset()
 	steps := 0
 	for {
@@ -520,6 +354,13 @@ func (r *Runner) runEpisode(net *network.Network, e env.Env, shaper Shaper, g *g
 	res.macs = int64(steps) * int64(net.NumEdges())
 	res.updates = int64(steps) * int64(net.NumVertices()-net.NumInputs())
 	return res
+}
+
+// episodeSeed is the deterministic per-(generation, genome, episode)
+// environment seed. It depends on nothing about the schedule, so any
+// worker or lane that runs the episode reproduces the same stream.
+func (r *Runner) episodeSeed(g *gene.Genome, ep int) uint64 {
+	return r.seed ^ uint64(r.Pop.Generation)<<40 ^ uint64(g.ID)<<8 ^ uint64(ep)
 }
 
 // runEpisodes scores one compiled phenotype over all of the workload's
@@ -551,14 +392,21 @@ func (r *Runner) runEpisodes(net *network.Network, e env.Env, shaper Shaper, g *
 // surfaces ctx.Err(); the population is left un-reproduced, so the
 // generation re-evaluates deterministically on resume.
 func (r *Runner) Step(ctx context.Context) (GenStats, error) {
-	w := r.Workload
 	evalStart := time.Now()
 	envSteps, macs, updates, err := r.EvaluateGeneration(ctx)
 	if err != nil {
 		return GenStats{}, err
 	}
-	evalDur := time.Since(evalStart)
+	return r.finishGeneration(envSteps, macs, updates, time.Since(evalStart))
+}
 
+// finishGeneration is Step after evaluation: it takes the generation's
+// stats from the scored population and its inference work, applies
+// Pareto shaping, reproduces unless the task is solved, charges the
+// phase counters (evalDur as evaluate_ns), and appends the stats to
+// History and the Sink.
+func (r *Runner) finishGeneration(envSteps, macs, updates int64, evalDur time.Duration) (GenStats, error) {
+	w := r.Workload
 	best := r.Pop.Best()
 	if r.TrackChampion {
 		// Clone at the evaluation boundary: Epoch below may retire the

@@ -134,9 +134,8 @@ type JobRequest struct {
 	// Sink receives the job's record stream: live while a cache miss
 	// computes, replayed from the finished run by Resolve otherwise.
 	Sink hwsim.Sink
-	// Parallelism and BatchWidth shape evaluation (0 = defaults).
+	// Parallelism shapes evaluation (0 = default).
 	Parallelism int
-	BatchWidth  int
 	// Phases, when set, receives a computation's wall-clock counters:
 	// per phase, per checkpoint and for its store commit (metrics only,
 	// never stored).

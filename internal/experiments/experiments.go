@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/evolve"
-	"repro/internal/gene"
 	"repro/internal/platform"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -48,12 +47,6 @@ type Options struct {
 	// serial harness; outputs are byte-identical at every setting
 	// (pinned by TestParallelSerialIdentical).
 	Parallelism int
-	// BatchWidth caps the lane count of the tensorized batch evaluation
-	// engine inside each run (0 = engine default). Execution shape
-	// only: results are byte-identical at every width (the batch engine
-	// is pinned to the scalar reference by the evolve differential
-	// tests), so it is deliberately NOT part of the run-cache key.
-	BatchWidth int
 	// Ctx, when set, cancels in-flight evolution runs (e.g. on SIGINT);
 	// nil means context.Background().
 	Ctx context.Context
@@ -245,7 +238,7 @@ func workloadKey(workload string, opt Options, run int) store.Key {
 // and trace but must not mutate them (re-scoring goes through
 // evolve.Runner.ScoreGenome).
 func runWorkload(workload string, opt Options, run int) (*evolved, error) {
-	e, _, err := runTier.get(&JobRequest{Key: workloadKey(workload, opt, run), Ctx: opt.Ctx, BatchWidth: opt.BatchWidth})
+	e, _, err := runTier.get(&JobRequest{Key: workloadKey(workload, opt, run), Ctx: opt.Ctx})
 	return e, err
 }
 
@@ -285,17 +278,6 @@ func genWorkload(e *evolved, st evolve.GenStats) (platform.GenWorkload, error) {
 	w.MaxNodes = maxNodes
 	w.MaxNodeID = int(maxID) + 1
 	return w, nil
-}
-
-// maxNodeIDOf returns the population's largest node id plus one.
-func maxNodeIDOf(genomes []*gene.Genome) int {
-	var maxID int32
-	for _, g := range genomes {
-		if id := g.MaxNodeIDIn(); id > maxID {
-			maxID = id
-		}
-	}
-	return int(maxID) + 1
 }
 
 // fnum formats a float compactly for table cells.

@@ -34,10 +34,9 @@ type IslandRequest struct {
 
 	// Ctx cancels a cache-miss computation; nil means Background.
 	Ctx context.Context
-	// Parallelism / BatchWidth shape each island runner's evaluation
+	// Parallelism shapes each island runner's evaluation
 	// (single-process path only; a distributed Run ships its own).
 	Parallelism int
-	BatchWidth  int
 	// Phases, when set, receives the island runners' live per-phase
 	// wall-clock counters on a single-process cache-miss computation
 	// (metrics only, never stored).
@@ -68,7 +67,6 @@ func RunSharedIsland(req IslandRequest) (*IslandOutcome, error) {
 			Seed: req.Seed, Islands: req.Islands, MigrationEvery: req.MigrationEvery},
 		Ctx:         req.Ctx,
 		Parallelism: req.Parallelism,
-		BatchWidth:  req.BatchWidth,
 		Phases:      req.Phases,
 	}
 	if req.Run != nil {
@@ -94,7 +92,6 @@ var islandTier = tier[*evolve.IslandRun]{
 	compute: func(key store.Key, req *JobRequest) (*evolve.IslandRun, bool, error) {
 		spec := islandSpec(key)
 		spec.Parallelism = req.Parallelism
-		spec.BatchWidth = req.BatchWidth
 		spec.Phases = req.Phases
 		run := evolve.RunIslands
 		if req.RunIslands != nil {

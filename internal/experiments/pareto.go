@@ -35,9 +35,8 @@ type ParetoRequest struct {
 
 	// Ctx cancels a cache-miss computation; nil means Background.
 	Ctx context.Context
-	// Parallelism / BatchWidth shape the runner's evaluation.
+	// Parallelism shapes the runner's evaluation.
 	Parallelism int
-	BatchWidth  int
 	// Phases, when set, receives the runner's live per-phase wall-clock
 	// counters on a cache-miss computation (metrics only, never stored).
 	Phases *hwsim.Counters
@@ -78,7 +77,6 @@ func RunSharedPareto(req ParetoRequest) (*ParetoOutcome, error) {
 		Ctx:         req.Ctx,
 		Sink:        req.Sink,
 		Parallelism: req.Parallelism,
-		BatchWidth:  req.BatchWidth,
 		Phases:      req.Phases,
 	})
 	if err != nil {
@@ -101,7 +99,6 @@ var paretoTier = tier[*evolve.ParetoRun]{
 	compute: func(key store.Key, req *JobRequest) (*evolve.ParetoRun, bool, error) {
 		spec := paretoSpec(key)
 		spec.Parallelism = req.Parallelism
-		spec.BatchWidth = req.BatchWidth
 		spec.Phases = req.Phases
 		spec.Sink = req.Sink
 		evolutionsRun.Add(1)
@@ -155,7 +152,6 @@ func ParetoFront(opt Options) (*Result, error) {
 			Objectives:  objectives,
 			Ctx:         opt.Ctx,
 			Parallelism: opt.Parallelism,
-			BatchWidth:  opt.BatchWidth,
 		})
 		if err != nil {
 			return nil, err

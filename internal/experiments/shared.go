@@ -45,11 +45,6 @@ type SharedRequest struct {
 	// GOMAXPROCS); a scheduler running many jobs passes 1 so its own
 	// worker slots are the only parallelism.
 	Parallelism int
-	// BatchWidth caps the batch evaluation engine's lane count (0 =
-	// engine default). Like Parallelism it shapes execution without
-	// affecting identity — batch results are byte-identical to the
-	// scalar reference at every width — so it is not in the cache key.
-	BatchWidth int
 	// CheckpointPath + CheckpointEvery enable the PR 2 checkpoint
 	// machinery on a cache miss: the run persists at generation
 	// boundaries, resumes from an existing file at that path, and the
@@ -113,7 +108,6 @@ func RunShared(req SharedRequest) (*SharedRun, error) {
 		Ctx:             req.Ctx,
 		Sink:            req.Sink,
 		Parallelism:     req.Parallelism,
-		BatchWidth:      req.BatchWidth,
 		Phases:          req.Phases,
 		CheckpointPath:  req.CheckpointPath,
 		CheckpointEvery: req.CheckpointEvery,
@@ -183,7 +177,6 @@ func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 		return nil, false, err
 	}
 	r.Parallelism = req.Parallelism
-	r.BatchWidth = req.BatchWidth
 	r.Sink = req.Sink
 	r.Phases = req.Phases
 	tr := &trace.Trace{}

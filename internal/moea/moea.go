@@ -24,7 +24,7 @@
 // point ID asc), which makes the resulting order *total*: two distinct
 // points never compare equal, so downstream consumers (selection
 // pressure shaping in internal/evolve, front artifacts in
-// internal/store) are byte-identical at any Parallelism/BatchWidth.
+// internal/store) are byte-identical at any Parallelism and lane width.
 //
 // Crowding uses math.MaxFloat64 — not +Inf — as the boundary-point
 // sentinel: it orders identically (interior sums are vastly smaller)

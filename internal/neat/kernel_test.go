@@ -1,12 +1,13 @@
 package neat
 
 import (
-	"bytes"
+	"fmt"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/env"
+	"repro/internal/gene"
 )
 
 // diversify runs a few reproduction rounds with synthetic fitness so
@@ -56,15 +57,17 @@ func TestCompatDistanceMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEpochKernelMatchesReference is the golden-digest differential of
-// the reproduction kernel: two same-seeded populations evolve side by
-// side — one through the kernel (memoized merge-join distances,
-// parallel distance rows, refresh reuse), one through the pre-kernel
-// reference path (speciator slow mode) — across every workload
-// environment shape × several seeds. Each generation, the serialized
-// populations (genome ids, gene lists, species, PRNG stream) must be
-// byte-identical and the ReproStats equal; any divergence in distance
-// bits, tie-breaking, or PRNG consumption order trips it immediately.
+// TestEpochKernelMatchesReference is the differential of the
+// speciation kernel (memoized merge-join distances, parallel distance
+// rows, refresh reuse) against the pre-kernel reference loop, across
+// every workload environment shape × several seeds. Before each
+// Epoch, speciateReference runs on the same genomes, a copy of the
+// carried species and a copy of the next species ID; after it,
+// p.Species must equal the reference partition exactly — IDs,
+// representative and member pointers in order, best-fitness bits,
+// stagnation and creation generations — and so must the next species
+// ID. Speciation draws no PRNG state and the rest of Epoch is a single
+// code path, so an identical partition pins the whole epoch.
 func TestEpochKernelMatchesReference(t *testing.T) {
 	// One env name per workload family (workload.go); shapes dedupe —
 	// the four *-ram workloads share the 128-observation RAM shape.
@@ -86,64 +89,71 @@ func TestEpochKernelMatchesReference(t *testing.T) {
 		}
 		seen[sh] = true
 
-		for seed := uint64(1); seed <= 3; seed++ {
-			cfg := DefaultConfig(sh.in, sh.out)
-			cfg.PopulationSize = 48
-			fast, err := NewPopulation(cfg, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Force real fan-out in the parallel distance pass even on a
-			// single-core host.
-			fast.EpochParallelism = 4
-			slow, err := NewPopulation(cfg, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow.spec.slow = true
-
-			for gen := 0; gen < 5; gen++ {
-				for j := range fast.Genomes {
-					f := float64((gen*13+j*7)%23) / 3
-					fast.Genomes[j].Fitness = f
-					slow.Genomes[j].Fitness = f
-				}
-				fs, ferr := fast.Epoch()
-				ss, serr := slow.Epoch()
-				if (ferr == nil) != (serr == nil) {
-					t.Fatalf("%s seed %d gen %d: kernel err %v, reference err %v",
-						name, seed, gen, ferr, serr)
-				}
-				if ferr != nil {
-					break
-				}
-				fs.SpeciateDur, ss.SpeciateDur = 0, 0
-				if !reflect.DeepEqual(fs, ss) {
-					t.Fatalf("%s seed %d gen %d: ReproStats diverged\nkernel:    %+v\nreference: %+v",
-						name, seed, gen, fs, ss)
-				}
-				var fb, sb bytes.Buffer
-				if err := fast.Save(&fb); err != nil {
+		// The default threshold keeps these young populations in one
+		// species; 0.5 splits them into up to 16, so assignment chooses
+		// among several in-threshold species.
+		for _, threshold := range []float64{DefaultConfig(1, 1).CompatThreshold, 0.5} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				cfg := DefaultConfig(sh.in, sh.out)
+				cfg.PopulationSize = 48
+				cfg.CompatThreshold = threshold
+				p, err := NewPopulation(cfg, seed)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := slow.Save(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fb.Bytes(), sb.Bytes()) {
-					for j := range fast.Genomes {
-						fg, sg := fast.Genomes[j], slow.Genomes[j]
-						if fg.ID != sg.ID || !reflect.DeepEqual(fg.Nodes, sg.Nodes) ||
-							!reflect.DeepEqual(fg.Conns, sg.Conns) {
-							t.Fatalf("%s seed %d gen %d: genome slot %d diverged (kernel id %d, reference id %d)",
-								name, seed, gen, j, fg.ID, sg.ID)
-						}
+				// Force real fan-out in the parallel distance pass even on
+				// a single-core host.
+				p.EpochParallelism = 4
+				for gen := 0; gen < 5; gen++ {
+					label := fmt.Sprintf("%s threshold %v seed %d gen %d", name, threshold, seed, gen)
+					if !epochMatchesReference(t, p, gen, label) {
+						break
 					}
-					t.Fatalf("%s seed %d gen %d: serialized populations diverged outside genome slots",
-						name, seed, gen)
 				}
 			}
 		}
 	}
+}
+
+// epochMatchesReference assigns generation gen's synthetic fitness,
+// runs speciateReference on copies of the carried species and next
+// species ID, runs p.Epoch, and fails unless the kernel's partition is
+// the reference's exactly. It reports whether the epoch succeeded.
+func epochMatchesReference(t *testing.T, p *Population, gen int, label string) bool {
+	t.Helper()
+	for j, g := range p.Genomes {
+		g.Fitness = float64((gen*13+j*7)%23) / 3
+	}
+	carried := make([]*Species, len(p.Species))
+	for i, s := range p.Species {
+		carried[i] = &Species{ID: s.ID, Representative: s.Representative,
+			BestFitness: s.BestFitness, LastImproved: s.LastImproved, Created: s.Created}
+	}
+	wantNext := p.nextSpeciesID
+	want := speciateReference(p.Genomes, carried, &p.Config, p.Generation, &wantNext)
+
+	_, err := p.Epoch()
+	if len(p.Species) != len(want) {
+		t.Fatalf("%s: kernel has %d species, reference %d", label, len(p.Species), len(want))
+	}
+	for i, got := range p.Species {
+		w := want[i]
+		if got.ID != w.ID || got.Representative != w.Representative ||
+			!slices.Equal(got.Members, w.Members) ||
+			math.Float64bits(got.BestFitness) != math.Float64bits(w.BestFitness) ||
+			got.LastImproved != w.LastImproved || got.Created != w.Created {
+			t.Fatalf("%s: species %d diverged\n"+
+				"kernel:    id %d rep %d members %d best %v improved %d created %d\n"+
+				"reference: id %d rep %d members %d best %v improved %d created %d",
+				label, i,
+				got.ID, got.Representative.ID, len(got.Members), got.BestFitness, got.LastImproved, got.Created,
+				w.ID, w.Representative.ID, len(w.Members), w.BestFitness, w.LastImproved, w.Created)
+		}
+	}
+	if p.nextSpeciesID != wantNext {
+		t.Fatalf("%s: next species id %d, reference %d", label, p.nextSpeciesID, wantNext)
+	}
+	return err == nil
 }
 
 // TestSpeciateMemoWarmPath pins that a warm memo (the steady daemon
@@ -237,4 +247,118 @@ func BenchmarkEpoch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// slowCompatDistance is the pre-kernel reference implementation: gene
+// alignment by per-gene binary search (Genome.Node/Conn/HasNode) over
+// both genomes. It is the executable specification of CompatDistance —
+// the differential tests pin the merge-join kernel bit-identical to
+// this, and speciateReference runs on it.
+func slowCompatDistance(a, b *gene.Genome, cfg *Config) float64 {
+	if a.NumGenes() == 0 && b.NumGenes() == 0 {
+		return 0
+	}
+	var unmatched int
+	var attrDist float64
+	var matched int
+
+	for _, n1 := range a.Nodes {
+		if n2, ok := b.Node(n1.NodeID); ok {
+			attrDist += nodeDistance(n1, n2)
+			matched++
+		} else {
+			unmatched++
+		}
+	}
+	for _, n2 := range b.Nodes {
+		if !a.HasNode(n2.NodeID) {
+			unmatched++
+		}
+	}
+	for _, c1 := range a.Conns {
+		if c2, ok := b.Conn(c1.Src, c1.Dst); ok {
+			attrDist += connDistance(c1, c2)
+			matched++
+		} else {
+			unmatched++
+		}
+	}
+	for _, c2 := range b.Conns {
+		if !a.HasConn(c2.Src, c2.Dst) {
+			unmatched++
+		}
+	}
+
+	n := a.NumGenes()
+	if b.NumGenes() > n {
+		n = b.NumGenes()
+	}
+	if n == 0 {
+		n = 1
+	}
+	d := cfg.CompatDisjointCoeff * float64(unmatched) / float64(n)
+	if matched > 0 {
+		d += cfg.CompatWeightCoeff * attrDist / float64(matched)
+	}
+	return d
+}
+
+// speciateReference is the pre-kernel speciation loop, verbatim: every
+// distance via slowCompatDistance, serial, no memo, and a full
+// recomputation pass for the representative refresh. It is the
+// executable specification TestEpochKernelMatchesReference compares
+// the kernel against. species is the carried-over partition with no
+// members (what speciator.speciate copies from prev); it is updated in
+// place.
+func speciateReference(genomes []*gene.Genome, species []*Species, cfg *Config, generation int, nextSpeciesID *int) []*Species {
+	for _, g := range genomes {
+		placed := false
+		bestIdx, bestDist := -1, math.Inf(1)
+		for i, s := range species {
+			d := slowCompatDistance(g, s.Representative, cfg)
+			if d < cfg.CompatThreshold && d < bestDist {
+				bestIdx, bestDist = i, d
+				placed = true
+			}
+		}
+		if placed {
+			species[bestIdx].Members = append(species[bestIdx].Members, g)
+			continue
+		}
+		*nextSpeciesID++
+		species = append(species, &Species{
+			ID:             *nextSpeciesID,
+			Representative: g,
+			Members:        []*gene.Genome{g},
+			LastImproved:   generation,
+			Created:        generation,
+		})
+	}
+
+	alive := species[:0]
+	for _, s := range species {
+		if len(s.Members) == 0 {
+			continue
+		}
+		closest, closestDist := s.Members[0], math.Inf(1)
+		for _, m := range s.Members {
+			d := slowCompatDistance(m, s.Representative, cfg)
+			if d < closestDist {
+				closest, closestDist = m, d
+			}
+		}
+		s.Representative = closest
+		if b := s.best(); b != nil && b.Fitness > s.BestFitness {
+			s.BestFitness = b.Fitness
+			s.LastImproved = generation
+		}
+		alive = append(alive, s)
+	}
+	return alive
+}
+
+// speciate runs the kernel through a fresh cold speciator.
+func speciate(genomes []*gene.Genome, prev []*Species, cfg *Config, generation int, nextSpeciesID *int) []*Species {
+	var sp speciator
+	return sp.speciate(genomes, prev, cfg, generation, nextSpeciesID)
 }

@@ -21,10 +21,11 @@ import (
 // Gene alignment is a linear merge-join over the two genomes' sorted
 // clusters (Nodes ascending by id, Conns ascending by (src, dst) — the
 // invariant gene.Genome maintains and Validate enforces), O(G) per pair
-// instead of the per-gene binary search of slowCompatDistance. Matched
-// attribute distances accumulate in ascending key order — the same
-// float addition order as the reference — so the result is bit-identical
-// to slowCompatDistance (pinned by TestCompatDistanceMatchesReference).
+// instead of the per-gene binary search of the pre-kernel reference
+// (slowCompatDistance in kernel_test.go). Matched attribute distances
+// accumulate in ascending key order — the same float addition order as
+// the reference — so the result is bit-identical to it (pinned by
+// TestCompatDistanceMatchesReference).
 func CompatDistance(a, b *gene.Genome, cfg *Config) float64 {
 	if a.NumGenes() == 0 && b.NumGenes() == 0 {
 		return 0
@@ -70,61 +71,6 @@ func CompatDistance(a, b *gene.Genome, cfg *Config) float64 {
 		}
 	}
 	unmatched += (len(a.Conns) - i) + (len(b.Conns) - j)
-
-	n := a.NumGenes()
-	if b.NumGenes() > n {
-		n = b.NumGenes()
-	}
-	if n == 0 {
-		n = 1
-	}
-	d := cfg.CompatDisjointCoeff * float64(unmatched) / float64(n)
-	if matched > 0 {
-		d += cfg.CompatWeightCoeff * attrDist / float64(matched)
-	}
-	return d
-}
-
-// slowCompatDistance is the pre-kernel reference implementation: gene
-// alignment by per-gene binary search (Genome.Node/Conn/HasNode) over
-// both genomes. It is kept as the executable specification of
-// CompatDistance — the differential tests pin the merge-join kernel
-// bit-identical to this, and the reference speciation path (speciator
-// slow mode) runs on it.
-func slowCompatDistance(a, b *gene.Genome, cfg *Config) float64 {
-	if a.NumGenes() == 0 && b.NumGenes() == 0 {
-		return 0
-	}
-	var unmatched int
-	var attrDist float64
-	var matched int
-
-	for _, n1 := range a.Nodes {
-		if n2, ok := b.Node(n1.NodeID); ok {
-			attrDist += nodeDistance(n1, n2)
-			matched++
-		} else {
-			unmatched++
-		}
-	}
-	for _, n2 := range b.Nodes {
-		if !a.HasNode(n2.NodeID) {
-			unmatched++
-		}
-	}
-	for _, c1 := range a.Conns {
-		if c2, ok := b.Conn(c1.Src, c1.Dst); ok {
-			attrDist += connDistance(c1, c2)
-			matched++
-		} else {
-			unmatched++
-		}
-	}
-	for _, c2 := range b.Conns {
-		if !a.HasConn(c2.Src, c2.Dst) {
-			unmatched++
-		}
-	}
 
 	n := a.NumGenes()
 	if b.NumGenes() > n {
@@ -248,11 +194,6 @@ type speciator struct {
 	// Assignment is always serial regardless — only the pure distance
 	// computations fan out.
 	workers int
-	// slow selects the pre-kernel reference path: serial
-	// slowCompatDistance for every pair, no memo, representative refresh
-	// by recomputation. The golden-digest differential tests run it
-	// against the kernel and require byte-identical populations.
-	slow bool
 
 	memo map[distKey]float64 // current-epoch entries
 	prev map[distKey]float64 // previous-epoch entries (promotion source)
@@ -299,13 +240,6 @@ func (sp *speciator) endEpoch() {
 	sp.memo = old
 }
 
-// resetMemo drops all memoized distances (benchmarks measure the cold
-// kernel with it; tests use it to force recomputation).
-func (sp *speciator) resetMemo() {
-	clear(sp.memo)
-	clear(sp.prev)
-}
-
 // parallelism resolves the worker count for n independent distance
 // computations: the configured cap (GOMAXPROCS when unset — an explicit
 // cap is honored as given, so tests can force real fan-out on a
@@ -330,20 +264,22 @@ func (sp *speciator) parallelism(n int) int {
 }
 
 // speciate partitions genomes into species. Existing species keep their
-// identity via representatives; genomes join the first species whose
-// representative is within the compatibility threshold, and found new
-// species otherwise. Representatives are refreshed to the member closest
-// to the previous representative (neat-python semantics).
+// identity via representatives; genomes join the species whose
+// representative is closest within the compatibility threshold, and
+// found new species otherwise. Representatives are refreshed to the
+// member closest to the previous representative (neat-python
+// semantics).
 //
 // The kernel splits the pass in two: the P×S0 distance rows against the
 // surviving representatives are pure in all inputs and are computed
 // up front — memo first, misses in parallel over bounded workers — and
 // the assignment walk itself stays serial and order-identical to the
-// reference, reading distances from the precomputed rows (distances to
-// species founded mid-walk are memoized on demand). Every distance
-// recorded during assignment is reused for the representative refresh,
-// which the reference recomputed from scratch. Speciation consumes no
-// PRNG state and every distance is bit-equal to the reference's, so the
+// pre-kernel reference loop (speciateReference in kernel_test.go),
+// reading distances from the precomputed rows (distances to species
+// founded mid-walk are memoized on demand). Every distance recorded
+// during assignment is reused for the representative refresh, which
+// the reference recomputed from scratch. Speciation consumes no PRNG
+// state and every distance is bit-equal to the reference's, so the
 // resulting partition — and everything downstream of it — is
 // byte-identical (pinned by TestEpochKernelMatchesReference).
 func (sp *speciator) speciate(genomes []*gene.Genome, prev []*Species, cfg *Config, generation int, nextSpeciesID *int) []*Species {
@@ -358,9 +294,6 @@ func (sp *speciator) speciate(genomes []*gene.Genome, prev []*Species, cfg *Conf
 		})
 	}
 
-	if sp.slow {
-		return sp.speciateReference(genomes, species, cfg, generation, nextSpeciesID)
-	}
 	if sp.memo == nil {
 		sp.memo = make(map[distKey]float64)
 		sp.prev = make(map[distKey]float64)
@@ -502,63 +435,4 @@ func (sp *speciator) speciate(genomes []*gene.Genome, prev []*Species, cfg *Conf
 	sp.dists = dists[:0]
 	sp.endEpoch()
 	return alive
-}
-
-// speciateReference is the pre-kernel speciation loop, verbatim: every
-// distance via slowCompatDistance, serial, no memo, and a full
-// recomputation pass for the representative refresh. It is the
-// executable specification the kernel's differential tests compare
-// against byte for byte.
-func (sp *speciator) speciateReference(genomes []*gene.Genome, species []*Species, cfg *Config, generation int, nextSpeciesID *int) []*Species {
-	for _, g := range genomes {
-		placed := false
-		bestIdx, bestDist := -1, math.Inf(1)
-		for i, s := range species {
-			d := slowCompatDistance(g, s.Representative, cfg)
-			if d < cfg.CompatThreshold && d < bestDist {
-				bestIdx, bestDist = i, d
-				placed = true
-			}
-		}
-		if placed {
-			species[bestIdx].Members = append(species[bestIdx].Members, g)
-			continue
-		}
-		*nextSpeciesID++
-		species = append(species, &Species{
-			ID:             *nextSpeciesID,
-			Representative: g,
-			Members:        []*gene.Genome{g},
-			LastImproved:   generation,
-			Created:        generation,
-		})
-	}
-
-	alive := species[:0]
-	for _, s := range species {
-		if len(s.Members) == 0 {
-			continue
-		}
-		closest, closestDist := s.Members[0], math.Inf(1)
-		for _, m := range s.Members {
-			d := slowCompatDistance(m, s.Representative, cfg)
-			if d < closestDist {
-				closest, closestDist = m, d
-			}
-		}
-		s.Representative = closest
-		if b := s.best(); b != nil && b.Fitness > s.BestFitness {
-			s.BestFitness = b.Fitness
-			s.LastImproved = generation
-		}
-		alive = append(alive, s)
-	}
-	return alive
-}
-
-// speciate is the kernel entry point with the historical free-function
-// signature (tests use it); it runs a fresh cold speciator.
-func speciate(genomes []*gene.Genome, prev []*Species, cfg *Config, generation int, nextSpeciesID *int) []*Species {
-	var sp speciator
-	return sp.speciate(genomes, prev, cfg, generation, nextSpeciesID)
 }

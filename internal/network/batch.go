@@ -417,9 +417,3 @@ func (bp *BatchProgram) aggregateLane(f gene.Aggregation, vals []float64, lo, hi
 		return s
 	}
 }
-
-// LaneValue reads row r, lane l out of a struct-of-arrays plane — a
-// readability helper for callers that index observation/action planes.
-func LaneValue(plane []float64, width, row, lane int) float64 {
-	return plane[row*width+lane]
-}

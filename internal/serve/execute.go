@@ -40,7 +40,6 @@ func (e *localExecutor) Counters() *hwsim.Counters { return e.phases }
 func (e *localExecutor) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
 	req := experiments.JobRequest{
 		Parallelism: e.cfg.RunnerParallelism,
-		BatchWidth:  e.cfg.RunnerBatchWidth,
 		Phases:      e.phases,
 	}
 	if e.cfg.CheckpointDir != "" {

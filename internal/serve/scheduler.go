@@ -47,11 +47,6 @@ type Config struct {
 	// slots are the parallelism, so MaxRunning jobs use MaxRunning
 	// cores.
 	RunnerParallelism int
-	// RunnerBatchWidth caps each job's batch evaluation engine lane
-	// count (evolve.Runner.BatchWidth). 0 means the engine default.
-	// Results are byte-identical at every width; this only tunes the
-	// throughput/memory trade per job.
-	RunnerBatchWidth int
 	// CheckpointDir, when set, gives every cache-miss job a
 	// checkpoint file named by its cache key, so an interrupted job
 	// (cancel or drain) resumes when the same spec is resubmitted.

@@ -222,7 +222,8 @@ rm -rf "$smokedir"
 echo "== bench smoke (kernel + batch + replay trajectory benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so the
 # batch-engine variants (BenchmarkNetworkFeedBatch,
-# BenchmarkEvaluateGenerationBatch/Scalar) smoke here too.
+# BenchmarkEvaluateGenerationBatch) and BenchmarkEvaluateGenerationScalar,
+# which times the serial test reference evaluator, smoke here too.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
 go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$' \
