@@ -93,7 +93,7 @@ func BenchmarkAblation_ADAMScheduling(b *testing.B) {
 	}
 	jobs := make([]adam.Job, 150)
 	for i := range jobs {
-		jobs[i] = adam.Job{Plan: n.BuildPlan(false), Steps: 200}
+		jobs[i] = adam.Job{Plan: n.BuildPlan(), Steps: 200}
 	}
 	var packed, serial adam.Report
 	for i := 0; i < b.N; i++ {

@@ -89,9 +89,13 @@ func main() {
 	fmt.Printf("\nsummary: solved=%v generations=%d best=%.2f\n",
 		sum.Solved, sum.Generations, sum.BestFitness)
 	if *hw {
-		fmt.Printf("soc: %d cycles, %.3f ms wall, %.2f uJ total, avg %.1f mW\n",
-			sum.TotalCycles, sum.TotalSeconds*1e3, sum.TotalEnergyPJ/1e6,
-			sum.TotalEnergyPJ/1e9/sum.TotalSeconds)
+		line := fmt.Sprintf("soc: %d cycles, %.3f ms wall, %.2f uJ total",
+			sum.TotalCycles, sum.TotalSeconds*1e3, sum.TotalEnergyPJ/1e6)
+		// No finished generation means no chip time to average over.
+		if sum.TotalSeconds > 0 {
+			line += fmt.Sprintf(", avg %.1f mW", sum.TotalEnergyPJ/1e9/sum.TotalSeconds)
+		}
+		fmt.Println(line)
 	}
 
 	if *save != "" {

@@ -76,13 +76,6 @@ func (w *WorkerAPI) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /island/close", w.handleClose)
 }
 
-// Sessions reports the live session count (worker metrics).
-func (w *WorkerAPI) Sessions() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sessions)
-}
-
 func (w *WorkerAPI) handleOpen(rw http.ResponseWriter, r *http.Request) {
 	var req islandOpenReq
 	if !decodeJSON(rw, r, &req) {

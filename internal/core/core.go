@@ -11,9 +11,10 @@
 //	...
 //	summary, err := sys.Run(100)
 //
-// Every example and command-line tool in this repository is built on
-// this API; the experiment generators (internal/experiments) drive the
-// same underlying packages directly.
+// cmd/genesys and the quickstart, lunarlander, atari and functional
+// examples are built on this API. The experiment generators
+// (internal/experiments) drive the underlying packages directly; both
+// build ADAM's input with adam.JobsFor.
 package core
 
 import (
@@ -23,10 +24,8 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/hw/adam"
 	"repro/internal/hw/energy"
-	"repro/internal/hw/hwsim"
 	"repro/internal/hw/soc"
 	"repro/internal/neat"
-	"repro/internal/network"
 	"repro/internal/trace"
 )
 
@@ -39,22 +38,10 @@ type Config struct {
 	// Population overrides NEAT's population size (default 150, the
 	// paper's setting).
 	Population int
-	// NEAT optionally replaces the whole algorithm configuration;
-	// when nil, neat.DefaultConfig with Population applies.
-	NEAT *neat.Config
-	// HardwareInLoop attaches the GeneSys SoC model: every generation
-	// is additionally accounted on the simulated chip.
+	// HardwareInLoop attaches the GeneSys SoC model (at
+	// energy.DefaultSoC): every generation is additionally accounted
+	// on the simulated chip.
 	HardwareInLoop bool
-	// SoC overrides the chip design point (default energy.DefaultSoC).
-	SoC *energy.SoCConfig
-	// Parallelism caps evaluation workers (0 = GOMAXPROCS).
-	Parallelism int
-	// Sink, when set, receives one structured hwsim.Record per
-	// generation. With HardwareInLoop the record's report is a "gen"
-	// tree holding the algorithm stats ("gen/evolve") next to the full
-	// per-generation chip counter tree ("gen/soc"); without hardware it
-	// is the algorithm tree alone.
-	Sink hwsim.Sink
 }
 
 // GenerationResult is one generation's outcome: the algorithm-level
@@ -84,7 +71,6 @@ type System struct {
 	runner *evolve.Runner
 	trace  *trace.Trace
 	chip   *soc.SoC
-	soCfg  energy.SoCConfig
 
 	// History holds one result per completed generation.
 	History []GenerationResult
@@ -96,9 +82,6 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: no workload given (have %v)", evolve.WorkloadNames())
 	}
 	ncfg := neat.DefaultConfig(1, 1)
-	if cfg.NEAT != nil {
-		ncfg = *cfg.NEAT
-	}
 	if cfg.Population > 0 {
 		ncfg.PopulationSize = cfg.Population
 	}
@@ -106,19 +89,11 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Parallelism = cfg.Parallelism
 	s := &System{cfg: cfg, runner: r}
 	if cfg.HardwareInLoop {
-		s.soCfg = energy.DefaultSoC()
-		if cfg.SoC != nil {
-			s.soCfg = *cfg.SoC
-		}
-		s.chip = soc.New(s.soCfg)
+		s.chip = soc.New(energy.DefaultSoC())
 		s.trace = &trace.Trace{}
 		r.SetRecorder(s.trace)
-	} else if cfg.Sink != nil {
-		// No chip to snapshot: the runner streams the algorithm tree.
-		r.Sink = cfg.Sink
 	}
 	return s, nil
 }
@@ -126,10 +101,6 @@ func New(cfg Config) (*System, error) {
 // Runner exposes the underlying evolution runner for advanced use
 // (custom recorders, direct population access).
 func (s *System) Runner() *evolve.Runner { return s.runner }
-
-// SoC exposes the chip model when hardware is in the loop (nil
-// otherwise).
-func (s *System) SoC() *soc.SoC { return s.chip }
 
 // Workload returns the configured workload definition.
 func (s *System) Workload() evolve.Workload { return s.runner.Workload }
@@ -143,13 +114,9 @@ func (s *System) RunGeneration() (GenerationResult, error) {
 		// Snapshot the population before reproduction replaces it —
 		// these are the genomes ADAM runs this generation.
 		footprint = s.runner.Pop.FootprintBytes()
-		jobs = make([]adam.Job, 0, len(s.runner.Pop.Genomes))
-		for _, g := range s.runner.Pop.Genomes {
-			n, err := network.New(g)
-			if err != nil {
-				return GenerationResult{}, err
-			}
-			jobs = append(jobs, adam.Job{Plan: n.BuildPlan(false)})
+		var err error
+		if jobs, err = adam.JobsFor(s.runner.Pop.Genomes, 0); err != nil {
+			return GenerationResult{}, err
 		}
 	}
 
@@ -170,21 +137,8 @@ func (s *System) RunGeneration() (GenerationResult, error) {
 		for i := range jobs {
 			jobs[i].Steps = steps
 		}
-		// Reset the chip's counter tree so the snapshot below is this
-		// generation's ledger, not a running total.
-		s.chip.Reset()
 		res.HW = s.chip.RunGeneration(jobs, s.trace.Last(), footprint)
 		res.HasHW = true
-		if s.cfg.Sink != nil {
-			s.cfg.Sink.Record(hwsim.Record{
-				Workload:   s.cfg.Workload,
-				Generation: st.Generation,
-				Report: hwsim.Report{
-					Name:     "gen",
-					Children: []hwsim.Report{st.CounterReport(), s.chip.Snapshot()},
-				},
-			})
-		}
 	}
 	s.History = append(s.History, res)
 	return res, nil

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gene"
 	"repro/internal/hw/adam"
 	"repro/internal/hw/eve"
+	"repro/internal/neat"
 )
 
 // FunctionalSystem runs the GeneSys loop through the *functional*
@@ -73,23 +74,15 @@ func NewFunctional(workload string, popSize int, seed uint64) (*FunctionalSystem
 	s.repro.PE.AddNodeProb = 0.002
 	s.repro.PE.AddConnProb = 0.01
 
-	// Seed population: minimal topology at hardware precision.
-	in, out := probe.ObservationSize(), probe.ActionSize()
-	for i := 0; i < popSize; i++ {
-		g := gene.NewGenome(int64(i))
-		for n := 0; n < in; n++ {
-			g.PutNode(gene.NewNode(int32(n), gene.Input))
-		}
-		for n := 0; n < out; n++ {
-			g.PutNode(gene.NewNode(int32(in+n), gene.Output))
-		}
-		for a := 0; a < in; a++ {
-			for b := 0; b < out; b++ {
-				g.PutConn(gene.NewConn(int32(a), int32(in+b), 0))
-			}
-		}
-		s.Pop = append(s.Pop, g)
+	// Seed population: NEAT's minimal fully connected topology with
+	// zero weights, exact at hardware precision.
+	ncfg := neat.DefaultConfig(probe.ObservationSize(), probe.ActionSize())
+	ncfg.PopulationSize = popSize
+	pop, err := neat.NewPopulation(ncfg, seed)
+	if err != nil {
+		return nil, err
 	}
+	s.Pop = pop.Genomes
 	return s, nil
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestFunctionalSystemConstruction(t *testing.T) {
 	if _, err := NewFunctional("pong", 10, 1); err == nil {
@@ -107,5 +110,30 @@ func TestFunctionalDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("functional loop non-deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestFunctionalSystemDeterministic pins the whole functional loop —
+// seeding, array inference and PE reproduction — across generations:
+// the same workload, population and seed give the same History.
+func TestFunctionalSystemDeterministic(t *testing.T) {
+	run := func() []FunctionalGenStats {
+		s, err := NewFunctional("cartpole", 24, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < 3; g++ {
+			if _, err := s.RunGeneration(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.History
+	}
+	a, b := run(), run()
+	if len(a) != 3 {
+		t.Fatalf("%d generations recorded, want 3", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("functional history differs between runs:\n%+v\n%+v", a, b)
 	}
 }

@@ -69,27 +69,14 @@ type StudyOptions struct {
 	Parallelism int
 }
 
-// RunStudy executes runs independent evolutions, each up to
-// maxGenerations, with per-run seeds derived by RunSeed. Concurrency
-// is capped by a worker semaphore (runtime.NumCPU slots) rather than
-// one unbounded goroutine per run, and every run's error is aggregated
-// with errors.Join — a failing seed no longer masks failures in later
-// runs.
-func RunStudy(workload string, cfg neat.Config, runs, maxGenerations int, seed uint64) (*Study, error) {
-	return RunStudyContext(context.Background(), workload, cfg, runs, maxGenerations, seed, StudyOptions{})
-}
-
-// RunStudyWithSink is RunStudy with cancellation and per-generation
-// records flowing to sink (which may be nil).
-func RunStudyWithSink(ctx context.Context, workload string, cfg neat.Config, runs, maxGenerations int, seed uint64, sink hwsim.Sink) (*Study, error) {
-	return RunStudyContext(ctx, workload, cfg, runs, maxGenerations, seed, StudyOptions{Sink: sink})
-}
-
-// RunStudyContext is the full-control study entry point: cancellation
-// via ctx, per-generation records, and per-run checkpoint/resume. A
-// run that panics (e.g. inside a fitness evaluation path the worker
-// pool does not cover) is recovered into that run's StudyResult.Err
-// without taking down the study.
+// RunStudyContext executes runs independent evolutions, each up to
+// maxGenerations, with per-run seeds derived by RunSeed, cancellation
+// via ctx, and the per-generation records and per-run checkpoint/resume
+// opt asks for. At most opt.Parallelism runs are in flight, and every
+// run's error is aggregated with errors.Join. A run that panics (e.g.
+// inside a fitness evaluation path the worker pool does not cover) is
+// recovered into that run's StudyResult.Err without taking down the
+// study.
 func RunStudyContext(ctx context.Context, workload string, cfg neat.Config, runs, maxGenerations int, seed uint64, opt StudyOptions) (*Study, error) {
 	st := &Study{Workload: workload, Results: make([]StudyResult, runs)}
 	slots := opt.Parallelism

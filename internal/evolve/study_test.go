@@ -13,7 +13,7 @@ import (
 func TestRunStudyBasics(t *testing.T) {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = 40
-	st, err := RunStudy("cartpole", cfg, 4, 10, 3)
+	st, err := RunStudyContext(context.Background(), "cartpole", cfg, 4, 10, 3, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunStudyBasics(t *testing.T) {
 func TestStudyRunsAreIndependent(t *testing.T) {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = 30
-	st, err := RunStudy("mountaincar", cfg, 3, 3, 11)
+	st, err := RunStudyContext(context.Background(), "mountaincar", cfg, 3, 3, 11, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestStudyDeterministicAcrossInvocations(t *testing.T) {
 	run := func() float64 {
 		cfg := neat.DefaultConfig(1, 1)
 		cfg.PopulationSize = 25
-		st, err := RunStudy("mario", cfg, 2, 2, 17)
+		st, err := RunStudyContext(context.Background(), "mario", cfg, 2, 2, 17, StudyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestStudyDeterministicAcrossInvocations(t *testing.T) {
 func TestStudyPools(t *testing.T) {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = 25
-	st, err := RunStudy("mario", cfg, 2, 3, 5)
+	st, err := RunStudyContext(context.Background(), "mario", cfg, 2, 3, 5, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestStudyPools(t *testing.T) {
 }
 
 func TestStudyUnknownWorkload(t *testing.T) {
-	if _, err := RunStudy("pong", neat.DefaultConfig(1, 1), 1, 1, 1); err == nil {
+	if _, err := RunStudyContext(context.Background(), "pong", neat.DefaultConfig(1, 1), 1, 1, 1, StudyOptions{}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestStudyUnknownWorkload(t *testing.T) {
 func TestStudyAggregatesAllRunErrors(t *testing.T) {
 	// Every run fails; the joined error must name each of them rather
 	// than the first failure masking the rest.
-	st, err := RunStudy("pong", neat.DefaultConfig(1, 1), 3, 1, 1)
+	st, err := RunStudyContext(context.Background(), "pong", neat.DefaultConfig(1, 1), 3, 1, 1, StudyOptions{})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -126,7 +126,7 @@ func TestStudySinkRecordsTagged(t *testing.T) {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = 30
 	log := &hwsim.Log{}
-	st, err := RunStudyWithSink(context.Background(), "mountaincar", cfg, 2, 3, 11, log)
+	st, err := RunStudyContext(context.Background(), "mountaincar", cfg, 2, 3, 11, StudyOptions{Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

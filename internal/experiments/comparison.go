@@ -9,7 +9,6 @@ import (
 	"repro/internal/hw/energy"
 	"repro/internal/hw/hwsim"
 	"repro/internal/hw/soc"
-	"repro/internal/network"
 	"repro/internal/platform"
 	"repro/internal/rl"
 )
@@ -25,39 +24,6 @@ func init() {
 	register("fig10ab", Fig10ab)
 	register("fig10c", Fig10c)
 	register("fig10d", Fig10d)
-}
-
-// newADAM builds an ADAM engine from a SoC design point.
-func newADAM(cfg energy.SoCConfig) *adam.Engine {
-	acfg := adam.DefaultConfig()
-	acfg.Rows, acfg.Cols = cfg.ADAMRows, cfg.ADAMCols
-	acfg.MACEnergyPJ = cfg.Tech.EMAC
-	acfg.SRAMAccessPJ = cfg.Tech.ESRAMAccess
-	return adam.New(acfg)
-}
-
-// inferenceJobs builds the ADAM job list for the run's current
-// population. stepsPerGenome ≤ 0 uses the run's measured mean episode
-// length.
-func inferenceJobs(e *evolved, stepsPerGenome int) ([]adam.Job, error) {
-	last := e.runner.Last()
-	if stepsPerGenome <= 0 {
-		if n := len(e.runner.Pop.Genomes); n > 0 && last.EnvSteps > 0 {
-			stepsPerGenome = int(last.EnvSteps) / n
-		}
-		if stepsPerGenome <= 0 {
-			stepsPerGenome = 1
-		}
-	}
-	jobs := make([]adam.Job, 0, len(e.runner.Pop.Genomes))
-	for _, g := range e.runner.Pop.Genomes {
-		n, err := network.New(g)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, adam.Job{Plan: n.BuildPlan(false), Steps: stepsPerGenome})
-	}
-	return jobs, nil
 }
 
 // comparison prices one workload's last generation on every platform
@@ -105,7 +71,12 @@ func runComparisonUncached(wl string, opt Options) (*comparison, error) {
 	for _, s := range platform.TableIII() {
 		c.reports[s.Legend] = s.Run(w)
 	}
-	jobs, err := inferenceJobs(e, 0)
+	// Charge each genome the run's measured mean episode length.
+	steps := 1
+	if n, total := len(e.runner.Pop.Genomes), e.runner.Last().EnvSteps; n > 0 && total > 0 {
+		steps = max(int(total)/n, 1)
+	}
+	jobs, err := adam.JobsFor(e.runner.Pop.Genomes, steps)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/hw/adam"
 	"repro/internal/hw/energy"
 	"repro/internal/hw/eve"
 	"repro/internal/hw/hwsim"
 	"repro/internal/hw/noc"
+	"repro/internal/hw/soc"
 	"repro/internal/trace"
 )
 
@@ -186,12 +188,11 @@ func Fig11c(opt Options) (*Result, error) {
 	}
 	// ADAM single-sweep runtime for the same generation (constant
 	// across the EvE sweep, as in the paper).
-	jobs, err := inferenceJobs(e, 1)
+	jobs, err := adam.JobsFor(e.runner.Pop.Genomes, 1)
 	if err != nil {
 		return nil, err
 	}
-	soCfg := energy.DefaultSoC()
-	adamEng := newADAM(soCfg)
+	adamEng := soc.New(energy.DefaultSoC()).ADAM
 	adamEng.RunGeneration(jobs)
 	adamCycles := adamEng.Counters().IntValue("pass_cycles")
 

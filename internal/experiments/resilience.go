@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/gene"
+	"repro/internal/hw/adam"
 	"repro/internal/hw/energy"
 	"repro/internal/hw/fault"
 	"repro/internal/hw/soc"
@@ -38,7 +39,7 @@ func ResilienceFor(workload string, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := inferenceJobs(e, 1)
+	jobs, err := adam.JobsFor(e.runner.Pop.Genomes, 1)
 	if err != nil {
 		return nil, err
 	}

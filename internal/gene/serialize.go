@@ -483,18 +483,3 @@ func Load(r io.Reader) (*Genome, error) {
 	}
 	return g, nil
 }
-
-// SavePopulation writes a genome slice as one JSON document.
-func SavePopulation(w io.Writer, genomes []*Genome) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(genomes)
-}
-
-// LoadPopulation reads a genome slice.
-func LoadPopulation(r io.Reader) ([]*Genome, error) {
-	var out []*Genome
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

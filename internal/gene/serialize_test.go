@@ -59,24 +59,6 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestPopulationRoundTrip(t *testing.T) {
-	a := smallGenome(t)
-	b := a.Clone()
-	b.ID = 2
-	b.Fitness = 7
-	var buf bytes.Buffer
-	if err := SavePopulation(&buf, []*Genome{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadPopulation(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[1].Fitness != 7 || back[0].NumGenes() != a.NumGenes() {
-		t.Fatalf("population round trip wrong: %v", back)
-	}
-}
-
 func TestJSONIsHumanReadable(t *testing.T) {
 	g := smallGenome(t)
 	var buf bytes.Buffer

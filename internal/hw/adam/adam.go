@@ -21,6 +21,7 @@
 package adam
 
 import (
+	"repro/internal/gene"
 	"repro/internal/hw/hwsim"
 	"repro/internal/network"
 )
@@ -61,6 +62,23 @@ func (c Config) MACs() int { return c.Rows * c.Cols }
 type Job struct {
 	Plan  network.Plan
 	Steps int
+}
+
+// JobsFor builds ADAM's input for one generation: the System CPU's
+// vectorize routine (network.BuildPlan) run once per genome, each job
+// charged steps inference passes. It fails on a genome whose network
+// cannot be built (a cycle or an invalid gene).
+func JobsFor(genomes []*gene.Genome, steps int) ([]Job, error) {
+	var b network.Builder
+	jobs := make([]Job, 0, len(genomes))
+	for _, g := range genomes {
+		n, err := b.Build(g)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, Job{Plan: n.BuildPlan(), Steps: steps})
+	}
+	return jobs, nil
 }
 
 // Report is the generation-level inference account.

@@ -27,7 +27,7 @@ func planOf(t *testing.T, ins, outs int) network.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n.BuildPlan(false)
+	return n.BuildPlan()
 }
 
 // serialConfig returns the genome-at-a-time tiling mode used by the

@@ -10,9 +10,9 @@ import (
 // This file is the functional model of ADAM: where adam.go prices
 // cycles and energy, Array actually executes the packed matrix–vector
 // multiplications on a simulated weight-stationary systolic grid, and
-// Executor runs whole-network inference through it — verifying that
-// the hardware path computes the same activations as the software
-// network (at the genome's quantized precision).
+// Executor compiles whole networks onto it (Compile) and runs their
+// inference through it (Compiled.Feed) — computing the same activations
+// as the software network at the genome's quantized precision.
 
 // Array is a functional rows×cols weight-stationary systolic array.
 // Inputs stream in from the left with one-cycle skew per column;
@@ -106,18 +106,6 @@ type Executor struct {
 
 // NewExecutor wraps an array.
 func NewExecutor(arr *Array) *Executor { return &Executor{arr: arr} }
-
-// Infer evaluates the genome's network on one observation through the
-// array. The genome is first passed through its packed 64-bit encoding
-// so all attributes are at hardware precision.
-func (e *Executor) Infer(g *gene.Genome, obs []float64) ([]float64, error) {
-	hw := gene.FromWords(g.ID, g.Pack()) // quantize to the gene word
-	net, err := network.New(hw)
-	if err != nil {
-		return nil, err
-	}
-	return e.inferNet(hw, net, obs)
-}
 
 // Compiled is a per-genome execution state: the vectorize routine's
 // output (stage membership, source indices, weight matrices) computed
@@ -247,85 +235,6 @@ func (c *Compiled) Feed(obs []float64) ([]float64, error) {
 	out := make([]float64, len(c.outputs))
 	for i, id := range c.outputs {
 		out[i] = c.values[id]
-	}
-	return out, nil
-}
-
-func (e *Executor) inferNet(g *gene.Genome, net *network.Network, obs []float64) ([]float64, error) {
-	if len(obs) != net.NumInputs() {
-		return nil, fmt.Errorf("adam: observation width %d, want %d", len(obs), net.NumInputs())
-	}
-	// Values by node id; inputs seeded from the observation.
-	values := make(map[int32]float64, len(g.Nodes))
-	for i, id := range g.InputIDs() {
-		values[id] = obs[i]
-	}
-
-	// Stage order: reuse the network's layering via its plan, but we
-	// need node identities per stage, so rebuild the layering here from
-	// the genome (same longest-path rule as network.New).
-	layers, err := layering(g)
-	if err != nil {
-		return nil, err
-	}
-
-	for _, layer := range layers {
-		// Vectorize: distinct ready sources feeding this layer.
-		srcIdx := map[int32]int{}
-		var srcs []int32
-		for _, id := range layer {
-			for _, c := range g.Conns {
-				if c.Enabled && c.Dst == id {
-					if _, ok := srcIdx[c.Src]; !ok {
-						srcIdx[c.Src] = len(srcs)
-						srcs = append(srcs, c.Src)
-					}
-				}
-			}
-		}
-		x := make([]float64, len(srcs))
-		for i, s := range srcs {
-			x[i] = values[s]
-		}
-
-		// Split the layer into array vertices (sum aggregation) and
-		// CPU-fallback vertices.
-		var rows []int32
-		for _, id := range layer {
-			n, _ := g.Node(id)
-			if n.Aggregation == gene.AggSum {
-				rows = append(rows, id)
-			} else {
-				values[id] = cpuVertex(g, n, values)
-				e.FallbackVertices++
-			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		w := make([][]float64, len(rows))
-		for r, id := range rows {
-			w[r] = make([]float64, len(srcs))
-			for _, c := range g.Conns {
-				if c.Enabled && c.Dst == id {
-					w[r][srcIdx[c.Src]] = c.Weight
-				}
-			}
-		}
-		y, cycles, err := e.arr.MatVec(w, x)
-		if err != nil {
-			return nil, err
-		}
-		e.ArrayCycles += int64(cycles)
-		for r, id := range rows {
-			n, _ := g.Node(id)
-			values[id] = network.Activate(n.Activation, n.Bias+n.Response*y[r])
-		}
-	}
-
-	out := make([]float64, 0, len(g.OutputIDs()))
-	for _, id := range g.OutputIDs() {
-		out = append(out, values[id])
 	}
 	return out, nil
 }

@@ -138,56 +138,29 @@ func hwFriendlyGenome(t *testing.T, seed uint64) *gene.Genome {
 
 // TestExecutorMatchesSoftwareNetwork is the hardware/software
 // equivalence claim: inference through the simulated systolic array
-// equals the software network evaluated at quantized precision.
+// (Compile once, Feed per step) equals the software network evaluated
+// at quantized precision.
 func TestExecutorMatchesSoftwareNetwork(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := hwFriendlyGenome(t, seed)
-		hw := gene.FromWords(g.ID, g.Pack())
-		net, err := network.New(hw)
+		net, err := network.New(gene.FromWords(g.ID, g.Pack()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		arr, _ := NewArray(32, 32)
 		ex := NewExecutor(arr)
-		obs := []float64{0.3, -0.7, 1.2, 0.05}
-		want, err := net.Feed(obs)
+		compiled, err := ex.Compile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ex.Infer(g, obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: width %d vs %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("seed %d: output %d: array %v, software %v", seed, i, got[i], want[i])
-			}
-		}
-		if ex.ArrayCycles <= 0 {
-			t.Fatal("no array cycles simulated")
-		}
-	}
-}
-
-// TestCompiledMatchesOneShotInfer: the per-generation compiled
-// executor must compute exactly what the one-shot path computes.
-func TestCompiledMatchesOneShotInfer(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		g := hwFriendlyGenome(t, seed)
-		arr, _ := NewArray(32, 32)
-		oneShot := NewExecutor(arr)
-		compiled, err := NewExecutor(arr).Compile(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		observations := [][]float64{{0.3, -0.7, 1.2, 0.05}}
 		for trial := 0; trial < 5; trial++ {
-			obs := []float64{
+			observations = append(observations, []float64{
 				float64(trial) * 0.2, -0.5, float64(seed) * 0.1, 0.9,
-			}
-			want, err := oneShot.Infer(g, obs)
+			})
+		}
+		for _, obs := range observations {
+			want, err := net.Feed(obs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,12 +168,18 @@ func TestCompiledMatchesOneShotInfer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: width %d vs %d", seed, len(got), len(want))
+			}
 			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-12 {
-					t.Fatalf("seed %d trial %d: compiled %v vs one-shot %v",
-						seed, trial, got[i], want[i])
+				if math.Abs(got[i]-want[i]) > 1e-9 {
+					t.Fatalf("seed %d obs %v: output %d: array %v, software %v",
+						seed, obs, i, got[i], want[i])
 				}
 			}
+		}
+		if ex.ArrayCycles <= 0 {
+			t.Fatal("no array cycles simulated")
 		}
 	}
 }
@@ -233,7 +212,11 @@ func TestExecutorNonSumFallback(t *testing.T) {
 
 	arr, _ := NewArray(8, 8)
 	ex := NewExecutor(arr)
-	got, err := ex.Infer(g, []float64{2, 5})
+	c, err := ex.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Feed([]float64{2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +225,6 @@ func TestExecutorNonSumFallback(t *testing.T) {
 	}
 	if ex.FallbackVertices != 1 {
 		t.Fatalf("fallback count %d", ex.FallbackVertices)
-	}
-}
-
-func TestExecutorObservationWidth(t *testing.T) {
-	g := hwFriendlyGenome(t, 3)
-	arr, _ := NewArray(8, 8)
-	ex := NewExecutor(arr)
-	if _, err := ex.Infer(g, []float64{1}); err == nil {
-		t.Fatal("wrong observation width accepted")
 	}
 }
 

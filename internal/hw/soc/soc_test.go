@@ -8,7 +8,6 @@ import (
 	"repro/internal/hw/adam"
 	"repro/internal/hw/energy"
 	"repro/internal/neat"
-	"repro/internal/network"
 	"repro/internal/trace"
 )
 
@@ -28,13 +27,8 @@ func evolveWorkload(t testing.TB, workload string, pop int) ([]adam.Job, *trace.
 	var jobs []adam.Job
 	for gen := 0; gen < 2; gen++ {
 		// Build jobs from the population *before* it reproduces.
-		jobs = jobs[:0]
-		for _, g := range r.Pop.Genomes {
-			n, err := network.New(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, adam.Job{Plan: n.BuildPlan(false), Steps: 50})
+		if jobs, err = adam.JobsFor(r.Pop.Genomes, 50); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := r.Step(context.Background()); err != nil {
 			t.Fatal(err)

@@ -239,9 +239,6 @@ func (b *Buffer) WriteCount() int64 { return b.writes.Load() }
 // SpillWords returns accesses served by DRAM due to capacity misses.
 func (b *Buffer) SpillWords() int64 { return b.spillWords.Load() }
 
-// ConflictCycles returns cycles lost to partial-bandwidth cycles.
-func (b *Buffer) ConflictCycles() int64 { return b.conflictCycles.Load() }
-
 // EnergyPJ returns the access energy consumed so far. DRAM spills are
 // charged at 100× the SRAM access energy (the usual off-chip ratio);
 // with ECC modeled, the check-bit overhead of every access is included.

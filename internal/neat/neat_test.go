@@ -537,6 +537,33 @@ func TestGenesGrowOverGenerations(t *testing.T) {
 	}
 }
 
+// TestZeroStructuralProbabilitiesKeepSeedTopology is the converse of
+// TestGenesGrowOverGenerations: with the add-node and add-connection
+// probabilities at zero, no genome grows past the seed topology.
+func TestZeroStructuralProbabilitiesKeepSeedTopology(t *testing.T) {
+	cfg := testConfig()
+	cfg.PopulationSize = 20
+	cfg.AddNodeProb = 0
+	cfg.AddConnProb = 0
+	p, _ := NewPopulation(cfg, 1)
+	seed := p.Genomes[0].NumGenes() // 4 inputs + 2 outputs + 8 conns
+	r := rng.New(1)
+	for gen := 0; gen < 5; gen++ {
+		for _, g := range p.Genomes {
+			g.Fitness = r.Float64()
+		}
+		if _, err := p.Epoch(); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range p.Genomes {
+			if g.NumGenes() > seed {
+				t.Fatalf("generation %d: genome %d has %d genes, seed topology has %d",
+					gen, g.ID, g.NumGenes(), seed)
+			}
+		}
+	}
+}
+
 func TestIDAssignerSplitReuse(t *testing.T) {
 	cfg := testConfig()
 	a := newIDAssigner(&cfg)

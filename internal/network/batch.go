@@ -26,12 +26,6 @@ func (pr Program) NumInputs() int { return len(pr.p.inputs) }
 // NumOutputs returns the action width the program produces.
 func (pr Program) NumOutputs() int { return len(pr.p.outputs) }
 
-// NumVertices returns the node count.
-func (pr Program) NumVertices() int { return len(pr.p.ids) }
-
-// NumEdges returns the enabled connection count (MACs per inference).
-func (pr Program) NumEdges() int { return pr.p.macs }
-
 // Instantiate wraps the program with fresh scalar evaluation state —
 // the same Network the serial path has always used.
 func (pr Program) Instantiate() *Network { return pr.p.instantiate() }

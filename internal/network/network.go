@@ -80,9 +80,6 @@ func New(g *gene.Genome) (*Network, error) {
 	return new(Builder).Build(g)
 }
 
-// Program returns the shared immutable program backing this instance.
-func (n *Network) Program() Program { return Program{p: n.prog} }
-
 // NumInputs returns the observation width the network expects.
 func (n *Network) NumInputs() int { return len(n.prog.inputs) }
 

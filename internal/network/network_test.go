@@ -211,7 +211,7 @@ func TestAggregationFunctions(t *testing.T) {
 
 func TestPlanCoversAllEdges(t *testing.T) {
 	n, _ := New(xorGenome())
-	p := n.BuildPlan(false)
+	p := n.BuildPlan()
 	nz := 0
 	for _, s := range p.Stages {
 		nz += s.NonZero
@@ -224,30 +224,6 @@ func TestPlanCoversAllEdges(t *testing.T) {
 	}
 	if d := p.MeanDensity(); d <= 0 || d > 1 {
 		t.Fatalf("mean density %v", d)
-	}
-}
-
-func TestPlanMaterializedWeights(t *testing.T) {
-	n, _ := New(xorGenome())
-	p := n.BuildPlan(true)
-	for si, s := range p.Stages {
-		if len(s.Weights) != s.Rows {
-			t.Fatalf("stage %d: %d weight rows for %d rows", si, len(s.Weights), s.Rows)
-		}
-		nz := 0
-		for _, row := range s.Weights {
-			if len(row) != s.Cols {
-				t.Fatalf("stage %d: row width %d, want %d", si, len(row), s.Cols)
-			}
-			for _, w := range row {
-				if w != 0 {
-					nz++
-				}
-			}
-		}
-		if nz != s.NonZero {
-			t.Fatalf("stage %d: %d materialized non-zeros, recorded %d", si, nz, s.NonZero)
-		}
 	}
 }
 

@@ -15,24 +15,14 @@ type Plan struct {
 
 // Stage is one packed matrix–vector multiply: Rows destination vertices
 // are updated from Cols already-computed source vertices through the
-// Rows×Cols weight matrix. Density is the fraction of non-zero weights —
+// Rows×Cols weight matrix, of which NonZero entries are true edges —
 // the utilization the paper ties to connection-gene share (Fig. 11a).
+// The cycle models only need these dimensions; the functional array
+// builds its own matrices (adam.Executor.Compile).
 type Stage struct {
 	Rows    int
 	Cols    int
 	NonZero int
-	// Weights is the dense packed matrix, Rows × Cols, row-major.
-	// Present only when BuildPlan is called with materialize=true; the
-	// cycle models only need the dimensions.
-	Weights [][]float64
-}
-
-// Density returns the non-zero fraction of the stage matrix.
-func (s Stage) Density() float64 {
-	if s.Rows == 0 || s.Cols == 0 {
-		return 0
-	}
-	return float64(s.NonZero) / float64(s.Rows*s.Cols)
 }
 
 // MACs returns the dense multiply-accumulate count the systolic array
@@ -42,41 +32,26 @@ func (s Stage) MACs() int { return s.Rows * s.Cols }
 // BuildPlan computes the packed execution plan for the network. For
 // each layer, the input vector is the set of distinct source vertices
 // feeding that layer (the "well formed input vector" the CPU packs);
-// the matrix holds the corresponding weights, zero where a destination
-// lacks an edge from a source.
-func (n *Network) BuildPlan(materialize bool) Plan {
+// the stage records the shape of the matrix that packs their weights,
+// zero where a destination lacks an edge from a source, and its
+// non-zero count.
+func (n *Network) BuildPlan() Plan {
 	prog := n.prog
 	p := Plan{Vertices: n.NumVertices(), Edges: n.NumEdges()}
 	start := int32(0)
 	for _, end := range prog.layerEnd {
 		layer := prog.evalPos[start:end]
 		start = end
-		// Distinct sources feeding this layer.
-		srcIndex := map[int32]int{}
+		// Distinct sources feeding this layer, and its edges.
+		srcs := map[int32]struct{}{}
+		edges := 0
 		for _, pos := range layer {
 			for k := prog.edgeOff[pos]; k < prog.edgeOff[pos+1]; k++ {
-				if _, ok := srcIndex[prog.edgePos[k]]; !ok {
-					srcIndex[prog.edgePos[k]] = len(srcIndex)
-				}
+				srcs[prog.edgePos[k]] = struct{}{}
+				edges++
 			}
 		}
-		st := Stage{Rows: len(layer), Cols: len(srcIndex)}
-		if materialize {
-			st.Weights = make([][]float64, st.Rows)
-			for i := range st.Weights {
-				st.Weights[i] = make([]float64, st.Cols)
-			}
-		}
-		for r, pos := range layer {
-			for k := prog.edgeOff[pos]; k < prog.edgeOff[pos+1]; k++ {
-				c := srcIndex[prog.edgePos[k]]
-				if materialize {
-					st.Weights[r][c] = prog.edgeW[k]
-				}
-				st.NonZero++
-			}
-		}
-		p.Stages = append(p.Stages, st)
+		p.Stages = append(p.Stages, Stage{Rows: len(layer), Cols: len(srcs), NonZero: edges})
 	}
 	return p
 }

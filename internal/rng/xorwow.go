@@ -120,11 +120,6 @@ func (g *XorWow) Float64() float64 {
 	return float64(g.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (g *XorWow) Float32() float32 {
-	return float32(g.Uint32()>>8) / (1 << 24)
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (g *XorWow) Intn(n int) int {
 	if n <= 0 {

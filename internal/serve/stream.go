@@ -84,13 +84,6 @@ func (s *stream) Subscribe() (history []hwsim.Record, ch <-chan hwsim.Record, ca
 	}
 }
 
-// Records returns a copy of the history so far.
-func (s *stream) Records() []hwsim.Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]hwsim.Record(nil), s.recs...)
-}
-
 // Len returns the number of records in the history.
 func (s *stream) Len() int {
 	s.mu.Lock()

@@ -84,7 +84,7 @@ func (g *Generation) opTotal(op neat.Op) int64 {
 	return n
 }
 
-// ParentOf returns how many children used each parent — the
+// ParentUse returns how many children used each parent — the
 // genome-level-reuse profile the multicast NoC exploits.
 func (g *Generation) ParentUse() map[int64]int {
 	use := make(map[int64]int)

@@ -17,19 +17,32 @@
 # reference on the same population — the ratio is the multi-objective
 # headline), and, unless BENCH_QUICK=1, the full-suite harness bench
 # plus the root figure-regeneration benches, then renders everything
-# into a machine-readable trajectory record via cmd/benchjson:
+# into a machine-readable trajectory record via cmd/benchjson, written
+# to the path given as the one required argument:
 #
-#	scripts/bench.sh                 # full run, writes BENCH_PR10.json
-#	BENCH_QUICK=1 scripts/bench.sh   # kernel + replay + serve + store + cluster + moea microbenches only
+#	scripts/bench.sh BENCH_PRn.json                 # full run
+#	BENCH_QUICK=1 scripts/bench.sh BENCH_PRn.json   # kernel + replay + serve + store + cluster + moea microbenches only
+#
+# The committed BENCH_PR*.json files are past records; name a new file
+# rather than one of them.
 #
 # The JSON carries ns/op, B/op, allocs/op and custom figure metrics for
 # every benchmark, the pinned pre-PR baselines, and headline speedup
 # ratios — the numbers future perf PRs are judged against.
 set -eu
 
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/bench.sh OUTPUT.json" >&2
+    exit 2
+fi
+# A relative path names a file under the caller's directory.
+case $1 in
+/*) out=$1 ;;
+*) out=$PWD/$1 ;;
+esac
+
 cd "$(dirname "$0")/.."
 
-out=${BENCH_OUT:-BENCH_PR10.json}
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 

@@ -11,6 +11,7 @@
 # store, the genesysd serving layer with its integration test, and the
 # NEAT speciation kernel whose distance pass fans out over workers,
 # and the NSGA-II sort whose determinism test runs concurrently), a
+# cmd/genesys smoke (the only production caller of internal/core), a
 # server smoke that runs the real genesysd + genesysctl binaries end to
 # end on an ephemeral port — including a multi-objective job whose
 # Pareto-front stream must replay byte-identically from the shared run
@@ -66,6 +67,23 @@ go test -race ./internal/evolve/... ./internal/network/... ./internal/env/... \
     ./internal/hw/... ./internal/experiments/... ./internal/serve/... \
     ./internal/store/... ./internal/cluster/... ./internal/neat/... \
     ./internal/gene/... ./internal/moea/...
+
+echo "== genesys smoke (hardware-in-the-loop, functional, empty run)"
+# cmd/genesys is the only production caller of internal/core. A tiny
+# accounted run must print its summary and chip totals, a functional
+# run must end, and a run with no finished generation has no chip time
+# to average power over, so it must print no NaN.
+gout=$(go run ./cmd/genesys -workload cartpole -pop 16 -generations 3 -quiet)
+echo "$gout"
+echo "$gout" | grep -q "^summary:" || { echo "genesys printed no summary" >&2; exit 1; }
+echo "$gout" | grep -q "^soc: " || { echo "genesys printed no soc line" >&2; exit 1; }
+gout=$(go run ./cmd/genesys -workload cartpole -pop 16 -generations 3 -quiet -functional)
+echo "$gout"
+echo "$gout" | grep -Eq "solved at generation|budget exhausted" \
+    || { echo "functional genesys run did not end" >&2; exit 1; }
+gout=$(go run ./cmd/genesys -workload cartpole -pop 8 -generations 0 -quiet)
+echo "$gout"
+if echo "$gout" | grep -q NaN; then echo "genesys printed NaN" >&2; exit 1; fi
 
 echo "== genesysd smoke (real binaries, ephemeral port)"
 smokedir=$(mktemp -d)
