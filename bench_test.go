@@ -1,29 +1,29 @@
-// Package repro's root benchmark harness regenerates every table and
-// figure of the paper's evaluation. One benchmark per experiment: each
-// runs the real pipeline (evolution → traces → hardware models →
-// baseline models), asserts the paper's qualitative result (the shape:
-// who wins, by roughly what factor), reports the headline number as a
-// custom benchmark metric, and writes the rendered rows to
-// results/<id>.txt.
+// Package repro's root benchmarks regenerate the paper's evaluation.
+// BenchmarkFigures has one sub-benchmark per registered experiment:
+// each runs the real pipeline (evolution → traces → hardware models →
+// baseline models) from a cold run cache, timing the figure, and writes
+// the rendered rows to results/<id>.txt. ablation_bench_test.go times
+// the design-choice ablations. The benches assert nothing:
+// TestPaperClaims (claims_test.go) checks the paper's claims on the
+// same runs and compares every figure with results/ byte for byte.
 //
-//	go test -bench=. -benchmem
+//	go test -run=NONE -bench=. -benchtime=1x .
 //
-// Scale note: benchmarks default to a reduced population (64 control /
-// 32 RAM) so the whole harness completes in minutes. For paper-scale
-// numbers run `go run ./cmd/experiments -run all -pop 150 -ram-pop 150`.
+// Scale note: benchOpt is a reduced population (64 control / 32 RAM)
+// so the whole harness completes in seconds. For paper-scale numbers
+// run `go run ./cmd/experiments -run all -pop 150 -ram-pop 150`.
 package repro
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// benchOpt is the shared fidelity for the regeneration benches.
+// benchOpt is the fidelity of results/ and of the claims table.
 func benchOpt() experiments.Options {
 	return experiments.Options{
 		Seed:           42,
@@ -35,315 +35,27 @@ func benchOpt() experiments.Options {
 	}
 }
 
-// regenerate runs one experiment once per benchmark iteration, writing
-// the rendered output on the first. The shared run cache is dropped
-// before every iteration so each figure bench still measures its own
-// cold-cache cost, comparable across the BENCH_*.json trajectory; the
-// warm-harness number lives in BenchmarkExperimentSuite.
-func regenerate(b *testing.B, id string) *experiments.Result {
-	b.Helper()
-	var res *experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCaches()
-		res, err = experiments.Run(id, benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkFigures times each registered figure and writes its
+// rendering to results/<id>.txt. The run cache is dropped before every
+// iteration, so a figure never rides on runs another figure evolved.
+func BenchmarkFigures(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			var res *experiments.Result
+			for i := 0; i < b.N; i++ {
+				experiments.ResetCaches()
+				var err error
+				if res, err = experiments.Run(id, benchOpt()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := res.Render(&buf); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join("results", id+".txt"), buf.Bytes(), 0o644); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		b.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join("results", id+".txt"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	if err := res.Render(f); err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// first returns the first value of a named series.
-func first(b *testing.B, r *experiments.Result, name string) float64 {
-	b.Helper()
-	v, ok := r.Series[name]
-	if !ok || len(v) == 0 {
-		b.Fatalf("series %q missing (have %v)", name, keys(r))
-	}
-	return v[0]
-}
-
-func keys(r *experiments.Result) []string {
-	var out []string
-	for k := range r.Series {
-		out = append(out, k)
-	}
-	sort.Strings(out) // deterministic failure messages
-	return out
-}
-
-// --- Section III characterization ---
-
-func BenchmarkTableI_Environments(b *testing.B) {
-	r := regenerate(b, "table1")
-	if first(b, r, "obs:alien-ram") != 128 {
-		b.Fatal("alien-ram observation width wrong")
-	}
-}
-
-func BenchmarkFig2_EvolutionCurve(b *testing.B) {
-	r := regenerate(b, "fig2")
-	maxes := r.Series["max"]
-	if len(maxes) < 2 {
-		b.Fatalf("too few generations: %v", maxes)
-	}
-	b.ReportMetric(maxes[len(maxes)-1], "final-norm-fitness")
-}
-
-func BenchmarkFig4a_Fitness(b *testing.B) {
-	r := regenerate(b, "fig4a")
-	// Every workload must make progress toward the target.
-	for _, wl := range []string{"cartpole", "lunarlander", "mountaincar", "asterix-ram"} {
-		final := first(b, r, wl+":final")
-		if final <= 0 {
-			b.Fatalf("%s made no progress: %v", wl, final)
-		}
-	}
-	b.ReportMetric(first(b, r, "cartpole:final"), "cartpole-final-norm")
-}
-
-func BenchmarkFig4b_NumGenes(b *testing.B) {
-	r := regenerate(b, "fig4b")
-	control := first(b, r, "cartpole:genesPerGenome")
-	ram := first(b, r, "alien-ram:genesPerGenome")
-	// The paper's two classes: RAM genomes orders of magnitude larger.
-	if ram < 50*control {
-		b.Fatalf("gene-scale classes collapsed: control %v, ram %v", control, ram)
-	}
-	b.ReportMetric(ram, "alien-genes-per-genome")
-}
-
-func BenchmarkFig4c_ParentReuse(b *testing.B) {
-	r := regenerate(b, "fig4c")
-	best := 0.0
-	for k, v := range r.Series {
-		if strings.HasSuffix(k, ":maxReuse") && v[0] > best {
-			best = v[0]
-		}
-	}
-	if best < 2 {
-		b.Fatalf("no genome-level reuse observed (max %v)", best)
-	}
-	b.ReportMetric(best, "max-parent-reuse")
-}
-
-func BenchmarkFig5a_OpsDistribution(b *testing.B) {
-	r := regenerate(b, "fig5a")
-	control := first(b, r, "cartpole:medianOps")
-	ram := first(b, r, "alien-ram:medianOps")
-	if ram < 20*control {
-		b.Fatalf("op-count classes collapsed: %v vs %v", control, ram)
-	}
-	b.ReportMetric(ram, "alien-median-ops")
-}
-
-func BenchmarkFig5b_Footprint(b *testing.B) {
-	r := regenerate(b, "fig5b")
-	// Control workloads stay well under 1 MB at paper population.
-	if v := first(b, r, "cartpole:maxFootprint"); v >= 1<<20 {
-		b.Fatalf("cartpole footprint %v B ≥ 1 MB", v)
-	}
-	b.ReportMetric(first(b, r, "amidar-ram:maxFootprint")/1024, "amidar-KB")
-}
-
-// --- Table II / Table III ---
-
-func BenchmarkTableII_DQNvsEA(b *testing.B) {
-	r := regenerate(b, "table2")
-	cr := first(b, r, "computeRatio")
-	mr := first(b, r, "memoryRatio")
-	if cr < 5 || mr < 10 {
-		b.Fatalf("DQN vs EA advantage collapsed: compute %v memory %v", cr, mr)
-	}
-	b.ReportMetric(cr, "compute-ratio")
-	b.ReportMetric(mr, "memory-ratio")
-}
-
-func BenchmarkFootnote1_NEvsRL(b *testing.B) {
-	r := regenerate(b, "footnote1")
-	// NEAT must make progress on both tasks; DQN's mountaincar delta
-	// stays near zero (sparse reward), the footnote's observation.
-	if first(b, r, "cartpole:neatEnd") <= 0 {
-		b.Fatal("NEAT made no progress on cartpole")
-	}
-	b.ReportMetric(first(b, r, "mountaincar:dqnDelta"), "dqn-mountaincar-delta")
-	b.ReportMetric(first(b, r, "cartpole:dqnDelta"), "dqn-cartpole-delta")
-}
-
-func BenchmarkTableIII_Configurations(b *testing.B) {
-	r := regenerate(b, "table3")
-	if first(b, r, "configs") != 9 {
-		b.Fatal("Table III must list 8 baselines + GENESYS")
-	}
-}
-
-// --- Fig. 8: implementation ---
-
-func BenchmarkFig8a_SoCParams(b *testing.B) {
-	r := regenerate(b, "fig8a")
-	p := first(b, r, "power")
-	if p < 900 || p > 1000 {
-		b.Fatalf("roofline power %v mW off the paper's 947.5", p)
-	}
-	b.ReportMetric(p, "roofline-mW")
-	b.ReportMetric(first(b, r, "area"), "area-mm2")
-}
-
-func BenchmarkFig8b_PowerSweep(b *testing.B) {
-	r := regenerate(b, "fig8b")
-	net := r.Series["net"]
-	if net[len(net)-1] <= 1000 {
-		b.Fatal("512-PE design should exceed 1 W")
-	}
-}
-
-func BenchmarkFig8c_AreaSweep(b *testing.B) {
-	r := regenerate(b, "fig8c")
-	tot := r.Series["total"]
-	if tot[len(tot)-1] <= tot[0] {
-		b.Fatal("area sweep not monotonic")
-	}
-}
-
-// --- Fig. 9: runtime & energy vs CPU/GPU ---
-
-func BenchmarkFig9a_InferenceRuntime(b *testing.B) {
-	r := regenerate(b, "fig9a")
-	sp := first(b, r, "alien-ram:speedupVsBestGPU")
-	if sp < 3 {
-		b.Fatalf("GeneSys inference speedup vs best GPU only %v", sp)
-	}
-	plp := first(b, r, "cartpole:cpuPLPSpeedup")
-	if plp < 3 || plp > 4 {
-		b.Fatalf("CPU PLP speedup %v, paper measured 3.5", plp)
-	}
-	b.ReportMetric(sp, "speedup-vs-best-GPU")
-}
-
-func BenchmarkFig9b_InferenceEnergy(b *testing.B) {
-	r := regenerate(b, "fig9b")
-	eff := first(b, r, "cartpole:efficiencyVsBest")
-	if eff < 10 {
-		b.Fatalf("inference energy efficiency only %v×", eff)
-	}
-	b.ReportMetric(eff, "efficiency-x")
-}
-
-func BenchmarkFig9c_EvolutionRuntime(b *testing.B) {
-	r := regenerate(b, "fig9c")
-	sp := first(b, r, "alien-ram:cpuSpeedup")
-	if sp < 100 {
-		b.Fatalf("EvE evolution speedup vs CPU_a only %v", sp)
-	}
-	b.ReportMetric(sp, "speedup-vs-CPU_a")
-}
-
-func BenchmarkFig9d_EvolutionEnergy(b *testing.B) {
-	r := regenerate(b, "fig9d")
-	eff := first(b, r, "alien-ram:evolutionEfficiency")
-	// The paper's headline: 4–5 orders of magnitude vs the GPUs.
-	if eff < 1e3 {
-		b.Fatalf("evolution energy efficiency only %v×", eff)
-	}
-	b.ReportMetric(eff, "efficiency-x")
-}
-
-// --- Fig. 10: time distribution & footprint ---
-
-func BenchmarkFig10ab_GPUTimeSplit(b *testing.B) {
-	r := regenerate(b, "fig10ab")
-	fa := first(b, r, "GPU_a:cartpole:memcpyFrac")
-	if fa < 0.4 {
-		b.Fatalf("GPU_a memcpy fraction %v (paper ~0.70)", fa)
-	}
-	fb := first(b, r, "GPU_b:alien-ram:memcpyFrac")
-	if fb >= fa {
-		b.Fatalf("GPU_b (%v) should be less memcpy-bound than GPU_a (%v)", fb, fa)
-	}
-	b.ReportMetric(fa*100, "GPU_a-memcpy-%")
-	b.ReportMetric(fb*100, "GPU_b-memcpy-%")
-}
-
-func BenchmarkFig10c_GenesysTimeSplit(b *testing.B) {
-	r := regenerate(b, "fig10c")
-	f := first(b, r, "cartpole:movementFrac")
-	if f <= 0 || f >= 0.9 {
-		b.Fatalf("GeneSys data-movement fraction %v", f)
-	}
-	b.ReportMetric(f*100, "movement-%")
-}
-
-func BenchmarkFig10d_MemFootprint(b *testing.B) {
-	r := regenerate(b, "fig10d")
-	for _, wl := range []string{"mountaincar", "amidar-ram"} {
-		if v := first(b, r, wl+":gpuB/genesys"); v < 3 {
-			b.Fatalf("%s: GPU_b/GeneSys footprint ratio %v", wl, v)
-		}
-		if v := first(b, r, wl+":genesys/gpuA"); v < 3 {
-			b.Fatalf("%s: GeneSys/GPU_a footprint ratio %v", wl, v)
-		}
-	}
-	b.ReportMetric(first(b, r, "amidar-ram:gpuB/genesys"), "GPU_b-over-GeneSys")
-}
-
-// --- Pareto fronts: multi-objective evolution (PR10) ---
-
-func BenchmarkParetoFront(b *testing.B) {
-	r := regenerate(b, "pareto")
-	for _, wl := range []string{"cartpole", "lunarlander", "mountaincar"} {
-		size := first(b, r, wl+":frontSize")
-		if size < 1 {
-			b.Fatalf("%s produced an empty Pareto front", wl)
-		}
-		if pop := 64.0; size > pop {
-			b.Fatalf("%s front size %v exceeds the population", wl, size)
-		}
-	}
-	b.ReportMetric(first(b, r, "cartpole:frontSize"), "cartpole-front-size")
-	b.ReportMetric(first(b, r, "cartpole:bestFitness"), "cartpole-best-fitness")
-}
-
-// --- Fig. 11: design choices ---
-
-func BenchmarkFig11a_GeneComposition(b *testing.B) {
-	r := regenerate(b, "fig11a")
-	share := first(b, r, "alien-ram:connShare")
-	if share < 60 {
-		b.Fatalf("alien conn-gene share %v%% — RAM genomes should be conn-dominated", share)
-	}
-	b.ReportMetric(share, "alien-conn-%")
-}
-
-func BenchmarkFig11b_NoCComparison(b *testing.B) {
-	r := regenerate(b, "fig11b")
-	red := r.Series["reduction"]
-	if red[len(red)-1] <= red[0] {
-		b.Fatalf("multicast reduction not growing with PEs: %v", red)
-	}
-	b.ReportMetric(red[len(red)-1], "read-reduction-x")
-}
-
-func BenchmarkFig11c_PESweep(b *testing.B) {
-	r := regenerate(b, "fig11c")
-	cyc := r.Series["eveCycles"]
-	uj := r.Series["sramUJ"]
-	if cyc[0] <= 2*cyc[len(cyc)-1] {
-		b.Fatalf("EvE runtime not compute-bound at low PEs: %v", cyc)
-	}
-	if uj[0] <= uj[len(uj)-1] {
-		b.Fatalf("SRAM energy not decreasing with PEs: %v", uj)
-	}
-	b.ReportMetric(cyc[0]/cyc[len(cyc)-1], "runtime-scaling-x")
 }

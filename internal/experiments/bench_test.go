@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// suiteOpt is the pinned fidelity of the BENCH_PR4 full-suite
-// trajectory benchmark: single-run figures at bench population with a
-// paper-leaning RAM budget, so the duplicated evolutions the run cache
-// removes dominate the pre-change wall clock the way they do at paper
-// scale. The BenchmarkExperimentSuite baseline in cmd/benchjson was
-// measured with this exact fidelity on the pre-cache harness.
+// suiteOpt is the pinned fidelity of the full-suite benchmark:
+// single-run figures at bench population with a paper-leaning RAM
+// budget, so the duplicated evolutions the run cache removes dominate
+// the wall clock the way they do at paper scale. The suite numbers in
+// the committed BENCH_*.json records were measured at this fidelity.
 func suiteOpt() Options {
 	return Options{
 		Seed:           42,

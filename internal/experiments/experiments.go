@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -111,13 +112,15 @@ func (r *Result) series(name string, xs ...float64) {
 }
 
 // Render writes the result in the fixed-width text form the CLI prints.
+// The text is built in memory and handed to w in one Write, so a
+// failed or short write is reported rather than leaving a truncated
+// figure behind a nil error.
 func (r *Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title); err != nil {
-		return err
-	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
 	for _, t := range r.Tables {
 		if t.Title != "" {
-			fmt.Fprintf(w, "\n-- %s --\n", t.Title)
+			fmt.Fprintf(&b, "\n-- %s --\n", t.Title)
 		}
 		widths := make([]int, len(t.Header))
 		for i, h := range t.Header {
@@ -139,21 +142,20 @@ func (r *Result) Render(w io.Writer) error {
 					parts[i] = c
 				}
 			}
-			fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
+			fmt.Fprintln(&b, strings.TrimRight(strings.Join(parts, "  "), " "))
 		}
 		line(t.Header)
 		for _, row := range t.Rows {
 			line(row)
 		}
-		if t.Raw != "" {
-			fmt.Fprint(w, t.Raw)
-		}
+		b.WriteString(t.Raw)
 		for _, n := range t.Notes {
-			fmt.Fprintf(w, "note: %s\n", n)
+			fmt.Fprintf(&b, "note: %s\n", n)
 		}
 	}
-	fmt.Fprintln(w)
-	return nil
+	b.WriteByte('\n')
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // Generator regenerates one experiment.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -43,258 +44,6 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-func TestTableI(t *testing.T) {
-	r, err := Run("table1", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables[0].Rows) != 10 {
-		t.Fatalf("%d environments", len(r.Tables[0].Rows))
-	}
-	// Table I facts: cartpole 4 obs / alien-ram 128 obs & 18 actions.
-	if r.Series["obs:cartpole"][0] != 4 || r.Series["obs:alien-ram"][0] != 128 {
-		t.Fatalf("observation widths wrong: %v", r.Series)
-	}
-	if r.Series["act:alien-ram"][0] != 18 {
-		t.Fatal("alien action count wrong")
-	}
-}
-
-func TestFig2CurvesImprove(t *testing.T) {
-	r, err := Run("fig2", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxes := r.Series["max"]
-	if len(maxes) == 0 {
-		t.Fatal("no fitness series")
-	}
-	if maxes[len(maxes)-1] <= maxes[0] && len(maxes) > 2 {
-		t.Fatalf("no improvement on mario: %v", maxes)
-	}
-	avgs := r.Series["avg"]
-	for i := range maxes {
-		if avgs[i] > maxes[i]+1e-9 {
-			t.Fatalf("avg above max at gen %d", i)
-		}
-	}
-}
-
-func TestFig4bGeneScaleClasses(t *testing.T) {
-	r, err := Run("fig4b", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-genome gene counts: RAM workloads orders of magnitude above
-	// control workloads (the two classes of Fig. 4b).
-	control := r.Series["cartpole:genesPerGenome"][0]
-	ram := r.Series["alien-ram:genesPerGenome"][0]
-	if ram < 50*control {
-		t.Fatalf("RAM/control genes-per-genome ratio only %.1f", ram/control)
-	}
-	if ram < 2000 {
-		t.Fatalf("alien genes/genome = %v, expected >2000", ram)
-	}
-}
-
-func TestFig4cReuseExists(t *testing.T) {
-	r, err := Run("fig4c", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	any := false
-	for k, v := range r.Series {
-		if strings.HasSuffix(k, ":maxReuse") && len(v) > 0 && v[0] > 1 {
-			any = true
-		}
-	}
-	if !any {
-		t.Fatal("no parent reuse observed anywhere")
-	}
-}
-
-func TestFig5aOpScales(t *testing.T) {
-	r, err := Run("fig5a", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	control := r.Series["cartpole:medianOps"][0]
-	ram := r.Series["alien-ram:medianOps"][0]
-	if control <= 0 || ram <= 0 {
-		t.Fatal("missing op medians")
-	}
-	// Two classes: RAM ops orders of magnitude above control ops.
-	if ram < 20*control {
-		t.Fatalf("RAM/control op ratio only %.1f", ram/control)
-	}
-}
-
-func TestFig5bUnder1MB(t *testing.T) {
-	r, err := Run("fig5b", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range r.Series {
-		if strings.HasSuffix(k, ":maxFootprint") {
-			// The paper's bound at pop=150: every workload under ~4 MB
-			// (control well under 1 MB).
-			if v[0] > 6<<20 {
-				t.Fatalf("%s footprint %v B", k, v[0])
-			}
-		}
-	}
-	if r.Series["cartpole:maxFootprint"][0] >= 1<<20 {
-		t.Fatal("cartpole footprint above 1 MB")
-	}
-}
-
-func TestFig8Static(t *testing.T) {
-	a, err := Run("fig8a", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Series["power"][0] < 900 || a.Series["power"][0] > 1000 {
-		t.Fatalf("power %v", a.Series["power"][0])
-	}
-	b, err := Run("fig8b", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := b.Series["net"]
-	for i := 1; i < len(net); i++ {
-		if net[i] <= net[i-1] {
-			t.Fatal("power sweep not monotonic")
-		}
-	}
-	c, err := Run("fig8c", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot := c.Series["total"]
-	if tot[len(tot)-1] <= tot[0] {
-		t.Fatal("area sweep not monotonic")
-	}
-}
-
-func TestFig9Shapes(t *testing.T) {
-	opt := quickOpt()
-	a, err := Run("fig9a", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wl := range []string{"cartpole", "alien-ram"} {
-		sp := a.Series[wl+":speedupVsBestGPU"]
-		if len(sp) == 0 || sp[0] < 3 {
-			t.Fatalf("%s: GeneSys speedup vs best GPU %v (want ≥3, paper ~100)", wl, sp)
-		}
-	}
-	d, err := Run("fig9d", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wl := range []string{"cartpole", "alien-ram"} {
-		eff := d.Series[wl+":evolutionEfficiency"]
-		if len(eff) == 0 || eff[0] < 1e3 {
-			t.Fatalf("%s: evolution efficiency only %v (paper: 10^4-10^5)", wl, eff)
-		}
-	}
-	b, err := Run("fig9b", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wl := range []string{"cartpole"} {
-		eff := b.Series[wl+":efficiencyVsBest"]
-		if len(eff) == 0 || eff[0] < 10 {
-			t.Fatalf("%s: inference energy efficiency %v (paper ~100×)", wl, eff)
-		}
-	}
-	if _, err := Run("fig9c", opt); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFig10Shapes(t *testing.T) {
-	opt := quickOpt()
-	ab, err := Run("fig10ab", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GPU_a memcpy-bound; GPU_b less so on RAM workloads.
-	fa := ab.Series["GPU_a:cartpole:memcpyFrac"][0]
-	if fa < 0.4 {
-		t.Fatalf("GPU_a memcpy fraction %v", fa)
-	}
-	fbRAM := ab.Series["GPU_b:alien-ram:memcpyFrac"][0]
-	if fbRAM > fa {
-		t.Fatalf("GPU_b RAM memcpy fraction %v above GPU_a %v", fbRAM, fa)
-	}
-	c10, err := Run("fig10c", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range c10.Series {
-		if v[0] <= 0 || v[0] >= 0.9 {
-			t.Fatalf("%s movement fraction %v", k, v[0])
-		}
-	}
-	d10, err := Run("fig10d", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wl := range []string{"mountaincar", "amidar-ram"} {
-		if d10.Series[wl+":gpuB/genesys"][0] < 3 {
-			t.Fatalf("%s: GPU_b/GeneSys footprint ratio %v", wl,
-				d10.Series[wl+":gpuB/genesys"][0])
-		}
-		if d10.Series[wl+":genesys/gpuA"][0] < 3 {
-			t.Fatalf("%s: GeneSys/GPU_a footprint ratio %v", wl,
-				d10.Series[wl+":genesys/gpuA"][0])
-		}
-	}
-}
-
-func TestFig11Shapes(t *testing.T) {
-	opt := quickOpt()
-	b, err := Run("fig11b", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := b.Series["reduction"]
-	if len(red) == 0 {
-		t.Fatal("no reduction series")
-	}
-	// Reduction grows with PE count and exceeds ~10× at the top end
-	// (paper: >100× at pop=150; reuse scales with population size).
-	if red[len(red)-1] <= red[0] {
-		t.Fatalf("multicast reduction not growing: %v", red)
-	}
-	c, err := Run("fig11c", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyc := c.Series["eveCycles"]
-	if cyc[0] <= cyc[len(cyc)-1]*2 {
-		t.Fatalf("EvE cycles not falling with PEs: %v", cyc)
-	}
-	uj := c.Series["sramUJ"]
-	if uj[0] <= uj[len(uj)-1] {
-		t.Fatalf("SRAM energy not falling with PEs: %v", uj)
-	}
-}
-
-func TestTableIIRatios(t *testing.T) {
-	r, err := Run("table2", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Series["computeRatio"][0] < 5 {
-		t.Fatalf("DQN/EA compute ratio %v", r.Series["computeRatio"][0])
-	}
-	if r.Series["memoryRatio"][0] < 10 {
-		t.Fatalf("DQN/EA memory ratio %v", r.Series["memoryRatio"][0])
-	}
-}
-
 func TestFitnessFiguresIncludeCharts(t *testing.T) {
 	r, err := Run("fig2", quickOpt())
 	if err != nil {
@@ -328,5 +77,29 @@ func TestRenderAll(t *testing.T) {
 		if !strings.Contains(buf.String(), r.ID) {
 			t.Fatalf("%s: header missing", id)
 		}
+	}
+}
+
+// fullWriter is a device that fills up: writes past its room fail
+// with a short count.
+type fullWriter struct{ room int }
+
+func (w *fullWriter) Write(p []byte) (int, error) {
+	if len(p) > w.room {
+		n := w.room
+		w.room = 0
+		return n, errors.New("no space left on device")
+	}
+	w.room -= len(p)
+	return len(p), nil
+}
+
+// TestRenderReportsWriteError pins that a figure whose text does not
+// fit reports the failed write: the device takes the header line, then
+// fails the writes that follow it.
+func TestRenderReportsWriteError(t *testing.T) {
+	r := &Result{ID: "fig0", Title: "t", Tables: []Table{{Header: []string{"a"}, Rows: [][]string{{"1"}}}}}
+	if err := r.Render(&fullWriter{room: len("== fig0: t ==\n")}); err == nil {
+		t.Fatal("Render returned nil after a failed write")
 	}
 }

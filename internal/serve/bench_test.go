@@ -25,8 +25,7 @@ func init() { benchSeed.Store(1 << 40) }
 // jobs/sec: real HTTP over loopback, SSE watch to completion, tiny
 // fixed-cost CartPole evolutions. The j=1 case is the serial floor —
 // one worker, jobs back to back — and j=N shows scheduler scaling
-// across NumCPU workers. scripts/bench.sh feeds both into
-// BENCH_PR5.json, where their ratio is the parallel-speedup headline.
+// across NumCPU workers. Their ratio is the pool's parallel speedup.
 func BenchmarkServeThroughput(b *testing.B) {
 	// Floor the parallel case at 2 so single-core machines still
 	// exercise the multi-worker path (there it measures pipelining of

@@ -18,10 +18,11 @@
 # cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one replays the result
 # from disk, a one-iteration smoke over the kernel and replay
-# trajectory benchmarks (so a change that breaks the bench harness
-# fails here, not in scripts/bench.sh), and a short fuzz smoke over the
-# untrusted-input decoders (trace parser, NEAT checkpoint, store
-# manifest).
+# benchmarks (so a change that breaks a benchmark fails here), a
+# one-iteration run of the root figure and ablation benchmarks that
+# must leave results/ byte-identical (they are the only code that
+# regenerates it), and a short fuzz smoke over the untrusted-input
+# decoders (trace parser, NEAT checkpoint, store manifest).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -260,6 +261,15 @@ go test -run=NONE -bench='BenchmarkClusterThroughput' \
     -benchtime=1x ./internal/serve/
 go test -run=NONE -bench='BenchmarkNonDominatedSort' \
     -benchtime=1x ./internal/moea/
+
+echo "== results/ smoke (root figure + ablation benches, 1 iteration)"
+# BenchmarkFigures rewrites every results/<id>.txt; a change that moves
+# a figure, or a figure with no committed file, fails here.
+resdir=$(mktemp -d)
+cp -R results/. "$resdir"
+go test -run=NONE -bench=. -benchtime=1x .
+diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
+rm -rf "$resdir"
 
 echo "== fuzz smoke (trace, genome codec, neat checkpoint, store manifest)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
