@@ -58,6 +58,20 @@ func TestWorkerPoolPersistsAcrossGenerations(t *testing.T) {
 	}
 }
 
+// TestSeedGenerationCompilesOnce pins the shared version stamp of
+// generation 0: its genomes are clones of one seed, so evaluating it
+// compiles one program and serves every other genome from the cache.
+func TestSeedGenerationCompilesOnce(t *testing.T) {
+	const pop = 24
+	r := poolRunner(t, pop)
+	if _, _, _, err := r.EvaluateGeneration(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := r.PhenoCache().Stats(); hits != pop-1 || misses != 1 {
+		t.Fatalf("cache read %d hits, %d misses; want %d, 1", hits, misses, pop-1)
+	}
+}
+
 // TestPhenoCacheHitsAcrossGenerations pins the genome-level reuse: with
 // elitism on, at least one phenotype per generation after the first must
 // be served from the cache instead of recompiled.

@@ -159,43 +159,6 @@ func NewConn(src, dst int32, weight float64) Gene {
 	return Gene{Kind: KindConn, Src: src, Dst: dst, Weight: weight, Enabled: true}
 }
 
-// Key returns the identity of the gene within a genome: the node id for
-// node genes, and the (src, dst) pair for connection genes. Two genes in
-// different genomes with the same key are homologous and line up during
-// crossover (NEAT's historical-marking alignment).
-func (g Gene) Key() Key {
-	if g.Kind == KindNode {
-		return Key{Kind: KindNode, A: g.NodeID}
-	}
-	return Key{Kind: KindConn, A: g.Src, B: g.Dst}
-}
-
-// Key identifies a gene within a genome.
-type Key struct {
-	Kind Kind
-	A, B int32
-}
-
-// Less orders keys: all node keys before connection keys, then ascending
-// by id — the sorted two-cluster genome layout of Section IV-C5.
-func (k Key) Less(o Key) bool {
-	if k.Kind != o.Kind {
-		return k.Kind < o.Kind
-	}
-	if k.A != o.A {
-		return k.A < o.A
-	}
-	return k.B < o.B
-}
-
-// String renders the key.
-func (k Key) String() string {
-	if k.Kind == KindNode {
-		return fmt.Sprintf("n%d", k.A)
-	}
-	return fmt.Sprintf("c%d->%d", k.A, k.B)
-}
-
 // String renders the gene in a compact human-readable form.
 func (g Gene) String() string {
 	if g.Kind == KindNode {

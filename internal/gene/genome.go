@@ -261,6 +261,11 @@ func FromWords(id int64, words []Word) *Genome {
 //   - every connection endpoint refers to an existing node,
 //   - no connection terminates at an input node,
 //   - node ids fit the 16-bit hardware field.
+//
+// It is one pass: each connection's sort order is checked before its
+// endpoints are looked up, so a cursor over the (already checked) node
+// cluster finds every source, and one binary search finds each
+// destination and its node type.
 func (g *Genome) Validate() error {
 	for i, n := range g.Nodes {
 		if n.Kind != KindNode {
@@ -273,6 +278,7 @@ func (g *Genome) Validate() error {
 			return fmt.Errorf("genome %d: node cluster unsorted at %d", g.ID, i)
 		}
 	}
+	src := 0 // index of the first node whose id is not below c.Src
 	for i, c := range g.Conns {
 		if c.Kind != KindConn {
 			return fmt.Errorf("genome %d: non-conn gene in conn cluster at %d", g.ID, i)
@@ -283,14 +289,17 @@ func (g *Genome) Validate() error {
 				return fmt.Errorf("genome %d: conn cluster unsorted at %d", g.ID, i)
 			}
 		}
-		if !g.HasNode(c.Src) {
+		for src < len(g.Nodes) && g.Nodes[src].NodeID < c.Src {
+			src++
+		}
+		if src == len(g.Nodes) || g.Nodes[src].NodeID != c.Src {
 			return fmt.Errorf("genome %d: conn %d->%d has dangling source", g.ID, c.Src, c.Dst)
 		}
-		if !g.HasNode(c.Dst) {
+		dst, ok := g.nodeIndex(c.Dst)
+		if !ok {
 			return fmt.Errorf("genome %d: conn %d->%d has dangling destination", g.ID, c.Src, c.Dst)
 		}
-		dst, _ := g.Node(c.Dst)
-		if dst.Type == Input {
+		if g.Nodes[dst].Type == Input {
 			return fmt.Errorf("genome %d: conn %d->%d terminates at input node", g.ID, c.Src, c.Dst)
 		}
 	}

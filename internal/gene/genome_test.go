@@ -1,6 +1,7 @@
 package gene
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,124 @@ func TestValidateCatchesInputDst(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted connection into input node")
 	}
+}
+
+// TestValidateRejections pins each of Validate's messages to a genome
+// that breaks exactly that invariant.
+func TestValidateRejections(t *testing.T) {
+	in0, in1, out2, hid5 := NewNode(0, Input), NewNode(1, Input), NewNode(2, Output), NewNode(5, Hidden)
+	nodes := []Gene{in0, in1, out2, hid5}
+	for _, tc := range []struct {
+		name         string
+		nodes, conns []Gene
+		want         string
+	}{
+		{"non-node gene in the node cluster", []Gene{in0, NewConn(0, 2, 1)}, nil,
+			"genome 4: non-node gene in node cluster at 1"},
+		{"node id -1", []Gene{NewNode(-1, Hidden)}, nil,
+			"genome 4: node id -1 outside hardware range"},
+		{"node id MaxNodeID+1", []Gene{in0, NewNode(MaxNodeID+1, Hidden)}, nil,
+			fmt.Sprintf("genome 4: node id %d outside hardware range", MaxNodeID+1)},
+		{"unsorted node cluster", []Gene{in0, out2, in1}, nil,
+			"genome 4: node cluster unsorted at 2"},
+		{"duplicate node id", []Gene{in0, in1, in1}, nil,
+			"genome 4: node cluster unsorted at 2"},
+		{"non-conn gene in the conn cluster", nodes, []Gene{NewConn(0, 2, 1), hid5},
+			"genome 4: non-conn gene in conn cluster at 1"},
+		{"unsorted conn cluster", nodes, []Gene{NewConn(1, 2, 1), NewConn(0, 5, 1)},
+			"genome 4: conn cluster unsorted at 1"},
+		{"duplicate connection", nodes, []Gene{NewConn(0, 2, 1), NewConn(0, 2, -1)},
+			"genome 4: conn cluster unsorted at 1"},
+		{"dangling source", nodes, []Gene{NewConn(0, 2, 1), NewConn(3, 2, 1)},
+			"genome 4: conn 3->2 has dangling source"},
+		{"dangling destination", nodes, []Gene{NewConn(0, 2, 1), NewConn(0, 4, 1)},
+			"genome 4: conn 0->4 has dangling destination"},
+		{"input destination", nodes, []Gene{NewConn(0, 2, 1), NewConn(5, 1, 1)},
+			"genome 4: conn 5->1 terminates at input node"},
+	} {
+		g := &Genome{ID: 4, Nodes: tc.nodes, Conns: tc.conns}
+		if err := g.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzValidate pins the one-pass Validate to referenceValidate: on any
+// genome, both accept it or both reject it with the same message.
+func FuzzValidate(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(fuzzBytes(smallGenome(f)))
+	for seed := uint64(1); seed <= 8; seed++ {
+		f.Add(fuzzBytes(randomGenome(seed, int(seed)+2)))
+	}
+	// Inputs 0 and 1, output 2, hidden 5 and the connection 0->2, then
+	// one more gene: a valid second source run, a dangling source, a
+	// dangling destination, an input destination, a node gene in the
+	// conn cluster, and a source of -1 out of order.
+	base := []byte{4, 0, 0, 1, 0, 1, 1, 0, 2, 2, 0, 5, 0, 0, 0, 2}
+	for _, tail := range [][]byte{{0, 5, 2}, {0, 3, 2}, {0, 0, 4}, {0, 5, 1}, {1, 5, 2}, {0, 0xff, 2}} {
+		f.Add(append(append([]byte(nil), base...), tail...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzGenome(data)
+		got, want := g.Validate(), referenceValidate(g)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("Validate() = %v, reference %v on nodes %v conns %v", got, want, g.Nodes, g.Conns)
+		}
+	})
+}
+
+// fuzzGenome builds a genome straight from fuzz bytes, bypassing the
+// editors, so its clusters can hold whatever Validate must reject:
+// genes of the wrong kind, ids outside the hardware range, duplicate
+// and unsorted keys, dangling endpoints and input destinations. The
+// first byte is the node count; then every three bytes are one gene,
+// nodes first: a flag byte whose low bit swaps the gene's kind, then
+// the node id and type, or the source and destination ids.
+func fuzzGenome(data []byte) *Genome {
+	g := NewGenome(6)
+	if len(data) == 0 {
+		return g
+	}
+	numNodes := int(data[0])
+	for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
+		flip := Kind(rest[0] & 1)
+		if len(g.Nodes) < numNodes {
+			n := NewNode(fuzzID(rest[1]), NodeType(rest[2]%4))
+			n.Kind ^= flip
+			g.Nodes = append(g.Nodes, n)
+			continue
+		}
+		c := NewConn(fuzzID(rest[1]), fuzzID(rest[2]), 1)
+		c.Kind ^= flip
+		g.Conns = append(g.Conns, c)
+	}
+	return g
+}
+
+// fuzzID maps a byte to a node id: the byte itself, except that the
+// top two values stand for the first ids outside the hardware range.
+func fuzzID(b byte) int32 {
+	switch b {
+	case 0xfe:
+		return MaxNodeID + 1
+	case 0xff:
+		return -1
+	}
+	return int32(b)
+}
+
+// fuzzBytes is fuzzGenome's inverse for genomes with fewer than 256
+// nodes, all with ids below 0xfe: the seed corpus encoding.
+func fuzzBytes(g *Genome) []byte {
+	b := []byte{byte(len(g.Nodes))}
+	for _, n := range g.Nodes {
+		b = append(b, 0, byte(n.NodeID), byte(n.Type))
+	}
+	for _, c := range g.Conns {
+		b = append(b, 0, byte(c.Src), byte(c.Dst))
+	}
+	return b
 }
 
 func TestMaxNodeIDIn(t *testing.T) {

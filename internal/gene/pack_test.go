@@ -112,23 +112,3 @@ func TestQuickConnRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestKeyOrdering(t *testing.T) {
-	n1 := NewNode(1, Hidden).Key()
-	n2 := NewNode(2, Hidden).Key()
-	c11 := NewConn(1, 1, 0).Key()
-	c12 := NewConn(1, 2, 0).Key()
-	c21 := NewConn(2, 1, 0).Key()
-	if !n1.Less(n2) || n2.Less(n1) {
-		t.Fatal("node ordering broken")
-	}
-	if !n2.Less(c11) {
-		t.Fatal("nodes must sort before connections")
-	}
-	if !c11.Less(c12) || !c12.Less(c21) {
-		t.Fatal("connection ordering broken")
-	}
-	if c11.Less(c11) {
-		t.Fatal("Less not irreflexive")
-	}
-}

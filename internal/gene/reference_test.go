@@ -8,7 +8,8 @@ import (
 // The encoding/json genome codec the hand-written one replaced, kept
 // as the reference the differential tests and FuzzGenomeJSON pin it
 // against. refMarshalJSON and refUnmarshalJSON are the former
-// MarshalJSON and UnmarshalJSON bodies.
+// MarshalJSON and UnmarshalJSON bodies. referenceValidate is the former
+// Validate body, which FuzzValidate pins the one-pass Validate against.
 
 // jsonNode is the serialized form of a node gene.
 type jsonNode struct {
@@ -114,9 +115,47 @@ func refUnmarshalJSON(g *Genome, data []byte) error {
 			Kind: KindConn, Src: c.Src, Dst: c.Dst, Weight: c.Weight, Enabled: c.Enabled,
 		})
 	}
-	if err := out.Validate(); err != nil {
+	if err := referenceValidate(&out); err != nil {
 		return err
 	}
 	*g = out
+	return nil
+}
+
+// referenceValidate checks Validate's invariants with three binary
+// searches per connection gene.
+func referenceValidate(g *Genome) error {
+	for i, n := range g.Nodes {
+		if n.Kind != KindNode {
+			return fmt.Errorf("genome %d: non-node gene in node cluster at %d", g.ID, i)
+		}
+		if n.NodeID < 0 || n.NodeID > MaxNodeID {
+			return fmt.Errorf("genome %d: node id %d outside hardware range", g.ID, n.NodeID)
+		}
+		if i > 0 && g.Nodes[i-1].NodeID >= n.NodeID {
+			return fmt.Errorf("genome %d: node cluster unsorted at %d", g.ID, i)
+		}
+	}
+	for i, c := range g.Conns {
+		if c.Kind != KindConn {
+			return fmt.Errorf("genome %d: non-conn gene in conn cluster at %d", g.ID, i)
+		}
+		if i > 0 {
+			p := g.Conns[i-1]
+			if p.Src > c.Src || (p.Src == c.Src && p.Dst >= c.Dst) {
+				return fmt.Errorf("genome %d: conn cluster unsorted at %d", g.ID, i)
+			}
+		}
+		if !g.HasNode(c.Src) {
+			return fmt.Errorf("genome %d: conn %d->%d has dangling source", g.ID, c.Src, c.Dst)
+		}
+		if !g.HasNode(c.Dst) {
+			return fmt.Errorf("genome %d: conn %d->%d has dangling destination", g.ID, c.Src, c.Dst)
+		}
+		dst, _ := g.Node(c.Dst)
+		if dst.Type == Input {
+			return fmt.Errorf("genome %d: conn %d->%d terminates at input node", g.ID, c.Src, c.Dst)
+		}
+	}
 	return nil
 }

@@ -51,13 +51,6 @@ func TestStringRepresentations(t *testing.T) {
 	if !strings.Contains(ws, "conn(1->2") {
 		t.Fatalf("word string %q", ws)
 	}
-	ks := Key{Kind: KindConn, A: 1, B: 2}.String()
-	if ks != "c1->2" {
-		t.Fatalf("key string %q", ks)
-	}
-	if (Key{Kind: KindNode, A: 5}).String() != "n5" {
-		t.Fatal("node key string wrong")
-	}
 }
 
 func TestValidateCatchesClusterMixups(t *testing.T) {

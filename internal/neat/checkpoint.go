@@ -162,9 +162,9 @@ func Restore(r io.Reader, restoreSeed uint64) (*Population, error) {
 		return nil, fmt.Errorf("neat: restore: checkpoint has no genomes")
 	}
 	// Save always writes exactly PopulationSize genomes; a mismatch
-	// means a corrupt or hand-edited checkpoint. Checking before
-	// NewPopulation also bounds the work a hostile PopulationSize can
-	// demand to the size of the document itself.
+	// means a corrupt or hand-edited checkpoint. The check also bounds
+	// the work a hostile PopulationSize can demand of later epochs to
+	// the size of the document itself.
 	if len(cp.Genomes) != cp.Config.PopulationSize {
 		return nil, fmt.Errorf("neat: restore: checkpoint has %d genomes for population size %d",
 			len(cp.Genomes), cp.Config.PopulationSize)
@@ -176,10 +176,7 @@ func Restore(r io.Reader, restoreSeed uint64) (*Population, error) {
 			return nil, fmt.Errorf("neat: restore: genome %d is null", i)
 		}
 	}
-	p, err := NewPopulation(cp.Config, restoreSeed)
-	if err != nil {
-		return nil, err
-	}
+	p := newPopulation(cp.Config, restoreSeed)
 	if cp.RNG != nil {
 		p.rnd.SetState(*cp.RNG)
 	}

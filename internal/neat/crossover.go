@@ -15,7 +15,7 @@ import "repro/internal/gene"
 //   - disjoint and excess genes are inherited from the fitter parent,
 //     so the child's topology equals parent1's (classic NEAT).
 //
-// One OpCrossover event is emitted per child gene, the gene-level
+// One OpCrossover op is tallied per child gene, the gene-level
 // parallelism unit of Fig. 5(a).
 func (m *mutator) crossover(p1, p2 *gene.Genome, childID int64) *gene.Genome {
 	child := gene.NewGenome(childID)
@@ -37,7 +37,6 @@ func (m *mutator) crossover(p1, p2 *gene.Genome, childID int64) *gene.Genome {
 			n = m.mixNode(n1, p2.Nodes[j])
 		}
 		child.Nodes = append(child.Nodes, n)
-		m.emit(OpCrossover, n.Key())
 	}
 	j = 0
 	for _, c1 := range p1.Conns {
@@ -49,8 +48,8 @@ func (m *mutator) crossover(p1, p2 *gene.Genome, childID int64) *gene.Genome {
 			c = m.mixConn(c1, p2.Conns[j])
 		}
 		child.Conns = append(child.Conns, c)
-		m.emit(OpCrossover, c.Key())
 	}
+	m.ops[OpCrossover] += int64(child.NumGenes())
 	return child
 }
 

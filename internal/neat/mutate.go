@@ -8,23 +8,20 @@ import (
 )
 
 // mutator applies the NEAT mutation operators to one child genome,
-// emitting one trace event per gene-level operation. It corresponds to
-// the mutation stages of the EvE PE pipeline (perturbation engine,
-// delete gene engine, add gene engine).
+// tallying its gene-level operations by type. It corresponds to the
+// mutation stages of the EvE PE pipeline (perturbation engine, delete
+// gene engine, add gene engine).
 type mutator struct {
 	cfg *Config
 	rnd *rng.XorWow
-	rec Recorder
 	ids *idAssigner
 	// scratch holds the population's reusable buffers (candidate-id
 	// slices, cycle-search visited set). Lazily allocated when the
 	// mutator is built standalone, e.g. in tests.
 	scratch *epochScratch
 
-	generation int
-	child      int64
-	parent1    int64
-	parent2    int64
+	// ops tallies the child's gene-level operations by type.
+	ops [NumOps]int64
 }
 
 func (m *mutator) scratchBuf() *epochScratch {
@@ -32,19 +29,6 @@ func (m *mutator) scratchBuf() *epochScratch {
 		m.scratch = &epochScratch{}
 	}
 	return m.scratch
-}
-
-func (m *mutator) emit(op Op, k gene.Key) {
-	if m.rec != nil {
-		m.rec.Record(Event{
-			Generation: m.generation,
-			Child:      m.child,
-			Parent1:    m.parent1,
-			Parent2:    m.parent2,
-			Key:        k,
-			Op:         op,
-		})
-	}
 }
 
 // mutate applies, in hardware pipeline order, attribute perturbation,
@@ -56,7 +40,7 @@ func (m *mutator) mutate(g *gene.Genome) {
 }
 
 // perturb walks every gene and stochastically perturbs its attributes —
-// the perturbation engine stage. One event is emitted per gene touched.
+// the perturbation engine stage. One op is tallied per gene touched.
 // Because it edits genes in place (bypassing the Put* editors), it must
 // bump the genome's phenotype version itself when anything changed.
 func (m *mutator) perturb(g *gene.Genome) {
@@ -88,7 +72,7 @@ func (m *mutator) perturb(g *gene.Genome) {
 		}
 		if touched {
 			changed = true
-			m.emit(OpPerturb, n.Key())
+			m.ops[OpPerturb]++
 		}
 	}
 	for i := range g.Conns {
@@ -108,7 +92,7 @@ func (m *mutator) perturb(g *gene.Genome) {
 		}
 		if touched {
 			changed = true
-			m.emit(OpPerturb, c.Key())
+			m.ops[OpPerturb]++
 		}
 	}
 	if changed {
@@ -160,19 +144,19 @@ func (m *mutator) deleteGenes(g *gene.Genome) {
 			// Count the node and each pruned connection as deletion ops.
 			for _, c := range g.Conns {
 				if c.Src == id || c.Dst == id {
-					m.emit(OpDeleteConn, c.Key())
+					m.ops[OpDeleteConn]++
 				}
 			}
 			g.DeleteNode(id)
 			deletedNodes++
-			m.emit(OpDeleteNode, gene.Key{Kind: gene.KindNode, A: id})
+			m.ops[OpDeleteNode]++
 		}
 	}
 	if r.Bool(cfg.DeleteConnProb) && len(g.Conns) > 1 {
 		i := r.Intn(len(g.Conns))
 		c := g.Conns[i]
 		g.DeleteConn(c.Src, c.Dst)
-		m.emit(OpDeleteConn, c.Key())
+		m.ops[OpDeleteConn]++
 	}
 }
 
@@ -230,9 +214,8 @@ func (m *mutator) addNode(g *gene.Genome) {
 	out := gene.NewConn(id, c.Dst, c.Weight)
 	g.PutConn(in)
 	g.PutConn(out)
-	m.emit(OpAddNode, n.Key())
-	m.emit(OpAddConn, in.Key())
-	m.emit(OpAddConn, out.Key())
+	m.ops[OpAddNode]++
+	m.ops[OpAddConn] += 2
 }
 
 // addConn adds one new connection src→dst where src is an input or
@@ -266,7 +249,7 @@ func (m *mutator) addConn(g *gene.Genome) {
 		}
 		c := gene.NewConn(src, dst, clampAttr(r.NormFloat64()*m.cfg.WeightInitPower))
 		g.PutConn(c)
-		m.emit(OpAddConn, c.Key())
+		m.ops[OpAddConn]++
 		return
 	}
 }

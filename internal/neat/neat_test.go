@@ -85,6 +85,51 @@ func TestSeedGenomeNoneConnection(t *testing.T) {
 	}
 }
 
+// referenceSeedGenome is the seed genome as built before NewPopulation
+// appended genes in order: one PutNode or PutConn per gene.
+func referenceSeedGenome(cfg *Config, id int64) *gene.Genome {
+	g := gene.NewGenome(id)
+	for _, in := range cfg.InputIDs() {
+		g.PutNode(gene.NewNode(in, gene.Input))
+	}
+	for _, out := range cfg.OutputIDs() {
+		g.PutNode(gene.NewNode(out, gene.Output))
+	}
+	if cfg.InitialConnection == "full" {
+		for _, in := range cfg.InputIDs() {
+			for _, out := range cfg.OutputIDs() {
+				g.PutConn(gene.NewConn(in, out, 0))
+			}
+		}
+	}
+	return g
+}
+
+func TestSeedGenomesMatchReference(t *testing.T) {
+	for _, conn := range []string{"full", "none"} {
+		cfg := DefaultConfig(128, 18)
+		cfg.PopulationSize = 5
+		cfg.InitialConnection = conn
+		p, err := NewPopulation(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range p.Genomes {
+			got, err := g.AppendJSON(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceSeedGenome(&cfg, int64(i)).AppendJSON(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("%s: genome %d is\n%s\nthe reference\n%s", conn, i, got, want)
+			}
+		}
+	}
+}
+
 func TestAddNodeSplitsConnection(t *testing.T) {
 	cfg := testConfig()
 	m := newMutator(&cfg, 7)
@@ -465,6 +510,80 @@ func TestEpochRecordsOps(t *testing.T) {
 	}
 }
 
+// childLog is a recorder that keeps every event.
+type childLog struct{ events []Event }
+
+func (l *childLog) Record(e Event) { l.events = append(l.events, e) }
+
+// TestRecordOncePerChangedChild pins the Recorder contract over several
+// epochs: one event per child that underwent a gene-level op, none for
+// an elite or an unmutated clone — the children still carrying a
+// parent's version stamp — and event totals equal to OpCounts'.
+func TestRecordOncePerChangedChild(t *testing.T) {
+	cfg := testConfig()
+	cfg.PopulationSize = 60
+	// Rates low enough that some mutation-only children see no op.
+	cfg.CrossoverRate = 0.5
+	cfg.WeightMutateRate, cfg.EnableMutateRate = 0.02, 0
+	cfg.BiasMutateRate, cfg.ResponseMutateRate = 0.02, 0
+	cfg.ActivationMutateRate, cfg.AggregationMutateRate = 0, 0
+	cfg.AddNodeProb, cfg.AddConnProb = 0.1, 0.1
+	cfg.DeleteNodeProb, cfg.DeleteConnProb = 0.1, 0.1
+	p, err := NewPopulation(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log childLog
+	var counts OpCounts
+	p.SetRecorder(MultiRecorder(&log, &counts))
+	var sum [NumOps]int64
+	opless := 0
+	for gen := 0; gen < 6; gen++ {
+		parentStamps := map[int64]bool{}
+		for j, g := range p.Genomes {
+			g.Fitness = float64((gen*5 + j) % 11)
+			parentStamps[g.Version()] = true
+		}
+		log.events = log.events[:0]
+		stats, err := p.Epoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded := map[int64]bool{}
+		for _, e := range log.events {
+			if e.Generation != gen || recorded[e.Child] || e.Ops == [NumOps]int64{} {
+				t.Fatalf("generation %d: bad event %+v (repeat: %v)", gen, e, recorded[e.Child])
+			}
+			recorded[e.Child] = true
+			for op, n := range e.Ops {
+				sum[op] += n
+			}
+		}
+		unchanged := 0
+		for _, g := range p.Genomes {
+			switch {
+			case parentStamps[g.Version()] && recorded[g.ID]:
+				t.Fatalf("generation %d: unchanged child %d recorded", gen, g.ID)
+			case parentStamps[g.Version()]:
+				unchanged++
+			case !recorded[g.ID]:
+				t.Fatalf("generation %d: changed child %d not recorded", gen, g.ID)
+			}
+		}
+		if unchanged < stats.Elites || len(recorded) != len(p.Genomes)-unchanged {
+			t.Fatalf("generation %d: %d events, %d unchanged children, %d elites, %d children",
+				gen, len(recorded), unchanged, stats.Elites, len(p.Genomes))
+		}
+		opless += unchanged - stats.Elites
+	}
+	if opless == 0 {
+		t.Fatal("no op-less non-elite child: the test does not reach that path")
+	}
+	if sum != counts.ByOp {
+		t.Fatalf("event totals %v, OpCounts %v", sum, counts.ByOp)
+	}
+}
+
 func TestEpochParentReuse(t *testing.T) {
 	cfg := testConfig()
 	p, _ := NewPopulation(cfg, 11)
@@ -598,10 +717,8 @@ func TestIDAssignerLocalMode(t *testing.T) {
 
 func TestOpCounts(t *testing.T) {
 	var c OpCounts
-	c.Record(Event{Op: OpCrossover})
-	c.Record(Event{Op: OpPerturb})
-	c.Record(Event{Op: OpAddNode})
-	c.Record(Event{Op: OpDeleteConn})
+	c.Record(Event{Ops: [NumOps]int64{OpCrossover: 1, OpPerturb: 1}})
+	c.Record(Event{Ops: [NumOps]int64{OpAddNode: 1, OpDeleteConn: 1}})
 	if c.Crossovers() != 1 || c.Mutations() != 3 || c.Total() != 4 {
 		t.Fatalf("counts wrong: %+v", c)
 	}
@@ -614,7 +731,7 @@ func TestOpCounts(t *testing.T) {
 func TestMultiRecorder(t *testing.T) {
 	var a, b OpCounts
 	r := MultiRecorder(&a, nil, &b)
-	r.Record(Event{Op: OpPerturb})
+	r.Record(Event{Ops: [NumOps]int64{OpPerturb: 1}})
 	if a.Total() != 1 || b.Total() != 1 {
 		t.Fatal("fan-out failed")
 	}

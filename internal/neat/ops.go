@@ -35,22 +35,23 @@ func (o Op) String() string {
 // IsMutation reports whether the op belongs to the mutation class.
 func (o Op) IsMutation() bool { return o != OpCrossover }
 
-// Event is one reproduction-trace record: the paper's methodology
-// (Section VI-A) captures "the generation, the child gene and genome id,
-// the type of operation — mutation or crossover, and the parameters
-// changed or added or deleted". These events drive the EvE hardware
-// model exactly as the NEAT-python traces drove the paper's evaluation.
+// Event is one reproduction-trace record: the gene-level operations
+// that produced one child genome, tallied by type. The paper's
+// methodology (Section VI-A) traces each operation; the EvE hardware
+// model replays one record per child (one PE per child), so the
+// per-child tally is all it consumes.
 type Event struct {
 	Generation int
 	Child      int64 // child genome id
 	Parent1    int64 // primary (fitter) parent genome id
 	Parent2    int64 // secondary parent id, or -1 for mutation-only children
-	Key        gene.Key
-	Op         Op
+	// Ops tallies the child's gene-level operations by type.
+	Ops [NumOps]int64
 }
 
-// Recorder receives reproduction events. Implementations must be cheap;
-// reproduction emits one event per gene-level operation.
+// Recorder receives reproduction events: one event per child that
+// underwent at least one gene-level operation, in creation order.
+// Elites and unchanged clones produce none.
 type Recorder interface {
 	Record(Event)
 }
@@ -70,8 +71,12 @@ type OpCounts struct {
 	ByOp [NumOps]int64
 }
 
-// Record tallies the event.
-func (c *OpCounts) Record(e Event) { c.ByOp[e.Op]++ }
+// Record adds the event's tallies.
+func (c *OpCounts) Record(e Event) {
+	for op, n := range e.Ops {
+		c.ByOp[op] += n
+	}
+}
 
 // Crossovers returns the crossover-op count.
 func (c *OpCounts) Crossovers() int64 { return c.ByOp[OpCrossover] }

@@ -72,41 +72,58 @@ type epochScratch struct {
 // NewPopulation builds the initial population: PopulationSize genomes
 // each with the minimal topology of Section III-B — input and output
 // node genes, fully connected with zero-weight connections when
-// InitialConnection is "full".
+// InitialConnection is "full". The seed genome is built once and
+// cloned, so the whole generation shares one phenotype version stamp:
+// it compiles one program and speciation measures one distance.
 func NewPopulation(cfg Config, seed uint64) (*Population, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Population{
-		Config: cfg,
-		rnd:    rng.New(seed),
-		ids:    newIDAssigner(&cfg),
-	}
+	p := newPopulation(cfg, seed)
+	first := p.seedGenome()
 	p.Genomes = make([]*gene.Genome, cfg.PopulationSize)
-	for i := range p.Genomes {
-		p.Genomes[i] = p.seedGenome()
+	p.Genomes[0] = first
+	for i := 1; i < len(p.Genomes); i++ {
+		g := first.Clone()
+		g.ID = p.nextGenomeID
+		p.nextGenomeID++
+		p.Genomes[i] = g
 	}
 	return p, nil
 }
 
-// seedGenome constructs one minimal-topology genome.
+// newPopulation builds a population shell with no genomes: the PRNG and
+// the node id assigner. cfg must already be valid.
+func newPopulation(cfg Config, seed uint64) *Population {
+	return &Population{
+		Config: cfg,
+		rnd:    rng.New(seed),
+		ids:    newIDAssigner(&cfg),
+	}
+}
+
+// seedGenome constructs one minimal-topology genome. Input ids precede
+// output ids and the connections are generated in (src, dst) order, so
+// appending keeps both clusters sorted.
 func (p *Population) seedGenome() *gene.Genome {
 	cfg := &p.Config
 	g := gene.NewGenome(p.nextGenomeID)
 	p.nextGenomeID++
-	for _, id := range cfg.InputIDs() {
-		g.PutNode(gene.NewNode(id, gene.Input))
+	ins, outs := cfg.InputIDs(), cfg.OutputIDs()
+	g.Nodes = make([]gene.Gene, 0, len(ins)+len(outs))
+	for _, id := range ins {
+		g.Nodes = append(g.Nodes, gene.NewNode(id, gene.Input))
 	}
-	for _, id := range cfg.OutputIDs() {
-		n := gene.NewNode(id, gene.Output)
-		g.PutNode(n)
+	for _, id := range outs {
+		g.Nodes = append(g.Nodes, gene.NewNode(id, gene.Output))
 	}
 	if cfg.InitialConnection == "full" {
-		for _, in := range cfg.InputIDs() {
-			for _, out := range cfg.OutputIDs() {
+		g.Conns = make([]gene.Gene, 0, len(ins)*len(outs))
+		for _, in := range ins {
+			for _, out := range outs {
 				// Weights start at zero per the paper; the first
 				// perturbation round diversifies them.
-				g.PutConn(gene.NewConn(in, out, 0))
+				g.Conns = append(g.Conns, gene.NewConn(in, out, 0))
 			}
 		}
 	}
@@ -477,17 +494,8 @@ func (p *Population) makeChild(parents []*gene.Genome, use map[int64]int) *gene.
 	p.nextGenomeID++
 
 	p1 := p.pickParent(parents)
-	m := mutator{
-		cfg:        cfg,
-		rnd:        p.rnd,
-		rec:        p.rec,
-		ids:        p.ids,
-		scratch:    &p.scratch,
-		generation: p.Generation,
-		child:      childID,
-		parent1:    p1.ID,
-		parent2:    -1,
-	}
+	m := mutator{cfg: cfg, rnd: p.rnd, ids: p.ids, scratch: &p.scratch}
+	parent2 := int64(-1)
 
 	var child *gene.Genome
 	if len(parents) > 1 && p.rnd.Bool(cfg.CrossoverRate) {
@@ -498,7 +506,7 @@ func (p *Population) makeChild(parents []*gene.Genome, use map[int64]int) *gene.
 		if p2.Fitness > p1.Fitness {
 			p1, p2 = p2, p1
 		}
-		m.parent1, m.parent2 = p1.ID, p2.ID
+		parent2 = p2.ID
 		child = m.crossover(p1, p2, childID)
 		use[p2.ID]++
 	} else {
@@ -510,5 +518,14 @@ func (p *Population) makeChild(parents []*gene.Genome, use map[int64]int) *gene.
 
 	m.mutate(child)
 	child.Fitness = 0
+	if p.rec != nil && m.ops != [NumOps]int64{} {
+		p.rec.Record(Event{
+			Generation: p.Generation,
+			Child:      childID,
+			Parent1:    p1.ID,
+			Parent2:    parent2,
+			Ops:        m.ops,
+		})
+	}
 	return child
 }

@@ -22,7 +22,7 @@ import (
 	"repro/internal/neat"
 )
 
-// ChildRecord accumulates the gene-level operations that produced one
+// ChildRecord tallies the gene-level operations that produced one
 // child genome — the work one EvE PE performs (one PE per child,
 // Section IV-C5).
 type ChildRecord struct {
@@ -60,8 +60,6 @@ type Generation struct {
 	ParentSizes map[int64]int
 	// PopulationGenes is the total gene count of the parent population.
 	PopulationGenes int
-
-	childIdx map[int64]int
 }
 
 // Crossovers sums crossover ops across children.
@@ -112,7 +110,6 @@ func (t *Trace) StartGeneration(gen int, genomes []*gene.Genome) {
 	g := Generation{
 		Index:       gen,
 		ParentSizes: make(map[int64]int, len(genomes)),
-		childIdx:    make(map[int64]int),
 	}
 	for _, gn := range genomes {
 		g.ParentSizes[gn.ID] = gn.NumGenes()
@@ -121,7 +118,8 @@ func (t *Trace) StartGeneration(gen int, genomes []*gene.Genome) {
 	t.Generations = append(t.Generations, g)
 }
 
-// Record implements neat.Recorder.
+// Record implements neat.Recorder. Each child arrives in one event, so
+// its record is appended.
 func (t *Trace) Record(e neat.Event) {
 	if len(t.Generations) == 0 || t.Generations[len(t.Generations)-1].Index != e.Generation {
 		// Reproduction without a StartGeneration snapshot (e.g. a bare
@@ -129,19 +127,12 @@ func (t *Trace) Record(e neat.Event) {
 		t.Generations = append(t.Generations, Generation{
 			Index:       e.Generation,
 			ParentSizes: map[int64]int{},
-			childIdx:    map[int64]int{},
 		})
 	}
 	g := &t.Generations[len(t.Generations)-1]
-	idx, ok := g.childIdx[e.Child]
-	if !ok {
-		idx = len(g.Children)
-		g.childIdx[e.Child] = idx
-		g.Children = append(g.Children, ChildRecord{
-			Child: e.Child, Parent1: e.Parent1, Parent2: e.Parent2,
-		})
-	}
-	g.Children[idx].Ops[e.Op]++
+	g.Children = append(g.Children, ChildRecord{
+		Child: e.Child, Parent1: e.Parent1, Parent2: e.Parent2, Ops: e.Ops,
+	})
 }
 
 // Last returns the most recent generation record, or nil.
@@ -224,7 +215,6 @@ func Parse(r io.Reader) (*Trace, error) {
 				Index:           idx,
 				PopulationGenes: popGenes,
 				ParentSizes:     map[int64]int{},
-				childIdx:        map[int64]int{},
 			})
 		case "P":
 			if len(t.Generations) == 0 {
@@ -255,7 +245,6 @@ func Parse(r io.Reader) (*Trace, error) {
 				}
 			}
 			g := &t.Generations[len(t.Generations)-1]
-			g.childIdx[c.Child] = len(g.Children)
 			g.Children = append(g.Children, c)
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown record %q", line, fields[0])

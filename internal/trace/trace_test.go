@@ -169,7 +169,8 @@ func TestLastOnEmpty(t *testing.T) {
 
 func TestRecordWithoutSnapshot(t *testing.T) {
 	var tr Trace
-	tr.Record(neat.Event{Generation: 5, Child: 1, Parent1: 2, Parent2: 3, Op: neat.OpCrossover})
+	tr.Record(neat.Event{Generation: 5, Child: 1, Parent1: 2, Parent2: 3,
+		Ops: [neat.NumOps]int64{neat.OpCrossover: 1}})
 	if len(tr.Generations) != 1 || tr.Generations[0].Index != 5 {
 		t.Fatalf("bare Record mishandled: %+v", tr.Generations)
 	}

@@ -22,7 +22,8 @@
 # one-iteration run of the root figure and ablation benchmarks that
 # must leave results/ byte-identical (they are the only code that
 # regenerates it), and a short fuzz smoke over the untrusted-input
-# decoders (trace parser, NEAT checkpoint, store manifest).
+# decoders (trace parser, genome codec, NEAT checkpoint, store manifest)
+# and over the one-pass genome validator against its reference.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -271,12 +272,13 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace, genome codec, neat checkpoint, store manifest)"
+echo "== fuzz smoke (trace, genome codec, genome validator, neat checkpoint, store manifest)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the ~5 KB
 # checkpoint corpus entries.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
 go test -run=NONE -fuzz=FuzzGenomeJSON -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
+go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 
