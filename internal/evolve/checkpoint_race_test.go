@@ -99,12 +99,9 @@ func TestConcurrentCheckpointResumeBitIdentical(t *testing.T) {
 
 	// Resume from the mid-run snapshot: the continuation must be the
 	// reference history's tail, stat for stat.
-	c, err := NewRunner("mountaincar", smallConfig(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestoreCheckpoint(copied); err != nil {
-		t.Fatal(err)
+	c, resumed, err := ResumeRunner("mountaincar", smallConfig(), seed, copied)
+	if err != nil || !resumed {
+		t.Fatalf("resume: resumed=%v err=%v", resumed, err)
 	}
 	cut := c.Pop.Generation
 	if cut < 1 || cut >= budget {

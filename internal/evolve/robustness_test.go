@@ -56,12 +56,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 
 	// Fresh process: restore and finish the budget.
-	b2, err := NewRunner("mountaincar", smallConfig(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.RestoreCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
+	b2, resumed, err := ResumeRunner("mountaincar", smallConfig(), seed, ckpt)
+	if err != nil || !resumed {
+		t.Fatalf("resume: resumed=%v err=%v", resumed, err)
 	}
 	if b2.Pop.Generation != cut {
 		t.Fatalf("restored at generation %d, want %d", b2.Pop.Generation, cut)
@@ -108,12 +105,8 @@ func TestRunCancelledSavesCheckpoint(t *testing.T) {
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("no checkpoint after cancellation: %v", err)
 	}
-	r2, err := NewRunner("cartpole", smallConfig(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.RestoreCheckpoint(ckpt); err != nil {
-		t.Fatalf("cancellation checkpoint not restorable: %v", err)
+	if _, resumed, err := ResumeRunner("cartpole", smallConfig(), 5, ckpt); err != nil || !resumed {
+		t.Fatalf("cancellation checkpoint not restorable: resumed=%v err=%v", resumed, err)
 	}
 }
 
@@ -146,12 +139,9 @@ func TestCheckpointFloats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
-		back, err := NewRunner("cartpole", smallConfig(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := back.RestoreCheckpoint(ckpt); err != nil {
-			t.Fatalf("%v: %v", f, err)
+		back, resumed, err := ResumeRunner("cartpole", smallConfig(), 5, ckpt)
+		if err != nil || !resumed {
+			t.Fatalf("%v: resumed=%v err=%v", f, resumed, err)
 		}
 		if got := back.Pop.Genomes[3].Fitness; math.Float64bits(got) != math.Float64bits(f) {
 			t.Errorf("fitness %v restored as %v", f, got)

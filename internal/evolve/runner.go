@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -211,9 +210,51 @@ func NewRunner(workloadName string, cfg neat.Config, seed uint64) (*Runner, erro
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{Workload: w, Pop: pop, name: workloadName, seed: seed}
+	return newRunner(w, workloadName, pop, seed), nil
+}
+
+// RestoreRunner builds a runner around the population checkpoint in
+// data (neat.Restore's format) instead of a fresh population: no seed
+// population is built only to be replaced. Because the checkpoint
+// carries the PRNG stream and evaluation seeds derive from (seed,
+// generation, genome, episode), the restored run continues
+// bit-identically to the uninterrupted one. The runner does not
+// retain data.
+func RestoreRunner(workloadName string, data []byte, seed uint64) (*Runner, error) {
+	w, err := WorkloadByName(workloadName)
+	if err != nil {
+		return nil, err
+	}
+	pop, err := neat.Restore(data, seed)
+	if err != nil {
+		return nil, err
+	}
+	return newRunner(w, workloadName, pop, seed), nil
+}
+
+// ResumeRunner is RestoreRunner over the checkpoint file at path when
+// one exists, and NewRunner otherwise (an empty path included);
+// resumed reports which.
+func ResumeRunner(workloadName string, cfg neat.Config, seed uint64, path string) (r *Runner, resumed bool, err error) {
+	if _, serr := os.Stat(path); serr != nil {
+		r, err = NewRunner(workloadName, cfg, seed)
+		return r, false, err
+	}
+	data, err := os.ReadFile(path)
+	if err == nil {
+		r, err = RestoreRunner(workloadName, data, seed)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("restore checkpoint %s: %w", path, err)
+	}
+	return r, true, nil
+}
+
+// newRunner wires a runner and its op-count recorder around pop.
+func newRunner(w Workload, name string, pop *neat.Population, seed uint64) *Runner {
+	r := &Runner{Workload: w, Pop: pop, name: name, seed: seed}
 	pop.SetRecorder(&r.opCounts)
-	return r, nil
+	return r
 }
 
 // SetRecorder attaches an additional reproduction recorder (e.g. a
@@ -572,37 +613,6 @@ func (r *Runner) SaveCheckpoint(path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// RestoreCheckpoint replaces the runner's population with the state
-// saved at path and rewires the reproduction recorders. Because the
-// checkpoint carries the PRNG stream and evaluation seeds derive from
-// (runner seed, generation, genome, episode), the restored run
-// continues bit-identically to the uninterrupted one.
-func (r *Runner) RestoreCheckpoint(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return r.RestoreFrom(f)
-}
-
-// RestoreFrom is RestoreCheckpoint over any reader — the seam the
-// persistent run store uses to rehydrate a committed run's population
-// without a checkpoint file on disk.
-func (r *Runner) RestoreFrom(src io.Reader) error {
-	pop, err := neat.Restore(src, r.seed)
-	if err != nil {
-		return err
-	}
-	r.Pop = pop
-	if r.extraRec != nil {
-		pop.SetRecorder(neat.MultiRecorder(&r.opCounts, r.extraRec))
-	} else {
-		pop.SetRecorder(&r.opCounts)
-	}
-	return nil
 }
 
 // Champion returns the clone of the best genome at the most recent

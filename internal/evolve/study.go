@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -102,7 +101,11 @@ func RunStudyContext(ctx context.Context, workload string, cfg neat.Config, runs
 				res.Err = err
 				return
 			}
-			r, err := NewRunner(workload, cfg, RunSeed(seed, run))
+			var ckpt string
+			if opt.CheckpointDir != "" {
+				ckpt = filepath.Join(opt.CheckpointDir, fmt.Sprintf("%s-run%03d.ckpt", workload, run))
+			}
+			r, _, err := ResumeRunner(workload, cfg, RunSeed(seed, run), ckpt)
 			if err != nil {
 				res.Err = err
 				return
@@ -111,17 +114,8 @@ func RunStudyContext(ctx context.Context, workload string, cfg neat.Config, runs
 			if opt.Sink != nil {
 				r.Sink = hwsim.Tagged{Sink: opt.Sink, Workload: workload, Run: run}
 			}
-			if opt.CheckpointDir != "" {
-				r.CheckpointPath = filepath.Join(opt.CheckpointDir,
-					fmt.Sprintf("%s-run%03d.ckpt", workload, run))
-				r.CheckpointEvery = opt.CheckpointEvery
-				if _, serr := os.Stat(r.CheckpointPath); serr == nil {
-					if rerr := r.RestoreCheckpoint(r.CheckpointPath); rerr != nil {
-						res.Err = fmt.Errorf("restore checkpoint: %w", rerr)
-						return
-					}
-				}
-			}
+			r.CheckpointPath = ckpt
+			r.CheckpointEvery = opt.CheckpointEvery
 			res.Solved, res.Err = r.Run(ctx, maxGenerations)
 			res.History = r.History
 		}(run)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/evolve"
-	"repro/internal/neat"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -94,15 +93,8 @@ func decodeRun(key store.Key, art *store.Artifact) (*evolved, error) {
 	if doc.Seed != key.Seed {
 		return nil, fmt.Errorf("%s: seed %d, want %d", historyFile, doc.Seed, key.Seed)
 	}
-	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = key.Population
-	r, err := evolve.NewRunner(key.Workload, cfg, key.Seed)
+	r, err := evolve.RestoreRunner(key.Workload, art.Files[populationFile], key.Seed)
 	if err != nil {
-		return nil, err
-	}
-	tr := &trace.Trace{}
-	r.SetRecorder(tr)
-	if err := r.RestoreFrom(bytes.NewReader(art.Files[populationFile])); err != nil {
 		return nil, fmt.Errorf("%s: %w", populationFile, err)
 	}
 	parsed, err := trace.Parse(bytes.NewReader(art.Files[traceFile]))
@@ -110,7 +102,6 @@ func decodeRun(key store.Key, art *store.Artifact) (*evolved, error) {
 		return nil, fmt.Errorf("%s: %w", traceFile, err)
 	}
 	r.History = doc.History
-	r.ReleaseEvalState()
 	return &evolved{runner: r, trace: parsed, solved: doc.Solved}, nil
 }
 

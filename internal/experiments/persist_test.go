@@ -46,49 +46,71 @@ func traceBytes(t *testing.T, run *SharedRun) string {
 
 // TestStoreRoundTripReplaysIdentically is the durability proof at the
 // experiments layer: a run computed once, with the in-memory cache
-// dropped (a "restart"), replays from disk with no evolution executed
-// and a byte-identical history and trace.
+// dropped (a "restart"), replays from disk with no evolution executed,
+// a byte-identical history and trace, and a population that saves to
+// the committed population.json byte for byte. The RAM-game key sends
+// 128-input genomes through the decoder.
 func TestStoreRoundTripReplaysIdentically(t *testing.T) {
-	withTestStore(t, store.Config{})
-	ResetCaches()
+	for _, req := range []SharedRequest{
+		persistReq(777001),
+		{Workload: "alien-ram", Population: 4, Generations: 1, Seed: 777005},
+	} {
+		t.Run(req.Workload, func(t *testing.T) {
+			s := withTestStore(t, store.Config{})
+			ResetCaches()
 
-	first, err := RunShared(persistReq(777001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.Computed || first.Stored {
-		t.Fatalf("first run: Computed=%v Stored=%v", first.Computed, first.Stored)
-	}
-	wantHist, err := json.Marshal(first.Runner.History)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTrace := traceBytes(t, first)
+			first, err := RunShared(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !first.Computed || first.Stored {
+				t.Fatalf("first run: Computed=%v Stored=%v", first.Computed, first.Stored)
+			}
+			wantHist, err := json.Marshal(first.Runner.History)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTrace := traceBytes(t, first)
 
-	ResetCaches() // the restart: memory gone, disk remains
+			ResetCaches() // the restart: memory gone, disk remains
 
-	second, err := RunShared(persistReq(777001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Computed || !second.Stored {
-		t.Fatalf("replay: Computed=%v Stored=%v", second.Computed, second.Stored)
-	}
-	if got := EvolutionsExecuted(); got != 0 {
-		t.Fatalf("replay executed %d evolutions", got)
-	}
-	gotHist, err := json.Marshal(second.Runner.History)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotHist) != string(wantHist) {
-		t.Fatalf("replayed history differs:\n%s\n%s", gotHist, wantHist)
-	}
-	if second.Solved != first.Solved {
-		t.Fatalf("solved: %v vs %v", second.Solved, first.Solved)
-	}
-	if got := traceBytes(t, second); got != wantTrace {
-		t.Fatal("replayed trace differs")
+			second, err := RunShared(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Computed || !second.Stored {
+				t.Fatalf("replay: Computed=%v Stored=%v", second.Computed, second.Stored)
+			}
+			if got := EvolutionsExecuted(); got != 0 {
+				t.Fatalf("replay executed %d evolutions", got)
+			}
+			gotHist, err := json.Marshal(second.Runner.History)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotHist) != string(wantHist) {
+				t.Fatalf("replayed history differs:\n%s\n%s", gotHist, wantHist)
+			}
+			if second.Solved != first.Solved {
+				t.Fatalf("solved: %v vs %v", second.Solved, first.Solved)
+			}
+			if got := traceBytes(t, second); got != wantTrace {
+				t.Fatal("replayed trace differs")
+			}
+			art, ok := s.Get(store.Key{Workload: req.Workload, Population: req.Population,
+				Generations: req.Generations, Seed: req.Seed})
+			if !ok {
+				t.Fatal("run not committed")
+			}
+			var pop bytes.Buffer
+			if err := second.Runner.Pop.Save(&pop); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pop.Bytes(), art.Files[populationFile]) {
+				t.Fatalf("replayed population saves to %d bytes that differ from the %d committed",
+					pop.Len(), len(art.Files[populationFile]))
+			}
+		})
 	}
 }
 
@@ -284,6 +306,30 @@ func TestGoldenArtifactsReplay(t *testing.T) {
 			if !bytes.Equal(got.Files[name], b) {
 				t.Fatalf("%s: fresh %s differs from golden", key, name)
 			}
+		}
+	}
+}
+
+// BenchmarkDecodeRun measures the decode of one store hit of a RAM-game
+// run (alien-ram, pop 50, 2 generations, about 8.5 MB of population),
+// the work a replayed job pays after the store's read and checksum.
+func BenchmarkDecodeRun(b *testing.B) {
+	key := store.Key{Workload: "alien-ram", Population: 50, Generations: 2, Seed: 777006}
+	e, _, err := computeRun(key, &JobRequest{Key: key})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, files, err := encodeRun(key, e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art := &store.Artifact{Key: key, Files: files}
+	b.SetBytes(int64(len(files[populationFile])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeRun(key, art); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -172,7 +172,11 @@ func checkRun(key store.Key) error {
 func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = key.Population
-	r, err := evolve.NewRunner(key.Workload, cfg, key.Seed)
+	resume := req.ResumeFromPath
+	if resume == "" {
+		resume = req.CheckpointPath
+	}
+	r, resumed, err := evolve.ResumeRunner(key.Workload, cfg, key.Seed, resume)
 	if err != nil {
 		return nil, false, err
 	}
@@ -181,23 +185,8 @@ func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	r.Phases = req.Phases
 	tr := &trace.Trace{}
 	r.SetRecorder(tr)
-	if req.CheckpointPath != "" {
-		r.CheckpointPath = req.CheckpointPath
-		r.CheckpointEvery = req.CheckpointEvery
-	}
-	resume := req.ResumeFromPath
-	if resume == "" {
-		resume = req.CheckpointPath
-	}
-	resumed := false
-	if resume != "" {
-		if _, serr := os.Stat(resume); serr == nil {
-			if rerr := r.RestoreCheckpoint(resume); rerr != nil {
-				return nil, false, rerr
-			}
-			resumed = true
-		}
-	}
+	r.CheckpointPath = req.CheckpointPath
+	r.CheckpointEvery = req.CheckpointEvery
 	if req.OnRunner != nil {
 		req.OnRunner(r)
 	}

@@ -138,8 +138,8 @@ func (g *Genome) UnmarshalJSON(data []byte) error {
 	if err := d.genome(&out); err != nil {
 		return err
 	}
-	if d.peek(); d.off != len(d.data) {
-		return d.errorf("data after the genome")
+	if err := d.end(); err != nil {
+		return err
 	}
 	if err := out.Validate(); err != nil {
 		return err
@@ -148,16 +148,93 @@ func (g *Genome) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// The keys of the three object kinds, quoted as they appear in the
-// input; a key's index is its bit in the seen mask of key and its
-// slot in the values fields reads.
+// Reader reads a JSON document that embeds genomes in one pass over
+// its bytes, with UnmarshalJSON's decoder and strictness: objects with
+// a fixed key set, arrays, numbers and genomes, each read where it
+// lies. A caller decodes the document's envelope with it, so no
+// genome is scanned once to find its end and again to decode it.
+type Reader struct{ d decoder }
+
+// NewReader returns a Reader at the start of data.
+func NewReader(data []byte) *Reader { return &Reader{decoder{data: data}} }
+
+// Object reads an object whose keys are among keys (at most 16) and
+// calls member with each key's index for it to read the value. It
+// rejects an unknown key (a known key in another letter case
+// included), a repeated key and a key with an escape sequence.
+func (r *Reader) Object(keys []string, member func(k int) error) error {
+	var seen uint16
+	return r.d.list('{', '}', func() error {
+		k, err := r.d.key(keys, &seen)
+		if err != nil {
+			return err
+		}
+		return member(k)
+	})
+}
+
+// Array reads an array, calling elem to read each element.
+func (r *Reader) Array(elem func() error) error { return r.d.list('[', ']', elem) }
+
+// Int reads an integer that fits in bits bits. Null is not a number.
+func (r *Reader) Int(bits int) (int64, error) {
+	tok, err := r.d.scalar()
+	p := typed{err}
+	v := p.int(tok, bits)
+	return v, p.err
+}
+
+// Float reads a number. Null is not a number.
+func (r *Reader) Float() (float64, error) {
+	tok, err := r.d.scalar()
+	p := typed{err}
+	v := p.float(tok)
+	return v, p.err
+}
+
+// Genome reads a genome as UnmarshalJSON does, validation included,
+// or null, which reads as nil.
+func (r *Reader) Genome() (*Genome, error) {
+	if r.d.null() {
+		return nil, nil
+	}
+	g := new(Genome)
+	if err := r.d.genome(g); err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Value reads a value of any kind and returns its bytes for the caller
+// to decode, for example with encoding/json. The Reader checks them
+// only as far as finding the value's end needs: a caller that accepts
+// the bytes as one whole JSON value has the value a JSON parser reads
+// at that place.
+func (r *Reader) Value() ([]byte, error) {
+	r.d.peek()
+	from := r.d.off
+	if err := r.d.skip(0); err != nil {
+		return nil, err
+	}
+	return r.d.data[from:r.d.off], nil
+}
+
+// End checks that nothing but whitespace is left.
+func (r *Reader) End() error { return r.d.end() }
+
+// The keys of the three object kinds; a key's index is its bit in the
+// seen mask of key and its slot in the values fields reads.
 var (
-	genomeKeys = [...]string{`"id"`, `"fitness"`, `"nodes"`, `"conns"`}
-	nodeKeys   = [...]string{`"id"`, `"type"`, `"bias"`, `"response"`, `"activation"`, `"aggregation"`}
-	connKeys   = [...]string{`"src"`, `"dst"`, `"weight"`, `"enabled"`}
+	genomeKeys = [...]string{"id", "fitness", "nodes", "conns"}
+	nodeKeys   = [...]string{"id", "type", "bias", "response", "activation", "aggregation"}
+	connKeys   = [...]string{"src", "dst", "weight", "enabled"}
 )
 
-// decoder reads a genome object from data, tracking its offset.
+// decoder reads genomes and the values around them from data,
+// tracking its offset.
 type decoder struct {
 	data []byte
 	off  int
@@ -177,6 +254,14 @@ func (d *decoder) peek() byte {
 		}
 	}
 	return 0
+}
+
+// end checks that nothing but whitespace is left.
+func (d *decoder) end() error {
+	if d.peek(); d.off != len(d.data) {
+		return d.errorf("data after the document")
+	}
+	return nil
 }
 
 // consume skips whitespace and reads c, reporting whether it was next.
@@ -212,23 +297,25 @@ func (d *decoder) list(open, close byte, member func() error) error {
 
 // key reads an object key and its colon and returns the key's index
 // in keys, rejecting an unknown key or one already in seen.
-func (d *decoder) key(keys []string, seen *uint8) (int, error) {
+func (d *decoder) key(keys []string, seen *uint16) (int, error) {
 	tok, err := d.scalar()
 	if err != nil {
 		return 0, err
 	}
-	for i, k := range keys {
-		if string(tok) != k {
-			continue
+	if len(tok) >= 2 && tok[0] == '"' {
+		for i, k := range keys {
+			if string(tok[1:len(tok)-1]) != k {
+				continue
+			}
+			if *seen&(1<<i) != 0 {
+				return 0, d.errorf("repeated key %s", tok)
+			}
+			*seen |= 1 << i
+			if !d.consume(':') {
+				return 0, d.errorf("want ':'")
+			}
+			return i, nil
 		}
-		if *seen&(1<<i) != 0 {
-			return 0, d.errorf("repeated key %s", tok)
-		}
-		*seen |= 1 << i
-		if !d.consume(':') {
-			return 0, d.errorf("want ':'")
-		}
-		return i, nil
 	}
 	return 0, d.errorf("unknown key %s", tok)
 }
@@ -305,18 +392,50 @@ func (d *decoder) number() bool {
 	return true
 }
 
+// maxDepth bounds how deeply skip nests, so a hostile document cannot
+// exhaust the stack. It is well below encoding/json's bound of 10000
+// for a whole document, so a value Value returns from inside a
+// document never nests deeper than encoding/json allows that document.
+const maxDepth = 1000
+
+// skip advances over one value of any kind at nesting depth depth.
+func (d *decoder) skip(depth int) error {
+	if depth > maxDepth {
+		return d.errorf("nested too deeply")
+	}
+	switch d.peek() {
+	case '{':
+		return d.list('{', '}', func() error {
+			if d.peek() != '"' {
+				return d.errorf("want a key")
+			}
+			if _, err := d.scalar(); err != nil {
+				return err
+			}
+			if !d.consume(':') {
+				return d.errorf("want ':'")
+			}
+			return d.skip(depth + 1)
+		})
+	case '[':
+		return d.list('[', ']', func() error { return d.skip(depth + 1) })
+	}
+	_, err := d.scalar()
+	return err
+}
+
 // genome reads the genome object.
 func (d *decoder) genome(g *Genome) error {
-	var seen uint8
+	var seen uint16
 	return d.list('{', '}', func() error {
 		k, err := d.key(genomeKeys[:], &seen)
 		if err != nil {
 			return err
 		}
 		switch genomeKeys[k] {
-		case `"nodes"`:
+		case "nodes":
 			return d.genes(func() error { return d.node(g) })
-		case `"conns"`:
+		case "conns":
 			return d.genes(func() error { return d.conn(g) })
 		}
 		tok, err := d.scalar()
@@ -324,7 +443,7 @@ func (d *decoder) genome(g *Genome) error {
 			return err
 		}
 		var p typed
-		if genomeKeys[k] == `"id"` {
+		if genomeKeys[k] == "id" {
 			g.ID = p.int(tok, 64)
 		} else {
 			g.Fitness = p.float(tok)
@@ -335,19 +454,25 @@ func (d *decoder) genome(g *Genome) error {
 
 // genes reads a gene list: an array of gene objects, or null.
 func (d *decoder) genes(gene func() error) error {
-	if d.peek() == 'n' {
-		if tok, err := d.scalar(); err != nil || string(tok) != "null" {
-			return d.errorf("want a gene list")
-		}
+	if d.null() {
 		return nil
 	}
 	return d.list('[', ']', gene)
 }
 
+// null reads a null if one is next and reports whether it did.
+func (d *decoder) null() bool {
+	if d.peek() == 'n' && bytes.HasPrefix(d.data[d.off:], []byte("null")) {
+		d.off += len("null")
+		return true
+	}
+	return false
+}
+
 // fields reads a flat object of scalars into vals, indexed like keys;
 // an absent key leaves its value nil.
 func (d *decoder) fields(keys []string, vals [][]byte) error {
-	var seen uint8
+	var seen uint16
 	return d.list('{', '}', func() error {
 		k, err := d.key(keys, &seen)
 		if err != nil {

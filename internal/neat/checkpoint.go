@@ -15,32 +15,6 @@ import (
 // state — genomes, species bookkeeping, id counters — not just the
 // genome list.
 
-// checkpoint is the serialized population state.
-type checkpoint struct {
-	Config        Config              `json:"config"`
-	Generation    int                 `json:"generation"`
-	NextGenomeID  int64               `json:"nextGenomeId"`
-	NextSpeciesID int                 `json:"nextSpeciesId"`
-	NextNodeID    int32               `json:"nextNodeId"`
-	Genomes       []*gene.Genome      `json:"genomes"`
-	BestEver      *gene.Genome        `json:"bestEver,omitempty"`
-	Species       []speciesCheckpoint `json:"species,omitempty"`
-	// RNG is the live PRNG stream at save time. When present, Restore
-	// continues the stream bit-identically; older checkpoints without
-	// it fall back to re-seeding from the restore seed.
-	RNG *rng.State `json:"rng,omitempty"`
-}
-
-// speciesCheckpoint captures one species' identity and stagnation
-// state; membership is reconstructed by re-speciating on restore.
-type speciesCheckpoint struct {
-	ID             int          `json:"id"`
-	Representative *gene.Genome `json:"representative"`
-	BestFitness    float64      `json:"bestFitness"`
-	LastImproved   int          `json:"lastImproved"`
-	Created        int          `json:"created"`
-}
-
 // Save writes the population state as JSON, including the live PRNG
 // stream: a restored run continues bit-identically to the
 // uninterrupted one, generation for generation.
@@ -146,59 +120,155 @@ func writeGenome(w io.Writer, b []byte, g *gene.Genome) ([]byte, error) {
 	return b[:0], err
 }
 
+// checkpointKeys and speciesKeys are the keys of the checkpoint
+// envelope and of one species entry, in the order Save writes them.
+var (
+	checkpointKeys = [...]string{"config", "generation", "nextGenomeId", "nextSpeciesId",
+		"nextNodeId", "genomes", "bestEver", "species", "rng"}
+	speciesKeys = [...]string{"id", "representative", "bestFitness", "lastImproved", "created"}
+)
+
 // Restore reads a checkpoint and resumes it. When the checkpoint
 // carries a PRNG state (every checkpoint this version writes), the
 // stream continues bit-identically and restoreSeed is only the
 // fallback for older, stream-less checkpoints.
-func Restore(r io.Reader, restoreSeed uint64) (*Population, error) {
-	var cp checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
+//
+// It reads the document in one pass: the envelope through a
+// gene.Reader, each genome where it lies with the genome decoder (and
+// its validation), and only the small config and rng objects through
+// encoding/json, over their own bytes. Keys may come in any order and
+// an absent one reads as zero, but the envelope is as strict as the
+// genome decoder: an unknown, repeated or escaped key, null in place
+// of a number and any data after the document are errors.
+func Restore(data []byte, restoreSeed uint64) (*Population, error) {
+	p, err := restore(data, restoreSeed)
+	if err != nil {
 		return nil, fmt.Errorf("neat: restore: %w", err)
 	}
-	if err := cp.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("neat: restore: %w", err)
+	return p, nil
+}
+
+func restore(data []byte, restoreSeed uint64) (*Population, error) {
+	var (
+		cfg                                     Config
+		st                                      *rng.State
+		generation, genomeID, speciesID, nodeID int64
+		genomes                                 []*gene.Genome
+		bestEver                                *gene.Genome
+		species                                 []*Species
+	)
+	r := gene.NewReader(data)
+	err := r.Object(checkpointKeys[:], func(k int) (err error) {
+		switch checkpointKeys[k] {
+		case "config":
+			return decodeValue(r, &cfg)
+		case "generation":
+			generation, err = r.Int(strconv.IntSize)
+		case "nextGenomeId":
+			genomeID, err = r.Int(64)
+		case "nextSpeciesId":
+			speciesID, err = r.Int(strconv.IntSize)
+		case "nextNodeId":
+			nodeID, err = r.Int(32)
+		case "genomes":
+			return r.Array(func() error {
+				g, err := r.Genome()
+				genomes = append(genomes, g)
+				return err
+			})
+		case "bestEver":
+			bestEver, err = r.Genome()
+		case "species":
+			return r.Array(func() error {
+				s, err := readSpecies(r)
+				species = append(species, s)
+				return err
+			})
+		case "rng":
+			return decodeValue(r, &st)
+		}
+		return err
+	})
+	if err == nil {
+		err = r.End()
 	}
-	if len(cp.Genomes) == 0 {
-		return nil, fmt.Errorf("neat: restore: checkpoint has no genomes")
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(genomes) == 0 {
+		return nil, fmt.Errorf("checkpoint has no genomes")
 	}
 	// Save always writes exactly PopulationSize genomes; a mismatch
 	// means a corrupt or hand-edited checkpoint. The check also bounds
 	// the work a hostile PopulationSize can demand of later epochs to
 	// the size of the document itself.
-	if len(cp.Genomes) != cp.Config.PopulationSize {
-		return nil, fmt.Errorf("neat: restore: checkpoint has %d genomes for population size %d",
-			len(cp.Genomes), cp.Config.PopulationSize)
+	if len(genomes) != cfg.PopulationSize {
+		return nil, fmt.Errorf("checkpoint has %d genomes for population size %d",
+			len(genomes), cfg.PopulationSize)
 	}
-	// Genome.UnmarshalJSON has validated every genome the document
-	// holds; a null entry is the one that decodes without it.
-	for i, g := range cp.Genomes {
+	// The reader has validated every genome the document holds; a null
+	// entry is the one that decodes without it.
+	for i, g := range genomes {
 		if g == nil {
-			return nil, fmt.Errorf("neat: restore: genome %d is null", i)
+			return nil, fmt.Errorf("genome %d is null", i)
 		}
 	}
-	p := newPopulation(cp.Config, restoreSeed)
-	if cp.RNG != nil {
-		p.rnd.SetState(*cp.RNG)
-	}
-	p.Genomes = cp.Genomes
-	p.Generation = cp.Generation
-	p.nextGenomeID = cp.NextGenomeID
-	p.nextSpeciesID = cp.NextSpeciesID
-	p.BestEver = cp.BestEver
-	if cp.NextNodeID > p.ids.next {
-		p.ids.next = cp.NextNodeID
-	}
-	for _, sc := range cp.Species {
-		if sc.Representative == nil {
-			return nil, fmt.Errorf("neat: restore: species %d has no representative", sc.ID)
+	for _, s := range species {
+		if s.Representative == nil {
+			return nil, fmt.Errorf("species %d has no representative", s.ID)
 		}
-		p.Species = append(p.Species, &Species{
-			ID:             sc.ID,
-			Representative: sc.Representative,
-			BestFitness:    sc.BestFitness,
-			LastImproved:   sc.LastImproved,
-			Created:        sc.Created,
-		})
 	}
+	p := newPopulation(cfg, restoreSeed)
+	if st != nil {
+		p.rnd.SetState(*st)
+	}
+	p.Genomes = genomes
+	p.Generation = int(generation)
+	p.nextGenomeID = genomeID
+	p.nextSpeciesID = int(speciesID)
+	p.BestEver = bestEver
+	if int32(nodeID) > p.ids.next {
+		p.ids.next = int32(nodeID)
+	}
+	p.Species = species
 	return p, nil
+}
+
+// readSpecies reads one species entry: its identity and stagnation
+// state. Membership is rebuilt by the next speciation.
+func readSpecies(r *gene.Reader) (*Species, error) {
+	s := new(Species)
+	err := r.Object(speciesKeys[:], func(k int) (err error) {
+		var v int64
+		switch speciesKeys[k] {
+		case "id":
+			v, err = r.Int(strconv.IntSize)
+			s.ID = int(v)
+		case "representative":
+			s.Representative, err = r.Genome()
+		case "bestFitness":
+			s.BestFitness, err = r.Float()
+		case "lastImproved":
+			v, err = r.Int(strconv.IntSize)
+			s.LastImproved = int(v)
+		case "created":
+			v, err = r.Int(strconv.IntSize)
+			s.Created = int(v)
+		}
+		return err
+	})
+	return s, err
+}
+
+// decodeValue decodes the reader's next value into v with
+// encoding/json, over that value's bytes alone.
+func decodeValue(r *gene.Reader, v any) error {
+	b, err := r.Value()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }

@@ -3,8 +3,8 @@ package neat
 import (
 	"bytes"
 	"encoding/json"
-	"io"
-	"strings"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -29,32 +29,6 @@ func evolvedPopulation(t *testing.T) *Population {
 		}
 	}
 	return p
-}
-
-// referenceSave is Save's encoding/json implementation: the document
-// the hand-written envelope must reproduce byte for byte.
-func referenceSave(p *Population, w io.Writer) error {
-	st := p.rnd.State()
-	cp := checkpoint{
-		Config:        p.Config,
-		Generation:    p.Generation,
-		NextGenomeID:  p.nextGenomeID,
-		NextSpeciesID: p.nextSpeciesID,
-		NextNodeID:    p.ids.next,
-		Genomes:       p.Genomes,
-		BestEver:      p.BestEver,
-		RNG:           &st,
-	}
-	for _, s := range p.Species {
-		cp.Species = append(cp.Species, speciesCheckpoint{
-			ID:             s.ID,
-			Representative: s.Representative,
-			BestFitness:    s.BestFitness,
-			LastImproved:   s.LastImproved,
-			Created:        s.Created,
-		})
-	}
-	return json.NewEncoder(w).Encode(cp)
 }
 
 func TestSaveMatchesEncodingJSON(t *testing.T) {
@@ -100,7 +74,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Restore(&buf, 99)
+	q, err := Restore(buf.Bytes(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +101,7 @@ func TestRestoredPopulationEvolves(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Restore(&buf, 42)
+	q, err := Restore(buf.Bytes(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +137,7 @@ func TestSaveRestoreSaveByteIdentical(t *testing.T) {
 	if err := p.Save(&first); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Restore(bytes.NewReader(first.Bytes()), 12345)
+	q, err := Restore(first.Bytes(), 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +162,7 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 	}
 	// A deliberately different restore seed: the checkpointed stream
 	// must win over it.
-	q, err := Restore(&buf, 0xDEAD)
+	q, err := Restore(buf.Bytes(), 0xDEAD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +207,125 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 			`"species":[{"id":1,"representative":null}]}`,
 	}
 	for name, doc := range cases {
-		if _, err := Restore(strings.NewReader(doc), 1); err == nil {
+		if _, err := Restore([]byte(doc), 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// saved returns p's checkpoint document.
+func saved(tb testing.TB, p *Population) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reassemble rewrites a checkpoint's envelope with its keys in order,
+// one per line, dropping the keys order leaves out; set replaces
+// values by key.
+func reassemble(t *testing.T, doc []byte, order []string, set map[string]string) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &m); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range set {
+		m[k] = json.RawMessage(v)
+	}
+	b := []byte("{")
+	for _, k := range order {
+		if len(b) > 1 {
+			b = append(b, ",\n"...)
+		}
+		b = fmt.Appendf(b, "%q : %s", k, m[k])
+	}
+	return append(b, "}"...)
+}
+
+// TestRestoreMatchesReference restores checkpoints that are not Save's
+// exact bytes, and Save's bytes of a RAM-shaped population, through
+// both decoders: both accept, and the two populations save to the same
+// bytes.
+func TestRestoreMatchesReference(t *testing.T) {
+	doc := saved(t, evolvedPopulation(t))
+	all := checkpointKeys[:]
+	reversed := slices.Clone(all)
+	slices.Reverse(reversed)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, doc, "\t", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{
+		"as saved":                  doc,
+		"RAM-shaped (128x18)":       saved(t, benchPopulation(t, 128, 18, 4, 2)),
+		"keys reordered":            reassemble(t, doc, reversed, nil),
+		"whitespace between tokens": append(append([]byte(" \r\n"), indented.Bytes()...), " \t"...),
+		"stream-less": reassemble(t, doc, []string{"config", "generation", "nextGenomeId", "nextSpeciesId",
+			"nextNodeId", "genomes"}, nil),
+		"bestEver null": reassemble(t, doc, all, map[string]string{"bestEver": "null"}),
+	} {
+		got, err := Restore(in, 5)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		want, err := referenceRestore(in, 5)
+		if err != nil {
+			t.Errorf("%s: reference: %v", name, err)
+			continue
+		}
+		if !bytes.Equal(saved(t, got), saved(t, want)) {
+			t.Errorf("%s: restored populations save differently", name)
+		}
+	}
+}
+
+// strictCases derives from a saved checkpoint the inputs the
+// encoding/json reference accepts and Restore rejects. Each edit is
+// made at the first occurrence of a key: for generation the
+// envelope's, for bestFitness and lastImproved the first species'.
+func strictCases(doc []byte) map[string][]byte {
+	at := func(key string) (int, int) {
+		i := bytes.Index(doc, []byte(`"`+key+`":`))
+		return i, i + len(key) + 3
+	}
+	insert := func(key, s string) []byte {
+		i, _ := at(key)
+		return slices.Concat(doc[:i], []byte(s), doc[i:])
+	}
+	rename := func(key, to string) []byte {
+		i, j := at(key)
+		return slices.Concat(doc[:i], []byte(`"`+to+`":`), doc[j:])
+	}
+	set := func(key, v string) []byte {
+		_, j := at(key)
+		return slices.Concat(doc[:j], []byte(v), doc[j+bytes.IndexAny(doc[j:], ",}"):])
+	}
+	return map[string][]byte{
+		"data after the document": slices.Concat(doc, []byte("garbage")),
+		"two checkpoints":         slices.Concat(doc, doc),
+		"key in another case":     rename("generation", "Generation"),
+		"unknown key":             insert("generation", `"extra":1,`),
+		"escaped key":             rename("generation", `gener\u0061tion`),
+		"null number":             set("generation", "null"),
+		"repeated key":            insert("generation", `"generation":1,`),
+		"unknown species key":     insert("bestFitness", `"members":[],`),
+		"null species number":     set("lastImproved", "null"),
+	}
+}
+
+// TestRestoreStricterThanReference lists the inputs the encoding/json
+// reference accepts that Restore rejects. Save writes none of them.
+func TestRestoreStricterThanReference(t *testing.T) {
+	doc := saved(t, evolvedPopulation(t))
+	for name, in := range strictCases(doc) {
+		if _, err := referenceRestore(in, 1); err != nil {
+			t.Errorf("%s: the reference rejects it too (%v); not a stricter case", name, err)
+		}
+		if _, err := Restore(in, 1); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -246,7 +338,7 @@ func TestRestorePreservesNodeIDCounter(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Restore(&buf, 1)
+	q, err := Restore(buf.Bytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +372,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.SetBytes(int64(doc.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Restore(bytes.NewReader(doc.Bytes()), 1); err != nil {
+			if _, err := Restore(doc.Bytes(), 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -207,15 +207,15 @@ func TestSpeciateMemoWarmPath(t *testing.T) {
 // benchPopulation builds a diversified RAM-scale population — the
 // heaviest workload shape, where speciation dominated generation time
 // before the kernel.
-func benchPopulation(b *testing.B, inputs, outputs, pop, epochs int) *Population {
-	b.Helper()
+func benchPopulation(tb testing.TB, inputs, outputs, pop, epochs int) *Population {
+	tb.Helper()
 	cfg := DefaultConfig(inputs, outputs)
 	cfg.PopulationSize = pop
 	p, err := NewPopulation(cfg, 3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	diversify(b, p, epochs)
+	diversify(tb, p, epochs)
 	return p
 }
 

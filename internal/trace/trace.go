@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/gene"
 	"repro/internal/neat"
@@ -192,63 +192,97 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Parse reads a trace previously produced by WriteTo.
+// Parse reads a trace previously produced by WriteTo. Each record
+// has exactly its fields: base-10 integers that fit an int, separated
+// by ASCII white space. Blank lines are skipped.
 func Parse(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	var v [3 + neat.NumOps]int64
+	for line := 1; sc.Scan(); line++ {
+		tag, err := parseRecord(sc.Bytes(), v[:])
+		if err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "G":
-			var idx, popGenes int
-			if _, err := fmt.Sscanf(text, "G %d %d", &idx, &popGenes); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
+		switch tag {
+		case 0: // a blank line
+		case 'G':
 			t.Generations = append(t.Generations, Generation{
-				Index:           idx,
-				PopulationGenes: popGenes,
+				Index:           int(v[0]),
+				PopulationGenes: int(v[1]),
 				ParentSizes:     map[int64]int{},
 			})
-		case "P":
+		default:
 			if len(t.Generations) == 0 {
-				return nil, fmt.Errorf("trace: line %d: P before G", line)
-			}
-			var id int64
-			var sz int
-			if _, err := fmt.Sscanf(text, "P %d %d", &id, &sz); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			t.Generations[len(t.Generations)-1].ParentSizes[id] = sz
-		case "C":
-			if len(t.Generations) == 0 {
-				return nil, fmt.Errorf("trace: line %d: C before G", line)
-			}
-			if len(fields) != 4+neat.NumOps {
-				return nil, fmt.Errorf("trace: line %d: want %d fields, have %d",
-					line, 4+neat.NumOps, len(fields))
-			}
-			var c ChildRecord
-			if _, err := fmt.Sscanf(strings.Join(fields[1:4], " "), "%d %d %d",
-				&c.Child, &c.Parent1, &c.Parent2); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			for i := 0; i < neat.NumOps; i++ {
-				if _, err := fmt.Sscanf(fields[4+i], "%d", &c.Ops[i]); err != nil {
-					return nil, fmt.Errorf("trace: line %d: %w", line, err)
-				}
+				return nil, fmt.Errorf("trace: line %d: %c before G", line, tag)
 			}
 			g := &t.Generations[len(t.Generations)-1]
+			if tag == 'P' {
+				g.ParentSizes[v[0]] = int(v[1])
+				continue
+			}
+			c := ChildRecord{Child: v[0], Parent1: v[1], Parent2: v[2]}
+			copy(c.Ops[:], v[3:])
 			g.Children = append(g.Children, c)
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record %q", line, fields[0])
 		}
 	}
-	return t, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return t, nil
+}
+
+// parseRecord reads one line into its tag, 0 for a blank line, and
+// the record's integer fields, stored in v. The field count must be
+// the tag's exactly; v has room for the longest record.
+func parseRecord(line []byte, v []int64) (byte, error) {
+	tag, rest := nextField(line)
+	var want int
+	switch string(tag) {
+	case "":
+		return 0, nil
+	case "G", "P":
+		want = 2
+	case "C":
+		want = 3 + neat.NumOps
+	default:
+		return 0, fmt.Errorf("unknown record %q", tag)
+	}
+	have := 0
+	for f, rest := nextField(rest); f != nil; f, rest = nextField(rest) {
+		if have < want {
+			x, err := strconv.ParseInt(string(f), 10, strconv.IntSize)
+			if err != nil {
+				return 0, err
+			}
+			v[have] = x
+		}
+		have++
+	}
+	if have != want {
+		return 0, fmt.Errorf("want %d fields, have %d", 1+want, 1+have)
+	}
+	return tag[0], nil
+}
+
+// nextField returns the first run of non-white-space bytes in b, or
+// nil, and what follows it.
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	j := i
+	for j < len(b) && !isSpace(b[j]) {
+		j++
+	}
+	if i == j {
+		return nil, nil
+	}
+	return b[i:j], b[j:]
+}
+
+// isSpace reports whether c is ASCII white space.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }

@@ -142,6 +142,9 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"P 1 2\n",          // P before G
 		"C 1 2 3 4\n",      // C before G
 		"G 0 100\nC 1 2\n", // short C record
+		"G 1 2junk\n",      // trailing bytes in a field
+		"G 1 2 3\n",        // long G record
+		"G 0 1\nP 1 2 3\n", // long P record
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c)); err == nil {

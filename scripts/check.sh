@@ -17,13 +17,15 @@
 # Pareto-front stream must replay byte-identically from the shared run
 # cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one replays the result
-# from disk, a one-iteration smoke over the kernel and replay
-# benchmarks (so a change that breaks a benchmark fails here), a
-# one-iteration run of the root figure and ablation benchmarks that
-# must leave results/ byte-identical (they are the only code that
+# from disk, a one-iteration smoke over the kernel, checkpoint codec
+# and replay benchmarks (so a change that breaks a benchmark fails
+# here), a one-iteration run of the root figure and ablation benchmarks
+# that must leave results/ byte-identical (they are the only code that
 # regenerates it), and a short fuzz smoke over the untrusted-input
 # decoders (trace parser, genome codec, NEAT checkpoint, store manifest)
-# and over the one-pass genome validator against its reference.
+# and the one-pass genome validator. The trace parser, genome codec,
+# checkpoint and validator fuzzers are differential: each checks the
+# one-pass code against its reference implementation.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -239,14 +241,14 @@ wait "$w1" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
-echo "== bench smoke (kernel + batch + replay trajectory benches, 1 iteration)"
+echo "== bench smoke (kernel + batch + checkpoint codec + replay trajectory benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so the
 # batch-engine variants (BenchmarkNetworkFeedBatch,
 # BenchmarkEvaluateGenerationBatch) and BenchmarkEvaluateGenerationScalar,
 # which times the serial test reference evaluator, smoke here too.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
-go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$' \
+go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint' \
     -benchtime=1x ./internal/neat/
 go test -run=NONE -bench='BenchmarkEvaluateGeneration' \
     -benchtime=1x ./internal/evolve/
@@ -272,7 +274,7 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace, genome codec, genome validator, neat checkpoint, store manifest)"
+echo "== fuzz smoke (trace parser, genome codec, genome validator and neat checkpoint, each against its reference; store manifest)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the ~5 KB
 # checkpoint corpus entries.
