@@ -15,15 +15,16 @@ import (
 
 // This file is the island-model worker protocol: four HTTP/JSON
 // endpoints a worker mounts (WorkerAPI) and the coordinator-side
-// client + segment loop that drives them (RunDistributed). The
-// protocol is session-oriented — a coordinator opens one session per
-// worker holding that worker's island shard, then alternates step
-// (advance to the next migration barrier, optionally injecting the
-// previous barrier's migrants first) until the run solves or exhausts
-// its budget, gathers results, and closes. Workers step their islands
-// with evolve.IslandGroup, so the distributed run and the
-// single-process RunIslands reference execute the identical code on
-// identical seeds — byte-identical results by construction.
+// client that drives them (RunDistributed). The protocol is
+// session-oriented — a coordinator opens one session per worker
+// holding that worker's island shard, then alternates step (advance to
+// the next migration barrier, optionally injecting the previous
+// barrier's migrants first) until the run solves or exhausts its
+// budget, gathers results, and closes. Each session is an
+// evolve.IslandShard driven by evolve.DriveIslands, and workers step
+// their islands with evolve.IslandGroup, so the distributed run and
+// the single-process RunIslands reference execute the identical code
+// on identical seeds — byte-identical results by construction.
 
 // islandOpenReq opens a session evolving a shard of a run's islands.
 type islandOpenReq struct {
@@ -118,7 +119,7 @@ func (w *WorkerAPI) handleStep(rw http.ResponseWriter, r *http.Request) {
 	// The step computes on the request goroutine under the request
 	// context: a coordinator that dies (or re-dispatches) disconnects,
 	// cancelling the evolution mid-generation.
-	champs, solved, err := g.Step(r.Context(), req.Target)
+	champs, solved, err := g.Step(r.Context(), req.Target, nil)
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err.Error())
 		return
@@ -136,7 +137,12 @@ func (w *WorkerAPI) handleResult(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusNotFound, "island: unknown session "+req.Session)
 		return
 	}
-	writeJSON(rw, islandResultReply{Results: g.Results()})
+	rs, err := g.Results(r.Context())
+	if err != nil {
+		httpError(rw, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(rw, islandResultReply{Results: rs})
 }
 
 func (w *WorkerAPI) handleClose(rw http.ResponseWriter, r *http.Request) {
@@ -252,6 +258,33 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
+// workerSession is one worker's island session seen as an
+// evolve.IslandShard. Its errors are *ShardError values naming the
+// worker.
+type workerSession struct {
+	client  *IslandClient
+	session string
+	shard   int
+	member  Member
+}
+
+func (s *workerSession) fail(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &ShardError{Shard: s.shard, Member: s.member, Err: err}
+}
+
+func (s *workerSession) Step(ctx context.Context, target int, plan map[int]evolve.Champion) ([]evolve.Champion, bool, error) {
+	champs, solved, err := s.client.Step(ctx, s.session, target, plan)
+	return champs, solved, s.fail(err)
+}
+
+func (s *workerSession) Results(ctx context.Context) ([]evolve.IslandResult, error) {
+	rs, err := s.client.Results(ctx, s.session)
+	return rs, s.fail(err)
+}
+
 // PartitionIslands deals islands round-robin across shards: shard k
 // owns islands k, k+shards, k+2·shards, … Deterministic, balanced to
 // within one island.
@@ -269,18 +302,16 @@ func PartitionIslands(islands, shards int) [][]int {
 // RunDistributed executes one island-model run across a worker fleet:
 // islands are partitioned over the workers (sorted by id, so the
 // sharding is a pure function of the member set), each worker evolves
-// its shard through an island session, and the coordinator drives the
-// segment loop — gathering champions at every migration barrier,
-// computing the ring migration plan, and shipping each worker its
-// migrants with the next step. The loop is the same as
-// evolve.RunIslands; only where islands execute differs, so results
-// are byte-identical to the reference.
+// its shard through an island session, and evolve.DriveIslands drives
+// the sessions through the segment loop evolve.RunIslands runs in
+// process. Only where islands execute differs, so results are
+// byte-identical to the reference.
 //
 // Any RPC failure aborts the whole run (sessions are closed
-// best-effort) and surfaces the error; the caller owns retry — an
-// island run has no cross-barrier checkpoint, so a worker death means
-// restarting the run on the surviving fleet (still deterministic:
-// the result does not depend on the fleet shape).
+// best-effort) and surfaces as a *ShardError; the caller owns retry —
+// an island run has no cross-barrier checkpoint, so a worker death
+// means restarting the run on the surviving fleet (still
+// deterministic: the result does not depend on the fleet shape).
 func RunDistributed(ctx context.Context, spec evolve.IslandSpec, session string, workers []Member, httpc *http.Client) (*evolve.IslandRun, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -291,91 +322,24 @@ func RunDistributed(ctx context.Context, spec evolve.IslandSpec, session string,
 	ws := append([]Member(nil), workers...)
 	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
 	parts := PartitionIslands(spec.Islands, len(ws))
-	clients := make([]*IslandClient, len(parts))
+	sessions := make([]*workerSession, len(parts))
+	shards := make([]evolve.IslandShard, len(parts))
 	for k := range parts {
-		clients[k] = &IslandClient{Base: ws[k].Addr, HTTP: httpc}
+		sessions[k] = &workerSession{client: &IslandClient{Base: ws[k].Addr, HTTP: httpc}, session: session, shard: k, member: ws[k]}
+		shards[k] = sessions[k]
 	}
 	defer func() {
 		// Best-effort teardown, detached from the (possibly cancelled)
 		// run context so close still reaches live workers.
-		for _, c := range clients {
-			c.Close(context.WithoutCancel(ctx), session)
+		for _, s := range sessions {
+			s.client.Close(context.WithoutCancel(ctx), session)
 		}
 	}()
 
-	for k, c := range clients {
-		if err := c.Open(ctx, session, spec, parts[k]); err != nil {
-			return nil, &ShardError{Shard: k, Member: ws[k], Err: err}
+	for k, s := range sessions {
+		if err := s.client.Open(ctx, session, spec, parts[k]); err != nil {
+			return nil, s.fail(err)
 		}
 	}
-
-	// fanOut runs one call per shard concurrently — shards computing in
-	// parallel is the throughput win — and joins the first error.
-	fanOut := func(f func(k int, c *IslandClient) error) error {
-		errs := make([]error, len(clients))
-		var wg sync.WaitGroup
-		for k, c := range clients {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[k] = f(k, c)
-			}()
-		}
-		wg.Wait()
-		for k, err := range errs {
-			if err != nil {
-				return &ShardError{Shard: k, Member: ws[k], Err: err}
-			}
-		}
-		return nil
-	}
-
-	var plan map[int]evolve.Champion
-	for target := min(spec.MigrationEvery, spec.Generations); ; {
-		var mu sync.Mutex
-		var champs []evolve.Champion
-		solved := false
-		err := fanOut(func(k int, c *IslandClient) error {
-			cs, s, err := c.Step(ctx, session, target, plan)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			champs = append(champs, cs...)
-			solved = solved || s
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if solved || target >= spec.Generations {
-			break
-		}
-		plan, err = evolve.MigrationPlan(champs, spec.Islands)
-		if err != nil {
-			return nil, err
-		}
-		target = min(target+spec.MigrationEvery, spec.Generations)
-	}
-
-	results := make([][]evolve.IslandResult, len(clients))
-	if err := fanOut(func(k int, c *IslandClient) error {
-		rs, err := c.Results(ctx, session)
-		if err != nil {
-			return err
-		}
-		results[k] = rs
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var all []evolve.IslandResult
-	for _, rs := range results {
-		all = append(all, rs...)
-	}
-	if len(all) != spec.Islands {
-		return nil, fmt.Errorf("island: gathered %d of %d islands", len(all), spec.Islands)
-	}
-	return evolve.AssembleRun(spec, all), nil
+	return evolve.DriveIslands(ctx, spec, shards)
 }

@@ -56,3 +56,30 @@ func TestWorkerOpenIgnoresStaleBatchWidth(t *testing.T) {
 		t.Fatalf("stale-spec session champions diverged:\n got  %+v\n want %+v", got, want)
 	}
 }
+
+// TestWorkerStepStatusCodes pins /island/step's status codes: 404 for
+// an unknown session and 400 for a plan whose migrants do not inject.
+func TestWorkerStepStatusCodes(t *testing.T) {
+	mux := http.NewServeMux()
+	NewWorkerAPI().Routes(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c := &IslandClient{Base: ts.URL}
+	ctx := context.Background()
+	spec := evolve.IslandSpec{Workload: "cartpole", Population: 16, Generations: 2, Islands: 2, MigrationEvery: 1, Seed: 5}
+	if err := c.Open(ctx, "s", spec, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Step(ctx, "nope", 1, nil); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("unknown session: %v, want 404", err)
+	}
+	champs, _, err := c.Step(ctx, "s", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := map[int]evolve.Champion{1: champs[0]} // no migrant for island 0
+	if _, _, err := c.Step(ctx, "s", 2, partial); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("plan missing a migrant: %v, want 400", err)
+	}
+}

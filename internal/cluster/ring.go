@@ -19,6 +19,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"repro/internal/rng"
 )
 
 // DefaultVnodes is the virtual-node count per member. 64 points per
@@ -60,13 +62,7 @@ func hash64(s string) uint64 {
 	// FNV alone clusters badly on short, similar strings (vnode labels
 	// differ only in a numeric suffix), which skews the load split; a
 	// splitmix64 finalizer spreads the points uniformly over the circle.
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return rng.Mix64(h.Sum64())
 }
 
 // Add inserts a member's virtual nodes. Adding an existing member is a

@@ -48,33 +48,33 @@ type Batch interface {
 	LaneEnv(lane int) Env
 }
 
-// batchFactories registers native struct-of-arrays implementations by
-// workload name; everything else is served by the generic adapter.
-var batchFactories = map[string]func(width int) Batch{}
-
-func registerBatch(name string, f func(width int) Batch) { batchFactories[name] = f }
-
 // NewBatch constructs a width-lane batch of the named environment:
-// a native vectorized implementation when one is registered (cartpole
-// and the RAM titles), otherwise a generic adapter looping over fresh
-// scalar instances.
+// the native vectorized CartPole, and for every other environment (the
+// RAM titles included) a generic adapter looping over fresh scalar
+// instances.
 func NewBatch(name string, width int) (Batch, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("env: batch width %d < 1", width)
 	}
-	if f, ok := batchFactories[name]; ok {
-		return f(width), nil
+	if name == "cartpole" {
+		return newCartPoleBatch(width), nil
 	}
 	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("env: unknown environment %q (have %v)", name, Names())
 	}
+	return newGenericBatch(name, f, width), nil
+}
+
+// newGenericBatch builds the generic adapter over width fresh instances
+// from f.
+func newGenericBatch(name string, f func() Env, width int) *genericBatch {
 	g := &genericBatch{name: name, width: width, inner: make([]Env, width)}
 	for i := range g.inner {
 		g.inner[i] = f()
 	}
 	g.act = make([]float64, g.inner[0].ActionSize())
-	return g, nil
+	return g
 }
 
 // genericBatch adapts any registered Env to the Batch interface by

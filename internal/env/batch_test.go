@@ -99,8 +99,8 @@ func driveBatchVsScalar(t *testing.T, name string, mk func(width int) Batch, see
 }
 
 // TestBatchMatchesScalar pins every registered environment, through
-// whatever NewBatch serves (native for cartpole and the RAM titles,
-// generic otherwise), to the scalar path bit for bit.
+// whatever NewBatch serves (native for cartpole, generic otherwise),
+// to the scalar path bit for bit.
 func TestBatchMatchesScalar(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -116,18 +116,12 @@ func TestBatchMatchesScalar(t *testing.T) {
 }
 
 // TestGenericBatchMatchesScalar forces the generic adapter even for
-// environments with native batches, pinning the fallback path itself.
+// cartpole, which has a native batch, pinning the adapter itself.
 func TestGenericBatchMatchesScalar(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			driveBatchVsScalar(t, name, func(width int) Batch {
-				f := factories[name]
-				g := &genericBatch{name: name, width: width, inner: make([]Env, width)}
-				for i := range g.inner {
-					g.inner[i] = f()
-				}
-				g.act = make([]float64, g.inner[0].ActionSize())
-				return g
+				return newGenericBatch(name, factories[name], width)
 			}, 0xBEEF)
 		})
 	}
@@ -143,23 +137,24 @@ func TestNewBatchErrors(t *testing.T) {
 	}
 }
 
-// TestNativeBatchRegistered pins that the workloads the tentpole names
-// actually get the vectorized implementation from NewBatch.
+// TestNativeBatchRegistered pins which workloads NewBatch serves
+// natively: cartpole alone. The RAM titles and every other environment
+// get the generic adapter, with real lane envs.
 func TestNativeBatchRegistered(t *testing.T) {
-	for _, name := range []string{"cartpole", "airraid-ram", "alien-ram", "asterix-ram", "amidar-ram"} {
+	b, err := NewBatch("cartpole", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.LaneEnv(0) != nil {
+		t.Fatal("cartpole: expected native batch (LaneEnv nil), got generic")
+	}
+	for _, name := range []string{"airraid-ram", "alien-ram", "asterix-ram", "amidar-ram", "mountaincar"} {
 		b, err := NewBatch(name, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.LaneEnv(0) != nil {
-			t.Fatalf("%s: expected native batch (LaneEnv nil), got generic", name)
+		if b.LaneEnv(0) == nil {
+			t.Fatalf("%s: expected generic batch with real lane envs", name)
 		}
-	}
-	b, err := NewBatch("mountaincar", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.LaneEnv(0) == nil {
-		t.Fatal("mountaincar: expected generic batch with real lane envs")
 	}
 }

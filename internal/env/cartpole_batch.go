@@ -21,27 +21,25 @@ type cartPoleBatch struct {
 	rnd                      []rng.XorWow
 }
 
-func init() {
-	registerBatch("cartpole", func(width int) Batch {
-		b := &cartPoleBatch{
-			width:    width,
-			x:        make([]float64, width),
-			xDot:     make([]float64, width),
-			theta:    make([]float64, width),
-			thetaDot: make([]float64, width),
-			sinT:     make([]float64, width),
-			cosT:     make([]float64, width),
-			steps:    make([]int, width),
-			rnd:      make([]rng.XorWow, width),
-		}
-		// Seed angles with a harmless in-window value so never-loaded
-		// lanes can serve as vector padding in StepAll (an exact zero
-		// would push the whole 4-group to the scalar trig fallback).
-		for i := range b.theta {
-			b.theta[i] = 0.01
-		}
-		return b
-	})
+func newCartPoleBatch(width int) *cartPoleBatch {
+	b := &cartPoleBatch{
+		width:    width,
+		x:        make([]float64, width),
+		xDot:     make([]float64, width),
+		theta:    make([]float64, width),
+		thetaDot: make([]float64, width),
+		sinT:     make([]float64, width),
+		cosT:     make([]float64, width),
+		steps:    make([]int, width),
+		rnd:      make([]rng.XorWow, width),
+	}
+	// Seed angles with a harmless in-window value so never-loaded lanes
+	// can serve as vector padding in StepAll (an exact zero would push
+	// the whole 4-group to the scalar trig fallback).
+	for i := range b.theta {
+		b.theta[i] = 0.01
+	}
+	return b
 }
 
 func (b *cartPoleBatch) Name() string         { return "cartpole" }

@@ -104,10 +104,11 @@ type evalGroup struct {
 // episode units, or a single (genome, episode) evaluation for groups
 // too small to batch.
 type batchJob struct {
-	group  int // -1 for per-episode jobs
-	lo, hi int // unit range within the group (batch jobs)
-	gIdx   int // population index (per-episode jobs)
-	ep     int // episode (per-episode jobs)
+	group  int             // -1 for per-episode jobs
+	lo, hi int             // unit range within the group (batch jobs)
+	gIdx   int             // population index (per-episode jobs)
+	prog   network.Program // the genome's program (per-episode jobs)
+	ep     int             // episode (per-episode jobs)
 	weight float64
 }
 
@@ -246,7 +247,6 @@ func (r *Runner) EvaluateGeneration(ctx context.Context) (envSteps, macs, update
 // partitions it into topology classes.
 func (r *Runner) formGroups() ([]evalGroup, error) {
 	genomes := r.Pop.Genomes
-	builder := r.workers[0].builder
 	// The group scratch (outer slice and each group's member slices) is
 	// reused across generations; n counts the groups live this one. The
 	// tail beyond n keeps last generation's Program handles alive until
@@ -260,7 +260,7 @@ func (r *Runner) formGroups() ([]evalGroup, error) {
 	buckets := r.bucketIdx
 	clear(buckets)
 	for gi, g := range genomes {
-		pr, err := r.phenos.GetProgram(builder, g)
+		pr, err := r.phenos.GetProgram(&r.builder, g)
 		if err != nil {
 			return nil, fmt.Errorf("genome %d: %w", g.ID, err)
 		}
@@ -332,10 +332,10 @@ func (r *Runner) makeJobs(groups []evalGroup, width, workers, episodes int) []ba
 	for gi := range groups {
 		g := &groups[gi]
 		if !r.batchable(g, episodes) {
-			for _, pi := range g.members {
+			for k, pi := range g.members {
 				for ep := 0; ep < episodes; ep++ {
 					jobs = append(jobs, batchJob{
-						group: -1, gIdx: pi, ep: ep,
+						group: -1, gIdx: pi, prog: g.progs[k], ep: ep,
 						weight: genomes[pi].Fitness,
 					})
 				}
@@ -364,7 +364,7 @@ func (r *Runner) makeJobs(groups []evalGroup, width, workers, episodes int) []ba
 func (r *Runner) runJob(w *evalWorker, jb batchJob, groups []evalGroup, perEp []float64, width, episodes int) chunkResult {
 	if jb.group < 0 {
 		g := r.Pop.Genomes[jb.gIdx]
-		res := r.safeEvaluateEpisode(w, g, jb.ep)
+		res := r.safeEvaluateEpisode(w, g, jb.prog, jb.ep)
 		if res.err != nil {
 			return chunkResult{err: res.err}
 		}

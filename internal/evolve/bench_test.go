@@ -7,13 +7,14 @@ import (
 	"repro/internal/neat"
 )
 
-// benchRunner builds a cartpole runner advanced a few generations so the
-// benchmarked population carries evolved (non-minimal) genomes.
-func benchRunner(tb testing.TB, pop, warmupGens int) *Runner {
+// benchRunner builds a runner for workload advanced warmupGens
+// generations, so a positive warmup benchmarks an evolved (non-minimal)
+// population.
+func benchRunner(tb testing.TB, workload string, pop, warmupGens int) *Runner {
 	tb.Helper()
 	cfg := neat.DefaultConfig(0, 0)
 	cfg.PopulationSize = pop
-	r, err := NewRunner("cartpole", cfg, 42)
+	r, err := NewRunner(workload, cfg, 42)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -25,13 +26,10 @@ func benchRunner(tb testing.TB, pop, warmupGens int) *Runner {
 	return r
 }
 
-// BenchmarkEvaluateGeneration measures one full population evaluation —
-// the population-level-parallel hot loop every generation pays. The
-// population is held at a fixed generation (no Epoch between
-// iterations), so iterations are directly comparable.
-func BenchmarkEvaluateGeneration(b *testing.B) {
-	r := benchRunner(b, 64, 8)
-	r.Parallelism = 4
+// benchEvaluate times r.EvaluateGeneration. The population is held at a
+// fixed generation (no Epoch between iterations), so iterations are
+// directly comparable.
+func benchEvaluate(b *testing.B, r *Runner) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,12 +39,22 @@ func BenchmarkEvaluateGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateGeneration measures one full population evaluation —
+// the population-level-parallel hot loop every generation pays — on an
+// evolved cartpole population, through the batch engine at its default
+// width.
+func BenchmarkEvaluateGeneration(b *testing.B) {
+	r := benchRunner(b, "cartpole", 64, 8)
+	r.Parallelism = 4
+	benchEvaluate(b, r)
+}
+
 // BenchmarkEvaluateGenerationScalar times the serial test reference
 // (evaluateReference: the pre-batch-engine semantics, one genome and
 // one episode at a time) on the identical workload, so the batch
 // engine's speedup is measured in-tree.
 func BenchmarkEvaluateGenerationScalar(b *testing.B) {
-	r := benchRunner(b, 64, 8)
+	r := benchRunner(b, "cartpole", 64, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := evaluateReference(r); err != nil {
@@ -55,18 +63,23 @@ func BenchmarkEvaluateGenerationScalar(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateGenerationBatch is the tensorized engine at its
-// default width on the same evolved population — the PR6 acceptance
-// benchmark (same workload as BenchmarkEvaluateGeneration, batch
-// successor).
-func BenchmarkEvaluateGenerationBatch(b *testing.B) {
-	r := benchRunner(b, 64, 8)
-	r.Parallelism = 4
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := r.EvaluateGeneration(ctx); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkEvaluateGenerationRAM measures RAM-scale evaluation
+// (alien-ram, pop 50, one worker) on both of its paths: generation 0,
+// whose genomes share one topology and run as one group through the
+// batch engine, and an evolved generation, whose genomes are
+// singletons that run as per-episode jobs.
+func BenchmarkEvaluateGenerationRAM(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		warmup int
+	}{
+		{"gen0", 0},
+		{"evolved", 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := benchRunner(b, "alien-ram", 50, bc.warmup)
+			r.Parallelism = 1
+			benchEvaluate(b, r)
+		})
 	}
 }

@@ -1,14 +1,18 @@
 package evolve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/gene"
 	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
+	"repro/internal/rng"
 )
 
 // This file is the island model: a population split into independent
@@ -81,13 +85,7 @@ func (s IslandSpec) Validate() error {
 // stream, so island seeds never collide with study per-run seeds
 // derived from the same base.
 func IslandSeed(base uint64, island int) uint64 {
-	x := (base ^ 0x9E6C63D0876A9A35) + 0x9E3779B97F4A7C15*uint64(island+1)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return rng.Mix64((base ^ 0x9E6C63D0876A9A35) + 0x9E3779B97F4A7C15*uint64(island+1))
 }
 
 // Champion is an island's exported best genome at a migration barrier,
@@ -100,10 +98,10 @@ type Champion struct {
 	Genome  json.RawMessage `json:"genome"`
 }
 
-// MigrationPlan computes the ring migration for one barrier: island i
+// migrationPlan computes the ring migration for one barrier: island i
 // imports the champion of island (i-1+n) mod n. Every island must be
 // represented in champs exactly once.
-func MigrationPlan(champs []Champion, islands int) (map[int]Champion, error) {
+func migrationPlan(champs []Champion, islands int) (map[int]Champion, error) {
 	byIsland := make(map[int]Champion, len(champs))
 	for _, c := range champs {
 		if c.Island < 0 || c.Island >= islands {
@@ -150,11 +148,9 @@ type IslandRun struct {
 	Results        []IslandResult `json:"results"`
 }
 
-// AssembleRun builds the canonical IslandRun from per-island results
-// (any order; sorted by island here). Both the single-process reference
-// and the coordinator gathering results from workers assemble through
-// this one function.
-func AssembleRun(spec IslandSpec, results []IslandResult) *IslandRun {
+// assembleRun builds the canonical IslandRun from per-island results
+// (any order; sorted by island here).
+func assembleRun(spec IslandSpec, results []IslandResult) *IslandRun {
 	sort.Slice(results, func(i, j int) bool { return results[i].Island < results[j].Island })
 	run := &IslandRun{
 		Workload:       spec.Workload,
@@ -173,6 +169,20 @@ func AssembleRun(spec IslandSpec, results []IslandResult) *IslandRun {
 		}
 	}
 	return run
+}
+
+// IslandShard is a set of a run's islands that steps as one: an
+// in-process IslandGroup, or a worker's island session. DriveIslands
+// runs the segment loop over shards that together hold every island.
+type IslandShard interface {
+	// Step injects plan's migrants into the shard's islands when plan
+	// is not nil, then advances them to the target generation (a
+	// migration barrier or the final budget) and exports their
+	// champions. solved reports whether any of them reached its
+	// workload target during the segment.
+	Step(ctx context.Context, target int, plan map[int]Champion) (champs []Champion, solved bool, err error)
+	// Results returns the shard's finished islands.
+	Results(ctx context.Context) ([]IslandResult, error)
 }
 
 // IslandGroup drives a subset of a run's islands inside one process —
@@ -221,11 +231,14 @@ func NewIslandGroup(spec IslandSpec, islands []int) (*IslandGroup, error) {
 	return g, nil
 }
 
-// Step advances every island in the group to the target generation (a
-// migration barrier or the final budget) and exports their champions.
-// solved reports whether any island in the group reached its workload
-// target during this segment.
-func (g *IslandGroup) Step(ctx context.Context, target int) (champs []Champion, solved bool, err error) {
+// Step implements IslandShard: Inject when plan is not nil, then run
+// every island of the group to target.
+func (g *IslandGroup) Step(ctx context.Context, target int, plan map[int]Champion) (champs []Champion, solved bool, err error) {
+	if plan != nil {
+		if err := g.Inject(plan); err != nil {
+			return nil, false, err
+		}
+	}
 	for k, r := range g.Runners {
 		s, err := r.Run(ctx, target)
 		if err != nil {
@@ -263,9 +276,10 @@ func (g *IslandGroup) Inject(plan map[int]Champion) error {
 	return nil
 }
 
-// Results exports every island's outcome and releases the runners'
-// evaluation engines (a finished group is read-only).
-func (g *IslandGroup) Results() []IslandResult {
+// Results implements IslandShard: it exports every island's outcome
+// and releases the runners' evaluation engines (a finished group is
+// read-only).
+func (g *IslandGroup) Results(context.Context) ([]IslandResult, error) {
 	var out []IslandResult
 	for k, r := range g.Runners {
 		last := r.Last()
@@ -277,22 +291,22 @@ func (g *IslandGroup) Results() []IslandResult {
 			History:     r.History,
 		}
 		if ch := r.Champion(); ch != nil {
-			if raw, err := json.Marshal(ch); err == nil {
-				ir.Champion = raw
+			raw, err := json.Marshal(ch)
+			if err != nil {
+				return nil, fmt.Errorf("island %d: encode champion: %w", g.Islands[k], err)
 			}
+			ir.Champion = raw
 		}
 		out = append(out, ir)
 		r.ReleaseEvalState()
 	}
-	return out
+	return out, nil
 }
 
 // RunIslands is the single-process island-model reference: all islands
-// in one group, segment loop with ring migration at every barrier,
-// stopping at the first barrier where any island solved (champions are
-// not injected after the final segment). The distributed coordinator
-// replicates exactly this loop over worker RPCs; the differential test
-// pins the two byte-identical.
+// in one group, driven by DriveIslands — the loop the distributed
+// coordinator drives over worker sessions, so the two are
+// byte-identical.
 func RunIslands(ctx context.Context, spec IslandSpec) (*IslandRun, error) {
 	all := make([]int, spec.Islands)
 	for i := range all {
@@ -302,24 +316,66 @@ func RunIslands(ctx context.Context, spec IslandSpec) (*IslandRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DriveIslands(ctx, spec, []IslandShard{g})
+}
+
+// DriveIslands is the island model's segment loop over shards that
+// together hold every island of spec. It steps all shards concurrently
+// to the next migration barrier, computes the ring migration plan from
+// their champions and ships it with the next step, and stops at the
+// first barrier where any island solved (no migrants are injected
+// after the final segment) or at the budget. It then gathers the
+// islands' results and assembles the run. When shards fail, the
+// lowest-indexed shard's error is returned.
+func DriveIslands(ctx context.Context, spec IslandSpec, shards []IslandShard) (*IslandRun, error) {
+	champs := make([][]Champion, len(shards))
+	solved := make([]bool, len(shards))
+	var plan map[int]Champion
 	for target := min(spec.MigrationEvery, spec.Generations); ; {
-		champs, solved, err := g.Step(ctx, target)
+		err := eachShard(shards, func(k int, s IslandShard) (err error) {
+			champs[k], solved[k], err = s.Step(ctx, target, plan)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		if solved || target >= spec.Generations {
+		if slices.Contains(solved, true) || target >= spec.Generations {
 			break
 		}
-		plan, err := MigrationPlan(champs, spec.Islands)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Inject(plan); err != nil {
+		if plan, err = migrationPlan(slices.Concat(champs...), spec.Islands); err != nil {
 			return nil, err
 		}
 		target = min(target+spec.MigrationEvery, spec.Generations)
 	}
-	return AssembleRun(spec, g.Results()), nil
+	results := make([][]IslandResult, len(shards))
+	if err := eachShard(shards, func(k int, s IslandShard) (err error) {
+		results[k], err = s.Results(ctx)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	all := slices.Concat(results...)
+	if len(all) != spec.Islands {
+		return nil, fmt.Errorf("island: gathered %d of %d islands", len(all), spec.Islands)
+	}
+	return assembleRun(spec, all), nil
+}
+
+// eachShard calls f once per shard concurrently — shards computing in
+// parallel is the fleet's throughput win — and returns the
+// lowest-indexed shard's error.
+func eachShard(shards []IslandShard, f func(k int, s IslandShard) error) error {
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for k, s := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = f(k, s)
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 // ReplayIslandRecords streams the run's per-generation records in the

@@ -124,7 +124,7 @@ func TestMigrationPlanRing(t *testing.T) {
 		{Island: 1, Fitness: 2, Genome: json.RawMessage(`{"id":1}`)},
 		{Island: 2, Fitness: 3, Genome: json.RawMessage(`{"id":2}`)},
 	}
-	plan, err := MigrationPlan(champs, 3)
+	plan, err := migrationPlan(champs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,20 +134,20 @@ func TestMigrationPlanRing(t *testing.T) {
 			t.Fatalf("island %d receives champion of %d, want %d", dest, ch.Island, want)
 		}
 	}
-	if _, err := MigrationPlan(champs[:2], 3); err == nil {
+	if _, err := migrationPlan(champs[:2], 3); err == nil {
 		t.Fatal("incomplete champion set accepted")
 	}
 	dup := append([]Champion(nil), champs...)
 	dup[1].Island = 0
-	if _, err := MigrationPlan(dup, 3); err == nil {
+	if _, err := migrationPlan(dup, 3); err == nil {
 		t.Fatal("duplicate island accepted")
 	}
 }
 
-// TestIslandGroupStepInjectRoundTrip drives two half-groups manually
-// through the same segment loop RunIslands uses and checks the result
-// matches the reference — the in-process form of the distributed
-// coordinator's contract.
+// TestIslandGroupSplitMatchesReference drives two half-groups through
+// DriveIslands and checks the result matches the single-group
+// reference — the in-process form of the distributed coordinator's
+// contract.
 func TestIslandGroupSplitMatchesReference(t *testing.T) {
 	spec := islandSpec()
 	want, err := RunIslands(context.Background(), spec)
@@ -163,32 +163,10 @@ func TestIslandGroupSplitMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for target := min(spec.MigrationEvery, spec.Generations); ; {
-		ca, sa, err := ga.Step(ctx, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb, sb, err := gb.Step(ctx, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa || sb || target >= spec.Generations {
-			break
-		}
-		plan, err := MigrationPlan(append(ca, cb...), spec.Islands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ga.Inject(plan); err != nil {
-			t.Fatal(err)
-		}
-		if err := gb.Inject(plan); err != nil {
-			t.Fatal(err)
-		}
-		target = min(target+spec.MigrationEvery, spec.Generations)
+	got, err := DriveIslands(context.Background(), spec, []IslandShard{ga, gb})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := AssembleRun(spec, append(ga.Results(), gb.Results()...))
 
 	jw, _ := json.Marshal(want)
 	jg, _ := json.Marshal(got)

@@ -39,8 +39,9 @@ func (r *Runner) RefineBest(trials int, seed uint64) (RefineResult, error) {
 
 // refine hill-climbs one genome's connection weights. It runs on the
 // pool's first worker slot (creating it if evaluation has not run yet),
-// compiling each trial directly — the phenotype changes every trial, so
-// the reuse cache is deliberately bypassed — and bumps the genome's
+// compiling each trial with the runner's builder — the phenotype
+// changes every trial, so the reuse cache is deliberately bypassed —
+// and bumps the genome's
 // version stamp whenever a refined weight is kept, so the cache never
 // serves the pre-refinement phenotype for this genome.
 func (r *Runner) refine(g *gene.Genome, trials int, seed uint64) (RefineResult, error) {
@@ -62,7 +63,7 @@ func (r *Runner) refine(g *gene.Genome, trials int, seed uint64) (RefineResult, 
 		i := prng.Intn(len(g.Conns))
 		old := g.Conns[i].Weight
 		delta := prng.NormFloat64() * 0.3
-		g.Conns[i].Weight = clampWeight(old + delta)
+		g.Conns[i].Weight = gene.ClampAttr(old + delta)
 
 		ev := r.refineEval(w, g)
 		if ev.err != nil {
@@ -81,25 +82,12 @@ func (r *Runner) refine(g *gene.Genome, trials int, seed uint64) (RefineResult, 
 	return res, nil
 }
 
-// refineEval compiles g with the worker's builder (no cache) and scores
-// it.
+// refineEval compiles g with the runner's builder (no cache) and scores
+// it on w.
 func (r *Runner) refineEval(w *evalWorker, g *gene.Genome) evalResult {
-	net, err := w.builder.Build(g)
+	net, err := r.builder.Build(g)
 	if err != nil {
 		return evalResult{err: err}
 	}
 	return r.runEpisodes(net, w.env, w.shaper, g)
-}
-
-// clampWeight keeps refined weights in the hardware-representable
-// range.
-func clampWeight(v float64) float64 {
-	const lim = gene.AttrLimit
-	if v >= lim {
-		return lim - 1.0/(1<<12)
-	}
-	if v < -lim {
-		return -lim
-	}
-	return v
 }

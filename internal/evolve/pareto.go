@@ -57,13 +57,10 @@ var paretoObjectives = map[string]paretoObjective{
 	},
 }
 
-// DefaultParetoObjectives is the canonical three-axis vector: task
-// fitness up, genome complexity down, simulated chip energy down.
+// DefaultParetoObjectives is the canonical three-axis vector, which
+// is every supported axis in canonical order: task fitness up, genome
+// complexity down, simulated chip energy down.
 func DefaultParetoObjectives() []string { return []string{"fitness", "genes", "energy"} }
-
-// ParetoObjectiveNames lists every supported objective axis, in
-// canonical order.
-func ParetoObjectiveNames() []string { return []string{"fitness", "genes", "energy"} }
 
 // ResolveObjectives validates a requested objective vector (known
 // names, no duplicates, at least two axes — one axis is the scalar
@@ -79,7 +76,7 @@ func ResolveObjectives(names []string) ([]moea.Objective, error) {
 	for _, n := range names {
 		def, ok := paretoObjectives[n]
 		if !ok {
-			return nil, fmt.Errorf("pareto: unknown objective %q (have %v)", n, ParetoObjectiveNames())
+			return nil, fmt.Errorf("pareto: unknown objective %q (have %v)", n, DefaultParetoObjectives())
 		}
 		if seen[n] {
 			return nil, fmt.Errorf("pareto: duplicate objective %q", n)

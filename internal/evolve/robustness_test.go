@@ -38,7 +38,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: checkpoint every generation, stop at the cut.
+	// Interrupted run: checkpoint every generation and die one
+	// generation past the cut, before that generation's checkpoint. Run
+	// saves none at its own budget, so the file holds the cut.
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "mountaincar.ckpt")
 	b1, err := NewRunner("mountaincar", smallConfig(), seed)
@@ -47,12 +49,12 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	b1.CheckpointPath = ckpt
 	b1.CheckpointEvery = 1
-	solvedEarly, err := b1.Run(ctx, cut)
+	solvedEarly, err := b1.Run(ctx, cut+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if solvedEarly {
-		t.Fatalf("seed %d solves before generation %d; pick a harder seed", seed, cut)
+		t.Fatalf("seed %d solves before generation %d; pick a harder seed", seed, cut+1)
 	}
 
 	// Fresh process: restore and finish the budget.
@@ -107,6 +109,53 @@ func TestRunCancelledSavesCheckpoint(t *testing.T) {
 	}
 	if _, resumed, err := ResumeRunner("cartpole", smallConfig(), 5, ckpt); err != nil || !resumed {
 		t.Fatalf("cancellation checkpoint not restorable: resumed=%v err=%v", resumed, err)
+	}
+}
+
+// TestRunSavesNoCheckpointAtBudget: a run that ends at its budget
+// unsolved leaves no checkpoint, whether the last boundary is a
+// periodic checkpoint or has a request pending. A crash between such a
+// save and the caller's cleanup would resume a finished run.
+func TestRunSavesNoCheckpointAtBudget(t *testing.T) {
+	const seed, budget = 13, 2
+	for _, tc := range []struct {
+		name    string
+		every   int
+		request bool
+	}{
+		{"periodic", budget, false},
+		{"requested", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRunner("mountaincar", smallConfig(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.CheckpointPath = filepath.Join(t.TempDir(), "budget.ckpt")
+			r.CheckpointEvery = tc.every
+			ctx := context.Background()
+			if tc.request {
+				// Step to the last boundary, then ask: the request is
+				// pending when Run reaches the budget.
+				if _, err := r.Run(ctx, budget-1); err != nil {
+					t.Fatal(err)
+				}
+				r.RequestCheckpoint()
+			}
+			solved, err := r.Run(ctx, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if solved {
+				t.Fatalf("seed %d solves within %d generations; pick a harder seed", seed, budget)
+			}
+			if r.Pop.Generation != budget {
+				t.Fatalf("run stopped at generation %d, budget %d", r.Pop.Generation, budget)
+			}
+			if _, err := os.Stat(r.CheckpointPath); !os.IsNotExist(err) {
+				t.Fatalf("checkpoint at the budget boundary (stat: %v)", err)
+			}
+		})
 	}
 }
 

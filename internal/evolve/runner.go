@@ -150,12 +150,14 @@ type Runner struct {
 	batchWidth int
 
 	// workers is the persistent population-level-parallelism pool: one
-	// slot per evaluation worker, each owning an environment instance, a
-	// reward shaper, and a compile Builder scratch. Slots are created
-	// lazily on the first EvaluateGeneration and live for the runner's
-	// lifetime, so generations after the first pay no environment
-	// construction or compile-scratch allocation.
+	// slot per evaluation worker, each owning an environment instance
+	// and a reward shaper. Slots are created lazily on the first
+	// EvaluateGeneration and live for the runner's lifetime, so
+	// generations after the first pay no environment construction.
 	workers []*evalWorker
+	// builder is the compile scratch of formGroups and refine, which
+	// both run on the runner's own goroutine.
+	builder network.Builder
 	// phenos caches compiled phenotypes across generations keyed on the
 	// genome version stamp — the software form of the paper's
 	// genome-level reuse: elites and champions carry their parent's
@@ -172,14 +174,12 @@ type Runner struct {
 }
 
 // evalWorker is one persistent slot of the evaluation pool. The first
-// three fields run per-episode jobs (groups too small to batch) and,
-// on worker 0, compile the population; the rest are the batch engine's
-// per-worker resources, created lazily by ensureBatch and reused
-// across generations (zero-alloc steady state).
+// two fields run per-episode jobs (groups too small to batch); the rest
+// are the batch engine's per-worker resources, created lazily by
+// ensureBatch and reused across generations (zero-alloc steady state).
 type evalWorker struct {
-	env     env.Env
-	shaper  Shaper
-	builder *network.Builder
+	env    env.Env
+	shaper Shaper
 
 	// laneSets holds the batch rollout state (vectorized env + planes)
 	// per quantized lane width; widths recur across generations, so the
@@ -234,20 +234,19 @@ func RestoreRunner(workloadName string, data []byte, seed uint64) (*Runner, erro
 
 // ResumeRunner is RestoreRunner over the checkpoint file at path when
 // one exists, and NewRunner otherwise (an empty path included);
-// resumed reports which.
+// resumed reports which. A checkpoint that does not restore is removed
+// and the run starts fresh: kept, it would fail every retry of its key
+// until garbage collection aged it out, and the run is deterministic,
+// so recomputing it costs time but never changes the result.
 func ResumeRunner(workloadName string, cfg neat.Config, seed uint64, path string) (r *Runner, resumed bool, err error) {
-	if _, serr := os.Stat(path); serr != nil {
-		r, err = NewRunner(workloadName, cfg, seed)
-		return r, false, err
+	if data, rerr := os.ReadFile(path); rerr == nil {
+		if r, err = RestoreRunner(workloadName, data, seed); err == nil {
+			return r, true, nil
+		}
+		os.Remove(path)
 	}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		r, err = RestoreRunner(workloadName, data, seed)
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("restore checkpoint %s: %w", path, err)
-	}
-	return r, true, nil
+	r, err = NewRunner(workloadName, cfg, seed)
+	return r, false, err
 }
 
 // newRunner wires a runner and its op-count recorder around pop.
@@ -275,18 +274,14 @@ type evalResult struct {
 }
 
 // ensureWorkers grows the persistent pool to at least n slots, building
-// each new slot's environment, shaper, and compile scratch once.
+// each new slot's environment and shaper once.
 func (r *Runner) ensureWorkers(n int) error {
 	for len(r.workers) < n {
 		e, err := env.New(r.Workload.EnvName)
 		if err != nil {
 			return err
 		}
-		r.workers = append(r.workers, &evalWorker{
-			env:     e,
-			shaper:  r.Workload.NewShaper(),
-			builder: new(network.Builder),
-		})
+		r.workers = append(r.workers, &evalWorker{env: e, shaper: r.Workload.NewShaper()})
 	}
 	return nil
 }
@@ -298,8 +293,9 @@ func (r *Runner) PhenoCache() *network.Cache { return &r.phenos }
 // ReleaseEvalState drops the runner's evaluation machinery — the
 // persistent worker pool with its environments, batch planes, lane
 // sets, and network slots; the compiled-phenotype cache; and the
-// dispatch/group scratch — while leaving the result surface (History,
-// Pop, ScoreGenome, the trace already recorded) fully usable.
+// compile, dispatch and group scratch — while leaving the result
+// surface (History, Pop, ScoreGenome, the trace already recorded)
+// fully usable.
 // Everything released here is rebuilt lazily if the runner evaluates
 // again, so the only cost of calling it too eagerly is a warm-up
 // generation. Long-lived caches of finished runs call this so a
@@ -309,6 +305,7 @@ func (r *Runner) PhenoCache() *network.Cache { return &r.phenos }
 // into a scan of dead scratch.
 func (r *Runner) ReleaseEvalState() {
 	r.workers = nil
+	r.builder = network.Builder{}
 	r.phenos.Reset()
 	r.perEpScratch = nil
 	r.jobScratch = nil
@@ -347,23 +344,18 @@ func (r *Runner) ScoreGenome(ctx context.Context, g *gene.Genome) (fitness float
 }
 
 // safeEvaluateEpisode runs one per-episode job — a (genome, episode)
-// unit of a topology group too small to batch — and shields the worker
-// pool from a panicking fitness evaluation: the panic surfaces as that
-// episode's evaluation error instead of unwinding the worker goroutine
-// and killing the process. It compiles the genome through the reuse
-// cache, so an unchanged elite costs two buffer allocations instead of
-// a rebuild.
-func (r *Runner) safeEvaluateEpisode(w *evalWorker, g *gene.Genome, ep int) (res evalResult) {
+// unit of a topology group too small to batch — on the program
+// formGroups fetched for the genome, and shields the worker pool from a
+// panicking fitness evaluation: the panic surfaces as that episode's
+// evaluation error instead of unwinding the worker goroutine and
+// killing the process.
+func (r *Runner) safeEvaluateEpisode(w *evalWorker, g *gene.Genome, prog network.Program, ep int) (res evalResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = evalResult{err: fmt.Errorf("genome %d: evaluation panic: %v", g.ID, p)}
 		}
 	}()
-	net, err := r.phenos.Get(w.builder, g)
-	if err != nil {
-		return evalResult{err: fmt.Errorf("genome %d: %w", g.ID, err)}
-	}
-	return r.runEpisode(net, w.env, w.shaper, g, ep)
+	return r.runEpisode(prog.Instantiate(), w.env, w.shaper, g, ep)
 }
 
 // runEpisode scores one compiled phenotype over one workload episode.
@@ -573,9 +565,12 @@ func (r *Runner) Run(ctx context.Context, maxGenerations int) (bool, error) {
 		if st.Solved {
 			return true, nil
 		}
+		// No checkpoint at the budget: the run is over, and the caller
+		// deletes the file once the result is safe. One saved there
+		// would, after a crash before that, resume a finished run.
 		periodic := r.CheckpointEvery > 0 && r.Pop.Generation%r.CheckpointEvery == 0
 		requested := r.ckptReq.Swap(false)
-		if r.CheckpointPath != "" && (periodic || requested) {
+		if r.CheckpointPath != "" && r.Pop.Generation < maxGenerations && (periodic || requested) {
 			if err := r.checkpoint(); err != nil {
 				return false, fmt.Errorf("checkpoint: %w", err)
 			}

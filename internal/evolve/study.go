@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -38,13 +39,7 @@ type Study struct {
 // mix decorrelates every (base, run) pair while staying a pure
 // function of both, so studies remain reproducible.
 func RunSeed(base uint64, run int) uint64 {
-	x := base + 0x9E3779B97F4A7C15*uint64(run+1)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return rng.Mix64(base + 0x9E3779B97F4A7C15*uint64(run+1))
 }
 
 // StudyOptions tunes RunStudyContext beyond the required parameters.

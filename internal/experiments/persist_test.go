@@ -177,6 +177,50 @@ func TestStoreSkipsResumedRuns(t *testing.T) {
 	}
 }
 
+// TestUnreadableCheckpointRecomputes: a checkpoint that does not
+// restore never fails its key. The run starts fresh, matches an
+// uninterrupted run, commits to the store, and the file is removed.
+func TestUnreadableCheckpointRecomputes(t *testing.T) {
+	ResetCaches()
+	ref, err := RunShared(persistReq(777006))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHist, err := json.Marshal(ref.Runner.History)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := withTestStore(t, store.Config{})
+	ResetCaches()
+	req := persistReq(777006)
+	req.CheckpointPath = filepath.Join(t.TempDir(), "garbage.ckpt")
+	req.CheckpointEvery = 1
+	if err := os.WriteFile(req.CheckpointPath, []byte(`{"generation":3,"genomes":[{"id":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunShared(req)
+	if err != nil {
+		t.Fatalf("unreadable checkpoint failed the run: %v", err)
+	}
+	if got.Resumed {
+		t.Fatal("run reports resuming from an unreadable checkpoint")
+	}
+	gotHist, err := json.Marshal(got.Runner.History)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotHist) != string(wantHist) {
+		t.Fatalf("history differs from the uninterrupted run:\n%s\n%s", gotHist, wantHist)
+	}
+	if !s.Has(store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777006}) {
+		t.Fatal("recomputed run was not committed")
+	}
+	if _, err := os.Stat(req.CheckpointPath); !os.IsNotExist(err) {
+		t.Fatalf("unreadable checkpoint left behind (stat: %v)", err)
+	}
+}
+
 // TestPhasesChargeCheckpointAndCommit: a checkpointed computation
 // charges its checkpoints and its store commit to the request's phase
 // counters; a memory hit and a store hit of the same run charge

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hw/energy"
 	"repro/internal/hw/fault"
 	"repro/internal/hw/soc"
+	"repro/internal/rng"
 )
 
 func init() {
@@ -188,11 +189,6 @@ func corruptWeights(g *gene.Genome, rate float64, seed uint64) (*gene.Genome, in
 // weightDraw yields the strike decision and bit position for one
 // weight: a splitmix64 finalizer, uniform in [0,1) plus a bit index.
 func weightDraw(seed, i uint64) (float64, uint) {
-	x := seed ^ 0xA3EC647659359ACD ^ i*0xD1B54A32D192ED03
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := rng.Mix64(seed ^ 0xA3EC647659359ACD ^ i*0xD1B54A32D192ED03)
 	return float64(x>>11) / (1 << 53), uint(x & 63)
 }

@@ -43,6 +43,19 @@ const (
 	AttrLimit = 8.0
 )
 
+// ClampAttr bounds an attribute into [-AttrLimit, AttrLimit), the range
+// the packed fields represent: the "Limit" half of the perturbation
+// engine's "Limit & Quantize" block.
+func ClampAttr(v float64) float64 {
+	if v >= AttrLimit {
+		return AttrLimit - 1.0/(1<<12)
+	}
+	if v < -AttrLimit {
+		return -AttrLimit
+	}
+	return v
+}
+
 // MaxNodeID is the largest node id representable in the 16-bit id fields.
 const MaxNodeID = 1<<16 - 1
 

@@ -57,6 +57,21 @@ func TestQuantizeClamping(t *testing.T) {
 	}
 }
 
+func TestClampAttr(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{
+		{100, AttrLimit - 1.0/(1<<12)},
+		{AttrLimit, AttrLimit - 1.0/(1<<12)},
+		{AttrLimit - 1e-9, AttrLimit - 1e-9},
+		{1.5, 1.5},
+		{-AttrLimit, -AttrLimit},
+		{-100, -AttrLimit},
+	} {
+		if got := ClampAttr(c.in); got != c.want {
+			t.Fatalf("ClampAttr(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
 func TestQuantizeIdempotent(t *testing.T) {
 	for _, v := range []float64{0, 0.1, -3.7, 7.99, -8} {
 		q := Quantize(v)

@@ -203,17 +203,17 @@ func (p *pe) perturb(g gene.Gene) gene.Gene {
 	if g.Kind == gene.KindNode {
 		if g.Type != gene.Input {
 			if draw(p.prng, p.cfg.PerturbProb) {
-				g.Bias = gene.Quantize(clampAttr(g.Bias + p.mutVal(p.cfg.PerturbScale)))
+				g.Bias = gene.Quantize(gene.ClampAttr(g.Bias + p.mutVal(p.cfg.PerturbScale)))
 				touched = true
 			}
 			if draw(p.prng, p.cfg.PerturbProb) {
-				g.Response = gene.Quantize(clampAttr(g.Response + p.mutVal(p.cfg.PerturbScale)))
+				g.Response = gene.Quantize(gene.ClampAttr(g.Response + p.mutVal(p.cfg.PerturbScale)))
 				touched = true
 			}
 		}
 	} else {
 		if draw(p.prng, p.cfg.PerturbProb) {
-			g.Weight = gene.Quantize(clampAttr(g.Weight + p.mutVal(p.cfg.PerturbScale)))
+			g.Weight = gene.Quantize(gene.ClampAttr(g.Weight + p.mutVal(p.cfg.PerturbScale)))
 			touched = true
 		}
 		if draw(p.prng, p.cfg.PerturbProb) {
@@ -225,18 +225,6 @@ func (p *pe) perturb(g gene.Gene) gene.Gene {
 		p.stats.Perturbs++
 	}
 	return g
-}
-
-// clampAttr bounds a perturbed attribute into the representable range.
-func clampAttr(v float64) float64 {
-	const lim = gene.AttrLimit
-	if v >= lim {
-		return lim - 1.0/(1<<12)
-	}
-	if v < -lim {
-		return -lim
-	}
-	return v
 }
 
 // deleteStage is stage 3: node deletion (threshold-guarded, id stored

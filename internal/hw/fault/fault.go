@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hw/hwsim"
+	"repro/internal/rng"
 )
 
 // ECC selects the genome-buffer protection scheme.
@@ -192,12 +193,7 @@ func (p *Plan) EvECounters() *hwsim.Counters { return p.eveC }
 // uniform returns a deterministic draw in [0, 1) for event i of the
 // given stream: a splitmix64 finalizer over (seed, stream, index).
 func (p *Plan) uniform(stream, i uint64) float64 {
-	x := p.cfg.Seed ^ stream*0x9E3779B97F4A7C15 ^ i*0xD1B54A32D192ED03
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := rng.Mix64(p.cfg.Seed ^ stream*0x9E3779B97F4A7C15 ^ i*0xD1B54A32D192ED03)
 	return float64(x>>11) / (1 << 53)
 }
 

@@ -55,11 +55,11 @@ func (m *mutator) perturb(g *gene.Genome) {
 		}
 		touched := false
 		if r.Bool(cfg.BiasMutateRate) {
-			n.Bias = clampAttr(n.Bias + r.NormFloat64()*cfg.BiasPerturbPower)
+			n.Bias = gene.ClampAttr(n.Bias + r.NormFloat64()*cfg.BiasPerturbPower)
 			touched = true
 		}
 		if r.Bool(cfg.ResponseMutateRate) {
-			n.Response = clampAttr(n.Response + r.NormFloat64()*cfg.ResponsePerturbPower)
+			n.Response = gene.ClampAttr(n.Response + r.NormFloat64()*cfg.ResponsePerturbPower)
 			touched = true
 		}
 		if r.Bool(cfg.ActivationMutateRate) {
@@ -80,9 +80,9 @@ func (m *mutator) perturb(g *gene.Genome) {
 		touched := false
 		if r.Bool(cfg.WeightMutateRate) {
 			if r.Bool(cfg.WeightReplaceRate) {
-				c.Weight = clampAttr(r.NormFloat64() * cfg.WeightInitPower)
+				c.Weight = gene.ClampAttr(r.NormFloat64() * cfg.WeightInitPower)
 			} else {
-				c.Weight = clampAttr(c.Weight + r.NormFloat64()*cfg.WeightPerturbPower)
+				c.Weight = gene.ClampAttr(c.Weight + r.NormFloat64()*cfg.WeightPerturbPower)
 			}
 			touched = true
 		}
@@ -98,18 +98,6 @@ func (m *mutator) perturb(g *gene.Genome) {
 	if changed {
 		g.BumpVersion()
 	}
-}
-
-// clampAttr keeps attributes inside the hardware-representable range.
-func clampAttr(v float64) float64 {
-	const lim = gene.AttrLimit
-	if v >= lim {
-		return lim - 1.0/(1<<12)
-	}
-	if v < -lim {
-		return -lim
-	}
-	return v
 }
 
 // deleteGenes is the delete-gene engine stage: with the configured
@@ -247,7 +235,7 @@ func (m *mutator) addConn(g *gene.Genome) {
 		if m.cfg.FeedForwardOnly && cycleSearch(g, src, dst, s) {
 			continue
 		}
-		c := gene.NewConn(src, dst, clampAttr(r.NormFloat64()*m.cfg.WeightInitPower))
+		c := gene.NewConn(src, dst, gene.ClampAttr(r.NormFloat64()*m.cfg.WeightInitPower))
 		g.PutConn(c)
 		m.ops[OpAddConn]++
 		return

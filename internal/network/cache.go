@@ -12,11 +12,11 @@ import (
 // elites, champions, and unmutated clones carry their parent's stamp,
 // so their phenotypes are served from the cache instead of being
 // recompiled every generation. Programs are immutable, so a cached
-// entry can back concurrent evaluations; Get hands each caller a fresh
-// lightweight instance (two float slices) around the shared program.
+// entry can back concurrent evaluations, each on its own lightweight
+// instance (Program.Instantiate: two float slices).
 //
-// The zero value is ready to use. Get is safe for concurrent use; Sweep
-// must not race with Get (call it between generations).
+// The zero value is ready to use. GetProgram is safe for concurrent
+// use; Sweep must not race with it (call it between generations).
 type Cache struct {
 	mu      sync.Mutex
 	entries map[int64]*cacheEntry
@@ -31,39 +31,11 @@ type cacheEntry struct {
 	used bool
 }
 
-// Get returns an evaluable instance of the genome's compiled phenotype,
-// compiling with b on a miss. Concurrent misses on the same stamp may
-// compile twice; both results are identical, so the duplicate work is
-// harmless and the window is one generation at most.
-func (c *Cache) Get(b *Builder, g *gene.Genome) (*Network, error) {
-	v := g.Version()
-	c.mu.Lock()
-	if e, ok := c.entries[v]; ok {
-		e.used = true
-		c.hits++
-		c.mu.Unlock()
-		return e.prog.instantiate(), nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	n, err := b.Build(g)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[int64]*cacheEntry)
-	}
-	c.entries[v] = &cacheEntry{prog: n.prog, used: true}
-	c.mu.Unlock()
-	return n, nil
-}
-
 // GetProgram returns the genome's compiled program as a shared
-// immutable handle, compiling with b on a miss. Unlike Get it performs
-// no per-call instance allocation — the batch engine's fetch path,
-// where lanes are loaded from Programs and scalar state is never built.
+// immutable handle, compiling with b on a miss; callers that need
+// scalar evaluation state Instantiate it. Concurrent misses on the same
+// stamp may compile twice; both results are identical, so the
+// duplicate work is harmless and the window is one generation at most.
 func (c *Cache) GetProgram(b *Builder, g *gene.Genome) (Program, error) {
 	v := g.Version()
 	c.mu.Lock()
@@ -107,8 +79,8 @@ func (c *Cache) Sweep() {
 
 // Reset drops every cached program, releasing the compiled phenotypes
 // for collection. The hit/miss counters survive (they describe the
-// run, not the live set). Like Sweep it must not race with Get; call
-// it only once evaluation has stopped.
+// run, not the live set). Like Sweep it must not race with
+// GetProgram; call it only once evaluation has stopped.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	c.entries = nil

@@ -6,29 +6,39 @@ import (
 	"repro/internal/gene"
 )
 
+// getNet fetches g's program through c and instantiates it, as the
+// evaluator's per-episode jobs do.
+func getNet(c *Cache, b *Builder, g *gene.Genome) (*Network, error) {
+	pr, err := c.GetProgram(b, g)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Instantiate(), nil
+}
+
 func TestCacheHitOnClone(t *testing.T) {
 	g := xorGenome()
 	var c Cache
 	var b Builder
 
-	n1, err := c.Get(&b, g)
+	n1, err := getNet(&c, &b, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h, m := c.Stats(); h != 0 || m != 1 {
-		t.Fatalf("after first Get: hits=%d misses=%d, want 0/1", h, m)
+		t.Fatalf("after first fetch: hits=%d misses=%d, want 0/1", h, m)
 	}
 
 	// A clone carries the parent's version stamp — the genome-level
 	// reuse case (elite copied into the next generation).
 	clone := g.Clone()
 	clone.ID = 999
-	n2, err := c.Get(&b, clone)
+	n2, err := getNet(&c, &b, clone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h, m := c.Stats(); h != 1 || m != 1 {
-		t.Fatalf("after clone Get: hits=%d misses=%d, want 1/1", h, m)
+		t.Fatalf("after clone fetch: hits=%d misses=%d, want 1/1", h, m)
 	}
 	if n1.prog != n2.prog {
 		t.Fatal("clone did not share the cached program")
@@ -56,7 +66,7 @@ func TestCacheMissAfterMutation(t *testing.T) {
 	g := xorGenome()
 	var c Cache
 	var b Builder
-	if _, err := c.Get(&b, g); err != nil {
+	if _, err := getNet(&c, &b, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +79,7 @@ func TestCacheMissAfterMutation(t *testing.T) {
 	if mutated.Version() == g.Version() {
 		t.Fatal("mutation did not bump the version stamp")
 	}
-	if _, err := c.Get(&b, mutated); err != nil {
+	if _, err := getNet(&c, &b, mutated); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := c.Stats(); h != 0 || m != 2 {
@@ -77,8 +87,8 @@ func TestCacheMissAfterMutation(t *testing.T) {
 	}
 
 	// The two compiled phenotypes must actually differ.
-	n1, _ := c.Get(&b, g)
-	n2, _ := c.Get(&b, mutated)
+	n1, _ := getNet(&c, &b, g)
+	n2, _ := getNet(&c, &b, mutated)
 	o1, err := n1.Feed([]float64{1, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -97,10 +107,10 @@ func TestCacheSweepEvictsUntouched(t *testing.T) {
 	g2.ID = 2
 	var c Cache
 	var b Builder
-	if _, err := c.Get(&b, g1); err != nil {
+	if _, err := getNet(&c, &b, g1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(&b, g2); err != nil {
+	if _, err := getNet(&c, &b, g2); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -112,14 +122,14 @@ func TestCacheSweepEvictsUntouched(t *testing.T) {
 		t.Fatalf("after first sweep Len=%d, want 2", c.Len())
 	}
 
-	if _, err := c.Get(&b, g1); err != nil { // touch only g1
+	if _, err := getNet(&c, &b, g1); err != nil { // touch only g1
 		t.Fatal(err)
 	}
 	c.Sweep()
 	if c.Len() != 1 {
 		t.Fatalf("after second sweep Len=%d, want 1 (g2 evicted)", c.Len())
 	}
-	if _, err := c.Get(&b, g1); err != nil {
+	if _, err := getNet(&c, &b, g1); err != nil {
 		t.Fatal(err)
 	}
 	if h, _ := c.Stats(); h != 2 {
@@ -141,7 +151,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 
 	var c Cache
 	var b Builder
-	if _, err := c.Get(&b, g); err == nil {
+	if _, err := getNet(&c, &b, g); err == nil {
 		t.Fatal("cyclic genome compiled")
 	}
 	if c.Len() != 0 {

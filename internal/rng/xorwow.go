@@ -31,16 +31,22 @@ func New(seed uint64) *XorWow {
 	return g
 }
 
+// Mix64 is the splitmix64 finalizer: a bijection of x whose outputs
+// for nearby inputs are uncorrelated. Callers form x from their own
+// seed and salted index; the finalizer is the shared part.
+func Mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
 // Seed resets the generator state from a 64-bit seed.
 func (g *XorWow) Seed(seed uint64) {
 	s := seed
 	next := func() uint32 {
 		// splitmix64 step, truncated to 32 bits.
 		s += 0x9E3779B97F4A7C15
-		z := s
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return uint32(z ^ (z >> 31))
+		return uint32(Mix64(s))
 	}
 	g.x, g.y, g.z, g.w, g.v = next(), next(), next(), next(), next()
 	// Guard against the (astronomically unlikely) all-zero xorshift state.

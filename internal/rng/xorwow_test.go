@@ -16,6 +16,17 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestMix64KnownValues pins the finalizer to the reference splitmix64:
+// its first two outputs from state 0.
+func TestMix64KnownValues(t *testing.T) {
+	const golden = 0x9E3779B97F4A7C15
+	for i, want := range []uint64{0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4} {
+		if got := Mix64(golden * uint64(i+1)); got != want {
+			t.Fatalf("output %d: %#x, want %#x", i, got, want)
+		}
+	}
+}
+
 func TestSeedChangesStream(t *testing.T) {
 	a := New(1)
 	b := New(2)

@@ -34,9 +34,6 @@ type Dispatcher struct {
 	Members *cluster.Membership
 	// HTTP is the transport to workers; nil means http.DefaultClient.
 	HTTP *http.Client
-	// MaxAttempts bounds one job's dispatch attempts across worker
-	// deaths; 0 means 4.
-	MaxAttempts int
 
 	init     sync.Once
 	counters *hwsim.Counters
@@ -66,6 +63,10 @@ type liveDispatch struct {
 	rebalanced atomic.Bool
 }
 
+// dispatchAttempts bounds one job's dispatch attempts across worker
+// deaths and rebalances.
+const dispatchAttempts = 4
+
 // errRebalanced marks a dispatch attempt ended by the coordinator
 // cancelling a still-queued remote job whose consistent-hash owner
 // changed (a new worker joined). The dispatch loop retries on the new
@@ -86,13 +87,6 @@ func (d *Dispatcher) http() *http.Client {
 		return d.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (d *Dispatcher) attempts() int {
-	if d.MaxAttempts > 0 {
-		return d.MaxAttempts
-	}
-	return 4
 }
 
 // Counters exposes the dispatcher's cluster registry; the scheduler
@@ -246,7 +240,7 @@ func (d *Dispatcher) dispatch(ctx context.Context, j *Job, sink hwsim.Sink) (Out
 	forwarded := 0
 	var best float64
 	var lastErr error
-	for attempt := 0; attempt < d.attempts(); attempt++ {
+	for attempt := 0; attempt < dispatchAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
@@ -278,7 +272,7 @@ func (d *Dispatcher) dispatch(ctx context.Context, j *Job, sink hwsim.Sink) (Out
 		d.Members.ReportFailure(owner.ID)
 		d.ctr.AddInt("redispatched", 1)
 	}
-	return Outcome{}, fmt.Errorf("serve: dispatch failed after %d attempts: %w", d.attempts(), lastErr)
+	return Outcome{}, fmt.Errorf("serve: dispatch failed after %d attempts: %w", dispatchAttempts, lastErr)
 }
 
 // runOn executes the job on one worker: submit, watch the stream to
@@ -377,7 +371,7 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 // coordinator finishes the run itself.
 func (d *Dispatcher) runIslandsOnFleet(ctx context.Context, spec evolve.IslandSpec, session string) (*evolve.IslandRun, error) {
 	var lastErr error
-	for attempt := 0; attempt < d.attempts(); attempt++ {
+	for attempt := 0; attempt < dispatchAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -402,5 +396,5 @@ func (d *Dispatcher) runIslandsOnFleet(ctx context.Context, spec evolve.IslandSp
 		d.Members.ReportFailure(shard.Member.ID)
 		d.ctr.AddInt("redispatched", 1)
 	}
-	return nil, fmt.Errorf("serve: island dispatch failed after %d attempts: %w", d.attempts(), lastErr)
+	return nil, fmt.Errorf("serve: island dispatch failed after %d attempts: %w", dispatchAttempts, lastErr)
 }

@@ -25,14 +25,14 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth. 0 means 5s.
 	MaxDelay time.Duration
-	// Jitter spreads each delay uniformly within ±Jitter fraction.
-	// 0 means 0.2; negative disables.
-	Jitter float64
 
 	// Test seams: deterministic jitter and instant sleeps.
 	rand  func() float64
 	sleep func(context.Context, time.Duration) error
 }
+
+// retryJitter spreads each backoff uniformly within ±20%.
+const retryJitter = 0.2
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay <= 0 {
@@ -40,9 +40,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 5 * time.Second
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
 	}
 	if p.rand == nil {
 		p.rand = rand.Float64
@@ -65,7 +62,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // delay computes the backoff before retry `attempt` (1-based): capped
-// exponential with jitter, floored by a shed response's Retry-After.
+// exponential with ±retryJitter jitter, floored by a shed response's
+// Retry-After.
 func (p RetryPolicy) delay(attempt int, err error) time.Duration {
 	d := p.BaseDelay
 	for i := 1; i < attempt && d < p.MaxDelay; i++ {
@@ -74,9 +72,7 @@ func (p RetryPolicy) delay(attempt int, err error) time.Duration {
 	if d > p.MaxDelay {
 		d = p.MaxDelay
 	}
-	if p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 + p.Jitter*(2*p.rand()-1)))
-	}
+	d = time.Duration(float64(d) * (1 + retryJitter*(2*p.rand()-1)))
 	var shed *ShedError
 	if errors.As(err, &shed) && shed.RetryAfter > 0 {
 		if ra := time.Duration(shed.RetryAfter) * time.Second; ra > d {

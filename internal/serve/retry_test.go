@@ -33,7 +33,7 @@ func instantRetry(attempts int, slept *[]time.Duration) RetryPolicy {
 }
 
 // TestRetryDelayJitterBounds pins the jitter envelope: for every
-// attempt and any jitter draw, the delay stays within ±Jitter of the
+// attempt and any jitter draw, the delay stays within ±20% of the
 // capped exponential schedule — never shorter than the low bound
 // (which would stampede a recovering server) and never longer than
 // the high bound (which would stall failover).
@@ -41,7 +41,7 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 	const base, cap = 100 * time.Millisecond, 800 * time.Millisecond
 	for _, draw := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		pol := RetryPolicy{
-			BaseDelay: base, MaxDelay: cap, Jitter: 0.2,
+			BaseDelay: base, MaxDelay: cap,
 			rand: func() float64 { return draw },
 		}.withDefaults()
 		for attempt := 1; attempt <= 6; attempt++ {
@@ -62,7 +62,7 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 	}
 	// A server's Retry-After hint floors the schedule even at the
 	// lowest jitter draw.
-	pol := RetryPolicy{BaseDelay: base, MaxDelay: cap, Jitter: 0.2, rand: func() float64 { return 0 }}.withDefaults()
+	pol := RetryPolicy{BaseDelay: base, MaxDelay: cap, rand: func() float64 { return 0 }}.withDefaults()
 	if d := pol.delay(1, &ShedError{RetryAfter: 2}); d != 2*time.Second {
 		t.Fatalf("Retry-After floor: delay %v, want 2s", d)
 	}

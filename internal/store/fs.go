@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // FS is the store's filesystem seam: the eight operations the store
@@ -72,12 +74,7 @@ type FaultFS struct {
 }
 
 // mix is splitmix64: one well-scattered draw per (seed, index).
-func mix(seed, index uint64) uint64 {
-	z := seed + index*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
+func mix(seed, index uint64) uint64 { return rng.Mix64(seed + index*0x9E3779B97F4A7C15) }
 
 func (f *FaultFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	n := f.writes.Add(1)

@@ -242,10 +242,11 @@ wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
 echo "== bench smoke (kernel + batch + checkpoint codec + replay trajectory benches, 1 iteration)"
-# The NetworkFeed/EvaluateGeneration patterns are prefixes, so the
-# batch-engine variants (BenchmarkNetworkFeedBatch,
-# BenchmarkEvaluateGenerationBatch) and BenchmarkEvaluateGenerationScalar,
-# which times the serial test reference evaluator, smoke here too.
+# The NetworkFeed/EvaluateGeneration patterns are prefixes, so
+# BenchmarkNetworkFeedBatch, BenchmarkEvaluateGenerationScalar (the
+# serial test reference evaluator) and BenchmarkEvaluateGenerationRAM
+# (alien-ram through the batch engine and through per-episode jobs)
+# smoke here too.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
 go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint' \
