@@ -27,7 +27,9 @@ import (
 	"repro/internal/gene"
 	"repro/internal/hw/adam"
 	"repro/internal/hw/eve"
+	"repro/internal/hw/hwsim"
 	"repro/internal/hw/noc"
+	"repro/internal/hw/sram"
 	"repro/internal/hypernet"
 	"repro/internal/neat"
 	"repro/internal/network"
@@ -93,17 +95,25 @@ func ablatePEAllocation(_ testing.TB, g *trace.Generation) map[string]float64 {
 	gc := eve.DefaultConfig(8, noc.MulticastTree)
 	fc := gc
 	fc.Allocation = eve.AllocFIFO
-	greedy := eve.New(gc, nil).RunGeneration(g)
-	fifo := eve.New(fc, nil).RunGeneration(g)
-	return map[string]float64{"fifo/greedy-reads": float64(fifo.SRAMReads) / float64(greedy.SRAMReads)}
+	greedy := replayEvE(gc, g)
+	fifo := replayEvE(fc, g)
+	return map[string]float64{"fifo/greedy-reads": float64(fifo.Int("sram_reads")) / float64(greedy.Int("sram_reads"))}
+}
+
+// replayEvE replays one generation on a fresh EvE engine at cfg and
+// returns its ledger.
+func replayEvE(cfg eve.Config, g *trace.Generation) hwsim.Report {
+	e := eve.New(cfg, nil)
+	e.RunGeneration(g)
+	return e.Counters().Snapshot()
 }
 
 func ablateNoC(_ testing.TB, g *trace.Generation) map[string]float64 {
-	mc := eve.New(eve.DefaultConfig(256, noc.MulticastTree), nil).RunGeneration(g)
-	p2p := eve.New(eve.DefaultConfig(256, noc.PointToPoint), nil).RunGeneration(g)
+	mc := replayEvE(eve.DefaultConfig(256, noc.MulticastTree), g)
+	p2p := replayEvE(eve.DefaultConfig(256, noc.PointToPoint), g)
 	return map[string]float64{
-		"p2p/mcast-reads":  float64(p2p.SRAMReads) / float64(mc.SRAMReads),
-		"p2p/mcast-energy": p2p.SRAMEnergyPJ / mc.SRAMEnergyPJ,
+		"p2p/mcast-reads":  float64(p2p.Int("sram_reads")) / float64(mc.Int("sram_reads")),
+		"p2p/mcast-energy": p2p.Float("sram_energy_pj") / mc.Float("sram_energy_pj"),
 	}
 }
 
@@ -129,9 +139,12 @@ func ablateADAMScheduling(tb testing.TB, _ *trace.Generation) map[string]float64
 	pc := adam.DefaultConfig()
 	sc := pc
 	sc.Packed = false
-	packed := adam.New(pc).RunGeneration(jobs)
-	serial := adam.New(sc).RunGeneration(jobs)
-	return map[string]float64{"serial/packed-cycles": float64(serial.ComputeCycles) / float64(packed.ComputeCycles)}
+	computeCycles := func(cfg adam.Config) int64 {
+		e := adam.New(cfg)
+		e.RunGeneration(jobs)
+		return e.Counters().Snapshot().Int("compute_cycles")
+	}
+	return map[string]float64{"serial/packed-cycles": float64(computeCycles(sc)) / float64(computeCycles(pc))}
 }
 
 // ablateSpeciation compares convergence with and without NEAT's
@@ -183,10 +196,11 @@ func ablateNodeIDs(tb testing.TB, _ *trace.Generation) map[string]float64 {
 // when the genomes do not fit").
 func ablateBufferSpill(_ testing.TB, g *trace.Generation) map[string]float64 {
 	energy := func(residency int) float64 {
-		e := eve.New(eve.DefaultConfig(256, noc.MulticastTree), nil)
-		e.Buffer().SetResidency(residency * e.Buffer().Config().CapacityWords())
+		buf := sram.New(sram.DefaultConfig())
+		e := eve.New(eve.DefaultConfig(256, noc.MulticastTree), buf)
+		buf.SetResidency(residency * buf.Config().CapacityWords())
 		e.RunGeneration(g)
-		return e.Buffer().EnergyPJ()
+		return buf.EnergyPJ()
 	}
 	onchip := energy(1)
 	return map[string]float64{"spill-energy-x": energy(4) / onchip}

@@ -73,8 +73,8 @@ func main() {
 				res.Stats.NumSpecies, res.Stats.TotalGenes)
 			if res.HasHW {
 				line += fmt.Sprintf("  | soc: %.3f ms  %.2f uJ  move %4.1f%%",
-					res.HW.TotalSeconds*1e3, res.HW.TotalEnergyPJ/1e6,
-					res.HW.DataMovementFraction()*100)
+					res.HW.Float("total_seconds")*1e3, res.HW.Float("energy_pj")/1e6,
+					res.HW.Float("data_movement_fraction")*100)
 			}
 			fmt.Println(line)
 		}

@@ -94,17 +94,16 @@ func main() {
 		// Reset per generation so each snapshot is that generation's own
 		// counter ledger, not a running total.
 		engine.Reset()
-		r := engine.RunGeneration(g)
-		totCycles += r.TotalCycles
-		totEnergy += r.TotalEnergyPJ()
+		engine.RunGeneration(g)
+		r := engine.Counters().Snapshot()
+		totCycles += r.Int("total_cycles")
+		totEnergy += r.Float("energy_pj")
 		fmt.Printf("%-4d %-9d %-8d %-11d %-11d %-9d %-9.2f %-7.1f\n",
-			g.Index, r.Children, r.Waves, r.TotalCycles, r.SRAMReads, r.SRAMWrites,
-			r.TotalEnergyPJ()/1e6, r.Utilization*100)
+			g.Index, r.Int("children"), r.Int("waves"), r.Int("total_cycles"),
+			r.Int("sram_reads"), r.Int("sram_writes"),
+			r.Float("energy_pj")/1e6, r.Float("utilization")*100)
 		if *jsonOut != "" {
-			records = append(records, hwsim.Record{
-				Generation: g.Index,
-				Report:     engine.Counters().Snapshot(),
-			})
+			records = append(records, hwsim.Record{Generation: g.Index, Report: r})
 		}
 	}
 	fmt.Printf("\ntotal: %d cycles (%.3f ms @200MHz), %.2f uJ\n",

@@ -44,8 +44,8 @@ func main() {
 			st.Generation, st.MaxFitness, st.TotalGenes, ops,
 			float64(st.FootprintBytes)/1024,
 			float64(st.FootprintBytes)/float64(buffer)*100,
-			res.HW.TotalSeconds*1e3)
-		if res.HW.Spilled {
+			res.HW.Float("total_seconds")*1e3)
+		if res.HW.Int("spills") > 0 {
 			fmt.Println("  !! generation spilled the on-chip genome buffer to DRAM")
 		}
 		if st.Solved {
@@ -55,11 +55,11 @@ func main() {
 
 	last := sys.History[len(sys.History)-1]
 	fmt.Printf("\ngene-level parallelism: %d ops this generation across 256 PEs (%d waves)\n",
-		last.HW.Evolution.GeneOps, last.HW.Evolution.Waves)
+		last.HW.Int("eve/pe/gene_ops"), last.HW.Int("eve/waves"))
 	fmt.Printf("population-level parallelism: %d genomes' inference packed onto the 32x32 array\n",
 		150)
 	fmt.Printf("chip energy this generation: %.1f uJ (evolve %.1f + infer %.1f)\n",
-		last.HW.TotalEnergyPJ/1e6,
-		last.HW.Evolution.TotalEnergyPJ()/1e6,
-		last.HW.Inference.TotalEnergyPJ()/1e6)
+		last.HW.Float("energy_pj")/1e6,
+		last.HW.Float("eve/energy_pj")/1e6,
+		last.HW.Float("adam/energy_pj")/1e6)
 }

@@ -46,14 +46,16 @@ func main() {
 		"PEs", "noc", "cycles", "sram-reads", "rd/cyc", "energy-uJ", "power-mW", "area-mm2")
 	for _, pes := range []int{2, 8, 32, 128, 256, 512} {
 		for _, kind := range []noc.Kind{noc.PointToPoint, noc.MulticastTree} {
-			rep := eve.New(eve.DefaultConfig(pes, kind), nil).RunGeneration(g)
+			eng := eve.New(eve.DefaultConfig(pes, kind), nil)
+			eng.RunGeneration(g)
+			rep := eng.Counters().Snapshot()
 
 			soCfg := energy.DefaultSoC()
 			soCfg.NumEvEPEs = pes
 			soCfg.Multicast = kind == noc.MulticastTree
 			fmt.Printf("%-5d %-15s %-12d %-12d %-10.1f %-9.2f %-9.0f %-9.2f\n",
-				pes, kind, rep.StreamCycles, rep.SRAMReads, rep.ReadsPerCycle,
-				rep.TotalEnergyPJ()/1e6,
+				pes, kind, rep.Int("stream_cycles"), rep.Int("sram_reads"),
+				rep.Float("reads_per_cycle"), rep.Float("energy_pj")/1e6,
 				soCfg.RooflinePower().Total, soCfg.Area().Total)
 		}
 	}

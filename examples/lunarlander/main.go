@@ -39,10 +39,10 @@ func main() {
 		st, hw := res.Stats, res.HW
 		fmt.Printf("%-4d %-9.1f %-9.1f | %-11.3f %-10.2f %-10.2f %-7.1f\n",
 			st.Generation, st.MaxFitness, st.MeanFitness,
-			hw.TotalSeconds*1e3,
-			hw.Inference.TotalEnergyPJ()/1e6,
-			hw.Evolution.TotalEnergyPJ()/1e6,
-			hw.DataMovementFraction()*100)
+			hw.Float("total_seconds")*1e3,
+			hw.Float("adam/energy_pj")/1e6,
+			hw.Float("eve/energy_pj")/1e6,
+			hw.Float("data_movement_fraction")*100)
 		if st.Solved {
 			fmt.Println("landed! target fitness reached.")
 			break

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -42,14 +43,15 @@ func TestClosedLoopSolvesCartPoleWithHW(t *testing.T) {
 		if !res.HasHW {
 			t.Fatal("hardware report missing")
 		}
-		cycles += res.HW.TotalCycles
-		energy += res.HW.TotalEnergyPJ
+		hw := res.HW
+		cycles += hw.Int("total_cycles")
+		energy += hw.Float("energy_pj")
 		// The chip's cycle ledger must decompose exactly.
-		want := res.HW.Inference.TotalCycles +
-			res.HW.ScratchpadToADAMCycles + res.HW.ADAMToScratchpadCycles +
-			res.HW.Evolution.TotalCycles
-		if res.HW.TotalCycles != want {
-			t.Fatalf("cycle ledger broken: %d != %d", res.HW.TotalCycles, want)
+		want := hw.Int("adam/total_cycles") +
+			hw.Int("scratchpad_to_adam_cycles") + hw.Int("adam_to_scratchpad_cycles") +
+			hw.Int("eve/total_cycles")
+		if hw.Int("total_cycles") != want {
+			t.Fatalf("cycle ledger broken: %d != %d", hw.Int("total_cycles"), want)
 		}
 	}
 	if sum.TotalCycles != cycles || sum.TotalEnergyPJ != energy {
@@ -89,9 +91,12 @@ func TestTraceDrivenReplayMatchesLiveCounters(t *testing.T) {
 	live := eve.New(eve.DefaultConfig(256, noc.MulticastTree), nil)
 	replayed := eve.New(eve.DefaultConfig(256, noc.MulticastTree), nil)
 	for i := range tr.Generations {
-		a := live.RunGeneration(&tr.Generations[i])
-		b := replayed.RunGeneration(&parsed.Generations[i])
-		if a != b {
+		live.Reset()
+		live.RunGeneration(&tr.Generations[i])
+		replayed.Reset()
+		replayed.RunGeneration(&parsed.Generations[i])
+		a, b := live.Counters().Snapshot(), replayed.Counters().Snapshot()
+		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("generation %d: live %+v != replayed %+v", i, a, b)
 		}
 	}
@@ -122,9 +127,10 @@ func TestOpsCountersAgreeAcrossLayers(t *testing.T) {
 	if traceOps != statsOps {
 		t.Fatalf("trace ops %d != stats ops %d", traceOps, statsOps)
 	}
-	rep := eve.New(eve.DefaultConfig(64, noc.MulticastTree), nil).RunGeneration(g)
-	if rep.GeneOps != traceOps {
-		t.Fatalf("EvE replay ops %d != trace ops %d", rep.GeneOps, traceOps)
+	e := eve.New(eve.DefaultConfig(64, noc.MulticastTree), nil)
+	e.RunGeneration(g)
+	if ops := e.Counters().Snapshot().Int("pe/gene_ops"); ops != traceOps {
+		t.Fatalf("EvE replay ops %d != trace ops %d", ops, traceOps)
 	}
 }
 
@@ -177,7 +183,7 @@ func TestEnergyOrdersOfMagnitude(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chipJ := res.HW.Evolution.TotalEnergyPJ() * 1e-12
+	chipJ := res.HW.Float("eve/energy_pj") * 1e-12
 	if chipJ <= 0 {
 		t.Fatal("no evolution energy")
 	}

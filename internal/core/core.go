@@ -11,6 +11,10 @@
 //	...
 //	summary, err := sys.Run(100)
 //
+// With HardwareInLoop, each GenerationResult carries the chip's counter
+// tree for that generation alone: read it by path, e.g.
+// res.HW.Float("energy_pj") or res.HW.Int("eve/pe/gene_ops").
+//
 // cmd/genesys and the quickstart, lunarlander, atari and functional
 // examples are built on this API. The experiment generators
 // (internal/experiments) drive the underlying packages directly; both
@@ -24,6 +28,7 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/hw/adam"
 	"repro/internal/hw/energy"
+	"repro/internal/hw/hwsim"
 	"repro/internal/hw/soc"
 	"repro/internal/neat"
 	"repro/internal/trace"
@@ -48,8 +53,9 @@ type Config struct {
 // statistics and, with HardwareInLoop, the chip-level account.
 type GenerationResult struct {
 	Stats evolve.GenStats
-	// HW is valid only when the System runs with hardware in the loop.
-	HW    soc.GenerationReport
+	// HW is the chip's counter tree for this generation alone, valid
+	// only when the System runs with hardware in the loop.
+	HW    hwsim.Report
 	HasHW bool
 }
 
@@ -137,7 +143,15 @@ func (s *System) RunGeneration() (GenerationResult, error) {
 		for i := range jobs {
 			jobs[i].Steps = steps
 		}
-		res.HW = s.chip.RunGeneration(jobs, s.trace.Last(), footprint)
+		// A solved generation does not reproduce, so it appended no
+		// trace generation and EvE has nothing to replay.
+		var g *trace.Generation
+		if !st.Solved {
+			g = s.trace.Last()
+		}
+		s.chip.Reset()
+		s.chip.RunGeneration(jobs, g, footprint)
+		res.HW = s.chip.Snapshot()
 		res.HasHW = true
 	}
 	s.History = append(s.History, res)
@@ -171,9 +185,9 @@ func (s *System) Summary() Summary {
 		}
 		sum.Solved = sum.Solved || res.Stats.Solved
 		if res.HasHW {
-			sum.TotalCycles += res.HW.TotalCycles
-			sum.TotalSeconds += res.HW.TotalSeconds
-			sum.TotalEnergyPJ += res.HW.TotalEnergyPJ
+			sum.TotalCycles += res.HW.Int("total_cycles")
+			sum.TotalSeconds += res.HW.Float("total_seconds")
+			sum.TotalEnergyPJ += res.HW.Float("energy_pj")
 		}
 	}
 	return sum

@@ -49,15 +49,42 @@ func TestHardwareInLoopRun(t *testing.T) {
 	if !res.HasHW {
 		t.Fatal("no hardware report")
 	}
-	if res.HW.TotalCycles <= 0 || res.HW.TotalEnergyPJ <= 0 {
+	if res.HW.Int("total_cycles") <= 0 || res.HW.Float("energy_pj") <= 0 {
 		t.Fatalf("empty hardware account: %+v", res.HW)
 	}
-	if res.HW.Inference.ComputeCycles <= 0 || res.HW.Evolution.TotalCycles <= 0 {
+	if res.HW.Int("adam/compute_cycles") <= 0 || res.HW.Int("eve/total_cycles") <= 0 {
 		t.Fatal("phase accounting missing")
 	}
 	sum := sys.Summary()
-	if sum.TotalCycles != res.HW.TotalCycles {
+	if sum.TotalCycles != res.HW.Int("total_cycles") {
 		t.Fatal("summary does not aggregate hardware cycles")
+	}
+}
+
+// TestSolvedGenerationChargesNoReproduction pins that a generation
+// which solves the task, and so does not reproduce, charges EvE
+// nothing: the chip must not replay the previous generation's
+// reproduction round.
+func TestSolvedGenerationChargesNoReproduction(t *testing.T) {
+	sys, err := New(Config{Workload: "cartpole", Seed: 1, Population: 40, HardwareInLoop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := sys.Run(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Solved || len(sys.History) < 2 {
+		t.Fatalf("want a run that reproduces, then solves; got solved=%v after %d generations",
+			sum.Solved, len(sys.History))
+	}
+	hw := sys.History[len(sys.History)-1].HW
+	if hw.Int("eve/children") != 0 || hw.Int("eve/total_cycles") != 0 {
+		t.Fatalf("solved generation charged %d children, %d EvE cycles; want 0, 0",
+			hw.Int("eve/children"), hw.Int("eve/total_cycles"))
+	}
+	if hw.Int("adam/compute_cycles") <= 0 {
+		t.Fatal("solved generation charged no inference")
 	}
 }
 

@@ -45,8 +45,8 @@ func ExampleSystem_hardwareInLoop() {
 		log.Fatal(err)
 	}
 	fmt.Println("has hardware report:", res.HasHW)
-	fmt.Println("spent energy:", res.HW.TotalEnergyPJ > 0)
-	fmt.Println("fits on-chip:", !res.HW.Spilled)
+	fmt.Println("spent energy:", res.HW.Float("energy_pj") > 0)
+	fmt.Println("fits on-chip:", res.HW.Int("spills") == 0)
 	// Output:
 	// has hardware report: true
 	// spent energy: true

@@ -76,27 +76,29 @@ func ResilienceFor(workload string, opt Options) (*Result, error) {
 				PEStuckAt:         rate,
 			}
 			chip := soc.New(soCfg)
-			rep := chip.RunGeneration(jobs, g, footprint)
+			chip.RunGeneration(jobs, g, footprint)
 			snap := chip.Snapshot()
-			// The legacy report charges SRAM at logical access counts;
-			// the buffer's counter node also carries recovery accesses
-			// and ECC code bits. Substitute it in for the true cost.
-			energyPJ := rep.TotalEnergyPJ - rep.Evolution.SRAMEnergyPJ +
+			// The chip's energy_pj charges EvE's SRAM at logical access
+			// counts; the buffer's counter node also carries recovery
+			// accesses and ECC code bits. Substitute it in for the true
+			// cost.
+			energyPJ := snap.Float("energy_pj") - snap.Float("eve/sram_energy_pj") +
 				snap.Float("sram/energy_pj")
+			cycles := snap.Int("total_cycles")
 			if rate == 0 {
-				baseCycles = rep.TotalCycles
+				baseCycles = cycles
 				baseEnergy = energyPJ
 			}
 			slowdown, enOvh := 1.0, 1.0
 			if baseCycles > 0 {
-				slowdown = float64(rep.TotalCycles) / float64(baseCycles)
+				slowdown = float64(cycles) / float64(baseCycles)
 			}
 			if baseEnergy > 0 {
 				enOvh = energyPJ / baseEnergy
 			}
 			hw.Rows = append(hw.Rows, []string{
 				fnum(rate), scheme.String(),
-				inum(rep.TotalCycles), fnum(slowdown),
+				inum(cycles), fnum(slowdown),
 				fnum(energyPJ / 1e6), fnum(enOvh),
 				inum(snap.Int("fault/sram/silent_errors")),
 				inum(snap.Int("fault/sram/corrected_words")),

@@ -81,39 +81,18 @@ func JobsFor(genomes []*gene.Genome, steps int) ([]Job, error) {
 	return jobs, nil
 }
 
-// Report is the generation-level inference account.
-type Report struct {
-	// WeightLoadCycles is the once-per-generation weight-matrix setup
-	// ("the weight matrices do not change within a given generation").
-	WeightLoadCycles int64
-	// PassCycles is the array time for a single inference pass over
-	// every genome (the per-generation-sweep number Fig. 11c plots).
-	PassCycles int64
-	// ComputeCycles is the full evaluation phase (all steps).
-	ComputeCycles int64
-	// TotalCycles includes weight loading.
-	TotalCycles int64
-	// DenseMACs is the MAC work actually executed (packed zeros
-	// included — the array cannot skip them).
-	DenseMACs int64
-	// UsefulMACs is the non-zero (true edge) MAC count.
-	UsefulMACs int64
-	// SRAM traffic: input-vector reads, output writes, weight reads.
-	SRAMReads  int64
-	SRAMWrites int64
-	// Energy decomposition in pJ.
-	MACEnergyPJ  float64
-	SRAMEnergyPJ float64
-	// Utilization is useful MACs over array capacity over compute time.
-	Utilization float64
-}
-
-// TotalEnergyPJ sums the energy components.
-func (r Report) TotalEnergyPJ() float64 { return r.MACEnergyPJ + r.SRAMEnergyPJ }
-
 // Engine is the ADAM model. Its activity accumulates in a hwsim
-// counter node named "adam"; the per-generation Report is a view over
-// the same quantities.
+// counter node named "adam".
+//
+// RunGeneration charges raw counts: weight_load_cycles (the
+// once-per-generation weight-matrix setup), pass_cycles (one inference
+// pass over every genome, the per-sweep number Fig. 11c plots),
+// compute_cycles (all steps), dense_macs (packed zeros included: the
+// array cannot skip them), useful_macs (true edges), and the SRAM
+// traffic sram_reads and sram_writes. The snapshot hook derives
+// total_cycles, mac_energy_pj, sram_energy_pj, energy_pj and, once the
+// array has computed, utilization (useful MACs over array capacity
+// over compute time).
 type Engine struct {
 	cfg Config
 	ctr *hwsim.Counters
@@ -130,8 +109,14 @@ func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg, ctr: hwsim.New("adam")}
 	macs := float64(e.cfg.MACs())
 	e.ctr.OnSnapshot(func(c *hwsim.Counters) {
-		c.SetFloat("energy_pj", c.FloatValue("mac_energy_pj")+c.FloatValue("sram_energy_pj"))
-		if cc := c.IntValue("compute_cycles"); cc > 0 {
+		cc := c.IntValue("compute_cycles")
+		c.SetInt("total_cycles", c.IntValue("weight_load_cycles")+cc)
+		macEnergy := float64(c.IntValue("dense_macs")) * cfg.MACEnergyPJ
+		c.SetFloat("mac_energy_pj", macEnergy)
+		sramEnergy := float64(c.IntValue("sram_reads")+c.IntValue("sram_writes")) * cfg.SRAMAccessPJ
+		c.SetFloat("sram_energy_pj", sramEnergy)
+		c.SetFloat("energy_pj", macEnergy+sramEnergy)
+		if cc > 0 {
 			util := float64(c.IntValue("useful_macs")) / (float64(cc) * macs)
 			if util > 1 {
 				util = 1
@@ -142,32 +127,11 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Config returns the design point.
-func (e *Engine) Config() Config { return e.cfg }
-
-// Name is the engine's hwsim component name.
-func (e *Engine) Name() string { return "adam" }
-
 // Counters returns the engine's live registry node.
 func (e *Engine) Counters() *hwsim.Counters { return e.ctr }
 
 // Reset zeroes the engine's counters.
 func (e *Engine) Reset() { e.ctr.Reset() }
-
-// publish charges one generation's Report into the registry.
-func (e *Engine) publish(r Report) {
-	c := e.ctr
-	c.AddInt("weight_load_cycles", r.WeightLoadCycles)
-	c.AddInt("pass_cycles", r.PassCycles)
-	c.AddInt("compute_cycles", r.ComputeCycles)
-	c.AddInt("total_cycles", r.TotalCycles)
-	c.AddInt("dense_macs", r.DenseMACs)
-	c.AddInt("useful_macs", r.UsefulMACs)
-	c.AddInt("sram_reads", r.SRAMReads)
-	c.AddInt("sram_writes", r.SRAMWrites)
-	c.AddFloat("mac_energy_pj", r.MACEnergyPJ)
-	c.AddFloat("sram_energy_pj", r.SRAMEnergyPJ)
-}
 
 // stageCycles returns the serial-mode array cycles for one
 // matrix–vector stage: the stage is tiled over the array; each tile
@@ -216,9 +180,11 @@ func (e *Engine) profile(j Job) jobProfile {
 	return p
 }
 
-// RunGeneration accounts a full generation of inference.
-func (e *Engine) RunGeneration(jobs []Job) Report {
-	var r Report
+// RunGeneration accounts a full generation of inference, charging its
+// raw counts into the engine's counter node.
+func (e *Engine) RunGeneration(jobs []Job) {
+	var weightLoadCycles, passCycles, computeCycles int64
+	var denseMACs, usefulMACs, sramReads, sramWrites int64
 	profiles := make([]jobProfile, 0, len(jobs))
 	maxSteps := 0
 	for _, j := range jobs {
@@ -229,42 +195,38 @@ func (e *Engine) RunGeneration(jobs []Job) Report {
 		}
 		// Weight matrices built once per generation: read the genome's
 		// connection genes once and push the tiles in.
-		r.WeightLoadCycles += int64(j.Plan.Edges) / int64(e.cfg.Cols) * 2
-		r.SRAMReads += int64(j.Plan.Edges)
+		weightLoadCycles += int64(j.Plan.Edges) / int64(e.cfg.Cols) * 2
+		sramReads += int64(j.Plan.Edges)
 
 		steps := int64(p.steps)
-		r.DenseMACs += p.passMACs * steps
-		r.UsefulMACs += p.passUseful * steps
-		r.SRAMReads += p.passReads * steps
-		r.SRAMWrites += p.passWrites * steps
+		denseMACs += p.passMACs * steps
+		usefulMACs += p.passUseful * steps
+		sramReads += p.passReads * steps
+		sramWrites += p.passWrites * steps
 	}
 
 	if e.cfg.Packed {
-		r.PassCycles = e.packedRound(profiles, 0)
+		passCycles = e.packedRound(profiles, 0)
 		// Episodes end at different steps; each round packs only the
 		// still-running genomes.
 		for round := 0; round < maxSteps; round++ {
-			r.ComputeCycles += e.packedRound(profiles, round)
+			computeCycles += e.packedRound(profiles, round)
 		}
 	} else {
 		for _, p := range profiles {
-			r.PassCycles += p.passCycles
-			r.ComputeCycles += p.passCycles * int64(p.steps)
+			passCycles += p.passCycles
+			computeCycles += p.passCycles * int64(p.steps)
 		}
 	}
 
-	r.TotalCycles = r.WeightLoadCycles + r.ComputeCycles
-	r.MACEnergyPJ = float64(r.DenseMACs) * e.cfg.MACEnergyPJ
-	r.SRAMEnergyPJ = float64(r.SRAMReads+r.SRAMWrites) * e.cfg.SRAMAccessPJ
-	if r.ComputeCycles > 0 {
-		r.Utilization = float64(r.UsefulMACs) /
-			(float64(r.ComputeCycles) * float64(e.cfg.MACs()))
-		if r.Utilization > 1 {
-			r.Utilization = 1
-		}
-	}
-	e.publish(r)
-	return r
+	c := e.ctr
+	c.AddInt("weight_load_cycles", weightLoadCycles)
+	c.AddInt("pass_cycles", passCycles)
+	c.AddInt("compute_cycles", computeCycles)
+	c.AddInt("dense_macs", denseMACs)
+	c.AddInt("useful_macs", usefulMACs)
+	c.AddInt("sram_reads", sramReads)
+	c.AddInt("sram_writes", sramWrites)
 }
 
 // packedRound returns the array cycles of one environment-step round

@@ -4,8 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/gene"
+	"repro/internal/hw/hwsim"
 	"repro/internal/network"
 )
+
+// run resets e, charges one generation of jobs and returns that
+// generation's ledger.
+func run(e *Engine, jobs []Job) hwsim.Report {
+	e.Reset()
+	e.RunGeneration(jobs)
+	return e.Counters().Snapshot()
+}
 
 // planOf builds a plan for a simple dense genome: ins fully connected
 // to outs.
@@ -41,82 +50,82 @@ func serialConfig() Config {
 func TestSingleTileStage(t *testing.T) {
 	e := New(serialConfig())
 	p := planOf(t, 4, 2) // 2×4 matrix: one 32×32 tile
-	r := e.RunGeneration([]Job{{Plan: p, Steps: 1}})
+	r := run(e, []Job{{Plan: p, Steps: 1}})
 	// One tile: 32 stream + 32 drain cycles.
-	if r.PassCycles != 64 {
-		t.Fatalf("pass cycles %d, want 64", r.PassCycles)
+	if r.Int("pass_cycles") != 64 {
+		t.Fatalf("pass cycles %d, want 64", r.Int("pass_cycles"))
 	}
-	if r.DenseMACs != 8 || r.UsefulMACs != 8 {
-		t.Fatalf("MACs %d/%d, want 8/8", r.DenseMACs, r.UsefulMACs)
+	if r.Int("dense_macs") != 8 || r.Int("useful_macs") != 8 {
+		t.Fatalf("MACs %d/%d, want 8/8", r.Int("dense_macs"), r.Int("useful_macs"))
 	}
 }
 
 func TestTilingLargeStage(t *testing.T) {
 	e := New(serialConfig())
 	p := planOf(t, 128, 18) // alien-ram-sized: 18×128 → 1×4 tiles
-	r := e.RunGeneration([]Job{{Plan: p, Steps: 1}})
-	if r.PassCycles != 4*64 {
-		t.Fatalf("pass cycles %d, want 256", r.PassCycles)
+	r := run(e, []Job{{Plan: p, Steps: 1}})
+	if r.Int("pass_cycles") != 4*64 {
+		t.Fatalf("pass cycles %d, want 256", r.Int("pass_cycles"))
 	}
-	if r.DenseMACs != 128*18 {
-		t.Fatalf("dense MACs %d", r.DenseMACs)
+	if r.Int("dense_macs") != 128*18 {
+		t.Fatalf("dense MACs %d", r.Int("dense_macs"))
 	}
 }
 
 func TestStepsMultiplyWork(t *testing.T) {
 	e := New(DefaultConfig())
 	p := planOf(t, 8, 3)
-	one := e.RunGeneration([]Job{{Plan: p, Steps: 1}})
-	ten := e.RunGeneration([]Job{{Plan: p, Steps: 10}})
-	if ten.ComputeCycles != 10*one.ComputeCycles {
-		t.Fatalf("compute cycles %d vs 10×%d", ten.ComputeCycles, one.ComputeCycles)
+	one := run(e, []Job{{Plan: p, Steps: 1}})
+	ten := run(e, []Job{{Plan: p, Steps: 10}})
+	if ten.Int("compute_cycles") != 10*one.Int("compute_cycles") {
+		t.Fatalf("compute cycles %d vs 10×%d", ten.Int("compute_cycles"), one.Int("compute_cycles"))
 	}
-	if ten.DenseMACs != 10*one.DenseMACs {
-		t.Fatalf("MACs %d vs 10×%d", ten.DenseMACs, one.DenseMACs)
+	if ten.Int("dense_macs") != 10*one.Int("dense_macs") {
+		t.Fatalf("MACs %d vs 10×%d", ten.Int("dense_macs"), one.Int("dense_macs"))
 	}
 	// Weight load happens once per generation regardless of steps.
-	if ten.WeightLoadCycles != one.WeightLoadCycles {
+	if ten.Int("weight_load_cycles") != one.Int("weight_load_cycles") {
 		t.Fatalf("weight load grew with steps: %d vs %d",
-			ten.WeightLoadCycles, one.WeightLoadCycles)
+			ten.Int("weight_load_cycles"), one.Int("weight_load_cycles"))
 	}
 }
 
 func TestUtilizationBounds(t *testing.T) {
 	e := New(DefaultConfig())
 	p := planOf(t, 32, 32) // perfectly shaped stage
-	r := e.RunGeneration([]Job{{Plan: p, Steps: 5}})
-	if r.Utilization <= 0 || r.Utilization > 1 {
-		t.Fatalf("utilization %v", r.Utilization)
+	u := run(e, []Job{{Plan: p, Steps: 5}}).Float("utilization")
+	if u <= 0 || u > 1 {
+		t.Fatalf("utilization %v", u)
 	}
 	// Denser plans utilize the array better (Fig. 11a's point: more
 	// connection genes → denser matrices → higher utilization).
 	sparse := planOf(t, 2, 1)
-	rs := e.RunGeneration([]Job{{Plan: sparse, Steps: 5}})
-	if rs.Utilization >= r.Utilization {
-		t.Fatalf("sparse plan utilization %v >= dense %v", rs.Utilization, r.Utilization)
+	us := run(e, []Job{{Plan: sparse, Steps: 5}}).Float("utilization")
+	if us >= u {
+		t.Fatalf("sparse plan utilization %v >= dense %v", us, u)
 	}
 }
 
 func TestEnergyComponents(t *testing.T) {
-	e := New(DefaultConfig())
+	cfg := DefaultConfig()
 	p := planOf(t, 16, 4)
-	r := e.RunGeneration([]Job{{Plan: p, Steps: 3}})
-	if r.MACEnergyPJ <= 0 || r.SRAMEnergyPJ <= 0 {
-		t.Fatalf("energy components %v/%v", r.MACEnergyPJ, r.SRAMEnergyPJ)
+	r := run(New(cfg), []Job{{Plan: p, Steps: 3}})
+	mac, sram := r.Float("mac_energy_pj"), r.Float("sram_energy_pj")
+	if mac <= 0 || sram <= 0 {
+		t.Fatalf("energy components %v/%v", mac, sram)
 	}
-	if r.TotalEnergyPJ() != r.MACEnergyPJ+r.SRAMEnergyPJ {
+	if r.Float("energy_pj") != mac+sram {
 		t.Fatal("energy sum mismatch")
 	}
-	wantMAC := float64(r.DenseMACs) * e.Config().MACEnergyPJ
-	if r.MACEnergyPJ != wantMAC {
-		t.Fatalf("MAC energy %v, want %v", r.MACEnergyPJ, wantMAC)
+	wantMAC := float64(r.Int("dense_macs")) * cfg.MACEnergyPJ
+	if mac != wantMAC {
+		t.Fatalf("MAC energy %v, want %v", mac, wantMAC)
 	}
 }
 
 func TestEmptyGeneration(t *testing.T) {
-	e := New(DefaultConfig())
-	r := e.RunGeneration(nil)
-	if r.TotalCycles != 0 || r.TotalEnergyPJ() != 0 {
+	r := run(New(DefaultConfig()), nil)
+	if r.Int("total_cycles") != 0 || r.Float("energy_pj") != 0 {
 		t.Fatalf("empty generation accounted %+v", r)
 	}
 }
@@ -128,10 +137,10 @@ func TestPopulationAccumulatesSerial(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{Plan: p, Steps: 100}
 	}
-	r := e.RunGeneration(jobs)
-	single := e.RunGeneration(jobs[:1])
-	if r.ComputeCycles != 150*single.ComputeCycles {
-		t.Fatalf("population cycles %d vs 150×%d", r.ComputeCycles, single.ComputeCycles)
+	r := run(e, jobs).Int("compute_cycles")
+	single := run(e, jobs[:1]).Int("compute_cycles")
+	if r != 150*single {
+		t.Fatalf("population cycles %d vs 150×%d", r, single)
 	}
 }
 
@@ -141,9 +150,9 @@ func TestVectorizeBound(t *testing.T) {
 	cfg.VectorizeCyclesPerElement = 100
 	e := New(cfg)
 	p := planOf(t, 64, 1)
-	r := e.RunGeneration([]Job{{Plan: p, Steps: 1}})
-	if r.PassCycles != 64*100 {
-		t.Fatalf("vectorize-bound pass %d, want 6400", r.PassCycles)
+	r := run(e, []Job{{Plan: p, Steps: 1}})
+	if r.Int("pass_cycles") != 64*100 {
+		t.Fatalf("vectorize-bound pass %d, want 6400", r.Int("pass_cycles"))
 	}
 }
 
@@ -155,14 +164,15 @@ func TestPackedBeatsSerialOnPopulation(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{Plan: p, Steps: 200}
 	}
-	packed := New(DefaultConfig()).RunGeneration(jobs)
-	serial := New(serialConfig()).RunGeneration(jobs)
-	if packed.ComputeCycles*10 > serial.ComputeCycles {
+	packed := run(New(DefaultConfig()), jobs)
+	serial := run(New(serialConfig()), jobs)
+	if packed.Int("compute_cycles")*10 > serial.Int("compute_cycles") {
 		t.Fatalf("packed %d cycles not ≥10× faster than serial %d",
-			packed.ComputeCycles, serial.ComputeCycles)
+			packed.Int("compute_cycles"), serial.Int("compute_cycles"))
 	}
 	// Work and energy are identical; only scheduling differs.
-	if packed.DenseMACs != serial.DenseMACs || packed.SRAMReads != serial.SRAMReads {
+	if packed.Int("dense_macs") != serial.Int("dense_macs") ||
+		packed.Int("sram_reads") != serial.Int("sram_reads") {
 		t.Fatal("scheduling changed the work accounting")
 	}
 }
@@ -180,13 +190,12 @@ func TestPackedHandlesRaggedSteps(t *testing.T) {
 		}
 		jobs[i] = Job{Plan: p, Steps: steps}
 	}
-	r := New(DefaultConfig()).RunGeneration(jobs)
-	firstRound := r.PassCycles
-	if r.ComputeCycles >= firstRound*100 {
-		t.Fatalf("ragged steps not exploited: %d vs %d×100",
-			r.ComputeCycles, firstRound)
+	r := run(New(DefaultConfig()), jobs)
+	firstRound, compute := r.Int("pass_cycles"), r.Int("compute_cycles")
+	if compute >= firstRound*100 {
+		t.Fatalf("ragged steps not exploited: %d vs %d×100", compute, firstRound)
 	}
-	if r.ComputeCycles < firstRound*10 {
-		t.Fatalf("compute %d below 10 full rounds", r.ComputeCycles)
+	if compute < firstRound*10 {
+		t.Fatalf("compute %d below 10 full rounds", compute)
 	}
 }

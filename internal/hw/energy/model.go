@@ -3,7 +3,7 @@ package energy
 import "repro/internal/hw/hwsim"
 
 // Model exposes a design point's static technology figures — the
-// Fig. 8 area and roofline-power breakdowns — as a hwsim component
+// Fig. 8 area and roofline-power breakdowns — as a hwsim counter node
 // named "tech", so design-point constants travel in the same report
 // tree as the activity counters they contextualize. The values are
 // refreshed at every snapshot, so they survive tree resets.
@@ -44,17 +44,5 @@ func (m *Model) fill() {
 	c.SetInt("sram_kb", int64(m.cfg.SRAMKB))
 }
 
-// SoC returns the wrapped design point.
-func (m *Model) SoC() SoCConfig { return m.cfg }
-
-// Name is the hwsim component name.
-func (m *Model) Name() string { return "tech" }
-
 // Counters returns the live registry node.
 func (m *Model) Counters() *hwsim.Counters { return m.ctr }
-
-// Reset re-derives the static figures (they carry no activity).
-func (m *Model) Reset() {
-	m.ctr.Reset()
-	m.fill()
-}

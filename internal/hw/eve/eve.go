@@ -92,42 +92,16 @@ func DefaultConfig(numPEs int, kind noc.Kind) Config {
 	}
 }
 
-// Report is the per-generation account of the evolution phase.
-type Report struct {
-	// Cycles decomposes the generation's evolution time.
-	SelectorCycles int64
-	StreamCycles   int64
-	TotalCycles    int64
-	// Waves is the number of PE scheduling rounds.
-	Waves int
-	// Children reproduced.
-	Children int
-	// SRAM traffic of reproduction.
-	SRAMReads  int64
-	SRAMWrites int64
-	// ReadsPerCycle is the mean SRAM read rate during streaming — the
-	// Fig. 11b metric.
-	ReadsPerCycle float64
-	// Energy decomposition in pJ.
-	PEEnergyPJ   float64
-	NoCEnergyPJ  float64
-	SRAMEnergyPJ float64
-	// GeneOps is the total gene-level operation count replayed.
-	GeneOps int64
-	// Utilization is busy-PE-cycles over total PE-cycles while
-	// streaming.
-	Utilization float64
-}
-
-// TotalEnergyPJ sums the energy components.
-func (r Report) TotalEnergyPJ() float64 {
-	return r.PEEnergyPJ + r.NoCEnergyPJ + r.SRAMEnergyPJ
-}
-
 // Engine replays traces against a design point and a genome buffer.
 // Its activity accumulates in a hwsim counter node named "eve" with
-// child scopes "pe" (pipeline work) and "noc" (interconnect tally);
-// the per-generation Report is a view over the same quantities.
+// child scopes "pe" (pipeline work) and "noc" (interconnect tally).
+//
+// RunGeneration charges raw counts: selector_cycles, stream_cycles,
+// waves, children, sram_reads, sram_writes and noc_energy_pj, plus
+// pe/gene_ops and pe/busy_cycles. The snapshot hook derives the rest:
+// total_cycles, pe/energy_pj, sram_energy_pj, energy_pj, and, once
+// streaming has run, reads_per_cycle (the Fig. 11b metric) and
+// utilization (busy PE-cycles over total PE-cycles while streaming).
 type Engine struct {
 	cfg Config
 	buf *sram.Buffer
@@ -155,11 +129,17 @@ func New(cfg Config, buf *sram.Buffer) *Engine {
 	e := &Engine{cfg: cfg, buf: buf, net: noc.NewNetwork(cfg.NoC), ctr: hwsim.New("eve")}
 	e.ctr.Adopt(e.net.Counters())
 	numPEs := int64(cfg.NumPEs)
+	accessPJ := buf.Config().AccessPJ
 	e.ctr.OnSnapshot(func(c *hwsim.Counters) {
 		pe := c.Child("pe")
-		c.SetFloat("energy_pj", pe.FloatValue("energy_pj")+
-			c.FloatValue("noc_energy_pj")+c.FloatValue("sram_energy_pj"))
-		if sc := c.IntValue("stream_cycles"); sc > 0 {
+		sc := c.IntValue("stream_cycles")
+		c.SetInt("total_cycles", c.IntValue("selector_cycles")+sc)
+		peEnergy := float64(pe.IntValue("gene_ops")) * cfg.OpEnergyPJ
+		pe.SetFloat("energy_pj", peEnergy)
+		sramEnergy := float64(c.IntValue("sram_reads")+c.IntValue("sram_writes")) * accessPJ
+		c.SetFloat("sram_energy_pj", sramEnergy)
+		c.SetFloat("energy_pj", peEnergy+c.FloatValue("noc_energy_pj")+sramEnergy)
+		if sc > 0 {
 			c.SetFloat("reads_per_cycle", float64(c.IntValue("sram_reads"))/float64(sc))
 			util := float64(pe.IntValue("busy_cycles")) / float64(sc*numPEs)
 			if util > 1 {
@@ -170,9 +150,6 @@ func New(cfg Config, buf *sram.Buffer) *Engine {
 	})
 	return e
 }
-
-// Config returns the engine's design point.
-func (e *Engine) Config() Config { return e.cfg }
 
 // AttachFaults wires a fault plan into the engine and its interconnect.
 // The plan's stuck-at map decides which PEs are dead for the chip's
@@ -223,38 +200,12 @@ func (e *Engine) AttachFaults(p *fault.Plan) {
 // peBusyName is the per-PE busy-cycle counter under "fault/eve".
 func peBusyName(i int) string { return fmt.Sprintf("pe%02d_busy_cycles", i) }
 
-// Buffer exposes the genome buffer for shared accounting.
-func (e *Engine) Buffer() *sram.Buffer { return e.buf }
-
-// Name is the engine's hwsim component name.
-func (e *Engine) Name() string { return "eve" }
-
 // Counters returns the engine's live registry node.
 func (e *Engine) Counters() *hwsim.Counters { return e.ctr }
 
 // Reset zeroes the engine's counter tree, including the NoC tally.
 // The shared genome buffer is not touched (its owner resets it).
 func (e *Engine) Reset() { e.ctr.Reset() }
-
-// publish charges one generation's Report into the registry. Integer
-// totals accumulate; ratio metrics are re-derived from the running
-// totals at snapshot time.
-func (e *Engine) publish(r Report, busyPECycles int64) {
-	c := e.ctr
-	c.AddInt("selector_cycles", r.SelectorCycles)
-	c.AddInt("stream_cycles", r.StreamCycles)
-	c.AddInt("total_cycles", r.TotalCycles)
-	c.AddInt("waves", int64(r.Waves))
-	c.AddInt("children", int64(r.Children))
-	c.AddInt("sram_reads", r.SRAMReads)
-	c.AddInt("sram_writes", r.SRAMWrites)
-	c.AddFloat("noc_energy_pj", r.NoCEnergyPJ)
-	c.AddFloat("sram_energy_pj", r.SRAMEnergyPJ)
-	pe := c.Child("pe")
-	pe.AddInt("gene_ops", r.GeneOps)
-	pe.AddInt("busy_cycles", busyPECycles)
-	pe.AddFloat("energy_pj", r.PEEnergyPJ)
-}
 
 // pairKey groups children by their parent pair for GLR-aware
 // scheduling.
@@ -265,20 +216,20 @@ type wave struct {
 	children []*trace.ChildRecord
 }
 
-// RunGeneration replays one reproduction round.
-func (e *Engine) RunGeneration(g *trace.Generation) Report {
+// RunGeneration replays one reproduction round, charging its raw
+// counts into the engine's counter node.
+func (e *Engine) RunGeneration(g *trace.Generation) {
 	cfg := e.cfg
-	r := Report{Children: len(g.Children)}
-	r.SelectorCycles = int64(cfg.SelectorCyclesPerGenome) * int64(len(g.ParentSizes))
-	if r.SelectorCycles == 0 {
-		r.SelectorCycles = int64(cfg.SelectorCyclesPerGenome) * int64(len(g.Children))
+	selectorCycles := int64(cfg.SelectorCyclesPerGenome) * int64(len(g.ParentSizes))
+	if selectorCycles == 0 {
+		selectorCycles = int64(cfg.SelectorCyclesPerGenome) * int64(len(g.Children))
 	}
 
 	waves := e.allocate(g)
-	r.Waves = len(waves)
 	e.chargeRemap(g, len(waves))
 
-	var busyPECycles int64
+	var streamCycles, sramReads, sramWrites, busyPECycles int64
+	var nocEnergyPJ float64
 	for _, w := range waves {
 		// Build the distribution streams: one per distinct parent.
 		streamSet := map[int64]*noc.Stream{}
@@ -316,38 +267,37 @@ func (e *Engine) RunGeneration(g *trace.Generation) Report {
 
 		d := e.net.Distribute(streams)
 		coll := e.net.Collect(childGenes)
-		r.SRAMReads += d.SRAMReads
-		r.SRAMWrites += childGenes
-		r.NoCEnergyPJ += d.EnergyPJ + coll.EnergyPJ
+		sramReads += d.SRAMReads
+		sramWrites += childGenes
+		nocEnergyPJ += d.EnergyPJ + coll.EnergyPJ
 
 		waveCycles := int64(cfg.SetupCycles + longestChild + cfg.PipelineDepth)
 		if d.Cycles > waveCycles {
 			waveCycles = d.Cycles
 		}
-		r.StreamCycles += waveCycles
+		streamCycles += waveCycles
 	}
 
 	// Charge the SRAM traffic against the shared buffer.
-	e.buf.Read(r.SRAMReads)
-	e.buf.Write(r.SRAMWrites)
-	r.SRAMEnergyPJ = float64(r.SRAMReads+r.SRAMWrites) * e.buf.Config().AccessPJ
+	e.buf.Read(sramReads)
+	e.buf.Write(sramWrites)
 
+	var geneOps int64
 	for i := range g.Children {
-		r.GeneOps += g.Children[i].TotalOps()
+		geneOps += g.Children[i].TotalOps()
 	}
-	r.PEEnergyPJ = float64(r.GeneOps) * cfg.OpEnergyPJ
 
-	r.TotalCycles = r.SelectorCycles + r.StreamCycles
-	if r.StreamCycles > 0 {
-		r.ReadsPerCycle = float64(r.SRAMReads) / float64(r.StreamCycles)
-		r.Utilization = float64(busyPECycles) /
-			float64(r.StreamCycles*int64(cfg.NumPEs))
-		if r.Utilization > 1 {
-			r.Utilization = 1
-		}
-	}
-	e.publish(r, busyPECycles)
-	return r
+	c := e.ctr
+	c.AddInt("selector_cycles", selectorCycles)
+	c.AddInt("stream_cycles", streamCycles)
+	c.AddInt("waves", int64(len(waves)))
+	c.AddInt("children", int64(len(g.Children)))
+	c.AddInt("sram_reads", sramReads)
+	c.AddInt("sram_writes", sramWrites)
+	c.AddFloat("noc_energy_pj", nocEnergyPJ)
+	pe := c.Child("pe")
+	pe.AddInt("gene_ops", geneOps)
+	pe.AddInt("busy_cycles", busyPECycles)
 }
 
 // allocate builds the wave schedule under the configured policy.

@@ -1,13 +1,24 @@
 package eve
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/hw/hwsim"
 	"repro/internal/hw/noc"
+	"repro/internal/hw/sram"
 	"repro/internal/neat"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
+
+// replay runs one generation on a fresh engine at cfg and returns its
+// ledger.
+func replay(cfg Config, g *trace.Generation) hwsim.Report {
+	e := New(cfg, nil)
+	e.RunGeneration(g)
+	return e.Counters().Snapshot()
+}
 
 // syntheticGeneration builds a trace generation with `children` children
 // drawn from `parents` parents of `genes` genes each, with heavy reuse
@@ -61,62 +72,61 @@ func realTrace(t *testing.T) *trace.Trace {
 
 func TestReportBasics(t *testing.T) {
 	g := syntheticGeneration(150, 10, 100)
-	e := New(DefaultConfig(256, noc.MulticastTree), nil)
-	r := e.RunGeneration(g)
-	if r.Children != 150 {
-		t.Fatalf("children %d", r.Children)
+	r := replay(DefaultConfig(256, noc.MulticastTree), g)
+	if r.Int("children") != 150 {
+		t.Fatalf("children %d", r.Int("children"))
 	}
-	if r.Waves != 1 {
-		t.Fatalf("150 children on 256 PEs took %d waves", r.Waves)
+	if r.Int("waves") != 1 {
+		t.Fatalf("150 children on 256 PEs took %d waves", r.Int("waves"))
 	}
-	if r.TotalCycles <= 0 || r.StreamCycles <= 0 || r.SelectorCycles <= 0 {
+	if r.Int("total_cycles") <= 0 || r.Int("stream_cycles") <= 0 || r.Int("selector_cycles") <= 0 {
 		t.Fatalf("degenerate cycles: %+v", r)
 	}
-	if r.SRAMWrites <= 0 || r.SRAMReads <= 0 {
+	if r.Int("sram_writes") <= 0 || r.Int("sram_reads") <= 0 {
 		t.Fatalf("no SRAM traffic: %+v", r)
 	}
-	if r.GeneOps != 150*(100+50+1) {
-		t.Fatalf("gene ops %d", r.GeneOps)
+	if r.Int("pe/gene_ops") != 150*(100+50+1) {
+		t.Fatalf("gene ops %d", r.Int("pe/gene_ops"))
 	}
-	if r.TotalEnergyPJ() <= 0 {
+	if r.Float("energy_pj") <= 0 {
 		t.Fatal("no energy")
 	}
-	if r.Utilization <= 0 || r.Utilization > 1 {
-		t.Fatalf("utilization %v", r.Utilization)
+	if u := r.Float("utilization"); u <= 0 || u > 1 {
+		t.Fatalf("utilization %v", u)
 	}
 }
 
 func TestMulticastReducesReads(t *testing.T) {
 	g := syntheticGeneration(150, 5, 500)
-	p2p := New(DefaultConfig(256, noc.PointToPoint), nil).RunGeneration(g)
-	mc := New(DefaultConfig(256, noc.MulticastTree), nil).RunGeneration(g)
-	if mc.SRAMReads >= p2p.SRAMReads {
-		t.Fatalf("multicast reads %d not below p2p %d", mc.SRAMReads, p2p.SRAMReads)
+	p2p := replay(DefaultConfig(256, noc.PointToPoint), g)
+	mc := replay(DefaultConfig(256, noc.MulticastTree), g)
+	if mc.Int("sram_reads") >= p2p.Int("sram_reads") {
+		t.Fatalf("multicast reads %d not below p2p %d", mc.Int("sram_reads"), p2p.Int("sram_reads"))
 	}
 	// Heavy parent reuse (parent 0 in every child): expect a large
 	// reduction, the Fig. 11b effect.
-	if p2p.SRAMReads/mc.SRAMReads < 20 {
-		t.Fatalf("reduction only %d×", p2p.SRAMReads/mc.SRAMReads)
+	if p2p.Int("sram_reads")/mc.Int("sram_reads") < 20 {
+		t.Fatalf("reduction only %d×", p2p.Int("sram_reads")/mc.Int("sram_reads"))
 	}
 	// Writes are identical: every child genome is written once.
-	if mc.SRAMWrites != p2p.SRAMWrites {
-		t.Fatalf("writes differ: %d vs %d", mc.SRAMWrites, p2p.SRAMWrites)
+	if mc.Int("sram_writes") != p2p.Int("sram_writes") {
+		t.Fatalf("writes differ: %d vs %d", mc.Int("sram_writes"), p2p.Int("sram_writes"))
 	}
 }
 
 func TestMorePEsFewerWavesFasterGeneration(t *testing.T) {
 	g := syntheticGeneration(150, 10, 200)
 	prevCycles := int64(1 << 62)
-	prevWaves := 1 << 30
+	prevWaves := int64(1 << 30)
 	for _, pes := range []int{2, 8, 32, 128} {
-		r := New(DefaultConfig(pes, noc.MulticastTree), nil).RunGeneration(g)
-		if r.Waves > prevWaves {
-			t.Fatalf("%d PEs: waves grew to %d", pes, r.Waves)
+		r := replay(DefaultConfig(pes, noc.MulticastTree), g)
+		if r.Int("waves") > prevWaves {
+			t.Fatalf("%d PEs: waves grew to %d", pes, r.Int("waves"))
 		}
-		if r.StreamCycles > prevCycles {
-			t.Fatalf("%d PEs: cycles grew to %d", pes, r.StreamCycles)
+		if r.Int("stream_cycles") > prevCycles {
+			t.Fatalf("%d PEs: cycles grew to %d", pes, r.Int("stream_cycles"))
 		}
-		prevCycles, prevWaves = r.StreamCycles, r.Waves
+		prevCycles, prevWaves = r.Int("stream_cycles"), r.Int("waves")
 	}
 }
 
@@ -125,14 +135,13 @@ func TestMorePEsWithMulticastFewerReads(t *testing.T) {
 	// run in different waves, so the parent is re-read; more PEs let a
 	// single multicast read serve them.
 	g := syntheticGeneration(150, 5, 300)
-	few := New(DefaultConfig(2, noc.MulticastTree), nil).RunGeneration(g)
-	many := New(DefaultConfig(256, noc.MulticastTree), nil).RunGeneration(g)
-	if many.SRAMReads >= few.SRAMReads {
-		t.Fatalf("reads did not fall with PEs: %d (2 PEs) vs %d (256 PEs)",
-			few.SRAMReads, many.SRAMReads)
+	few := replay(DefaultConfig(2, noc.MulticastTree), g).Int("sram_reads")
+	many := replay(DefaultConfig(256, noc.MulticastTree), g).Int("sram_reads")
+	if many >= few {
+		t.Fatalf("reads did not fall with PEs: %d (2 PEs) vs %d (256 PEs)", few, many)
 	}
-	if few.SRAMReads/many.SRAMReads < 10 {
-		t.Fatalf("read reduction only %d×", few.SRAMReads/many.SRAMReads)
+	if few/many < 10 {
+		t.Fatalf("read reduction only %d×", few/many)
 	}
 }
 
@@ -151,13 +160,13 @@ func TestGreedyAllocationCoSchedulesSiblings(t *testing.T) {
 		child.Ops[neat.OpCrossover] = 100
 		g.Children = append(g.Children, child)
 	}
-	r := New(DefaultConfig(4, noc.MulticastTree), nil).RunGeneration(g)
-	if r.Waves != 2 {
-		t.Fatalf("waves %d, want 2", r.Waves)
+	r := replay(DefaultConfig(4, noc.MulticastTree), g)
+	if r.Int("waves") != 2 {
+		t.Fatalf("waves %d, want 2", r.Int("waves"))
 	}
 	// 2 streams of 100 genes per wave × 2 waves = 400 reads.
-	if r.SRAMReads != 400 {
-		t.Fatalf("reads %d, want 400", r.SRAMReads)
+	if r.Int("sram_reads") != 400 {
+		t.Fatalf("reads %d, want 400", r.Int("sram_reads"))
 	}
 }
 
@@ -166,28 +175,31 @@ func TestMutationOnlyChildren(t *testing.T) {
 	child := trace.ChildRecord{Child: 1, Parent1: 7, Parent2: -1}
 	child.Ops[neat.OpPerturb] = 20
 	g.Children = append(g.Children, child)
-	r := New(DefaultConfig(8, noc.MulticastTree), nil).RunGeneration(g)
-	if r.SRAMReads != 50 {
-		t.Fatalf("clone child read %d genes, want parent's 50", r.SRAMReads)
+	r := replay(DefaultConfig(8, noc.MulticastTree), g)
+	if r.Int("sram_reads") != 50 {
+		t.Fatalf("clone child read %d genes, want parent's 50", r.Int("sram_reads"))
 	}
-	if r.SRAMWrites != 50 {
-		t.Fatalf("clone child wrote %d genes, want 50", r.SRAMWrites)
+	if r.Int("sram_writes") != 50 {
+		t.Fatalf("clone child wrote %d genes, want 50", r.Int("sram_writes"))
 	}
 }
 
 func TestRealTraceReplay(t *testing.T) {
 	tr := realTrace(t)
-	e := New(DefaultConfig(256, noc.MulticastTree), nil)
+	buf := sram.New(sram.DefaultConfig())
+	e := New(DefaultConfig(256, noc.MulticastTree), buf)
 	for i := range tr.Generations {
-		r := e.RunGeneration(&tr.Generations[i])
-		if r.TotalCycles <= 0 || r.GeneOps <= 0 {
+		e.Reset()
+		e.RunGeneration(&tr.Generations[i])
+		r := e.Counters().Snapshot()
+		if r.Int("total_cycles") <= 0 || r.Int("pe/gene_ops") <= 0 {
 			t.Fatalf("generation %d: empty report %+v", i, r)
 		}
-		if r.SRAMWrites <= 0 {
+		if r.Int("sram_writes") <= 0 {
 			t.Fatalf("generation %d: no child writes", i)
 		}
 	}
-	if e.Buffer().ReadCount() <= 0 {
+	if buf.Counters().Snapshot().Int("reads") <= 0 {
 		t.Fatal("shared buffer saw no traffic")
 	}
 }
@@ -205,15 +217,15 @@ func TestFIFOAllocationIgnoresFamilies(t *testing.T) {
 	gCfg := DefaultConfig(2, noc.MulticastTree)
 	fCfg := gCfg
 	fCfg.Allocation = AllocFIFO
-	greedy := New(gCfg, nil).RunGeneration(g)
-	fifo := New(fCfg, nil).RunGeneration(g)
+	greedy := replay(gCfg, g).Int("sram_reads")
+	fifo := replay(fCfg, g).Int("sram_reads")
 	// Greedy: 2 waves × 1 distinct parent = 200 reads.
-	if greedy.SRAMReads != 200 {
-		t.Fatalf("greedy reads %d, want 200", greedy.SRAMReads)
+	if greedy != 200 {
+		t.Fatalf("greedy reads %d, want 200", greedy)
 	}
 	// FIFO: children arrive 0,1,2,3 → each wave holds both parents.
-	if fifo.SRAMReads != 400 {
-		t.Fatalf("fifo reads %d, want 400", fifo.SRAMReads)
+	if fifo != 400 {
+		t.Fatalf("fifo reads %d, want 400", fifo)
 	}
 	if AllocGreedy.String() != "greedy" || AllocFIFO.String() != "fifo" {
 		t.Fatal("allocation names wrong")
@@ -231,9 +243,9 @@ func BenchmarkReplayAtariGeneration(b *testing.B) {
 
 func TestDeterministicReplay(t *testing.T) {
 	g := syntheticGeneration(64, 7, 80)
-	a := New(DefaultConfig(16, noc.MulticastTree), nil).RunGeneration(g)
-	b := New(DefaultConfig(16, noc.MulticastTree), nil).RunGeneration(g)
-	if a != b {
+	a := replay(DefaultConfig(16, noc.MulticastTree), g)
+	b := replay(DefaultConfig(16, noc.MulticastTree), g)
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("replay not deterministic:\n%+v\n%+v", a, b)
 	}
 }

@@ -15,8 +15,8 @@
 //     index), so two chips with the same seed replaying the same work
 //     suffer identical fault sites — fault sweeps are reproducible and
 //     a re-run of a study sees the same broken bits.
-//   - Plan is a hwsim.Component named "fault". The SoC adopts it, so
-//     every detection/correction/retransmission shows up in the chip
+//   - Plan owns a hwsim counter node named "fault". The SoC adopts it,
+//     so every detection/correction/retransmission shows up in the chip
 //     snapshot under "soc/fault/sram", "soc/fault/noc" and
 //     "soc/fault/eve" — a full reliability ledger next to the
 //     performance ledger.
@@ -169,9 +169,6 @@ func NewPlan(cfg Config) *Plan {
 
 // Config returns the fault environment.
 func (p *Plan) Config() Config { return p.cfg }
-
-// Name is the hwsim component name.
-func (p *Plan) Name() string { return "fault" }
 
 // Counters returns the live reliability ledger root.
 func (p *Plan) Counters() *hwsim.Counters { return p.ctr }

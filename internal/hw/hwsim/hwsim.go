@@ -1,18 +1,21 @@
 // Package hwsim is the accounting kernel shared by every hardware
-// model in the SoC stack. It provides three pieces:
+// model in the SoC stack. It provides two pieces:
 //
 //   - Counters: a hierarchical, race-safe registry of named int64 and
 //     float64 counters. Each hardware block owns one node; nodes nest
 //     (soc/eve/pe, soc/adam, soc/sram, ...) so a whole chip is one
 //     tree with a single uniform ledger for cycles, ops, traffic and
 //     energy-pJ.
-//   - Component: the interface every modeled block implements so that
-//     assemblies (the SoC, the CLIs, the experiment harness) can walk,
-//     snapshot and reset heterogeneous blocks uniformly instead of
-//     hand-plumbing bespoke report structs.
 //   - Report / Sink (report.go, sink.go): an immutable snapshot tree
 //     that serializes to JSON, and the per-generation record stream
 //     that carries snapshots to stats and the CLIs.
+//
+// Blocks charge raw counts as they run; every derived quantity (a
+// ratio, an energy total, a time) is computed once, by the owning
+// node's OnSnapshot hook, from the raw counts of the node and its
+// children. A node's snapshot therefore accounts everything charged
+// since its last Reset: call Reset before an interval (one generation,
+// say) and Snapshot after it to read that interval's ledger.
 //
 // Counter naming scheme: snake_case leaf names; the unit is the name
 // suffix (`*_cycles`, `*_pj`, `*_mw`, `*_mm2`, `*_bytes`); unsuffixed
@@ -65,21 +68,6 @@ func (c *Float) Store(v float64) { c.bits.Store(math.Float64bits(v)) }
 // Load returns the current value.
 func (c *Float) Load() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// Component is one modeled hardware block: anything that owns a node
-// in the counter tree. Engines (eve, adam), buffers (sram), networks
-// (noc), static models (energy) and whole assemblies (soc) all
-// implement it.
-type Component interface {
-	// Name is the block's node name in the tree (e.g. "eve").
-	Name() string
-	// Counters returns the block's registry node. The node is live:
-	// it accumulates as the model runs.
-	Counters() *Counters
-	// Reset zeroes the block's activity counters (recursively), ready
-	// for a fresh accounting interval. Configuration is untouched.
-	Reset()
-}
-
 // Counters is one node of the hierarchical counter registry.
 type Counters struct {
 	name string
@@ -93,9 +81,6 @@ type Counters struct {
 
 // New returns an empty registry node.
 func New(name string) *Counters { return &Counters{name: name} }
-
-// Name returns the node name.
-func (c *Counters) Name() string { return c.name }
 
 // Child returns the named child node, creating it on first use.
 func (c *Counters) Child(name string) *Counters {
@@ -112,7 +97,7 @@ func (c *Counters) Child(name string) *Counters {
 	return ch
 }
 
-// Adopt mounts an existing node (typically another Component's root)
+// Adopt mounts an existing node (typically another block's root)
 // as a child under its own name, replacing any previous child of that
 // name. This is how assemblies compose sub-component trees without
 // copying counters.

@@ -93,22 +93,6 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 	}
 }
 
-func TestFlattenRows(t *testing.T) {
-	c := New("soc")
-	c.AddInt("total_cycles", 10)
-	c.Child("eve").AddFloat("energy_pj", 2.5)
-	rows := c.Snapshot().Flatten()
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].Path != "soc/eve/energy_pj" || rows[0].Value != 2.5 || rows[0].IsInt {
-		t.Fatalf("row0 = %+v", rows[0])
-	}
-	if rows[1].Path != "soc/total_cycles" || rows[1].Value != 10 || !rows[1].IsInt {
-		t.Fatalf("row1 = %+v", rows[1])
-	}
-}
-
 func TestConcurrentCharging(t *testing.T) {
 	root := New("soc")
 	const workers, per = 16, 1000

@@ -97,34 +97,6 @@ func (r Report) Value(path string) (float64, bool) {
 	return 0, false
 }
 
-// Row is one flattened counter: its full slash path and value.
-type Row struct {
-	Path  string  `json:"path"`
-	Value float64 `json:"value"`
-	IsInt bool    `json:"is_int,omitempty"`
-}
-
-// Flatten renders the tree as sorted rows — the structured-row form
-// the stats and CLI layers consume.
-func (r Report) Flatten() []Row {
-	var rows []Row
-	r.flatten(r.Name, &rows)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Path < rows[j].Path })
-	return rows
-}
-
-func (r Report) flatten(prefix string, rows *[]Row) {
-	for name, v := range r.Ints {
-		*rows = append(*rows, Row{Path: prefix + "/" + name, Value: float64(v), IsInt: true})
-	}
-	for name, v := range r.Floats {
-		*rows = append(*rows, Row{Path: prefix + "/" + name, Value: v})
-	}
-	for _, ch := range r.Children {
-		ch.flatten(prefix+"/"+ch.Name, rows)
-	}
-}
-
 // JSON renders the tree as indented JSON.
 func (r Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")

@@ -7,8 +7,10 @@ import (
 
 // Network is a stateful interconnect: a Config plus a hwsim counter
 // tally, so the NoC's traffic and energy appear as a node ("noc") in a
-// component tree. Config stays a pure pricing function; Network is the
-// accountable block an engine mounts.
+// chip's counter tree. Config stays a pure pricing function; Network
+// is the accountable block an engine mounts. Its snapshot hook derives
+// reads_per_cycle, the mean SRAM read rate while distributing (the
+// y-axis of Fig. 11b).
 type Network struct {
 	cfg Config
 	ctr *hwsim.Counters
@@ -31,9 +33,6 @@ func NewNetwork(cfg Config) *Network {
 	return n
 }
 
-// Config returns the interconnect parameters.
-func (n *Network) Config() Config { return n.cfg }
-
 // AttachFaults wires a fault plan into the network. Deliveries then
 // suffer seeded flit drops and the network retransmits: each attempt
 // charges an exponential backoff plus one cycle per resent flit, and
@@ -41,9 +40,6 @@ func (n *Network) Config() Config { return n.cfg }
 // retry budget are counted as lost. All recovery work is itemized
 // under the plan's "fault/noc" scope. Passing nil detaches.
 func (n *Network) AttachFaults(p *fault.Plan) { n.faults = p }
-
-// Name is the hwsim component name.
-func (n *Network) Name() string { return "noc" }
 
 // Counters returns the live registry node.
 func (n *Network) Counters() *hwsim.Counters { return n.ctr }
@@ -94,9 +90,6 @@ func (n *Network) faultAdjust(d *Delivery) {
 	}
 	if outstanding > 0 {
 		fc.AddInt("lost_flits", outstanding)
-	}
-	if d.Cycles > 0 {
-		d.ReadsPerCycle = float64(d.SRAMReads) / float64(d.Cycles)
 	}
 }
 

@@ -47,9 +47,10 @@ func TestDistributeSinglePE(t *testing.T) {
 
 func TestDistributeZeroStreams(t *testing.T) {
 	for _, kind := range []Kind{PointToPoint, MulticastTree} {
-		d := cfg(kind, 16).Distribute([]Stream{})
+		n := NewNetwork(cfg(kind, 16))
+		d := n.Distribute([]Stream{})
 		if d.SRAMReads != 0 || d.Deliveries != 0 || d.Cycles != 0 ||
-			d.ReadsPerCycle != 0 || d.EnergyPJ != 0 {
+			n.Counters().Snapshot().Float("reads_per_cycle") != 0 || d.EnergyPJ != 0 {
 			t.Fatalf("%v zero-stream wave accounted %+v", kind, d)
 		}
 	}

@@ -62,9 +62,6 @@ type Delivery struct {
 	// Cycles is the distribution time: streams advance one gene per
 	// cycle, stalling if the SRAM read bandwidth is exceeded.
 	Cycles int64
-	// ReadsPerCycle is the average SRAM read rate while the wave is
-	// active — the y-axis of Fig. 11b.
-	ReadsPerCycle float64
 	// EnergyPJ is the interconnect traversal energy.
 	EnergyPJ float64
 }
@@ -112,9 +109,6 @@ func (c Config) Distribute(streams []Stream) Delivery {
 	d.Cycles = int64(longest)
 	if minByBW > d.Cycles {
 		d.Cycles = minByBW
-	}
-	if d.Cycles > 0 {
-		d.ReadsPerCycle = float64(d.SRAMReads) / float64(d.Cycles)
 	}
 	d.EnergyPJ = float64(d.Deliveries) * c.HopEnergyPJ * c.hops()
 	return d

@@ -63,12 +63,13 @@ func TestLockstepCycles(t *testing.T) {
 		{Genes: 500, Consumers: 1},
 		{Genes: 10, Consumers: 1},
 	}
-	d := cfg(MulticastTree, 2).Distribute(streams)
+	n := NewNetwork(cfg(MulticastTree, 2))
+	d := n.Distribute(streams)
 	if d.Cycles != 500 {
 		t.Fatalf("cycles %d, want 500", d.Cycles)
 	}
-	if d.ReadsPerCycle <= 1 || d.ReadsPerCycle > 2 {
-		t.Fatalf("reads/cycle %v", d.ReadsPerCycle)
+	if rpc := n.Counters().Snapshot().Float("reads_per_cycle"); rpc <= 1 || rpc > 2 {
+		t.Fatalf("reads/cycle %v", rpc)
 	}
 }
 

@@ -118,28 +118,20 @@ func TestFaultLedgerPopulated(t *testing.T) {
 func TestFaultsCostTimeAndEnergy(t *testing.T) {
 	jobs, gen, footprint := evolveWorkload(t, "cartpole", 30)
 
-	clean := New(energy.DefaultSoC())
-	cr := clean.RunGeneration(jobs, gen, footprint)
+	cs := runChip(energy.DefaultSoC(), jobs, gen, footprint)
+	ss := runChip(faultySoC(fault.SECDED), jobs, gen, footprint)
+	us := runChip(faultySoC(fault.Unprotected), jobs, gen, footprint)
 
-	secded := New(faultySoC(fault.SECDED))
-	sr := secded.RunGeneration(jobs, gen, footprint)
-
-	unprot := New(faultySoC(fault.Unprotected))
-	unprot.RunGeneration(jobs, gen, footprint)
-
-	if sr.TotalCycles <= cr.TotalCycles {
-		t.Fatalf("SECDED chip not slower: %d vs clean %d", sr.TotalCycles, cr.TotalCycles)
+	if ss.Int("total_cycles") <= cs.Int("total_cycles") {
+		t.Fatalf("SECDED chip not slower: %d vs clean %d", ss.Int("total_cycles"), cs.Int("total_cycles"))
 	}
-	if sr.TotalEnergyPJ <= cr.TotalEnergyPJ {
-		t.Fatalf("SECDED chip not hotter: %v vs clean %v", sr.TotalEnergyPJ, cr.TotalEnergyPJ)
+	if ss.Float("energy_pj") <= cs.Float("energy_pj") {
+		t.Fatalf("SECDED chip not hotter: %v vs clean %v", ss.Float("energy_pj"), cs.Float("energy_pj"))
 	}
 	// SRAM protection costs are charged inside the buffer's counter
-	// node (the legacy GenerationReport recomputes SRAM energy from
-	// access counts alone), so the code-bit ordering is checked on the
-	// snapshot: unprotected < SECDED, clean < SECDED.
-	ss := secded.Snapshot()
-	us := unprot.Snapshot()
-	cs := clean.Snapshot()
+	// node (the chip's energy_pj prices EvE's SRAM traffic from logical
+	// access counts alone), so the code-bit ordering is checked on
+	// sram/energy_pj: unprotected < SECDED, clean < SECDED.
 	if us.Float("sram/energy_pj") >= ss.Float("sram/energy_pj") {
 		t.Fatalf("unprotected SRAM energy %v >= SECDED %v: code bits were free",
 			us.Float("sram/energy_pj"), ss.Float("sram/energy_pj"))

@@ -17,13 +17,30 @@ import (
 )
 
 // SoC is one configured GeneSys chip. It is the root of a hwsim
-// component tree: its "soc" counter node adopts the EvE ("soc/eve",
+// counter tree: its "soc" counter node adopts the EvE ("soc/eve",
 // with "soc/eve/pe" and "soc/eve/noc" below it), ADAM ("soc/adam"),
 // genome buffer ("soc/sram") and static technology ("soc/tech") nodes,
 // so one snapshot yields the full chip ledger. When the design point
 // configures a fault environment, the chip also owns a fault.Plan and
 // adopts its reliability ledger ("soc/fault" with "sram"/"noc"/"eve"
 // scopes below it); a zero fault.Config leaves the tree untouched.
+//
+// The chip itself charges only generations, footprint_bytes (the
+// genome-buffer working set) and spills (generations whose working set
+// exceeded on-chip capacity). Its snapshot hook derives the rest from
+// the children's counters, whose own hooks have already run:
+//
+//   - the Fig. 10c time split: scratchpad_to_adam_cycles and
+//     adam_to_scratchpad_cycles (ADAM's SRAM traffic over the banked
+//     scratchpad's bandwidth) against inference_compute_cycles, and
+//     data_movement_fraction, the transfers' share of inference time
+//     (the ~15% the paper reports for GeneSys);
+//   - total_cycles, which serializes the phases (the paper's reported
+//     split), and overlapped_cycles, which applies the step-10
+//     pipelining remark (children launch over ADAM as they become
+//     ready), bounded below by the serial selector;
+//   - total_seconds, energy_pj (ADAM's plus EvE's) and
+//     average_power_mw.
 type SoC struct {
 	Cfg  energy.SoCConfig
 	EvE  *eve.Engine
@@ -72,20 +89,44 @@ func New(cfg energy.SoCConfig) *SoC {
 	s.ctr.Adopt(s.ADAM.Counters())
 	s.ctr.Adopt(buf.Counters())
 	s.ctr.Adopt(energy.NewModel(cfg).Counters())
+	ev, ad := s.EvE.Counters(), s.ADAM.Counters()
+	bw := int64(buf.Config().Banks * buf.Config().PortsEach)
 	s.ctr.OnSnapshot(func(c *hwsim.Counters) {
-		move := c.IntValue("scratchpad_to_adam_cycles") + c.IntValue("adam_to_scratchpad_cycles")
-		if total := move + c.IntValue("inference_compute_cycles"); total > 0 {
-			c.SetFloat("data_movement_fraction", float64(move)/float64(total))
+		// Inference-phase transfers ride the banked scratchpad: reads feed
+		// the array, writes return vertex values.
+		toADAM := (ad.IntValue("sram_reads") + bw - 1) / bw
+		fromADAM := (ad.IntValue("sram_writes") + bw - 1) / bw
+		compute := ad.IntValue("compute_cycles")
+		c.SetInt("scratchpad_to_adam_cycles", toADAM)
+		c.SetInt("adam_to_scratchpad_cycles", fromADAM)
+		c.SetInt("inference_compute_cycles", compute)
+		if move := toADAM + fromADAM; move+compute > 0 {
+			c.SetFloat("data_movement_fraction", float64(move)/float64(move+compute))
 		}
-		if sec := c.FloatValue("total_seconds"); sec > 0 {
-			c.SetFloat("average_power_mw", c.FloatValue("energy_pj")/sec*1e-9)
+
+		// Transfers overlap with compute only partially; the paper's
+		// GeneSys split (Fig. 10c) counts them additively, as do we.
+		inferCycles := ad.IntValue("total_cycles") + toADAM + fromADAM
+		evolveCycles, selector := ev.IntValue("total_cycles"), ev.IntValue("selector_cycles")
+		total := inferCycles + evolveCycles
+		c.SetInt("total_cycles", total)
+		// Step 10 of the walkthrough: "as each child genome becomes ready,
+		// it can be launched over ADAM once again" — with phase overlap
+		// the generation takes the longer phase plus the serial selector,
+		// not the sum.
+		c.SetInt("overlapped_cycles", selector+max(inferCycles, evolveCycles-selector))
+
+		sec := cfg.CyclesToSeconds(total)
+		energyPJ := ad.FloatValue("energy_pj") + ev.FloatValue("energy_pj")
+		c.SetFloat("total_seconds", sec)
+		c.SetFloat("energy_pj", energyPJ)
+		if sec > 0 {
+			// pJ / s = pW; convert to mW.
+			c.SetFloat("average_power_mw", energyPJ/sec*1e-9)
 		}
 	})
 	return s
 }
-
-// Name is the chip's hwsim component name.
-func (s *SoC) Name() string { return "soc" }
 
 // Counters returns the live root of the chip's counter tree.
 func (s *SoC) Counters() *hwsim.Counters { return s.ctr }
@@ -97,102 +138,18 @@ func (s *SoC) Reset() { s.ctr.Reset() }
 // Snapshot returns the full chip ledger as a structured report tree.
 func (s *SoC) Snapshot() hwsim.Report { return s.ctr.Snapshot() }
 
-// GenerationReport accounts one full generation on the SoC.
-type GenerationReport struct {
-	Inference adam.Report
-	Evolution eve.Report
-
-	// Time decomposition (Fig. 10c): moving data between the scratchpad
-	// and ADAM versus computing in ADAM, plus the evolution phase.
-	ScratchpadToADAMCycles int64
-	ADAMToScratchpadCycles int64
-	InferenceComputeCycles int64
-
-	// Totals. TotalCycles serializes the phases (the paper's reported
-	// split); OverlappedCycles applies the step-10 pipelining remark
-	// (children launch over ADAM as they become ready), bounded below
-	// by the serial selector.
-	TotalCycles      int64
-	OverlappedCycles int64
-	TotalSeconds     float64
-	TotalEnergyPJ    float64
-	AveragePowerMW   float64
-
-	// FootprintBytes is the genome-buffer working set; Spilled reports
-	// whether it exceeded on-chip capacity.
-	FootprintBytes int
-	Spilled        bool
-}
-
-// DataMovementFraction is the share of inference time spent on
-// scratchpad↔ADAM transfers — the ~15% the paper reports for GeneSys.
-func (r GenerationReport) DataMovementFraction() float64 {
-	total := r.ScratchpadToADAMCycles + r.ADAMToScratchpadCycles + r.InferenceComputeCycles
-	if total == 0 {
-		return 0
-	}
-	return float64(r.ScratchpadToADAMCycles+r.ADAMToScratchpadCycles) / float64(total)
-}
-
 // RunGeneration accounts one generation: the population's inference
-// jobs and its reproduction trace.
-func (s *SoC) RunGeneration(jobs []adam.Job, g *trace.Generation, footprintBytes int) GenerationReport {
+// jobs and, when g is not nil, its reproduction trace.
+func (s *SoC) RunGeneration(jobs []adam.Job, g *trace.Generation, footprintBytes int) {
 	s.Buf.SetResidency(footprintBytes / 8)
-
-	var r GenerationReport
-	r.FootprintBytes = footprintBytes
-	r.Spilled = !s.Buf.Resident()
-
-	r.Inference = s.ADAM.RunGeneration(jobs)
-	if g != nil {
-		r.Evolution = s.EvE.RunGeneration(g)
-	}
-
-	// Inference-phase transfers ride the banked scratchpad: reads feed
-	// the array, writes return vertex values.
-	bw := int64(s.Buf.Config().Banks * s.Buf.Config().PortsEach)
-	r.ScratchpadToADAMCycles = (r.Inference.SRAMReads + bw - 1) / bw
-	r.ADAMToScratchpadCycles = (r.Inference.SRAMWrites + bw - 1) / bw
-	r.InferenceComputeCycles = r.Inference.ComputeCycles
-
-	// Transfers overlap with compute only partially; the paper's
-	// GeneSys split (Fig. 10c) counts them additively, as do we.
-	r.TotalCycles = r.Inference.TotalCycles +
-		r.ScratchpadToADAMCycles + r.ADAMToScratchpadCycles +
-		r.Evolution.TotalCycles
-	// Step 10 of the walkthrough: "as each child genome becomes ready,
-	// it can be launched over ADAM once again" — with phase overlap
-	// the generation takes the longer phase plus the serial selector,
-	// not the sum.
-	inferCycles := r.Inference.TotalCycles +
-		r.ScratchpadToADAMCycles + r.ADAMToScratchpadCycles
-	r.OverlappedCycles = r.Evolution.SelectorCycles + max(inferCycles,
-		r.Evolution.TotalCycles-r.Evolution.SelectorCycles)
-	r.TotalSeconds = s.Cfg.CyclesToSeconds(r.TotalCycles)
-	r.TotalEnergyPJ = r.Inference.TotalEnergyPJ() + r.Evolution.TotalEnergyPJ()
-	if r.TotalSeconds > 0 {
-		// pJ / s = pW; convert to mW.
-		r.AveragePowerMW = r.TotalEnergyPJ / r.TotalSeconds * 1e-9
-	}
-	s.publish(r)
-	return r
-}
-
-// publish charges the SoC-level quantities of one generation into the
-// registry (component-level quantities were charged by EvE/ADAM/the
-// buffer as they ran).
-func (s *SoC) publish(r GenerationReport) {
 	c := s.ctr
 	c.AddInt("generations", 1)
-	c.AddInt("scratchpad_to_adam_cycles", r.ScratchpadToADAMCycles)
-	c.AddInt("adam_to_scratchpad_cycles", r.ADAMToScratchpadCycles)
-	c.AddInt("inference_compute_cycles", r.InferenceComputeCycles)
-	c.AddInt("total_cycles", r.TotalCycles)
-	c.AddInt("overlapped_cycles", r.OverlappedCycles)
-	c.AddFloat("total_seconds", r.TotalSeconds)
-	c.AddFloat("energy_pj", r.TotalEnergyPJ)
-	c.SetInt("footprint_bytes", int64(r.FootprintBytes))
-	if r.Spilled {
+	c.SetInt("footprint_bytes", int64(footprintBytes))
+	if !s.Buf.Resident() {
 		c.AddInt("spills", 1)
+	}
+	s.ADAM.RunGeneration(jobs)
+	if g != nil {
+		s.EvE.RunGeneration(g)
 	}
 }

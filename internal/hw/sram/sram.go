@@ -41,8 +41,8 @@ func (c Config) CapacityBytes() int { return c.CapacityWords() * 8 }
 
 // Buffer is the genome buffer activity model.
 //
-// Concurrency contract: Read, Write and every counter getter are safe
-// for concurrent use (counters are atomic), so parallel design-point
+// Concurrency contract: Read, Write and EnergyPJ are safe for
+// concurrent use (counters are atomic), so parallel design-point
 // sweeps can charge one shared buffer without corruption. SetResidency
 // is atomic too, but is not ordered with in-flight accesses — declare
 // the generation's working set before issuing its accesses.
@@ -111,9 +111,6 @@ func (b *Buffer) AttachFaults(p *fault.Plan) {
 		b.eccPJ = b.ctr.Float("ecc_overhead_pj")
 	}
 }
-
-// Name is the buffer's hwsim component name.
-func (b *Buffer) Name() string { return "sram" }
 
 // Counters returns the buffer's live registry node.
 func (b *Buffer) Counters() *hwsim.Counters { return b.ctr }
@@ -229,15 +226,6 @@ func (b *Buffer) inject(n int64, write bool, bw int64) int64 {
 		return 0
 	}
 }
-
-// ReadCount returns total word reads so far.
-func (b *Buffer) ReadCount() int64 { return b.reads.Load() }
-
-// WriteCount returns total word writes so far.
-func (b *Buffer) WriteCount() int64 { return b.writes.Load() }
-
-// SpillWords returns accesses served by DRAM due to capacity misses.
-func (b *Buffer) SpillWords() int64 { return b.spillWords.Load() }
 
 // EnergyPJ returns the access energy consumed so far. DRAM spills are
 // charged at 100× the SRAM access energy (the usual off-chip ratio);

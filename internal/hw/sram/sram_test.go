@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// counts reads the buffer's access, write and spill counters.
+func counts(b *Buffer) (reads, writes, spills int64) {
+	rep := b.Counters().Snapshot()
+	return rep.Int("reads"), rep.Int("writes"), rep.Int("spill_words")
+}
+
 func TestCapacityMatchesPaper(t *testing.T) {
 	c := DefaultConfig()
 	if c.CapacityBytes() != 1536*1024 {
@@ -17,11 +23,11 @@ func TestAccessCounting(t *testing.T) {
 	b := New(DefaultConfig())
 	b.Read(100)
 	b.Write(40)
-	if b.ReadCount() != 100 || b.WriteCount() != 40 {
-		t.Fatalf("counts %d/%d", b.ReadCount(), b.WriteCount())
+	if r, w, _ := counts(b); r != 100 || w != 40 {
+		t.Fatalf("counts %d/%d", r, w)
 	}
 	b.Reset()
-	if b.ReadCount() != 0 || b.WriteCount() != 0 || b.EnergyPJ() != 0 {
+	if r, w, _ := counts(b); r != 0 || w != 0 || b.EnergyPJ() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -62,8 +68,8 @@ func TestSpillAccounting(t *testing.T) {
 		t.Fatal("exact fit reported as spilled")
 	}
 	b.Read(1000)
-	if b.SpillWords() != 0 {
-		t.Fatalf("resident working set spilled %d", b.SpillWords())
+	if _, _, s := counts(b); s != 0 {
+		t.Fatalf("resident working set spilled %d", s)
 	}
 	// Twice the capacity: half the accesses go off-chip.
 	b.Reset()
@@ -72,8 +78,8 @@ func TestSpillAccounting(t *testing.T) {
 		t.Fatal("oversized set reported resident")
 	}
 	b.Read(1000)
-	if b.SpillWords() != 500 {
-		t.Fatalf("spilled %d of 1000, want 500", b.SpillWords())
+	if _, _, s := counts(b); s != 500 {
+		t.Fatalf("spilled %d of 1000, want 500", s)
 	}
 	// Off-chip accesses are 100× the energy.
 	wantPJ := float64(500)*50 + float64(500)*50*100
@@ -96,22 +102,22 @@ func TestSpillPartialResidency(t *testing.T) {
 	// 4/3 of capacity resident: a quarter of every access spills.
 	b.SetResidency(4 * b.Config().CapacityWords() / 3)
 	b.Read(1200)
-	if got := b.SpillWords(); got < 295 || got > 305 {
+	if _, _, got := counts(b); got < 295 || got > 305 {
 		t.Fatalf("spilled %d of 1200 at 25%% overflow, want ~300", got)
 	}
 	// Residency survives Reset; only the activity tally clears.
 	b.Reset()
-	if b.SpillWords() != 0 {
+	if _, _, s := counts(b); s != 0 {
 		t.Fatal("reset kept spill tally")
 	}
 	b.Read(1200)
-	if b.SpillWords() == 0 {
+	if _, _, s := counts(b); s == 0 {
 		t.Fatal("reset dropped the declared residency")
 	}
 }
 
 func TestConcurrentAccessSafe(t *testing.T) {
-	// The documented contract: Read/Write and the getters are safe for
+	// The documented contract: Read, Write and EnergyPJ are safe for
 	// concurrent use. Run under -race and check nothing is lost.
 	b := New(DefaultConfig())
 	const workers, each = 16, 1000
@@ -128,14 +134,16 @@ func TestConcurrentAccessSafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if b.ReadCount() != workers*each*3 || b.WriteCount() != workers*each*2 {
-		t.Fatalf("lost updates: reads %d writes %d", b.ReadCount(), b.WriteCount())
+	if r, w, _ := counts(b); r != workers*each*3 || w != workers*each*2 {
+		t.Fatalf("lost updates: reads %d writes %d", r, w)
 	}
 	if want := float64(workers*each*5) * b.Config().AccessPJ; b.EnergyPJ() != want {
 		t.Fatalf("energy %v, want %v", b.EnergyPJ(), want)
 	}
 }
 
+// TestCounterNodeMirrorsGetters checks the buffer's counter node
+// against the accesses charged and against the EnergyPJ getter.
 func TestCounterNodeMirrorsGetters(t *testing.T) {
 	b := New(DefaultConfig())
 	b.SetResidency(2 * b.Config().CapacityWords())
@@ -145,12 +153,12 @@ func TestCounterNodeMirrorsGetters(t *testing.T) {
 	if rep.Name != "sram" {
 		t.Fatalf("component name %q", rep.Name)
 	}
-	if rep.Int("reads") != b.ReadCount() || rep.Int("writes") != b.WriteCount() {
-		t.Fatalf("registry reads/writes %d/%d vs getters %d/%d",
-			rep.Int("reads"), rep.Int("writes"), b.ReadCount(), b.WriteCount())
+	if rep.Int("reads") != 100 || rep.Int("writes") != 60 {
+		t.Fatalf("registry reads/writes %d/%d, want 100/60", rep.Int("reads"), rep.Int("writes"))
 	}
-	if rep.Int("spill_words") != b.SpillWords() {
-		t.Fatalf("registry spill %d vs getter %d", rep.Int("spill_words"), b.SpillWords())
+	// Half the working set is off-chip, so half of each access spills.
+	if rep.Int("spill_words") != 80 {
+		t.Fatalf("registry spill %d, want 80", rep.Int("spill_words"))
 	}
 	if rep.Float("energy_pj") != b.EnergyPJ() {
 		t.Fatalf("registry energy %v vs getter %v", rep.Float("energy_pj"), b.EnergyPJ())

@@ -12,6 +12,8 @@
 # NEAT speciation kernel whose distance pass fans out over workers,
 # and the NSGA-II sort whose determinism test runs concurrently), a
 # cmd/genesys smoke (the only production caller of internal/core), a
+# cmd/socreplay smoke (a short characterize trace replayed on EvE: a
+# total line, and one JSON counter tree per trace generation), a
 # server smoke that runs the real genesysd + genesysctl binaries end to
 # end on an ephemeral port — including a multi-objective job whose
 # Pareto-front stream must replay byte-identically from the shared run
@@ -88,6 +90,22 @@ echo "$gout" | grep -Eq "solved at generation|budget exhausted" \
 gout=$(go run ./cmd/genesys -workload cartpole -pop 8 -generations 0 -quiet)
 echo "$gout"
 if echo "$gout" | grep -q NaN; then echo "genesys printed NaN" >&2; exit 1; fi
+
+echo "== socreplay smoke (characterize trace, replay, per-generation JSON)"
+# cmd/socreplay prints every value from the EvE counter tree it resets
+# per generation; a short alien-ram trace must replay to a total line
+# and write one counter-tree record per G line of the trace.
+replaydir=$(mktemp -d)
+go run ./cmd/characterize -workload alien-ram -pop 20 -generations 3 \
+    -trace "$replaydir/alien.trace" > /dev/null
+rout=$(go run ./cmd/socreplay -trace "$replaydir/alien.trace" -json "$replaydir/counters.json")
+echo "$rout"
+echo "$rout" | grep -q "^total: " || { echo "socreplay printed no total line" >&2; exit 1; }
+gens=$(grep -c '^G ' "$replaydir/alien.trace" || true)
+recs=$(grep -c '"generation":' "$replaydir/counters.json" || true)
+[ "$gens" -gt 0 ] && [ "$recs" -eq "$gens" ] \
+    || { echo "socreplay wrote $recs records for $gens trace generations" >&2; exit 1; }
+rm -rf "$replaydir"
 
 echo "== genesysd smoke (real binaries, ephemeral port)"
 smokedir=$(mktemp -d)
