@@ -3,6 +3,8 @@ package store
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // BenchmarkStoreHitThroughput measures the verified read path — the
@@ -45,6 +47,51 @@ func BenchmarkStoreHitThroughput(b *testing.B) {
 		}
 		if len(art.Files) != 3 {
 			b.Fatal("short read")
+		}
+	}
+}
+
+// BenchmarkRecover measures boot verification, the cost every daemon
+// restart pays before it serves: 16 committed runs, each with a
+// deterministic 5 MiB population.json (the size of a pop-50 RAM-game
+// run), verified by a fresh Store's Recover per iteration.
+func BenchmarkRecover(b *testing.B) {
+	const artifacts = 16
+	root := b.TempDir()
+	s, err := Open(Config{Root: root})
+	if err != nil {
+		b.Fatal(err)
+	}
+	population := make([]byte, 0, 5<<20+64)
+	for i := uint64(0); len(population) < 5<<20; i++ {
+		population = fmt.Appendf(population, `{"key":%d,"weight":%.17g,"enabled":true},`,
+			i, float64(rng.Mix64(i)>>11)/(1<<53))
+	}
+	population = population[:5<<20]
+	var total int64
+	for seed := uint64(0); seed < artifacts; seed++ {
+		files := map[string][]byte{
+			"history.json":    fmt.Appendf(nil, `{"schema":"genesys-run/1","seed":%d}`, seed),
+			"population.json": population,
+			"trace.txt":       []byte("G 0\nP 1 2\nC 3 4\n"),
+		}
+		key := Key{Workload: "alien-ram", Population: 50, Generations: 5, Seed: seed}
+		if err := s.Put(key, Meta{Generations: 5}, files); err != nil {
+			b.Fatal(err)
+		}
+		for _, data := range files {
+			total += int64(len(data))
+		}
+	}
+	b.SetBytes(total)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		booted, err := Open(Config{Root: root})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep := booted.Recover(); rep.Verified != artifacts {
+			b.Fatalf("Recover: %+v", rep)
 		}
 	}
 }

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"math/bits"
+	"path/filepath"
 	"testing"
 )
 
@@ -138,5 +142,66 @@ func TestFaultsAreDeterministic(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatalf("same seed rotted different bytes:\n%q\n%q", a, b)
+	}
+}
+
+// TestBitRotStreams pins Open's half of BitRotEvery: Open and ReadFile
+// share one read count, and the Nth read flips the same single bit
+// whichever call makes it and however its stream is chunked.
+func TestBitRotStreams(t *testing.T) {
+	s := openTest(t, Config{})
+	key := testKey(33)
+	if err := s.Put(key, Meta{}, testFiles()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.dirOf(key), "history.json")
+	clean := testFiles()["history.json"]
+	stream := func(ffs *FaultFS, chunk int) []byte {
+		f, err := ffs.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var out []byte
+		buf := make([]byte, chunk)
+		for {
+			n, err := f.Read(buf)
+			out = append(out, buf[:n]...)
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh := func() *FaultFS { return &FaultFS{Inner: OSFS{}, Seed: 7, BitRotEvery: 2} }
+
+	byRead := fresh()
+	byRead.ReadFile(path)
+	rotten, err := byRead.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := 0
+	for i := range clean {
+		flipped += bits.OnesCount8(clean[i] ^ rotten[i])
+	}
+	if flipped != 1 {
+		t.Fatalf("second ReadFile flipped %d bits, want 1", flipped)
+	}
+	for _, chunk := range []int{1, 3, 64} {
+		ffs := fresh()
+		if got := stream(ffs, chunk); !bytes.Equal(got, clean) {
+			t.Fatalf("chunk %d: first stream rotten", chunk)
+		}
+		if got := stream(ffs, chunk); !bytes.Equal(got, rotten) {
+			t.Fatalf("chunk %d: second stream %q, want the second ReadFile's %q", chunk, got, rotten)
+		}
+	}
+	mixed := fresh()
+	mixed.ReadFile(path)
+	if got := stream(mixed, 5); !bytes.Equal(got, rotten) {
+		t.Fatalf("Open after ReadFile %q, want the shared count's second read %q", got, rotten)
 	}
 }

@@ -10,12 +10,15 @@ import (
 	"repro/internal/rng"
 )
 
-// FS is the store's filesystem seam: the eight operations the store
+// FS is the store's filesystem seam: the nine operations the store
 // performs, injectable so tests drive every degradation path with a
 // deterministic fault layer instead of hoping the disk misbehaves on
 // cue.
 type FS interface {
 	ReadFile(name string) ([]byte, error)
+	// Open opens a file for streaming reads: payload verification
+	// never holds a whole payload it does not return.
+	Open(name string) (fs.File, error)
 	WriteFile(name string, data []byte, perm fs.FileMode) error
 	Rename(oldpath, newpath string) error
 	MkdirAll(path string, perm fs.FileMode) error
@@ -29,6 +32,7 @@ type FS interface {
 type OSFS struct{}
 
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (OSFS) Open(name string) (fs.File, error)    { return os.Open(name) }
 func (OSFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
@@ -51,9 +55,10 @@ var ErrDiskFull = errors.New("store: injected disk full")
 // transparent pass-through.
 //
 // Operation indices count only the fault-eligible calls: WriteFile
-// draws for TornWriteEvery and WriteFailEvery, ReadFile for
-// BitRotEvery. Periods are in units of those calls: TornWriteEvery=3
-// tears every third write.
+// draws for TornWriteEvery and WriteFailEvery; ReadFile and Open share
+// one count for BitRotEvery. Periods are in units of those calls:
+// TornWriteEvery=3 tears every third write. Calls made from several
+// goroutines at once draw their indices in the order they arrive.
 type FaultFS struct {
 	Inner FS
 	// Seed selects which byte/bit each injected fault hits.
@@ -62,8 +67,9 @@ type FaultFS struct {
 	// prefix while still reporting success — the classic crash-mid-write
 	// artifact.
 	TornWriteEvery int
-	// BitRotEvery > 0 flips one bit in every Nth successful ReadFile —
-	// silent media decay.
+	// BitRotEvery > 0 flips one bit in every Nth successful read — the
+	// bytes of a ReadFile or the stream of an Open — silent media decay.
+	// The Nth read flips the same bit either way.
 	BitRotEvery int
 	// WriteFailEvery > 0 fails every Nth WriteFile with ErrDiskFull
 	// (after the torn-write draw, so the two compose deterministically).
@@ -88,20 +94,62 @@ func (f *FaultFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return f.Inner.WriteFile(name, data, perm)
 }
 
+// rot draws the bit the nth read of a size-byte file flips: the byte
+// offset and the mask. It reports false when the read stays clean.
+func (f *FaultFS) rot(n uint64, size int64) (int64, byte, bool) {
+	if f.BitRotEvery <= 0 || n%uint64(f.BitRotEvery) != 0 || size <= 0 {
+		return 0, 0, false
+	}
+	draw := mix(f.Seed, n)
+	return int64(draw % uint64(size)), 1 << (draw >> 32 % 8), true
+}
+
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	data, err := f.Inner.ReadFile(name)
 	if err != nil {
 		return data, err
 	}
-	n := f.reads.Add(1)
-	if f.BitRotEvery > 0 && n%uint64(f.BitRotEvery) == 0 && len(data) > 0 {
+	if at, mask, ok := f.rot(f.reads.Add(1), int64(len(data))); ok {
 		rotten := make([]byte, len(data))
 		copy(rotten, data)
-		draw := mix(f.Seed, n)
-		rotten[draw%uint64(len(data))] ^= 1 << (draw >> 32 % 8)
+		rotten[at] ^= mask
 		return rotten, nil
 	}
 	return data, nil
+}
+
+func (f *FaultFS) Open(name string) (fs.File, error) {
+	file, err := f.Inner.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	n := f.reads.Add(1)
+	var size int64
+	if info, err := file.Stat(); err == nil {
+		size = info.Size()
+	}
+	if at, mask, ok := f.rot(n, size); ok {
+		return &rottenFile{File: file, at: at, mask: mask}, nil
+	}
+	return file, nil
+}
+
+// rottenFile is a stream with one bit flipped: the byte at offset at
+// (counted from the current read position) is XORed with mask as it
+// passes.
+type rottenFile struct {
+	fs.File
+	at   int64
+	mask byte
+}
+
+func (r *rottenFile) Read(p []byte) (int, error) {
+	n, err := r.File.Read(p)
+	if r.at >= 0 && r.at < int64(n) {
+		p[r.at] ^= r.mask
+	}
+	r.at -= int64(n)
+	return n, err
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error { return f.Inner.Rename(oldpath, newpath) }

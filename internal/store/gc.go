@@ -25,9 +25,10 @@ type gcCandidate struct {
 // GC enforces the store's size and age budgets and sweeps the
 // checkpoint directory. Eviction order is least-recently-used: the
 // manifest's mtime is stamped on every hit, so an artifact's recency
-// is exactly its last replay. Results are also accumulated into the
-// store's hwsim counters, so the /metrics tree carries lifetime GC
-// accounting.
+// is exactly its last replay, or its commit if it never hit; Recover's
+// boot verification leaves it alone. Results are also accumulated
+// into the store's hwsim counters, so the /metrics tree carries
+// lifetime GC accounting.
 func (s *Store) GC() GCResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,9 +1,14 @@
 package store
 
 import (
+	"errors"
+	"io/fs"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // RecoveryReport accounts one startup-recovery pass.
@@ -23,6 +28,10 @@ type RecoveryReport struct {
 	CheckpointsSwept int
 }
 
+// scratchSize is the buffer each recovery worker streams payloads
+// through.
+const scratchSize = 256 << 10
+
 // Recover is the startup pass after an unclean shutdown (or any
 // start — it is a no-op on a healthy store). It sweeps abandoned
 // commit staging from tmp/, fully verifies every committed artifact
@@ -30,6 +39,14 @@ type RecoveryReport struct {
 // under traffic), reclaims checkpoints of completed runs, and returns
 // the keys of orphaned checkpoints so the scheduler can re-enqueue the
 // interrupted runs.
+//
+// Verification holds every payload byte to its manifest's size and
+// SHA-256, the check Get makes, on GOMAXPROCS workers that stream each
+// payload through one reused buffer. It counts no hit and stamps no
+// recency: a boot is not a use, so GC ages an artifact from its last
+// hit or commit whatever the restarts in between. The checkpoint pass
+// runs after every verification has finished, so the checkpoint of a
+// run whose artifact was just quarantined is kept and re-enqueued.
 func (s *Store) Recover() RecoveryReport {
 	var rep RecoveryReport
 
@@ -44,29 +61,7 @@ func (s *Store) Recover() RecoveryReport {
 		}
 	}
 
-	// Full verification of the committed set. Get already quarantines on
-	// any integrity failure; the hit-vs-quarantine delta is observable
-	// through the same counters traffic uses.
-	if entries, err := s.fs.ReadDir(s.runsDir()); err == nil {
-		for _, e := range entries {
-			if !e.IsDir() {
-				continue
-			}
-			key, ok := ParseKeyFilename(e.Name())
-			if !ok {
-				// Not a canonical artifact name: it can never be addressed
-				// by Get, so treat it as corruption.
-				s.quarantine(filepath.Join(s.runsDir(), e.Name()), "unparseable artifact name")
-				rep.Quarantined++
-				continue
-			}
-			if _, ok := s.Get(key); ok {
-				rep.Verified++
-			} else {
-				rep.Quarantined++
-			}
-		}
-	}
+	rep.Verified, rep.Quarantined = s.verifyAll()
 
 	// Checkpoints: completed runs' checkpoints are reclaimed; the rest
 	// are interrupted runs to re-enqueue. Owner-suffixed files
@@ -103,4 +98,55 @@ func (s *Store) Recover() RecoveryReport {
 		return rep.Interrupted[i].String() < rep.Interrupted[j].String()
 	})
 	return rep
+}
+
+// verifyAll verifies every artifact under runs/ and returns how many
+// passed and how many failed. The workers pull keys from a shared
+// index, one artifact at a time, and each keeps one scratch buffer.
+func (s *Store) verifyAll() (verified, quarantined int) {
+	entries, err := s.fs.ReadDir(s.runsDir())
+	if err != nil {
+		return 0, 0
+	}
+	var keys []Key
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		key, ok := ParseKeyFilename(e.Name())
+		if !ok || key.String() != e.Name() {
+			// Not a canonical artifact name: it can never be addressed
+			// by Get, so treat it as corruption.
+			s.quarantine(filepath.Join(s.runsDir(), e.Name()), "unparseable artifact name")
+			quarantined++
+			continue
+		}
+		keys = append(keys, key)
+	}
+
+	var next, passed atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(keys)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scratch := make([]byte, scratchSize)
+			for i := next.Add(1) - 1; i < int64(len(keys)); i = next.Add(1) - 1 {
+				_, err := s.verify(keys[i], false, scratch)
+				switch {
+				case err == nil:
+					passed.Add(1)
+				case errors.Is(err, fs.ErrNotExist):
+					// A key directory without a manifest is no commit
+					// (commits rename a staged directory holding its
+					// manifest), and left in place it would refuse
+					// every recommit of its key.
+					s.quarantine(s.dirOf(keys[i]), "manifest: missing")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	verified = int(passed.Load())
+	return verified, quarantined + len(keys) - verified
 }

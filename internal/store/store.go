@@ -25,6 +25,10 @@
 //     hand-editing) is quarantined — moved aside with its reason, the
 //     key freed — and the caller sees a miss, so the run transparently
 //     recomputes instead of failing the job.
+//   - Verified boots: Recover holds every committed payload byte to its
+//     manifest before the daemon serves, with the check Get makes,
+//     streamed on GOMAXPROCS workers. A boot is not a use: it leaves
+//     each artifact's recency (last hit or commit) where it was.
 //   - Deterministic fault injection: the FS seam (fs.go) accepts a
 //     seeded FaultFS so every degradation path above is exercised by
 //     tests, not just argued about.
@@ -36,10 +40,13 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -317,8 +324,8 @@ type Config struct {
 	// MaxBytes bounds the total payload bytes under runs/; GC evicts
 	// least-recently-used artifacts over the budget. 0 = unlimited.
 	MaxBytes int64
-	// MaxAge bounds artifact idle time (since last hit or commit); GC
-	// evicts older ones. 0 = unlimited.
+	// MaxAge bounds artifact idle time (since last hit or commit; a
+	// boot's Recover is neither); GC evicts older ones. 0 = unlimited.
 	MaxAge time.Duration
 	// CheckpointDir, when set, is swept by GC and Recover: checkpoint
 	// files of completed runs (their artifact exists) are removed, stale
@@ -483,50 +490,103 @@ func (s *Store) Put(key Key, meta Meta, files map[string][]byte) error {
 // does any integrity failure — manifest undecodable, key mismatch,
 // payload size or checksum wrong — after the artifact is quarantined,
 // so the caller's recompute can commit a fresh one under the same key.
+// A hit counts as a use: it stamps the artifact's recency for GC.
 func (s *Store) Get(key Key) (*Artifact, bool) {
-	dir := s.dirOf(key)
-	manPath := filepath.Join(dir, manifestFile)
-	data, err := s.fs.ReadFile(manPath)
+	art, err := s.verify(key, true, nil)
 	if err != nil {
 		s.ops.AddInt("misses", 1)
 		return nil, false
 	}
-	man, err := decodeManifest(data)
-	if err != nil {
-		s.quarantine(dir, fmt.Sprintf("manifest: %v", err))
-		s.ops.AddInt("misses", 1)
-		return nil, false
-	}
-	if man.Key != key {
-		s.quarantine(dir, fmt.Sprintf("manifest key %s under directory for %s", man.Key, key))
-		s.ops.AddInt("misses", 1)
-		return nil, false
-	}
-	art := &Artifact{Key: key, Meta: man.Meta, Files: make(map[string][]byte, len(man.Files))}
 	var read int64
-	for _, fe := range man.Files {
-		b, err := s.fs.ReadFile(filepath.Join(dir, fe.Name))
-		switch {
-		case err != nil:
-			s.quarantine(dir, fmt.Sprintf("payload %s: %v", fe.Name, err))
-		case int64(len(b)) != fe.Size:
-			s.quarantine(dir, fmt.Sprintf("payload %s: %d bytes, manifest says %d", fe.Name, len(b), fe.Size))
-		case digest(b) != fe.SHA256:
-			s.quarantine(dir, fmt.Sprintf("payload %s: checksum mismatch", fe.Name))
-		default:
-			art.Files[fe.Name] = b
-			read += int64(len(b))
-			continue
-		}
-		s.ops.AddInt("misses", 1)
-		return nil, false
+	for _, b := range art.Files {
+		read += int64(len(b))
 	}
 	s.ops.AddInt("hits", 1)
 	s.ops.AddInt("bytes_read", read)
 	// Stamp recency for the GC's LRU ordering (best-effort).
 	now := s.now()
-	s.fs.Chtimes(manPath, now, now)
+	s.fs.Chtimes(filepath.Join(s.dirOf(key), manifestFile), now, now)
 	return art, true
+}
+
+// errCorrupt is verify's report of an artifact it has quarantined.
+var errCorrupt = errors.New("store: artifact failed verification")
+
+// verify holds key's committed artifact to its manifest: the manifest
+// decodes and names key, and every payload has the size and SHA-256
+// the manifest records. Any failure quarantines the artifact and
+// returns errCorrupt. A manifest that cannot be read returns its read
+// error and quarantines nothing. verify neither counts the read nor
+// stamps recency; that is Get's business. With keep the payload bytes
+// come back in the Artifact; without, they stream through scratch and
+// are dropped.
+func (s *Store) verify(key Key, keep bool, scratch []byte) (*Artifact, error) {
+	dir := s.dirOf(key)
+	data, err := s.fs.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		return nil, err
+	}
+	man, err := decodeManifest(data)
+	if err != nil {
+		s.quarantine(dir, fmt.Sprintf("manifest: %v", err))
+		return nil, errCorrupt
+	}
+	if man.Key != key {
+		s.quarantine(dir, fmt.Sprintf("manifest key %s under directory for %s", man.Key, key))
+		return nil, errCorrupt
+	}
+	art := &Artifact{Key: key, Meta: man.Meta}
+	if keep {
+		art.Files = make(map[string][]byte, len(man.Files))
+	}
+	for _, fe := range man.Files {
+		b, err := s.checkPayload(filepath.Join(dir, fe.Name), fe, keep, scratch)
+		if err != nil {
+			s.quarantine(dir, fmt.Sprintf("payload %s: %v", fe.Name, err))
+			return nil, errCorrupt
+		}
+		if keep {
+			art.Files[fe.Name] = b
+		}
+	}
+	return art, nil
+}
+
+// checkPayload streams one payload file through SHA-256 and holds it
+// to its manifest entry. It reads at most one byte past fe.Size, so a
+// longer file fails without being read whole, and it never sizes a
+// buffer from fe.Size alone: a corrupt manifest may claim any size. A
+// kept payload is read straight into a buffer sized by the file;
+// otherwise the bytes pass through scratch.
+func (s *Store) checkPayload(path string, fe fileEntry, keep bool, scratch []byte) ([]byte, error) {
+	f, err := s.fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	h := sha256.New()
+	r := io.LimitReader(f, fe.Size+1)
+	var kept bytes.Buffer
+	var n int64
+	if keep {
+		if info, err := f.Stat(); err == nil {
+			kept.Grow(int(min(info.Size(), fe.Size)) + bytes.MinRead)
+		}
+		n, err = kept.ReadFrom(io.TeeReader(r, h))
+	} else {
+		n, err = io.CopyBuffer(h, r, scratch)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case n > fe.Size:
+		return nil, fmt.Errorf("more than the %d bytes the manifest says", fe.Size)
+	case n < fe.Size:
+		return nil, fmt.Errorf("%d bytes, manifest says %d", n, fe.Size)
+	case hex.EncodeToString(h.Sum(nil)) != fe.SHA256:
+		return nil, errors.New("checksum mismatch")
+	}
+	return kept.Bytes(), nil
 }
 
 // QuarantineKey moves a key's artifact aside. It is the seam for the

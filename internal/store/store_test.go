@@ -328,20 +328,38 @@ func TestRecover(t *testing.T) {
 	root, ckptDir := t.TempDir(), t.TempDir()
 	s := openTest(t, Config{Root: root, CheckpointDir: ckptDir})
 	good, bad, doneKey := testKey(14), testKey(15), testKey(16)
-	for _, k := range []Key{good, bad, doneKey} {
+	flipped, longer := testKey(18), testKey(19)
+	for _, k := range []Key{good, bad, doneKey, flipped, longer} {
 		if err := s.Put(k, Meta{}, testFiles()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Corrupt one artifact, orphan a staging dir, plant checkpoints.
+	// Corrupt three artifacts (a payload of another size, one bit
+	// flipped in place, bytes appended past the manifest's size), orphan
+	// a staging dir, plant checkpoints.
 	if err := os.WriteFile(filepath.Join(s.dirOf(bad), "trace.txt"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := flipBit(filepath.Join(s.dirOf(flipped), "population.json")); err != nil {
+		t.Fatal(err)
+	}
+	hist := append(testFiles()["history.json"], '\n')
+	if err := os.WriteFile(filepath.Join(s.dirOf(longer), "history.json"), hist, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(filepath.Join(root, "tmp", "cartpole-p64-g30-s9.1"), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	// A directory whose name parses to good's key only after the
+	// checkpoint owner suffix is stripped: Get can never address it.
+	alias := good.String() + "~deadbeef"
+	if err := os.MkdirAll(filepath.Join(root, "runs", alias), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The corrupt artifact's checkpoint must survive: the checkpoint
+	// pass runs only once verification has quarantined the artifact.
 	orphan := Key{Workload: "alien-ram", Population: 30, Generations: 8, Seed: 200}
-	for _, name := range []string{orphan.String() + ".ckpt", doneKey.String() + ".ckpt"} {
+	for _, name := range []string{orphan.String() + ".ckpt", doneKey.String() + ".ckpt", bad.String() + ".ckpt"} {
 		if err := os.WriteFile(filepath.Join(ckptDir, name), []byte("ckpt"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -350,17 +368,39 @@ func TestRecover(t *testing.T) {
 	// A fresh Store over the same root: the restarted process.
 	s2 := openTest(t, Config{Root: root, CheckpointDir: ckptDir})
 	rep := s2.Recover()
-	if rep.Verified != 2 || rep.Quarantined != 1 || rep.TmpSwept != 1 || rep.CheckpointsSwept != 1 {
+	if rep.Verified != 2 || rep.Quarantined != 4 || rep.TmpSwept != 1 || rep.CheckpointsSwept != 1 {
 		t.Fatalf("Recover: %+v", rep)
 	}
-	if len(rep.Interrupted) != 1 || rep.Interrupted[0] != orphan {
+	if len(rep.Interrupted) != 2 || rep.Interrupted[0] != orphan || rep.Interrupted[1] != bad {
 		t.Fatalf("Interrupted: %+v", rep.Interrupted)
+	}
+	if _, err := os.Stat(filepath.Join(ckptDir, bad.String()+".ckpt")); err != nil {
+		t.Fatalf("checkpoint of the quarantined run: %v", err)
 	}
 	if _, ok := s2.Get(good); !ok {
 		t.Fatal("verified artifact unreadable after recovery")
 	}
-	if _, ok := s2.Get(bad); ok {
-		t.Fatal("corrupt artifact survived recovery")
+	for _, k := range []Key{bad, flipped, longer} {
+		if _, ok := s2.Get(k); ok {
+			t.Fatalf("corrupt artifact %s survived recovery", k)
+		}
+	}
+	// Each corruption was caught by the check that names it.
+	want := map[string]string{
+		bad.String():     "payload trace.txt: 7 bytes, manifest says 10",
+		flipped.String(): "payload population.json: checksum mismatch",
+		longer.String():  "payload history.json: more than the 29 bytes the manifest says",
+		alias:            "unparseable artifact name",
+	}
+	for _, q := range s2.Quarantined() {
+		name := q.Name[:strings.LastIndex(q.Name, ".")]
+		if q.Reason != want[name] {
+			t.Errorf("%s quarantined for %q, want %q", name, q.Reason, want[name])
+		}
+		delete(want, name)
+	}
+	if len(want) != 0 {
+		t.Fatalf("not quarantined: %v", want)
 	}
 }
 

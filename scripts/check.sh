@@ -18,10 +18,11 @@
 # end on an ephemeral port — including a multi-objective job whose
 # Pareto-front stream must replay byte-identically from the shared run
 # cache — a durability smoke that SIGKILLs a
-# store-backed daemon and proves the restarted one replays the result
-# from disk, a one-iteration smoke over the kernel, checkpoint codec
-# and replay benchmarks (so a change that breaks a benchmark fails
-# here), a one-iteration run of the root figure and ablation benchmarks
+# store-backed daemon and proves the restarted one verifies the
+# committed run at boot and replays it from disk, a one-iteration smoke
+# over the kernel, checkpoint codec, replay and store benchmarks, boot
+# verification (BenchmarkRecover) included (so a change that breaks a
+# benchmark fails here), a one-iteration run of the root figure and ablation benchmarks
 # that must leave results/ byte-identical (they are the only code that
 # regenerates it), and a short fuzz smoke over the untrusted-input
 # decoders (trace parser, genome codec, NEAT checkpoint, store manifest)
@@ -175,7 +176,7 @@ echo "$out1" | grep -q "stored=false" || { echo "first life claims a store hit" 
 kill -9 "$daemon"
 wait "$daemon" 2>/dev/null || true
 "$smokedir/genesysd" -addr 127.0.0.1:0 -addr-file "$smokedir/addr3" \
-    -store-dir "$smokedir/store" -checkpoint-dir "$smokedir/ckpt" &
+    -store-dir "$smokedir/store" -checkpoint-dir "$smokedir/ckpt" > "$smokedir/boot3.log" &
 daemon=$!
 for _ in $(seq 1 100); do
     [ -s "$smokedir/addr3" ] && break
@@ -186,6 +187,12 @@ out2=$("$smokedir/genesysctl" -addr "$addr" submit \
     -workload cartpole -pop 24 -generations 3 -seed 777 -watch)
 echo "$out2"
 echo "$out2" | grep -q "stored=true" || { echo "restart did not replay from the store" >&2; exit 1; }
+# The boot line is printed before the daemon serves, so the answered
+# submission above guarantees it is in the log: the one committed run
+# must have verified at boot.
+cat "$smokedir/boot3.log"
+grep -q ": 1 verified, 0 quarantined," "$smokedir/boot3.log" \
+    || { echo "restart did not verify the committed run at boot" >&2; exit 1; }
 "$smokedir/genesysctl" -addr "$addr" metrics | grep -q '"store_hits": 1' \
     || { echo "metrics missing the store hit" >&2; exit 1; }
 kill -TERM "$daemon"
@@ -259,7 +266,7 @@ wait "$w1" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
-echo "== bench smoke (kernel + batch + checkpoint codec + replay trajectory benches, 1 iteration)"
+echo "== bench smoke (kernel + batch + checkpoint codec + replay trajectory + store benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so
 # BenchmarkNetworkFeedBatch, BenchmarkEvaluateGenerationScalar (the
 # serial test reference evaluator) and BenchmarkEvaluateGenerationRAM
@@ -277,7 +284,7 @@ go test -run=NONE -bench='BenchmarkEvEReplay' \
     -benchtime=1x ./internal/hw/eve/
 go test -run=NONE -bench='BenchmarkServeThroughput' \
     -benchtime=1x ./internal/serve/
-go test -run=NONE -bench='BenchmarkStoreHitThroughput' \
+go test -run=NONE -bench='BenchmarkStoreHitThroughput|BenchmarkRecover' \
     -benchtime=1x ./internal/store/
 go test -run=NONE -bench='BenchmarkClusterThroughput' \
     -benchtime=1x ./internal/serve/
