@@ -148,18 +148,13 @@ func main() {
 		Store:             runStore,
 	}
 
-	// Cluster wiring. A worker suffixes its checkpoints with its member
-	// id (derived from the advertised address) so a shared checkpoint
-	// directory never sees interleaved writes; a coordinator swaps its
-	// executor for the fleet dispatcher.
+	// Cluster wiring: a coordinator swaps its executor for the fleet
+	// dispatcher.
 	advAddr := *advertise
 	if advAddr == "" {
 		advAddr = "http://" + bound
 	}
 	var members *cluster.Membership
-	if *workerMode {
-		cfg.WorkerID = cluster.MemberID(advAddr)
-	}
 	if *coordMode {
 		// The dispatcher exists before the registry so membership changes
 		// (join, death, revival) can trigger its rebalance pass: queued

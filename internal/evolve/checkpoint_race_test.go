@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/hw/hwsim"
@@ -120,4 +121,83 @@ func TestConcurrentCheckpointResumeBitIdentical(t *testing.T) {
 				tail[i].Generation, c.History[i], tail[i])
 		}
 	}
+}
+
+// TestTwoWritersOneCheckpoint is the partitioned-worker case: a worker
+// cut off from the coordinator keeps running a job while the
+// coordinator re-dispatches its key to another worker, and both save
+// the key's one checkpoint file. Two runs of one key checkpoint every
+// generation to one path at once. Both must finish, every checkpoint a
+// concurrent reader sees must restore, and the file they leave is the
+// last boundary before the budget.
+func TestTwoWritersOneCheckpoint(t *testing.T) {
+	const seed, budget = 13, 8
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mountaincar-p30-g8-s13.ckpt")
+	errs := make([]error, 2)
+	var writers sync.WaitGroup
+	for i := range errs {
+		r, err := NewRunner("mountaincar", smallConfig(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.CheckpointPath = path
+		r.CheckpointEvery = 1
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			_, errs[i] = r.Run(context.Background(), budget)
+		}()
+	}
+
+	stop := make(chan struct{})
+	var reads int
+	var readErr error
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				continue // no checkpoint yet
+			}
+			if _, err := RestoreRunner("mountaincar", data, seed); err != nil {
+				readErr = err
+				return
+			}
+			reads++
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	<-readerDone
+
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("writer %d: %v", i, err)
+		}
+	}
+	if readErr != nil {
+		t.Fatalf("a concurrent reader saw a checkpoint that does not restore (after %d good reads): %v", reads, readErr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := RestoreRunner("mountaincar", data, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Pop.Generation != budget-1 {
+		t.Fatalf("final checkpoint at generation %d, want %d", last.Pop.Generation, budget-1)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("checkpoint dir holds %d entries, want only the checkpoint", len(ents))
+	}
+	t.Logf("%d concurrent reads restored", reads)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -590,24 +591,33 @@ func (r *Runner) checkpoint() error {
 }
 
 // SaveCheckpoint atomically persists the population state: the JSON is
-// written to a temp file in the target directory and renamed over
-// path, so an interrupted save leaves the previous checkpoint intact.
+// written to a staging file of this save's own ("<name>.tmp<random>"
+// in the target directory) and renamed over path, so an interrupted
+// save leaves the previous checkpoint intact and any number of
+// processes may save to one path at once: each rename installs one
+// complete checkpoint, and a reader never sees a mix of two.
 func (r *Runner) SaveCheckpoint(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := r.Pop.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	tmp := f.Name()
+	err = r.Pop.Save(f)
+	if err == nil {
+		// CreateTemp makes the file 0600; workers sharing the
+		// directory must be able to resume from each other's saves.
+		err = f.Chmod(0o644)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, path)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Champion returns the clone of the best genome at the most recent

@@ -140,11 +140,10 @@ type JobRequest struct {
 	// per phase, per checkpoint and for its store commit (metrics only,
 	// never stored).
 	Phases *hwsim.Counters
-	// CheckpointPath, CheckpointEvery, ResumeFromPath and OnRunner
-	// apply to scalar runs only; see SharedRequest.
+	// CheckpointPath, CheckpointEvery and OnRunner apply to scalar
+	// runs only; see SharedRequest.
 	CheckpointPath  string
 	CheckpointEvery int
-	ResumeFromPath  string
 	OnRunner        func(*evolve.Runner)
 	// RunIslands, when set, computes an island run in place of the
 	// single-process reference — the coordinator's fleet hook. It must

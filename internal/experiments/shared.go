@@ -48,18 +48,15 @@ type SharedRequest struct {
 	// CheckpointPath + CheckpointEvery enable the PR 2 checkpoint
 	// machinery on a cache miss: the run persists at generation
 	// boundaries, resumes from an existing file at that path, and the
-	// file is removed after an uninterrupted completion (a stale
-	// checkpoint never shadows a fresh run of a different key because
-	// the path should encode the key).
+	// file is removed after an uninterrupted completion. The path
+	// should encode the key (store.CheckpointPath), so a stale
+	// checkpoint never shadows a fresh run of a different key, and
+	// every process running the key shares it: saves stage through
+	// files of their own, so a worker taking over a dead or partitioned
+	// worker's job resumes from its checkpoint and then writes the same
+	// file without the two ever interleaving.
 	CheckpointPath  string
 	CheckpointEvery int
-	// ResumeFromPath, when set, is the checkpoint file the run restores
-	// from instead of CheckpointPath — the cluster failover seam: a
-	// worker taking over a dead worker's job resumes from the orphan's
-	// owner-suffixed checkpoint while writing its own checkpoints to its
-	// own CheckpointPath, so two workers never share a write target.
-	// Both files are removed after an uninterrupted completion.
-	ResumeFromPath string
 	// OnRunner, when set, is called with the live runner just before a
 	// cache-miss run starts — the hook a serving layer uses to wire
 	// per-job control (Runner.RequestCheckpoint). The runner is owned
@@ -111,7 +108,6 @@ func RunShared(req SharedRequest) (*SharedRun, error) {
 		Phases:          req.Phases,
 		CheckpointPath:  req.CheckpointPath,
 		CheckpointEvery: req.CheckpointEvery,
-		ResumeFromPath:  req.ResumeFromPath,
 		OnRunner:        req.OnRunner,
 	})
 	if err != nil {
@@ -172,11 +168,7 @@ func checkRun(key store.Key) error {
 func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = key.Population
-	resume := req.ResumeFromPath
-	if resume == "" {
-		resume = req.CheckpointPath
-	}
-	r, resumed, err := evolve.ResumeRunner(key.Workload, cfg, key.Seed, resume)
+	r, resumed, err := evolve.ResumeRunner(key.Workload, cfg, key.Seed, req.CheckpointPath)
 	if err != nil {
 		return nil, false, err
 	}
@@ -197,13 +189,9 @@ func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	}
 	// A completed run's checkpoint has served its purpose; removing it
 	// keeps a later run that reuses the path (same key after a cache
-	// reset) from "resuming" a finished population. The failover resume
-	// source (the dead worker's orphan) is reclaimed too.
+	// reset) from "resuming" a finished population.
 	if req.CheckpointPath != "" {
 		os.Remove(req.CheckpointPath)
-	}
-	if req.ResumeFromPath != "" && req.ResumeFromPath != req.CheckpointPath {
-		os.Remove(req.ResumeFromPath)
 	}
 	// Cached entries are read-only (History/Pop/trace; re-scoring uses
 	// the self-contained ScoreGenome), so drop the evaluation engine

@@ -104,7 +104,6 @@ func BenchmarkClusterThroughput(b *testing.B) {
 				w.sched = NewScheduler(Config{
 					MaxRunning: 2,
 					MaxQueue:   b.N + 16,
-					WorkerID:   w.id,
 				})
 				w.srv = &http.Server{Handler: NewServer(w.sched)}
 				go w.srv.Serve(ln)

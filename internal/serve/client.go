@@ -83,8 +83,11 @@ func apiError(resp *http.Response) error {
 	return fmt.Errorf("%s: %s", resp.Status, msg)
 }
 
-func (c *Client) statusCall(ctx context.Context, method, path string, body any, want int) (Status, error) {
-	var st Status
+// call makes one request under the client's retry policy: a response
+// with status want decodes into a T, any other is an apiError. On
+// error it returns T's zero value.
+func call[T any](ctx context.Context, c *Client, method, path string, body any, want int) (T, error) {
+	var out T
 	err := c.withRetry(ctx, func() error {
 		resp, err := c.do(ctx, method, path, body)
 		if err != nil {
@@ -94,74 +97,46 @@ func (c *Client) statusCall(ctx context.Context, method, path string, body any, 
 		if resp.StatusCode != want {
 			return apiError(resp)
 		}
-		return json.NewDecoder(resp.Body).Decode(&st)
+		return json.NewDecoder(resp.Body).Decode(&out)
 	})
 	if err != nil {
-		return Status{}, err
+		var zero T
+		return zero, err
 	}
-	return st, nil
+	return out, nil
 }
 
 // Submit posts one job. A shed submission returns *ShedError.
 func (c *Client) Submit(ctx context.Context, spec Spec) (Status, error) {
-	return c.statusCall(ctx, http.MethodPost, "/jobs", spec, http.StatusAccepted)
+	return call[Status](ctx, c, http.MethodPost, "/jobs", spec, http.StatusAccepted)
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (Status, error) {
-	return c.statusCall(ctx, http.MethodGet, "/jobs/"+id, nil, http.StatusOK)
+	return call[Status](ctx, c, http.MethodGet, "/jobs/"+id, nil, http.StatusOK)
 }
 
 // Cancel cancels one job.
 func (c *Client) Cancel(ctx context.Context, id string) (Status, error) {
-	return c.statusCall(ctx, http.MethodDelete, "/jobs/"+id, nil, http.StatusOK)
+	return call[Status](ctx, c, http.MethodDelete, "/jobs/"+id, nil, http.StatusOK)
 }
 
 // Checkpoint asks a job to persist at its next generation boundary.
 func (c *Client) Checkpoint(ctx context.Context, id string) (Status, error) {
-	return c.statusCall(ctx, http.MethodPost, "/jobs/"+id+"/checkpoint", nil, http.StatusAccepted)
+	return call[Status](ctx, c, http.MethodPost, "/jobs/"+id+"/checkpoint", nil, http.StatusAccepted)
 }
 
 // List fetches every job in submission order.
 func (c *Client) List(ctx context.Context) ([]Status, error) {
-	var out struct {
+	out, err := call[struct {
 		Jobs []Status `json:"jobs"`
-	}
-	err := c.withRetry(ctx, func() error {
-		resp, err := c.do(ctx, http.MethodGet, "/jobs", nil)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		return json.NewDecoder(resp.Body).Decode(&out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Jobs, nil
+	}](ctx, c, http.MethodGet, "/jobs", nil, http.StatusOK)
+	return out.Jobs, err
 }
 
 // Metrics fetches the daemon's counter registry snapshot.
 func (c *Client) Metrics(ctx context.Context) (hwsim.Report, error) {
-	var rep hwsim.Report
-	err := c.withRetry(ctx, func() error {
-		resp, err := c.do(ctx, http.MethodGet, "/metrics", nil)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		return json.NewDecoder(resp.Body).Decode(&rep)
-	})
-	if err != nil {
-		return hwsim.Report{}, err
-	}
-	return rep, nil
+	return call[hwsim.Report](ctx, c, http.MethodGet, "/metrics", nil, http.StatusOK)
 }
 
 // watchAbort marks an error that must end the watch without a

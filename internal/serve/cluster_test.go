@@ -16,6 +16,7 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/experiments"
 	"repro/internal/hw/hwsim"
+	"repro/internal/store"
 )
 
 // Seeds 9800s: cluster mode. See the seed-range note in server_test.go.
@@ -43,7 +44,6 @@ func startFleetWorker(t *testing.T, ckptDir string) *fleetWorker {
 		MaxRunning:      2,
 		CheckpointDir:   ckptDir,
 		CheckpointEvery: 1,
-		WorkerID:        w.id,
 	})
 	server := NewServer(w.sched)
 	server.EnableWorker(cluster.NewWorkerAPI())
@@ -169,18 +169,14 @@ func TestClusterFailoverResumes(t *testing.T) {
 		survivor = w1
 	}
 
-	// Wait for the victim to have a rename-committed checkpoint on disk
-	// (a ".ckpt.tmp" still staging would be torn by the kill), then
-	// kill it.
-	key := spec.withDefaults().key().String()
+	// Wait for the victim's first checkpoint, the key's one file
+	// "<key>.ckpt" (saves commit by rename, so it is always whole; a
+	// ".ckpt.tmp*" staging file beside it is no checkpoint), then kill
+	// the victim.
+	key := spec.withDefaults().key()
 	waitFor(t, 20*time.Second, "victim checkpoint", func() bool {
-		ents, _ := os.ReadDir(ckptDir)
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), key+"~"+victim.id) && strings.HasSuffix(e.Name(), ".ckpt") {
-				return true
-			}
-		}
-		return false
+		_, err := os.Stat(store.CheckpointPath(ckptDir, key))
+		return err == nil
 	})
 	victim.kill(t)
 
@@ -222,11 +218,11 @@ func TestClusterFailoverResumes(t *testing.T) {
 	if !found {
 		t.Fatal("survivor has no completed job")
 	}
-	// Completion reclaimed both checkpoint files (the survivor's own
-	// and the orphan it resumed from).
+	// Completion reclaimed the checkpoint the survivor resumed from and
+	// then wrote, and no save left a staging file behind.
 	ents, _ := os.ReadDir(ckptDir)
 	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), key) {
+		if strings.HasPrefix(e.Name(), key.String()) {
 			t.Fatalf("checkpoint %s not reclaimed after completion", e.Name())
 		}
 	}

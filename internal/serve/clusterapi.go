@@ -55,42 +55,16 @@ func (s *Server) EnableWorker(api *cluster.WorkerAPI) {
 // ClusterJoin registers a worker address with a coordinator — the
 // call a worker retries at boot until the coordinator is reachable.
 func (c *Client) ClusterJoin(ctx context.Context, workerAddr string) (cluster.Member, error) {
-	var mem cluster.Member
-	err := c.withRetry(ctx, func() error {
-		resp, err := c.do(ctx, http.MethodPost, "/cluster/join", struct {
-			Addr string `json:"addr"`
-		}{Addr: workerAddr})
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		return json.NewDecoder(resp.Body).Decode(&mem)
-	})
+	mem, err := call[cluster.Member](ctx, c, http.MethodPost, "/cluster/join", struct {
+		Addr string `json:"addr"`
+	}{Addr: workerAddr}, http.StatusOK)
 	if err != nil {
-		return cluster.Member{}, fmt.Errorf("cluster join: %w", err)
+		return mem, fmt.Errorf("cluster join: %w", err)
 	}
 	return mem, nil
 }
 
 // Cluster fetches a coordinator's membership status.
 func (c *Client) Cluster(ctx context.Context) (ClusterStatus, error) {
-	var st ClusterStatus
-	err := c.withRetry(ctx, func() error {
-		resp, err := c.do(ctx, http.MethodGet, "/cluster", nil)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		return json.NewDecoder(resp.Body).Decode(&st)
-	})
-	if err != nil {
-		return ClusterStatus{}, err
-	}
-	return st, nil
+	return call[ClusterStatus](ctx, c, http.MethodGet, "/cluster", nil, http.StatusOK)
 }

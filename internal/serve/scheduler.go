@@ -48,8 +48,10 @@ type Config struct {
 	// cores.
 	RunnerParallelism int
 	// CheckpointDir, when set, gives every cache-miss job a
-	// checkpoint file named by its cache key, so an interrupted job
-	// (cancel or drain) resumes when the same spec is resubmitted.
+	// checkpoint file named by its cache key (store.CheckpointPath), so
+	// an interrupted job (cancel, drain, or a fleet worker's death)
+	// resumes when the same spec is resubmitted or re-dispatched to
+	// any process sharing the directory.
 	CheckpointDir string
 	// CheckpointEvery is the periodic checkpoint interval in
 	// generations (with CheckpointDir); 0 means 5.
@@ -59,12 +61,6 @@ type Config struct {
 	// lifetime) replay from disk, Recover re-enqueues interrupted jobs
 	// at boot, and the /store admin surface exposes stats/GC/quarantine.
 	Store *store.Store
-	// WorkerID, when set, suffixes this process's checkpoint files
-	// ("<key>~<worker>.ckpt") so fleet workers sharing a checkpoint
-	// directory can never interleave writes into the same
-	// cache-key-named file; resume discovery still finds any owner's
-	// orphan (see findResume).
-	WorkerID string
 	// Executor, when set, replaces local job execution — the cluster
 	// coordinator installs a Dispatcher here, so admitted jobs execute
 	// on the worker fleet while admission control, queueing, SSE

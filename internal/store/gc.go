@@ -1,6 +1,7 @@
 package store
 
 import (
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -103,9 +104,11 @@ func (s *Store) GC() GCResult {
 // useful again: checkpoints whose run already has a committed artifact
 // (the run finished; resume is moot), checkpoints older than
 // CheckpointMaxAge (a cancelled job nobody resubmitted — the leak this
-// sweep exists to fix), leftover ".ckpt.tmp" staging files from an
-// interrupted save, and files that don't parse as checkpoint names at
-// all are left alone.
+// sweep exists to fix), and ".ckpt.tmp*" staging files older than
+// staleAfter (an interrupted save's leftover; a younger one may be a
+// save in flight, whose rename must not fail). Files that don't parse
+// as checkpoint names age out under CheckpointMaxAge if they end in
+// ".ckpt" and are otherwise left alone.
 func (s *Store) sweepCheckpointsLocked(now time.Time) int {
 	if s.cfg.CheckpointDir == "" {
 		return 0
@@ -120,36 +123,25 @@ func (s *Store) sweepCheckpointsLocked(now time.Time) int {
 			continue
 		}
 		name := e.Name()
-		path := filepath.Join(s.cfg.CheckpointDir, name)
-		if strings.HasSuffix(name, ".ckpt.tmp") {
-			if s.fs.RemoveAll(path) == nil {
-				swept++
-			}
-			continue
+		var remove bool
+		switch {
+		case strings.Contains(name, ".ckpt.tmp"):
+			remove = olderThan(e, now, staleAfter)
+		case strings.HasSuffix(name, ".ckpt"):
+			key, ok := ParseKeyFilename(name)
+			remove = ok && s.Has(key) ||
+				s.cfg.CheckpointMaxAge > 0 && olderThan(e, now, s.cfg.CheckpointMaxAge)
 		}
-		if !strings.HasSuffix(name, ".ckpt") {
-			continue
-		}
-		key, ok := ParseKeyFilename(name)
-		if ok && s.hasLocked(key) {
-			if s.fs.RemoveAll(path) == nil {
-				swept++
-			}
-			continue
-		}
-		if s.cfg.CheckpointMaxAge > 0 {
-			if info, err := e.Info(); err == nil && now.Sub(info.ModTime()) > s.cfg.CheckpointMaxAge {
-				if s.fs.RemoveAll(path) == nil {
-					swept++
-				}
-			}
+		if remove && s.fs.RemoveAll(filepath.Join(s.cfg.CheckpointDir, name)) == nil {
+			swept++
 		}
 	}
 	return swept
 }
 
-// hasLocked is Has without re-entering mu.
-func (s *Store) hasLocked(key Key) bool {
-	_, err := s.fs.Stat(filepath.Join(s.dirOf(key), manifestFile))
-	return err == nil
+// olderThan reports whether e was last modified more than age before
+// now.
+func olderThan(e fs.DirEntry, now time.Time, age time.Duration) bool {
+	info, err := e.Info()
+	return err == nil && now.Sub(info.ModTime()) > age
 }

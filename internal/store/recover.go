@@ -21,7 +21,8 @@ type RecoveryReport struct {
 	Verified int
 	// Quarantined counts artifacts that failed it and were moved aside.
 	Quarantined int
-	// TmpSwept counts abandoned staging directories removed from tmp/.
+	// TmpSwept counts abandoned staging directories removed from tmp/:
+	// those older than staleAfter.
 	TmpSwept int
 	// CheckpointsSwept counts checkpoint files reclaimed because their
 	// run already has a committed artifact (completed before the crash).
@@ -34,11 +35,12 @@ const scratchSize = 256 << 10
 
 // Recover is the startup pass after an unclean shutdown (or any
 // start — it is a no-op on a healthy store). It sweeps abandoned
-// commit staging from tmp/, fully verifies every committed artifact
-// (quarantining corruption now, at boot, rather than at first read
-// under traffic), reclaims checkpoints of completed runs, and returns
-// the keys of orphaned checkpoints so the scheduler can re-enqueue the
-// interrupted runs.
+// commit staging from tmp/ (only entries older than staleAfter: a
+// younger one may be another process's commit in flight), fully
+// verifies every committed artifact (quarantining corruption now, at
+// boot, rather than at first read under traffic), reclaims checkpoints
+// of completed runs, and returns the keys of orphaned checkpoints so
+// the scheduler can re-enqueue the interrupted runs.
 //
 // Verification holds every payload byte to its manifest's size and
 // SHA-256, the check Get makes, on GOMAXPROCS workers that stream each
@@ -53,9 +55,10 @@ func (s *Store) Recover() RecoveryReport {
 	// Abandoned staging: a crash between "stage" and "rename" leaves the
 	// partial artifact here, never in runs/, which is the atomicity
 	// argument in one line.
+	now := s.now()
 	if entries, err := s.fs.ReadDir(s.tmpDir()); err == nil {
 		for _, e := range entries {
-			if s.fs.RemoveAll(filepath.Join(s.tmpDir(), e.Name())) == nil {
+			if olderThan(e, now, staleAfter) && s.fs.RemoveAll(filepath.Join(s.tmpDir(), e.Name())) == nil {
 				rep.TmpSwept++
 			}
 		}
@@ -64,12 +67,9 @@ func (s *Store) Recover() RecoveryReport {
 	rep.Verified, rep.Quarantined = s.verifyAll()
 
 	// Checkpoints: completed runs' checkpoints are reclaimed; the rest
-	// are interrupted runs to re-enqueue. Owner-suffixed files
-	// ("<key>~<worker>.ckpt") from different workers can map to the same
-	// key, so the interrupted set is deduplicated — one re-enqueue per
-	// key no matter how many workers left a checkpoint behind.
+	// are interrupted runs to re-enqueue. A key has one checkpoint name,
+	// so each interrupted key is listed once.
 	if s.cfg.CheckpointDir != "" {
-		interrupted := map[Key]bool{}
 		entries, err := s.fs.ReadDir(s.cfg.CheckpointDir)
 		if err == nil {
 			for _, e := range entries {
@@ -87,10 +87,7 @@ func (s *Store) Recover() RecoveryReport {
 					}
 					continue
 				}
-				if !interrupted[key] {
-					interrupted[key] = true
-					rep.Interrupted = append(rep.Interrupted, key)
-				}
+				rep.Interrupted = append(rep.Interrupted, key)
 			}
 		}
 	}

@@ -77,6 +77,64 @@ func TestRecoverQuarantinesMissingManifest(t *testing.T) {
 	}
 }
 
+// TestManifestNotARegularFile: a manifest.json that is a directory is
+// corruption, not a commit. A boot quarantines its key directory under
+// its own reason, the next boot has nothing left to do, and the key
+// commits and hits again; without a boot, Get quarantines it and Put
+// recommits.
+func TestManifestNotARegularFile(t *testing.T) {
+	plant := func(t *testing.T, root string, key Key) {
+		if err := os.MkdirAll(filepath.Join(root, "runs", key.String(), manifestFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const reason = "manifest: not a regular file"
+	t.Run("boot", func(t *testing.T) {
+		root, key := t.TempDir(), testKey(42)
+		plant(t, root, key)
+		s := openTest(t, Config{Root: root})
+		if rep := s.Recover(); rep.Verified != 0 || rep.Quarantined != 1 {
+			t.Fatalf("first boot: %+v", rep)
+		}
+		if q := s.Quarantined(); len(q) != 1 || q[0].Reason != reason {
+			t.Fatalf("Quarantined: %+v", q)
+		}
+		s2 := openTest(t, Config{Root: root})
+		if rep := s2.Recover(); rep.Quarantined != 0 {
+			t.Fatalf("second boot: %+v", rep)
+		}
+		if err := s2.Put(key, Meta{}, testFiles()); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if _, ok := s2.Get(key); !ok {
+			t.Fatal("Get after recommit: miss")
+		}
+	})
+	t.Run("get", func(t *testing.T) {
+		root, key := t.TempDir(), testKey(43)
+		plant(t, root, key)
+		s := openTest(t, Config{Root: root})
+		if s.Has(key) {
+			t.Fatal("Has reports a directory manifest as a commit")
+		}
+		if _, ok := s.Get(key); ok {
+			t.Fatal("Get hit a directory manifest")
+		}
+		if q := s.Quarantined(); len(q) != 1 || q[0].Reason != reason {
+			t.Fatalf("Quarantined: %+v", q)
+		}
+		if err := s.Put(key, Meta{}, testFiles()); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if st := s.Stats(); st.Commits != 1 || st.DuplicateCommits != 0 {
+			t.Fatalf("Put did not recommit: %+v", st)
+		}
+		if _, ok := s.Get(key); !ok {
+			t.Fatal("Get after recommit: miss")
+		}
+	})
+}
+
 // TestRecoverBitRot verifies through an FS that rots every read,
 // manifests and payload streams alike: no artifact may verify, and
 // every one is quarantined.

@@ -17,7 +17,7 @@
 //     into runs/ only once every payload and the manifest are fully
 //     written. Readers can never observe a half-committed artifact;
 //     a crash mid-commit leaves only a tmp/ orphan that startup
-//     recovery sweeps.
+//     recovery sweeps once it is an hour old.
 //   - Checksummed manifests: every payload file's SHA-256 and size
 //     are recorded in a manifest written last. Reads verify before
 //     trusting.
@@ -34,9 +34,13 @@
 //     tests, not just argued about.
 //
 // All Store methods are safe for concurrent use. Multiple processes
-// may share one store root: commits are atomic renames and duplicate
-// commits of a key are idempotent (evolution is deterministic, so two
-// processes committing the same key wrote the same bytes).
+// may share one store root: each Store stages under names no other
+// Store picks, commits are atomic renames, sweeps remove only staging
+// too old to have a live writer, and duplicate commits of a key are
+// idempotent (evolution is deterministic, so two processes committing
+// the same key wrote the same bytes). They may share one checkpoint
+// directory too: a run key has one checkpoint file (CheckpointPath),
+// and every save stages through a file of its own before its rename.
 package store
 
 import (
@@ -47,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -67,6 +72,12 @@ const manifestFile = "manifest.json"
 
 // reasonFile records why an artifact was quarantined (best-effort).
 const reasonFile = "REASON"
+
+// staleAfter is how old a staging entry (a commit's tmp/ directory, a
+// checkpoint save's staging file) must be before a sweep removes it.
+// A commit or a save takes milliseconds, so an entry this old has no
+// live writer, whichever process sharing the store made it.
+const staleAfter = time.Hour
 
 // Key identifies one unique evolution run — the exact tuple the
 // in-memory run cache keys on. Its canonical string form doubles as
@@ -153,26 +164,30 @@ func (k Key) validate() error {
 	return nil
 }
 
-// ParseKeyFilename recovers a Key from a checkpoint or artifact name
-// of the canonical forms
+// CheckpointPath is the one checkpoint file of key's run in dir,
+// "<dir>/<key>.ckpt", whichever process writes it: saves stage through
+// files of their own and commit by rename (evolve.Runner.SaveCheckpoint),
+// so a job re-dispatched to another worker resumes from the file its
+// first owner left.
+func CheckpointPath(dir string, key Key) string {
+	return filepath.Join(dir, key.String()+".ckpt")
+}
+
+// ParseKeyFilename is the inverse of Key.String and CheckpointPath: it
+// recovers a Key from an artifact or checkpoint name of the canonical
+// form
 //
-//	<workload>-p<P>-g<G>-s<S>[-i<I>-m<M>][-o<objectives>][~<owner>][.ckpt]
+//	<workload>-p<P>-g<G>-s<S>[-i<I>-m<M>][-o<objectives>][.ckpt]
 //
-// The "~<owner>" segment is the checkpoint owner suffix cluster-mode
-// workers append so two workers can never interleave writes into the
-// same checkpoint file; '~' never appears in a canonical key, so the
-// strip is unambiguous. Workload names may themselves contain dashes,
-// so the numeric fields parse from the right; the optional island and
-// objectives fields are accepted only when they parse round-trip
-// clean, otherwise the name is re-read as an ordinary key (a workload
-// legitimately ending in "-i3-m2" or "-ofoo" is impossible to confuse
-// because the strict round-trips and key validation arbitrate). It
-// reports false for anything else.
+// Workload names may themselves contain dashes, so the numeric fields
+// parse from the right; the optional island and objectives fields are
+// accepted only when they parse round-trip clean, otherwise the name
+// is re-read as an ordinary key (a workload legitimately ending in
+// "-i3-m2" or "-ofoo" is impossible to confuse because the strict
+// round-trips and key validation arbitrate). It reports false for
+// anything else.
 func ParseKeyFilename(name string) (Key, bool) {
 	name = strings.TrimSuffix(name, ".ckpt")
-	if i := strings.LastIndex(name, "~"); i >= 0 {
-		name = name[:i]
-	}
 	if k, ok := parseKeyName(name, false, true); ok {
 		return k, true
 	}
@@ -355,6 +370,9 @@ type Store struct {
 	// and only take mu if they need to quarantine.
 	mu  sync.Mutex
 	seq atomic.Int64
+	// token, drawn at Open, makes this Store's staging and quarantine
+	// names unique among every Store sharing the root.
+	token string
 
 	counters *hwsim.Counters
 	ops      *hwsim.Counters
@@ -363,7 +381,7 @@ type Store struct {
 
 // Open initializes the store layout under cfg.Root.
 func Open(cfg Config) (*Store, error) {
-	s := &Store{cfg: cfg, fs: cfg.FS, now: cfg.Now}
+	s := &Store{cfg: cfg, fs: cfg.FS, now: cfg.Now, token: fmt.Sprintf("%08x", rand.Uint32())}
 	if s.fs == nil {
 		s.fs = OSFS{}
 	}
@@ -398,16 +416,24 @@ func (s *Store) quarDir() string { return filepath.Join(s.cfg.Root, "quarantine"
 // dirOf is the committed location of one key's artifact.
 func (s *Store) dirOf(key Key) string { return filepath.Join(s.runsDir(), key.String()) }
 
+// uniqueName suffixes name so that no other staging or quarantine entry
+// of any Store on the root gets it.
+func (s *Store) uniqueName(name string) string {
+	return fmt.Sprintf("%s.%s-%d", name, s.token, s.seq.Add(1))
+}
+
 func digest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 
 // Has reports whether a committed artifact exists for the key (no
-// payload verification — a cheap existence probe for GC and recovery).
+// payload verification — a cheap existence probe for GC and recovery):
+// its manifest is a regular file. A manifest of any other kind is
+// corruption for Get or Recover to quarantine, not a commit.
 func (s *Store) Has(key Key) bool {
-	_, err := s.fs.Stat(filepath.Join(s.dirOf(key), manifestFile))
-	return err == nil
+	info, err := s.fs.Stat(filepath.Join(s.dirOf(key), manifestFile))
+	return err == nil && info.Mode().IsRegular()
 }
 
 // Put commits one artifact: payload files staged under tmp/, manifest
@@ -430,7 +456,7 @@ func (s *Store) Put(key Key, meta Meta, files map[string][]byte) error {
 		return nil
 	}
 
-	staging := filepath.Join(s.tmpDir(), fmt.Sprintf("%s.%d", key, s.seq.Add(1)))
+	staging := filepath.Join(s.tmpDir(), s.uniqueName(key.String()))
 	fail := func(err error) error {
 		s.fs.RemoveAll(staging)
 		s.ops.AddInt("commit_errors", 1)
@@ -515,15 +541,21 @@ var errCorrupt = errors.New("store: artifact failed verification")
 // verify holds key's committed artifact to its manifest: the manifest
 // decodes and names key, and every payload has the size and SHA-256
 // the manifest records. Any failure quarantines the artifact and
-// returns errCorrupt. A manifest that cannot be read returns its read
-// error and quarantines nothing. verify neither counts the read nor
+// returns errCorrupt, and so does a manifest that is not a regular
+// file; any other manifest that cannot be read returns its read error
+// and quarantines nothing. verify neither counts the read nor
 // stamps recency; that is Get's business. With keep the payload bytes
 // come back in the Artifact; without, they stream through scratch and
 // are dropped.
 func (s *Store) verify(key Key, keep bool, scratch []byte) (*Artifact, error) {
 	dir := s.dirOf(key)
-	data, err := s.fs.ReadFile(filepath.Join(dir, manifestFile))
+	manPath := filepath.Join(dir, manifestFile)
+	data, err := s.fs.ReadFile(manPath)
 	if err != nil {
+		if info, serr := s.fs.Stat(manPath); serr == nil && !info.Mode().IsRegular() {
+			s.quarantine(dir, "manifest: not a regular file")
+			return nil, errCorrupt
+		}
 		return nil, err
 	}
 	man, err := decodeManifest(data)
@@ -605,7 +637,7 @@ func (s *Store) quarantine(dir, reason string) {
 	if _, err := s.fs.Stat(dir); err != nil {
 		return // already quarantined by a concurrent reader
 	}
-	dest := filepath.Join(s.quarDir(), fmt.Sprintf("%s.%d", filepath.Base(dir), s.seq.Add(1)))
+	dest := filepath.Join(s.quarDir(), s.uniqueName(filepath.Base(dir)))
 	if err := s.fs.Rename(dir, dest); err != nil {
 		// A poisoned artifact must never wedge its key: removal is the
 		// fallback when the move itself fails.

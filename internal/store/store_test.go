@@ -303,21 +303,22 @@ func TestGCSweepsCheckpoints(t *testing.T) {
 		}
 		return path
 	}
-	completed := write(done.String()+".ckpt", 0)             // run finished: sweep
-	stale := write("alien-ram-p30-g8-s99.ckpt", 2*time.Hour) // cancelled, aged out: sweep
-	tmp := write("cartpole-p64-g30-s1.ckpt.tmp", 0)          // interrupted save: sweep
-	live := write("alien-ram-p30-g8-s100.ckpt", 0)           // orphan, young: keep
-	unrelated := write("notes.txt", 2*time.Hour)             // not a checkpoint: keep
+	completed := write(done.String()+".ckpt", 0)                        // run finished: sweep
+	stale := write("alien-ram-p30-g8-s99.ckpt", 2*time.Hour)            // cancelled, aged out: sweep
+	staleTmp := write("cartpole-p64-g30-s2.ckpt.tmp2417", 2*staleAfter) // interrupted save: sweep
+	freshTmp := write("cartpole-p64-g30-s1.ckpt.tmp", 0)                // save in flight: keep
+	live := write("alien-ram-p30-g8-s100.ckpt", 0)                      // orphan, young: keep
+	unrelated := write("notes.txt", 2*time.Hour)                        // not a checkpoint: keep
 	res := s.GC()
 	if res.CheckpointsSwept != 3 {
 		t.Fatalf("GC: %+v", res)
 	}
-	for _, gone := range []string{completed, stale, tmp} {
+	for _, gone := range []string{completed, stale, staleTmp} {
 		if _, err := os.Stat(gone); err == nil {
 			t.Errorf("%s survived sweep", filepath.Base(gone))
 		}
 	}
-	for _, kept := range []string{live, unrelated} {
+	for _, kept := range []string{freshTmp, live, unrelated} {
 		if _, err := os.Stat(kept); err != nil {
 			t.Errorf("%s swept: %v", filepath.Base(kept), err)
 		}
@@ -347,11 +348,18 @@ func TestRecover(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(s.dirOf(longer), "history.json"), hist, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(root, "tmp", "cartpole-p64-g30-s9.1"), 0o755); err != nil {
+	// The orphan staging dir is older than staleAfter: no live commit
+	// can own it.
+	orphanStaging := filepath.Join(root, "tmp", "cartpole-p64-g30-s9.1")
+	if err := os.MkdirAll(orphanStaging, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A directory whose name parses to good's key only after the
-	// checkpoint owner suffix is stripped: Get can never address it.
+	old := time.Now().Add(-2 * staleAfter)
+	if err := os.Chtimes(orphanStaging, old, old); err != nil {
+		t.Fatal(err)
+	}
+	// A directory named like a legacy owner-suffixed checkpoint of
+	// good's key: it parses to no key, so Get can never address it.
 	alias := good.String() + "~deadbeef"
 	if err := os.MkdirAll(filepath.Join(root, "runs", alias), 0o755); err != nil {
 		t.Fatal(err)

@@ -203,7 +203,9 @@ echo "== cluster fleet smoke (coordinator + 2 workers, kill -9 one mid-job)"
 # workers execute against a shared checkpoint directory. One worker is
 # SIGKILLed while it runs the job; the coordinator must mark it dead,
 # re-dispatch, and the survivor must resume from the orphaned
-# checkpoint — the watch stream ends done with resumed=true.
+# checkpoint — the watch stream ends done with resumed=true — and
+# remove it on completion. Both workers save the job's one checkpoint
+# file, <key>.ckpt.
 fleetckpt="$smokedir/fleet-ckpt"
 "$smokedir/genesysd" -coordinator -addr 127.0.0.1:0 -addr-file "$smokedir/coord-addr" \
     -heartbeat-every 200ms -heartbeat-timeout 300ms -fail-after 2 &
@@ -233,9 +235,10 @@ w2_addr="http://$(cat "$smokedir/w2-addr")"
     -workload alien-ram -pop 30 -generations 40 -seed 4242 -watch \
     > "$smokedir/fleet-watch" 2>&1 &
 watcher=$!
-# Find the worker actually running it, wait for its first *completed*
-# checkpoint (a rename-committed .ckpt — a .ckpt.tmp still staging
-# would be torn by the kill and resume nothing), then kill -9.
+# Find the worker actually running it, wait for its first checkpoint
+# (the key's rename-committed .ckpt — a .ckpt.tmp* beside it is a save
+# still staging, which the kill tears and nothing resumes from), then
+# kill -9.
 victim=""
 for _ in $(seq 1 200); do
     if "$smokedir/genesysctl" -addr "$w1_addr" list | grep -q running; then victim=$w1; break; fi
@@ -243,12 +246,12 @@ for _ in $(seq 1 200); do
     sleep 0.1
 done
 [ -n "$victim" ] || { echo "no worker picked the job up" >&2; exit 1; }
-has_ckpt() { find "$fleetckpt" -name '*.ckpt' 2>/dev/null | grep -q .; }
+fleetkey="$fleetckpt/alien-ram-p30-g40-s4242.ckpt"
 for _ in $(seq 1 200); do
-    has_ckpt && break
+    [ -f "$fleetkey" ] && break
     sleep 0.1
 done
-has_ckpt || { echo "no checkpoint before kill" >&2; exit 1; }
+[ -f "$fleetkey" ] || { echo "no checkpoint $fleetkey before kill" >&2; exit 1; }
 kill -9 "$victim"
 wait "$victim" 2>/dev/null || true
 wait "$watcher" || { echo "fleet watch exited non-zero" >&2; cat "$smokedir/fleet-watch" >&2; exit 1; }
@@ -257,6 +260,8 @@ grep -q ": done solved=" "$smokedir/fleet-watch" \
     || { echo "fleet job did not finish after worker kill" >&2; cat "$smokedir/fleet-watch" >&2; exit 1; }
 grep -q "resumed=true" "$smokedir/fleet-watch" \
     || { echo "failover did not resume from the orphaned checkpoint" >&2; cat "$smokedir/fleet-watch" >&2; exit 1; }
+left=$(find "$fleetckpt" -name '*.ckpt')
+[ -z "$left" ] || { echo "checkpoint left after the fleet job completed: $left" >&2; exit 1; }
 "$smokedir/genesysctl" -addr "$coord_addr" metrics | grep -q '"redispatched": ' \
     || { echo "metrics missing the cluster redispatch counter" >&2; exit 1; }
 kill -TERM "$coord" 2>/dev/null || true
