@@ -201,6 +201,46 @@ func TestCheckpointFloats(t *testing.T) {
 	}
 }
 
+// jsonCheckpoint is a checkpoint in the JSON format earlier builds
+// wrote: a fresh cartpole population of one genome.
+const jsonCheckpoint = `{"config":{"PopulationSize":1,"NumInputs":4,"NumOutputs":1,"InitialConnection":"full","CompatThreshold":3,` +
+	`"CompatDisjointCoeff":1,"CompatWeightCoeff":0.5,"MaxStagnation":15,"SpeciesElitism":2,"Elitism":2,` +
+	`"SurvivalThreshold":0.2,"CrossoverRate":0.75,"MinSpeciesSize":2,"TournamentSize":3,"WeightMutateRate":0.8,` +
+	`"WeightReplaceRate":0.1,"WeightPerturbPower":0.5,"WeightInitPower":1,"BiasMutateRate":0.7,"BiasPerturbPower":0.5,` +
+	`"ResponseMutateRate":0.1,"ResponsePerturbPower":0.1,"ActivationMutateRate":0.05,"AggregationMutateRate":0.03,` +
+	`"EnableMutateRate":0.05,"AddNodeProb":0.1,"AddConnProb":0.3,"DeleteNodeProb":0.05,"DeleteConnProb":0.15,` +
+	`"MaxDeletedNodes":1,"CrossoverBias":0.5,"LocalNodeIDs":false,"FeedForwardOnly":true},"generation":0,` +
+	`"nextGenomeId":1,"nextSpeciesId":0,"nextNodeId":5,"genomes":[{"id":0,"fitness":0,"nodes":[{"id":0,` +
+	`"type":"input","bias":0,"response":1,"activation":"sigmoid","aggregation":"sum"},{"id":1,"type":"input",` +
+	`"bias":0,"response":1,"activation":"sigmoid","aggregation":"sum"},{"id":2,"type":"input","bias":0,` +
+	`"response":1,"activation":"sigmoid","aggregation":"sum"},{"id":3,"type":"input","bias":0,"response":1,` +
+	`"activation":"sigmoid","aggregation":"sum"},{"id":4,"type":"output","bias":0,"response":1,"activation":"sigmoid",` +
+	`"aggregation":"sum"}],"conns":[{"src":0,"dst":4,"weight":0,"enabled":true},{"src":1,"dst":4,"weight":0,` +
+	`"enabled":true},{"src":2,"dst":4,"weight":0,"enabled":true},{"src":3,"dst":4,"weight":0,"enabled":true}]}],` +
+	`"rng":{"x":3195035748,"y":2276452962,"z":1152747958,"w":2536595552,"v":794331041,"d":2156817406}}` + "\n"
+
+// TestResumeRemovesJSONCheckpoint: a checkpoint left by an earlier
+// build does not restore, so ResumeRunner removes it and the run
+// starts fresh, recomputing once.
+func TestResumeRemovesJSONCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "cartpole-p1-g3-s5.ckpt")
+	if err := os.WriteFile(ckpt, []byte(jsonCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.PopulationSize = 1
+	r, resumed, err := ResumeRunner("cartpole", cfg, 5, ckpt)
+	if err != nil || resumed {
+		t.Fatalf("resumed=%v err=%v", resumed, err)
+	}
+	if r.Pop.Generation != 0 {
+		t.Fatalf("fresh run starts at generation %d", r.Pop.Generation)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("JSON checkpoint left behind (stat: %v)", err)
+	}
+}
+
 // panicShaper blows up on the first observation, modelling a fitness
 // function bug.
 type panicShaper struct{}

@@ -214,9 +214,9 @@ func NewRunner(workloadName string, cfg neat.Config, seed uint64) (*Runner, erro
 	return newRunner(w, workloadName, pop, seed), nil
 }
 
-// RestoreRunner builds a runner around the population checkpoint in
+// RestoreRunner builds a runner around the population document in
 // data (neat.Restore's format) instead of a fresh population: no seed
-// population is built only to be replaced. Because the checkpoint
+// population is built only to be replaced. Because the document
 // carries the PRNG stream and evaluation seeds derive from (seed,
 // generation, genome, episode), the restored run continues
 // bit-identically to the uninterrupted one. The runner does not
@@ -226,7 +226,7 @@ func RestoreRunner(workloadName string, data []byte, seed uint64) (*Runner, erro
 	if err != nil {
 		return nil, err
 	}
-	pop, err := neat.Restore(data, seed)
+	pop, err := neat.Restore(data)
 	if err != nil {
 		return nil, err
 	}
@@ -590,19 +590,25 @@ func (r *Runner) checkpoint() error {
 	return err
 }
 
-// SaveCheckpoint atomically persists the population state: the JSON is
-// written to a staging file of this save's own ("<name>.tmp<random>"
-// in the target directory) and renamed over path, so an interrupted
-// save leaves the previous checkpoint intact and any number of
-// processes may save to one path at once: each rename installs one
-// complete checkpoint, and a reader never sees a mix of two.
+// SaveCheckpoint atomically persists the population state: the
+// document neat's Save returns is written to a staging file of this
+// save's own ("<name>.tmp<random>" in the target directory) and
+// renamed over path, so an interrupted save leaves the previous
+// checkpoint intact and any number of processes may save to one path
+// at once: each rename installs one complete checkpoint, and a reader
+// never sees a mix of two. A population that does not save (a NaN
+// fitness, say) fails before any file is made.
 func (r *Runner) SaveCheckpoint(path string) error {
+	data, err := r.Pop.Save()
+	if err != nil {
+		return err
+	}
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	err = r.Pop.Save(f)
+	_, err = f.Write(data)
 	if err == nil {
 		// CreateTemp makes the file 0600; workers sharing the
 		// directory must be able to resume from each other's saves.

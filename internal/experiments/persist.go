@@ -22,9 +22,10 @@ import (
 //
 // Scalar artifact layout (under the store's integrity manifest):
 //
-//	history.json    — schema-stamped GenStats slice + solved/seed
-//	population.json — the final population in neat checkpoint format
-//	trace.txt       — the reproduction trace
+//	history.json   — schema-stamped GenStats slice + solved/seed
+//	population.bin — the final population, the binary document
+//	                 neat's Save writes (the checkpoint format)
+//	trace.txt      — the reproduction trace
 //
 // GenStats fields are float64/int64 and Go's JSON encoding of float64
 // is exact (shortest round-trip representation), so a replayed history
@@ -33,11 +34,11 @@ import (
 
 // runSchema stamps history.json; a mismatch means the artifact was
 // written by an incompatible build and must recompute.
-const runSchema = "genesys-run/1"
+const runSchema = "genesys-run/2"
 
 const (
 	historyFile    = "history.json"
-	populationFile = "population.json"
+	populationFile = "population.bin"
 	traceFile      = "trace.txt"
 )
 
@@ -63,11 +64,12 @@ func encodeRun(key store.Key, e *evolved) (store.Meta, map[string][]byte, error)
 	if err != nil {
 		return store.Meta{}, nil, err
 	}
-	var pop, tr bytes.Buffer
-	if err := e.runner.Pop.Save(&pop); err != nil {
-		return store.Meta{}, nil, err
+	var tr bytes.Buffer
+	pop, err := e.runner.Pop.Save()
+	if err == nil {
+		_, err = e.trace.WriteTo(&tr)
 	}
-	if _, err := e.trace.WriteTo(&tr); err != nil {
+	if err != nil {
 		return store.Meta{}, nil, err
 	}
 	var best float64
@@ -75,7 +77,7 @@ func encodeRun(key store.Key, e *evolved) (store.Meta, map[string][]byte, error)
 		best = e.runner.History[n-1].MaxFitness
 	}
 	return store.Meta{Solved: e.solved, BestFitness: best, Generations: len(e.runner.History)},
-		map[string][]byte{historyFile: history, populationFile: pop.Bytes(), traceFile: tr.Bytes()}, nil
+		map[string][]byte{historyFile: history, populationFile: pop, traceFile: tr.Bytes()}, nil
 }
 
 // decodeRun rebuilds the immutable run entry from committed payloads:

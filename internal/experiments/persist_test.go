@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/hw/hwsim"
@@ -48,7 +49,7 @@ func traceBytes(t *testing.T, run *SharedRun) string {
 // experiments layer: a run computed once, with the in-memory cache
 // dropped (a "restart"), replays from disk with no evolution executed,
 // a byte-identical history and trace, and a population that saves to
-// the committed population.json byte for byte. The RAM-game key sends
+// the committed population.bin byte for byte. The RAM-game key sends
 // 128-input genomes through the decoder.
 func TestStoreRoundTripReplaysIdentically(t *testing.T) {
 	for _, req := range []SharedRequest{
@@ -102,13 +103,13 @@ func TestStoreRoundTripReplaysIdentically(t *testing.T) {
 			if !ok {
 				t.Fatal("run not committed")
 			}
-			var pop bytes.Buffer
-			if err := second.Runner.Pop.Save(&pop); err != nil {
+			pop, err := second.Runner.Pop.Save()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(pop.Bytes(), art.Files[populationFile]) {
+			if !bytes.Equal(pop, art.Files[populationFile]) {
 				t.Fatalf("replayed population saves to %d bytes that differ from the %d committed",
-					pop.Len(), len(art.Files[populationFile]))
+					len(pop), len(art.Files[populationFile]))
 			}
 		})
 	}
@@ -221,6 +222,52 @@ func TestUnreadableCheckpointRecomputes(t *testing.T) {
 	}
 }
 
+// TestEarlierSchemaRecomputes: an artifact committed by an earlier
+// build (schema genesys-run/1, its population as JSON in
+// population.json) fails decoding on its first hit. It is quarantined
+// with a reason that names the schema, and the run recomputes and
+// commits a fresh artifact under the key.
+func TestEarlierSchemaRecomputes(t *testing.T) {
+	ResetCaches()
+	req := persistReq(777007)
+	ref, err := RunShared(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	history, err := json.Marshal(&historyDoc{Schema: "genesys-run/1", Seed: req.Seed, History: ref.Runner.History})
+	if err != nil {
+		t.Fatal(err)
+	}
+	population, err := json.Marshal(map[string]any{"config": ref.Runner.Pop.Config,
+		"generation": ref.Runner.Pop.Generation, "genomes": ref.Runner.Pop.Genomes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := withTestStore(t, store.Config{})
+	ResetCaches()
+	key := store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: req.Seed}
+	if err := s.Put(key, store.Meta{Generations: 2}, map[string][]byte{historyFile: history,
+		"population.json": population, traceFile: []byte(traceBytes(t, ref))}); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := Resolve(JobRequest{Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Stored || !out.Computed {
+		t.Fatalf("Stored=%v Computed=%v, want a recompute", out.Stored, out.Computed)
+	}
+	q := s.Quarantined()
+	if len(q) != 1 || !strings.Contains(q[0].Reason, "genesys-run/1") {
+		t.Fatalf("quarantine %+v, want one entry whose reason names the schema", q)
+	}
+	art, ok := s.Get(key)
+	if !ok || art.Files[populationFile] == nil || art.Files["population.json"] != nil {
+		t.Fatalf("no fresh artifact under the key: %v", art)
+	}
+}
+
 // TestPhasesChargeCheckpointAndCommit: a checkpointed computation
 // charges its checkpoints and its store commit to the request's phase
 // counters; a memory hit and a store hit of the same run charge
@@ -259,9 +306,11 @@ func TestPhasesChargeCheckpointAndCommit(t *testing.T) {
 }
 
 // goldenKeys name the artifacts under testdata/golden: one tiny run of
-// each kind, committed by the store tier of the build before the kinds
-// shared one tier. They pin that the key strings, payload file names
-// and schemas of existing stores still load.
+// each kind. The island and Pareto ones were committed by the store
+// tier of the build before the kinds shared one tier, the scalar one by
+// the first build of schema genesys-run/2. They pin that the key
+// strings, payload file names and schemas of existing stores still
+// load.
 var goldenKeys = []store.Key{
 	{Workload: "cartpole", Population: 8, Generations: 2, Seed: 5},
 	{Workload: "cartpole", Population: 8, Generations: 2, Seed: 5, Islands: 2, MigrationEvery: 1},
@@ -355,7 +404,7 @@ func TestGoldenArtifactsReplay(t *testing.T) {
 }
 
 // BenchmarkDecodeRun measures the decode of one store hit of a RAM-game
-// run (alien-ram, pop 50, 2 generations, about 8.5 MB of population),
+// run (alien-ram, pop 50, 2 generations, about 2.2 MB of population),
 // the work a replayed job pays after the store's read and checksum.
 func BenchmarkDecodeRun(b *testing.B) {
 	key := store.Key{Workload: "alien-ram", Population: 50, Generations: 2, Seed: 777006}

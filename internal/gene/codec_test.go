@@ -169,26 +169,6 @@ func TestUnmarshalStricterThanReference(t *testing.T) {
 	}
 }
 
-// TestReaderValue: Value returns exactly the next value's bytes, of
-// any kind, and leaves the Reader after it; a value nested deeper than
-// maxDepth fails instead of exhausting the stack.
-func TestReaderValue(t *testing.T) {
-	for _, v := range []string{`{"a":[1,{"b":"\u00e9"}],"c":null}`, `[]`, `"x"`, `-1.5e3`, `true`} {
-		r := NewReader([]byte(" " + v + " ,"))
-		got, err := r.Value()
-		if err != nil || string(got) != v {
-			t.Errorf("%s: Value = %q, %v", v, got, err)
-		}
-		if r.End() == nil {
-			t.Errorf("%s: End accepts the trailing comma", v)
-		}
-	}
-	deep := strings.Repeat("[", maxDepth+2) + strings.Repeat("]", maxDepth+2)
-	if _, err := NewReader([]byte(deep)).Value(); err == nil {
-		t.Error("accepted a value nested past maxDepth")
-	}
-}
-
 // FuzzGenomeJSON pins the hand-written codec against the encoding/json
 // reference: (a) for any genome the reference decodes, AppendJSON
 // writes the reference encoder's bytes; (b) whatever the one-pass

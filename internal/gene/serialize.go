@@ -9,11 +9,12 @@ import (
 	"strconv"
 )
 
-// JSON serialization of genomes — checkpointing for long evolutionary
-// runs and interchange of evolved controllers. The format is explicit
-// (no packed words) so checkpoints remain readable and diffable; the
-// hardware word format (Pack/FromWords) remains the storage model for
-// the chip.
+// JSON serialization of genomes, for interchange: island champions and
+// migrants, Pareto fronts and the controllers cmd/genesys saves. The
+// format is explicit (no packed words) so a genome stays readable;
+// population checkpoints and stored runs hold genomes as binary
+// records instead (record.go), and the hardware word format
+// (Pack/FromWords) remains the storage model for the chip.
 //
 // A genome serializes as
 //
@@ -21,11 +22,10 @@ import (
 //	 "nodes":[{"id":0,"type":"input","bias":0,"response":1,"activation":"sigmoid","aggregation":"sum"},...],
 //	 "conns":[{"src":0,"dst":2,"weight":0.25,"enabled":true},...]}
 //
-// with null for an empty gene list. The codec is written by hand: a
-// population checkpoint holds megabytes of it, and one pass over the
-// gene slices is several times faster than encoding/json reflection.
-// The bytes are exactly those encoding/json writes for the same
-// genome, so every checkpoint and stored run stays byte-identical.
+// with null for an empty gene list. The codec is written by hand: one
+// pass over the gene slices is several times faster than encoding/json
+// reflection. The bytes are exactly those encoding/json writes for the
+// same genome, so stored island and Pareto runs stay byte-identical.
 
 // MarshalJSON implements json.Marshaler.
 func (g *Genome) MarshalJSON() ([]byte, error) { return g.AppendJSON(nil) }
@@ -40,7 +40,7 @@ func (g *Genome) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"id":`...)
 	b = strconv.AppendInt(b, g.ID, 10)
 	b = append(b, `,"fitness":`...)
-	if b, err = AppendJSONFloat(b, g.Fitness); err != nil {
+	if b, err = appendJSONFloat(b, g.Fitness); err != nil {
 		return b[:start], err
 	}
 	b = append(b, `,"nodes":`...)
@@ -53,11 +53,11 @@ func (g *Genome) AppendJSON(b []byte) ([]byte, error) {
 			b = append(b, nodeTypeNames[n.Type]...)
 		}
 		b = append(b, `","bias":`...)
-		if b, err = AppendJSONFloat(b, n.Bias); err != nil {
+		if b, err = appendJSONFloat(b, n.Bias); err != nil {
 			return b[:start], err
 		}
 		b = append(b, `,"response":`...)
-		if b, err = AppendJSONFloat(b, n.Response); err != nil {
+		if b, err = appendJSONFloat(b, n.Response); err != nil {
 			return b[:start], err
 		}
 		b = append(b, `,"activation":"`...)
@@ -75,7 +75,7 @@ func (g *Genome) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, `,"dst":`...)
 		b = strconv.AppendInt(b, int64(c.Dst), 10)
 		b = append(b, `,"weight":`...)
-		if b, err = AppendJSONFloat(b, c.Weight); err != nil {
+		if b, err = appendJSONFloat(b, c.Weight); err != nil {
 			return b[:start], err
 		}
 		b = append(b, `,"enabled":`...)
@@ -104,11 +104,11 @@ func appendEnd(b []byte, n int) []byte {
 	return append(b, ']')
 }
 
-// AppendJSONFloat appends f as encoding/json writes a float64: the
+// appendJSONFloat appends f as encoding/json writes a float64: the
 // shortest representation that parses back to f, in exponent form
 // below 1e-6 and from 1e21 in magnitude, with the exponent unpadded
 // (1e-7, not 1e-07). NaN and ±Inf have no JSON form and fail.
-func AppendJSONFloat(b []byte, f float64) ([]byte, error) {
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return b, fmt.Errorf("gene: %v has no JSON representation", f)
 	}
@@ -147,83 +147,6 @@ func (g *Genome) UnmarshalJSON(data []byte) error {
 	*g = out
 	return nil
 }
-
-// Reader reads a JSON document that embeds genomes in one pass over
-// its bytes, with UnmarshalJSON's decoder and strictness: objects with
-// a fixed key set, arrays, numbers and genomes, each read where it
-// lies. A caller decodes the document's envelope with it, so no
-// genome is scanned once to find its end and again to decode it.
-type Reader struct{ d decoder }
-
-// NewReader returns a Reader at the start of data.
-func NewReader(data []byte) *Reader { return &Reader{decoder{data: data}} }
-
-// Object reads an object whose keys are among keys (at most 16) and
-// calls member with each key's index for it to read the value. It
-// rejects an unknown key (a known key in another letter case
-// included), a repeated key and a key with an escape sequence.
-func (r *Reader) Object(keys []string, member func(k int) error) error {
-	var seen uint16
-	return r.d.list('{', '}', func() error {
-		k, err := r.d.key(keys, &seen)
-		if err != nil {
-			return err
-		}
-		return member(k)
-	})
-}
-
-// Array reads an array, calling elem to read each element.
-func (r *Reader) Array(elem func() error) error { return r.d.list('[', ']', elem) }
-
-// Int reads an integer that fits in bits bits. Null is not a number.
-func (r *Reader) Int(bits int) (int64, error) {
-	tok, err := r.d.scalar()
-	p := typed{err}
-	v := p.int(tok, bits)
-	return v, p.err
-}
-
-// Float reads a number. Null is not a number.
-func (r *Reader) Float() (float64, error) {
-	tok, err := r.d.scalar()
-	p := typed{err}
-	v := p.float(tok)
-	return v, p.err
-}
-
-// Genome reads a genome as UnmarshalJSON does, validation included,
-// or null, which reads as nil.
-func (r *Reader) Genome() (*Genome, error) {
-	if r.d.null() {
-		return nil, nil
-	}
-	g := new(Genome)
-	if err := r.d.genome(g); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Value reads a value of any kind and returns its bytes for the caller
-// to decode, for example with encoding/json. The Reader checks them
-// only as far as finding the value's end needs: a caller that accepts
-// the bytes as one whole JSON value has the value a JSON parser reads
-// at that place.
-func (r *Reader) Value() ([]byte, error) {
-	r.d.peek()
-	from := r.d.off
-	if err := r.d.skip(0); err != nil {
-		return nil, err
-	}
-	return r.d.data[from:r.d.off], nil
-}
-
-// End checks that nothing but whitespace is left.
-func (r *Reader) End() error { return r.d.end() }
 
 // The keys of the three object kinds; a key's index is its bit in the
 // seen mask of key and its slot in the values fields reads.
@@ -390,38 +313,6 @@ func (d *decoder) number() bool {
 	}
 	d.off = i
 	return true
-}
-
-// maxDepth bounds how deeply skip nests, so a hostile document cannot
-// exhaust the stack. It is well below encoding/json's bound of 10000
-// for a whole document, so a value Value returns from inside a
-// document never nests deeper than encoding/json allows that document.
-const maxDepth = 1000
-
-// skip advances over one value of any kind at nesting depth depth.
-func (d *decoder) skip(depth int) error {
-	if depth > maxDepth {
-		return d.errorf("nested too deeply")
-	}
-	switch d.peek() {
-	case '{':
-		return d.list('{', '}', func() error {
-			if d.peek() != '"' {
-				return d.errorf("want a key")
-			}
-			if _, err := d.scalar(); err != nil {
-				return err
-			}
-			if !d.consume(':') {
-				return d.errorf("want ':'")
-			}
-			return d.skip(depth + 1)
-		})
-	case '[':
-		return d.list('[', ']', func() error { return d.skip(depth + 1) })
-	}
-	_, err := d.scalar()
-	return err
 }
 
 // genome reads the genome object.

@@ -1,10 +1,11 @@
 package neat
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"strconv"
 
 	"repro/internal/gene"
 	"repro/internal/rng"
@@ -12,263 +13,173 @@ import (
 
 // Checkpointing: long evolutionary runs (the paper's MountainCar tail
 // reached generation 160) need save/restore of the full algorithm
-// state — genomes, species bookkeeping, id counters — not just the
-// genome list.
-
-// Save writes the population state as JSON, including the live PRNG
-// stream: a restored run continues bit-identically to the
-// uninterrupted one, generation for generation.
+// state — genomes, species bookkeeping, id counters and the PRNG
+// stream — not just the genome list.
 //
-// The document is the checkpoint struct exactly as encoding/json
-// encodes it, written by hand: the envelope's few scalars in order,
-// every genome through gene.AppendJSON, and the buffer flushed to w
-// each time it passes saveChunk bytes, so no second copy of a
-// multi-megabyte population is ever held. On an error w may hold a
-// partial document.
-func (p *Population) Save(w io.Writer) error {
-	cfg, err := json.Marshal(p.Config)
-	if err != nil {
-		return err
-	}
-	st, err := json.Marshal(p.rnd.State())
-	if err != nil {
-		return err
-	}
-	b := append(make([]byte, 0, saveChunk), `{"config":`...)
-	b = append(b, cfg...)
-	b = appendIntField(b, "generation", int64(p.Generation))
-	b = appendIntField(b, "nextGenomeId", p.nextGenomeID)
-	b = appendIntField(b, "nextSpeciesId", int64(p.nextSpeciesID))
-	b = appendIntField(b, "nextNodeId", int64(p.ids.next))
-	b = append(b, `,"genomes":`...)
-	if p.Genomes == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, g := range p.Genomes {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, err = writeGenome(w, b, g); err != nil {
-				return err
-			}
-		}
-		b = append(b, ']')
-	}
-	if p.BestEver != nil {
-		b = append(b, `,"bestEver":`...)
-		if b, err = writeGenome(w, b, p.BestEver); err != nil {
-			return err
-		}
-	}
-	for i, s := range p.Species {
-		if i == 0 {
-			b = append(b, `,"species":[`...)
-		} else {
-			b = append(b, ',')
-		}
-		b = append(b, `{"id":`...)
-		b = strconv.AppendInt(b, int64(s.ID), 10)
-		b = append(b, `,"representative":`...)
-		if b, err = writeGenome(w, b, s.Representative); err != nil {
-			return err
-		}
-		b = append(b, `,"bestFitness":`...)
-		if b, err = gene.AppendJSONFloat(b, s.BestFitness); err != nil {
-			return err
-		}
-		b = appendIntField(b, "lastImproved", int64(s.LastImproved))
-		b = appendIntField(b, "created", int64(s.Created))
-		b = append(b, '}')
-	}
-	if len(p.Species) > 0 {
-		b = append(b, ']')
-	}
-	b = append(b, `,"rng":`...)
-	b = append(b, st...)
-	b = append(b, "}\n"...)
-	_, err = w.Write(b)
-	return err
-}
+// A population document is fixed-width little-endian binary, with each
+// genome a gene.Genome binary record (gene/record.go):
+//
+//	magic          "GNSYPOP\x01"; the last byte is the format version
+//	config         u32 length, then json.Marshal(Config)
+//	counters       generation i64, nextGenomeId i64, nextSpeciesId i64,
+//	               nextNodeId i32
+//	genomes        u32 count, then one record per genome
+//	bestEver       presence u8 (0 or 1), then a record if present
+//	species        u32 count, then per species: id i64, the
+//	               representative's record, bestFitness f64,
+//	               lastImproved i64, created i64
+//	PRNG stream    xorwow x, y, z, w, v, d u32; cached Gauss f64;
+//	               hasGauss u8
+//
+// The config stays JSON: it is small, and encoding/json's field
+// matching is what every other reader of a Config uses.
 
-// saveChunk is the size at which Save hands its buffer to the writer.
-const saveChunk = 64 << 10
+// magic opens every population document. A JSON checkpoint written by
+// an earlier build starts with '{' and fails on its first byte.
+const magic = "GNSYPOP\x01"
 
-// appendIntField appends `,"name":v`.
-func appendIntField(b []byte, name string, v int64) []byte {
-	b = append(b, ',', '"')
-	b = append(b, name...)
-	b = append(b, '"', ':')
-	return strconv.AppendInt(b, v, 10)
-}
-
-// writeGenome appends g's JSON, null for a nil genome, and writes the
-// buffer to w once it holds saveChunk bytes, returning it emptied.
-func writeGenome(w io.Writer, b []byte, g *gene.Genome) ([]byte, error) {
-	if g == nil {
-		b = append(b, "null"...)
-	} else {
-		var err error
-		if b, err = g.AppendJSON(b); err != nil {
-			return b, err
-		}
-	}
-	if len(b) < saveChunk {
-		return b, nil
-	}
-	_, err := w.Write(b)
-	return b[:0], err
-}
-
-// checkpointKeys and speciesKeys are the keys of the checkpoint
-// envelope and of one species entry, in the order Save writes them.
-var (
-	checkpointKeys = [...]string{"config", "generation", "nextGenomeId", "nextSpeciesId",
-		"nextNodeId", "genomes", "bestEver", "species", "rng"}
-	speciesKeys = [...]string{"id", "representative", "bestFitness", "lastImproved", "created"}
+// Fixed sizes: a document without its config and records, and a
+// species entry without its representative's record.
+const (
+	docFixed     = len(magic) + 4 + 3*8 + 4 + 4 + 1 + 4 + 6*4 + 8 + 1
+	speciesFixed = 4 * 8
 )
 
-// Restore reads a checkpoint and resumes it. When the checkpoint
-// carries a PRNG state (every checkpoint this version writes), the
-// stream continues bit-identically and restoreSeed is only the
-// fallback for older, stream-less checkpoints.
-//
-// It reads the document in one pass: the envelope through a
-// gene.Reader, each genome where it lies with the genome decoder (and
-// its validation), and only the small config and rng objects through
-// encoding/json, over their own bytes. Keys may come in any order and
-// an absent one reads as zero, but the envelope is as strict as the
-// genome decoder: an unknown, repeated or escaped key, null in place
-// of a number and any data after the document are errors.
-func Restore(data []byte, restoreSeed uint64) (*Population, error) {
-	p, err := restore(data, restoreSeed)
+var le = binary.LittleEndian
+
+// Save returns the population state as one binary document, including
+// the live PRNG stream: a restored run continues bit-identically to the
+// uninterrupted one, generation for generation. It sizes the document
+// first and fills one buffer. A NaN or infinite fitness or attribute
+// fails the save.
+func (p *Population) Save() ([]byte, error) {
+	cfg, err := json.Marshal(p.Config)
 	if err != nil {
+		return nil, err
+	}
+	size := docFixed + len(cfg)
+	for _, g := range p.Genomes {
+		size += g.RecordSize()
+	}
+	if p.BestEver != nil {
+		size += p.BestEver.RecordSize()
+	}
+	for _, s := range p.Species {
+		size += speciesFixed + s.Representative.RecordSize()
+	}
+	b := append(make([]byte, 0, size), magic...)
+	b = le.AppendUint32(b, uint32(len(cfg)))
+	b = append(b, cfg...)
+	b = le.AppendUint64(b, uint64(p.Generation))
+	b = le.AppendUint64(b, uint64(p.nextGenomeID))
+	b = le.AppendUint64(b, uint64(p.nextSpeciesID))
+	b = le.AppendUint32(b, uint32(p.ids.next))
+	b = le.AppendUint32(b, uint32(len(p.Genomes)))
+	for _, g := range p.Genomes {
+		if b, err = g.AppendRecord(b); err != nil {
+			return nil, err
+		}
+	}
+	b = gene.AppendFlag(b, p.BestEver != nil)
+	if p.BestEver != nil {
+		if b, err = p.BestEver.AppendRecord(b); err != nil {
+			return nil, err
+		}
+	}
+	b = le.AppendUint32(b, uint32(len(p.Species)))
+	for _, s := range p.Species {
+		b = le.AppendUint64(b, uint64(s.ID))
+		if b, err = s.Representative.AppendRecord(b); err == nil {
+			b, err = gene.AppendFloat(b, s.BestFitness)
+		}
+		if err != nil {
+			return nil, err
+		}
+		b = le.AppendUint64(b, uint64(s.LastImproved))
+		b = le.AppendUint64(b, uint64(s.Created))
+	}
+	st := p.rnd.State()
+	for _, w := range [...]uint32{st.X, st.Y, st.Z, st.W, st.V, st.D} {
+		b = le.AppendUint32(b, w)
+	}
+	if b, err = gene.AppendFloat(b, st.Gauss); err != nil {
+		return nil, err
+	}
+	return gene.AppendFlag(b, st.HasGauss), nil
+}
+
+// Restore rebuilds a population from a document Save wrote, continuing
+// its PRNG stream. It reads the document in one bounds-checked pass:
+// no count is trusted before the bytes it claims are there, every
+// genome is validated, and a flag byte, node type, activation or
+// aggregation out of range, a NaN or infinite float, an invalid
+// config, a genome count other than the config's PopulationSize, and
+// any data after the document are errors. It accepts only what Save
+// writes, so whatever it accepts saves back to the identical bytes:
+// it also rejects a config that is not json.Marshal's encoding, a
+// node id counter below the config's floor and an all-zero PRNG state.
+func Restore(data []byte) (p *Population, err error) {
+	if p, err = restore(data); err != nil {
 		return nil, fmt.Errorf("neat: restore: %w", err)
 	}
 	return p, nil
 }
 
-func restore(data []byte, restoreSeed uint64) (*Population, error) {
-	var (
-		cfg                                     Config
-		st                                      *rng.State
-		generation, genomeID, speciesID, nodeID int64
-		genomes                                 []*gene.Genome
-		bestEver                                *gene.Genome
-		species                                 []*Species
-	)
-	r := gene.NewReader(data)
-	err := r.Object(checkpointKeys[:], func(k int) (err error) {
-		switch checkpointKeys[k] {
-		case "config":
-			return decodeValue(r, &cfg)
-		case "generation":
-			generation, err = r.Int(strconv.IntSize)
-		case "nextGenomeId":
-			genomeID, err = r.Int(64)
-		case "nextSpeciesId":
-			speciesID, err = r.Int(strconv.IntSize)
-		case "nextNodeId":
-			nodeID, err = r.Int(32)
-		case "genomes":
-			return r.Array(func() error {
-				g, err := r.Genome()
-				genomes = append(genomes, g)
-				return err
-			})
-		case "bestEver":
-			bestEver, err = r.Genome()
-		case "species":
-			return r.Array(func() error {
-				s, err := readSpecies(r)
-				species = append(species, s)
-				return err
-			})
-		case "rng":
-			return decodeValue(r, &st)
-		}
-		return err
-	})
-	if err == nil {
-		err = r.End()
+func restore(data []byte) (*Population, error) {
+	d := gene.NewDecoder(data)
+	if string(d.Bytes(len(magic))) != magic {
+		return nil, errors.New("not a population document")
 	}
-	if err != nil {
-		return nil, err
+	// A document cut short before its config's end leaves raw nil,
+	// which fails here as JSON input that ends unexpectedly.
+	raw := d.Bytes(d.Count(1))
+	var cfg Config
+	if err := json.Unmarshal(raw, &cfg); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	if canon, err := json.Marshal(cfg); err != nil || !bytes.Equal(canon, raw) {
+		return nil, errors.New("config is not in json.Marshal's encoding")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(genomes) == 0 {
-		return nil, fmt.Errorf("checkpoint has no genomes")
+	p := newPopulation(cfg, 0)
+	p.Generation = d.Int()
+	p.nextGenomeID = d.Int64()
+	p.nextSpeciesID = d.Int()
+	nodeID := int32(d.Uint32())
+	p.Genomes = make([]*gene.Genome, d.Count(gene.MinRecordSize))
+	for i := range p.Genomes {
+		p.Genomes[i] = d.Genome()
+	}
+	if d.Flag() {
+		p.BestEver = d.Genome()
+	}
+	// Membership is rebuilt by the next speciation.
+	p.Species = make([]*Species, d.Count(speciesFixed+gene.MinRecordSize))
+	for i := range p.Species {
+		p.Species[i] = &Species{ID: d.Int(), Representative: d.Genome(),
+			BestFitness: d.Float(), LastImproved: d.Int(), Created: d.Int()}
+	}
+	var st rng.State
+	st.X, st.Y, st.Z, st.W, st.V, st.D = d.Uint32(), d.Uint32(), d.Uint32(), d.Uint32(), d.Uint32(), d.Uint32()
+	st.Gauss, st.HasGauss = d.Float(), d.Flag()
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	// Save always writes exactly PopulationSize genomes; a mismatch
-	// means a corrupt or hand-edited checkpoint. The check also bounds
-	// the work a hostile PopulationSize can demand of later epochs to
-	// the size of the document itself.
-	if len(genomes) != cfg.PopulationSize {
-		return nil, fmt.Errorf("checkpoint has %d genomes for population size %d",
-			len(genomes), cfg.PopulationSize)
+	// means a corrupt or hand-made document. The check also bounds the
+	// work a hostile PopulationSize can demand of later epochs to the
+	// size of the document itself.
+	switch {
+	case len(p.Genomes) != cfg.PopulationSize:
+		return nil, fmt.Errorf("%d genomes for population size %d", len(p.Genomes), cfg.PopulationSize)
+	case nodeID < p.ids.next:
+		return nil, fmt.Errorf("node id counter %d below the config's floor %d", nodeID, p.ids.next)
+	case st.X|st.Y|st.Z|st.W|st.V == 0:
+		return nil, errors.New("all-zero PRNG state")
 	}
-	// The reader has validated every genome the document holds; a null
-	// entry is the one that decodes without it.
-	for i, g := range genomes {
-		if g == nil {
-			return nil, fmt.Errorf("genome %d is null", i)
-		}
-	}
-	for _, s := range species {
-		if s.Representative == nil {
-			return nil, fmt.Errorf("species %d has no representative", s.ID)
-		}
-	}
-	p := newPopulation(cfg, restoreSeed)
-	if st != nil {
-		p.rnd.SetState(*st)
-	}
-	p.Genomes = genomes
-	p.Generation = int(generation)
-	p.nextGenomeID = genomeID
-	p.nextSpeciesID = int(speciesID)
-	p.BestEver = bestEver
-	if int32(nodeID) > p.ids.next {
-		p.ids.next = int32(nodeID)
-	}
-	p.Species = species
+	p.ids.next = nodeID
+	p.rnd.SetState(st)
 	return p, nil
-}
-
-// readSpecies reads one species entry: its identity and stagnation
-// state. Membership is rebuilt by the next speciation.
-func readSpecies(r *gene.Reader) (*Species, error) {
-	s := new(Species)
-	err := r.Object(speciesKeys[:], func(k int) (err error) {
-		var v int64
-		switch speciesKeys[k] {
-		case "id":
-			v, err = r.Int(strconv.IntSize)
-			s.ID = int(v)
-		case "representative":
-			s.Representative, err = r.Genome()
-		case "bestFitness":
-			s.BestFitness, err = r.Float()
-		case "lastImproved":
-			v, err = r.Int(strconv.IntSize)
-			s.LastImproved = int(v)
-		case "created":
-			v, err = r.Int(strconv.IntSize)
-			s.Created = int(v)
-		}
-		return err
-	})
-	return s, err
-}
-
-// decodeValue decodes the reader's next value into v with
-// encoding/json, over that value's bytes alone.
-func decodeValue(r *gene.Reader, v any) error {
-	b, err := r.Value()
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
 }

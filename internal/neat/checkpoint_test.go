@@ -2,11 +2,12 @@ package neat
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/gene"
 	"repro/internal/rng"
 )
 
@@ -31,50 +32,9 @@ func evolvedPopulation(t *testing.T) *Population {
 	return p
 }
 
-func TestSaveMatchesEncodingJSON(t *testing.T) {
-	fresh, err := NewPopulation(DefaultConfig(2, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Big enough for Save to flush several chunks mid-document.
-	cfg := DefaultConfig(24, 4)
-	cfg.PopulationSize = 60
-	big, err := NewPopulation(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(4)
-	for _, g := range big.Genomes {
-		g.Fitness = r.NormFloat64()
-	}
-	if _, err := big.Epoch(); err != nil {
-		t.Fatal(err)
-	}
-	big.rnd.NormFloat64() // leave a cached Gauss draw in the PRNG state
-	for name, p := range map[string]*Population{"fresh": fresh, "evolved": evolvedPopulation(t), "big": big} {
-		var got, want bytes.Buffer
-		if err := p.Save(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := referenceSave(p, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: Save differs from encoding/json (%d vs %d bytes)", name, got.Len(), want.Len())
-		}
-		if name == "big" && got.Len() < 3*saveChunk {
-			t.Fatalf("big population is only %d bytes", got.Len())
-		}
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	p := evolvedPopulation(t)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := Restore(buf.Bytes(), 99)
+	q, err := Restore(saved(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +57,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestRestoredPopulationEvolves(t *testing.T) {
 	p := evolvedPopulation(t)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := Restore(buf.Bytes(), 42)
+	q, err := Restore(saved(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +89,13 @@ func TestRestoredPopulationEvolves(t *testing.T) {
 // restoring and immediately re-saving loses nothing.
 func TestSaveRestoreSaveByteIdentical(t *testing.T) {
 	p := evolvedPopulation(t)
-	var first bytes.Buffer
-	if err := p.Save(&first); err != nil {
-		t.Fatal(err)
-	}
-	q, err := Restore(first.Bytes(), 12345)
+	first := saved(t, p)
+	q, err := Restore(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var second bytes.Buffer
-	if err := q.Save(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("save/restore/save not byte-identical:\n%s\nvs\n%s",
-			first.Bytes(), second.Bytes())
+	if second := saved(t, q); !bytes.Equal(first, second) {
+		t.Fatalf("save/restore/save not byte-identical: %d vs %d bytes", len(first), len(second))
 	}
 }
 
@@ -156,13 +104,7 @@ func TestSaveRestoreSaveByteIdentical(t *testing.T) {
 // uninterrupted one under identical fitness assignments.
 func TestRestoreContinuesBitIdentically(t *testing.T) {
 	p := evolvedPopulation(t)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A deliberately different restore seed: the checkpointed stream
-	// must win over it.
-	q, err := Restore(buf.Bytes(), 0xDEAD)
+	q, err := Restore(saved(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,162 +125,157 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var a, b bytes.Buffer
-	if err := p.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(saved(t, p), saved(t, q)) {
 		t.Fatal("restored population diverged from the uninterrupted one")
-	}
-}
-
-func TestRestoreRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":   "{",
-		"empty":      `{"config":{"PopulationSize":10,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[]}`,
-		"bad config": `{"config":{"PopulationSize":0},"genomes":[{"id":1,"nodes":[],"conns":[]}]}`,
-		"null genome": `{"config":{"PopulationSize":1,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full",` +
-			`"CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[null]}`,
-		"null representative": `{"config":{"PopulationSize":1,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full",` +
-			`"CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[{"id":1}],` +
-			`"species":[{"id":1,"representative":null}]}`,
-	}
-	for name, doc := range cases {
-		if _, err := Restore([]byte(doc), 1); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
 	}
 }
 
 // saved returns p's checkpoint document.
 func saved(tb testing.TB, p *Population) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	doc, err := p.Save()
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes()
+	return doc
 }
 
-// reassemble rewrites a checkpoint's envelope with its keys in order,
-// one per line, dropping the keys order leaves out; set replaces
-// values by key.
-func reassemble(t *testing.T, doc []byte, order []string, set map[string]string) []byte {
-	t.Helper()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(doc, &m); err != nil {
-		t.Fatal(err)
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// smallPopulation is a small evolved population whose document the
+// rejection cases edit: pop 8 of 2×1 inputs×outputs after two epochs.
+func smallPopulation(tb testing.TB) *Population {
+	tb.Helper()
+	cfg := DefaultConfig(2, 1)
+	cfg.PopulationSize = 8
+	p, err := NewPopulation(cfg, 1)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for k, v := range set {
-		m[k] = json.RawMessage(v)
-	}
-	b := []byte("{")
-	for _, k := range order {
-		if len(b) > 1 {
-			b = append(b, ",\n"...)
+	for gen := 0; gen < 2; gen++ {
+		for i, g := range p.Genomes {
+			g.Fitness = float64(i)
 		}
-		b = fmt.Appendf(b, "%q : %s", k, m[k])
+		if _, err := p.Epoch(); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	return append(b, "}"...)
+	return p
 }
 
-// TestRestoreMatchesReference restores checkpoints that are not Save's
-// exact bytes, and Save's bytes of a RAM-shaped population, through
-// both decoders: both accept, and the two populations save to the same
-// bytes.
-func TestRestoreMatchesReference(t *testing.T) {
-	doc := saved(t, evolvedPopulation(t))
-	all := checkpointKeys[:]
-	reversed := slices.Clone(all)
-	slices.Reverse(reversed)
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, doc, "\t", "  "); err != nil {
-		t.Fatal(err)
+// jsonCheckpoint is a whole checkpoint of the JSON format earlier
+// builds wrote: a fresh pop-1 population of 1×1 inputs×outputs.
+const jsonCheckpoint = `{"config":{"PopulationSize":1,"NumInputs":1,"NumOutputs":1,"InitialConnection":"full",` +
+	`"CompatThreshold":3,"CompatDisjointCoeff":1,"CompatWeightCoeff":0.5,"MaxStagnation":15,"SpeciesElitism":2,` +
+	`"Elitism":2,"SurvivalThreshold":0.2,"CrossoverRate":0.75,"MinSpeciesSize":2,"TournamentSize":3,` +
+	`"WeightMutateRate":0.8,"WeightReplaceRate":0.1,"WeightPerturbPower":0.5,"WeightInitPower":1,` +
+	`"BiasMutateRate":0.7,"BiasPerturbPower":0.5,"ResponseMutateRate":0.1,"ResponsePerturbPower":0.1,` +
+	`"ActivationMutateRate":0.05,"AggregationMutateRate":0.03,"EnableMutateRate":0.05,"AddNodeProb":0.1,` +
+	`"AddConnProb":0.3,"DeleteNodeProb":0.05,"DeleteConnProb":0.15,"MaxDeletedNodes":1,"CrossoverBias":0.5,` +
+	`"LocalNodeIDs":false,"FeedForwardOnly":true},"generation":0,"nextGenomeId":1,"nextSpeciesId":0,` +
+	`"nextNodeId":2,"genomes":[{"id":0,"fitness":0,"nodes":[{"id":0,"type":"input","bias":0,"response":1,` +
+	`"activation":"sigmoid","aggregation":"sum"},{"id":1,"type":"output","bias":0,"response":1,` +
+	`"activation":"sigmoid","aggregation":"sum"}],"conns":[{"src":0,"dst":1,"weight":0,"enabled":true}]}],` +
+	`"rng":{"x":3195035748,"y":2276452962,"z":1152747958,"w":2536595552,"v":794331041,"d":2156817406}}` + "\n"
+
+// rejectCases derives from p's document the inputs Restore must
+// reject: edits at the offsets of the layout in checkpoint.go, and
+// invalid populations, which Save writes as they are.
+func rejectCases(tb testing.TB, p *Population) map[string][]byte {
+	tb.Helper()
+	doc := saved(tb, p)
+	cfgLen := int(le.Uint32(doc[len(magic):]))
+	counters := len(magic) + 4 + cfgLen
+	count := counters + 3*8 + 4 // the genome count
+	node := count + 4 + 8 + 8 + 4
+	conn := node + 23*len(p.Genomes[0].Nodes) + 4
+	best := count + 4
+	for _, g := range p.Genomes {
+		best += g.RecordSize()
 	}
-	for name, in := range map[string][]byte{
-		"as saved":                  doc,
-		"RAM-shaped (128x18)":       saved(t, benchPopulation(t, 128, 18, 4, 2)),
-		"keys reordered":            reassemble(t, doc, reversed, nil),
-		"whitespace between tokens": append(append([]byte(" \r\n"), indented.Bytes()...), " \t"...),
-		"stream-less": reassemble(t, doc, []string{"config", "generation", "nextGenomeId", "nextSpeciesId",
-			"nextNodeId", "genomes"}, nil),
-		"bestEver null": reassemble(t, doc, all, map[string]string{"bestEver": "null"}),
+	stream := len(doc) - (6*4 + 8 + 1)
+	edit := func(off int, b ...byte) []byte {
+		out := slices.Clone(doc)
+		copy(out[off:], b)
+		return out
+	}
+	config := func(cfg string) []byte {
+		return slices.Concat(doc[:len(magic)], le.AppendUint32(nil, uint32(len(cfg))), []byte(cfg), doc[counters:])
+	}
+	cases := map[string][]byte{
+		"JSON checkpoint":                 []byte(jsonCheckpoint),
+		"count overruns the data":         edit(count, 0xff, 0xff, 0xff, 0x7f),
+		"bestEver flag 2":                 edit(best, 2),
+		"enabled flag 2":                  edit(conn+16, 2),
+		"node type out of range":          edit(node+4, byte(gene.Output)+1),
+		"activation out of range":         edit(node+5, byte(gene.NumActivations)),
+		"aggregation out of range":        edit(node+6, byte(gene.NumAggregations)),
+		"NaN weight":                      edit(conn+8, le.AppendUint64(nil, math.Float64bits(math.NaN()))...),
+		"infinite bias":                   edit(node+7, le.AppendUint64(nil, math.Float64bits(math.Inf(1)))...),
+		"trailing byte":                   append(slices.Clone(doc), 0),
+		"all-zero PRNG state":             edit(stream, make([]byte, 5*4)...),
+		"node id counter below its floor": edit(counters+3*8, 0, 0, 0, 0),
+		"config with whitespace":          config(" " + string(doc[len(magic)+4:counters])),
+		"config key in another case": config(strings.Replace(string(doc[len(magic)+4:counters]),
+			`"PopulationSize"`, `"populationSize"`, 1)),
+	}
+	for name, invalidate := range map[string]func(*Population){
+		"empty population": func(q *Population) { q.Genomes = nil },
+		"bad config":       func(q *Population) { q.Config.SurvivalThreshold = 2 },
+		"size mismatch":    func(q *Population) { q.Genomes = q.Genomes[1:] },
 	} {
-		got, err := Restore(in, 5)
+		q, err := Restore(doc)
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
+			tb.Fatal(err)
 		}
-		want, err := referenceRestore(in, 5)
-		if err != nil {
-			t.Errorf("%s: reference: %v", name, err)
-			continue
-		}
-		if !bytes.Equal(saved(t, got), saved(t, want)) {
-			t.Errorf("%s: restored populations save differently", name)
-		}
+		invalidate(q)
+		cases[name] = saved(tb, q)
 	}
+	return cases
 }
 
-// strictCases derives from a saved checkpoint the inputs the
-// encoding/json reference accepts and Restore rejects. Each edit is
-// made at the first occurrence of a key: for generation the
-// envelope's, for bestFitness and lastImproved the first species'.
-func strictCases(doc []byte) map[string][]byte {
-	at := func(key string) (int, int) {
-		i := bytes.Index(doc, []byte(`"`+key+`":`))
-		return i, i + len(key) + 3
-	}
-	insert := func(key, s string) []byte {
-		i, _ := at(key)
-		return slices.Concat(doc[:i], []byte(s), doc[i:])
-	}
-	rename := func(key, to string) []byte {
-		i, j := at(key)
-		return slices.Concat(doc[:i], []byte(`"`+to+`":`), doc[j:])
-	}
-	set := func(key, v string) []byte {
-		_, j := at(key)
-		return slices.Concat(doc[:j], []byte(v), doc[j+bytes.IndexAny(doc[j:], ",}"):])
-	}
-	return map[string][]byte{
-		"data after the document": slices.Concat(doc, []byte("garbage")),
-		"two checkpoints":         slices.Concat(doc, doc),
-		"key in another case":     rename("generation", "Generation"),
-		"unknown key":             insert("generation", `"extra":1,`),
-		"escaped key":             rename("generation", `gener\u0061tion`),
-		"null number":             set("generation", "null"),
-		"repeated key":            insert("generation", `"generation":1,`),
-		"unknown species key":     insert("bestFitness", `"members":[],`),
-		"null species number":     set("lastImproved", "null"),
-	}
-}
-
-// TestRestoreStricterThanReference lists the inputs the encoding/json
-// reference accepts that Restore rejects. Save writes none of them.
-func TestRestoreStricterThanReference(t *testing.T) {
-	doc := saved(t, evolvedPopulation(t))
-	for name, in := range strictCases(doc) {
-		if _, err := referenceRestore(in, 1); err != nil {
-			t.Errorf("%s: the reference rejects it too (%v); not a stricter case", name, err)
-		}
-		if _, err := Restore(in, 1); err == nil {
+func TestRestoreRejectsGarbage(t *testing.T) {
+	p := smallPopulation(t)
+	for name, in := range rejectCases(t, p) {
+		if _, err := Restore(in); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	doc := saved(t, p)
+	for n := range doc {
+		if _, err := Restore(doc[:n]); err == nil {
+			t.Fatalf("accepted the document truncated to %d of %d bytes", n, len(doc))
+		}
+	}
+}
+
+// TestCheckpointAllocs: Save sizes its buffer exactly and allocates
+// only it and the config's JSON, whatever the population's size, and
+// Restore a constant plus three per genome (the genome and its two gene
+// lists).
+func TestCheckpointAllocs(t *testing.T) {
+	p := benchPopulation(t, 128, 18, 50, 2)
+	doc := saved(t, p)
+	if cap(doc) != len(doc) {
+		t.Errorf("Save sized a %d-byte buffer for a %d-byte document", cap(doc), len(doc))
+	}
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	if n := testing.AllocsPerRun(5, func() { saved(t, p) }); n > 4 {
+		t.Errorf("Save: %v allocs", n)
+	}
+	genomes := len(p.Genomes) + len(p.Species) + 1
+	if n := testing.AllocsPerRun(5, func() { Restore(doc) }); n > float64(3*genomes+40) {
+		t.Errorf("Restore: %v allocs for %d genomes", n, genomes)
 	}
 }
 
 func TestRestorePreservesNodeIDCounter(t *testing.T) {
 	p := evolvedPopulation(t)
 	before := p.ids.next
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := Restore(buf.Bytes(), 1)
+	q, err := Restore(saved(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,30 +286,25 @@ func TestRestorePreservesNodeIDCounter(t *testing.T) {
 }
 
 // BenchmarkCheckpoint measures writing and reading one RAM-scale
-// checkpoint: pop 50 genomes of 128×18 inputs×outputs (about 8 MB of
-// JSON), the population an atari job commits to the store.
+// checkpoint: pop 50 genomes of 128×18 inputs×outputs (about 2.2 MB),
+// the population an atari job commits to the store.
 func BenchmarkCheckpoint(b *testing.B) {
 	p := benchPopulation(b, 128, 18, 50, 2)
-	var doc bytes.Buffer
-	if err := p.Save(&doc); err != nil {
-		b.Fatal(err)
-	}
+	doc := saved(b, p)
 	b.Run("Save", func(b *testing.B) {
-		b.SetBytes(int64(doc.Len()))
+		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
-		var buf bytes.Buffer
 		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := p.Save(&buf); err != nil {
+			if _, err := p.Save(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Restore", func(b *testing.B) {
-		b.SetBytes(int64(doc.Len()))
+		b.SetBytes(int64(len(doc)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Restore(doc.Bytes(), 1); err != nil {
+			if _, err := Restore(doc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -53,8 +53,9 @@ func BenchmarkStoreHitThroughput(b *testing.B) {
 
 // BenchmarkRecover measures boot verification, the cost every daemon
 // restart pays before it serves: 16 committed runs, each with a
-// deterministic 5 MiB population.json (the size of a pop-50 RAM-game
-// run), verified by a fresh Store's Recover per iteration.
+// deterministic 5 MiB payload (the size of a pop-50 RAM-game run's
+// population in the JSON format of earlier builds; the binary one is
+// 0.8–2.2 MB), verified by a fresh Store's Recover per iteration.
 func BenchmarkRecover(b *testing.B) {
 	const artifacts = 16
 	root := b.TempDir()

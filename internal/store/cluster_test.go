@@ -241,3 +241,43 @@ func TestRecoverKeepsFreshStaging(t *testing.T) {
 		t.Fatal("committed artifact missing")
 	}
 }
+
+// TestGCSweepsStaleTmp: GC, not only a boot, reclaims a crash's
+// staging directory once it is older than staleAfter, so a daemon that
+// restarted within the hour does not keep it for its lifetime. A fresh
+// staging directory, another Store's commit in flight, stays and its
+// commit lands.
+func TestGCSweepsStaleTmp(t *testing.T) {
+	root := t.TempDir()
+	gate := &gateFS{FS: OSFS{}, reached: make(chan struct{}), release: make(chan struct{})}
+	committer := openTest(t, Config{Root: root, FS: gate})
+	key := testKey(51)
+	putErr := make(chan error, 1)
+	go func() { putErr <- committer.Put(key, Meta{}, testFiles()) }()
+	<-gate.reached
+
+	orphan := filepath.Join(root, "tmp", testKey(52).String()+".deadbeef-1")
+	if err := os.MkdirAll(orphan, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * staleAfter)
+	if err := os.Chtimes(orphan, old, old); err != nil {
+		t.Fatal(err)
+	}
+	s := openTest(t, Config{Root: root})
+	res := s.GC()
+	close(gate.release)
+	if err := <-putErr; err != nil {
+		t.Fatalf("Put through staging GC saw: %v", err)
+	}
+	if res.TmpSwept != 1 || s.Counters().Snapshot().Int("gc/tmp_swept") != 1 {
+		t.Fatalf("GC swept %d staging entries (counter %d), want the stale one",
+			res.TmpSwept, s.Counters().Snapshot().Int("gc/tmp_swept"))
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("stale staging left behind (stat: %v)", err)
+	}
+	if _, ok := s.Get(key); !ok {
+		t.Fatal("committed artifact missing")
+	}
+}

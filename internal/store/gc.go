@@ -14,6 +14,7 @@ type GCResult struct {
 	EvictedSize      int   `json:"evicted_size"`
 	BytesReclaimed   int64 `json:"bytes_reclaimed"`
 	CheckpointsSwept int   `json:"checkpoints_swept"`
+	TmpSwept         int   `json:"tmp_swept"`
 }
 
 // gcCandidate is one committed artifact with its GC-relevant facts.
@@ -24,12 +25,12 @@ type gcCandidate struct {
 }
 
 // GC enforces the store's size and age budgets and sweeps the
-// checkpoint directory. Eviction order is least-recently-used: the
-// manifest's mtime is stamped on every hit, so an artifact's recency
-// is exactly its last replay, or its commit if it never hit; Recover's
-// boot verification leaves it alone. Results are also accumulated
-// into the store's hwsim counters, so the /metrics tree carries
-// lifetime GC accounting.
+// checkpoint directory and stale commit staging. Eviction order is
+// least-recently-used: the manifest's mtime is stamped on every hit,
+// so an artifact's recency is exactly its last replay, or its commit
+// if it never hit; Recover's boot verification leaves it alone.
+// Results are also accumulated into the store's hwsim counters, so the
+// /metrics tree carries lifetime GC accounting.
 func (s *Store) GC() GCResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -91,13 +92,32 @@ func (s *Store) GC() GCResult {
 	}
 
 	res.CheckpointsSwept = s.sweepCheckpointsLocked(now)
+	res.TmpSwept = s.sweepTmp(now)
 
 	s.gcCtr.AddInt("evicted_age", int64(res.EvictedAge))
 	s.gcCtr.AddInt("evicted_size", int64(res.EvictedSize))
 	s.gcCtr.AddInt("bytes_reclaimed", res.BytesReclaimed)
 	s.gcCtr.AddInt("checkpoints_swept", int64(res.CheckpointsSwept))
+	s.gcCtr.AddInt("tmp_swept", int64(res.TmpSwept))
 	s.gcCtr.AddInt("passes", 1)
 	return res
+}
+
+// sweepTmp removes abandoned commit staging from tmp/ and returns how
+// many entries it removed. A crash between "stage" and "rename" leaves
+// the partial artifact here, never in runs/. Only entries older than
+// staleAfter go: a younger one may be another process's commit in
+// flight.
+func (s *Store) sweepTmp(now time.Time) int {
+	// A tmp/ that cannot be read has nothing this pass can sweep.
+	entries, _ := s.fs.ReadDir(s.tmpDir())
+	swept := 0
+	for _, e := range entries {
+		if olderThan(e, now, staleAfter) && s.fs.RemoveAll(filepath.Join(s.tmpDir(), e.Name())) == nil {
+			swept++
+		}
+	}
+	return swept
 }
 
 // sweepCheckpointsLocked reclaims checkpoint files that can never be

@@ -35,8 +35,9 @@ const scratchSize = 256 << 10
 
 // Recover is the startup pass after an unclean shutdown (or any
 // start — it is a no-op on a healthy store). It sweeps abandoned
-// commit staging from tmp/ (only entries older than staleAfter: a
-// younger one may be another process's commit in flight), fully
+// commit staging from tmp/ as GC does (only entries older than
+// staleAfter: a younger one may be another process's commit in
+// flight; GC sweeps the rest once they age), fully
 // verifies every committed artifact (quarantining corruption now, at
 // boot, rather than at first read under traffic), reclaims checkpoints
 // of completed runs, and returns the keys of orphaned checkpoints so
@@ -52,18 +53,7 @@ const scratchSize = 256 << 10
 func (s *Store) Recover() RecoveryReport {
 	var rep RecoveryReport
 
-	// Abandoned staging: a crash between "stage" and "rename" leaves the
-	// partial artifact here, never in runs/, which is the atomicity
-	// argument in one line.
-	now := s.now()
-	if entries, err := s.fs.ReadDir(s.tmpDir()); err == nil {
-		for _, e := range entries {
-			if olderThan(e, now, staleAfter) && s.fs.RemoveAll(filepath.Join(s.tmpDir(), e.Name())) == nil {
-				rep.TmpSwept++
-			}
-		}
-	}
-
+	rep.TmpSwept = s.sweepTmp(s.now())
 	rep.Verified, rep.Quarantined = s.verifyAll()
 
 	// Checkpoints: completed runs' checkpoints are reclaimed; the rest

@@ -20,15 +20,19 @@
 # cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one verifies the
 # committed run at boot and replays it from disk, a one-iteration smoke
-# over the kernel, checkpoint codec, replay and store benchmarks, boot
-# verification (BenchmarkRecover) included (so a change that breaks a
-# benchmark fails here), a one-iteration run of the root figure and ablation benchmarks
-# that must leave results/ byte-identical (they are the only code that
-# regenerates it), and a short fuzz smoke over the untrusted-input
-# decoders (trace parser, genome codec, NEAT checkpoint, store manifest)
-# and the one-pass genome validator. The trace parser, genome codec,
-# checkpoint and validator fuzzers are differential: each checks the
-# one-pass code against its reference implementation.
+# over the kernel, checkpoint codec, stored-run decode, replay and store
+# benchmarks, boot verification (BenchmarkRecover) included (so a
+# change that breaks a benchmark fails here), a one-iteration run of the
+# root figure and ablation benchmarks that must leave results/
+# byte-identical (they are the only code that regenerates it), and a
+# short fuzz smoke over the untrusted-input decoders (trace parser,
+# genome JSON codec, binary genome record, NEAT population document,
+# store manifest) and the one-pass genome validator. The trace parser,
+# genome JSON codec and validator fuzzers are differential: each checks
+# the one-pass code against its reference implementation. The binary
+# genome record and population fuzzers check that the decoder accepts
+# only what the encoder writes: whatever Restore accepts, Save writes
+# back byte for byte (Save(Restore(x)) == x).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -271,7 +275,7 @@ wait "$w1" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
-echo "== bench smoke (kernel + batch + checkpoint codec + replay trajectory + store benches, 1 iteration)"
+echo "== bench smoke (kernel + batch + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so
 # BenchmarkNetworkFeedBatch, BenchmarkEvaluateGenerationScalar (the
 # serial test reference evaluator) and BenchmarkEvaluateGenerationRAM
@@ -283,6 +287,8 @@ go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint
     -benchtime=1x ./internal/neat/
 go test -run=NONE -bench='BenchmarkEvaluateGeneration' \
     -benchtime=1x ./internal/evolve/
+go test -run=NONE -bench='BenchmarkDecodeRun' \
+    -benchtime=1x ./internal/experiments/
 go test -run=NONE -bench='BenchmarkSoCRunGeneration' \
     -benchtime=1x ./internal/hw/soc/
 go test -run=NONE -bench='BenchmarkEvEReplay' \
@@ -305,13 +311,16 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser, genome codec, genome validator and neat checkpoint, each against its reference; store manifest)"
+echo "== fuzz smoke (trace parser, genome JSON codec and genome validator against their references; genome record and neat population, Save(Restore(x)) == x; store manifest)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
-# minimization budget would eat the whole smoke window on the ~5 KB
-# checkpoint corpus entries.
+# minimization budget would eat the whole smoke window on the
+# multi-kilobyte population corpus entries. FuzzRestore's oracle is
+# the canonical property: whatever Restore accepts, Save writes back
+# byte for byte; FuzzRecord checks the same of one genome record.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
 go test -run=NONE -fuzz=FuzzGenomeJSON -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
+go test -run=NONE -fuzz=FuzzRecord -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 
