@@ -28,7 +28,7 @@ func main() {
 		seed        = flag.Uint64("seed", 42, "run seed")
 		hw          = flag.Bool("hw", true, "account every generation on the simulated SoC")
 		quiet       = flag.Bool("quiet", false, "suppress per-generation lines")
-		save        = flag.String("save", "", "write the best evolved genome to this JSON file")
+		save        = flag.String("save", "", "write the best evolved genome to this file as a binary genome record")
 		functional  = flag.Bool("functional", false, "compute (not just account) the run on the functional EvE/ADAM datapaths")
 	)
 	flag.Parse()
@@ -106,13 +106,11 @@ func main() {
 			(cur != nil && cur.Fitness > best.Fitness) {
 			best = cur
 		}
-		f, err := os.Create(*save)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "genesys:", err)
-			os.Exit(1)
+		rec, err := best.AppendRecord(nil)
+		if err == nil {
+			err = os.WriteFile(*save, rec, 0o644)
 		}
-		defer f.Close()
-		if err := best.Save(f); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "genesys:", err)
 			os.Exit(1)
 		}

@@ -110,6 +110,13 @@ func (w *WorkerAPI) handleStep(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusNotFound, "island: unknown session "+req.Session)
 		return
 	}
+	// DriveIslands only asks for barriers within the budget: a larger
+	// target would evolve the session past the run it was opened for,
+	// and one below 1 has no champion to export.
+	if req.Target < 1 || req.Target > g.Spec.Generations {
+		httpError(rw, http.StatusBadRequest, fmt.Sprintf("island: target %d outside [1,%d]", req.Target, g.Spec.Generations))
+		return
+	}
 	if req.Plan != nil {
 		if err := g.Inject(req.Plan); err != nil {
 			httpError(rw, http.StatusBadRequest, err.Error())

@@ -3,7 +3,6 @@ package evolve
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/gene"
 	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
+	"repro/internal/network"
 	"repro/internal/rng"
 )
 
@@ -28,10 +28,11 @@ import (
 //  1. Each island is an ordinary Runner seeded by IslandSeed(seed, i).
 //     Islands never share PRNG state, genome-ID streams, or caches, so
 //     where an island executes cannot matter.
-//  2. Champions cross island boundaries only as JSON (Champion.Genome
-//     is a json.RawMessage). The single-process reference round-trips
-//     through the same encoding the worker RPC uses; Go's float64 JSON
-//     round-trip is exact, so both paths inject identical genomes.
+//  2. Champions cross island boundaries only as binary genome records
+//     (Champion.Genome holds one). The single-process reference
+//     round-trips through the same encoding the worker RPC uses, and a
+//     record keeps every float64 bit for bit, so both paths inject
+//     identical genomes.
 
 // IslandSpec describes one island-model run. The full tuple is the
 // identity: two specs differing only in Parallelism (the
@@ -89,13 +90,14 @@ func IslandSeed(base uint64, island int) uint64 {
 }
 
 // Champion is an island's exported best genome at a migration barrier,
-// in wire form. The genome stays encoded until injection so the
+// in wire form: Genome is its binary record (gene.AppendRecord),
+// base64 inside JSON. The genome stays encoded until injection so the
 // single-process reference and the worker RPC inject bit-identical
 // values (see the package comment above).
 type Champion struct {
-	Island  int             `json:"island"`
-	Fitness float64         `json:"fitness"`
-	Genome  json.RawMessage `json:"genome"`
+	Island  int     `json:"island"`
+	Fitness float64 `json:"fitness"`
+	Genome  []byte  `json:"genome"`
 }
 
 // migrationPlan computes the ring migration for one barrier: island i
@@ -125,12 +127,13 @@ func migrationPlan(champs []Champion, islands int) (map[int]Champion, error) {
 // IslandResult is one island's complete outcome: its per-generation
 // history (the stats stream), final champion, and solved flag.
 type IslandResult struct {
-	Island      int             `json:"island"`
-	Seed        uint64          `json:"seed"`
-	Solved      bool            `json:"solved"`
-	BestFitness float64         `json:"best_fitness"`
-	History     []GenStats      `json:"history"`
-	Champion    json.RawMessage `json:"champion,omitempty"`
+	Island      int        `json:"island"`
+	Seed        uint64     `json:"seed"`
+	Solved      bool       `json:"solved"`
+	BestFitness float64    `json:"best_fitness"`
+	History     []GenStats `json:"history"`
+	// Champion is the final champion's binary genome record.
+	Champion []byte `json:"champion,omitempty"`
 }
 
 // IslandRun is the assembled result of an island-model run — what the
@@ -249,31 +252,53 @@ func (g *IslandGroup) Step(ctx context.Context, target int, plan map[int]Champio
 		if ch == nil {
 			return nil, false, fmt.Errorf("island %d: no champion at generation %d", g.Islands[k], target)
 		}
-		raw, merr := json.Marshal(ch)
+		rec, merr := ch.AppendRecord(make([]byte, 0, ch.RecordSize()))
 		if merr != nil {
 			return nil, false, fmt.Errorf("island %d: encode champion: %w", g.Islands[k], merr)
 		}
-		champs = append(champs, Champion{Island: g.Islands[k], Fitness: ch.Fitness, Genome: raw})
+		champs = append(champs, Champion{Island: g.Islands[k], Fitness: ch.Fitness, Genome: rec})
 	}
 	return champs, solved, nil
 }
 
 // Inject applies a migration plan to the group's islands: each local
 // island receives the plan's champion addressed to it, decoded from
-// wire form.
+// its record. Every migrant is decoded and checked before any is
+// received, so a plan that fails leaves the islands untouched.
 func (g *IslandGroup) Inject(plan map[int]Champion) error {
-	for k, r := range g.Runners {
-		c, ok := plan[g.Islands[k]]
+	migrants := make([]*gene.Genome, len(g.Runners))
+	for k, island := range g.Islands {
+		c, ok := plan[island]
 		if !ok {
-			return fmt.Errorf("island %d: no migrant in plan", g.Islands[k])
+			return fmt.Errorf("island %d: no migrant in plan", island)
 		}
-		var migrant gene.Genome
-		if err := json.Unmarshal(c.Genome, &migrant); err != nil {
-			return fmt.Errorf("island %d: decode migrant: %w", g.Islands[k], err)
+		m, err := gene.DecodeRecord(c.Genome)
+		if err == nil {
+			err = evaluable(m, g.Runners[k].Pop.Config)
 		}
-		r.Pop.ReceiveMigrant(&migrant)
+		if err != nil {
+			return fmt.Errorf("island %d: migrant: %w", island, err)
+		}
+		migrants[k] = m
+	}
+	for k, r := range g.Runners {
+		r.Pop.ReceiveMigrant(migrants[k])
 	}
 	return nil
+}
+
+// evaluable reports why a decoded migrant could not be evaluated by a
+// population of cfg, if it could not: it must have the workload's
+// input and output nodes, and its enabled connections must compile to
+// a network, which fails on a cycle. Every champion an island exports
+// passes; the check keeps a malformed plan from the wire out of a
+// population that would then fail every later step.
+func evaluable(m *gene.Genome, cfg neat.Config) error {
+	if !slices.Equal(m.InputIDs(), cfg.InputIDs()) || !slices.Equal(m.OutputIDs(), cfg.OutputIDs()) {
+		return fmt.Errorf("genome %d: input or output nodes differ from the workload's", m.ID)
+	}
+	_, err := network.New(m)
+	return err
 }
 
 // Results implements IslandShard: it exports every island's outcome
@@ -291,11 +316,11 @@ func (g *IslandGroup) Results(context.Context) ([]IslandResult, error) {
 			History:     r.History,
 		}
 		if ch := r.Champion(); ch != nil {
-			raw, err := json.Marshal(ch)
+			rec, err := ch.AppendRecord(make([]byte, 0, ch.RecordSize()))
 			if err != nil {
 				return nil, fmt.Errorf("island %d: encode champion: %w", g.Islands[k], err)
 			}
-			ir.Champion = raw
+			ir.Champion = rec
 		}
 		out = append(out, ir)
 		r.ReleaseEvalState()

@@ -120,9 +120,9 @@ func TestRunIslandsDiffersFromPanmictic(t *testing.T) {
 // champion lands on island (i+1) mod n.
 func TestMigrationPlanRing(t *testing.T) {
 	champs := []Champion{
-		{Island: 0, Fitness: 1, Genome: json.RawMessage(`{"id":0}`)},
-		{Island: 1, Fitness: 2, Genome: json.RawMessage(`{"id":1}`)},
-		{Island: 2, Fitness: 3, Genome: json.RawMessage(`{"id":2}`)},
+		{Island: 0, Fitness: 1, Genome: []byte{0}},
+		{Island: 1, Fitness: 2, Genome: []byte{1}},
+		{Island: 2, Fitness: 3, Genome: []byte{2}},
 	}
 	plan, err := migrationPlan(champs, 3)
 	if err != nil {

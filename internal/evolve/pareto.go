@@ -2,7 +2,6 @@ package evolve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/gene"
@@ -30,9 +29,9 @@ import (
 //     scalar fitness from its position in that order. NEAT
 //     reproduction then follows the multi-objective order exactly,
 //     with no changes to the epoch kernel.
-//  3. Front genomes cross layer boundaries only as JSON
-//     (ParetoPoint.Genome is a json.RawMessage), like island
-//     champions, so stored artifacts replay byte-identically.
+//  3. Front genomes cross layer boundaries only as binary genome
+//     records (ParetoPoint.Genome holds one), like island champions,
+//     so stored artifacts replay byte-identically.
 
 // paretoObjective couples a moea axis with its genome pricing
 // function, evaluated post-fitness-assignment.
@@ -102,13 +101,13 @@ func GenomeEnergyPJ(g *gene.Genome) float64 {
 
 // ParetoPoint is one member of a Pareto front in wire form: the
 // genome's objective values, its crowding distance within the front,
-// and the genome itself as JSON (exact float64 round-trip, like
-// island Champions).
+// and the genome itself as its binary record (exact float64 round
+// trip, like island Champions), base64 inside JSON.
 type ParetoPoint struct {
 	GenomeID int64              `json:"genome_id"`
 	Values   map[string]float64 `json:"values"`
 	Crowding float64            `json:"crowding"`
-	Genome   json.RawMessage    `json:"genome,omitempty"`
+	Genome   []byte             `json:"genome,omitempty"`
 }
 
 // applyPareto runs the NSGA-II assignment over the just-evaluated
@@ -138,7 +137,7 @@ func (r *Runner) applyPareto(shape bool) error {
 
 	front := make([]ParetoPoint, 0, len(res.Fronts[0]))
 	for _, i := range res.Fronts[0] {
-		raw, merr := json.Marshal(genomes[i])
+		rec, merr := genomes[i].AppendRecord(make([]byte, 0, genomes[i].RecordSize()))
 		if merr != nil {
 			return fmt.Errorf("pareto: encode front genome %d: %w", genomes[i].ID, merr)
 		}
@@ -150,7 +149,7 @@ func (r *Runner) applyPareto(shape bool) error {
 			GenomeID: genomes[i].ID,
 			Values:   vals,
 			Crowding: res.Crowding[i],
-			Genome:   raw,
+			Genome:   rec,
 		})
 	}
 	r.front = front

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/gene"
 	"repro/internal/hw/hwsim"
 	"repro/internal/moea"
 )
@@ -130,15 +131,18 @@ func TestParetoFrontIsNonDominated(t *testing.T) {
 			vals[m] = v
 		}
 		pts[i] = moea.Point{ID: p.GenomeID, Values: vals}
-		// Structural objectives must match the genome wire form.
-		var g struct {
-			ID int64 `json:"ID"`
-		}
-		if err := json.Unmarshal(p.Genome, &g); err != nil {
+		// Every objective must match the genome's wire form.
+		g, err := gene.DecodeRecord(p.Genome)
+		if err != nil {
 			t.Fatalf("front point %d: decode genome: %v", i, err)
 		}
 		if g.ID != p.GenomeID {
 			t.Fatalf("front point %d: genome ID %d != point ID %d", i, g.ID, p.GenomeID)
+		}
+		for m, name := range run.Objectives {
+			if got := paretoObjectives[name].value(g); got != vals[m] {
+				t.Fatalf("front point %d: %s of the decoded genome is %v, the point says %v", i, name, got, vals[m])
+			}
 		}
 	}
 	res := moea.Sort(pts, objs)

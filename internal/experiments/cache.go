@@ -183,15 +183,16 @@ type tier[R any] struct {
 	// compute runs a cache miss. resumed reports a restored checkpoint:
 	// the history is then partial, so the run is not committed.
 	compute func(key store.Key, req *JobRequest) (run R, resumed bool, err error)
-	// encode renders a run as its store artifact; decode rebuilds it,
-	// failing on any payload that does not match its key.
-	encode func(store.Key, R) (store.Meta, map[string][]byte, error)
+	// encode renders a run as its store payload files; decode rebuilds
+	// it, failing on any payload that does not match its key.
+	encode func(store.Key, R) (map[string][]byte, error)
 	decode func(store.Key, *store.Artifact) (R, error)
 	// records renders the run's record stream into sink. With live set
 	// the request computed it, and records adds only what its live Sink
 	// did not already carry.
 	records func(key store.Key, run R, sink hwsim.Sink, live bool)
-	// summary folds the run into its job-level result.
+	// summary folds the run into its job-level result, which is also
+	// the artifact's store.Meta.
 	summary func(R) (solved bool, best float64, gens int)
 }
 
@@ -241,15 +242,19 @@ func (t *tier[R]) load(key store.Key) (R, bool) {
 }
 
 // commit writes a computed run to the attached store, best-effort: a
-// failed commit only means the next cold process recomputes. Its
-// time, encode and Put, is charged to req.Phases as commit_ns.
+// failed commit only means the next cold process recomputes. The
+// artifact's Meta is the run's summary, so it reads what the job
+// reported. Its time, encode and Put, is charged to req.Phases as
+// commit_ns.
 func (t *tier[R]) commit(req *JobRequest, run R) {
 	s := activeStore.Load()
 	if s == nil {
 		return
 	}
 	start := time.Now()
-	if meta, files, err := t.encode(req.Key, run); err == nil {
+	if files, err := t.encode(req.Key, run); err == nil {
+		var meta store.Meta
+		meta.Solved, meta.BestFitness, meta.Generations = t.summary(run)
 		s.Put(req.Key, meta, files)
 	}
 	if req.Phases != nil {

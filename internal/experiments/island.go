@@ -10,14 +10,16 @@ import (
 )
 
 // This file is the island-model run kind over the shared tier: keys
-// carry the island fields, the store artifact is one islands.json. The
+// carry the island fields, the store artifact is one islands.json
+// whose champions are binary genome records. The
 // computation is pluggable — the single-process reference by default,
 // the coordinator's distributed executor in cluster mode — because
 // both produce byte-identical IslandRuns, so what lands in the cache
 // and the store is independent of where the islands evolved.
 
-// islandSchema stamps islands.json artifacts.
-const islandSchema = "genesys-island/1"
+// islandSchema stamps islands.json artifacts. /2 holds champions as
+// base64 genome records where /1 held JSON genome objects.
+const islandSchema = "genesys-island/2"
 
 const islandsFile = "islands.json"
 
@@ -101,10 +103,8 @@ var islandTier = tier[*evolve.IslandRun]{
 		r, err := run(req.ctx(), spec)
 		return r, false, err
 	},
-	encode: func(_ store.Key, run *evolve.IslandRun) (store.Meta, map[string][]byte, error) {
-		solved, best, gens := islandSummary(run)
-		files, err := encodeDoc(islandsFile, islandSchema, run)
-		return store.Meta{Solved: solved, BestFitness: best, Generations: gens}, files, err
+	encode: func(_ store.Key, run *evolve.IslandRun) (map[string][]byte, error) {
+		return encodeDoc(islandsFile, islandSchema, run)
 	},
 	decode: func(key store.Key, art *store.Artifact) (*evolve.IslandRun, error) {
 		run, err := decodeDoc[*evolve.IslandRun](art, islandsFile, islandSchema)

@@ -14,11 +14,12 @@ import (
 
 // This file is the Pareto (multi-objective) run kind over the shared
 // tier — keys carry the objective vector, the store artifact is one
-// pareto.json — and the Pareto-front figure generator over the
-// existing workloads.
+// pareto.json whose front genomes are binary genome records — and the
+// Pareto-front figure generator over the existing workloads.
 
-// paretoSchema stamps pareto.json artifacts.
-const paretoSchema = "genesys-pareto/1"
+// paretoSchema stamps pareto.json artifacts. /2 holds front genomes as
+// base64 genome records where /1 held JSON genome objects.
+const paretoSchema = "genesys-pareto/2"
 
 const paretoFile = "pareto.json"
 
@@ -105,9 +106,8 @@ var paretoTier = tier[*evolve.ParetoRun]{
 		run, err := evolve.RunPareto(req.ctx(), spec)
 		return run, false, err
 	},
-	encode: func(_ store.Key, run *evolve.ParetoRun) (store.Meta, map[string][]byte, error) {
-		files, err := encodeDoc(paretoFile, paretoSchema, run)
-		return store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: len(run.History)}, files, err
+	encode: func(_ store.Key, run *evolve.ParetoRun) (map[string][]byte, error) {
+		return encodeDoc(paretoFile, paretoSchema, run)
 	},
 	decode: func(key store.Key, art *store.Artifact) (*evolve.ParetoRun, error) {
 		run, err := decodeDoc[*evolve.ParetoRun](art, paretoFile, paretoSchema)
@@ -123,8 +123,11 @@ var paretoTier = tier[*evolve.ParetoRun]{
 			evolve.ReplayParetoRecords(run, sink)
 		}
 	},
+	// The job's best is the best generation's, as for a scalar run;
+	// run.BestFitness, the last generation's, stays what the figure
+	// prints.
 	summary: func(run *evolve.ParetoRun) (bool, float64, int) {
-		return run.Solved, run.BestFitness, len(run.History)
+		return run.Solved, bestFitness(run.History), len(run.History)
 	},
 }
 

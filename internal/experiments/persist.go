@@ -59,10 +59,10 @@ var activeStore atomic.Pointer[store.Store]
 func UseStore(s *store.Store) { activeStore.Store(s) }
 
 // encodeRun renders a scalar run as its three payload files.
-func encodeRun(key store.Key, e *evolved) (store.Meta, map[string][]byte, error) {
+func encodeRun(key store.Key, e *evolved) (map[string][]byte, error) {
 	history, err := json.Marshal(&historyDoc{Schema: runSchema, Solved: e.solved, Seed: key.Seed, History: e.runner.History})
 	if err != nil {
-		return store.Meta{}, nil, err
+		return nil, err
 	}
 	var tr bytes.Buffer
 	pop, err := e.runner.Pop.Save()
@@ -70,14 +70,9 @@ func encodeRun(key store.Key, e *evolved) (store.Meta, map[string][]byte, error)
 		_, err = e.trace.WriteTo(&tr)
 	}
 	if err != nil {
-		return store.Meta{}, nil, err
+		return nil, err
 	}
-	var best float64
-	if n := len(e.runner.History); n > 0 {
-		best = e.runner.History[n-1].MaxFitness
-	}
-	return store.Meta{Solved: e.solved, BestFitness: best, Generations: len(e.runner.History)},
-		map[string][]byte{historyFile: history, populationFile: pop, traceFile: tr.Bytes()}, nil
+	return map[string][]byte{historyFile: history, populationFile: pop, traceFile: tr.Bytes()}, nil
 }
 
 // decodeRun rebuilds the immutable run entry from committed payloads:
@@ -108,7 +103,8 @@ func decodeRun(key store.Key, art *store.Artifact) (*evolved, error) {
 }
 
 // runDoc is the one-file payload of the island and Pareto kinds: the
-// schema stamp and the run exactly as JSON-encoded.
+// schema stamp and the run exactly as JSON-encoded, its genomes binary
+// records in base64.
 type runDoc[R any] struct {
 	Schema string `json:"schema"`
 	Run    R      `json:"run"`

@@ -223,10 +223,14 @@ func TestUnreadableCheckpointRecomputes(t *testing.T) {
 }
 
 // TestEarlierSchemaRecomputes: an artifact committed by an earlier
-// build (schema genesys-run/1, its population as JSON in
-// population.json) fails decoding on its first hit. It is quarantined
-// with a reason that names the schema, and the run recomputes and
-// commits a fresh artifact under the key.
+// build fails decoding on its first hit. It is quarantined with a
+// reason that names what failed, and the run recomputes and commits a
+// fresh artifact under the key. The scalar artifact is a
+// genesys-run/1 history.json beside a JSON population.json; the island
+// and Pareto ones are the genesys-island/1 and genesys-pareto/1
+// documents of goldenKeys as the build before the binary genome record
+// wrote them (testdata/schema1), with JSON genome objects where
+// base64 records now go.
 func TestEarlierSchemaRecomputes(t *testing.T) {
 	ResetCaches()
 	req := persistReq(777007)
@@ -238,33 +242,90 @@ func TestEarlierSchemaRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	population, err := json.Marshal(map[string]any{"config": ref.Runner.Pop.Config,
-		"generation": ref.Runner.Pop.Generation, "genomes": ref.Runner.Pop.Genomes})
+	// The history's schema check fails first, so the population file
+	// is never read; it holds no genomes.
+	population, err := json.Marshal(map[string]any{"config": ref.Runner.Pop.Config, "generation": ref.Runner.Pop.Generation})
 	if err != nil {
 		t.Fatal(err)
 	}
+	earlier := func(name string) map[string][]byte {
+		b, err := os.ReadFile(filepath.Join("testdata", "schema1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string][]byte{name: b}
+	}
+	for _, tc := range []struct {
+		name   string
+		key    store.Key
+		files  map[string][]byte
+		reason string   // what the quarantine REASON names
+		fresh  []string // the fresh artifact's files, the first schema-stamped
+		schema string
+	}{
+		{"scalar", store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: req.Seed},
+			map[string][]byte{historyFile: history, "population.json": population, traceFile: []byte(traceBytes(t, ref))},
+			"genesys-run/1", []string{historyFile, populationFile, traceFile}, runSchema},
+		{"island", goldenKeys[1], earlier(islandsFile), islandsFile, []string{islandsFile}, islandSchema},
+		{"pareto", goldenKeys[2], earlier(paretoFile), paretoFile, []string{paretoFile}, paretoSchema},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := withTestStore(t, store.Config{})
+			ResetCaches()
+			if err := s.Put(tc.key, store.Meta{Generations: 2}, tc.files); err != nil {
+				t.Fatal(err)
+			}
+			out, err := Resolve(JobRequest{Key: tc.key})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Stored || !out.Computed {
+				t.Fatalf("Stored=%v Computed=%v, want a recompute", out.Stored, out.Computed)
+			}
+			q := s.Quarantined()
+			if len(q) != 1 || !strings.Contains(q[0].Reason, tc.reason) {
+				t.Fatalf("quarantine %+v, want one entry whose reason names %s", q, tc.reason)
+			}
+			art, ok := s.Get(tc.key)
+			if !ok || len(art.Files) != len(tc.fresh) {
+				t.Fatalf("no fresh artifact under the key: %v", art)
+			}
+			for _, name := range tc.fresh {
+				if art.Files[name] == nil {
+					t.Fatalf("fresh artifact lacks %s", name)
+				}
+			}
+			if stamp := `{"schema":"` + tc.schema + `"`; !bytes.HasPrefix(art.Files[tc.fresh[0]], []byte(stamp)) {
+				t.Fatalf("fresh %s does not start %s", tc.fresh[0], stamp)
+			}
+		})
+	}
+}
+
+// TestMetaRecordsTheJobsBest: an artifact's Meta records the best
+// fitness its job reported, which is the best generation's, also for a
+// run whose last generation fell below it.
+func TestMetaRecordsTheJobsBest(t *testing.T) {
 	s := withTestStore(t, store.Config{})
 	ResetCaches()
-	key := store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: req.Seed}
-	if err := s.Put(key, store.Meta{Generations: 2}, map[string][]byte{historyFile: history,
-		"population.json": population, traceFile: []byte(traceBytes(t, ref))}); err != nil {
-		t.Fatal(err)
-	}
-
+	key := store.Key{Workload: "alien-ram", Population: 50, Generations: 5, Seed: 2}
 	out, err := Resolve(JobRequest{Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Stored || !out.Computed {
-		t.Fatalf("Stored=%v Computed=%v, want a recompute", out.Stored, out.Computed)
+	run, _, ok := runTier.peek(key)
+	if !ok {
+		t.Fatal("the run is not in the cache")
 	}
-	q := s.Quarantined()
-	if len(q) != 1 || !strings.Contains(q[0].Reason, "genesys-run/1") {
-		t.Fatalf("quarantine %+v, want one entry whose reason names the schema", q)
+	if h := run.runner.History; h[len(h)-1].MaxFitness >= out.Best {
+		t.Fatalf("the last generation (%v) is the best (%v); the case needs one below it", h[len(h)-1].MaxFitness, out.Best)
 	}
 	art, ok := s.Get(key)
-	if !ok || art.Files[populationFile] == nil || art.Files["population.json"] != nil {
-		t.Fatalf("no fresh artifact under the key: %v", art)
+	if !ok {
+		t.Fatal("run not committed")
+	}
+	if art.Meta.BestFitness != out.Best {
+		t.Fatalf("Meta.BestFitness %v, the job reported %v", art.Meta.BestFitness, out.Best)
 	}
 }
 
@@ -306,11 +367,10 @@ func TestPhasesChargeCheckpointAndCommit(t *testing.T) {
 }
 
 // goldenKeys name the artifacts under testdata/golden: one tiny run of
-// each kind. The island and Pareto ones were committed by the store
-// tier of the build before the kinds shared one tier, the scalar one by
-// the first build of schema genesys-run/2. They pin that the key
-// strings, payload file names and schemas of existing stores still
-// load.
+// each kind. The scalar one was committed by the first build of schema
+// genesys-run/2, the island and Pareto ones by the first build of
+// genesys-island/2 and genesys-pareto/2. They pin that the key strings,
+// payload file names and schemas of existing stores still load.
 var goldenKeys = []store.Key{
 	{Workload: "cartpole", Population: 8, Generations: 2, Seed: 5},
 	{Workload: "cartpole", Population: 8, Generations: 2, Seed: 5, Islands: 2, MigrationEvery: 1},
@@ -412,7 +472,7 @@ func BenchmarkDecodeRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, files, err := encodeRun(key, e)
+	files, err := encodeRun(key, e)
 	if err != nil {
 		b.Fatal(err)
 	}

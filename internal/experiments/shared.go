@@ -139,14 +139,20 @@ var runTier = tier[*evolved]{
 		}
 	},
 	summary: func(e *evolved) (bool, float64, int) {
-		var best float64
-		for i, st := range e.runner.History {
-			if i == 0 || st.MaxFitness > best {
-				best = st.MaxFitness
-			}
-		}
-		return e.solved, best, len(e.runner.History)
+		return e.solved, bestFitness(e.runner.History), len(e.runner.History)
 	},
+}
+
+// bestFitness is a history's highest MaxFitness (0 for no history):
+// the best fitness a job reports and its artifact's Meta records.
+func bestFitness(history []evolve.GenStats) float64 {
+	var best float64
+	for i, st := range history {
+		if i == 0 || st.MaxFitness > best {
+			best = st.MaxFitness
+		}
+	}
+	return best
 }
 
 func checkRun(key store.Key) error {

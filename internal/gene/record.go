@@ -6,11 +6,13 @@ import (
 	"math"
 )
 
-// The binary genome record is the form in which population checkpoints
-// and stored runs hold a genome. Unlike the hardware word (Pack) it
-// keeps every attribute at full precision: a float64 is its raw
-// IEEE-754 bits, so each value round-trips bit for bit, -0 and
-// subnormals included. Integers are little-endian, and a record is
+// The binary genome record is the one serialized form of a genome:
+// population checkpoints and stored runs, island champions and
+// migrants, Pareto fronts and the controllers cmd/genesys saves all
+// hold genomes as records. Unlike the hardware word (Pack) it keeps
+// every attribute at full precision: a float64 is its raw IEEE-754
+// bits, so each value round-trips bit for bit, -0 and subnormals
+// included. Integers are little-endian, and a record is
 //
 //	id i64, fitness f64,
 //	u32 node count, then per node gene (23 bytes):
@@ -18,8 +20,11 @@ import (
 //	u32 connection count, then per connection gene (17 bytes):
 //	    src i32, dst i32, weight f64, enabled u8
 //
-// with both clusters in their sorted order. Every float is finite: JSON
-// could not hold NaN or ±Inf, so the record does not either.
+// with both clusters in their sorted order. Every float is finite: a
+// NaN fitness has no place in the order selection and the Pareto sort
+// rank by, and a non-finite bias, response or weight makes every
+// activation downstream of it non-finite, so a record holding one can
+// only be corrupt, and it is refused before it reaches a population.
 
 // Record sizes: a genome record with no genes, one node gene and one
 // connection gene.
@@ -62,6 +67,17 @@ func (g *Genome) AppendRecord(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("gene: genome %d has a NaN or infinite attribute", g.ID)
 	}
 	return b, nil
+}
+
+// DecodeRecord decodes a genome from b, which must hold exactly one
+// record, and validates it.
+func DecodeRecord(b []byte) (*Genome, error) {
+	d := NewDecoder(b)
+	g := d.Genome()
+	if err := d.End(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // AppendFloat appends f's IEEE-754 bits. NaN and ±Inf fail and leave b

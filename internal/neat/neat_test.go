@@ -1,6 +1,7 @@
 package neat
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -115,16 +116,16 @@ func TestSeedGenomesMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, g := range p.Genomes {
-			got, err := g.AppendJSON(nil)
+			got, err := g.AppendRecord(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := referenceSeedGenome(&cfg, int64(i)).AppendJSON(nil)
+			want, err := referenceSeedGenome(&cfg, int64(i)).AppendRecord(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(got) != string(want) {
-				t.Fatalf("%s: genome %d is\n%s\nthe reference\n%s", conn, i, got, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: genome %d is\n%v\nthe reference\n%v", conn, i, g, referenceSeedGenome(&cfg, int64(i)))
 			}
 		}
 	}

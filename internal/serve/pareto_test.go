@@ -140,7 +140,10 @@ func TestParetoSpecValidation(t *testing.T) {
 // TestClusterParetoDispatch: a coordinator routes a Pareto job to its
 // ring owner like any other job, front records flow back through the
 // dedup proxy, and a resubmission is answered from the coordinator's
-// own cache without touching the fleet.
+// own cache without touching the fleet, with the same best fitness.
+// The spec's last generation (max fitness 73) is not its best (86), so
+// a best taken from the last generation alone would differ from the
+// one the proxy derives from the forwarded records.
 func TestClusterParetoDispatch(t *testing.T) {
 	experiments.ResetCaches()
 	t.Cleanup(experiments.ResetCaches)
@@ -148,7 +151,7 @@ func TestClusterParetoDispatch(t *testing.T) {
 	_, disp, c, _, _ := startCoordinator(t, w1)
 	ctx := context.Background()
 
-	spec := paretoSpec(seedPareto + 20)
+	spec := paretoSpec(seedPareto + 22)
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +174,16 @@ func TestClusterParetoDispatch(t *testing.T) {
 	}
 	// The job's generation count is its history length wherever it ran:
 	// front records are not generations.
-	if hist := len(stream) - fronts; first.Generations != hist {
+	hist := len(stream) - fronts
+	if first.Generations != hist {
 		t.Fatalf("generations = %d, want the %d history records", first.Generations, hist)
+	}
+	var last hwsim.Record
+	if err := json.Unmarshal([]byte(stream[hist-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if mf := last.Report.Float("max_fitness"); mf >= first.BestFitness {
+		t.Fatalf("last generation's max fitness %v is the best %v; the case needs one below it", mf, first.BestFitness)
 	}
 
 	st2, err := c.Submit(ctx, spec)
@@ -197,6 +208,9 @@ func TestClusterParetoDispatch(t *testing.T) {
 		if stream[i] != replay[i] {
 			t.Fatalf("record %d differs between dispatch and proxy replay", i)
 		}
+	}
+	if second.BestFitness != first.BestFitness {
+		t.Fatalf("best fitness %v dispatched, %v proxied", first.BestFitness, second.BestFitness)
 	}
 }
 

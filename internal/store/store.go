@@ -260,8 +260,9 @@ func parseKeyName(name string, islandFields, objectiveField bool) (Key, bool) {
 	return k, true
 }
 
-// Meta is the artifact's summary record — what admin surfaces list
-// without decoding payloads.
+// Meta is the artifact's summary record, kept in its manifest: the
+// outcome the job that committed it reported. Get returns it with the
+// payloads; no admin surface lists it.
 type Meta struct {
 	Solved      bool    `json:"solved"`
 	BestFitness float64 `json:"best_fitness"`

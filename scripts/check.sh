@@ -26,13 +26,15 @@
 # root figure and ablation benchmarks that must leave results/
 # byte-identical (they are the only code that regenerates it), and a
 # short fuzz smoke over the untrusted-input decoders (trace parser,
-# genome JSON codec, binary genome record, NEAT population document,
-# store manifest) and the one-pass genome validator. The trace parser,
-# genome JSON codec and validator fuzzers are differential: each checks
-# the one-pass code against its reference implementation. The binary
+# binary genome record, NEAT population document, store manifest, the
+# worker's /island/step body) and the one-pass genome validator. The
+# trace parser and validator fuzzers are differential: each checks the
+# one-pass code against its reference implementation. The binary
 # genome record and population fuzzers check that the decoder accepts
 # only what the encoder writes: whatever Restore accepts, Save writes
-# back byte for byte (Save(Restore(x)) == x).
+# back byte for byte (Save(Restore(x)) == x). The /island/step fuzzer
+# checks that a worker answers any body with 200, 400 or 404 and never
+# steps a session past its generation budget.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,15 +81,19 @@ go test -race ./internal/evolve/... ./internal/network/... ./internal/env/... \
     ./internal/store/... ./internal/cluster/... ./internal/neat/... \
     ./internal/gene/... ./internal/moea/...
 
-echo "== genesys smoke (hardware-in-the-loop, functional, empty run)"
+echo "== genesys smoke (hardware-in-the-loop, -save, functional, empty run)"
 # cmd/genesys is the only production caller of internal/core. A tiny
-# accounted run must print its summary and chip totals, a functional
-# run must end, and a run with no finished generation has no chip time
-# to average power over, so it must print no NaN.
-gout=$(go run ./cmd/genesys -workload cartpole -pop 16 -generations 3 -quiet)
+# accounted run must print its summary and chip totals and write the
+# best genome's record where -save says, a functional run must end,
+# and a run with no finished generation has no chip time to average
+# power over, so it must print no NaN.
+savedir=$(mktemp -d)
+gout=$(go run ./cmd/genesys -workload cartpole -pop 16 -generations 3 -quiet -save "$savedir/best.genome")
 echo "$gout"
 echo "$gout" | grep -q "^summary:" || { echo "genesys printed no summary" >&2; exit 1; }
 echo "$gout" | grep -q "^soc: " || { echo "genesys printed no soc line" >&2; exit 1; }
+[ -s "$savedir/best.genome" ] || { echo "genesys -save wrote no genome" >&2; exit 1; }
+rm -rf "$savedir"
 gout=$(go run ./cmd/genesys -workload cartpole -pop 16 -generations 3 -quiet -functional)
 echo "$gout"
 echo "$gout" | grep -Eq "solved at generation|budget exhausted" \
@@ -311,17 +317,17 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser, genome JSON codec and genome validator against their references; genome record and neat population, Save(Restore(x)) == x; store manifest)"
+echo "== fuzz smoke (trace parser and genome validator against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the
 # multi-kilobyte population corpus entries. FuzzRestore's oracle is
 # the canonical property: whatever Restore accepts, Save writes back
 # byte for byte; FuzzRecord checks the same of one genome record.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
-go test -run=NONE -fuzz=FuzzGenomeJSON -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRecord -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
+go test -run=NONE -fuzz=FuzzIslandStep -fuzztime=5s -fuzzminimizetime=50x ./internal/cluster/
 
 echo "ok"
