@@ -83,3 +83,24 @@ func BenchmarkEvaluateGenerationRAM(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunRAM times one whole RAM-game job in process: NewRunner,
+// then five generations at pop 50 on one worker, so reproduction,
+// speciation and phenotype compile count along with evaluation. The
+// iterations rotate through the four *-ram workloads.
+func BenchmarkRunRAM(b *testing.B) {
+	suite := AtariSuite()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := neat.DefaultConfig(0, 0)
+		cfg.PopulationSize = 50
+		r, err := NewRunner(suite[i%len(suite)], cfg, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Parallelism = 1
+		if _, err := r.Run(context.Background(), 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -94,9 +94,14 @@ func ResolveObjectives(names []string) ([]moea.Objective, error) {
 // one EvE pipeline operation per reproduction pass.
 func GenomeEnergyPJ(g *gene.Genome) float64 {
 	tech := energy.Default15nm()
-	conns := float64(len(g.EnabledConns()))
+	enabled := 0
+	for _, c := range g.Conns {
+		if c.Enabled {
+			enabled++
+		}
+	}
 	genes := float64(g.NumGenes())
-	return conns*(tech.EMAC+tech.ENoCHop) + genes*(tech.ESRAMAccess+tech.EEvEOp)
+	return float64(enabled)*(tech.EMAC+tech.ENoCHop) + genes*(tech.ESRAMAccess+tech.EEvEOp)
 }
 
 // ParetoPoint is one member of a Pareto front in wire form: the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gene"
+	"repro/internal/hw/energy"
 	"repro/internal/hw/hwsim"
 	"repro/internal/moea"
 )
@@ -212,5 +213,23 @@ func TestResolveObjectivesRejects(t *testing.T) {
 	}
 	if _, err := ResolveObjectives([]string{"genes", "energy"}); err != nil {
 		t.Errorf("valid subset rejected: %v", err)
+	}
+}
+
+// TestGenomeEnergyCountsEnabledConns: disabling one connection takes
+// exactly its systolic MAC and NoC hop off a genome's energy; the gene
+// itself is still fetched and streamed.
+func TestGenomeEnergyCountsEnabledConns(t *testing.T) {
+	g := gene.NewGenome(1)
+	g.PutNode(gene.NewNode(3, gene.Output))
+	for id := int32(0); id < 3; id++ {
+		g.PutNode(gene.NewNode(id, gene.Input))
+		g.PutConn(gene.NewConn(id, 3, 0.5))
+	}
+	before := GenomeEnergyPJ(g)
+	g.Conns[1].Enabled = false
+	tech := energy.Default15nm()
+	if got, want := before-GenomeEnergyPJ(g), tech.EMAC+tech.ENoCHop; got != want {
+		t.Fatalf("disabling a connection saved %v pJ, want %v", got, want)
 	}
 }

@@ -119,12 +119,17 @@ var islandTier = tier[*evolve.IslandRun]{
 	summary: islandSummary,
 }
 
-// islandSummary reports the run's outcome; its generation count is
-// the longest island history.
+// islandSummary reports the run's outcome: its best fitness is the
+// best generation's in any island's history, as for a scalar run, and
+// its generation count is the longest island history.
 func islandSummary(run *evolve.IslandRun) (bool, float64, int) {
+	var best float64
 	gens := 0
-	for _, ir := range run.Results {
+	for i, ir := range run.Results {
+		if b := bestFitness(ir.History); i == 0 || b > best {
+			best = b
+		}
 		gens = max(gens, len(ir.History))
 	}
-	return run.Solved, run.BestFitness, gens
+	return run.Solved, best, gens
 }

@@ -329,6 +329,27 @@ func TestMetaRecordsTheJobsBest(t *testing.T) {
 	}
 }
 
+// TestIslandBestIsTheHistorysBest: an island job reports, and a fresh
+// commit's Meta records, the best generation in any island's history,
+// not the best last generation. In the golden island run, island 1
+// reached 10 at generation 0 and no island ends above 9.667.
+func TestIslandBestIsTheHistorysBest(t *testing.T) {
+	s := withTestStore(t, store.Config{})
+	ResetCaches()
+	key := goldenKeys[1]
+	out, err := Resolve(JobRequest{Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, ok := s.Get(key)
+	if !ok {
+		t.Fatal("run not committed")
+	}
+	if out.Best != 10 || art.Meta.BestFitness != 10 {
+		t.Fatalf("job best %v, Meta.BestFitness %v, want 10", out.Best, art.Meta.BestFitness)
+	}
+}
+
 // TestPhasesChargeCheckpointAndCommit: a checkpointed computation
 // charges its checkpoints and its store commit to the request's phase
 // counters; a memory hit and a store hit of the same run charge

@@ -9,14 +9,19 @@
 // (hidden / input / output). Connection genes carry source and
 // destination node ids, a weight, and an enabled flag.
 //
-// This package defines the in-memory Gene struct the algorithm
+// This package defines the in-memory Node and Conn rows the algorithm
 // manipulates, the exact bit-level packing the hardware models stream,
 // and the quantization used to fit real-valued attributes into the word.
+// A gene has three sizes: 24 bytes as a Node or Conn in memory, where
+// its attributes are full-precision float64s; 8 bytes as the packed
+// hardware Word, at quantized precision; and 23 (node) or 17
+// (connection) bytes in the binary genome record, at full precision.
 package gene
 
 import "fmt"
 
-// Kind discriminates node genes from connection genes.
+// Kind is the kind bit of a packed gene word (Word.Kind): the one
+// place a gene's kind is data rather than its Go type.
 type Kind uint8
 
 const (
@@ -117,57 +122,52 @@ func (a Aggregation) String() string {
 	return fmt.Sprintf("Aggregation(%d)", uint8(a))
 }
 
-// Gene is one NEAT gene: either a node or a connection, per Kind.
-// Unused fields for the other kind are ignored. The float attributes are
-// full precision in memory; Pack quantizes them into the 64-bit hardware
-// word (Word), matching what the chip stores in the genome buffer SRAM.
-type Gene struct {
-	Kind Kind
-
-	// Node gene fields.
-	NodeID      int32
-	Type        NodeType
+// Node is a node gene: one vertex of the network graph, keyed by
+// NodeID. The float attributes are full precision in memory; Pack
+// quantizes them into the 64-bit hardware word (Word), matching what
+// the chip stores in the genome buffer SRAM. The floats come first, so
+// the row is 24 bytes.
+type Node struct {
 	Bias        float64
 	Response    float64
+	NodeID      int32
+	Type        NodeType
 	Activation  Activation
 	Aggregation Aggregation
+}
 
-	// Connection gene fields. A connection is keyed by (Src, Dst).
+// Conn is a connection gene: one edge of the network graph, keyed by
+// (Src, Dst). Like Node, it is a 24-byte row at full precision.
+type Conn struct {
+	Weight  float64
 	Src     int32
 	Dst     int32
-	Weight  float64
 	Enabled bool
 }
 
 // NewNode returns a node gene with NEAT defaults (bias 0, response 1,
 // sigmoid activation, sum aggregation).
-func NewNode(id int32, t NodeType) Gene {
-	return Gene{
-		Kind:        KindNode,
-		NodeID:      id,
-		Type:        t,
-		Bias:        0,
-		Response:    1,
-		Activation:  ActSigmoid,
-		Aggregation: AggSum,
-	}
+func NewNode(id int32, t NodeType) Node {
+	return Node{NodeID: id, Type: t, Response: 1, Activation: ActSigmoid, Aggregation: AggSum}
 }
 
 // NewConn returns an enabled connection gene from src to dst with the
 // given weight.
-func NewConn(src, dst int32, weight float64) Gene {
-	return Gene{Kind: KindConn, Src: src, Dst: dst, Weight: weight, Enabled: true}
+func NewConn(src, dst int32, weight float64) Conn {
+	return Conn{Src: src, Dst: dst, Weight: weight, Enabled: true}
 }
 
-// String renders the gene in a compact human-readable form.
-func (g Gene) String() string {
-	if g.Kind == KindNode {
-		return fmt.Sprintf("node(%d %s bias=%.3f resp=%.3f %s/%s)",
-			g.NodeID, g.Type, g.Bias, g.Response, g.Activation, g.Aggregation)
-	}
+// String renders the node gene in a compact human-readable form.
+func (n Node) String() string {
+	return fmt.Sprintf("node(%d %s bias=%.3f resp=%.3f %s/%s)",
+		n.NodeID, n.Type, n.Bias, n.Response, n.Activation, n.Aggregation)
+}
+
+// String renders the connection gene in a compact human-readable form.
+func (c Conn) String() string {
 	en := "on"
-	if !g.Enabled {
+	if !c.Enabled {
 		en = "off"
 	}
-	return fmt.Sprintf("conn(%d->%d w=%.3f %s)", g.Src, g.Dst, g.Weight, en)
+	return fmt.Sprintf("conn(%d->%d w=%.3f %s)", c.Src, c.Dst, c.Weight, en)
 }

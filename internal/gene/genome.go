@@ -20,17 +20,18 @@ var versionCounter atomic.Int64
 //
 // Genes are stored in the two sorted logical clusters of Section IV-C5 —
 // node genes ascending by node id, then connection genes ascending by
-// (src, dst). Keeping the in-memory layout identical to the hardware
-// layout makes the gene-split streaming in the EvE model a plain walk
-// over the slices.
+// (src, dst) — as two tables of fixed-width rows, one per gene kind.
+// Keeping the in-memory layout identical to the hardware layout makes
+// the gene-split streaming in the EvE model a plain walk over the
+// slices.
 type Genome struct {
 	ID      int64
 	Fitness float64
 
 	// Nodes holds the node genes sorted by NodeID.
-	Nodes []Gene
+	Nodes []Node
 	// Conns holds the connection genes sorted by (Src, Dst).
-	Conns []Gene
+	Conns []Conn
 
 	// version is the phenotype version stamp: assigned lazily, copied
 	// by Clone, and replaced whenever a gene changes. It is deliberately
@@ -65,8 +66,8 @@ func NewGenome(id int64) *Genome {
 // shares the parent's compile-cache entry until its first mutation).
 func (g *Genome) Clone() *Genome {
 	c := &Genome{ID: g.ID, Fitness: g.Fitness, version: g.Version()}
-	c.Nodes = append([]Gene(nil), g.Nodes...)
-	c.Conns = append([]Gene(nil), g.Conns...)
+	c.Nodes = append([]Node(nil), g.Nodes...)
+	c.Conns = append([]Conn(nil), g.Conns...)
 	return c
 }
 
@@ -103,19 +104,19 @@ func (g *Genome) connIndex(src, dst int32) (int, bool) {
 }
 
 // Node returns the node gene with the given id, if present.
-func (g *Genome) Node(id int32) (Gene, bool) {
+func (g *Genome) Node(id int32) (Node, bool) {
 	if i, ok := g.nodeIndex(id); ok {
 		return g.Nodes[i], true
 	}
-	return Gene{}, false
+	return Node{}, false
 }
 
 // Conn returns the connection gene (src → dst), if present.
-func (g *Genome) Conn(src, dst int32) (Gene, bool) {
+func (g *Genome) Conn(src, dst int32) (Conn, bool) {
 	if i, ok := g.connIndex(src, dst); ok {
 		return g.Conns[i], true
 	}
-	return Gene{}, false
+	return Conn{}, false
 }
 
 // HasNode reports whether the genome contains a node gene with the id.
@@ -125,34 +126,28 @@ func (g *Genome) HasNode(id int32) bool { _, ok := g.nodeIndex(id); return ok }
 func (g *Genome) HasConn(src, dst int32) bool { _, ok := g.connIndex(src, dst); return ok }
 
 // PutNode inserts or replaces a node gene, keeping the cluster sorted.
-func (g *Genome) PutNode(n Gene) {
-	if n.Kind != KindNode {
-		panic("gene: PutNode with connection gene")
-	}
+func (g *Genome) PutNode(n Node) {
 	g.BumpVersion()
 	i, ok := g.nodeIndex(n.NodeID)
 	if ok {
 		g.Nodes[i] = n
 		return
 	}
-	g.Nodes = append(g.Nodes, Gene{})
+	g.Nodes = append(g.Nodes, Node{})
 	copy(g.Nodes[i+1:], g.Nodes[i:])
 	g.Nodes[i] = n
 }
 
 // PutConn inserts or replaces a connection gene, keeping the cluster
 // sorted.
-func (g *Genome) PutConn(c Gene) {
-	if c.Kind != KindConn {
-		panic("gene: PutConn with node gene")
-	}
+func (g *Genome) PutConn(c Conn) {
 	g.BumpVersion()
 	i, ok := g.connIndex(c.Src, c.Dst)
 	if ok {
 		g.Conns[i] = c
 		return
 	}
-	g.Conns = append(g.Conns, Gene{})
+	g.Conns = append(g.Conns, Conn{})
 	copy(g.Conns[i+1:], g.Conns[i:])
 	g.Conns[i] = c
 }
@@ -217,17 +212,6 @@ func (g *Genome) idsOfType(t NodeType) []int32 {
 	return ids
 }
 
-// EnabledConns returns the connection genes with Enabled set.
-func (g *Genome) EnabledConns() []Gene {
-	var out []Gene
-	for _, c := range g.Conns {
-		if c.Enabled {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Pack serializes the genome into its hardware layout: node-gene words
 // then connection-gene words, both clusters already sorted.
 func (g *Genome) Pack() []Word {
@@ -246,11 +230,10 @@ func (g *Genome) Pack() []Word {
 func FromWords(id int64, words []Word) *Genome {
 	g := NewGenome(id)
 	for _, w := range words {
-		gn := w.Unpack()
-		if gn.Kind == KindNode {
-			g.PutNode(gn)
+		if w.Kind() == KindNode {
+			g.PutNode(w.Node())
 		} else {
-			g.PutConn(gn)
+			g.PutConn(w.Conn())
 		}
 	}
 	return g
@@ -268,9 +251,6 @@ func FromWords(id int64, words []Word) *Genome {
 // destination and its node type.
 func (g *Genome) Validate() error {
 	for i, n := range g.Nodes {
-		if n.Kind != KindNode {
-			return fmt.Errorf("genome %d: non-node gene in node cluster at %d", g.ID, i)
-		}
 		if n.NodeID < 0 || n.NodeID > MaxNodeID {
 			return fmt.Errorf("genome %d: node id %d outside hardware range", g.ID, n.NodeID)
 		}
@@ -280,9 +260,6 @@ func (g *Genome) Validate() error {
 	}
 	src := 0 // index of the first node whose id is not below c.Src
 	for i, c := range g.Conns {
-		if c.Kind != KindConn {
-			return fmt.Errorf("genome %d: non-conn gene in conn cluster at %d", g.ID, i)
-		}
 		if i > 0 {
 			p := g.Conns[i-1]
 			if p.Src > c.Src || (p.Src == c.Src && p.Dst >= c.Dst) {

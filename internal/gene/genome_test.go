@@ -175,33 +175,30 @@ func TestValidateCatchesInputDst(t *testing.T) {
 // that breaks exactly that invariant.
 func TestValidateRejections(t *testing.T) {
 	in0, in1, out2, hid5 := NewNode(0, Input), NewNode(1, Input), NewNode(2, Output), NewNode(5, Hidden)
-	nodes := []Gene{in0, in1, out2, hid5}
+	nodes := []Node{in0, in1, out2, hid5}
 	for _, tc := range []struct {
-		name         string
-		nodes, conns []Gene
-		want         string
+		name  string
+		nodes []Node
+		conns []Conn
+		want  string
 	}{
-		{"non-node gene in the node cluster", []Gene{in0, NewConn(0, 2, 1)}, nil,
-			"genome 4: non-node gene in node cluster at 1"},
-		{"node id -1", []Gene{NewNode(-1, Hidden)}, nil,
+		{"node id -1", []Node{NewNode(-1, Hidden)}, nil,
 			"genome 4: node id -1 outside hardware range"},
-		{"node id MaxNodeID+1", []Gene{in0, NewNode(MaxNodeID+1, Hidden)}, nil,
+		{"node id MaxNodeID+1", []Node{in0, NewNode(MaxNodeID+1, Hidden)}, nil,
 			fmt.Sprintf("genome 4: node id %d outside hardware range", MaxNodeID+1)},
-		{"unsorted node cluster", []Gene{in0, out2, in1}, nil,
+		{"unsorted node cluster", []Node{in0, out2, in1}, nil,
 			"genome 4: node cluster unsorted at 2"},
-		{"duplicate node id", []Gene{in0, in1, in1}, nil,
+		{"duplicate node id", []Node{in0, in1, in1}, nil,
 			"genome 4: node cluster unsorted at 2"},
-		{"non-conn gene in the conn cluster", nodes, []Gene{NewConn(0, 2, 1), hid5},
-			"genome 4: non-conn gene in conn cluster at 1"},
-		{"unsorted conn cluster", nodes, []Gene{NewConn(1, 2, 1), NewConn(0, 5, 1)},
+		{"unsorted conn cluster", nodes, []Conn{NewConn(1, 2, 1), NewConn(0, 5, 1)},
 			"genome 4: conn cluster unsorted at 1"},
-		{"duplicate connection", nodes, []Gene{NewConn(0, 2, 1), NewConn(0, 2, -1)},
+		{"duplicate connection", nodes, []Conn{NewConn(0, 2, 1), NewConn(0, 2, -1)},
 			"genome 4: conn cluster unsorted at 1"},
-		{"dangling source", nodes, []Gene{NewConn(0, 2, 1), NewConn(3, 2, 1)},
+		{"dangling source", nodes, []Conn{NewConn(0, 2, 1), NewConn(3, 2, 1)},
 			"genome 4: conn 3->2 has dangling source"},
-		{"dangling destination", nodes, []Gene{NewConn(0, 2, 1), NewConn(0, 4, 1)},
+		{"dangling destination", nodes, []Conn{NewConn(0, 2, 1), NewConn(0, 4, 1)},
 			"genome 4: conn 0->4 has dangling destination"},
-		{"input destination", nodes, []Gene{NewConn(0, 2, 1), NewConn(5, 1, 1)},
+		{"input destination", nodes, []Conn{NewConn(0, 2, 1), NewConn(5, 1, 1)},
 			"genome 4: conn 5->1 terminates at input node"},
 	} {
 		g := &Genome{ID: 4, Nodes: tc.nodes, Conns: tc.conns}
@@ -220,11 +217,11 @@ func FuzzValidate(f *testing.F) {
 		f.Add(fuzzBytes(randomGenome(seed, int(seed)+2)))
 	}
 	// Inputs 0 and 1, output 2, hidden 5 and the connection 0->2, then
-	// one more gene: a valid second source run, a dangling source, a
-	// dangling destination, an input destination, a node gene in the
-	// conn cluster, and a source of -1 out of order.
-	base := []byte{4, 0, 0, 1, 0, 1, 1, 0, 2, 2, 0, 5, 0, 0, 0, 2}
-	for _, tail := range [][]byte{{0, 5, 2}, {0, 3, 2}, {0, 0, 4}, {0, 5, 1}, {1, 5, 2}, {0, 0xff, 2}} {
+	// one more connection: a valid second source run, a dangling
+	// source, a dangling destination, an input destination, a
+	// duplicate, and a source of -1 out of order.
+	base := []byte{4, 0, 1, 1, 1, 2, 2, 5, 0, 0, 2}
+	for _, tail := range [][]byte{{5, 2}, {3, 2}, {0, 4}, {5, 1}, {0, 2}, {0xff, 2}} {
 		f.Add(append(append([]byte(nil), base...), tail...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -237,29 +234,23 @@ func FuzzValidate(f *testing.F) {
 }
 
 // fuzzGenome builds a genome straight from fuzz bytes, bypassing the
-// editors, so its clusters can hold whatever Validate must reject:
-// genes of the wrong kind, ids outside the hardware range, duplicate
-// and unsorted keys, dangling endpoints and input destinations. The
-// first byte is the node count; then every three bytes are one gene,
-// nodes first: a flag byte whose low bit swaps the gene's kind, then
-// the node id and type, or the source and destination ids.
+// editors, so its clusters can hold whatever Validate must reject: ids
+// outside the hardware range, duplicate and unsorted keys, dangling
+// endpoints and input destinations. The first byte is the node count;
+// then every two bytes are one gene, nodes first: the node id and
+// type, or the source and destination ids.
 func fuzzGenome(data []byte) *Genome {
 	g := NewGenome(6)
 	if len(data) == 0 {
 		return g
 	}
 	numNodes := int(data[0])
-	for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
-		flip := Kind(rest[0] & 1)
+	for rest := data[1:]; len(rest) >= 2; rest = rest[2:] {
 		if len(g.Nodes) < numNodes {
-			n := NewNode(fuzzID(rest[1]), NodeType(rest[2]%4))
-			n.Kind ^= flip
-			g.Nodes = append(g.Nodes, n)
+			g.Nodes = append(g.Nodes, NewNode(fuzzID(rest[0]), NodeType(rest[1]%4)))
 			continue
 		}
-		c := NewConn(fuzzID(rest[1]), fuzzID(rest[2]), 1)
-		c.Kind ^= flip
-		g.Conns = append(g.Conns, c)
+		g.Conns = append(g.Conns, NewConn(fuzzID(rest[0]), fuzzID(rest[1]), 1))
 	}
 	return g
 }
@@ -281,10 +272,10 @@ func fuzzID(b byte) int32 {
 func fuzzBytes(g *Genome) []byte {
 	b := []byte{byte(len(g.Nodes))}
 	for _, n := range g.Nodes {
-		b = append(b, 0, byte(n.NodeID), byte(n.Type))
+		b = append(b, byte(n.NodeID), byte(n.Type))
 	}
 	for _, c := range g.Conns {
-		b = append(b, 0, byte(c.Src), byte(c.Dst))
+		b = append(b, byte(c.Src), byte(c.Dst))
 	}
 	return b
 }
@@ -298,22 +289,6 @@ func TestMaxNodeIDIn(t *testing.T) {
 	g.PutNode(NewNode(3, Hidden))
 	if g.MaxNodeIDIn() != 7 {
 		t.Fatalf("MaxNodeIDIn = %d", g.MaxNodeIDIn())
-	}
-}
-
-func TestEnabledConns(t *testing.T) {
-	g := smallGenome(t)
-	c, _ := g.Conn(0, 2)
-	c.Enabled = false
-	g.PutConn(c)
-	en := g.EnabledConns()
-	if len(en) != 3 {
-		t.Fatalf("EnabledConns = %d, want 3", len(en))
-	}
-	for _, e := range en {
-		if !e.Enabled {
-			t.Fatalf("disabled conn in EnabledConns: %v", e)
-		}
 	}
 }
 

@@ -90,47 +90,52 @@ func Quantize(v float64) float64 {
 	return dequantize(quantize(v, attrBits16), attrBits16)
 }
 
-// Pack encodes the gene into its 64-bit hardware word, quantizing the
-// real-valued attributes.
-func (g Gene) Pack() Word {
-	if g.Kind == KindNode {
-		var w uint64
-		w |= uint64(g.Type&3) << 61
-		w |= (uint64(g.NodeID) & 0xFFFF) << 45
-		w |= quantize(g.Bias, attrBits12) << 33
-		w |= quantize(g.Response, attrBits12) << 21
-		w |= uint64(g.Activation&0xF) << 17
-		w |= uint64(g.Aggregation&0xF) << 13
-		return Word(w)
-	}
+// Pack encodes the node gene into its 64-bit hardware word, quantizing
+// the real-valued attributes.
+func (n Node) Pack() Word {
+	var w uint64
+	w |= uint64(n.Type&3) << 61
+	w |= (uint64(n.NodeID) & 0xFFFF) << 45
+	w |= quantize(n.Bias, attrBits12) << 33
+	w |= quantize(n.Response, attrBits12) << 21
+	w |= uint64(n.Activation&0xF) << 17
+	w |= uint64(n.Aggregation&0xF) << 13
+	return Word(w)
+}
+
+// Pack encodes the connection gene into its 64-bit hardware word,
+// quantizing the weight.
+func (c Conn) Pack() Word {
 	var w uint64
 	w |= 1 << 63
-	w |= (uint64(g.Src) & 0xFFFF) << 47
-	w |= (uint64(g.Dst) & 0xFFFF) << 31
-	w |= quantize(g.Weight, attrBits16) << 15
-	if g.Enabled {
+	w |= (uint64(c.Src) & 0xFFFF) << 47
+	w |= (uint64(c.Dst) & 0xFFFF) << 31
+	w |= quantize(c.Weight, attrBits16) << 15
+	if c.Enabled {
 		w |= 1 << 14
 	}
 	return Word(w)
 }
 
-// Unpack decodes a hardware word back into a Gene. Attributes come back
-// at quantized precision.
-func (w Word) Unpack() Gene {
+// Node decodes a node-gene word (Kind() == KindNode). Attributes come
+// back at quantized precision.
+func (w Word) Node() Node {
 	u := uint64(w)
-	if u>>63 == 0 {
-		return Gene{
-			Kind:        KindNode,
-			Type:        NodeType(u >> 61 & 3),
-			NodeID:      int32(u >> 45 & 0xFFFF),
-			Bias:        dequantize(u>>33&(1<<attrBits12-1), attrBits12),
-			Response:    dequantize(u>>21&(1<<attrBits12-1), attrBits12),
-			Activation:  Activation(u >> 17 & 0xF),
-			Aggregation: Aggregation(u >> 13 & 0xF),
-		}
+	return Node{
+		Type:        NodeType(u >> 61 & 3),
+		NodeID:      int32(u >> 45 & 0xFFFF),
+		Bias:        dequantize(u>>33&(1<<attrBits12-1), attrBits12),
+		Response:    dequantize(u>>21&(1<<attrBits12-1), attrBits12),
+		Activation:  Activation(u >> 17 & 0xF),
+		Aggregation: Aggregation(u >> 13 & 0xF),
 	}
-	return Gene{
-		Kind:    KindConn,
+}
+
+// Conn decodes a connection-gene word (Kind() == KindConn). The weight
+// comes back at quantized precision.
+func (w Word) Conn() Conn {
+	u := uint64(w)
+	return Conn{
 		Src:     int32(u >> 47 & 0xFFFF),
 		Dst:     int32(u >> 31 & 0xFFFF),
 		Weight:  dequantize(u>>15&(1<<attrBits16-1), attrBits16),
@@ -148,5 +153,8 @@ func (w Word) Kind() Kind {
 
 // String renders the word via its decoded gene.
 func (w Word) String() string {
-	return fmt.Sprintf("%016x %s", uint64(w), w.Unpack())
+	if w.Kind() == KindNode {
+		return fmt.Sprintf("%016x %s", uint64(w), w.Node())
+	}
+	return fmt.Sprintf("%016x %s", uint64(w), w.Conn())
 }

@@ -4,7 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestRowSizes pins the in-memory gene rows at 24 bytes each: a
+// RAM-game generation holds over a hundred thousand of them.
+func TestRowSizes(t *testing.T) {
+	if n, c := unsafe.Sizeof(Node{}), unsafe.Sizeof(Conn{}); n != 24 || c != 24 {
+		t.Fatalf("Node is %d bytes and Conn %d, want 24 each", n, c)
+	}
+}
 
 func TestNodePackRoundTrip(t *testing.T) {
 	n := NewNode(42, Hidden)
@@ -12,8 +21,8 @@ func TestNodePackRoundTrip(t *testing.T) {
 	n.Response = -0.5
 	n.Activation = ActReLU
 	n.Aggregation = AggMax
-	got := n.Pack().Unpack()
-	if got.Kind != KindNode || got.NodeID != 42 || got.Type != Hidden {
+	got := n.Pack().Node()
+	if got.NodeID != 42 || got.Type != Hidden {
 		t.Fatalf("identity fields mangled: %+v", got)
 	}
 	if got.Activation != ActReLU || got.Aggregation != AggMax {
@@ -26,15 +35,15 @@ func TestNodePackRoundTrip(t *testing.T) {
 
 func TestConnPackRoundTrip(t *testing.T) {
 	c := NewConn(3, 7, -2.375)
-	got := c.Pack().Unpack()
-	if got.Kind != KindConn || got.Src != 3 || got.Dst != 7 || !got.Enabled {
+	got := c.Pack().Conn()
+	if got.Src != 3 || got.Dst != 7 || !got.Enabled {
 		t.Fatalf("identity fields mangled: %+v", got)
 	}
 	if math.Abs(got.Weight+2.375) > 0.001 {
 		t.Fatalf("weight off: %v", got.Weight)
 	}
 	c.Enabled = false
-	if c.Pack().Unpack().Enabled {
+	if c.Pack().Conn().Enabled {
 		t.Fatal("disabled flag lost")
 	}
 }
@@ -95,7 +104,7 @@ func TestQuickNodeRoundTrip(t *testing.T) {
 		n.Response = resp
 		n.Activation = Activation(act % uint8(NumActivations))
 		n.Aggregation = Aggregation(agg % uint8(NumAggregations))
-		got := n.Pack().Unpack()
+		got := n.Pack().Node()
 		const step12 = 2 * AttrLimit / (1 << 12)
 		return got.NodeID == n.NodeID &&
 			got.Activation == n.Activation &&
@@ -118,7 +127,7 @@ func TestQuickConnRoundTrip(t *testing.T) {
 		}
 		c := NewConn(int32(src), int32(dst), w)
 		c.Enabled = en
-		got := c.Pack().Unpack()
+		got := c.Pack().Conn()
 		const step16 = 2 * AttrLimit / (1 << 16)
 		return got.Src == c.Src && got.Dst == c.Dst && got.Enabled == en &&
 			math.Abs(got.Weight-w) <= step16

@@ -200,26 +200,26 @@ func (d *Decoder) Genome() *Genome {
 	g := &Genome{ID: d.Int64(), Fitness: d.Float()}
 	if n := d.Count(nodeRecordSize); n > 0 {
 		b := d.Bytes(n * nodeRecordSize)
-		g.Nodes = make([]Gene, n)
+		g.Nodes = make([]Node, n)
 		for i := range g.Nodes {
 			r := b[i*nodeRecordSize : (i+1)*nodeRecordSize]
 			if r[4] > byte(Output) || int(r[5]) >= NumActivations || int(r[6]) >= NumAggregations {
 				d.fail("node %d: type %d, activation %d, aggregation %d", i, r[4], r[5], r[6])
 			}
-			g.Nodes[i] = Gene{Kind: KindNode, NodeID: int32(le.Uint32(r)),
+			g.Nodes[i] = Node{NodeID: int32(le.Uint32(r)),
 				Type: NodeType(r[4]), Activation: Activation(r[5]), Aggregation: Aggregation(r[6]),
 				Bias: d.float(le.Uint64(r[7:])), Response: d.float(le.Uint64(r[15:]))}
 		}
 	}
 	if n := d.Count(connRecordSize); n > 0 {
 		b := d.Bytes(n * connRecordSize)
-		g.Conns = make([]Gene, n)
+		g.Conns = make([]Conn, n)
 		for i := range g.Conns {
 			r := b[i*connRecordSize : (i+1)*connRecordSize]
 			if r[16] > 1 {
 				d.fail("conn %d: enabled byte %d", i, r[16])
 			}
-			g.Conns[i] = Gene{Kind: KindConn, Src: int32(le.Uint32(r)), Dst: int32(le.Uint32(r[4:])),
+			g.Conns[i] = Conn{Src: int32(le.Uint32(r)), Dst: int32(le.Uint32(r[4:])),
 				Weight: d.float(le.Uint64(r[8:])), Enabled: r[16] == 1}
 		}
 	}

@@ -3,6 +3,7 @@ package gene
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -21,27 +22,17 @@ func record(tb testing.TB, g *Genome) []byte {
 	return b
 }
 
-// sameGenes compares gene lists field by field, floats by bit pattern
-// (so 0 and -0 differ).
-func sameGenes(a, b []Gene) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x != y || math.Float64bits(x.Bias) != math.Float64bits(y.Bias) ||
-			math.Float64bits(x.Response) != math.Float64bits(y.Response) ||
-			math.Float64bits(x.Weight) != math.Float64bits(y.Weight) {
-			return false
-		}
-	}
-	return true
-}
+// sameBits compares floats by bit pattern (so 0 and -0 differ).
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// sameGenome compares everything the record carries.
+// sameGenome compares everything the record carries, gene by gene and
+// field by field.
 func sameGenome(a, b *Genome) bool {
-	return a.ID == b.ID && math.Float64bits(a.Fitness) == math.Float64bits(b.Fitness) &&
-		sameGenes(a.Nodes, b.Nodes) && sameGenes(a.Conns, b.Conns)
+	return a.ID == b.ID && sameBits(a.Fitness, b.Fitness) &&
+		slices.EqualFunc(a.Nodes, b.Nodes, func(x, y Node) bool {
+			return x == y && sameBits(x.Bias, y.Bias) && sameBits(x.Response, y.Response)
+		}) &&
+		slices.EqualFunc(a.Conns, b.Conns, func(x, y Conn) bool { return x == y && sameBits(x.Weight, y.Weight) })
 }
 
 // randomGenome builds a valid genome with every node type, activation

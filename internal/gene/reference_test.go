@@ -9,9 +9,6 @@ import "fmt"
 // searches per connection gene.
 func referenceValidate(g *Genome) error {
 	for i, n := range g.Nodes {
-		if n.Kind != KindNode {
-			return fmt.Errorf("genome %d: non-node gene in node cluster at %d", g.ID, i)
-		}
 		if n.NodeID < 0 || n.NodeID > MaxNodeID {
 			return fmt.Errorf("genome %d: node id %d outside hardware range", g.ID, n.NodeID)
 		}
@@ -20,9 +17,6 @@ func referenceValidate(g *Genome) error {
 		}
 	}
 	for i, c := range g.Conns {
-		if c.Kind != KindConn {
-			return fmt.Errorf("genome %d: non-conn gene in conn cluster at %d", g.ID, i)
-		}
 		if i > 0 {
 			p := g.Conns[i-1]
 			if p.Src > c.Src || (p.Src == c.Src && p.Dst >= c.Dst) {

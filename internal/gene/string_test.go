@@ -46,31 +46,24 @@ func TestStringRepresentations(t *testing.T) {
 		t.Fatalf("genome string %q", gs)
 	}
 
-	w := c.Pack()
-	ws := w.String()
-	if !strings.Contains(ws, "conn(1->2") {
+	if ws := c.Pack().String(); !strings.Contains(ws, "conn(1->2") {
+		t.Fatalf("word string %q", ws)
+	}
+	if ws := n.Pack().String(); !strings.Contains(ws, "node(3") {
 		t.Fatalf("word string %q", ws)
 	}
 }
 
 func TestValidateCatchesClusterMixups(t *testing.T) {
-	g := NewGenome(1)
-	g.PutNode(NewNode(0, Input))
-	g.PutNode(NewNode(1, Output))
-	// Forge a node gene into the connection cluster.
-	g.Conns = append(g.Conns, NewNode(2, Hidden))
-	if err := g.Validate(); err == nil {
-		t.Fatal("node gene in conn cluster accepted")
-	}
 	// Forge an unsorted node cluster.
 	h := NewGenome(2)
-	h.Nodes = []Gene{NewNode(5, Hidden), NewNode(3, Hidden)}
+	h.Nodes = []Node{NewNode(5, Hidden), NewNode(3, Hidden)}
 	if err := h.Validate(); err == nil {
 		t.Fatal("unsorted node cluster accepted")
 	}
 	// Forge an out-of-range node id.
 	k := NewGenome(3)
-	k.Nodes = []Gene{{Kind: KindNode, NodeID: -1}}
+	k.Nodes = []Node{{NodeID: -1}}
 	if err := k.Validate(); err == nil {
 		t.Fatal("negative node id accepted")
 	}

@@ -240,7 +240,7 @@ func (c *Compiled) Feed(obs []float64) ([]float64, error) {
 }
 
 // cpuVertex evaluates a non-sum-aggregation vertex on the CPU path.
-func cpuVertex(g *gene.Genome, n gene.Gene, values map[int32]float64) float64 {
+func cpuVertex(g *gene.Genome, n gene.Node, values map[int32]float64) float64 {
 	var acc []float64
 	for _, c := range g.Conns {
 		if c.Enabled && c.Dst == n.NodeID {

@@ -84,37 +84,6 @@ func draw(prng *rng.XorWow, p float64) bool {
 	return prng.Byte() < prob8(p)
 }
 
-// genePair is one aligned (parent1, parent2) gene pair from the gene
-// split block; p2ok marks whether parent 2 had a homologous gene.
-type genePair struct {
-	p1   gene.Gene
-	p2   gene.Gene
-	p2ok bool
-}
-
-// splitGenes aligns the two parents' packed streams: node genes first,
-// then connection genes, in key order, one pair per cycle — the gene
-// split block's job. The child inherits parent 1's topology, so the
-// stream walks parent 1's genes and looks up homologues in parent 2.
-func splitGenes(p1, p2 *gene.Genome) []genePair {
-	pairs := make([]genePair, 0, p1.NumGenes())
-	for _, n := range p1.Nodes {
-		pr := genePair{p1: n}
-		if p2 != nil {
-			pr.p2, pr.p2ok = p2.Node(n.NodeID)
-		}
-		pairs = append(pairs, pr)
-	}
-	for _, c := range p1.Conns {
-		pr := genePair{p1: c}
-		if p2 != nil {
-			pr.p2, pr.p2ok = p2.Conn(c.Src, c.Dst)
-		}
-		pairs = append(pairs, pr)
-	}
-	return pairs
-}
-
 // pe is the functional four-stage pipeline state.
 type pe struct {
 	cfg  PEConfig
@@ -127,157 +96,139 @@ type pe struct {
 	pendingSrc   int32
 	havePending  bool
 
-	out   []gene.Gene
+	// nodes and conns are the output stream, one per gene kind, each
+	// in stream order.
+	nodes []gene.Node
+	conns []gene.Conn
 	stats PEStats
 }
 
 // RunChild streams one child genome through a functional PE: parent 1
 // is the fitter parent (its fitness ordering is the caller's job, as in
 // the chip where the selector sorts before streaming); parent 2 may be
-// nil for a mutation-only child. The returned genome is rebuilt by the
-// gene-merge logic: clusters sorted, duplicates resolved, dangling
-// connections pruned.
+// nil for a mutation-only child. The stream is the gene split block's:
+// parent 1's node genes, then its connection genes, in key order, one
+// per cycle, each aligned with its homologue in parent 2 if there is
+// one (the child inherits parent 1's topology). The returned genome is
+// rebuilt by the gene-merge logic: clusters sorted, duplicates
+// resolved, dangling connections pruned.
 func RunChild(p1, p2 *gene.Genome, childID int64, cfg PEConfig, prng *rng.XorWow) (*gene.Genome, PEStats) {
 	p := &pe{cfg: cfg, prng: prng, maxNodeID: p1.MaxNodeIDIn()}
-	pairs := splitGenes(p1, p2)
-	for _, pr := range pairs {
-		p.cycle(pr)
+	for _, n := range p1.Nodes {
+		p.nodeCycle(n, p2)
 	}
-	p.stats.CyclesStreamed = len(pairs)
+	for _, c := range p1.Conns {
+		p.connCycle(c, p2)
+	}
+	p.stats.CyclesStreamed = p1.NumGenes()
 	return p.merge(childID), p.stats
 }
 
-// cycle pushes one aligned gene pair through the four stages.
-func (p *pe) cycle(pr genePair) {
-	g := p.crossover(pr)
-	g = p.perturb(g)
-	g, alive := p.deleteStage(g)
-	if alive {
-		p.out = append(p.out, g)
+// nodeCycle pushes one node gene of parent 1 through the four stages:
+// crossover with its homologue in p2, perturbation and deletion. The
+// add stage acts on connection genes only.
+func (p *pe) nodeCycle(g gene.Node, p2 *gene.Genome) {
+	// Stage 1, crossover: per-attribute selection between the parents.
+	if p2 != nil {
+		if h, ok := p2.Node(g.NodeID); ok {
+			p.stats.Crossovers++
+			if !p.pick1() {
+				g.Bias = h.Bias
+			}
+			if !p.pick1() {
+				g.Response = h.Response
+			}
+			if !p.pick1() {
+				g.Activation = h.Activation
+			}
+			if !p.pick1() {
+				g.Aggregation = h.Aggregation
+			}
+		}
 	}
-	p.addStage(g, alive)
+	// Stage 2, perturbation; input nodes have no evolvable attributes.
+	if g.Type != gene.Input {
+		touched := false
+		if draw(p.prng, p.cfg.PerturbProb) {
+			g.Bias = p.perturbed(g.Bias)
+			touched = true
+		}
+		if draw(p.prng, p.cfg.PerturbProb) {
+			g.Response = p.perturbed(g.Response)
+			touched = true
+		}
+		if touched {
+			p.stats.Perturbs++
+		}
+	}
+	// Stage 3, deletion: threshold-guarded, the id stored in the node-id
+	// registers so later connection genes touching it are nullified.
+	if g.Type == gene.Hidden &&
+		len(p.deletedNodes) < p.cfg.MaxDeletedNodes &&
+		draw(p.prng, p.cfg.DeleteProb) {
+		p.deletedNodes = append(p.deletedNodes, g.NodeID)
+		p.stats.DeletedNodes++
+		return
+	}
+	p.nodes = append(p.nodes, g)
 }
 
-// crossover is stage 1: per-attribute selection between the parents.
-func (p *pe) crossover(pr genePair) gene.Gene {
-	g := pr.p1
-	if !pr.p2ok {
-		return g
-	}
-	p.stats.Crossovers++
-	pick1 := func() bool { return draw(p.prng, p.cfg.CrossoverBias) }
-	if g.Kind == gene.KindNode {
-		if !pick1() {
-			g.Bias = pr.p2.Bias
+// connCycle pushes one connection gene of parent 1 through the four
+// stages: crossover with its homologue in p2, perturbation, deletion,
+// and the add stage's node addition (splitting this connection, which
+// is dropped) or two-cycle connection addition.
+func (p *pe) connCycle(g gene.Conn, p2 *gene.Genome) {
+	// Stage 1, crossover.
+	if p2 != nil {
+		if h, ok := p2.Conn(g.Src, g.Dst); ok {
+			p.stats.Crossovers++
+			if !p.pick1() {
+				g.Weight = h.Weight
+			}
+			if !p.pick1() {
+				g.Enabled = h.Enabled
+			}
 		}
-		if !pick1() {
-			g.Response = pr.p2.Response
-		}
-		if !pick1() {
-			g.Activation = pr.p2.Activation
-		}
-		if !pick1() {
-			g.Aggregation = pr.p2.Aggregation
-		}
-		return g
 	}
-	if !pick1() {
-		g.Weight = pr.p2.Weight
-	}
-	if !pick1() {
-		g.Enabled = pr.p2.Enabled
-	}
-	return g
-}
-
-// mutVal produces a hardware perturbation delta: the 8-bit random
-// mapped to [-scale, scale), then limited and quantized.
-func (p *pe) mutVal(scale float64) float64 {
-	b := p.prng.Byte()
-	return (float64(b)/128 - 1) * scale
-}
-
-// perturb is stage 2: stochastic attribute perturbation.
-func (p *pe) perturb(g gene.Gene) gene.Gene {
+	// Stage 2, perturbation.
 	touched := false
-	if g.Kind == gene.KindNode {
-		if g.Type != gene.Input {
-			if draw(p.prng, p.cfg.PerturbProb) {
-				g.Bias = gene.Quantize(gene.ClampAttr(g.Bias + p.mutVal(p.cfg.PerturbScale)))
-				touched = true
-			}
-			if draw(p.prng, p.cfg.PerturbProb) {
-				g.Response = gene.Quantize(gene.ClampAttr(g.Response + p.mutVal(p.cfg.PerturbScale)))
-				touched = true
-			}
-		}
-	} else {
-		if draw(p.prng, p.cfg.PerturbProb) {
-			g.Weight = gene.Quantize(gene.ClampAttr(g.Weight + p.mutVal(p.cfg.PerturbScale)))
-			touched = true
-		}
-		if draw(p.prng, p.cfg.PerturbProb) {
-			g.Enabled = !g.Enabled
-			touched = true
-		}
+	if draw(p.prng, p.cfg.PerturbProb) {
+		g.Weight = p.perturbed(g.Weight)
+		touched = true
+	}
+	if draw(p.prng, p.cfg.PerturbProb) {
+		g.Enabled = !g.Enabled
+		touched = true
 	}
 	if touched {
 		p.stats.Perturbs++
 	}
-	return g
-}
-
-// deleteStage is stage 3: node deletion (threshold-guarded, id stored
-// in the node-id registers so later connection genes touching it are
-// nullified) and connection deletion.
-func (p *pe) deleteStage(g gene.Gene) (gene.Gene, bool) {
-	if g.Kind == gene.KindNode {
-		if g.Type == gene.Hidden &&
-			len(p.deletedNodes) < p.cfg.MaxDeletedNodes &&
-			draw(p.prng, p.cfg.DeleteProb) {
-			p.deletedNodes = append(p.deletedNodes, g.NodeID)
-			p.stats.DeletedNodes++
-			return g, false
-		}
-		return g, true
-	}
-	// Connections: dropped if either endpoint was deleted, or by the
-	// deletion draw.
+	// Stage 3, deletion: dropped if either endpoint was deleted, or by
+	// the deletion draw.
 	for _, id := range p.deletedNodes {
 		if g.Src == id || g.Dst == id {
 			p.stats.DeletedConns++
-			return g, false
+			return
 		}
 	}
 	if draw(p.prng, p.cfg.DeleteProb) {
 		p.stats.DeletedConns++
-		return g, false
-	}
-	return g, true
-}
-
-// addStage is stage 4: node addition (splitting the incoming
-// connection, which is dropped) and the two-cycle connection addition.
-func (p *pe) addStage(g gene.Gene, alive bool) {
-	if g.Kind != gene.KindConn || !alive {
 		return
 	}
-	// Node addition: replace the incoming connection with a default
-	// node and two connections through it.
+	// Stage 4, addition. Node addition replaces this connection with a
+	// default node and two connections through it: the split
+	// connection is dropped (hardware semantics; software NEAT disables
+	// it instead).
 	if draw(p.prng, p.cfg.AddNodeProb) && p.maxNodeID < gene.MaxNodeID {
 		p.maxNodeID++
 		id := p.maxNodeID
-		n := gene.NewNode(id, gene.Hidden)
-		// The incoming connection gene is dropped (hardware semantics;
-		// software NEAT disables it instead).
-		p.dropLast(g)
-		p.out = append(p.out, n,
-			gene.NewConn(g.Src, id, 1.0),
-			gene.NewConn(id, g.Dst, gene.Quantize(g.Weight)))
+		p.nodes = append(p.nodes, gene.NewNode(id, gene.Hidden))
+		p.conns = append(p.conns, gene.NewConn(g.Src, id, 1.0), gene.NewConn(id, g.Dst, gene.Quantize(g.Weight)))
 		p.stats.AddedNodes++
 		p.stats.AddedConns += 2
 		return
 	}
+	p.conns = append(p.conns, g)
 	// Connection addition, two-cycle: latch this gene's source; on a
 	// later connection gene, pair the latched source with its
 	// destination.
@@ -289,21 +240,22 @@ func (p *pe) addStage(g gene.Gene, alive bool) {
 		return
 	}
 	if g.Dst != p.pendingSrc { // avoid trivial self loops
-		p.out = append(p.out, gene.NewConn(p.pendingSrc, g.Dst, 0))
+		p.conns = append(p.conns, gene.NewConn(p.pendingSrc, g.Dst, 0))
 		p.stats.AddedConns++
 	}
 	p.havePending = false
 }
 
-// dropLast removes the most recent output gene if it matches g (the
-// connection the add-node engine consumes).
-func (p *pe) dropLast(g gene.Gene) {
-	if n := len(p.out); n > 0 {
-		last := p.out[n-1]
-		if last.Kind == gene.KindConn && last.Src == g.Src && last.Dst == g.Dst {
-			p.out = p.out[:n-1]
-		}
-	}
+// pick1 is one crossover comparator: whether an attribute comes from
+// the fitter parent, by the programmable bias register.
+func (p *pe) pick1() bool { return draw(p.prng, p.cfg.CrossoverBias) }
+
+// perturbed is the perturbation engine's output for attribute v: v
+// plus a delta from an 8-bit random mapped to [-PerturbScale,
+// PerturbScale), then limited and quantized.
+func (p *pe) perturbed(v float64) float64 {
+	delta := (float64(p.prng.Byte())/128 - 1) * p.cfg.PerturbScale
+	return gene.Quantize(gene.ClampAttr(v + delta))
 }
 
 // merge is the gene-merge block: rebuild the sorted two-cluster genome
@@ -311,22 +263,17 @@ func (p *pe) dropLast(g gene.Gene) {
 // pruning any connection whose endpoint does not exist.
 func (p *pe) merge(childID int64) *gene.Genome {
 	child := gene.NewGenome(childID)
-	for _, g := range p.out {
-		if g.Kind == gene.KindNode {
-			child.PutNode(g)
-		}
+	for _, n := range p.nodes {
+		child.PutNode(n)
 	}
-	for _, g := range p.out {
-		if g.Kind != gene.KindConn {
+	for _, c := range p.conns {
+		if !child.HasNode(c.Src) {
 			continue
 		}
-		if !child.HasNode(g.Src) || !child.HasNode(g.Dst) {
+		if dst, ok := child.Node(c.Dst); !ok || dst.Type == gene.Input {
 			continue
 		}
-		if dst, _ := child.Node(g.Dst); dst.Type == gene.Input {
-			continue
-		}
-		child.PutConn(g)
+		child.PutConn(c)
 	}
 	return child
 }

@@ -1,6 +1,8 @@
 package eve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -235,6 +237,60 @@ func TestHardwareReproducerGeneration(t *testing.T) {
 	}
 	if h.Stats.CyclesStreamed == 0 {
 		t.Fatal("no PE activity recorded")
+	}
+}
+
+// TestHardwareReproducerDigest pins the exact children the functional
+// PE builds, where the tests above check only properties: 30
+// generations of a pop-24, 8-in/3-out population with the structural
+// probabilities raised, hashed over every child's binary record.
+func TestHardwareReproducerDigest(t *testing.T) {
+	const popSize, ins, outs = 24, 8, 3
+	r := rng.New(5)
+	pop := make([]*gene.Genome, popSize)
+	for i := range pop {
+		g := gene.NewGenome(int64(i))
+		for id := int32(0); id < ins+outs; id++ {
+			typ := gene.Input
+			if id >= ins {
+				typ = gene.Output
+			}
+			g.PutNode(gene.NewNode(id, typ))
+		}
+		for src := int32(0); src < ins; src++ {
+			for dst := int32(ins); dst < ins+outs; dst++ {
+				g.PutConn(gene.NewConn(src, dst, gene.Quantize(r.NormFloat64())))
+			}
+		}
+		pop[i] = g
+	}
+	h := NewHardwareReproducer(17)
+	h.PE.AddNodeProb, h.PE.AddConnProb, h.PE.DeleteProb = 0.05, 0.05, 0.02
+	sum := sha256.New()
+	var rec []byte
+	for gen := 0; gen < 30; gen++ {
+		// A deterministic stand-in for evaluation: the enabled weights'
+		// sum.
+		for _, g := range pop {
+			g.Fitness = 0
+			for _, c := range g.Conns {
+				if c.Enabled {
+					g.Fitness += c.Weight
+				}
+			}
+		}
+		pop = h.NextGeneration(pop, popSize)
+		for _, g := range pop {
+			var err error
+			if rec, err = g.AppendRecord(rec[:0]); err != nil {
+				t.Fatal(err)
+			}
+			sum.Write(rec)
+		}
+	}
+	const want = "dc207f244ffb529e5ff6c0d926ffd40cb30e2362ac841c66c5dc3d5b9cf9d5e3"
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Fatalf("children digest %s, want %s", got, want)
 	}
 }
 

@@ -19,8 +19,8 @@ import "repro/internal/gene"
 // parallelism unit of Fig. 5(a).
 func (m *mutator) crossover(p1, p2 *gene.Genome, childID int64) *gene.Genome {
 	child := gene.NewGenome(childID)
-	child.Nodes = make([]gene.Gene, 0, len(p1.Nodes))
-	child.Conns = make([]gene.Gene, 0, len(p1.Conns))
+	child.Nodes = make([]gene.Node, 0, len(p1.Nodes))
+	child.Conns = make([]gene.Conn, 0, len(p1.Conns))
 
 	// Merge-join gene alignment: both parents keep Nodes sorted by id
 	// and Conns sorted by (Src, Dst), so matching genes are found by
@@ -54,7 +54,7 @@ func (m *mutator) crossover(p1, p2 *gene.Genome, childID int64) *gene.Genome {
 }
 
 // connKeyLess orders connection genes by their (Src, Dst) sort key.
-func connKeyLess(a, b *gene.Gene) bool {
+func connKeyLess(a, b *gene.Conn) bool {
 	return a.Src < b.Src || (a.Src == b.Src && a.Dst < b.Dst)
 }
 
@@ -65,7 +65,7 @@ func (m *mutator) pick1() bool { return m.rnd.Float64() < m.cfg.CrossoverBias }
 
 // mixNode cherry-picks the four node attributes between homologous node
 // genes.
-func (m *mutator) mixNode(a, b gene.Gene) gene.Gene {
+func (m *mutator) mixNode(a, b gene.Node) gene.Node {
 	out := a
 	if !m.pick1() {
 		out.Bias = b.Bias
@@ -84,7 +84,7 @@ func (m *mutator) mixNode(a, b gene.Gene) gene.Gene {
 
 // mixConn cherry-picks weight and enabled flag between homologous
 // connection genes.
-func (m *mutator) mixConn(a, b gene.Gene) gene.Gene {
+func (m *mutator) mixConn(a, b gene.Conn) gene.Conn {
 	out := a
 	if !m.pick1() {
 		out.Weight = b.Weight

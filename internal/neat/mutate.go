@@ -165,9 +165,8 @@ func (m *mutator) addGenes(g *gene.Genome) {
 // with n a fresh node carrying default attributes.
 func (m *mutator) addNode(g *gene.Genome) {
 	r := m.rnd
-	// Count-then-pick the k-th enabled connection in key order — the
-	// same draw and victim as indexing g.EnabledConns() without the
-	// slice allocation.
+	// Count-then-pick the k-th enabled connection in key order, without
+	// collecting the enabled connections into a slice.
 	enabledCount := 0
 	for i := range g.Conns {
 		if g.Conns[i].Enabled {
@@ -178,7 +177,7 @@ func (m *mutator) addNode(g *gene.Genome) {
 		return
 	}
 	k := r.Intn(enabledCount)
-	var c gene.Gene
+	var c gene.Conn
 	for i := range g.Conns {
 		if g.Conns[i].Enabled {
 			if k == 0 {

@@ -110,7 +110,7 @@ func (p *Population) seedGenome() *gene.Genome {
 	g := gene.NewGenome(p.nextGenomeID)
 	p.nextGenomeID++
 	ins, outs := cfg.InputIDs(), cfg.OutputIDs()
-	g.Nodes = make([]gene.Gene, 0, len(ins)+len(outs))
+	g.Nodes = make([]gene.Node, 0, len(ins)+len(outs))
 	for _, id := range ins {
 		g.Nodes = append(g.Nodes, gene.NewNode(id, gene.Input))
 	}
@@ -118,7 +118,7 @@ func (p *Population) seedGenome() *gene.Genome {
 		g.Nodes = append(g.Nodes, gene.NewNode(id, gene.Output))
 	}
 	if cfg.InitialConnection == "full" {
-		g.Conns = make([]gene.Gene, 0, len(ins)*len(outs))
+		g.Conns = make([]gene.Conn, 0, len(ins)*len(outs))
 		for _, in := range ins {
 			for _, out := range outs {
 				// Weights start at zero per the paper; the first

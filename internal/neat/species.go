@@ -88,7 +88,7 @@ func CompatDistance(a, b *gene.Genome, cfg *Config) float64 {
 
 // nodeDistance is the attribute distance of two homologous node genes
 // (neat-python's node gene distance).
-func nodeDistance(a, b gene.Gene) float64 {
+func nodeDistance(a, b gene.Node) float64 {
 	d := math.Abs(a.Bias-b.Bias) + math.Abs(a.Response-b.Response)
 	if a.Activation != b.Activation {
 		d++
@@ -101,7 +101,7 @@ func nodeDistance(a, b gene.Gene) float64 {
 
 // connDistance is the attribute distance of two homologous connection
 // genes.
-func connDistance(a, b gene.Gene) float64 {
+func connDistance(a, b gene.Conn) float64 {
 	d := math.Abs(a.Weight - b.Weight)
 	if a.Enabled != b.Enabled {
 		d++

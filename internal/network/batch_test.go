@@ -64,7 +64,7 @@ func mutateWeights(g *gene.Genome, rnd *rand.Rand) *gene.Genome {
 }
 
 // testNode builds a node gene with explicit attributes.
-func testNode(id int32, typ gene.NodeType, act gene.Activation, agg gene.Aggregation, bias, resp float64) gene.Gene {
+func testNode(id int32, typ gene.NodeType, act gene.Activation, agg gene.Aggregation, bias, resp float64) gene.Node {
 	n := gene.NewNode(id, typ)
 	n.Activation = act
 	n.Aggregation = agg
@@ -151,14 +151,14 @@ func TestFeedBatchAllActivations(t *testing.T) {
 		for _, agg := range aggs {
 			g := &gene.Genome{
 				ID: 1,
-				Nodes: []gene.Gene{
+				Nodes: []gene.Node{
 					testNode(0, gene.Input, gene.ActIdentity, gene.AggSum, 0, 1),
 					testNode(1, gene.Input, gene.ActIdentity, gene.AggSum, 0, 1),
 					testNode(2, gene.Input, gene.ActIdentity, gene.AggSum, 0, 1),
 					testNode(3, gene.Output, act, agg, 0.25, 1),
 					testNode(4, gene.Hidden, act, agg, -0.5, 0.8),
 				},
-				Conns: []gene.Gene{
+				Conns: []gene.Conn{
 					gene.NewConn(0, 4, 1.5),
 					gene.NewConn(1, 3, -0.4),
 					gene.NewConn(1, 4, -2),

@@ -84,7 +84,7 @@ func newRefNet(g *gene.Genome) (*refNet, error) {
 	}
 	n := &refNet{}
 	index := make(map[int32]int, len(g.Nodes))
-	byDepth := make([][]gene.Gene, maxDepth+1)
+	byDepth := make([][]gene.Node, maxDepth+1)
 	for _, ng := range g.Nodes {
 		d := depth[ng.NodeID]
 		byDepth[d] = append(byDepth[d], ng)

@@ -20,11 +20,12 @@
 # cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one verifies the
 # committed run at boot and replays it from disk, a one-iteration smoke
-# over the kernel, checkpoint codec, stored-run decode, replay and store
-# benchmarks, boot verification (BenchmarkRecover) included (so a
-# change that breaks a benchmark fails here), a one-iteration run of the
-# root figure and ablation benchmarks that must leave results/
-# byte-identical (they are the only code that regenerates it), and a
+# over the kernel, whole-RAM-job, checkpoint codec, stored-run decode,
+# replay and store benchmarks, boot verification (BenchmarkRecover)
+# included (so a change that breaks a benchmark fails here), a
+# one-iteration run of the root figure and ablation benchmarks that
+# must leave results/ byte-identical (they are the only code that
+# regenerates it), and a
 # short fuzz smoke over the untrusted-input decoders (trace parser,
 # binary genome record, NEAT population document, store manifest, the
 # worker's /island/step body) and the one-pass genome validator. The
@@ -281,17 +282,18 @@ wait "$w1" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
-echo "== bench smoke (kernel + batch + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
+echo "== bench smoke (kernel + batch + whole RAM job + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so
 # BenchmarkNetworkFeedBatch, BenchmarkEvaluateGenerationScalar (the
 # serial test reference evaluator) and BenchmarkEvaluateGenerationRAM
 # (alien-ram through the batch engine and through per-episode jobs)
-# smoke here too.
+# smoke here too. BenchmarkRunRAM is one whole five-generation RAM-game
+# job.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
 go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint' \
     -benchtime=1x ./internal/neat/
-go test -run=NONE -bench='BenchmarkEvaluateGeneration' \
+go test -run=NONE -bench='BenchmarkEvaluateGeneration|BenchmarkRunRAM' \
     -benchtime=1x ./internal/evolve/
 go test -run=NONE -bench='BenchmarkDecodeRun' \
     -benchtime=1x ./internal/experiments/
