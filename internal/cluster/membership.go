@@ -11,8 +11,8 @@ import (
 )
 
 // MemberID derives a worker's stable short identity from its address:
-// eight hex characters of a SHA-256, safe for filenames (the
-// checkpoint owner suffix) and counter names (per-worker gauges).
+// eight hex characters of a SHA-256, which name the worker on the hash
+// ring and in counter names (per-worker gauges).
 func MemberID(addr string) string {
 	sum := sha256.Sum256([]byte(addr))
 	return hex.EncodeToString(sum[:4])

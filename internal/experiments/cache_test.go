@@ -8,7 +8,7 @@ import (
 
 // TestRunCacheSingleflight pins the tentpole's core guarantee: many
 // generators concurrently requesting the same (workload, population,
-// generations, seed, run) key block on ONE evolution and share its
+// generations, seed) key block on ONE evolution and share its
 // result. Run under -race in scripts/check.sh.
 func TestRunCacheSingleflight(t *testing.T) {
 	ResetCaches()
@@ -22,7 +22,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := runWorkload("cartpole", opt, 0)
+			e, err := runWorkload("cartpole", opt)
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -43,8 +43,10 @@ func TestRunCacheSingleflight(t *testing.T) {
 		t.Fatalf("%d evolutions for one unique key, want 1", n)
 	}
 
-	// A different key (other run index) is a separate evolution.
-	if _, err := runWorkload("cartpole", opt, 1); err != nil {
+	// A different key (another seed) is a separate evolution.
+	other := opt
+	other.Seed += 7919
+	if _, err := runWorkload("cartpole", other); err != nil {
 		t.Fatal(err)
 	}
 	if n := runTier.mem.computes.Load(); n != 2 {
@@ -63,10 +65,10 @@ func TestRunCacheErrorEvicted(t *testing.T) {
 	cancel()
 	bad := opt
 	bad.Ctx = ctx
-	if _, err := runWorkload("mountaincar", bad, 0); err == nil {
+	if _, err := runWorkload("mountaincar", bad); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
-	e, err := runWorkload("mountaincar", opt, 0)
+	e, err := runWorkload("mountaincar", opt)
 	if err != nil {
 		t.Fatalf("key poisoned by earlier failure: %v", err)
 	}

@@ -47,7 +47,7 @@ func TableI(opt Options) (*Result, error) {
 // fitness per generation against the target, on the Mario surrogate.
 func Fig2(opt Options) (*Result, error) {
 	r := &Result{ID: "fig2", Title: "Neuro-evolution in action (Mario surrogate)"}
-	e, err := runWorkload("mario", opt, 0)
+	e, err := runWorkload("mario", opt)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func Fig4b(opt Options) (*Result, error) {
 	}
 	t := Table{Header: []string{"workload", "gen0", "mid", "final", "genes/genome", "pop"}}
 	for _, wl := range suite {
-		e, err := runWorkload(wl, opt, 0)
+		e, err := runWorkload(wl, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func Fig4c(opt Options) (*Result, error) {
 	}
 	t := Table{Header: []string{"workload", "mean-reuse", "max-reuse", "reuse/pop"}}
 	for _, wl := range suite {
-		e, err := runWorkload(wl, opt, 0)
+		e, err := runWorkload(wl, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +309,7 @@ func Fig11a(opt Options) (*Result, error) {
 		return nil, err
 	}
 	for _, wl := range evolve.PaperSuite() {
-		e, err := runWorkload(wl, opt, 0)
+		e, err := runWorkload(wl, opt)
 		if err != nil {
 			return nil, err
 		}

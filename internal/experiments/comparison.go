@@ -41,16 +41,16 @@ type comparison struct {
 // everywhere, memoized in the shared singleflight store: eight
 // Fig. 9/10 panels share the same six evolution runs, and concurrent
 // panels block on one pricing instead of racing to duplicate it. The
-// key is the run key of the underlying evolution (run 0), so the cache
-// is insensitive to option fields that do not change the run.
+// key is the run key of the underlying evolution, so the cache is
+// insensitive to option fields that do not change the run.
 func runComparison(wl string, opt Options) (*comparison, error) {
-	return priceCache.get(workloadKey(wl, opt, 0), func() (*comparison, error) {
+	return priceCache.get(workloadKey(wl, opt), func() (*comparison, error) {
 		return runComparisonUncached(wl, opt)
 	})
 }
 
 func runComparisonUncached(wl string, opt Options) (*comparison, error) {
-	e, err := runWorkload(wl, opt, 0)
+	e, err := runWorkload(wl, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +323,7 @@ func Fig10d(opt Options) (*Result, error) {
 
 // TableII regenerates the DQN vs EA comparison.
 func TableII(opt Options) (*Result, error) {
-	e, err := runWorkload("alien-ram", opt, 0)
+	e, err := runWorkload("alien-ram", opt)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +388,7 @@ func Footnote1(opt Options) (*Result, error) {
 
 	for _, task := range []string{"cartpole", "mountaincar"} {
 		// NEAT side.
-		e, err := runWorkload(task, opt, 0)
+		e, err := runWorkload(task, opt)
 		if err != nil {
 			return nil, err
 		}

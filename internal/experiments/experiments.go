@@ -27,7 +27,9 @@ import (
 
 // Options tune experiment fidelity. Zero values select the defaults.
 type Options struct {
-	// Seed is the base RNG seed; runs r of a workload use Seed+r.
+	// Seed is the base RNG seed. A figure's run of a workload evolves
+	// from Seed itself; the multi-run studies derive run r's seed with
+	// evolve.RunSeed(Seed, r).
 	Seed uint64
 	// Runs per workload for the distribution/variance figures.
 	Runs int
@@ -220,27 +222,27 @@ type evolved struct {
 	solved bool
 }
 
-// workloadKey is the run identity of one (workload, options, run)
-// figure request: run r of a workload evolves from seed Seed+r*7919.
-func workloadKey(workload string, opt Options, run int) store.Key {
+// workloadKey is the run identity of one (workload, options) figure
+// request.
+func workloadKey(workload string, opt Options) store.Key {
 	return store.Key{
 		Workload:    workload,
 		Population:  opt.popFor(workload),
 		Generations: opt.gensFor(workload),
-		Seed:        opt.Seed + uint64(run)*7919,
+		Seed:        opt.Seed,
 	}
 }
 
 // runWorkload returns the workload's evolved run, evolving it on the
 // first request and serving every later (or concurrent) request for
-// the same (workload, population, generations, seed, run) key from the
+// the same (workload, population, generations, seed) key from the
 // shared run cache. With a persistent store attached (UseStore) a
 // cache miss first tries the disk tier and commits what it computes.
 // The returned run is shared: callers read its history, population,
 // and trace but must not mutate them (re-scoring goes through
 // evolve.Runner.ScoreGenome).
-func runWorkload(workload string, opt Options, run int) (*evolved, error) {
-	e, _, err := runTier.get(&JobRequest{Key: workloadKey(workload, opt, run), Ctx: opt.Ctx})
+func runWorkload(workload string, opt Options) (*evolved, error) {
+	e, _, err := runTier.get(&JobRequest{Key: workloadKey(workload, opt), Ctx: opt.Ctx})
 	return e, err
 }
 

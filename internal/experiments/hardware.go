@@ -104,7 +104,7 @@ func Fig8c(opt Options) (*Result, error) {
 // atariTraceGen produces a representative RAM-workload reproduction
 // generation for the NoC/PE sweeps.
 func atariTraceGen(opt Options) (*trace.Generation, error) {
-	e, err := runWorkload("alien-ram", opt, 0)
+	e, err := runWorkload("alien-ram", opt)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func Fig11b(opt Options) (*Result, error) {
 // Fig11c regenerates the SRAM-energy and generation-runtime sweep over
 // EvE PE count, with ADAM runtime for reference.
 func Fig11c(opt Options) (*Result, error) {
-	e, err := runWorkload("alien-ram", opt, 0)
+	e, err := runWorkload("alien-ram", opt)
 	if err != nil {
 		return nil, err
 	}

@@ -124,7 +124,7 @@ func (o Options) workers() int {
 // row order stays serial while the evolutions overlap.
 func warmRuns(workloads []string, opt Options) error {
 	return forIndexed(opt.workers(), len(workloads), func(i int) error {
-		_, err := runWorkload(workloads[i], opt, 0)
+		_, err := runWorkload(workloads[i], opt)
 		return err
 	})
 }

@@ -123,9 +123,7 @@ var paretoTier = tier[*evolve.ParetoRun]{
 			evolve.ReplayParetoRecords(run, sink)
 		}
 	},
-	// The job's best is the best generation's, as for a scalar run;
-	// run.BestFitness, the last generation's, stays what the figure
-	// prints.
+	// The job's best is the best generation's, as for a scalar run.
 	summary: func(run *evolve.ParetoRun) (bool, float64, int) {
 		return run.Solved, bestFitness(run.History), len(run.History)
 	},
@@ -164,6 +162,7 @@ func ParetoFront(opt Options) (*Result, error) {
 			Title:  fmt.Sprintf("%s front (pop %d, %d generations, objectives %s)", wl, run.Population, len(run.History), JoinObjectives(run.Objectives)),
 			Header: []string{"genome", "fitness", "genes", "energy_pJ", "crowding"},
 		}
+		best := bestFitness(run.History)
 		minEnergy, maxFit := 0.0, 0.0
 		for i, p := range run.Front {
 			crowd := "boundary"
@@ -186,10 +185,10 @@ func ParetoFront(opt Options) (*Result, error) {
 		}
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("front size %d of population %d; best task fitness %s; cheapest front genome %s pJ",
-				len(run.Front), run.Population, fnum(run.BestFitness), fnum(minEnergy)))
+				len(run.Front), run.Population, fnum(best), fnum(minEnergy)))
 		res.Tables = append(res.Tables, t)
 		res.series(wl+":frontSize", float64(len(run.Front)))
-		res.series(wl+":bestFitness", run.BestFitness)
+		res.series(wl+":bestFitness", best)
 		res.series(wl+":frontMaxFitness", maxFit)
 		res.series(wl+":frontMinEnergy", minEnergy)
 		res.series(wl+":generations", float64(len(run.History)))

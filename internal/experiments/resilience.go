@@ -36,7 +36,7 @@ const doubleBitFraction = 0.1
 // Everything is seeded, so the same Options reproduce the same fault
 // sites and the same table.
 func ResilienceFor(workload string, opt Options) (*Result, error) {
-	e, err := runWorkload(workload, opt, 0)
+	e, err := runWorkload(workload, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,8 @@ func (e *watchDropped) Unwrap() error { return e.err }
 // Watch subscribes to a job's SSE stream, invoking fn (which may be
 // nil) for every generation record — history replay included — and
 // returns the job's terminal status from the final done event. A
-// non-nil error from fn aborts the watch.
+// non-nil error from fn aborts the watch. A nil error always comes with
+// a terminal status.
 //
 // A dropped stream (daemon restart, broken connection, clean EOF
 // before the job finished) reconnects under the client's RetryPolicy
@@ -197,8 +198,12 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(hwsim.Record) err
 			// streams after the job is already terminal — fetch the
 			// status; if the job really is finished there is nothing to
 			// reconnect for.
-			if st, jerr := c.Job(ctx, id); jerr == nil && st.State.Terminal() {
+			st, jerr := c.Job(ctx, id)
+			if jerr == nil && st.State.Terminal() {
 				return st, nil
+			}
+			if err = jerr; err == nil {
+				err = fmt.Errorf("serve: event stream of job %s ended while it is %s", id, st.State)
 			}
 		}
 		if seen > before {
@@ -206,10 +211,7 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(hwsim.Record) err
 		}
 		failures++
 		if failures >= attempts {
-			if err != nil {
-				return Status{}, err
-			}
-			return c.Job(ctx, id)
+			return Status{}, err
 		}
 		if serr := pol.sleep(ctx, pol.delay(failures, err)); serr != nil {
 			return Status{}, serr
@@ -270,6 +272,9 @@ func (c *Client) watchOnce(ctx context.Context, id string, fn func(hwsim.Record)
 				var st Status
 				if err := json.Unmarshal(data.Bytes(), &st); err != nil {
 					return nil, &watchAbort{fmt.Errorf("bad done event: %w", err)}
+				}
+				if !st.State.Terminal() {
+					return nil, &watchAbort{fmt.Errorf("bad done event: state %q is not terminal", st.State)}
 				}
 				return &st, nil
 			}

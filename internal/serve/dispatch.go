@@ -317,15 +317,7 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 			return nil // duplicate from a post-failover history replay
 		}
 		*lastGen = rec.Generation
-		// Generation records carry the bare workload name; tagged ones
-		// (a Pareto run's "#front" points) follow the history and are
-		// not generations.
-		if rec.Workload == j.Spec.Workload {
-			*forwarded++
-			if mf := rec.Report.Float("max_fitness"); *forwarded == 1 || mf > *best {
-				*best = mf
-			}
-		}
+		noteGeneration(j.Spec, rec, forwarded, best)
 		sink.Record(rec)
 		return nil
 	})

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/evolve"
 	"repro/internal/experiments"
+	"repro/internal/hw/hwsim"
 	"repro/internal/store"
 )
 
@@ -117,19 +118,11 @@ type Job struct {
 	// a cache miss; used for on-demand checkpoint requests.
 	runner atomic.Pointer[evolve.Runner]
 
-	mu        sync.Mutex
-	state     State
-	err       string
-	solved    bool
-	shared    bool // result came from the run cache, not a fresh execution
-	resumed   bool // fresh execution restored a checkpoint
-	stored    bool // cache miss was served from the persistent store
-	best      float64
-	gens      int
+	mu sync.Mutex
+	// st is the job's state in the form it is served; Status fills in
+	// ID and Spec.
+	st        Status
 	cancel    context.CancelFunc
-	created   time.Time
-	started   time.Time
-	finished  time.Time
 	ckptAsked bool
 }
 
@@ -153,26 +146,9 @@ type Status struct {
 // Status snapshots the job under its lock.
 func (j *Job) Status() Status {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := Status{
-		ID:          j.ID,
-		Spec:        j.Spec,
-		State:       j.state,
-		Error:       j.err,
-		Solved:      j.solved,
-		Shared:      j.shared,
-		Resumed:     j.resumed,
-		Stored:      j.stored,
-		BestFitness: j.best,
-		Generations: j.gens,
-		CreatedMs:   j.created.UnixMilli(),
-	}
-	if !j.started.IsZero() {
-		st.StartedMs = j.started.UnixMilli()
-	}
-	if !j.finished.IsZero() {
-		st.FinishedMs = j.finished.UnixMilli()
-	}
+	st := j.st
+	j.mu.Unlock()
+	st.ID, st.Spec = j.ID, j.Spec
 	return st
 }
 
@@ -180,7 +156,7 @@ func (j *Job) Status() Status {
 func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return j.st.State
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -191,11 +167,11 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) start(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.st.State != StateQueued {
 		return false
 	}
-	j.state = StateRunning
-	j.started = time.Now()
+	j.st.State = StateRunning
+	j.st.StartedMs = time.Now().UnixMilli()
 	j.cancel = cancel
 	return true
 }
@@ -208,12 +184,12 @@ func (j *Job) start(cancel context.CancelFunc) bool {
 func (j *Job) terminate(state State, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.st.State.Terminal() {
 		return false
 	}
-	j.state = state
-	j.err = errMsg
-	j.finished = time.Now()
+	j.st.State = state
+	j.st.Error = errMsg
+	j.st.FinishedMs = time.Now().UnixMilli()
 	j.cancel = nil
 	return true
 }
@@ -232,7 +208,7 @@ func (j *Job) close() {
 func (j *Job) requestCancel() (wasQueued, wasRunning bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
+	switch j.st.State {
 	case StateQueued:
 		return true, false
 	case StateRunning:
@@ -247,12 +223,12 @@ func (j *Job) requestCancel() (wasQueued, wasRunning bool) {
 // setOutcome records a finished run's result fields before finish.
 func (j *Job) setOutcome(out Outcome) {
 	j.mu.Lock()
-	j.solved = out.Solved
-	j.shared = !out.Computed
-	j.resumed = out.Resumed
-	j.stored = out.Stored
-	j.best = out.Best
-	j.gens = out.Gens
+	j.st.Solved = out.Solved
+	j.st.Shared = !out.Computed
+	j.st.Resumed = out.Resumed
+	j.st.Stored = out.Stored
+	j.st.BestFitness = out.Best
+	j.st.Generations = out.Gens
 	j.mu.Unlock()
 }
 
@@ -273,13 +249,26 @@ func (j *Job) PublishRunner(r *evolve.Runner) {
 	}
 }
 
-// noteRecord bumps the streamed-generation count and best fitness as
-// records flow — so GET /jobs/{id} shows live progress.
-func (j *Job) noteRecord(maxFitness float64) {
+// noteRecord folds a streamed record into the live generation count
+// and best fitness — so GET /jobs/{id} shows live progress.
+func (j *Job) noteRecord(rec hwsim.Record) {
 	j.mu.Lock()
-	j.gens++
-	if maxFitness > j.best || j.gens == 1 {
-		j.best = maxFitness
-	}
+	noteGeneration(j.Spec, rec, &j.st.Generations, &j.st.BestFitness)
 	j.mu.Unlock()
+}
+
+// noteGeneration counts rec into a live tally of spec's generations
+// and their best max_fitness, if rec is one of them. Generation
+// records carry the bare workload name; tagged ones (a Pareto run's
+// "#front" points, an island run's "#iN" histories) are not the job's
+// generations: a front point has no max_fitness at all. The job's
+// final count and best come from its Outcome.
+func noteGeneration(spec Spec, rec hwsim.Record, gens *int, best *float64) {
+	if rec.Workload != spec.Workload {
+		return
+	}
+	*gens++
+	if mf := rec.Report.Float("max_fitness"); *gens == 1 || mf > *best {
+		*best = mf
+	}
 }

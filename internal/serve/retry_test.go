@@ -248,6 +248,39 @@ func TestWatchNoRetryWithoutPolicy(t *testing.T) {
 	}
 }
 
+// TestWatchEndedStreamOfRunningJobIsAnError: a stream that ends
+// cleanly without a done event while the job is still running is a
+// dropped stream. Watch reconnects within its budget, then returns an
+// error, never a nil error with the running status.
+func TestWatchEndedStreamOfRunningJobIsAnError(t *testing.T) {
+	var conns atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /jobs/job-1/events", func(w http.ResponseWriter, r *http.Request) {
+		conns.Add(1)
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		sseRecord(t, w, 0)
+	})
+	mux.HandleFunc("GET /jobs/job-1", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, Status{ID: "job-1", State: StateRunning})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var slept []time.Duration
+	for _, pol := range []RetryPolicy{{}, instantRetry(3, &slept)} {
+		conns.Store(0)
+		c := &Client{Base: srv.URL, Retry: pol}
+		st, err := c.Watch(context.Background(), "job-1", nil)
+		if err == nil {
+			t.Fatalf("stream ended on a running job: Watch returned state %q and no error", st.State)
+		}
+		if want := max(pol.MaxAttempts, 1); int(conns.Load()) != want {
+			t.Fatalf("policy with %d attempts subscribed %d times", pol.MaxAttempts, conns.Load())
+		}
+	}
+}
+
 // TestTerminalJobETag: a finished job's status is served with a strong
 // ETag, and revalidating with If-None-Match costs a 304 with no body.
 func TestTerminalJobETag(t *testing.T) {

@@ -141,6 +141,9 @@ type Scheduler struct {
 	counters  *hwsim.Counters
 	ctrJobs   *hwsim.Counters
 	ctrStream *hwsim.Counters
+	// subscribers is the stream/subscribers gauge: the SSE handlers
+	// streaming right now, each counted while it runs.
+	subscribers *hwsim.Int
 }
 
 // NewScheduler builds a scheduler and starts its worker pool.
@@ -158,6 +161,7 @@ func NewScheduler(cfg Config) *Scheduler {
 	}
 	s.ctrJobs = s.counters.Child("jobs")
 	s.ctrStream = s.counters.Child("stream")
+	s.subscribers = s.ctrStream.Int("subscribers")
 	// Gauges refresh at snapshot time, so /metrics is always current
 	// without the hot paths maintaining them.
 	s.counters.Child("queue").OnSnapshot(func(c *hwsim.Counters) {
@@ -197,15 +201,6 @@ func NewScheduler(cfg Config) *Scheduler {
 		// evaluate/speciate/reproduce wall-clock like a worker's.
 		s.counters.Adopt(pw.Phases())
 	}
-	s.ctrStream.OnSnapshot(func(c *hwsim.Counters) {
-		s.mu.Lock()
-		var subs int64
-		for _, j := range s.jobs {
-			subs += int64(j.stream.Subscribers())
-		}
-		s.mu.Unlock()
-		c.SetInt("subscribers", subs)
-	})
 	for i := 0; i < cfg.MaxRunning; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -266,9 +261,8 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		Spec:   spec,
 		stream: newStream(),
 		done:   make(chan struct{}),
-		state:  StateQueued,
+		st:     Status{State: StateQueued, CreatedMs: time.Now().UnixMilli()},
 	}
-	j.created = time.Now()
 	select {
 	case s.queue <- j:
 	default:
@@ -440,7 +434,7 @@ func (s *Scheduler) runJob(j *Job) {
 	// stream. Live cache-miss records and cache-hit replays both go
 	// through it, so a job's stream looks the same either way.
 	sink := hwsim.MultiSink(hwsim.SinkFunc(func(r hwsim.Record) {
-		j.noteRecord(r.Report.Float("max_fitness"))
+		j.noteRecord(r)
 		s.ctrStream.AddInt("records_streamed", 1)
 	}), j.stream)
 
@@ -492,7 +486,4 @@ func (s *Scheduler) finishJob(j *Job, state State, msg string) {
 		s.ctrJobs.AddInt("cancelled", 1)
 	}
 	j.close()
-	if d := j.stream.Dropped(); d > 0 {
-		s.ctrStream.AddInt("sse_dropped", d)
-	}
 }

@@ -249,9 +249,11 @@ func (s *Server) handleStorePurge(w http.ResponseWriter, r *http.Request) {
 //	event: generation   data: hwsim.Record JSON   (one per generation)
 //	event: done         data: Status JSON         (terminal state, then EOF)
 //
-// A subscriber attaching mid-run first receives the full history —
-// the stream's replay seam guarantees no record is lost or duplicated
-// across the attach boundary.
+// The handler reads the job's record log with a cursor of its own, so
+// a subscriber attaching mid-run first receives the full history and
+// then every later record exactly once, and one that reads slowly
+// receives the same records later, never fewer. Each batch the log
+// hands over is written out and flushed once.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.sched.Job(r.PathValue("id"))
 	if !ok {
@@ -269,36 +271,34 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	history, live, cancel := j.stream.Subscribe()
-	defer cancel()
+	s.sched.subscribers.Add(1)
+	defer s.sched.subscribers.Add(-1)
 	send := func(event string, v any) bool {
 		data, err := json.Marshal(v)
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+		return err == nil
 	}
-	for _, rec := range history {
-		if !send("generation", rec) {
-			return
-		}
-	}
-	for {
-		select {
-		case rec, ok := <-live:
-			if !ok {
-				// Stream closed: the job is terminal; emit the final
-				// status and end the response.
-				send("done", j.Status())
-				return
-			}
+	for next := 0; ; {
+		recs, closed, more := j.stream.Read(next)
+		for _, rec := range recs {
 			if !send("generation", rec) {
 				return
 			}
+		}
+		next += len(recs)
+		if closed {
+			// The job is terminal and every record is out: emit the
+			// final status and end the response.
+			send("done", j.Status())
+			flusher.Flush()
+			return
+		}
+		flusher.Flush()
+		select {
+		case <-more:
 		case <-r.Context().Done():
 			return
 		}

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -438,5 +440,55 @@ func TestSpecKeyStringIsStable(t *testing.T) {
 				t.Errorf("%+v: checkpoint name does not parse back to its key (%+v, %v)", sp, k, ok)
 			}
 		}
+	}
+}
+
+// execFunc adapts a function to the Executor interface.
+type execFunc func(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error)
+
+func (f execFunc) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
+	return f(ctx, j, sink)
+}
+
+// TestLiveProgressCountsGenerationsOnly: while a Pareto job runs, GET
+// /jobs/{id} counts only its generation records. The two "#front"
+// points that follow the history carry no max_fitness; were they
+// counted, the job would read 5 generations and a best fitness of 0.
+func TestLiveProgressCountsGenerationsOnly(t *testing.T) {
+	spec := paretoSpec(seedPareto + 90)
+	recorded := make(chan struct{})
+	sched := NewScheduler(Config{MaxRunning: 1, Executor: execFunc(func(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
+		for g, mf := range []float64{-50, -40, -45} {
+			sink.Record(hwsim.Record{Workload: spec.Workload, Generation: g,
+				Report: hwsim.Report{Name: "gen", Floats: map[string]float64{"max_fitness": mf}}})
+		}
+		for i := 0; i < 2; i++ {
+			sink.Record(hwsim.Record{Workload: spec.Workload + "#front", Generation: 3 + i,
+				Report: hwsim.Report{Name: "front", Floats: map[string]float64{"fitness": -40, "crowding": 1}}})
+		}
+		close(recorded)
+		<-ctx.Done()
+		return Outcome{}, ctx.Err()
+	})})
+	defer sched.Drain(0)
+	j, err := sched.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-recorded:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the executor never ran")
+	}
+
+	rr := httptest.NewRecorder()
+	NewServer(sched).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/jobs/"+j.ID, nil))
+	var st Status
+	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+		t.Fatalf("GET /jobs/%s: %v (%s)", j.ID, err, rr.Body)
+	}
+	if st.State != StateRunning || st.Generations != 3 || st.BestFitness != -40 {
+		t.Fatalf("running Pareto job reads state %s, %d generations, best %v; want running, 3, -40",
+			st.State, st.Generations, st.BestFitness)
 	}
 }

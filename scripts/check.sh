@@ -28,14 +28,18 @@
 # regenerates it), and a
 # short fuzz smoke over the untrusted-input decoders (trace parser,
 # binary genome record, NEAT population document, store manifest, the
-# worker's /island/step body) and the one-pass genome validator. The
-# trace parser and validator fuzzers are differential: each checks the
-# one-pass code against its reference implementation. The binary
+# worker's /island/step body, the client's SSE parser) and the one-pass
+# genome validator. The trace parser and validator fuzzers are
+# differential: each checks the one-pass code against its reference
+# implementation. The binary
 # genome record and population fuzzers check that the decoder accepts
 # only what the encoder writes: whatever Restore accepts, Save writes
 # back byte for byte (Save(Restore(x)) == x). The /island/step fuzzer
 # checks that a worker answers any body with 200, 400 or 404 and never
-# steps a session past its generation budget.
+# steps a session past its generation budget. The SSE parser fuzzer
+# (FuzzWatch) checks that Watch returns on any event-stream body, runs
+# its callback at most once per generation event and returns no error
+# only with a terminal state.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -319,17 +323,20 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser and genome validator against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body)"
+echo "== fuzz smoke (trace parser and genome validator against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; client SSE parser)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the
 # multi-kilobyte population corpus entries. FuzzRestore's oracle is
 # the canonical property: whatever Restore accepts, Save writes back
 # byte for byte; FuzzRecord checks the same of one genome record.
+# FuzzWatch drives serve.Client.Watch against an httptest server that
+# answers with the fuzz input as the event stream.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
 go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRecord -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 go test -run=NONE -fuzz=FuzzIslandStep -fuzztime=5s -fuzzminimizetime=50x ./internal/cluster/
+go test -run=NONE -fuzz=FuzzWatch -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
 
 echo "ok"
