@@ -70,22 +70,35 @@ func (a *Acrobot) observe() []float64 {
 	return a.obs[:]
 }
 
-// dynamics returns the state derivative for the Spong acrobot model.
-func acrobotDeriv(s [4]float64, torque float64) [4]float64 {
-	th1, th2, dth1, dth2 := s[0], s[1], s[2], s[3]
+// acrobotDeriv returns the state derivative for the Spong acrobot
+// model at state s = (θ1, θ2, θ1', θ2') under the given torque. The
+// caller supplies the trig values it needs: cos θ2, sin θ2,
+// cos(θ1+θ2−π/2) and cos(θ1−π/2) of this same state. The scalar Step
+// computes them with math.Cos/math.Sin and the batch with the vector
+// kernel, which is bit-identical, so both run the same float
+// operations.
+func acrobotDeriv(s [4]float64, torque, cos2, sin2, cos12, cos1 float64) [4]float64 {
+	dth1, dth2 := s[2], s[3]
 	m, l1, lc, i, g := acLinkMass, acLinkLen1, acLinkCOM, acInertia, acGravity
 
-	d1 := m*lc*lc + m*(l1*l1+lc*lc+2*l1*lc*math.Cos(th2)) + 2*i
-	d2 := m*(lc*lc+l1*lc*math.Cos(th2)) + i
-	phi2 := m * lc * g * math.Cos(th1+th2-math.Pi/2)
-	phi1 := -m*l1*lc*dth2*dth2*math.Sin(th2) -
-		2*m*l1*lc*dth2*dth1*math.Sin(th2) +
-		(m*lc+m*l1)*g*math.Cos(th1-math.Pi/2) + phi2
+	d1 := m*lc*lc + m*(l1*l1+lc*lc+2*l1*lc*cos2) + 2*i
+	d2 := m*(lc*lc+l1*lc*cos2) + i
+	phi2 := m * lc * g * cos12
+	phi1 := -m*l1*lc*dth2*dth2*sin2 -
+		2*m*l1*lc*dth2*dth1*sin2 +
+		(m*lc+m*l1)*g*cos1 + phi2
 
-	ddth2 := (torque + d2/d1*phi1 - m*l1*lc*dth1*dth1*math.Sin(th2) - phi2) /
+	ddth2 := (torque + d2/d1*phi1 - m*l1*lc*dth1*dth1*sin2 - phi2) /
 		(m*lc*lc + i - d2*d2/d1)
 	ddth1 := -(d2*ddth2 + phi1) / d1
 	return [4]float64{dth1, dth2, ddth1, ddth2}
+}
+
+// acrobotDerivAt is acrobotDeriv with the trig computed by the stdlib.
+func acrobotDerivAt(s [4]float64, torque float64) [4]float64 {
+	th1, th2 := s[0], s[1]
+	return acrobotDeriv(s, torque, math.Cos(th2), math.Sin(th2),
+		math.Cos(th1+th2-math.Pi/2), math.Cos(th1-math.Pi/2))
 }
 
 // Step implements Env using one RK4 step.
@@ -94,11 +107,24 @@ func (a *Acrobot) Step(action []float64) ([]float64, float64, bool) {
 	if len(action) > 0 {
 		torque = clamp(action[0], -acTorqueMax, acTorqueMax)
 	}
-	s := [4]float64{a.th1, a.th2, a.dth1, a.dth2}
-	k1 := acrobotDeriv(s, torque)
-	k2 := acrobotDeriv(addScaled(s, k1, acDt/2), torque)
-	k3 := acrobotDeriv(addScaled(s, k2, acDt/2), torque)
-	k4 := acrobotDeriv(addScaled(s, k3, acDt), torque)
+	s := a.state()
+	k1 := acrobotDerivAt(s, torque)
+	k2 := acrobotDerivAt(addScaled(s, k1, acDt/2), torque)
+	k3 := acrobotDerivAt(addScaled(s, k2, acDt/2), torque)
+	k4 := acrobotDerivAt(addScaled(s, k3, acDt), torque)
+	a.advance(s, k1, k2, k3, k4)
+	obs := a.observe()
+	return obs, -1, acrobotDone(obs[0], math.Cos(a.th2+a.th1), a.steps)
+}
+
+// state is the integrator state (θ1, θ2, θ1', θ2').
+func (a *Acrobot) state() [4]float64 {
+	return [4]float64{a.th1, a.th2, a.dth1, a.dth2}
+}
+
+// advance finishes one RK4 step from s with the four stage
+// derivatives: angles wrap to [−π, π], velocities clamp.
+func (a *Acrobot) advance(s, k1, k2, k3, k4 [4]float64) {
 	for j := 0; j < 4; j++ {
 		s[j] += acDt / 6 * (k1[j] + 2*k2[j] + 2*k3[j] + k4[j])
 	}
@@ -107,11 +133,13 @@ func (a *Acrobot) Step(action []float64) ([]float64, float64, bool) {
 	a.dth1 = clamp(s[2], -acMaxVel1, acMaxVel1)
 	a.dth2 = clamp(s[3], -acMaxVel2, acMaxVel2)
 	a.steps++
+}
 
-	// Terminal when the tip rises one link length above the pivot.
-	tip := -math.Cos(a.th1) - math.Cos(a.th2+a.th1)
-	done := tip > 1.0 || a.steps >= acBudget
-	return a.observe(), -1, done
+// acrobotDone reports the end of an episode from cos θ1 and
+// cos(θ2+θ1): the tip has risen one link length above the pivot
+// (TipHeight > 1), or the step budget is spent.
+func acrobotDone(cos1, cos21 float64, steps int) bool {
+	return -cos1-cos21 > 1.0 || steps >= acBudget
 }
 
 // TipHeight returns the tip elevation (fitness shaping input).

@@ -40,24 +40,31 @@ type Batch interface {
 	StepAll(obs, rewards []float64, done []bool, actions []float64, active int)
 	// SwapLanes exchanges the episode state of two lanes.
 	SwapLanes(a, b int)
-	// LaneEnv returns the scalar Env backing one lane, or nil for
-	// native struct-of-arrays implementations that have no per-lane
-	// Env value. Fitness shapers that type-assert their concrete
-	// environment only exist for workloads served by the generic
-	// (Env-backed) adapter, where this is never nil.
+	// LaneEnv returns the scalar Env backing one lane, or nil for a
+	// native struct-of-arrays implementation with no per-lane Env
+	// value (cartpole's). Fitness shapers that type-assert their
+	// concrete environment only exist for workloads whose batch has
+	// lane envs: the generic adapter and the native acrobot batch,
+	// whose lanes are Acrobot values.
 	LaneEnv(lane int) Env
 }
 
-// NewBatch constructs a width-lane batch of the named environment:
-// the native vectorized CartPole, and for every other environment (the
-// RAM titles included) a generic adapter looping over fresh scalar
-// instances.
+// NewBatch constructs a width-lane batch of the named environment.
+// CartPole and Acrobot are native: each step computes the trig of all
+// active lanes with the vector sin/cos kernel (CartPole's pole angle;
+// Acrobot's three arguments per RK4 stage and three more for the
+// observation) and runs the scalar physics per lane. Every other
+// environment, the RAM titles included, gets a generic adapter looping
+// over fresh scalar instances.
 func NewBatch(name string, width int) (Batch, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("env: batch width %d < 1", width)
 	}
-	if name == "cartpole" {
+	switch name {
+	case "cartpole":
 		return newCartPoleBatch(width), nil
+	case "acrobot":
+		return newAcrobotBatch(width), nil
 	}
 	f, ok := factories[name]
 	if !ok {

@@ -138,23 +138,147 @@ func TestNewBatchErrors(t *testing.T) {
 }
 
 // TestNativeBatchRegistered pins which workloads NewBatch serves
-// natively: cartpole alone. The RAM titles and every other environment
-// get the generic adapter, with real lane envs.
+// natively: cartpole and acrobot, by their batch types. Acrobot's
+// native lanes are Acrobot values, so its LaneEnv is the lane's own
+// *Acrobot, not nil. Every other environment, the RAM titles included,
+// gets the generic adapter, with real lane envs.
 func TestNativeBatchRegistered(t *testing.T) {
 	b, err := NewBatch("cartpole", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.LaneEnv(0) != nil {
-		t.Fatal("cartpole: expected native batch (LaneEnv nil), got generic")
+	if _, ok := b.(*cartPoleBatch); !ok || b.LaneEnv(0) != nil {
+		t.Fatalf("cartpole: expected the native batch with no lane envs, got %T", b)
 	}
-	for _, name := range []string{"airraid-ram", "alien-ram", "asterix-ram", "amidar-ram", "mountaincar"} {
+	b, err = NewBatch("acrobot", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.(*acrobotBatch); !ok {
+		t.Fatalf("acrobot: expected the native batch, got %T", b)
+	}
+	if _, ok := b.LaneEnv(2).(*Acrobot); !ok {
+		t.Fatalf("acrobot: LaneEnv = %T, want the lane's *Acrobot", b.LaneEnv(2))
+	}
+	for _, name := range Names() {
+		if name == "cartpole" || name == "acrobot" {
+			continue
+		}
 		b, err := NewBatch(name, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.LaneEnv(0) == nil {
-			t.Fatalf("%s: expected generic batch with real lane envs", name)
+		if _, ok := b.(*genericBatch); !ok || b.LaneEnv(0) == nil {
+			t.Fatalf("%s: expected the generic batch with real lane envs, got %T", name, b)
 		}
+	}
+}
+
+// TestAcrobotBatchSwingUp drives the native acrobot batch with a
+// policy that swings the tip above the bar (torque along θ2'), so
+// episodes end by the tip rather than the budget, which random actions
+// never reach. Every lane must match a scalar Acrobot bit for bit,
+// done flags included, and at each episode's end LaneEnv's TipHeight
+// must equal the scalar's. Finished lanes restart with fresh seeds.
+func TestAcrobotBatchSwingUp(t *testing.T) {
+	const width = 6
+	b := newAcrobotBatch(width)
+	scalars := make([]Env, width)
+	obs := make([]float64, b.ObservationSize()*width)
+	actions := make([]float64, width)
+	rewards := make([]float64, width)
+	done := make([]bool, width)
+	seed := uint64(100)
+	reset := func(lane int) {
+		e, err := New("acrobot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars[lane] = e
+		e.Reset(seed)
+		b.ResetLane(lane, seed, obs)
+		seed++
+	}
+	for lane := range scalars {
+		reset(lane)
+	}
+	tipEnds := 0
+	for step := 0; step < 3000; step++ {
+		for lane := range actions {
+			actions[lane] = -1
+			if obs[5*width+lane] >= 0 { // θ2'
+				actions[lane] = 1
+			}
+		}
+		b.StepAll(obs, rewards, done, actions, width)
+		for lane, e := range scalars {
+			o, r, d := e.Step(actions[lane : lane+1])
+			for row, want := range o {
+				if got := obs[row*width+lane]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d lane %d obs[%d]: batch %v != scalar %v", step, lane, row, got, want)
+				}
+			}
+			if r != rewards[lane] || d != done[lane] {
+				t.Fatalf("step %d lane %d: batch reward %v done %v, scalar %v %v", step, lane, rewards[lane], done[lane], r, d)
+			}
+			if !d {
+				continue
+			}
+			got, want := b.LaneEnv(lane).(*Acrobot), e.(*Acrobot)
+			if math.Float64bits(got.TipHeight()) != math.Float64bits(want.TipHeight()) {
+				t.Fatalf("step %d lane %d: batch tip %v != scalar %v", step, lane, got.TipHeight(), want.TipHeight())
+			}
+			if want.steps < acBudget {
+				tipEnds++
+			}
+			reset(lane)
+		}
+	}
+	if tipEnds == 0 {
+		t.Fatal("no episode ended by the tip")
+	}
+}
+
+// BenchmarkAcrobotStepAll steps a width-64 acrobot batch with every
+// lane active, resetting each lane when its episode ends, and reports
+// ns per lane-step: "native" is the batch NewBatch serves, "generic"
+// the Env-backed adapter over scalar Acrobots.
+func BenchmarkAcrobotStepAll(b *testing.B) {
+	const width = 64
+	for _, c := range []struct {
+		name string
+		mk   func() Batch
+	}{
+		{"native", func() Batch { return newAcrobotBatch(width) }},
+		{"generic", func() Batch { return newGenericBatch("acrobot", factories["acrobot"], width) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			be := c.mk()
+			obs := make([]float64, be.ObservationSize()*width)
+			actions := make([]float64, be.ActionSize()*width)
+			rewards := make([]float64, width)
+			done := make([]bool, width)
+			rnd := rand.New(rand.NewSource(5))
+			for i := range actions {
+				actions[i] = rnd.Float64()*2 - 1
+			}
+			seed := uint64(0)
+			for lane := 0; lane < width; lane++ {
+				be.ResetLane(lane, seed, obs)
+				seed++
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				be.StepAll(obs, rewards, done, actions, width)
+				for lane, d := range done {
+					if d {
+						be.ResetLane(lane, seed, obs)
+						seed++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/lane-step")
+		})
 	}
 }

@@ -22,7 +22,7 @@ type cartPoleBatch struct {
 }
 
 func newCartPoleBatch(width int) *cartPoleBatch {
-	b := &cartPoleBatch{
+	return &cartPoleBatch{
 		width:    width,
 		x:        make([]float64, width),
 		xDot:     make([]float64, width),
@@ -33,13 +33,6 @@ func newCartPoleBatch(width int) *cartPoleBatch {
 		steps:    make([]int, width),
 		rnd:      make([]rng.XorWow, width),
 	}
-	// Seed angles with a harmless in-window value so never-loaded lanes
-	// can serve as vector padding in StepAll (an exact zero would push
-	// the whole 4-group to the scalar trig fallback).
-	for i := range b.theta {
-		b.theta[i] = 0.01
-	}
-	return b
 }
 
 func (b *cartPoleBatch) Name() string         { return "cartpole" }
@@ -83,9 +76,9 @@ func (b *cartPoleBatch) StepAll(obs, rewards []float64, done []bool, actions []f
 	obs2 := obs[2*w : 2*w+active]
 	obs3 := obs[3*w : 3*w+active]
 	// Pad the trig call to the 4-lane vector quantum: pad lanes hold a
-	// retired lane's last angle or the constructor's in-window seed
-	// value, their results are never read, and an out-of-window pad
-	// only costs the scalar fallback (still bit-exact).
+	// retired lane's last angle or a never-loaded lane's zero, which
+	// the kernel takes like any finite angle; their results are never
+	// read.
 	r4 := (active + 3) &^ 3
 	if r4 > w {
 		r4 = w

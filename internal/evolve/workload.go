@@ -52,7 +52,9 @@ func (m *mcShaper) Fitness(e env.Env, steps int) float64 {
 }
 
 // acShaper shapes Acrobot: solving scores by speed, otherwise by the
-// best tip height achieved.
+// tip height of the episode's final state, floored at −2. Observe keeps
+// nothing, so Fitness sees only the final state, not the heights
+// reached on the way.
 type acShaper struct{ best float64 }
 
 func (a *acShaper) Reset()                     { a.best = -2 }

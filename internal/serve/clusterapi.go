@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -31,8 +30,8 @@ func (s *Server) EnableCluster(m *cluster.Membership) {
 		var req struct {
 			Addr string `json:"addr"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Addr == "" {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "join: body must be {\"addr\": \"http://host:port\"}"})
+		if code, err := readJSON(w, r, &req); err != nil || req.Addr == "" {
+			writeJSON(w, code, errorBody{Error: "join: body must be {\"addr\": \"http://host:port\"}"})
 			return
 		}
 		writeJSON(w, http.StatusOK, m.Join(req.Addr))

@@ -38,7 +38,7 @@ import (
 //
 // Admission failures: 429 (+ Retry-After seconds) when shed over the
 // queue depth or per-client cap, 503 while draining, 400 for invalid
-// specs.
+// specs, 413 for a body longer than maxBody.
 type Server struct {
 	sched *Scheduler
 	mux   *http.ServeMux
@@ -71,6 +71,22 @@ type errorBody struct {
 	RetryAfter int    `json:"retry_after_seconds,omitempty"`
 }
 
+// maxBody bounds the request bodies the daemon decodes itself (a job
+// spec, a cluster join); either is well under 1 KB.
+const maxBody = 1 << 20
+
+// readJSON decodes one JSON value from the request body into v,
+// reading at most maxBody bytes. It also returns the status a refusal
+// should carry: 413 when the body passed the limit, else 400.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -97,8 +113,8 @@ func clientOf(spec Spec, r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad spec: %v", err)})
+	if code, err := readJSON(w, r, &spec); err != nil {
+		writeJSON(w, code, errorBody{Error: fmt.Sprintf("bad spec: %v", err)})
 		return
 	}
 	spec.Client = clientOf(spec, r)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/hw/hwsim"
 	"repro/internal/store"
@@ -490,5 +492,56 @@ func TestLiveProgressCountsGenerationsOnly(t *testing.T) {
 	if st.State != StateRunning || st.Generations != 3 || st.BestFitness != -40 {
 		t.Fatalf("running Pareto job reads state %s, %d generations, best %v; want running, 3, -40",
 			st.State, st.Generations, st.BestFitness)
+	}
+}
+
+// countingReader counts the bytes a handler pulls from a request body.
+type countingReader struct {
+	r    io.Reader
+	read int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.read += n
+	return n, err
+}
+
+// workloadBody is {"workload":"aaa…"} with n a's.
+func workloadBody(n int) *countingReader {
+	return &countingReader{r: io.MultiReader(strings.NewReader(`{"workload":"`),
+		strings.NewReader(strings.Repeat("a", n)), strings.NewReader(`"}`))}
+}
+
+// TestRequestBodiesBounded sends POST /jobs and POST /cluster/join a
+// 4 MiB {"workload":"aaa…"} body. Both must be refused with 400 or 413
+// after reading at most maxBody bytes plus one read buffer. A body of
+// half the limit is read whole and refused for its content instead.
+func TestRequestBodiesBounded(t *testing.T) {
+	sched := NewScheduler(Config{MaxRunning: 1})
+	defer sched.Drain(0)
+	server := NewServer(sched)
+	server.EnableCluster(cluster.NewMembership(cluster.MembershipConfig{}))
+	const readBuffer = 64 << 10
+	for _, path := range []string{"/jobs", "/cluster/join"} {
+		body := workloadBody(4 << 20)
+		rr := httptest.NewRecorder()
+		server.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, body))
+		if rr.Code != http.StatusBadRequest && rr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a 4 MiB body: status %d, want 400 or 413 (%s)", path, rr.Code, rr.Body)
+		}
+		if body.read > maxBody+readBuffer {
+			t.Fatalf("POST %s read %d bytes of a 4 MiB body; the limit is %d", path, body.read, maxBody)
+		}
+
+		body = workloadBody(maxBody / 2)
+		rr = httptest.NewRecorder()
+		server.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, body))
+		if rr.Code != http.StatusBadRequest {
+			t.Fatalf("POST %s with a %d-byte body: status %d, want 400 (%s)", path, body.read, rr.Code, rr.Body)
+		}
+		if want := maxBody/2 + len(`{"workload":""}`); body.read != want {
+			t.Fatalf("POST %s read %d bytes of a %d-byte body under the limit", path, body.read, want)
+		}
 	}
 }

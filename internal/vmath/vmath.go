@@ -5,7 +5,8 @@
 // window, and declines anything else to a scalar fallback. That
 // property is what lets the batch engine promise byte-equal results to
 // the serial reference path while still vectorizing the transcendental
-// hot spots (sigmoid exp, cartpole sin/cos).
+// hot spots (sigmoid exp, and the sin/cos of the cartpole and acrobot
+// batch environments).
 package vmath
 
 import "math"
@@ -44,13 +45,15 @@ func Recip1pSlice(dst, src []float64) {
 }
 
 // SinCosSlice computes sinDst[i], cosDst[i] = math.Sin(src[i]),
-// math.Cos(src[i]) for every i. The vector kernel handles lanes with
-// 0 < |x| < π/4 — the octant-zero window where the stdlib reduction is
-// the identity and both functions are one straight-line polynomial —
-// and performs exactly those polynomial operations, so results are
-// bit-identical. Lanes at and after the first group outside the window
-// (including ±0, whose sign math.Sin preserves, and NaN/Inf) fall back
-// to the stdlib scalars.
+// math.Cos(src[i]) for every i. The vector kernel covers every finite
+// |x| < 2^29, the whole range where the stdlib reduces its argument
+// with the three-part π/4 (Cody–Waite) subtraction rather than
+// trigReduce. It performs exactly the stdlib's reduction, both
+// polynomials and its octant sign and swap rules, lane for lane and
+// without FMA, so results are bit-identical, ±0 included (sin keeps
+// the zero's sign). Lanes at and after the first group with a NaN, an
+// Inf or |x| ≥ 2^29, and the sub-4 tail, fall back to the stdlib
+// scalars.
 func SinCosSlice(sinDst, cosDst, src []float64) {
 	if len(sinDst) < len(src) || len(cosDst) < len(src) {
 		panic("vmath: SinCosSlice dst shorter than src")

@@ -12,8 +12,8 @@ package vmath
 func expVec(dst, src *float64, n int) int
 
 // sinCosVec is the fused 4-lane sin+cos kernel (sincos_amd64.s) for
-// the octant-zero window 0 < |x| < π/4. Same contract: leading groups,
-// early stop on the first group with any lane outside the window.
+// finite |x| < 2^29. Same contract: leading groups, early stop on the
+// first group with a NaN, an Inf or |x| ≥ 2^29.
 //
 //go:noescape
 func sinCosVec(sinDst, cosDst, src *float64, n int) int
