@@ -149,7 +149,7 @@ func (s *FunctionalSystem) evaluate(e env.Env, shaper evolve.Shaper, g *gene.Gen
 			var r float64
 			var done bool
 			obs, r, done = e.Step(act)
-			shaper.Observe(obs, r)
+			shaper.Observe(obs, 1, 0, r)
 			steps++
 			if done {
 				break

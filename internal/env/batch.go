@@ -44,18 +44,19 @@ type Batch interface {
 	// native struct-of-arrays implementation with no per-lane Env
 	// value (cartpole's). Fitness shapers that type-assert their
 	// concrete environment only exist for workloads whose batch has
-	// lane envs: the generic adapter and the native acrobot batch,
-	// whose lanes are Acrobot values.
+	// lane envs: the generic adapter and the native acrobot and
+	// mountaincar batches, whose lanes are Acrobot and MountainCar
+	// values.
 	LaneEnv(lane int) Env
 }
 
 // NewBatch constructs a width-lane batch of the named environment.
-// CartPole and Acrobot are native: each step computes the trig of all
-// active lanes with the vector sin/cos kernel (CartPole's pole angle;
-// Acrobot's three arguments per RK4 stage and three more for the
-// observation) and runs the scalar physics per lane. Every other
-// environment, the RAM titles included, gets a generic adapter looping
-// over fresh scalar instances.
+// CartPole, Acrobot and MountainCar are native: each step computes the
+// trig of all active lanes with the vector sin/cos kernel (CartPole's
+// pole angle; Acrobot's three arguments per RK4 stage and three more
+// for the observation; MountainCar's cos(3·pos)) and runs the scalar
+// physics per lane. Every other environment, the RAM titles included,
+// gets a generic adapter looping over fresh scalar instances.
 func NewBatch(name string, width int) (Batch, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("env: batch width %d < 1", width)
@@ -65,6 +66,8 @@ func NewBatch(name string, width int) (Batch, error) {
 		return newCartPoleBatch(width), nil
 	case "acrobot":
 		return newAcrobotBatch(width), nil
+	case "mountaincar":
+		return newMountainCarBatch(width), nil
 	}
 	f, ok := factories[name]
 	if !ok {

@@ -138,10 +138,12 @@ func TestNewBatchErrors(t *testing.T) {
 }
 
 // TestNativeBatchRegistered pins which workloads NewBatch serves
-// natively: cartpole and acrobot, by their batch types. Acrobot's
-// native lanes are Acrobot values, so its LaneEnv is the lane's own
-// *Acrobot, not nil. Every other environment, the RAM titles included,
-// gets the generic adapter, with real lane envs.
+// natively: cartpole, acrobot and mountaincar, by their batch types.
+// The acrobot and mountaincar lanes are Acrobot and MountainCar values,
+// so their LaneEnv is the lane's own *Acrobot or *MountainCar, not nil
+// (the mountaincar shaper type-asserts it). Every other environment,
+// the RAM titles included, gets the generic adapter, with real lane
+// envs.
 func TestNativeBatchRegistered(t *testing.T) {
 	b, err := NewBatch("cartpole", 3)
 	if err != nil {
@@ -160,8 +162,18 @@ func TestNativeBatchRegistered(t *testing.T) {
 	if _, ok := b.LaneEnv(2).(*Acrobot); !ok {
 		t.Fatalf("acrobot: LaneEnv = %T, want the lane's *Acrobot", b.LaneEnv(2))
 	}
+	b, err = NewBatch("mountaincar", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.(*mountainCarBatch); !ok {
+		t.Fatalf("mountaincar: expected the native batch, got %T", b)
+	}
+	if _, ok := b.LaneEnv(2).(*MountainCar); !ok {
+		t.Fatalf("mountaincar: LaneEnv = %T, want the lane's *MountainCar", b.LaneEnv(2))
+	}
 	for _, name := range Names() {
-		if name == "cartpole" || name == "acrobot" {
+		if name == "cartpole" || name == "acrobot" || name == "mountaincar" {
 			continue
 		}
 		b, err := NewBatch(name, 3)
@@ -239,18 +251,99 @@ func TestAcrobotBatchSwingUp(t *testing.T) {
 	}
 }
 
-// BenchmarkAcrobotStepAll steps a width-64 acrobot batch with every
-// lane active, resetting each lane when its episode ends, and reports
-// ns per lane-step: "native" is the batch NewBatch serves, "generic"
-// the Env-backed adapter over scalar Acrobots.
-func BenchmarkAcrobotStepAll(b *testing.B) {
+// TestMountainCarBatchPushWithVelocity drives the native mountaincar
+// batch with a policy that pushes the way the car is moving, which
+// pumps energy until the car reaches the flag and, on the way, runs it
+// into the left wall (where the velocity is zeroed); random actions
+// reach neither branch. Every lane must match a scalar MountainCar bit
+// for bit, done flags included, and at each episode's end LaneEnv's
+// AtGoal and Position must equal the scalar's. Finished lanes restart
+// with fresh seeds.
+func TestMountainCarBatchPushWithVelocity(t *testing.T) {
+	const width = 6
+	b := newMountainCarBatch(width)
+	scalars := make([]*MountainCar, width)
+	obs := make([]float64, b.ObservationSize()*width)
+	actions := make([]float64, b.ActionSize()*width)
+	rewards := make([]float64, width)
+	done := make([]bool, width)
+	seed := uint64(300)
+	reset := func(lane int) {
+		e, err := New("mountaincar")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars[lane] = e.(*MountainCar)
+		e.Reset(seed)
+		b.ResetLane(lane, seed, obs)
+		seed++
+	}
+	for lane := range scalars {
+		reset(lane)
+	}
+	goals, walls := 0, 0
+	act := make([]float64, 3)
+	for step := 0; step < 3000; step++ {
+		for lane := 0; lane < width; lane++ {
+			push := 0 // left
+			if obs[1*width+lane] >= 0 {
+				push = 2 // right
+			}
+			for r := 0; r < 3; r++ {
+				actions[r*width+lane] = 0
+			}
+			actions[push*width+lane] = 1
+		}
+		b.StepAll(obs, rewards, done, actions, width)
+		for lane, e := range scalars {
+			for r := range act {
+				act[r] = actions[r*width+lane]
+			}
+			o, r, d := e.Step(act)
+			for row, want := range o {
+				if got := obs[row*width+lane]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d lane %d obs[%d]: batch %v != scalar %v", step, lane, row, got, want)
+				}
+			}
+			if r != rewards[lane] || d != done[lane] {
+				t.Fatalf("step %d lane %d: batch reward %v done %v, scalar %v %v", step, lane, rewards[lane], done[lane], r, d)
+			}
+			if e.pos <= mcMinPos {
+				walls++
+			}
+			if !d {
+				continue
+			}
+			got := b.LaneEnv(lane).(*MountainCar)
+			if got.AtGoal() != e.AtGoal() || math.Float64bits(got.Position()) != math.Float64bits(e.Position()) {
+				t.Fatalf("step %d lane %d: batch at goal %v position %v, scalar %v %v",
+					step, lane, got.AtGoal(), got.Position(), e.AtGoal(), e.Position())
+			}
+			if e.AtGoal() {
+				goals++
+			}
+			reset(lane)
+		}
+	}
+	t.Logf("%d episodes ended at the flag; %d lane-steps at the left wall", goals, walls)
+	if goals == 0 || walls == 0 {
+		t.Fatalf("the policy reached the flag %d times and the left wall %d times; both branches must run", goals, walls)
+	}
+}
+
+// benchStepAll steps a width-64 batch of the named environment with
+// every lane active on fixed random actions, resetting each lane when
+// its episode ends, and reports ns per lane-step: "native" is the batch
+// native builds, "generic" the Env-backed adapter over scalar
+// instances.
+func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
 	const width = 64
 	for _, c := range []struct {
 		name string
 		mk   func() Batch
 	}{
-		{"native", func() Batch { return newAcrobotBatch(width) }},
-		{"generic", func() Batch { return newGenericBatch("acrobot", factories["acrobot"], width) }},
+		{"native", func() Batch { return native(width) }},
+		{"generic", func() Batch { return newGenericBatch(name, factories[name], width) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			be := c.mk()
@@ -281,4 +374,12 @@ func BenchmarkAcrobotStepAll(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/lane-step")
 		})
 	}
+}
+
+func BenchmarkAcrobotStepAll(b *testing.B) {
+	benchStepAll(b, "acrobot", func(w int) Batch { return newAcrobotBatch(w) })
+}
+
+func BenchmarkMountainCarStepAll(b *testing.B) {
+	benchStepAll(b, "mountaincar", func(w int) Batch { return newMountainCarBatch(w) })
 }

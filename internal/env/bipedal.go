@@ -90,10 +90,12 @@ func (b *Bipedal) observe() []float64 {
 	for i := 0; i < 2; i++ {
 		o = append(o, b.hip[i], b.dHip[i], b.knee[i], b.dKnee[i], bf(b.contact[i]))
 	}
-	// 10-ray forward terrain lidar.
+	// 10-ray forward terrain lidar, each ray relative to the ground
+	// under the hull.
+	ground := b.terrainHeight(b.x)
 	for r := 0; r < bwLidarLen; r++ {
 		ahead := b.x + 0.2*float64(r+1)
-		o = append(o, b.terrainHeight(ahead)-b.terrainHeight(b.x))
+		o = append(o, b.terrainHeight(ahead)-ground)
 	}
 	copy(b.obs[:], o)
 	return b.obs[:]

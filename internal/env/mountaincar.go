@@ -61,8 +61,17 @@ func (m *MountainCar) observe() []float64 {
 
 // Step implements Env.
 func (m *MountainCar) Step(action []float64) ([]float64, float64, bool) {
-	a := argmax(action) // 0 left, 1 coast, 2 right
-	m.vel += float64(a-1)*mcForce - math.Cos(3*m.pos)*mcGravity
+	done := m.advance(argmax(action), math.Cos(3*m.pos))
+	return m.observe(), -1, done
+}
+
+// advance runs one step of the dynamics under action a (0 left,
+// 1 coast, 2 right), given cos3 = cos(3·pos) of the current position,
+// and reports whether the episode is over. The scalar Step computes
+// cos3 with math.Cos and the batch with the vector kernel, which is
+// bit-identical, so both run the same float operations.
+func (m *MountainCar) advance(a int, cos3 float64) bool {
+	m.vel += float64(a-1)*mcForce - cos3*mcGravity
 	m.vel = clamp(m.vel, -mcMaxSpeed, mcMaxSpeed)
 	m.pos += m.vel
 	m.pos = clamp(m.pos, mcMinPos, mcMaxPos)
@@ -70,8 +79,7 @@ func (m *MountainCar) Step(action []float64) ([]float64, float64, bool) {
 		m.vel = 0
 	}
 	m.steps++
-	done := m.pos >= mcGoal || m.steps >= mcBudget
-	return m.observe(), -1, done
+	return m.pos >= mcGoal || m.steps >= mcBudget
 }
 
 // AtGoal reports whether the car has reached the flag — used by the

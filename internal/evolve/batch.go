@@ -380,7 +380,6 @@ func (w *evalWorker) ensureBatch() {
 	if w.netSlots == nil {
 		w.netSlots = make(map[uint64][]*netSlot)
 		w.laneSets = make(map[int]*laneSet)
-		w.obsCol = make([]float64, w.env.ObservationSize())
 	}
 }
 
@@ -550,10 +549,7 @@ func (r *Runner) runBatchRange(w *evalWorker, grp *evalGroup, lo, hi int, perEp 
 			}
 		} else {
 			for lane := 0; lane < active; lane++ {
-				for rw := 0; rw < obsRows; rw++ {
-					w.obsCol[rw] = obsPlane[rw*width+lane]
-				}
-				ls.shapers[lane].Observe(w.obsCol, ls.rew[lane])
+				ls.shapers[lane].Observe(obsPlane, width, lane, ls.rew[lane])
 				ls.laneSteps[lane]++
 				if ls.done[lane] {
 					anyDone = true

@@ -192,11 +192,21 @@ func TestShapersRewardProgress(t *testing.T) {
 	// The MountainCar shaper must rank a higher climb above a lower one.
 	var s mcShaper
 	s.Reset()
-	s.Observe([]float64{-0.5, 0}, -1)
+	s.Observe([]float64{-0.5, 0}, 1, 0, -1)
 	lowObs := s.maxPos
-	s.Observe([]float64{0.1, 0}, -1)
+	s.Observe([]float64{0.1, 0}, 1, 0, -1)
 	if s.maxPos <= lowObs {
 		t.Fatal("shaper did not track progress")
+	}
+	// In place on a batch plane it reads its lane of row 0 only: lane 2
+	// of a width-3 plane whose velocity row and other lanes are higher.
+	plane := []float64{
+		0.4, 0.45, 0.2, // position row
+		0.5, 0.55, 0.6, // velocity row
+	}
+	s.Observe(plane, 3, 2, -1)
+	if s.maxPos != 0.2 {
+		t.Fatalf("shaper read %v from the plane, want lane 2's position 0.2", s.maxPos)
 	}
 }
 

@@ -245,8 +245,8 @@ func TestResumeRemovesJSONCheckpoint(t *testing.T) {
 // function bug.
 type panicShaper struct{}
 
-func (panicShaper) Reset()                     {}
-func (panicShaper) Observe([]float64, float64) { panic("shaper bug") }
+func (panicShaper) Reset()                               {}
+func (panicShaper) Observe([]float64, int, int, float64) { panic("shaper bug") }
 func (panicShaper) Fitness(env.Env, int) float64 {
 	return 0
 }

@@ -186,8 +186,6 @@ type evalWorker struct {
 	// per quantized lane width; widths recur across generations, so the
 	// map converges to a handful of entries and stops allocating.
 	laneSets map[int]*laneSet
-	// obsCol is the gather scratch for Observe of non-trivial shapers.
-	obsCol []float64
 	// netSlots caches one loaded BatchProgram (+state) per (phenotype
 	// topology, width), bucketed by TopoKey with structural
 	// confirmation, and swept generationally like the phenotype cache.
@@ -374,7 +372,7 @@ func (r *Runner) runEpisode(net *network.Network, e env.Env, shaper Shaper, g *g
 		var reward float64
 		var done bool
 		obs, reward, done = e.Step(action)
-		shaper.Observe(obs, reward)
+		shaper.Observe(obs, 1, 0, reward)
 		steps++
 		if done {
 			break

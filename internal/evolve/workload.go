@@ -17,8 +17,11 @@ import (
 // is reset per episode via Reset.
 type Shaper interface {
 	Reset()
-	// Observe sees each step's observation and reward.
-	Observe(obs []float64, reward float64)
+	// Observe sees each step's observation and reward. Element i of
+	// the observation is obs[i*stride+lane]: the batch engine passes its
+	// struct-of-arrays observation plane in place, the scalar path its
+	// observation slice with stride 1 and lane 0.
+	Observe(obs []float64, stride, lane int, reward float64)
 	// Fitness produces the episode fitness from the final environment
 	// state and the step count.
 	Fitness(e env.Env, steps int) float64
@@ -27,9 +30,9 @@ type Shaper interface {
 // cumReward is the default shaper: fitness = cumulative reward.
 type cumReward struct{ total float64 }
 
-func (c *cumReward) Reset()                         { c.total = 0 }
-func (c *cumReward) Observe(_ []float64, r float64) { c.total += r }
-func (c *cumReward) Fitness(env.Env, int) float64   { return c.total }
+func (c *cumReward) Reset()                                   { c.total = 0 }
+func (c *cumReward) Observe(_ []float64, _, _ int, r float64) { c.total += r }
+func (c *cumReward) Fitness(env.Env, int) float64             { return c.total }
 
 // mcShaper shapes MountainCar: solving scores by speed; otherwise the
 // best altitude reached provides a gradient toward the flag.
@@ -38,9 +41,9 @@ type mcShaper struct {
 }
 
 func (m *mcShaper) Reset() { m.maxPos = -1.2 }
-func (m *mcShaper) Observe(obs []float64, _ float64) {
-	if len(obs) > 0 && obs[0] > m.maxPos {
-		m.maxPos = obs[0]
+func (m *mcShaper) Observe(obs []float64, _, lane int, _ float64) {
+	if lane < len(obs) && obs[lane] > m.maxPos { // row 0: position
+		m.maxPos = obs[lane]
 	}
 }
 func (m *mcShaper) Fitness(e env.Env, steps int) float64 {
@@ -57,8 +60,8 @@ func (m *mcShaper) Fitness(e env.Env, steps int) float64 {
 // reached on the way.
 type acShaper struct{ best float64 }
 
-func (a *acShaper) Reset()                     { a.best = -2 }
-func (a *acShaper) Observe([]float64, float64) {}
+func (a *acShaper) Reset()                               { a.best = -2 }
+func (a *acShaper) Observe([]float64, int, int, float64) {}
 func (a *acShaper) Fitness(e env.Env, steps int) float64 {
 	ac, ok := e.(*env.Acrobot)
 	if !ok {

@@ -126,18 +126,24 @@ type BatchProgram struct {
 	// the NEAT numbering convention), which lets ObsPlane alias the
 	// observation plane onto the state's input rows.
 	inPrefix bool
+	// layers is the eval schedule split by longest-path layer, so no
+	// vertex reads another of its own layer.
+	layers []batchLayer
 }
 
+// batchLayer is one layer of the eval schedule: sig holds its
+// sum-aggregated sigmoid vertices (the default gene), which one
+// vmath.SigmoidRows call evaluates together, and other the rest, in
+// schedule order.
+type batchLayer struct{ sig, other []int32 }
+
 // BatchState is the mutable evaluation state for one BatchProgram: the
-// [node][lane] activation planes plus the per-vertex lane scratch rows
-// (accumulator, pre-activation, exp argument/result). Zero-alloc in
+// [node][lane] activation planes plus one accumulator row for the
+// vertices the fused sigmoid kernel does not take. Zero-alloc in
 // steady state; create one per worker and reuse it.
 type BatchState struct {
 	vals []float64 // nv * stride activation planes
 	acc  []float64 // stride
-	pre  []float64 // stride
-	earg []float64 // stride
-	eexp []float64 // stride
 }
 
 // NewBatch allocates a batch evaluator with the given lane count,
@@ -167,6 +173,19 @@ func NewBatch(exemplar Program, width int) *BatchProgram {
 			bp.inPrefix = false
 			break
 		}
+	}
+	start := int32(0)
+	for _, end := range p.layerEnd {
+		var ly batchLayer
+		for _, pos := range p.evalPos[start:end] {
+			if p.agg[pos] == gene.AggSum && p.act[pos] == gene.ActSigmoid {
+				ly.sig = append(ly.sig, pos)
+			} else {
+				ly.other = append(ly.other, pos)
+			}
+		}
+		bp.layers = append(bp.layers, ly)
+		start = end
 	}
 	return bp
 }
@@ -253,9 +272,6 @@ func (bp *BatchProgram) NewState() *BatchState {
 	return &BatchState{
 		vals: make([]float64, len(bp.p.ids)*w),
 		acc:  make([]float64, w),
-		pre:  make([]float64, w),
-		earg: make([]float64, w),
-		eexp: make([]float64, w),
 	}
 }
 
@@ -265,9 +281,14 @@ func (bp *BatchProgram) NewState() *BatchState {
 // dst[o*Width+lane] is output o of lane (rows beyond the active prefix
 // are left untouched in dst). Per lane it performs exactly the float
 // operations of Network.FeedInto in exactly the same order — the batch
-// engine's byte-equality guarantee — with the one sigmoid exp computed
-// through vmath.ExpSlice, which is bit-identical to math.Exp by
-// construction.
+// engine's byte-equality guarantee. It walks the schedule layer by
+// layer. A layer's sum-aggregated sigmoid vertices (the default gene)
+// are one vmath.SigmoidRows call, which on AVX2+FMA hosts sums, scales,
+// clamps and squashes each 4-lane group of every row in registers, two
+// groups' chains at a time, with a kernel bit-identical to the scalar
+// expression; any other vertex accumulates its row, then activates
+// lane by lane. Vertices of one layer never read each other, so this
+// order within a layer changes no result.
 // Zero allocations in steady state.
 func (bp *BatchProgram) FeedBatchInto(st *BatchState, dst, obs []float64, active int) error {
 	p := bp.p
@@ -291,69 +312,42 @@ func (bp *BatchProgram) FeedBatchInto(st *BatchState, dst, obs []float64, active
 		}
 	}
 	acc := st.acc[:active]
-	pre := st.pre[:active]
-	for _, pos := range p.evalPos {
-		lo, hi := p.edgeOff[pos], p.edgeOff[pos+1]
-		if f := p.agg[pos]; f == gene.AggSum {
-			for l := range acc {
-				acc[l] = 0
-			}
-			for k := lo; k < hi; k++ {
-				sp := int(p.edgePos[k]) * w
-				src := vals[sp : sp+active]
-				wp := bp.edgeWL[int(k)*w : int(k)*w+active]
-				wp = wp[:len(src)]
-				a := acc[:len(src)]
-				for l, v := range src {
-					a[l] += v * wp[l]
+	for _, ly := range bp.layers {
+		// Vertices of one layer never read each other, so the sigmoid
+		// rows go first, all in one call. The kernel takes each row's
+		// pad lanes up to its last 4-lane group (never past lane w):
+		// they hold stale or zeroed inputs and parameters, and their
+		// results are never read.
+		if len(ly.sig) > 0 {
+			vmath.SigmoidRows(vals, bp.edgeWL, bp.biasL, bp.respL, p.edgeOff, p.edgePos, ly.sig, w, active)
+		}
+		for _, pos := range ly.other {
+			lo, hi := p.edgeOff[pos], p.edgeOff[pos+1]
+			if f := p.agg[pos]; f == gene.AggSum {
+				for l := range acc {
+					acc[l] = 0
 				}
-			}
-		} else {
-			for l := 0; l < active; l++ {
-				acc[l] = bp.aggregateLane(f, vals, lo, hi, l)
-			}
-		}
-		bRow := bp.biasL[int(pos)*w : int(pos)*w+active]
-		rRow := bp.respL[int(pos)*w : int(pos)*w+active]
-		bRow = bRow[:len(acc)]
-		rRow = rRow[:len(acc)]
-		for l := range acc {
-			pre[l] = bRow[l] + rRow[l]*acc[l]
-		}
-		if p.act[pos] == gene.ActSigmoid {
-			earg := st.earg[:active]
-			for l := range pre {
-				earg[l] = -clampExp(5 * pre[l])
-			}
-			// Pad the exp call to the 4-lane vector quantum so a
-			// non-multiple-of-4 active count doesn't strand its tail on
-			// the scalar fallback: pad lanes hold stale (clamped,
-			// in-window) or zeroed arguments, and their results are
-			// never read.
-			r4 := (active + 3) &^ 3
-			if r4 > w {
-				r4 = w
-			}
-			vmath.ExpSlice(st.eexp[:r4], st.earg[:r4])
-			if r4 >= 16 {
-				// Wide rows finish the sigmoid through the windowless
-				// vector divide, over the same padded range (pad-lane
-				// vals are never read). Narrow rows stay scalar: below
-				// ~4 vector groups the call overhead costs more than
-				// the divide latency it saves.
-				vmath.Recip1pSlice(vals[int(pos)*w:int(pos)*w+r4], st.eexp[:r4])
+				for k := lo; k < hi; k++ {
+					sp := int(p.edgePos[k]) * w
+					src := vals[sp : sp+active]
+					wp := bp.edgeWL[int(k)*w : int(k)*w+active]
+					wp = wp[:len(src)]
+					a := acc[:len(src)]
+					for l, v := range src {
+						a[l] += v * wp[l]
+					}
+				}
 			} else {
-				row := vals[int(pos)*w : int(pos)*w+active]
-				eexp := st.eexp[:active]
-				for l := range row {
-					row[l] = 1 / (1 + eexp[l])
+				for l := 0; l < active; l++ {
+					acc[l] = bp.aggregateLane(f, vals, lo, hi, l)
 				}
 			}
-		} else {
+			r := int(pos) * w
+			row := vals[r : r+active]
+			bRow, rRow, a := bp.biasL[r:r+len(row)], bp.respL[r:r+len(row)], acc[:len(row)]
 			act := p.act[pos]
-			row := vals[int(pos)*w : int(pos)*w+active]
 			for l := range row {
-				row[l] = Activate(act, pre[l])
+				row[l] = Activate(act, bRow[l]+rRow[l]*a[l])
 			}
 		}
 	}

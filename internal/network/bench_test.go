@@ -99,3 +99,41 @@ func BenchmarkNetworkFeedBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNetworkFeedBatchNarrow measures the batch pass in the shape
+// most control-workload calls have: past generation 0 a topology group
+// is usually one genome's 2–3 episodes, so FeedBatchInto runs a
+// width-4 batch with 3 active lanes. The genomes are evolved with the
+// input and output widths of mountaincar (2→3), lunarlander (8→4) and
+// bipedal (24→4); the result is reported in ns per active lane-step.
+func BenchmarkNetworkFeedBatchNarrow(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		in, out int
+	}{{"in2", 2, 3}, {"in8", 8, 4}, {"in24", 24, 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := evolvedGenome(b, c.in, c.out, 64, 12, 42)
+			var bld Builder
+			pr, err := bld.Compile(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const width, active = 4, 3
+			bp := NewBatch(pr, width)
+			st := bp.NewState()
+			obs := make([]float64, bp.NumInputs()*width)
+			for i := range obs {
+				obs[i] = 0.25 * float64(i%9)
+			}
+			dst := make([]float64, bp.NumOutputs()*width)
+			b.ReportMetric(float64(bp.NumEdges()), "edges")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bp.FeedBatchInto(st, dst, obs, active); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*active), "ns/lane-step")
+		})
+	}
+}

@@ -1,47 +1,101 @@
 // Package vmath holds the 4-lane AVX2+FMA vector kernels the batch
-// evaluation engine leans on. Every kernel is bit-identical to its
-// math-package scalar: it mirrors the exact instruction-level rounding
-// sequence of the stdlib implementation for arguments inside a fast
-// window, and declines anything else to a scalar fallback. That
-// property is what lets the batch engine promise byte-equal results to
-// the serial reference path while still vectorizing the transcendental
-// hot spots (sigmoid exp, and the sin/cos of the cartpole and acrobot
-// batch environments).
+// evaluation engine leans on. Every kernel is bit-identical to the
+// scalar Go it replaces: it performs the same IEEE-754 operations in
+// the same order (and, for transcendentals, mirrors the exact
+// instruction-level rounding sequence of the stdlib implementation)
+// for arguments inside a fast window, and declines anything else to a
+// scalar fallback. That property is what lets the batch engine promise
+// byte-equal results to the serial reference path while still
+// vectorizing its hot spots: SigmoidRows evaluates the sum-and-sigmoid
+// vertices of a network layer in one fused kernel, and SinCosSlice
+// computes the trig of the cartpole, acrobot and mountaincar batch
+// environments.
 package vmath
 
 import "math"
 
-// ExpSlice computes dst[i] = math.Exp(src[i]) for every i. On hosts
-// with AVX2+FMA it runs a 4-lane vector kernel that mirrors the exact
-// FMA instruction sequence of math.Exp's assembly path, so the results
-// are bit-identical to calling math.Exp per element. Elements the
-// vector kernel declines (trailing partial group, or anything at and
-// after the first group with a lane outside [-690, 690]) fall back to
-// math.Exp itself.
-func ExpSlice(dst, src []float64) {
-	if len(dst) < len(src) {
-		panic("vmath: ExpSlice dst shorter than src")
+// SigmoidRows evaluates sum-aggregated sigmoid vertices of one layer
+// of a batch of networks laid out lane-major ([row][lane], rows stride
+// apart), for lanes [0, n). The vertices are CSR-shaped: vertex p's
+// fan-in edges are k in [off[p], off[p+1]), edge k reads source row
+// src[k] through weight row k, and the vertex writes its own row p of
+// vals. For each vertex p in rows and each lane l it sets
+//
+//	acc := +0.0
+//	for k := off[p]; k < off[p+1]; k++ {
+//		acc += vals[src[k]*stride+l] * w[k*stride+l]
+//	}
+//	vals[p*stride+l] = 1 / (1 + math.Exp(-clamp(5*(bias[p*stride+l]+resp[p*stride+l]*acc))))
+//
+// where clamp bounds to ±60 and lets NaN through: the scalar network
+// evaluator's operations in its order. No vertex in rows may read the
+// row of another (vertices of one longest-path layer never do), so
+// they may run in any order.
+//
+// On hosts with AVX2+FMA one fused kernel takes each row in whole
+// 4-lane groups, n rounded up to a group but never past lane
+// stride&^3, two groups at a time with their chains interleaved. It is
+// bit-identical to the scalar expression, so the pad lanes it adds
+// past n (computed from whatever the inputs' pad lanes hold) are the
+// only lanes it writes beyond [0, n). It stops at the first pair of
+// groups with a NaN exp argument. Those groups and every later one,
+// the lanes past each row's last whole group, and every lane on other
+// hosts run the scalar expression. Panics if n is outside [0, stride]
+// or any row, edge range or source row lies outside its slice for the
+// lanes it is asked to read or write.
+func SigmoidRows(vals, w, bias, resp []float64, off, src, rows []int32, stride, n int) {
+	if n < 0 || n > stride {
+		panic("vmath: SigmoidRows lane count outside the row")
 	}
-	i := expVecAccel(dst, src)
-	for ; i < len(src); i++ {
-		dst[i] = math.Exp(src[i])
+	m := min((n+3)&^3, stride&^3) // lanes the kernel may take per row
+	top := max(n, m)
+	for _, p := range rows {
+		if p < 0 || int(p)+1 >= len(off) {
+			panic("vmath: SigmoidRows vertex outside off")
+		}
+		if r := int(p)*stride + top; r > len(vals) || r > len(bias) || r > len(resp) {
+			panic("vmath: SigmoidRows row shorter than its lanes")
+		}
+		lo, hi := off[p], off[p+1]
+		if lo < 0 || lo > hi || int(hi) > len(src) || hi > lo && int(hi-1)*stride+top > len(w) {
+			panic("vmath: SigmoidRows edge range outside src or w")
+		}
+		var last uint32 // the highest source row; a negative one wraps past it
+		for _, s := range src[lo:hi] {
+			last = max(last, uint32(s))
+		}
+		if hi > lo && int(last)*stride+top > len(vals) {
+			panic("vmath: SigmoidRows source row outside vals")
+		}
+	}
+	done := sigmoidRowsAccel(vals, w, bias, resp, off, src, rows, stride, m)
+	groups := m / 4
+	for j, p := range rows {
+		// Row j's groups are tasks j*groups onward; the kernel finished
+		// the first done tasks.
+		l := 4 * min(max(done-j*groups, 0), groups)
+		r := int(p) * stride
+		lo, hi := off[p], off[p+1]
+		for ; l < n; l++ {
+			var acc float64
+			for k := lo; k < hi; k++ {
+				acc += vals[int(src[k])*stride+l] * w[int(k)*stride+l]
+			}
+			vals[r+l] = 1 / (1 + math.Exp(-clampExp(5*(bias[r+l]+resp[r+l]*acc))))
+		}
 	}
 }
 
-// Recip1pSlice computes dst[i] = 1 / (1 + src[i]) for every i — the
-// sigmoid finish. This kernel needs no window: addition and division
-// are correctly rounded IEEE-754 operations and the constant 1 is
-// never NaN, so the 4-lane vector path is bit-identical to the scalar
-// expression for every input, including NaN and ±Inf. Only the sub-4
-// tail runs the scalar loop.
-func Recip1pSlice(dst, src []float64) {
-	if len(dst) < len(src) {
-		panic("vmath: Recip1pSlice dst shorter than src")
+// clampExp is the sigmoid's exp-argument bound: ±60, NaN passed
+// through (the network package's clampExp).
+func clampExp(x float64) float64 {
+	if x > 60 {
+		return 60
 	}
-	i := recip1pAccel(dst, src)
-	for ; i < len(src); i++ {
-		dst[i] = 1 / (1 + src[i])
+	if x < -60 {
+		return -60
 	}
+	return x
 }
 
 // SinCosSlice computes sinDst[i], cosDst[i] = math.Sin(src[i]),

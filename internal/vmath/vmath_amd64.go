@@ -2,28 +2,25 @@
 
 package vmath
 
-// expVec is the 4-lane AVX2+FMA exp kernel (exp_amd64.s). It processes
-// leading groups of 4 and returns how many elements it wrote; it stops
-// early at the first group containing a lane outside [-690, 690] (the
-// range where math.Exp's assembly takes no special-case branch),
-// leaving the remainder to the scalar fallback in ExpSlice.
+import "unsafe"
+
+// sigmoidRowsVec is the fused sum-and-sigmoid layer kernel
+// (exp_amd64.s). Its tasks are the leading whole 4-lane groups of lanes
+// [0, n) of each vertex in rows, row by row; it runs them two at a time
+// and returns how many it finished, stopping early at the first pair
+// with a NaN exp argument and leaving the rest to the scalar loop in
+// SigmoidRows.
 //
 //go:noescape
-func expVec(dst, src *float64, n int) int
+func sigmoidRowsVec(vals, w, bias, resp *float64, off, src, rows *int32, nrows, stride, n int) int
 
 // sinCosVec is the fused 4-lane sin+cos kernel (sincos_amd64.s) for
-// finite |x| < 2^29. Same contract: leading groups, early stop on the
-// first group with a NaN, an Inf or |x| ≥ 2^29.
+// finite |x| < 2^29. It processes leading groups of 4 and returns how
+// many elements it wrote, stopping early at the first group with a
+// NaN, an Inf or |x| ≥ 2^29.
 //
 //go:noescape
 func sinCosVec(sinDst, cosDst, src *float64, n int) int
-
-// recip1pVec is the 4-lane sigmoid-finish kernel (recip_amd64.s):
-// dst = 1/(1+src). Correctly rounded ops only, so it takes every
-// leading 4-group regardless of value; the return is len(src)&^3.
-//
-//go:noescape
-func recip1pVec(dst, src *float64, n int) int
 
 // cpuidLeaf and xgetbv0 are thin wrappers over CPUID / XGETBV(0),
 // used once at init to decide whether the vector kernels are safe.
@@ -58,11 +55,14 @@ func detectAVX2FMA() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
-func expVecAccel(dst, src []float64) int {
-	if !HaveVec || len(src) < 4 {
+func sigmoidRowsAccel(vals, w, bias, resp []float64, off, src, rows []int32, stride, n int) int {
+	if !HaveVec || n < 4 || len(rows) == 0 {
 		return 0
 	}
-	return expVec(&dst[0], &src[0], len(src))
+	// With no fan-in anywhere, w and src may be empty; the kernel then
+	// reads neither.
+	return sigmoidRowsVec(&vals[0], unsafe.SliceData(w), &bias[0], &resp[0],
+		&off[0], unsafe.SliceData(src), &rows[0], len(rows), stride, n)
 }
 
 func sinCosVecAccel(sinDst, cosDst, src []float64) int {
@@ -70,11 +70,4 @@ func sinCosVecAccel(sinDst, cosDst, src []float64) int {
 		return 0
 	}
 	return sinCosVec(&sinDst[0], &cosDst[0], &src[0], len(src))
-}
-
-func recip1pAccel(dst, src []float64) int {
-	if !HaveVec || len(src) < 4 {
-		return 0
-	}
-	return recip1pVec(&dst[0], &src[0], len(src))
 }

@@ -20,8 +20,8 @@
 # cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one verifies the
 # committed run at boot and replays it from disk, a one-iteration smoke
-# over the kernel, vector sin/cos, acrobot batch, whole-RAM-job,
-# checkpoint codec, stored-run decode,
+# over the kernel, narrow batch feed, vector sin/cos, acrobot and
+# mountaincar batch, whole-RAM-job, checkpoint codec, stored-run decode,
 # replay and store benchmarks, boot verification (BenchmarkRecover)
 # included (so a change that breaks a benchmark fails here), a
 # one-iteration run of the root figure and ablation benchmarks that
@@ -30,11 +30,13 @@
 # short fuzz smoke over the untrusted-input decoders (trace parser,
 # binary genome record, NEAT population document, store manifest, the
 # worker's /island/step body, the client's SSE parser), the one-pass
-# genome validator and the vector sin/cos kernel. The trace parser,
-# validator and sin/cos fuzzers are differential: each checks the fast
-# code against its reference implementation (FuzzSinCosSlice checks
-# every lane against math.Sin/math.Cos bit for bit, on the host's path
-# and with the vector kernel off). The binary
+# genome validator, the vector sin/cos kernel and the fused sigmoid
+# vertex kernel. The trace parser, validator, sin/cos and sigmoid
+# fuzzers are differential: each checks the fast code against its
+# reference implementation (FuzzSinCosSlice checks every lane against
+# math.Sin/math.Cos bit for bit, FuzzSigmoidRows every lane against the
+# scalar sigmoid vertex, both on the host's path and with the vector
+# kernel off). The binary
 # genome record and population fuzzers check that the decoder accepts
 # only what the encoder writes: whatever Restore accepts, Save writes
 # back byte for byte (Save(Restore(x)) == x). The /island/step fuzzer
@@ -289,19 +291,22 @@ wait "$w1" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
-echo "== bench smoke (kernel + sin/cos + acrobot batch + batch + whole RAM job + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
+echo "== bench smoke (kernel + narrow batch feed + sin/cos + acrobot and mountaincar batch + batch + whole RAM job + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so
-# BenchmarkNetworkFeedBatch, BenchmarkEvaluateGenerationScalar (the
+# BenchmarkNetworkFeedBatch, BenchmarkNetworkFeedBatchNarrow (width 4,
+# 3 active lanes, on 2-, 8- and 24-input genomes: the shape of most
+# control-workload calls), BenchmarkEvaluateGenerationScalar (the
 # serial test reference evaluator) and BenchmarkEvaluateGenerationRAM
 # (alien-ram through the batch engine and through per-episode jobs)
 # smoke here too. BenchmarkRunRAM is one whole five-generation RAM-game
 # job. BenchmarkSinCosSlice runs its cartpole-window and acrobot-range
-# cases; BenchmarkAcrobotStepAll its native and generic batches.
+# cases; BenchmarkAcrobotStepAll and BenchmarkMountainCarStepAll their
+# native and generic batches.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
 go test -run=NONE -bench='BenchmarkSinCosSlice' \
     -benchtime=1x ./internal/vmath/
-go test -run=NONE -bench='BenchmarkAcrobotStepAll' \
+go test -run=NONE -bench='BenchmarkAcrobotStepAll|BenchmarkMountainCarStepAll' \
     -benchtime=1x ./internal/env/
 go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint' \
     -benchtime=1x ./internal/neat/
@@ -331,7 +336,7 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser, genome validator and vector sin/cos against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; client SSE parser)"
+echo "== fuzz smoke (trace parser, genome validator, vector sin/cos and sigmoid vertex against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; client SSE parser)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the
 # multi-kilobyte population corpus entries. FuzzRestore's oracle is
@@ -341,8 +346,13 @@ echo "== fuzz smoke (trace parser, genome validator and vector sin/cos against t
 # answers with the fuzz input as the event stream. FuzzSinCosSlice
 # reads 1–12 float64 lanes from raw bits, so NaN payloads, ±Inf,
 # subnormals, ±0 and |x| ≥ 2^29 reach the kernel and its fallback.
+# FuzzSigmoidRows reads a width of 4–8 lanes, an active count, 1–3
+# vertices with a fan-in of 0–3 each and every lane of the rows from raw
+# bits, and also checks that no source row changes and nothing past a
+# row is written.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
 go test -run=NONE -fuzz=FuzzSinCosSlice -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
+go test -run=NONE -fuzz=FuzzSigmoidRows -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
 go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRecord -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
