@@ -70,15 +70,22 @@ func (a *Acrobot) observe() []float64 {
 	return a.obs[:]
 }
 
-// acrobotDeriv returns the state derivative for the Spong acrobot
-// model at state s = (θ1, θ2, θ1', θ2') under the given torque. The
-// caller supplies the trig values it needs: cos θ2, sin θ2,
-// cos(θ1+θ2−π/2) and cos(θ1−π/2) of this same state. The scalar Step
-// computes them with math.Cos/math.Sin and the batch with the vector
-// kernel, which is bit-identical, so both run the same float
-// operations.
-func acrobotDeriv(s [4]float64, torque, cos2, sin2, cos12, cos1 float64) [4]float64 {
-	dth1, dth2 := s[2], s[3]
+// acrobotTrigArgs returns, for joint angles θ1 and θ2, the angles
+// whose trig acrobotDeriv takes: θ2 (cosine and sine), θ1+θ2−π/2 and
+// θ1−π/2 (cosine).
+func acrobotTrigArgs(th1, th2 float64) (a2, a12, a1 float64) {
+	return th2, th1 + th2 - math.Pi/2, th1 - math.Pi/2
+}
+
+// acrobotDeriv returns the angular accelerations of both joints of the
+// Spong acrobot model at angular velocities dth1 and dth2 under the
+// given torque; the angle derivatives are the velocities themselves. The
+// caller supplies the trig of the same state at acrobotTrigArgs: cos θ2,
+// sin θ2, cos(θ1+θ2−π/2) and cos(θ1−π/2). The scalar Step computes them
+// with math.Cos/math.Sin and the batch with the vector kernel, which is
+// bit-identical, so both run the same float operations. Arguments and
+// results are scalars, which Go's register ABI passes in registers.
+func acrobotDeriv(dth1, dth2, torque, cos2, sin2, cos12, cos1 float64) (ddth1, ddth2 float64) {
 	m, l1, lc, i, g := acLinkMass, acLinkLen1, acLinkCOM, acInertia, acGravity
 
 	d1 := m*lc*lc + m*(l1*l1+lc*lc+2*l1*lc*cos2) + 2*i
@@ -88,50 +95,56 @@ func acrobotDeriv(s [4]float64, torque, cos2, sin2, cos12, cos1 float64) [4]floa
 		2*m*l1*lc*dth2*dth1*sin2 +
 		(m*lc+m*l1)*g*cos1 + phi2
 
-	ddth2 := (torque + d2/d1*phi1 - m*l1*lc*dth1*dth1*sin2 - phi2) /
+	ddth2 = (torque + d2/d1*phi1 - m*l1*lc*dth1*dth1*sin2 - phi2) /
 		(m*lc*lc + i - d2*d2/d1)
-	ddth1 := -(d2*ddth2 + phi1) / d1
-	return [4]float64{dth1, dth2, ddth1, ddth2}
+	ddth1 = -(d2*ddth2 + phi1) / d1
+	return ddth1, ddth2
 }
 
-// acrobotDerivAt is acrobotDeriv with the trig computed by the stdlib.
-func acrobotDerivAt(s [4]float64, torque float64) [4]float64 {
-	th1, th2 := s[0], s[1]
-	return acrobotDeriv(s, torque, math.Cos(th2), math.Sin(th2),
-		math.Cos(th1+th2-math.Pi/2), math.Cos(th1-math.Pi/2))
-}
+// RK4 at acDt: stage i+1 evaluates the derivative at the step's start
+// state plus acStageH[i] times stage i's slope, and the step adds acDt/6
+// times the slope sum k1 + 2·k2 + 2·k3 + k4. The sum starts at k1 and
+// adds each later stage's weighted slope in order (acRK4Weight), which
+// rounds exactly as the expression written out does.
+var (
+	acStageH    = [3]float64{acDt / 2, acDt / 2, acDt}
+	acRK4Weight = [4]float64{1, 2, 2, 1}
+)
 
-// Step implements Env using one RK4 step.
+// Step implements Env using one RK4 step, run as the batch runs it
+// (acrobotBatch.StepAll), one lane.
 func (a *Acrobot) Step(action []float64) ([]float64, float64, bool) {
 	torque := 0.0
 	if len(action) > 0 {
 		torque = clamp(action[0], -acTorqueMax, acTorqueMax)
 	}
-	s := a.state()
-	k1 := acrobotDerivAt(s, torque)
-	k2 := acrobotDerivAt(addScaled(s, k1, acDt/2), torque)
-	k3 := acrobotDerivAt(addScaled(s, k2, acDt/2), torque)
-	k4 := acrobotDerivAt(addScaled(s, k3, acDt), torque)
-	a.advance(s, k1, k2, k3, k4)
+	x1, x2, v1, v2 := a.th1, a.th2, a.dth1, a.dth2 // the stage's state
+	var s1, s2, s3, s4 float64                     // the slope sum
+	for stage, wt := range acRK4Weight {
+		a2, a12, a1 := acrobotTrigArgs(x1, x2)
+		dd1, dd2 := acrobotDeriv(v1, v2, torque, math.Cos(a2), math.Sin(a2), math.Cos(a12), math.Cos(a1))
+		if stage == 0 {
+			s1, s2, s3, s4 = v1, v2, dd1, dd2
+		} else {
+			s1, s2, s3, s4 = s1+wt*v1, s2+wt*v2, s3+wt*dd1, s4+wt*dd2
+		}
+		if stage < len(acStageH) {
+			h := acStageH[stage]
+			x1, x2, v1, v2 = a.th1+h*v1, a.th2+h*v2, a.dth1+h*dd1, a.dth2+h*dd2
+		}
+	}
+	a.advance(s1, s2, s3, s4)
 	obs := a.observe()
 	return obs, -1, acrobotDone(obs[0], math.Cos(a.th2+a.th1), a.steps)
 }
 
-// state is the integrator state (θ1, θ2, θ1', θ2').
-func (a *Acrobot) state() [4]float64 {
-	return [4]float64{a.th1, a.th2, a.dth1, a.dth2}
-}
-
-// advance finishes one RK4 step from s with the four stage
-// derivatives: angles wrap to [−π, π], velocities clamp.
-func (a *Acrobot) advance(s, k1, k2, k3, k4 [4]float64) {
-	for j := 0; j < 4; j++ {
-		s[j] += acDt / 6 * (k1[j] + 2*k2[j] + 2*k3[j] + k4[j])
-	}
-	a.th1 = wrapAngle(s[0])
-	a.th2 = wrapAngle(s[1])
-	a.dth1 = clamp(s[2], -acMaxVel1, acMaxVel1)
-	a.dth2 = clamp(s[3], -acMaxVel2, acMaxVel2)
+// advance finishes one RK4 step with the slope sums of θ1, θ2, θ1' and
+// θ2': angles wrap to [−π, π], velocities clamp.
+func (a *Acrobot) advance(s1, s2, s3, s4 float64) {
+	a.th1 = wrapAngle(a.th1 + acDt/6*s1)
+	a.th2 = wrapAngle(a.th2 + acDt/6*s2)
+	a.dth1 = clamp(a.dth1+acDt/6*s3, -acMaxVel1, acMaxVel1)
+	a.dth2 = clamp(a.dth2+acDt/6*s4, -acMaxVel2, acMaxVel2)
 	a.steps++
 }
 
@@ -145,13 +158,6 @@ func acrobotDone(cos1, cos21 float64, steps int) bool {
 // TipHeight returns the tip elevation (fitness shaping input).
 func (a *Acrobot) TipHeight() float64 {
 	return -math.Cos(a.th1) - math.Cos(a.th2+a.th1)
-}
-
-func addScaled(s, d [4]float64, h float64) [4]float64 {
-	for j := 0; j < 4; j++ {
-		s[j] += h * d[j]
-	}
-	return s
 }
 
 func wrapAngle(th float64) float64 {

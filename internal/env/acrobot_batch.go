@@ -1,54 +1,54 @@
 package env
 
 import (
-	"math"
-
 	"repro/internal/rng"
 	"repro/internal/vmath"
 )
 
 // acrobotBatch is the native Acrobot batch. Its lanes are Acrobot
 // values, so LaneEnv hands the fitness shaper the lane's own *Acrobot,
-// but StepAll runs RK4 one stage at a time across all active lanes:
-// each stage gathers the trig arguments of every lane into rows, makes
-// one vector sin/cos call per row, then runs the shared acrobotDeriv
-// per lane. The vector kernel is bit-identical to math.Sin/math.Cos and
-// acrobotDeriv and advance are the scalar Step's own code, so a lane is
-// bit-equal to a scalar Acrobot driven with the same seed and actions.
+// but StepAll runs RK4 one stage at a time across all active lanes,
+// with the stage state and the running slope sums in rows, one row per
+// component. Each stage gathers every lane's three trig arguments into
+// three rows laid out back to back, makes one vector sin/cos call for
+// all of them, then runs the shared acrobotDeriv per lane on scalars.
+// One more call over θ2, θ2+θ1 and θ1 gives the observation and the
+// tip height. The vector kernel is bit-identical to math.Sin/math.Cos,
+// and acrobotTrigArgs, acrobotDeriv, the RK4 coefficients and advance
+// are the scalar Step's own, in its order, so a lane is bit-equal to a
+// scalar Acrobot driven with the same seed and actions.
 type acrobotBatch struct {
-	width  int
-	lanes  []Acrobot
-	torque []float64
-	x      [][4]float64    // each lane's state at the current RK4 stage
-	k      [4][][4]float64 // each lane's stage derivatives k1..k4
-	// Trig rows, padded to the 4-lane vector quantum. Per RK4 stage
-	// they hold θ2, θ1+θ2−π/2 and θ1−π/2; for the observation pass θ2,
-	// θ2+θ1 and θ1.
-	arg, sin, cos [3][]float64
+	width          int
+	lanes          []Acrobot
+	torque         []float64
+	x1, x2, v1, v2 []float64 // each lane's state at the current RK4 stage
+	s1, s2, s3, s4 []float64 // each lane's running RK4 slope sum
+	// Trig scratch: three rows of n lanes each, back to back, where n
+	// is the active count rounded up to the 4-lane vector quantum. Per
+	// RK4 stage the rows hold acrobotTrigArgs' θ2, θ1+θ2−π/2 and θ1−π/2;
+	// for the observation θ2, θ2+θ1 and θ1.
+	arg, sin, cos []float64
 }
 
 func newAcrobotBatch(width int) *acrobotBatch {
+	row := func() []float64 { return make([]float64, width) }
 	b := &acrobotBatch{
 		width:  width,
 		lanes:  make([]Acrobot, width),
-		torque: make([]float64, width),
-		x:      make([][4]float64, width),
+		torque: row(),
+		x1:     row(), x2: row(), v1: row(), v2: row(),
+		s1: row(), s2: row(), s3: row(), s4: row(),
 	}
 	for i := range b.lanes {
 		b.lanes[i].rnd = rng.New(0)
 	}
-	for i := range b.k {
-		b.k[i] = make([][4]float64, width)
-	}
-	// Pad lanes start at 0, which the kernel takes, and later hold a
-	// retired lane's last arguments; their results are never read, and
-	// a pad the kernel declines only sends its group to the fallback.
-	padded := (width + 3) &^ 3
-	for r := range b.arg {
-		b.arg[r] = make([]float64, padded)
-		b.sin[r] = make([]float64, padded)
-		b.cos[r] = make([]float64, padded)
-	}
+	// Pad lanes start at 0, which the kernel takes, and later hold
+	// earlier arguments; their results are never read, and a pad the
+	// kernel declines only sends its group to the fallback.
+	padded := 3 * ((width + 3) &^ 3)
+	b.arg = make([]float64, padded)
+	b.sin = make([]float64, padded)
+	b.cos = make([]float64, padded)
 	return b
 }
 
@@ -60,15 +60,6 @@ func (b *acrobotBatch) Width() int           { return b.width }
 func (b *acrobotBatch) LaneEnv(lane int) Env { return &b.lanes[lane] }
 func (b *acrobotBatch) SwapLanes(i, j int)   { b.lanes[i], b.lanes[j] = b.lanes[j], b.lanes[i] }
 
-// sinCosRows runs the vector kernel over the first active lanes of
-// each trig row, rounded up to the 4-lane quantum.
-func (b *acrobotBatch) sinCosRows(active int) {
-	n := (active + 3) &^ 3
-	for r := range b.arg {
-		vmath.SinCosSlice(b.sin[r][:n], b.cos[r][:n], b.arg[r][:n])
-	}
-}
-
 func (b *acrobotBatch) ResetLane(lane int, seed uint64, obs []float64) {
 	for i, v := range b.lanes[lane].Reset(seed) {
 		obs[i*b.width+lane] = v
@@ -77,43 +68,48 @@ func (b *acrobotBatch) ResetLane(lane int, seed uint64, obs []float64) {
 
 func (b *acrobotBatch) StepAll(obs, rewards []float64, done []bool, actions []float64, active int) {
 	w := b.width
+	n := (active + 3) &^ 3
 	lanes := b.lanes[:active]
-	torque, x := b.torque[:active], b.x[:active]
-	arg0, arg1, arg2 := b.arg[0][:active], b.arg[1][:active], b.arg[2][:active]
-	sin0 := b.sin[0][:active]
-	cos0, cos1, cos2 := b.cos[0][:active], b.cos[1][:active], b.cos[2][:active]
+	torque := b.torque[:active]
+	x1, x2, v1, v2 := b.x1[:active], b.x2[:active], b.v1[:active], b.v2[:active]
+	s1, s2, s3, s4 := b.s1[:active], b.s2[:active], b.s3[:active], b.s4[:active]
+	arg, sin, cos := b.arg[:3*n], b.sin[:3*n], b.cos[:3*n]
+	arg0, arg1, arg2 := arg[:active], arg[n:n+active], arg[2*n:2*n+active]
+	sin0, sin2 := sin[:active], sin[2*n:2*n+active]
+	cos0, cos1, cos2 := cos[:active], cos[n:n+active], cos[2*n:2*n+active]
 	for lane := range lanes {
+		a := &lanes[lane]
 		torque[lane] = clamp(actions[lane], -acTorqueMax, acTorqueMax) // action plane row 0
-		x[lane] = lanes[lane].state()
+		x1[lane], x2[lane], v1[lane], v2[lane] = a.th1, a.th2, a.dth1, a.dth2
 	}
-	// RK4 as Step runs it: stage i evaluates the derivative at x, and
-	// the next stage's x is the step's start state plus h[i]·k[i].
-	h := [3]float64{acDt / 2, acDt / 2, acDt}
-	for stage, k := range b.k {
-		k = k[:active]
-		for lane, s := range x {
-			arg0[lane] = s[1]
-			arg1[lane] = s[0] + s[1] - math.Pi/2
-			arg2[lane] = s[0] - math.Pi/2
+	for stage, wt := range acRK4Weight {
+		for lane := range lanes {
+			arg0[lane], arg1[lane], arg2[lane] = acrobotTrigArgs(x1[lane], x2[lane])
 		}
-		b.sinCosRows(active)
-		for lane := range x {
-			k[lane] = acrobotDeriv(x[lane], torque[lane], cos0[lane], sin0[lane], cos1[lane], cos2[lane])
-			if stage < len(h) {
-				x[lane] = addScaled(lanes[lane].state(), k[lane], h[stage])
+		vmath.SinCosSlice(sin, cos, arg)
+		for lane := range lanes {
+			dd1, dd2 := acrobotDeriv(v1[lane], v2[lane], torque[lane], cos0[lane], sin0[lane], cos1[lane], cos2[lane])
+			if stage == 0 {
+				s1[lane], s2[lane], s3[lane], s4[lane] = v1[lane], v2[lane], dd1, dd2
+			} else {
+				s1[lane] += wt * v1[lane]
+				s2[lane] += wt * v2[lane]
+				s3[lane] += wt * dd1
+				s4[lane] += wt * dd2
+			}
+			if stage < len(acStageH) {
+				a, h := &lanes[lane], acStageH[stage]
+				x1[lane], x2[lane] = a.th1+h*v1[lane], a.th2+h*v2[lane]
+				v1[lane], v2[lane] = a.dth1+h*dd1, a.dth2+h*dd2
 			}
 		}
 	}
-	k1, k2, k3, k4 := b.k[0][:active], b.k[1][:active], b.k[2][:active], b.k[3][:active]
 	for lane := range lanes {
 		a := &lanes[lane]
-		a.advance(a.state(), k1[lane], k2[lane], k3[lane], k4[lane])
-		arg0[lane] = a.th2
-		arg1[lane] = a.th2 + a.th1
-		arg2[lane] = a.th1
+		a.advance(s1[lane], s2[lane], s3[lane], s4[lane])
+		arg0[lane], arg1[lane], arg2[lane] = a.th2, a.th2+a.th1, a.th1
 	}
-	b.sinCosRows(active)
-	sin2 := b.sin[2][:active]
+	vmath.SinCosSlice(sin, cos, arg)
 	obs0, obs1 := obs[0*w:0*w+active], obs[1*w:1*w+active]
 	obs2, obs3 := obs[2*w:2*w+active], obs[3*w:3*w+active]
 	obs4, obs5 := obs[4*w:4*w+active], obs[5*w:5*w+active]

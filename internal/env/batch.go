@@ -44,19 +44,21 @@ type Batch interface {
 	// native struct-of-arrays implementation with no per-lane Env
 	// value (cartpole's). Fitness shapers that type-assert their
 	// concrete environment only exist for workloads whose batch has
-	// lane envs: the generic adapter and the native acrobot and
-	// mountaincar batches, whose lanes are Acrobot and MountainCar
-	// values.
+	// lane envs: the generic adapter and the native acrobot,
+	// mountaincar, lunarlander and bipedal batches, whose lanes are
+	// Acrobot, MountainCar, LunarLander and Bipedal values.
 	LaneEnv(lane int) Env
 }
 
 // NewBatch constructs a width-lane batch of the named environment.
-// CartPole, Acrobot and MountainCar are native: each step computes the
-// trig of all active lanes with the vector sin/cos kernel (CartPole's
-// pole angle; Acrobot's three arguments per RK4 stage and three more
-// for the observation; MountainCar's cos(3·pos)) and runs the scalar
-// physics per lane. Every other environment, the RAM titles included,
-// gets a generic adapter looping over fresh scalar instances.
+// Every classic-control task is native: each step computes the trig of
+// all active lanes with the vector sin/cos kernel, a few calls per step
+// (CartPole's pole angle; one call per RK4 stage for Acrobot's three
+// arguments and one for its observation; MountainCar's cos(3·pos);
+// LunarLander's attitude; Bipedal's four joint cosines, then its
+// lidar's terrain sines), and runs the physics it shares with the
+// scalar Step per lane. The RAM titles and Mario get a generic adapter
+// looping over fresh scalar instances.
 func NewBatch(name string, width int) (Batch, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("env: batch width %d < 1", width)
@@ -68,6 +70,10 @@ func NewBatch(name string, width int) (Batch, error) {
 		return newAcrobotBatch(width), nil
 	case "mountaincar":
 		return newMountainCarBatch(width), nil
+	case "lunarlander":
+		return newLunarLanderBatch(width), nil
+	case "bipedal":
+		return newBipedalBatch(width), nil
 	}
 	f, ok := factories[name]
 	if !ok {

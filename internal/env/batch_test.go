@@ -1,8 +1,11 @@
 package env
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,17 +18,18 @@ func swapCols(plane []float64, width, rows, a, b int) {
 	}
 }
 
-// driveBatchVsScalar locks a Batch against per-lane scalar envs: same
-// seeds, same action columns, bit-compared observations, rewards, and
-// done flags every step, with finished lanes compacted out of the
+// driveBatchVsScalar locks b against one scalar env of the same name
+// per lane: lane i starts with seeds[i], both sides take the action
+// plane fill writes each step, and observations, rewards and done flags
+// are bit-compared every step, with finished lanes compacted out of the
 // active prefix via SwapLanes (exercising the scheduler's retire path).
-func driveBatchVsScalar(t *testing.T, name string, mk func(width int) Batch, seedBase uint64) {
+// Every lane must finish within MaxSteps.
+func driveBatchVsScalar(t *testing.T, b Batch, seeds []uint64, fill func(actions []float64)) {
 	t.Helper()
-	const width = 5
-	b := mk(width)
+	width := b.Width()
 	scalars := make([]Env, width)
 	for i := range scalars {
-		e, err := New(name)
+		e, err := New(b.Name())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,8 +43,7 @@ func driveBatchVsScalar(t *testing.T, name string, mk func(width int) Batch, see
 	scalarObs := make([][]float64, width)
 	act := make([]float64, actRows)
 
-	for lane := 0; lane < width; lane++ {
-		seed := seedBase + uint64(lane)*977
+	for lane, seed := range seeds {
 		b.ResetLane(lane, seed, obs)
 		scalarObs[lane] = append([]float64(nil), scalars[lane].Reset(seed)...)
 	}
@@ -57,12 +60,9 @@ func driveBatchVsScalar(t *testing.T, name string, mk func(width int) Batch, see
 	}
 	compareObs(width, -1)
 
-	rnd := rand.New(rand.NewSource(int64(seedBase)))
 	active := width
 	for step := 0; active > 0 && step < b.MaxSteps()+5; step++ {
-		for i := 0; i < actRows*width; i++ {
-			actions[i] = rnd.Float64()*2 - 0.5
-		}
+		fill(actions)
 		b.StepAll(obs, rewards, done, actions, active)
 		for lane := 0; lane < active; lane++ {
 			for r := 0; r < actRows; r++ {
@@ -98,33 +98,102 @@ func driveBatchVsScalar(t *testing.T, name string, mk func(width int) Batch, see
 	}
 }
 
+// laneSeeds returns width episode seeds spread from base.
+func laneSeeds(base uint64, width int) []uint64 {
+	seeds := make([]uint64, width)
+	for lane := range seeds {
+		seeds[lane] = base + uint64(lane)*977
+	}
+	return seeds
+}
+
+// uniformActions fills every action plane with values uniform in
+// [−0.5, 1.5) from a stream seeded by seed.
+func uniformActions(seed uint64) func(actions []float64) {
+	rnd := rand.New(rand.NewSource(int64(seed)))
+	return func(actions []float64) {
+		for i := range actions {
+			actions[i] = rnd.Float64()*2 - 0.5
+		}
+	}
+}
+
 // TestBatchMatchesScalar pins every registered environment, through
-// whatever NewBatch serves (native for cartpole, generic otherwise),
-// to the scalar path bit for bit.
+// whatever NewBatch serves (a native batch for each classic-control
+// task, the generic adapter for the RAM titles and Mario), to the
+// scalar path bit for bit.
 func TestBatchMatchesScalar(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			driveBatchVsScalar(t, name, func(width int) Batch {
-				b, err := NewBatch(name, width)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}, 0xC0FFEE)
+			b, err := NewBatch(name, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveBatchVsScalar(t, b, laneSeeds(0xC0FFEE, 5), uniformActions(0xC0FFEE))
 		})
 	}
 }
 
 // TestGenericBatchMatchesScalar forces the generic adapter even for
-// cartpole, which has a native batch, pinning the adapter itself.
+// the environments with a native batch, pinning the adapter itself.
 func TestGenericBatchMatchesScalar(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			driveBatchVsScalar(t, name, func(width int) Batch {
-				return newGenericBatch(name, factories[name], width)
-			}, 0xBEEF)
+			b := newGenericBatch(name, factories[name], 5)
+			driveBatchVsScalar(t, b, laneSeeds(0xBEEF, 5), uniformActions(0xBEEF))
 		})
 	}
+}
+
+// FuzzBatchMatchesScalar reads an environment (any registered one, by
+// its index in Names), a width of 1–9 and every lane's 8-byte episode
+// seed from the input, then reads the action planes from the rest of
+// it, one byte per action as a value in [−4, 4) in steps of 1/32, from
+// the start again when it runs out (all zeros when there is none).
+// NewBatch's batch must match scalar envs bit for bit, with finished
+// lanes compacted out of the active prefix, as in TestBatchMatchesScalar.
+func FuzzBatchMatchesScalar(f *testing.F) {
+	names := Names()
+	seed := func(name string, width byte, laneSeeds []uint64, acts ...byte) []byte {
+		b := []byte{byte(slices.Index(names, name)), width}
+		for _, s := range laneSeeds {
+			b = binary.LittleEndian.AppendUint64(b, s)
+		}
+		return append(b, acts...)
+	}
+	f.Add(seed("cartpole", 4, []uint64{1, 2, 3, 4, 5}, 0x20, 0, 0x11, 0xF0, 0x10))
+	f.Add(seed("acrobot", 2, []uint64{7, 1 << 40, 9}, 0x80, 0x7F, 0x20, 0xE0, 0))
+	f.Add(seed("mountaincar", 8, []uint64{11, 12, 13}, 0x40, 0, 0xC0, 0x10, 0x10, 0x10, 0))
+	f.Add(seed("lunarlander", 6, []uint64{21, 22, 23, 24, 25, 26, 27}, 0, 0, 0x40, 0, 0x20, 0, 0, 0x30))
+	f.Add(seed("bipedal", 3, []uint64{31, 32, 33, 34}, 0x7F, 0x10, 0x81, 0xF0, 0x05))
+	f.Add([]byte{0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hdr [2]byte
+		data = data[copy(hdr[:], data):]
+		name := names[int(hdr[0])%len(names)]
+		width := 1 + int(hdr[1])%9
+		seeds := make([]uint64, width)
+		for lane := range seeds {
+			var s [8]byte
+			data = data[copy(s[:], data):]
+			seeds[lane] = binary.LittleEndian.Uint64(s[:])
+		}
+		b, err := NewBatch(name, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		driveBatchVsScalar(t, b, seeds, func(actions []float64) {
+			for i := range actions {
+				actions[i] = 0
+				if len(data) > 0 {
+					actions[i] = float64(int8(data[next%len(data)])) / 32
+					next++
+				}
+			}
+		})
+	})
 }
 
 // TestNewBatchErrors covers the construction guards.
@@ -138,12 +207,12 @@ func TestNewBatchErrors(t *testing.T) {
 }
 
 // TestNativeBatchRegistered pins which workloads NewBatch serves
-// natively: cartpole, acrobot and mountaincar, by their batch types.
-// The acrobot and mountaincar lanes are Acrobot and MountainCar values,
-// so their LaneEnv is the lane's own *Acrobot or *MountainCar, not nil
-// (the mountaincar shaper type-asserts it). Every other environment,
-// the RAM titles included, gets the generic adapter, with real lane
-// envs.
+// natively, by their batch types: every classic-control task. CartPole
+// keeps its state in planes and has no lane envs. The other four
+// batches' lanes are Acrobot, MountainCar, LunarLander and Bipedal
+// values, so their LaneEnv is the lane's own env, not nil (the acrobot
+// and mountaincar shapers type-assert it). Every other environment, the
+// RAM titles and Mario, gets the generic adapter, with real lane envs.
 func TestNativeBatchRegistered(t *testing.T) {
 	b, err := NewBatch("cartpole", 3)
 	if err != nil {
@@ -152,28 +221,27 @@ func TestNativeBatchRegistered(t *testing.T) {
 	if _, ok := b.(*cartPoleBatch); !ok || b.LaneEnv(0) != nil {
 		t.Fatalf("cartpole: expected the native batch with no lane envs, got %T", b)
 	}
-	b, err = NewBatch("acrobot", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*acrobotBatch); !ok {
-		t.Fatalf("acrobot: expected the native batch, got %T", b)
-	}
-	if _, ok := b.LaneEnv(2).(*Acrobot); !ok {
-		t.Fatalf("acrobot: LaneEnv = %T, want the lane's *Acrobot", b.LaneEnv(2))
-	}
-	b, err = NewBatch("mountaincar", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*mountainCarBatch); !ok {
-		t.Fatalf("mountaincar: expected the native batch, got %T", b)
-	}
-	if _, ok := b.LaneEnv(2).(*MountainCar); !ok {
-		t.Fatalf("mountaincar: LaneEnv = %T, want the lane's *MountainCar", b.LaneEnv(2))
+	native := map[string]bool{"cartpole": true}
+	for _, c := range []struct{ name, batch, lane string }{
+		{"acrobot", "*env.acrobotBatch", "*env.Acrobot"},
+		{"mountaincar", "*env.mountainCarBatch", "*env.MountainCar"},
+		{"lunarlander", "*env.lunarLanderBatch", "*env.LunarLander"},
+		{"bipedal", "*env.bipedalBatch", "*env.Bipedal"},
+	} {
+		b, err := NewBatch(c.name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%T", b); got != c.batch {
+			t.Fatalf("%s: got %s, want the native %s", c.name, got, c.batch)
+		}
+		if got := fmt.Sprintf("%T", b.LaneEnv(2)); got != c.lane || b.LaneEnv(1) == b.LaneEnv(2) {
+			t.Fatalf("%s: LaneEnv = %s, want the lane's own %s", c.name, got, c.lane)
+		}
+		native[c.name] = true
 	}
 	for _, name := range Names() {
-		if name == "cartpole" || name == "acrobot" || name == "mountaincar" {
+		if native[name] {
 			continue
 		}
 		b, err := NewBatch(name, 3)
@@ -222,18 +290,9 @@ func TestAcrobotBatchSwingUp(t *testing.T) {
 				actions[lane] = 1
 			}
 		}
-		b.StepAll(obs, rewards, done, actions, width)
+		stepLanesVsScalar(t, b, scalars, obs, rewards, done, actions, step)
 		for lane, e := range scalars {
-			o, r, d := e.Step(actions[lane : lane+1])
-			for row, want := range o {
-				if got := obs[row*width+lane]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("step %d lane %d obs[%d]: batch %v != scalar %v", step, lane, row, got, want)
-				}
-			}
-			if r != rewards[lane] || d != done[lane] {
-				t.Fatalf("step %d lane %d: batch reward %v done %v, scalar %v %v", step, lane, rewards[lane], done[lane], r, d)
-			}
-			if !d {
+			if !done[lane] {
 				continue
 			}
 			got, want := b.LaneEnv(lane).(*Acrobot), e.(*Acrobot)
@@ -262,7 +321,7 @@ func TestAcrobotBatchSwingUp(t *testing.T) {
 func TestMountainCarBatchPushWithVelocity(t *testing.T) {
 	const width = 6
 	b := newMountainCarBatch(width)
-	scalars := make([]*MountainCar, width)
+	scalars := make([]Env, width)
 	obs := make([]float64, b.ObservationSize()*width)
 	actions := make([]float64, b.ActionSize()*width)
 	rewards := make([]float64, width)
@@ -273,7 +332,7 @@ func TestMountainCarBatchPushWithVelocity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalars[lane] = e.(*MountainCar)
+		scalars[lane] = e
 		e.Reset(seed)
 		b.ResetLane(lane, seed, obs)
 		seed++
@@ -282,7 +341,6 @@ func TestMountainCarBatchPushWithVelocity(t *testing.T) {
 		reset(lane)
 	}
 	goals, walls := 0, 0
-	act := make([]float64, 3)
 	for step := 0; step < 3000; step++ {
 		for lane := 0; lane < width; lane++ {
 			push := 0 // left
@@ -294,24 +352,13 @@ func TestMountainCarBatchPushWithVelocity(t *testing.T) {
 			}
 			actions[push*width+lane] = 1
 		}
-		b.StepAll(obs, rewards, done, actions, width)
-		for lane, e := range scalars {
-			for r := range act {
-				act[r] = actions[r*width+lane]
-			}
-			o, r, d := e.Step(act)
-			for row, want := range o {
-				if got := obs[row*width+lane]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("step %d lane %d obs[%d]: batch %v != scalar %v", step, lane, row, got, want)
-				}
-			}
-			if r != rewards[lane] || d != done[lane] {
-				t.Fatalf("step %d lane %d: batch reward %v done %v, scalar %v %v", step, lane, rewards[lane], done[lane], r, d)
-			}
+		stepLanesVsScalar(t, b, scalars, obs, rewards, done, actions, step)
+		for lane, se := range scalars {
+			e := se.(*MountainCar)
 			if e.pos <= mcMinPos {
 				walls++
 			}
-			if !d {
+			if !done[lane] {
 				continue
 			}
 			got := b.LaneEnv(lane).(*MountainCar)
@@ -331,22 +378,207 @@ func TestMountainCarBatchPushWithVelocity(t *testing.T) {
 	}
 }
 
-// benchStepAll steps a width-64 batch of the named environment with
-// every lane active on fixed random actions, resetting each lane when
-// its episode ends, and reports ns per lane-step: "native" is the batch
-// native builds, "generic" the Env-backed adapter over scalar
-// instances.
+// stepLanesVsScalar steps every lane of b once on the action plane,
+// steps each lane's scalar env on the lane's action column, and fails
+// unless the observations, rewards and done flags agree bit for bit.
+func stepLanesVsScalar(t *testing.T, b Batch, scalars []Env, obs, rewards []float64, done []bool, actions []float64, step int) {
+	t.Helper()
+	w := b.Width()
+	b.StepAll(obs, rewards, done, actions, w)
+	act := make([]float64, b.ActionSize())
+	for lane, e := range scalars {
+		for r := range act {
+			act[r] = actions[r*w+lane]
+		}
+		o, r, d := e.Step(act)
+		for row, want := range o {
+			if got := obs[row*w+lane]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d lane %d obs[%d]: batch %v != scalar %v", step, lane, row, got, want)
+			}
+		}
+		if math.Float64bits(r) != math.Float64bits(rewards[lane]) || d != done[lane] {
+			t.Fatalf("step %d lane %d: batch reward %v done %v, scalar %v %v", step, lane, rewards[lane], done[lane], r, d)
+		}
+	}
+}
+
+// TestLunarLanderBatchTouchdown drives the native lunarlander batch
+// with a descent policy: brake with the main engine when sinking faster
+// than 0.15 below y = 0.8, otherwise null the attitude with the side
+// thrusters and never steer toward the pad. Episodes end in soft pad
+// landings, crashes (on the ground off the pad, or too fast or tilted)
+// and flyaways (out of the playfield), which random actions rarely
+// reach; each must occur. Every lane must match a scalar LunarLander bit
+// for bit, and at each episode's end LaneEnv's Landed and Crashed must
+// equal the scalar's. Finished lanes restart with fresh seeds.
+func TestLunarLanderBatchTouchdown(t *testing.T) {
+	const width = 6
+	b := newLunarLanderBatch(width)
+	scalars := make([]Env, width)
+	obs := make([]float64, b.ObservationSize()*width)
+	actions := make([]float64, b.ActionSize()*width)
+	rewards := make([]float64, width)
+	done := make([]bool, width)
+	seed := uint64(500)
+	reset := func(lane int) {
+		e, err := New("lunarlander")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars[lane] = e
+		e.Reset(seed)
+		b.ResetLane(lane, seed, obs)
+		seed++
+	}
+	for lane := range scalars {
+		reset(lane)
+	}
+	landed, crashed, flyaways := 0, 0, 0
+	for step := 0; step < 4000; step++ {
+		for lane := 0; lane < width; lane++ {
+			y, vy := obs[1*width+lane], obs[3*width+lane]
+			// The attitude half a time unit ahead: angle + vA/2.
+			tilt := obs[4*width+lane] + 0.5*obs[5*width+lane]
+			a := 0 // coast
+			switch {
+			case vy < -0.15 && y < 0.8:
+				a = 2 // main engine
+			case tilt > 0.05:
+				a = 1 // left thruster: turns back
+			case tilt < -0.05:
+				a = 3
+			}
+			for r := 0; r < 4; r++ {
+				actions[r*width+lane] = 0
+			}
+			actions[a*width+lane] = 1
+		}
+		stepLanesVsScalar(t, b, scalars, obs, rewards, done, actions, step)
+		for lane, e := range scalars {
+			if !done[lane] {
+				continue
+			}
+			got, want := b.LaneEnv(lane).(*LunarLander), e.(*LunarLander)
+			if got.Landed() != want.Landed() || got.Crashed() != want.Crashed() {
+				t.Fatalf("step %d lane %d: batch landed %v crashed %v, scalar %v %v",
+					step, lane, got.Landed(), got.Crashed(), want.Landed(), want.Crashed())
+			}
+			switch {
+			case want.Landed():
+				landed++
+			case want.Crashed() && (math.Abs(want.x) > llFieldHalf || want.y > 1.5):
+				flyaways++
+			case want.Crashed():
+				crashed++
+			}
+			reset(lane)
+		}
+	}
+	t.Logf("%d soft pad landings, %d crashes, %d flyaways", landed, crashed, flyaways)
+	if landed == 0 || crashed == 0 || flyaways == 0 {
+		t.Fatalf("%d landings, %d crashes and %d flyaways; each branch must run", landed, crashed, flyaways)
+	}
+}
+
+// TestBipedalBatchGait drives the native bipedal batch with an
+// alternating gait whose hips also push back against the hull's pitch,
+// with a gain of 0.5 on even episode seeds (too weak: the hull falls)
+// and 2 on odd ones (the walker keeps its feet for the whole 600-step
+// budget). Falls, full budgets and each leg alone in stance (one
+// contact flag set, the other clear) must all occur. Every lane must
+// match a scalar Bipedal bit for bit, and at each episode's end
+// LaneEnv's Distance must equal the scalar's. Finished lanes restart
+// with fresh seeds.
+func TestBipedalBatchGait(t *testing.T) {
+	const width = 6
+	b := newBipedalBatch(width)
+	scalars := make([]Env, width)
+	seeds := make([]uint64, width)
+	phases := make([]int, width) // steps into the lane's episode
+	obs := make([]float64, b.ObservationSize()*width)
+	actions := make([]float64, b.ActionSize()*width)
+	rewards := make([]float64, width)
+	done := make([]bool, width)
+	seed := uint64(900)
+	reset := func(lane int) {
+		e, err := New("bipedal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars[lane], seeds[lane], phases[lane] = e, seed, 0
+		e.Reset(seed)
+		b.ResetLane(lane, seed, obs)
+		seed++
+	}
+	for lane := range scalars {
+		reset(lane)
+	}
+	falls, budgets, stance := 0, 0, [2]int{}
+	for step := 0; step < 6000; step++ {
+		for lane := 0; lane < width; lane++ {
+			gain := 0.5
+			if seeds[lane]%2 == 1 {
+				gain = 2
+			}
+			phase := math.Sin(float64(phases[lane]) * 0.3)
+			pitch, vPitch := obs[0*width+lane], obs[1*width+lane]
+			hips := obs[4*width+lane] + obs[9*width+lane]
+			push := -gain * (pitch + 0.5*vPitch + 0.5*hips)
+			actions[0*width+lane], actions[1*width+lane] = phase+push, 0.2*phase
+			actions[2*width+lane], actions[3*width+lane] = -phase+push, -0.2*phase
+			phases[lane]++
+		}
+		stepLanesVsScalar(t, b, scalars, obs, rewards, done, actions, step)
+		for lane, e := range scalars {
+			switch c0, c1 := obs[8*width+lane], obs[13*width+lane]; {
+			case c0 == 1 && c1 == 0:
+				stance[0]++
+			case c0 == 0 && c1 == 1:
+				stance[1]++
+			}
+			if !done[lane] {
+				continue
+			}
+			got, want := b.LaneEnv(lane).(*Bipedal), e.(*Bipedal)
+			if math.Float64bits(got.Distance()) != math.Float64bits(want.Distance()) {
+				t.Fatalf("step %d lane %d: batch distance %v != scalar %v", step, lane, got.Distance(), want.Distance())
+			}
+			if want.fallen {
+				falls++
+			} else if want.steps == bwBudget {
+				budgets++
+			}
+			reset(lane)
+		}
+	}
+	t.Logf("%d falls, %d full budgets; leg 0 alone in stance %d lane-steps, leg 1 %d", falls, budgets, stance[0], stance[1])
+	if falls == 0 || budgets == 0 || stance[0] == 0 || stance[1] == 0 {
+		t.Fatalf("%d falls, %d full budgets, stance legs %v; each branch must run", falls, budgets, stance)
+	}
+}
+
+// benchStepAll steps a batch of the named environment on fixed random
+// actions, resetting each lane when its episode ends, and reports ns
+// per lane-step: "native" is the batch native builds, "generic" the
+// Env-backed adapter over scalar instances. The plain cases run width
+// 64 with every lane active; the "-narrow" ones width 4 with 3 active
+// lanes, the occupancy of most control-workload steps (a topology group
+// is usually one genome's 2–3 episodes), where each call's fixed cost
+// shows.
 func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
-	const width = 64
 	for _, c := range []struct {
-		name string
-		mk   func() Batch
+		name          string
+		mk            func(width int) Batch
+		width, active int
 	}{
-		{"native", func() Batch { return native(width) }},
-		{"generic", func() Batch { return newGenericBatch(name, factories[name], width) }},
+		{"native", native, 64, 64},
+		{"generic", func(w int) Batch { return newGenericBatch(name, factories[name], w) }, 64, 64},
+		{"native-narrow", native, 4, 3},
+		{"generic-narrow", func(w int) Batch { return newGenericBatch(name, factories[name], w) }, 4, 3},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			be := c.mk()
+			width, active := c.width, c.active
+			be := c.mk(width)
 			obs := make([]float64, be.ObservationSize()*width)
 			actions := make([]float64, be.ActionSize()*width)
 			rewards := make([]float64, width)
@@ -356,22 +588,22 @@ func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
 				actions[i] = rnd.Float64()*2 - 1
 			}
 			seed := uint64(0)
-			for lane := 0; lane < width; lane++ {
+			for lane := 0; lane < active; lane++ {
 				be.ResetLane(lane, seed, obs)
 				seed++
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				be.StepAll(obs, rewards, done, actions, width)
-				for lane, d := range done {
+				be.StepAll(obs, rewards, done, actions, active)
+				for lane, d := range done[:active] {
 					if d {
 						be.ResetLane(lane, seed, obs)
 						seed++
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/lane-step")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*active), "ns/lane-step")
 		})
 	}
 }
@@ -382,4 +614,12 @@ func BenchmarkAcrobotStepAll(b *testing.B) {
 
 func BenchmarkMountainCarStepAll(b *testing.B) {
 	benchStepAll(b, "mountaincar", func(w int) Batch { return newMountainCarBatch(w) })
+}
+
+func BenchmarkLunarLanderStepAll(b *testing.B) {
+	benchStepAll(b, "lunarlander", func(w int) Batch { return newLunarLanderBatch(w) })
+}
+
+func BenchmarkBipedalStepAll(b *testing.B) {
+	benchStepAll(b, "bipedal", func(w int) Batch { return newBipedalBatch(w) })
 }

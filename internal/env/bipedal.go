@@ -72,32 +72,57 @@ func (b *Bipedal) Reset(seed uint64) []float64 {
 	return b.observe()
 }
 
-// terrainHeight is a deterministic rolling ground profile.
-func (b *Bipedal) terrainHeight(x float64) float64 {
+// bwLidarArgs is the number of sine arguments of one observation's
+// ground profile: two for the ground under the hull and two for each
+// lidar ray.
+const bwLidarArgs = 2 * (1 + bwLidarLen)
+
+// lidarArgs writes the sine arguments of the ground profile, a
+// deterministic rolling terrain, under the hull and at each lidar ray:
+// args[2j] and args[2j+1] for point j, the hull at j = 0 and ray j
+// 0.2·j ahead of it.
+func (b *Bipedal) lidarArgs(args []float64) {
 	s := float64(b.terrainSeed%97) / 97
-	return 0.08*math.Sin(0.7*x+6*s) + 0.04*math.Sin(1.9*x+13*s)
+	for j := 0; j <= bwLidarLen; j++ {
+		x := b.x + 0.2*float64(j)
+		args[2*j], args[2*j+1] = 0.7*x+6*s, 1.9*x+13*s
+	}
 }
 
-func (b *Bipedal) observe() []float64 {
-	o := b.obs[:0]
+// observeInto writes the observation to dst[0], dst[stride], …,
+// dst[23*stride] (the scalar Step's own array, or a lane's column of a
+// batch's observation plane), given the sines of lidarArgs' arguments.
+// The 10-ray forward terrain lidar reads each ray relative to the
+// ground under the hull.
+func (b *Bipedal) observeInto(dst []float64, stride int, sines []float64) {
 	bf := func(v bool) float64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	o = append(o, b.pitch, b.vPitch, b.vx, b.vy)
+	dst[0*stride], dst[1*stride] = b.pitch, b.vPitch
+	dst[2*stride], dst[3*stride] = b.vx, b.vy
 	for i := 0; i < 2; i++ {
-		o = append(o, b.hip[i], b.dHip[i], b.knee[i], b.dKnee[i], bf(b.contact[i]))
+		r := 4 + 5*i
+		dst[r*stride], dst[(r+1)*stride] = b.hip[i], b.dHip[i]
+		dst[(r+2)*stride], dst[(r+3)*stride] = b.knee[i], b.dKnee[i]
+		dst[(r+4)*stride] = bf(b.contact[i])
 	}
-	// 10-ray forward terrain lidar, each ray relative to the ground
-	// under the hull.
-	ground := b.terrainHeight(b.x)
-	for r := 0; r < bwLidarLen; r++ {
-		ahead := b.x + 0.2*float64(r+1)
-		o = append(o, b.terrainHeight(ahead)-ground)
+	height := func(j int) float64 { return 0.08*sines[2*j] + 0.04*sines[2*j+1] }
+	ground := height(0)
+	for j := 1; j <= bwLidarLen; j++ {
+		dst[(13+j)*stride] = height(j) - ground
 	}
-	copy(b.obs[:], o)
+}
+
+func (b *Bipedal) observe() []float64 {
+	var args, sines [bwLidarArgs]float64
+	b.lidarArgs(args[:])
+	for i, x := range args {
+		sines[i] = math.Sin(x)
+	}
+	b.observeInto(b.obs[:], 1, sines[:])
 	return b.obs[:]
 }
 
@@ -112,6 +137,14 @@ func (b *Bipedal) Step(action []float64) ([]float64, float64, bool) {
 	for i := 0; i < 4 && i < len(action); i++ {
 		torque[i] = clamp(action[i], -1, 1)
 	}
+	fuel := b.actuate(torque)
+	reward, done := b.advance(fuel, math.Cos(b.hip[0]), math.Cos(b.knee[0]), math.Cos(b.hip[1]), math.Cos(b.knee[1]))
+	return b.observe(), reward, done
+}
+
+// actuate drives the joints with the clamped hip and knee torques of
+// both legs (hip 0, knee 0, hip 1, knee 1) and returns the step's fuel.
+func (b *Bipedal) actuate(torque [4]float64) float64 {
 	fuel := 0.0
 	for i := 0; i < 2; i++ {
 		b.dHip[i] = bwJointVel * torque[2*i]
@@ -120,14 +153,19 @@ func (b *Bipedal) Step(action []float64) ([]float64, float64, bool) {
 		b.knee[i] = clamp(b.knee[i]+b.dKnee[i]*bwDt, -1.2, 1.2)
 		fuel += math.Abs(torque[2*i]) + math.Abs(torque[2*i+1])
 	}
+	return fuel
+}
 
+// advance finishes the step that actuate began, given the cosines of
+// the moved joint angles, and returns the step's reward and whether
+// the episode is over. The scalar Step computes the cosines with
+// math.Cos and the batch with the vector kernel, which is
+// bit-identical, so both run the same float operations.
+func (b *Bipedal) advance(fuel, cosHip0, cosKnee0, cosHip1, cosKnee1 float64) (float64, bool) {
 	// Stance detection: the lower (more extended) leg carries the hull.
-	ext := [2]float64{}
-	for i := 0; i < 2; i++ {
-		// Foot drop below hip: extended knee and forward hip lengthen
-		// the leg.
-		ext[i] = math.Cos(b.hip[i]) + math.Cos(b.knee[i])
-	}
+	// Foot drop below hip: extended knee and forward hip lengthen the
+	// leg.
+	ext := [2]float64{cosHip0 + cosKnee0, cosHip1 + cosKnee1}
 	stance := 0
 	if ext[1] > ext[0] {
 		stance = 1
@@ -157,8 +195,7 @@ func (b *Bipedal) Step(action []float64) ([]float64, float64, bool) {
 	if b.fallen {
 		reward -= 100
 	}
-	done := b.fallen || b.steps >= bwBudget
-	return b.observe(), reward, done
+	return reward, b.fallen || b.steps >= bwBudget
 }
 
 // Distance returns the hull's forward progress.

@@ -132,10 +132,13 @@ type BatchProgram struct {
 }
 
 // batchLayer is one layer of the eval schedule: sig holds its
-// sum-aggregated sigmoid vertices (the default gene), which one
-// vmath.SigmoidRows call evaluates together, and other the rest, in
-// schedule order.
-type batchLayer struct{ sig, other []int32 }
+// sum-aggregated sigmoid vertices (the default gene), checked once
+// against the program's CSR and the batch width and evaluated together
+// in one call, and other the rest, in schedule order.
+type batchLayer struct {
+	sig   vmath.SigmoidLayer
+	other []int32
+}
 
 // BatchState is the mutable evaluation state for one BatchProgram: the
 // [node][lane] activation planes plus one accumulator row for the
@@ -177,13 +180,15 @@ func NewBatch(exemplar Program, width int) *BatchProgram {
 	start := int32(0)
 	for _, end := range p.layerEnd {
 		var ly batchLayer
+		var sig []int32
 		for _, pos := range p.evalPos[start:end] {
 			if p.agg[pos] == gene.AggSum && p.act[pos] == gene.ActSigmoid {
-				ly.sig = append(ly.sig, pos)
+				sig = append(sig, pos)
 			} else {
 				ly.other = append(ly.other, pos)
 			}
 		}
+		ly.sig = vmath.NewSigmoidLayer(p.edgeOff, p.edgePos, sig, width)
 		bp.layers = append(bp.layers, ly)
 		start = end
 	}
@@ -283,11 +288,11 @@ func (bp *BatchProgram) NewState() *BatchState {
 // operations of Network.FeedInto in exactly the same order — the batch
 // engine's byte-equality guarantee. It walks the schedule layer by
 // layer. A layer's sum-aggregated sigmoid vertices (the default gene)
-// are one vmath.SigmoidRows call, which on AVX2+FMA hosts sums, scales,
-// clamps and squashes each 4-lane group of every row in registers, two
-// groups' chains at a time, with a kernel bit-identical to the scalar
-// expression; any other vertex accumulates its row, then activates
-// lane by lane. Vertices of one layer never read each other, so this
+// are one vmath.SigmoidLayer.Eval call, which on AVX2+FMA hosts sums,
+// scales, clamps and squashes each 4-lane group of every row in
+// registers, two groups' chains at a time, with a kernel bit-identical
+// to the scalar expression; any other vertex accumulates its row, then
+// activates lane by lane. Vertices of one layer never read each other, so this
 // order within a layer changes no result.
 // Zero allocations in steady state.
 func (bp *BatchProgram) FeedBatchInto(st *BatchState, dst, obs []float64, active int) error {
@@ -312,15 +317,14 @@ func (bp *BatchProgram) FeedBatchInto(st *BatchState, dst, obs []float64, active
 		}
 	}
 	acc := st.acc[:active]
-	for _, ly := range bp.layers {
+	for i := range bp.layers {
+		ly := &bp.layers[i]
 		// Vertices of one layer never read each other, so the sigmoid
 		// rows go first, all in one call. The kernel takes each row's
 		// pad lanes up to its last 4-lane group (never past lane w):
 		// they hold stale or zeroed inputs and parameters, and their
 		// results are never read.
-		if len(ly.sig) > 0 {
-			vmath.SigmoidRows(vals, bp.edgeWL, bp.biasL, bp.respL, p.edgeOff, p.edgePos, ly.sig, w, active)
-		}
+		ly.sig.Eval(vals, bp.edgeWL, bp.biasL, bp.respL, active)
 		for _, pos := range ly.other {
 			lo, hi := p.edgeOff[pos], p.edgeOff[pos+1]
 			if f := p.agg[pos]; f == gene.AggSum {

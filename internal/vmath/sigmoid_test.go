@@ -8,7 +8,7 @@ import (
 )
 
 // layer is a set of sum-aggregated sigmoid vertices in the CSR,
-// lane-major layout SigmoidRows reads: the plane holds nsrc source rows,
+// lane-major layout a SigmoidLayer reads: the plane holds nsrc source rows,
 // then one row per vertex, each stride lanes wide, with bias and
 // response planes of the same shape. Vertex p's fan-in edges are k in
 // [off[p], off[p+1]), each reading row src[k] through weight row k.
@@ -76,11 +76,11 @@ func (ly *layer) ref(p, l int) float64 {
 // lanes past the plane.
 const guardBits = 0x7FF8DEADBEEF0001
 
-// checkLayer runs SigmoidRows over lanes [0, n) of ly, with the vertex
+// checkLayer evaluates ly as a SigmoidLayer over lanes [0, n), with the vertex
 // rows and 4 lanes past the plane set to guardBits. It fails on the
 // first lane whose bits differ from ref (any NaN matches any NaN), on
 // any change to a source row, and on any write outside the lanes
-// SigmoidRows may touch: [0, n) of each vertex row and the pad lanes of
+// Eval may touch: [0, n) of each vertex row and the pad lanes of
 // its last whole 4-lane group inside the row.
 func checkLayer(t *testing.T, ly *layer, n int) {
 	t.Helper()
@@ -92,7 +92,8 @@ func checkLayer(t *testing.T, ly *layer, n int) {
 		buf[i] = math.Float64frombits(guardBits)
 	}
 	vals := buf[:len(ly.vals):len(ly.vals)]
-	SigmoidRows(vals, ly.w, ly.bias, ly.resp, ly.off, ly.src, ly.rows, ly.stride, n)
+	sl := NewSigmoidLayer(ly.off, ly.src, ly.rows, ly.stride)
+	sl.Eval(vals, ly.w, ly.bias, ly.resp, n)
 	writable := max(n, min((n+3)&^3, ly.stride&^3))
 	for i, x := range buf {
 		p, l := i/ly.stride, i%ly.stride
@@ -120,7 +121,7 @@ func checkAllActive(t *testing.T, ly *layer) {
 	}
 }
 
-// TestSigmoidRowsBitIdentical pins SigmoidRows to the scalar sigmoid
+// TestSigmoidRowsBitIdentical pins SigmoidLayer.Eval to the scalar sigmoid
 // vertex lane for lane and bit for bit on every input class: random
 // finite layers of 1, 2, 3 and 5 vertices (odd task counts leave a task
 // without a partner) at widths 4, 6, 8 and 64 with every active count
@@ -370,10 +371,11 @@ func sigmoidClasses(t *testing.T) {
 	})
 }
 
-// TestSigmoidRowsPanics: SigmoidRows refuses, on every path, a lane
+// TestSigmoidRowsPanics: a SigmoidLayer refuses, on every path, a lane
 // count outside the row and any vertex, edge range or source row that
-// lies outside its slice for the lanes it is asked to read or write,
-// the pad lanes of a row's last group included.
+// lies outside its slice for the whole rows it reads or writes, the pad
+// lanes of a row's last group included. NewSigmoidLayer rejects
+// the malformed structures and Eval the short planes and lane counts.
 func TestSigmoidRowsPanics(t *testing.T) {
 	for _, path := range []string{"host", "scalar"} {
 		if path == "scalar" {
@@ -403,10 +405,11 @@ func TestSigmoidRowsPanics(t *testing.T) {
 				c.edit(ly, &n)
 				defer func() {
 					if recover() == nil {
-						t.Fatal("SigmoidRows did not panic")
+						t.Fatal("the SigmoidLayer did not panic")
 					}
 				}()
-				SigmoidRows(ly.vals, ly.w, ly.bias, ly.resp, ly.off, ly.src, ly.rows, ly.stride, n)
+				sl := NewSigmoidLayer(ly.off, ly.src, ly.rows, ly.stride)
+				sl.Eval(ly.vals, ly.w, ly.bias, ly.resp, n)
 			})
 		}
 	}

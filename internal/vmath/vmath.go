@@ -6,20 +6,64 @@
 // for arguments inside a fast window, and declines anything else to a
 // scalar fallback. That property is what lets the batch engine promise
 // byte-equal results to the serial reference path while still
-// vectorizing its hot spots: SigmoidRows evaluates the sum-and-sigmoid
-// vertices of a network layer in one fused kernel, and SinCosSlice
-// computes the trig of the cartpole, acrobot and mountaincar batch
+// vectorizing its hot spots: a SigmoidLayer evaluates the
+// sum-and-sigmoid vertices of a network layer in one fused kernel, and
+// SinCosSlice computes the trig of the classic-control batch
 // environments.
 package vmath
 
 import "math"
 
-// SigmoidRows evaluates sum-aggregated sigmoid vertices of one layer
-// of a batch of networks laid out lane-major ([row][lane], rows stride
-// apart), for lanes [0, n). The vertices are CSR-shaped: vertex p's
-// fan-in edges are k in [off[p], off[p+1]), edge k reads source row
-// src[k] through weight row k, and the vertex writes its own row p of
-// vals. For each vertex p in rows and each lane l it sets
+// SigmoidLayer is the sum-aggregated sigmoid vertices of one layer of
+// a batch of networks laid out lane-major ([row][lane], rows stride
+// apart), with its structure checked once. The vertices are CSR-shaped:
+// vertex p's fan-in edges are k in [off[p], off[p+1]), edge k reads
+// source row src[k] through weight row k, and the vertex writes its own
+// row p. No vertex in rows may read the row of another (vertices of one
+// longest-path layer never do), so they may run in any order.
+type SigmoidLayer struct {
+	off, src, rows []int32
+	stride         int
+	// The plane lengths Eval needs, in whole rows: vals must hold every
+	// vertex and source row, w the row of every edge, and bias and resp
+	// every vertex row.
+	valsLen, wLen, paramLen int
+}
+
+// NewSigmoidLayer checks the vertices in rows against off and src once,
+// for planes of the given stride, so that Eval need only check lengths.
+// It panics if a vertex is negative or has no entry in off, an edge
+// range is inverted or runs past src, or a source row is negative.
+func NewSigmoidLayer(off, src, rows []int32, stride int) SigmoidLayer {
+	var top, topParam, topEdge int // one past the highest row each plane needs
+	for _, p := range rows {
+		if p < 0 || int(p)+1 >= len(off) {
+			panic("vmath: SigmoidLayer vertex outside off")
+		}
+		topParam = max(topParam, int(p)+1)
+		lo, hi := off[p], off[p+1]
+		if lo < 0 || lo > hi || int(hi) > len(src) {
+			panic("vmath: SigmoidLayer edge range outside src")
+		}
+		if hi > lo {
+			topEdge = max(topEdge, int(hi))
+		}
+		for _, s := range src[lo:hi] {
+			if s < 0 {
+				panic("vmath: SigmoidLayer source row negative")
+			}
+			top = max(top, int(s)+1)
+		}
+	}
+	top = max(top, topParam)
+	return SigmoidLayer{
+		off: off, src: src, rows: rows, stride: stride,
+		valsLen: top * stride, wLen: topEdge * stride, paramLen: topParam * stride,
+	}
+}
+
+// Eval evaluates the layer for lanes [0, n). For each vertex p in rows
+// and each lane l it sets
 //
 //	acc := +0.0
 //	for k := off[p]; k < off[p+1]; k++ {
@@ -28,9 +72,7 @@ import "math"
 //	vals[p*stride+l] = 1 / (1 + math.Exp(-clamp(5*(bias[p*stride+l]+resp[p*stride+l]*acc))))
 //
 // where clamp bounds to ±60 and lets NaN through: the scalar network
-// evaluator's operations in its order. No vertex in rows may read the
-// row of another (vertices of one longest-path layer never do), so
-// they may run in any order.
+// evaluator's operations in its order.
 //
 // On hosts with AVX2+FMA one fused kernel takes each row in whole
 // 4-lane groups, n rounded up to a group but never past lane
@@ -41,35 +83,22 @@ import "math"
 // groups with a NaN exp argument. Those groups and every later one,
 // the lanes past each row's last whole group, and every lane on other
 // hosts run the scalar expression. Panics if n is outside [0, stride]
-// or any row, edge range or source row lies outside its slice for the
-// lanes it is asked to read or write.
-func SigmoidRows(vals, w, bias, resp []float64, off, src, rows []int32, stride, n int) {
+// or a plane is shorter than the whole rows the layer reads or writes.
+func (ly *SigmoidLayer) Eval(vals, w, bias, resp []float64, n int) {
+	stride := ly.stride
 	if n < 0 || n > stride {
-		panic("vmath: SigmoidRows lane count outside the row")
+		panic("vmath: SigmoidLayer lane count outside the row")
 	}
+	if len(vals) < ly.valsLen || len(w) < ly.wLen || len(bias) < ly.paramLen || len(resp) < ly.paramLen {
+		panic("vmath: SigmoidLayer plane shorter than its rows")
+	}
+	off, src, rows := ly.off, ly.src, ly.rows
 	m := min((n+3)&^3, stride&^3) // lanes the kernel may take per row
-	top := max(n, m)
-	for _, p := range rows {
-		if p < 0 || int(p)+1 >= len(off) {
-			panic("vmath: SigmoidRows vertex outside off")
-		}
-		if r := int(p)*stride + top; r > len(vals) || r > len(bias) || r > len(resp) {
-			panic("vmath: SigmoidRows row shorter than its lanes")
-		}
-		lo, hi := off[p], off[p+1]
-		if lo < 0 || lo > hi || int(hi) > len(src) || hi > lo && int(hi-1)*stride+top > len(w) {
-			panic("vmath: SigmoidRows edge range outside src or w")
-		}
-		var last uint32 // the highest source row; a negative one wraps past it
-		for _, s := range src[lo:hi] {
-			last = max(last, uint32(s))
-		}
-		if hi > lo && int(last)*stride+top > len(vals) {
-			panic("vmath: SigmoidRows source row outside vals")
-		}
-	}
 	done := sigmoidRowsAccel(vals, w, bias, resp, off, src, rows, stride, m)
 	groups := m / 4
+	if m >= n && done == len(rows)*groups {
+		return
+	}
 	for j, p := range rows {
 		// Row j's groups are tasks j*groups onward; the kernel finished
 		// the first done tasks.

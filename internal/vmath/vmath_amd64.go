@@ -9,7 +9,7 @@ import "unsafe"
 // [0, n) of each vertex in rows, row by row; it runs them two at a time
 // and returns how many it finished, stopping early at the first pair
 // with a NaN exp argument and leaving the rest to the scalar loop in
-// SigmoidRows.
+// SigmoidLayer.Eval.
 //
 //go:noescape
 func sigmoidRowsVec(vals, w, bias, resp *float64, off, src, rows *int32, nrows, stride, n int) int

@@ -20,8 +20,9 @@
 # cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one verifies the
 # committed run at boot and replays it from disk, a one-iteration smoke
-# over the kernel, narrow batch feed, vector sin/cos, acrobot and
-# mountaincar batch, whole-RAM-job, checkpoint codec, stored-run decode,
+# over the kernel, narrow batch feed, vector sin/cos, acrobot,
+# mountaincar, lunarlander and bipedal batch, whole-RAM-job, checkpoint
+# codec, stored-run decode,
 # replay and store benchmarks, boot verification (BenchmarkRecover)
 # included (so a change that breaks a benchmark fails here), a
 # one-iteration run of the root figure and ablation benchmarks that
@@ -30,13 +31,15 @@
 # short fuzz smoke over the untrusted-input decoders (trace parser,
 # binary genome record, NEAT population document, store manifest, the
 # worker's /island/step body, the client's SSE parser), the one-pass
-# genome validator, the vector sin/cos kernel and the fused sigmoid
-# vertex kernel. The trace parser, validator, sin/cos and sigmoid
-# fuzzers are differential: each checks the fast code against its
-# reference implementation (FuzzSinCosSlice checks every lane against
+# genome validator, the vector sin/cos kernel, the fused sigmoid
+# vertex kernel and the batch environments. The trace parser,
+# validator, sin/cos, sigmoid and batch environment fuzzers are
+# differential: each checks the fast code against its reference
+# implementation (FuzzSinCosSlice checks every lane against
 # math.Sin/math.Cos bit for bit, FuzzSigmoidRows every lane against the
 # scalar sigmoid vertex, both on the host's path and with the vector
-# kernel off). The binary
+# kernel off, and FuzzBatchMatchesScalar every lane of NewBatch's batch
+# against a scalar env). The binary
 # genome record and population fuzzers check that the decoder accepts
 # only what the encoder writes: whatever Restore accepts, Save writes
 # back byte for byte (Save(Restore(x)) == x). The /island/step fuzzer
@@ -291,7 +294,7 @@ wait "$w1" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
-echo "== bench smoke (kernel + narrow batch feed + sin/cos + acrobot and mountaincar batch + batch + whole RAM job + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
+echo "== bench smoke (kernel + narrow batch feed + sin/cos + acrobot, mountaincar, lunarlander and bipedal batch + batch + whole RAM job + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so
 # BenchmarkNetworkFeedBatch, BenchmarkNetworkFeedBatchNarrow (width 4,
 # 3 active lanes, on 2-, 8- and 24-input genomes: the shape of most
@@ -300,13 +303,15 @@ echo "== bench smoke (kernel + narrow batch feed + sin/cos + acrobot and mountai
 # (alien-ram through the batch engine and through per-episode jobs)
 # smoke here too. BenchmarkRunRAM is one whole five-generation RAM-game
 # job. BenchmarkSinCosSlice runs its cartpole-window and acrobot-range
-# cases; BenchmarkAcrobotStepAll and BenchmarkMountainCarStepAll their
-# native and generic batches.
+# cases; BenchmarkAcrobotStepAll, BenchmarkMountainCarStepAll,
+# BenchmarkLunarLanderStepAll and BenchmarkBipedalStepAll their native
+# and generic batches, each at width 64 with every lane active and at
+# width 4 with 3 active lanes.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
 go test -run=NONE -bench='BenchmarkSinCosSlice' \
     -benchtime=1x ./internal/vmath/
-go test -run=NONE -bench='BenchmarkAcrobotStepAll|BenchmarkMountainCarStepAll' \
+go test -run=NONE -bench='BenchmarkAcrobotStepAll|BenchmarkMountainCarStepAll|BenchmarkLunarLanderStepAll|BenchmarkBipedalStepAll' \
     -benchtime=1x ./internal/env/
 go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint' \
     -benchtime=1x ./internal/neat/
@@ -336,7 +341,7 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser, genome validator, vector sin/cos and sigmoid vertex against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; client SSE parser)"
+echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid vertex and batch environments against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; client SSE parser)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the
 # multi-kilobyte population corpus entries. FuzzRestore's oracle is
@@ -349,10 +354,14 @@ echo "== fuzz smoke (trace parser, genome validator, vector sin/cos and sigmoid 
 # FuzzSigmoidRows reads a width of 4–8 lanes, an active count, 1–3
 # vertices with a fan-in of 0–3 each and every lane of the rows from raw
 # bits, and also checks that no source row changes and nothing past a
-# row is written.
+# row is written. FuzzBatchMatchesScalar reads a registered environment,
+# a width of 1–9, every lane's seed and the action planes, and drives
+# NewBatch's batch against scalar envs bit for bit, retiring finished
+# lanes by swap as the batch scheduler does.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
 go test -run=NONE -fuzz=FuzzSinCosSlice -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
 go test -run=NONE -fuzz=FuzzSigmoidRows -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
+go test -run=NONE -fuzz=FuzzBatchMatchesScalar -fuzztime=5s -fuzzminimizetime=50x ./internal/env/
 go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRecord -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
