@@ -87,6 +87,22 @@ func TestWorkerStepStatusCodes(t *testing.T) {
 	}
 }
 
+// TestWorkerOpenPopulationBounded: an /island/open spec whose
+// population is past neat.MaxPopulationSize is refused with 400 before
+// any island is built. A population of 1<<62 once reached
+// neat.NewPopulation, whose allocation panicked the handler.
+func TestWorkerOpenPopulationBounded(t *testing.T) {
+	mux := http.NewServeMux()
+	NewWorkerAPI().Routes(mux)
+	body := `{"session":"big","spec":{"Workload":"cartpole","Population":4611686018427387904,` +
+		`"Generations":2,"Islands":2,"MigrationEvery":1,"Seed":5},"islands":[0,1]}`
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/island/open", strings.NewReader(body)))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("open with population 1<<62: status %d, want 400 (%s)", rr.Code, rr.Body)
+	}
+}
+
 // jsonChampion is a cartpole champion as builds before the binary
 // genome record put it on the wire: a JSON genome object.
 const jsonChampion = `{"island":1,"fitness":9.333333333333334,"genome":{"id":5,"fitness":9.333333333333334,"nodes":[` +

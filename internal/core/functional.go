@@ -93,13 +93,12 @@ func (s *FunctionalSystem) RunGeneration() (FunctionalGenStats, error) {
 	if err != nil {
 		return FunctionalGenStats{}, err
 	}
-	shaper := s.Workload.NewShaper()
 	cyclesBefore := s.executor.ArrayCycles
 
 	st := FunctionalGenStats{Generation: s.gen}
 	var sum float64
 	for i, g := range s.Pop {
-		fit, err := s.evaluate(e, shaper, g)
+		fit, err := s.evaluate(e, g)
 		if err != nil {
 			return st, err
 		}
@@ -124,7 +123,7 @@ func (s *FunctionalSystem) RunGeneration() (FunctionalGenStats, error) {
 }
 
 // evaluate runs the workload's episodes for one genome on the array.
-func (s *FunctionalSystem) evaluate(e env.Env, shaper evolve.Shaper, g *gene.Genome) (float64, error) {
+func (s *FunctionalSystem) evaluate(e env.Env, g *gene.Genome) (float64, error) {
 	compiled, err := s.executor.Compile(g)
 	if err != nil {
 		// The hardware pipeline has no cycle checker; a cyclic child
@@ -139,8 +138,8 @@ func (s *FunctionalSystem) evaluate(e env.Env, shaper evolve.Shaper, g *gene.Gen
 	for ep := 0; ep < episodes; ep++ {
 		seed := s.seed ^ uint64(s.gen)<<40 ^ uint64(g.ID)<<8 ^ uint64(ep)
 		obs := e.Reset(seed)
-		shaper.Reset()
 		steps := 0
+		var sum float64
 		for {
 			act, err := compiled.Feed(obs)
 			if err != nil {
@@ -149,13 +148,13 @@ func (s *FunctionalSystem) evaluate(e env.Env, shaper evolve.Shaper, g *gene.Gen
 			var r float64
 			var done bool
 			obs, r, done = e.Step(act)
-			shaper.Observe(obs, 1, 0, r)
+			sum += r
 			steps++
 			if done {
 				break
 			}
 		}
-		total += shaper.Fitness(e, steps)
+		total += s.Workload.Fitness(e, steps, sum)
 	}
 	return total / float64(episodes), nil
 }

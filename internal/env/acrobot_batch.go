@@ -1,25 +1,21 @@
 package env
 
-import (
-	"repro/internal/rng"
-	"repro/internal/vmath"
-)
+import "repro/internal/vmath"
 
-// acrobotBatch is the native Acrobot batch. Its lanes are Acrobot
-// values, so LaneEnv hands the fitness shaper the lane's own *Acrobot,
-// but StepAll runs RK4 one stage at a time across all active lanes,
-// with the stage state and the running slope sums in rows, one row per
-// component. Each stage gathers every lane's three trig arguments into
-// three rows laid out back to back, makes one vector sin/cos call for
-// all of them, then runs the shared acrobotDeriv per lane on scalars.
-// One more call over θ2, θ2+θ1 and θ1 gives the observation and the
-// tip height. The vector kernel is bit-identical to math.Sin/math.Cos,
-// and acrobotTrigArgs, acrobotDeriv, the RK4 coefficients and advance
-// are the scalar Step's own, in its order, so a lane is bit-equal to a
-// scalar Acrobot driven with the same seed and actions.
+// acrobotBatch is the native Acrobot batch: a laneBatch of Acrobot
+// values whose StepAll runs RK4 one stage at a time across all active
+// lanes, with the stage state and the running slope sums in rows, one
+// row per component. Each stage gathers every lane's three trig
+// arguments into three rows laid out back to back, makes one vector
+// sin/cos call for all of them, then runs the shared acrobotDeriv per
+// lane on scalars. One more call over θ2, θ2+θ1 and θ1 gives the
+// observation and the tip height. The vector kernel is bit-identical
+// to math.Sin/math.Cos, and acrobotTrigArgs, acrobotDeriv, the RK4
+// coefficients and advance are the scalar Step's own, in its order, so
+// a lane is bit-equal to a scalar Acrobot driven with the same seed and
+// actions.
 type acrobotBatch struct {
-	width          int
-	lanes          []Acrobot
+	laneBatch[Acrobot, *Acrobot]
 	torque         []float64
 	x1, x2, v1, v2 []float64 // each lane's state at the current RK4 stage
 	s1, s2, s3, s4 []float64 // each lane's running RK4 slope sum
@@ -33,14 +29,10 @@ type acrobotBatch struct {
 func newAcrobotBatch(width int) *acrobotBatch {
 	row := func() []float64 { return make([]float64, width) }
 	b := &acrobotBatch{
-		width:  width,
-		lanes:  make([]Acrobot, width),
-		torque: row(),
-		x1:     row(), x2: row(), v1: row(), v2: row(),
+		laneBatch: *newLaneBatch[Acrobot]("acrobot", width),
+		torque:    row(),
+		x1:        row(), x2: row(), v1: row(), v2: row(),
 		s1: row(), s2: row(), s3: row(), s4: row(),
-	}
-	for i := range b.lanes {
-		b.lanes[i].rnd = rng.New(0)
 	}
 	// Pad lanes start at 0, which the kernel takes, and later hold
 	// earlier arguments; their results are never read, and a pad the
@@ -50,20 +42,6 @@ func newAcrobotBatch(width int) *acrobotBatch {
 	b.sin = make([]float64, padded)
 	b.cos = make([]float64, padded)
 	return b
-}
-
-func (b *acrobotBatch) Name() string         { return "acrobot" }
-func (b *acrobotBatch) ObservationSize() int { return 6 }
-func (b *acrobotBatch) ActionSize() int      { return 1 }
-func (b *acrobotBatch) MaxSteps() int        { return acBudget }
-func (b *acrobotBatch) Width() int           { return b.width }
-func (b *acrobotBatch) LaneEnv(lane int) Env { return &b.lanes[lane] }
-func (b *acrobotBatch) SwapLanes(i, j int)   { b.lanes[i], b.lanes[j] = b.lanes[j], b.lanes[i] }
-
-func (b *acrobotBatch) ResetLane(lane int, seed uint64, obs []float64) {
-	for i, v := range b.lanes[lane].Reset(seed) {
-		obs[i*b.width+lane] = v
-	}
 }
 
 func (b *acrobotBatch) StepAll(obs, rewards []float64, done []bool, actions []float64, active int) {

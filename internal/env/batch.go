@@ -40,13 +40,11 @@ type Batch interface {
 	StepAll(obs, rewards []float64, done []bool, actions []float64, active int)
 	// SwapLanes exchanges the episode state of two lanes.
 	SwapLanes(a, b int)
-	// LaneEnv returns the scalar Env backing one lane, or nil for a
-	// native struct-of-arrays implementation with no per-lane Env
-	// value (cartpole's). Fitness shapers that type-assert their
-	// concrete environment only exist for workloads whose batch has
-	// lane envs: the generic adapter and the native acrobot,
-	// mountaincar, lunarlander and bipedal batches, whose lanes are
-	// Acrobot, MountainCar, LunarLander and Bipedal values.
+	// LaneEnv returns the scalar Env backing one lane, for a fitness
+	// function that reads the final state of a finished episode, or nil
+	// for CartPole, whose batch keeps its state in planes and whose
+	// fitness is its summed reward. Every other batch is built on
+	// laneBatch, whose lanes are values of the task's scalar type.
 	LaneEnv(lane int) Env
 }
 
@@ -57,8 +55,8 @@ type Batch interface {
 // arguments and one for its observation; MountainCar's cos(3·pos);
 // LunarLander's attitude; Bipedal's four joint cosines, then its
 // lidar's terrain sines), and runs the physics it shares with the
-// scalar Step per lane. The RAM titles and Mario get a generic adapter
-// looping over fresh scalar instances.
+// scalar Step per lane. Mario and the RAM titles step each lane with
+// the scalar Step.
 func NewBatch(name string, width int) (Batch, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("env: batch width %d < 1", width)
@@ -74,67 +72,73 @@ func NewBatch(name string, width int) (Batch, error) {
 		return newLunarLanderBatch(width), nil
 	case "bipedal":
 		return newBipedalBatch(width), nil
+	case "mario":
+		return newLaneBatch[Mario](name, width), nil
 	}
-	f, ok := factories[name]
-	if !ok {
+	if _, ok := ramTitles[name]; !ok {
 		return nil, fmt.Errorf("env: unknown environment %q (have %v)", name, Names())
 	}
-	return newGenericBatch(name, f, width), nil
+	return newLaneBatch[RAMGame](name, width), nil
 }
 
-// newGenericBatch builds the generic adapter over width fresh instances
-// from f.
-func newGenericBatch(name string, f func() Env, width int) *genericBatch {
-	g := &genericBatch{name: name, width: width, inner: make([]Env, width)}
-	for i := range g.inner {
-		g.inner[i] = f()
-	}
-	g.act = make([]float64, g.inner[0].ActionSize())
-	return g
+// envPtr constrains a lane type E to a scalar environment: *E is the
+// Env.
+type envPtr[E any] interface {
+	*E
+	Env
 }
 
-// genericBatch adapts any registered Env to the Batch interface by
-// holding one scalar instance per lane and looping. No vector speedup —
-// its job is uniformity: the batch scheduler drives every workload
-// through one code path, and each lane still performs exactly the
-// scalar operation sequence (same instance reuse semantics as the
-// serial runner: Reset fully re-initializes an instance).
-type genericBatch struct {
-	name  string
+// laneBatch is the Batch of every task but CartPole: one value of the
+// task's scalar Env type per lane, so LaneEnv hands a fitness function
+// the lane's own environment. Its StepAll runs the scalar Step on each
+// lane's action column, which is each lane's exact scalar operation
+// sequence (Reset fully re-initializes a lane, as the serial runner
+// relies on). The native batches embed it and replace only StepAll.
+type laneBatch[E any, P envPtr[E]] struct {
 	width int
-	inner []Env
+	lanes []E
 	act   []float64 // gather scratch, one lane's action column
 }
 
-func (g *genericBatch) Name() string         { return g.name }
-func (g *genericBatch) ObservationSize() int { return g.inner[0].ObservationSize() }
-func (g *genericBatch) ActionSize() int      { return g.inner[0].ActionSize() }
-func (g *genericBatch) MaxSteps() int        { return g.inner[0].MaxSteps() }
-func (g *genericBatch) Width() int           { return g.width }
-func (g *genericBatch) LaneEnv(lane int) Env { return g.inner[lane] }
+// newLaneBatch builds width lanes, each a copy of a fresh instance from
+// the named environment's registered constructor.
+func newLaneBatch[E any, P envPtr[E]](name string, width int) *laneBatch[E, P] {
+	b := &laneBatch[E, P]{width: width, lanes: make([]E, width)}
+	for i := range b.lanes {
+		b.lanes[i] = *factories[name]().(P)
+	}
+	b.act = make([]float64, b.lane(0).ActionSize())
+	return b
+}
 
-func (g *genericBatch) ResetLane(lane int, seed uint64, obs []float64) {
-	col := g.inner[lane].Reset(seed)
-	for i, v := range col {
-		obs[i*g.width+lane] = v
+// lane returns lane i's environment.
+func (b *laneBatch[E, P]) lane(i int) P { return P(&b.lanes[i]) }
+
+func (b *laneBatch[E, P]) Name() string         { return b.lane(0).Name() }
+func (b *laneBatch[E, P]) ObservationSize() int { return b.lane(0).ObservationSize() }
+func (b *laneBatch[E, P]) ActionSize() int      { return b.lane(0).ActionSize() }
+func (b *laneBatch[E, P]) MaxSteps() int        { return b.lane(0).MaxSteps() }
+func (b *laneBatch[E, P]) Width() int           { return b.width }
+func (b *laneBatch[E, P]) LaneEnv(lane int) Env { return b.lane(lane) }
+func (b *laneBatch[E, P]) SwapLanes(i, j int)   { b.lanes[i], b.lanes[j] = b.lanes[j], b.lanes[i] }
+
+func (b *laneBatch[E, P]) ResetLane(lane int, seed uint64, obs []float64) {
+	for i, v := range b.lane(lane).Reset(seed) {
+		obs[i*b.width+lane] = v
 	}
 }
 
-func (g *genericBatch) StepAll(obs, rewards []float64, done []bool, actions []float64, active int) {
-	w := g.width
+func (b *laneBatch[E, P]) StepAll(obs, rewards []float64, done []bool, actions []float64, active int) {
+	w := b.width
 	for lane := 0; lane < active; lane++ {
-		for i := range g.act {
-			g.act[i] = actions[i*w+lane]
+		for i := range b.act {
+			b.act[i] = actions[i*w+lane]
 		}
-		col, r, d := g.inner[lane].Step(g.act)
+		col, r, d := b.lane(lane).Step(b.act)
 		for i, v := range col {
 			obs[i*w+lane] = v
 		}
 		rewards[lane] = r
 		done[lane] = d
 	}
-}
-
-func (g *genericBatch) SwapLanes(a, b int) {
-	g.inner[a], g.inner[b] = g.inner[b], g.inner[a]
 }

@@ -120,8 +120,8 @@ func uniformActions(seed uint64) func(actions []float64) {
 
 // TestBatchMatchesScalar pins every registered environment, through
 // whatever NewBatch serves (a native batch for each classic-control
-// task, the generic adapter for the RAM titles and Mario), to the
-// scalar path bit for bit.
+// task, the lane container's per-lane Step for the RAM titles and
+// Mario), to the scalar path bit for bit.
 func TestBatchMatchesScalar(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -134,13 +134,34 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGenericBatchMatchesScalar forces the generic adapter even for
-// the environments with a native batch, pinning the adapter itself.
+// laneBatchOf is the lane container over the named environment's
+// scalar type with its own per-lane StepAll, even for the tasks whose
+// NewBatch batch has a native StepAll or, for CartPole, planes.
+func laneBatchOf(name string, width int) Batch {
+	switch name {
+	case "cartpole":
+		return newLaneBatch[CartPole](name, width)
+	case "acrobot":
+		return newLaneBatch[Acrobot](name, width)
+	case "mountaincar":
+		return newLaneBatch[MountainCar](name, width)
+	case "lunarlander":
+		return newLaneBatch[LunarLander](name, width)
+	case "bipedal":
+		return newLaneBatch[Bipedal](name, width)
+	case "mario":
+		return newLaneBatch[Mario](name, width)
+	}
+	return newLaneBatch[RAMGame](name, width)
+}
+
+// TestGenericBatchMatchesScalar forces the lane container's per-lane
+// StepAll even for the environments with a native batch, pinning the
+// container itself.
 func TestGenericBatchMatchesScalar(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			b := newGenericBatch(name, factories[name], 5)
-			driveBatchVsScalar(t, b, laneSeeds(0xBEEF, 5), uniformActions(0xBEEF))
+			driveBatchVsScalar(t, laneBatchOf(name, 5), laneSeeds(0xBEEF, 5), uniformActions(0xBEEF))
 		})
 	}
 }
@@ -206,50 +227,45 @@ func TestNewBatchErrors(t *testing.T) {
 	}
 }
 
-// TestNativeBatchRegistered pins which workloads NewBatch serves
-// natively, by their batch types: every classic-control task. CartPole
-// keeps its state in planes and has no lane envs. The other four
-// batches' lanes are Acrobot, MountainCar, LunarLander and Bipedal
-// values, so their LaneEnv is the lane's own env, not nil (the acrobot
-// and mountaincar shapers type-assert it). Every other environment, the
-// RAM titles and Mario, gets the generic adapter, with real lane envs.
+// TestNativeBatchRegistered pins which batch NewBatch serves for each
+// environment, by type: CartPole's struct-of-arrays batch, which has no
+// lane envs; a native StepAll over the lane container for the other
+// four classic-control tasks; and the lane container itself for Mario
+// and the RAM titles. A lane container's LaneEnv is the lane's own
+// scalar env (the acrobot and mountaincar fitness functions
+// type-assert it).
 func TestNativeBatchRegistered(t *testing.T) {
-	b, err := NewBatch("cartpole", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*cartPoleBatch); !ok || b.LaneEnv(0) != nil {
-		t.Fatalf("cartpole: expected the native batch with no lane envs, got %T", b)
-	}
-	native := map[string]bool{"cartpole": true}
-	for _, c := range []struct{ name, batch, lane string }{
-		{"acrobot", "*env.acrobotBatch", "*env.Acrobot"},
-		{"mountaincar", "*env.mountainCarBatch", "*env.MountainCar"},
-		{"lunarlander", "*env.lunarLanderBatch", "*env.LunarLander"},
-		{"bipedal", "*env.bipedalBatch", "*env.Bipedal"},
-	} {
-		b, err := NewBatch(c.name, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%T", b); got != c.batch {
-			t.Fatalf("%s: got %s, want the native %s", c.name, got, c.batch)
-		}
-		if got := fmt.Sprintf("%T", b.LaneEnv(2)); got != c.lane || b.LaneEnv(1) == b.LaneEnv(2) {
-			t.Fatalf("%s: LaneEnv = %s, want the lane's own %s", c.name, got, c.lane)
-		}
-		native[c.name] = true
+	native := map[string]string{
+		"cartpole":    "*env.cartPoleBatch",
+		"acrobot":     "*env.acrobotBatch",
+		"mountaincar": "*env.mountainCarBatch",
+		"lunarlander": "*env.lunarLanderBatch",
+		"bipedal":     "*env.bipedalBatch",
 	}
 	for _, name := range Names() {
-		if native[name] {
-			continue
-		}
 		b, err := NewBatch(name, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := b.(*genericBatch); !ok || b.LaneEnv(0) == nil {
-			t.Fatalf("%s: expected the generic batch with real lane envs, got %T", name, b)
+		got, want := fmt.Sprintf("%T", b), native[name]
+		if want == "" {
+			want = fmt.Sprintf("%T", laneBatchOf(name, 3))
+		}
+		if got != want {
+			t.Fatalf("%s: got %s, want %s", name, got, want)
+		}
+		if name == "cartpole" {
+			if b.LaneEnv(0) != nil {
+				t.Fatalf("cartpole: LaneEnv = %T, want nil", b.LaneEnv(0))
+			}
+			continue
+		}
+		scalar, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprintf("%T", b.LaneEnv(2)), fmt.Sprintf("%T", scalar); got != want || b.LaneEnv(1) == b.LaneEnv(2) {
+			t.Fatalf("%s: LaneEnv = %s, want the lane's own %s", name, got, want)
 		}
 	}
 }
@@ -316,8 +332,8 @@ func TestAcrobotBatchSwingUp(t *testing.T) {
 // into the left wall (where the velocity is zeroed); random actions
 // reach neither branch. Every lane must match a scalar MountainCar bit
 // for bit, done flags included, and at each episode's end LaneEnv's
-// AtGoal and Position must equal the scalar's. Finished lanes restart
-// with fresh seeds.
+// AtGoal, Position and MaxPosition must equal the scalar's. Finished
+// lanes restart with fresh seeds.
 func TestMountainCarBatchPushWithVelocity(t *testing.T) {
 	const width = 6
 	b := newMountainCarBatch(width)
@@ -362,9 +378,10 @@ func TestMountainCarBatchPushWithVelocity(t *testing.T) {
 				continue
 			}
 			got := b.LaneEnv(lane).(*MountainCar)
-			if got.AtGoal() != e.AtGoal() || math.Float64bits(got.Position()) != math.Float64bits(e.Position()) {
-				t.Fatalf("step %d lane %d: batch at goal %v position %v, scalar %v %v",
-					step, lane, got.AtGoal(), got.Position(), e.AtGoal(), e.Position())
+			if got.AtGoal() != e.AtGoal() || math.Float64bits(got.Position()) != math.Float64bits(e.Position()) ||
+				math.Float64bits(got.MaxPosition()) != math.Float64bits(e.MaxPosition()) {
+				t.Fatalf("step %d lane %d: batch at goal %v position %v max %v, scalar %v %v %v",
+					step, lane, got.AtGoal(), got.Position(), got.MaxPosition(), e.AtGoal(), e.Position(), e.MaxPosition())
 			}
 			if e.AtGoal() {
 				goals++
@@ -560,11 +577,11 @@ func TestBipedalBatchGait(t *testing.T) {
 // benchStepAll steps a batch of the named environment on fixed random
 // actions, resetting each lane when its episode ends, and reports ns
 // per lane-step: "native" is the batch native builds, "generic" the
-// Env-backed adapter over scalar instances. The plain cases run width
-// 64 with every lane active; the "-narrow" ones width 4 with 3 active
-// lanes, the occupancy of most control-workload steps (a topology group
-// is usually one genome's 2–3 episodes), where each call's fixed cost
-// shows.
+// lane container's per-lane scalar Step (laneBatchOf). The plain cases
+// run width 64 with every lane active; the "-narrow" ones width 4 with
+// 3 active lanes, the occupancy of most control-workload steps (a
+// topology group is usually one genome's 2–3 episodes), where each
+// call's fixed cost shows.
 func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
 	for _, c := range []struct {
 		name          string
@@ -572,9 +589,9 @@ func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
 		width, active int
 	}{
 		{"native", native, 64, 64},
-		{"generic", func(w int) Batch { return newGenericBatch(name, factories[name], w) }, 64, 64},
+		{"generic", func(w int) Batch { return laneBatchOf(name, w) }, 64, 64},
 		{"native-narrow", native, 4, 3},
-		{"generic-narrow", func(w int) Batch { return newGenericBatch(name, factories[name], w) }, 4, 3},
+		{"generic-narrow", func(w int) Batch { return laneBatchOf(name, w) }, 4, 3},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			width, active := c.width, c.active
@@ -606,6 +623,10 @@ func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*active), "ns/lane-step")
 		})
 	}
+}
+
+func BenchmarkCartPoleStepAll(b *testing.B) {
+	benchStepAll(b, "cartpole", func(w int) Batch { return newCartPoleBatch(w) })
 }
 
 func BenchmarkAcrobotStepAll(b *testing.B) {

@@ -1,15 +1,11 @@
 package env
 
-import (
-	"repro/internal/rng"
-	"repro/internal/vmath"
-)
+import "repro/internal/vmath"
 
-// bipedalBatch is the native Bipedal batch. Its lanes are Bipedal
-// values, so LaneEnv hands the fitness shaper the lane's own *Bipedal,
-// but StepAll makes two vector sin/cos calls for all active lanes: one
-// for the four moved joint angles of every lane, between the scalar
-// Step's own actuate and advance, and one for the lidar's sine
+// bipedalBatch is the native Bipedal batch: a laneBatch of Bipedal
+// values whose StepAll makes two vector sin/cos calls for all active
+// lanes: one for the four moved joint angles of every lane, between the
+// scalar Step's own actuate and advance, and one for the lidar's sine
 // arguments of every lane, before each lane writes its observation
 // straight into the plane. The kernel is bit-identical to
 // math.Sin/math.Cos, so a lane is bit-equal to a scalar Bipedal driven
@@ -17,9 +13,8 @@ import (
 // (the Batch contract), so Step's guard for a fallen hull has no twin
 // here.
 type bipedalBatch struct {
-	width int
-	lanes []Bipedal
-	fuel  []float64
+	laneBatch[Bipedal, *Bipedal]
+	fuel []float64
 	// Trig scratch, lane-major: hip 0, knee 0, hip 1 and knee 1 of every
 	// lane (four per lane, so whole 4-lane groups), and every lane's
 	// bwLidarArgs lidar arguments, padded to the 4-lane quantum.
@@ -31,34 +26,15 @@ func newBipedalBatch(width int) *bipedalBatch {
 	// Lidar pad lanes start at 0 and later hold earlier arguments; their
 	// results are never read.
 	padded := (bwLidarArgs*width + 3) &^ 3
-	b := &bipedalBatch{
-		width:    width,
-		lanes:    make([]Bipedal, width),
-		fuel:     make([]float64, width),
-		joint:    make([]float64, 4*width),
-		jointSin: make([]float64, 4*width),
-		jointCos: make([]float64, 4*width),
-		lidar:    make([]float64, padded),
-		lidarSin: make([]float64, padded),
-		lidarCos: make([]float64, padded),
-	}
-	for i := range b.lanes {
-		b.lanes[i].rnd = rng.New(0)
-	}
-	return b
-}
-
-func (b *bipedalBatch) Name() string         { return "bipedal" }
-func (b *bipedalBatch) ObservationSize() int { return 24 }
-func (b *bipedalBatch) ActionSize() int      { return 4 }
-func (b *bipedalBatch) MaxSteps() int        { return bwBudget }
-func (b *bipedalBatch) Width() int           { return b.width }
-func (b *bipedalBatch) LaneEnv(lane int) Env { return &b.lanes[lane] }
-func (b *bipedalBatch) SwapLanes(i, j int)   { b.lanes[i], b.lanes[j] = b.lanes[j], b.lanes[i] }
-
-func (b *bipedalBatch) ResetLane(lane int, seed uint64, obs []float64) {
-	for i, v := range b.lanes[lane].Reset(seed) {
-		obs[i*b.width+lane] = v
+	return &bipedalBatch{
+		laneBatch: *newLaneBatch[Bipedal]("bipedal", width),
+		fuel:      make([]float64, width),
+		joint:     make([]float64, 4*width),
+		jointSin:  make([]float64, 4*width),
+		jointCos:  make([]float64, 4*width),
+		lidar:     make([]float64, padded),
+		lidarSin:  make([]float64, padded),
+		lidarCos:  make([]float64, padded),
 	}
 }
 

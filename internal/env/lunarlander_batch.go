@@ -1,13 +1,9 @@
 package env
 
-import (
-	"repro/internal/rng"
-	"repro/internal/vmath"
-)
+import "repro/internal/vmath"
 
-// lunarLanderBatch is the native LunarLander batch. Its lanes are
-// LunarLander values, so LaneEnv hands the fitness shaper the lane's
-// own *LunarLander, but StepAll gathers the attitude of every active
+// lunarLanderBatch is the native LunarLander batch: a laneBatch of
+// LunarLander values whose StepAll gathers the attitude of every active
 // lane into one row and makes one vector sin/cos call for all of them
 // before running the scalar Step's own advance per lane and writing the
 // lane's observation straight into the plane. The kernel is
@@ -16,8 +12,7 @@ import (
 // never steps a finished lane (the Batch contract), so Step's guard for
 // an episode already over has no twin here.
 type lunarLanderBatch struct {
-	width         int
-	lanes         []LunarLander
+	laneBatch[LunarLander, *LunarLander]
 	arg, sin, cos []float64 // attitude per lane, padded to the 4-lane quantum
 }
 
@@ -25,30 +20,11 @@ func newLunarLanderBatch(width int) *lunarLanderBatch {
 	// Pad lanes start at 0 and later hold a retired lane's last
 	// attitude; their results are never read.
 	padded := (width + 3) &^ 3
-	b := &lunarLanderBatch{
-		width: width,
-		lanes: make([]LunarLander, width),
-		arg:   make([]float64, padded),
-		sin:   make([]float64, padded),
-		cos:   make([]float64, padded),
-	}
-	for i := range b.lanes {
-		b.lanes[i].rnd = rng.New(0)
-	}
-	return b
-}
-
-func (b *lunarLanderBatch) Name() string         { return "lunarlander" }
-func (b *lunarLanderBatch) ObservationSize() int { return 8 }
-func (b *lunarLanderBatch) ActionSize() int      { return 4 }
-func (b *lunarLanderBatch) MaxSteps() int        { return llBudget }
-func (b *lunarLanderBatch) Width() int           { return b.width }
-func (b *lunarLanderBatch) LaneEnv(lane int) Env { return &b.lanes[lane] }
-func (b *lunarLanderBatch) SwapLanes(i, j int)   { b.lanes[i], b.lanes[j] = b.lanes[j], b.lanes[i] }
-
-func (b *lunarLanderBatch) ResetLane(lane int, seed uint64, obs []float64) {
-	for i, v := range b.lanes[lane].Reset(seed) {
-		obs[i*b.width+lane] = v
+	return &lunarLanderBatch{
+		laneBatch: *newLaneBatch[LunarLander]("lunarlander", width),
+		arg:       make([]float64, padded),
+		sin:       make([]float64, padded),
+		cos:       make([]float64, padded),
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 // Dynamics follow Moore (1990) / the gym implementation.
 type MountainCar struct {
 	pos, vel float64
+	maxPos   float64 // highest position a step of this episode left
 	steps    int
 	rnd      *rng.XorWow
 	obs      [2]float64
@@ -50,6 +51,7 @@ func (m *MountainCar) Reset(seed uint64) []float64 {
 	m.rnd.Seed(seed)
 	m.pos = m.rnd.Range(-0.6, -0.4)
 	m.vel = 0
+	m.maxPos = mcMinPos
 	m.steps = 0
 	return m.observe()
 }
@@ -78,13 +80,21 @@ func (m *MountainCar) advance(a int, cos3 float64) bool {
 	if m.pos <= mcMinPos && m.vel < 0 {
 		m.vel = 0
 	}
+	if m.pos > m.maxPos {
+		m.maxPos = m.pos
+	}
 	m.steps++
 	return m.pos >= mcGoal || m.steps >= mcBudget
 }
 
-// AtGoal reports whether the car has reached the flag — used by the
-// fitness shaping for this workload.
+// AtGoal reports whether the car has reached the flag.
 func (m *MountainCar) AtGoal() bool { return m.pos >= mcGoal }
 
-// Position returns the car's current position (fitness shaping input).
+// Position returns the car's current position.
 func (m *MountainCar) Position() float64 { return m.pos }
+
+// MaxPosition returns the highest position the episode's steps have
+// reached, or the left wall (−1.2) before the first step: the start
+// position does not count. It is the progress term of the workload's
+// fitness.
+func (m *MountainCar) MaxPosition() float64 { return m.maxPos }

@@ -1,20 +1,15 @@
 package env
 
-import (
-	"repro/internal/rng"
-	"repro/internal/vmath"
-)
+import "repro/internal/vmath"
 
-// mountainCarBatch is the native MountainCar batch. Its lanes are
-// MountainCar values, so LaneEnv hands the fitness shaper the lane's
-// own *MountainCar, but StepAll gathers 3·pos of every active lane
+// mountainCarBatch is the native MountainCar batch: a laneBatch of
+// MountainCar values whose StepAll gathers 3·pos of every active lane
 // into one row and makes one vector sin/cos call for all of them
 // before running the scalar Step's own advance per lane. The kernel is
 // bit-identical to math.Cos, so a lane is bit-equal to a scalar
 // MountainCar driven with the same seed and actions.
 type mountainCarBatch struct {
-	width         int
-	lanes         []MountainCar
+	laneBatch[MountainCar, *MountainCar]
 	arg, sin, cos []float64 // 3·pos per lane, padded to the 4-lane quantum
 }
 
@@ -22,30 +17,11 @@ func newMountainCarBatch(width int) *mountainCarBatch {
 	// Pad lanes start at 0 and later hold a retired lane's last
 	// argument; their results are never read.
 	padded := (width + 3) &^ 3
-	b := &mountainCarBatch{
-		width: width,
-		lanes: make([]MountainCar, width),
-		arg:   make([]float64, padded),
-		sin:   make([]float64, padded),
-		cos:   make([]float64, padded),
-	}
-	for i := range b.lanes {
-		b.lanes[i].rnd = rng.New(0)
-	}
-	return b
-}
-
-func (b *mountainCarBatch) Name() string         { return "mountaincar" }
-func (b *mountainCarBatch) ObservationSize() int { return 2 }
-func (b *mountainCarBatch) ActionSize() int      { return 3 }
-func (b *mountainCarBatch) MaxSteps() int        { return mcBudget }
-func (b *mountainCarBatch) Width() int           { return b.width }
-func (b *mountainCarBatch) LaneEnv(lane int) Env { return &b.lanes[lane] }
-func (b *mountainCarBatch) SwapLanes(i, j int)   { b.lanes[i], b.lanes[j] = b.lanes[j], b.lanes[i] }
-
-func (b *mountainCarBatch) ResetLane(lane int, seed uint64, obs []float64) {
-	for i, v := range b.lanes[lane].Reset(seed) {
-		obs[i*b.width+lane] = v
+	return &mountainCarBatch{
+		laneBatch: *newLaneBatch[MountainCar]("mountaincar", width),
+		arg:       make([]float64, padded),
+		sin:       make([]float64, padded),
+		cos:       make([]float64, padded),
 	}
 }
 

@@ -68,18 +68,13 @@ func batchWidthFor(units, max int) int {
 // nothing.
 type laneSet struct {
 	be        env.Batch
-	shapers   []Shaper  // one per lane, Reset per episode
 	obsPlane  []float64 // [obsRow][lane] struct-of-arrays plane
 	actPlane  []float64 // [actRow][lane]
 	rew       []float64 // per-lane step reward
+	laneSum   []float64 // per-lane episode reward sum
 	done      []bool    // per-lane episode-over flags
 	laneSteps []int     // per-lane step counters
 	laneUnit  []int     // per-lane unit index within the running group
-	// cums mirrors shapers when the workload shaper is the plain
-	// cumulative-reward accumulator, hoisting the per-lane-per-step
-	// type assertion (and the observation gather it doesn't need) out
-	// of the hot loop. nil for any other shaper type.
-	cums []*cumReward
 }
 
 // netSlot is one cached (BatchProgram, BatchState) pair for a
@@ -396,27 +391,14 @@ func (w *evalWorker) ensureLaneSet(r *Runner, width int) (*laneSet, error) {
 	}
 	ls := &laneSet{
 		be:        be,
-		shapers:   make([]Shaper, width),
 		obsPlane:  make([]float64, be.ObservationSize()*width),
 		actPlane:  make([]float64, be.ActionSize()*width),
 		rew:       make([]float64, width),
+		laneSum:   make([]float64, width),
 		done:      make([]bool, width),
 		laneSteps: make([]int, width),
 		laneUnit:  make([]int, width),
 	}
-	for i := range ls.shapers {
-		ls.shapers[i] = r.Workload.NewShaper()
-	}
-	cums := make([]*cumReward, width)
-	for i, sh := range ls.shapers {
-		c, ok := sh.(*cumReward)
-		if !ok {
-			cums = nil
-			break
-		}
-		cums[i] = c
-	}
-	ls.cums = cums
 	w.laneSets[width] = ls
 	return ls, nil
 }
@@ -479,7 +461,7 @@ func swapPlaneCols(plane []float64, width, rows, a, b int) {
 // loadLane loads one (genome, episode) unit into a lane: parameters
 // into the batch program, a deterministic reset into the environment
 // lane (episodeSeed, so any lane assignment reproduces the serial
-// stream exactly), a fresh shaper.
+// stream exactly), a zero reward sum and step count.
 func (r *Runner) loadLane(ls *laneSet, bp *network.BatchProgram, obsPlane []float64, grp *evalGroup, lane, unit, episodes int) error {
 	mi, ep := unit/episodes, unit%episodes
 	g := r.Pop.Genomes[grp.members[mi]]
@@ -487,7 +469,7 @@ func (r *Runner) loadLane(ls *laneSet, bp *network.BatchProgram, obsPlane []floa
 		return fmt.Errorf("genome %d: %w", g.ID, err)
 	}
 	ls.be.ResetLane(lane, r.episodeSeed(g, ep), obsPlane)
-	ls.shapers[lane].Reset()
+	ls.laneSum[lane] = 0
 	ls.laneSteps[lane] = 0
 	ls.laneUnit[lane] = unit
 	ls.done[lane] = false
@@ -532,28 +514,17 @@ func (r *Runner) runBatchRange(w *evalWorker, grp *evalGroup, lo, hi int, perEp 
 			return chunkResult{err: err}
 		}
 		be.StepAll(obsPlane, ls.rew, ls.done, ls.actPlane, active)
+		// The done check rides along with the reward sums, so quiet
+		// steps (no lane finished, the common case) skip the retire
+		// sweep entirely.
 		anyDone := false
-		if ls.cums != nil {
-			// Inlined cumReward.Observe: the same single addition,
-			// without gathering an observation column it ignores. The
-			// done check rides along so quiet steps (no lane finished,
-			// the common case) skip the retire sweep entirely.
-			cums, rews := ls.cums[:active], ls.rew[:active]
-			steps, dn := ls.laneSteps[:active], ls.done[:active]
-			for lane := range cums {
-				cums[lane].total += rews[lane]
-				steps[lane]++
-				if dn[lane] {
-					anyDone = true
-				}
-			}
-		} else {
-			for lane := 0; lane < active; lane++ {
-				ls.shapers[lane].Observe(obsPlane, width, lane, ls.rew[lane])
-				ls.laneSteps[lane]++
-				if ls.done[lane] {
-					anyDone = true
-				}
+		sums, rews := ls.laneSum[:active], ls.rew[:active]
+		steps, dn := ls.laneSteps[:active], ls.done[:active]
+		for lane := range sums {
+			sums[lane] += rews[lane]
+			steps[lane]++
+			if dn[lane] {
+				anyDone = true
 			}
 		}
 		if !anyDone {
@@ -568,8 +539,7 @@ func (r *Runner) runBatchRange(w *evalWorker, grp *evalGroup, lo, hi int, perEp 
 			unit := ls.laneUnit[lane]
 			mi, ep := unit/episodes, unit%episodes
 			steps := ls.laneSteps[lane]
-			fit := ls.shapers[lane].Fitness(be.LaneEnv(lane), steps)
-			perEp[grp.members[mi]*episodes+ep] = fit
+			perEp[grp.members[mi]*episodes+ep] = r.Workload.Fitness(be.LaneEnv(lane), steps, ls.laneSum[lane])
 			cr.steps += int64(steps)
 			cr.macs += int64(steps) * edges
 			cr.updates += int64(steps) * verts
@@ -585,10 +555,7 @@ func (r *Runner) runBatchRange(w *evalWorker, grp *evalGroup, lo, hi int, perEp 
 				bp.SwapLanes(lane, last)
 				be.SwapLanes(lane, last)
 				swapPlaneCols(obsPlane, width, obsRows, lane, last)
-				ls.shapers[lane], ls.shapers[last] = ls.shapers[last], ls.shapers[lane]
-				if ls.cums != nil {
-					ls.cums[lane], ls.cums[last] = ls.cums[last], ls.cums[lane]
-				}
+				ls.laneSum[lane], ls.laneSum[last] = ls.laneSum[last], ls.laneSum[lane]
 				ls.laneSteps[lane], ls.laneSteps[last] = ls.laneSteps[last], ls.laneSteps[lane]
 				ls.laneUnit[lane], ls.laneUnit[last] = ls.laneUnit[last], ls.laneUnit[lane]
 				ls.done[lane], ls.done[last] = ls.done[last], ls.done[lane]

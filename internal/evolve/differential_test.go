@@ -22,14 +22,13 @@ func evaluateReference(r *Runner) (envSteps, macs, updates int64, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	shaper := r.Workload.NewShaper()
 	var b network.Builder
 	for _, g := range r.Pop.Genomes {
 		net, err := b.Build(g)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		res := r.runEpisodes(net, e, shaper, g)
+		res := r.runEpisodes(net, e, g)
 		if res.err != nil {
 			return 0, 0, 0, res.err
 		}

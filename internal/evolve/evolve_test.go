@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/env"
 	"repro/internal/neat"
 )
 
@@ -29,8 +30,8 @@ func TestWorkloadRegistry(t *testing.T) {
 		if w.Target <= w.Floor {
 			t.Fatalf("workload %q: target %v <= floor %v", n, w.Target, w.Floor)
 		}
-		if w.NewShaper == nil {
-			t.Fatalf("workload %q: nil shaper", n)
+		if w.Fitness == nil {
+			t.Fatalf("workload %q: nil fitness", n)
 		}
 	}
 	if _, err := WorkloadByName("doom"); err == nil {
@@ -188,25 +189,46 @@ func TestRAMWorkloadScale(t *testing.T) {
 		st.TotalGenes, st.FootprintBytes/1024, st.CrossoverOps+st.MutationOps)
 }
 
-func TestShapersRewardProgress(t *testing.T) {
-	// The MountainCar shaper must rank a higher climb above a lower one.
-	var s mcShaper
-	s.Reset()
-	s.Observe([]float64{-0.5, 0}, 1, 0, -1)
-	lowObs := s.maxPos
-	s.Observe([]float64{0.1, 0}, 1, 0, -1)
-	if s.maxPos <= lowObs {
-		t.Fatal("shaper did not track progress")
+// TestFitnessRewardsProgress: the MountainCar fitness must score the
+// highest position an episode's steps reached, not where the car ended
+// or started, so a higher climb ranks above a lower one.
+func TestFitnessRewardsProgress(t *testing.T) {
+	w, err := WorkloadByName("mountaincar")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// In place on a batch plane it reads its lane of row 0 only: lane 2
-	// of a width-3 plane whose velocity row and other lanes are higher.
-	plane := []float64{
-		0.4, 0.45, 0.2, // position row
-		0.5, 0.55, 0.6, // velocity row
+	// climb pushes right for n steps, then coasts until the car has
+	// rolled back 20 steps, and returns the episode's fitness with the
+	// one the highest step position should give.
+	climb := func(n int) (got, want float64) {
+		e, err := env.New("mountaincar")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Reset(7)
+		peak := -1.2
+		for step := 0; step < n+20; step++ {
+			act := []float64{0, 1, 0}
+			if step < n {
+				act = []float64{0, 0, 1}
+			}
+			obs, _, _ := e.Step(act)
+			peak = max(peak, obs[0])
+		}
+		return w.Fitness(e, n+20, -float64(n+20)), (peak + 1.2) / 1.7 * 90
 	}
-	s.Observe(plane, 3, 2, -1)
-	if s.maxPos != 0.2 {
-		t.Fatalf("shaper read %v from the plane, want lane 2's position 0.2", s.maxPos)
+	low, wantLow := climb(5)
+	high, wantHigh := climb(40)
+	if low != wantLow || high != wantHigh || !(high > low) {
+		t.Fatalf("climbs scored %v and %v, want %v and %v", low, high, wantLow, wantHigh)
+	}
+	e, err := env.New("mountaincar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Reset(7)
+	if got := w.Fitness(e, 0, 0); got != 0 {
+		t.Fatalf("an episode with no step scored %v; the start position must not count", got)
 	}
 }
 

@@ -68,6 +68,8 @@ func (s IslandSpec) Validate() error {
 		return fmt.Errorf("island: need at least 2 islands, have %d", s.Islands)
 	case s.Population < s.Islands:
 		return fmt.Errorf("island: population %d smaller than island count %d", s.Population, s.Islands)
+	case s.Population > neat.MaxPopulationSize:
+		return fmt.Errorf("island: population %d above the bound %d", s.Population, neat.MaxPopulationSize)
 	case s.Population%s.Islands != 0:
 		return fmt.Errorf("island: population %d not divisible by %d islands", s.Population, s.Islands)
 	case s.Generations < 1:

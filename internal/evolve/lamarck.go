@@ -89,5 +89,5 @@ func (r *Runner) refineEval(w *evalWorker, g *gene.Genome) evalResult {
 	if err != nil {
 		return evalResult{err: err}
 	}
-	return r.runEpisodes(net, w.env, w.shaper, g)
+	return r.runEpisodes(net, w.env, g)
 }

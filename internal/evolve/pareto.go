@@ -199,8 +199,8 @@ type ParetoSpec struct {
 // Validate reports spec errors before any population is built.
 func (s ParetoSpec) Validate() error {
 	switch {
-	case s.Population < 2:
-		return fmt.Errorf("pareto: population %d must be at least 2", s.Population)
+	case s.Population < 2 || s.Population > neat.MaxPopulationSize:
+		return fmt.Errorf("pareto: population %d outside [2, %d]", s.Population, neat.MaxPopulationSize)
 	case s.Generations < 1:
 		return fmt.Errorf("pareto: generations %d must be positive", s.Generations)
 	}

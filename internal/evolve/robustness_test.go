@@ -241,28 +241,18 @@ func TestResumeRemovesJSONCheckpoint(t *testing.T) {
 	}
 }
 
-// panicShaper blows up on the first observation, modelling a fitness
-// function bug.
-type panicShaper struct{}
-
-func (panicShaper) Reset()                               {}
-func (panicShaper) Observe([]float64, int, int, float64) { panic("shaper bug") }
-func (panicShaper) Fitness(env.Env, int) float64 {
-	return 0
-}
-
-// TestEvaluationPanicBecomesError: a panicking fitness evaluation must
-// surface as an evaluation error, not kill the worker pool (and with
-// it the process).
+// TestEvaluationPanicBecomesError: a panicking fitness evaluation (a
+// Fitness function bug) must surface as an evaluation error, not kill
+// the worker pool (and with it the process).
 func TestEvaluationPanicBecomesError(t *testing.T) {
 	r, err := NewRunner("cartpole", smallConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Workload.NewShaper = func() Shaper { return panicShaper{} }
+	r.Workload.Fitness = func(env.Env, int, float64) float64 { panic("fitness bug") }
 	_, _, _, err = r.EvaluateGeneration(context.Background())
 	if err == nil {
-		t.Fatal("panicking shaper produced no error")
+		t.Fatal("panicking fitness produced no error")
 	}
 	if !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("panic not identified in error: %v", err)

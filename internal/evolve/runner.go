@@ -152,7 +152,7 @@ type Runner struct {
 
 	// workers is the persistent population-level-parallelism pool: one
 	// slot per evaluation worker, each owning an environment instance
-	// and a reward shaper. Slots are created lazily on the first
+	// and its batch resources. Slots are created lazily on the first
 	// EvaluateGeneration and live for the runner's lifetime, so
 	// generations after the first pay no environment construction.
 	workers []*evalWorker
@@ -174,13 +174,12 @@ type Runner struct {
 	bucketIdx    map[uint64][]int
 }
 
-// evalWorker is one persistent slot of the evaluation pool. The first
-// two fields run per-episode jobs (groups too small to batch); the rest
-// are the batch engine's per-worker resources, created lazily by
-// ensureBatch and reused across generations (zero-alloc steady state).
+// evalWorker is one persistent slot of the evaluation pool. env runs
+// per-episode jobs (groups too small to batch); the rest are the batch
+// engine's per-worker resources, created lazily by ensureBatch and
+// reused across generations (zero-alloc steady state).
 type evalWorker struct {
-	env    env.Env
-	shaper Shaper
+	env env.Env
 
 	// laneSets holds the batch rollout state (vectorized env + planes)
 	// per quantized lane width; widths recur across generations, so the
@@ -273,14 +272,14 @@ type evalResult struct {
 }
 
 // ensureWorkers grows the persistent pool to at least n slots, building
-// each new slot's environment and shaper once.
+// each new slot's environment once.
 func (r *Runner) ensureWorkers(n int) error {
 	for len(r.workers) < n {
 		e, err := env.New(r.Workload.EnvName)
 		if err != nil {
 			return err
 		}
-		r.workers = append(r.workers, &evalWorker{env: e, shaper: r.Workload.NewShaper()})
+		r.workers = append(r.workers, &evalWorker{env: e})
 	}
 	return nil
 }
@@ -338,7 +337,7 @@ func (r *Runner) ScoreGenome(ctx context.Context, g *gene.Genome) (fitness float
 	if err != nil {
 		return 0, fmt.Errorf("genome %d: %w", g.ID, err)
 	}
-	res := r.runEpisodes(net, e, r.Workload.NewShaper(), g)
+	res := r.runEpisodes(net, e, g)
 	return res.fitness, res.err
 }
 
@@ -354,16 +353,16 @@ func (r *Runner) safeEvaluateEpisode(w *evalWorker, g *gene.Genome, prog network
 			res = evalResult{err: fmt.Errorf("genome %d: evaluation panic: %v", g.ID, p)}
 		}
 	}()
-	return r.runEpisode(prog.Instantiate(), w.env, w.shaper, g, ep)
+	return r.runEpisode(prog.Instantiate(), w.env, g, ep)
 }
 
 // runEpisode scores one compiled phenotype over one workload episode.
 // The inner step loop is allocation-free: Feed reuses the instance's
 // output buffer and the environments reuse their observation buffers.
-func (r *Runner) runEpisode(net *network.Network, e env.Env, shaper Shaper, g *gene.Genome, ep int) evalResult {
+func (r *Runner) runEpisode(net *network.Network, e env.Env, g *gene.Genome, ep int) evalResult {
 	obs := e.Reset(r.episodeSeed(g, ep))
-	shaper.Reset()
 	steps := 0
+	var sum float64
 	for {
 		action, ferr := net.Feed(obs)
 		if ferr != nil {
@@ -372,14 +371,14 @@ func (r *Runner) runEpisode(net *network.Network, e env.Env, shaper Shaper, g *g
 		var reward float64
 		var done bool
 		obs, reward, done = e.Step(action)
-		shaper.Observe(obs, 1, 0, reward)
+		sum += reward
 		steps++
 		if done {
 			break
 		}
 	}
 	var res evalResult
-	res.fitness = shaper.Fitness(e, steps)
+	res.fitness = r.Workload.Fitness(e, steps, sum)
 	// Per-step inference work is constant for a fixed phenotype, so the
 	// ledger is a multiply per episode, not adds per step.
 	res.steps = int64(steps)
@@ -397,7 +396,7 @@ func (r *Runner) episodeSeed(g *gene.Genome, ep int) uint64 {
 
 // runEpisodes scores one compiled phenotype over all of the workload's
 // episodes serially — the single-genome path Lamarckian refinement uses.
-func (r *Runner) runEpisodes(net *network.Network, e env.Env, shaper Shaper, g *gene.Genome) evalResult {
+func (r *Runner) runEpisodes(net *network.Network, e env.Env, g *gene.Genome) evalResult {
 	var res evalResult
 	var total float64
 	episodes := r.Workload.Episodes
@@ -405,7 +404,7 @@ func (r *Runner) runEpisodes(net *network.Network, e env.Env, shaper Shaper, g *
 		episodes = 1
 	}
 	for ep := 0; ep < episodes; ep++ {
-		er := r.runEpisode(net, e, shaper, g, ep)
+		er := r.runEpisode(net, e, g, ep)
 		if er.err != nil {
 			return er
 		}

@@ -4,6 +4,14 @@
 // collects the characterization metrics of Section III — per-generation
 // operation counts, gene totals, memory footprint and parent reuse —
 // that the figures and the hardware models consume.
+//
+// Fig. 6's "Reward to Fitness" block, the one piece the paper changes
+// between runs, is a workload's Fitness function. A rollout carries
+// only each episode's running reward sum; Fitness turns that sum, the
+// step count and the environment's final state into the episode's
+// fitness once the episode ends. A task whose fitness needs more of the
+// episode than its end state keeps it in the environment, as
+// MountainCar keeps its highest position.
 package evolve
 
 import (
@@ -12,69 +20,32 @@ import (
 	"repro/internal/env"
 )
 
-// Shaper converts an episode's reward stream into a fitness value —
-// the "Reward to Fitness" block of Fig. 6. The zero-state of a Shaper
-// is reset per episode via Reset.
-type Shaper interface {
-	Reset()
-	// Observe sees each step's observation and reward. Element i of
-	// the observation is obs[i*stride+lane]: the batch engine passes its
-	// struct-of-arrays observation plane in place, the scalar path its
-	// observation slice with stride 1 and lane 0.
-	Observe(obs []float64, stride, lane int, reward float64)
-	// Fitness produces the episode fitness from the final environment
-	// state and the step count.
-	Fitness(e env.Env, steps int) float64
-}
+// cumulative is the plain fitness: the episode's summed reward.
+func cumulative(_ env.Env, _ int, reward float64) float64 { return reward }
 
-// cumReward is the default shaper: fitness = cumulative reward.
-type cumReward struct{ total float64 }
-
-func (c *cumReward) Reset()                                   { c.total = 0 }
-func (c *cumReward) Observe(_ []float64, _, _ int, r float64) { c.total += r }
-func (c *cumReward) Fitness(env.Env, int) float64             { return c.total }
-
-// mcShaper shapes MountainCar: solving scores by speed; otherwise the
-// best altitude reached provides a gradient toward the flag.
-type mcShaper struct {
-	maxPos float64
-}
-
-func (m *mcShaper) Reset() { m.maxPos = -1.2 }
-func (m *mcShaper) Observe(obs []float64, _, lane int, _ float64) {
-	if lane < len(obs) && obs[lane] > m.maxPos { // row 0: position
-		m.maxPos = obs[lane]
-	}
-}
-func (m *mcShaper) Fitness(e env.Env, steps int) float64 {
-	if mc, ok := e.(*env.MountainCar); ok && mc.AtGoal() {
+// mountainCarFitness scores a solved episode by its speed; otherwise
+// the highest position reached gives a gradient toward the flag, in
+// [0, 90].
+func mountainCarFitness(e env.Env, steps int, _ float64) float64 {
+	mc := e.(*env.MountainCar)
+	if mc.AtGoal() {
 		return 100 + float64(e.MaxSteps()-steps)
 	}
-	// Progress shaping in [0, 100): scaled best position.
-	return (m.maxPos + 1.2) / 1.7 * 90
+	return (mc.MaxPosition() + 1.2) / 1.7 * 90
 }
 
-// acShaper shapes Acrobot: solving scores by speed, otherwise by the
-// tip height of the episode's final state, floored at −2. Observe keeps
-// nothing, so Fitness sees only the final state, not the heights
-// reached on the way.
-type acShaper struct{ best float64 }
-
-func (a *acShaper) Reset()                               { a.best = -2 }
-func (a *acShaper) Observe([]float64, int, int, float64) {}
-func (a *acShaper) Fitness(e env.Env, steps int) float64 {
-	ac, ok := e.(*env.Acrobot)
-	if !ok {
-		return 0
-	}
-	h := ac.TipHeight()
-	if h > a.best {
-		a.best = h
-	}
+// acrobotFitness scores a solved episode by its speed; otherwise by the
+// tip height of the episode's final state (not the heights reached on
+// the way), floored at −2.
+func acrobotFitness(e env.Env, steps int, _ float64) float64 {
+	h := e.(*env.Acrobot).TipHeight()
 	if h > 1 {
 		return 100 + float64(e.MaxSteps()-steps)
 	}
-	return (a.best + 2) / 3 * 90
+	if !(h > -2) { // a NaN height takes the floor too
+		h = -2
+	}
+	return (h + 2) / 3 * 90
 }
 
 // Workload couples an environment with its fitness shaping, target and
@@ -91,8 +62,10 @@ type Workload struct {
 	// Floor is the raw fitness corresponding to normalized 0 (used for
 	// the normalized-fitness curves of Fig. 4a).
 	Floor float64
-	// NewShaper builds a fresh reward→fitness shaper.
-	NewShaper func() Shaper
+	// Fitness is the "Reward to Fitness" block of Fig. 6: the fitness
+	// of one finished episode, from the environment in its final state,
+	// the episode's step count and its summed reward.
+	Fitness func(e env.Env, steps int, reward float64) float64
 }
 
 // Normalize maps a raw fitness onto [0, ~1] with 1 at the target, the
@@ -109,52 +82,52 @@ var workloads = map[string]Workload{
 	"cartpole": {
 		EnvName: "cartpole", Episodes: 3,
 		Target: 195, Floor: 0,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 	"mountaincar": {
 		EnvName: "mountaincar", Episodes: 3,
 		Target: 110, Floor: 0,
-		NewShaper: func() Shaper { return &mcShaper{} },
+		Fitness: mountainCarFitness,
 	},
 	"acrobot": {
 		EnvName: "acrobot", Episodes: 2,
 		Target: 100, Floor: 0,
-		NewShaper: func() Shaper { return &acShaper{} },
+		Fitness: acrobotFitness,
 	},
 	"lunarlander": {
 		EnvName: "lunarlander", Episodes: 3,
 		Target: 200, Floor: -300,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 	"bipedal": {
 		EnvName: "bipedal", Episodes: 2,
 		Target: 20, Floor: -100,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 	"mario": {
 		EnvName: "mario", Episodes: 2,
 		Target: 0.95, Floor: 0,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 	"airraid-ram": {
 		EnvName: "airraid-ram", Episodes: 1,
 		Target: 200, Floor: -200,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 	"alien-ram": {
 		EnvName: "alien-ram", Episodes: 1,
 		Target: 150, Floor: -200,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 	"asterix-ram": {
 		EnvName: "asterix-ram", Episodes: 1,
 		Target: 180, Floor: -200,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 	"amidar-ram": {
 		EnvName: "amidar-ram", Episodes: 1,
 		Target: 180, Floor: -200,
-		NewShaper: func() Shaper { return &cumReward{} },
+		Fitness: cumulative,
 	},
 }
 

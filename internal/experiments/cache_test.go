@@ -4,6 +4,9 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"repro/internal/neat"
+	"repro/internal/store"
 )
 
 // TestRunCacheSingleflight pins the tentpole's core guarantee: many
@@ -109,6 +112,26 @@ func TestStudyCacheShared(t *testing.T) {
 		}
 		if got := st.Results[rec.Run].History[rec.Generation].CounterReport(); got.Ints["total_genes"] != rec.Report.Ints["total_genes"] {
 			t.Fatalf("run %d gen %d: synthesized record diverges", rec.Run, rec.Generation)
+		}
+	}
+}
+
+// TestPopulationBounded: a key whose population is past
+// neat.MaxPopulationSize is refused by Validate and by Resolve, for
+// every run kind, before any population is built. A population of
+// 1<<62 once reached neat.NewPopulation, whose allocation panicked.
+func TestPopulationBounded(t *testing.T) {
+	for _, key := range []store.Key{
+		{Workload: "cartpole", Population: 1 << 62, Generations: 1, Seed: 1},
+		{Workload: "cartpole", Population: neat.MaxPopulationSize + 1, Generations: 1, Seed: 1},
+		{Workload: "cartpole", Population: 1 << 62, Generations: 1, Seed: 1, Islands: 2, MigrationEvery: 1},
+		{Workload: "cartpole", Population: 1 << 62, Generations: 1, Seed: 1, Objectives: "fitness+genes"},
+	} {
+		if err := Validate(key); err == nil {
+			t.Errorf("%s: Validate accepted it", key)
+		}
+		if _, err := Resolve(JobRequest{Key: key}); err == nil {
+			t.Errorf("%s: Resolve accepted it", key)
 		}
 	}
 }

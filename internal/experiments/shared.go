@@ -159,8 +159,8 @@ func checkRun(key store.Key) error {
 	if _, err := evolve.WorkloadByName(key.Workload); err != nil {
 		return err
 	}
-	if key.Population < 2 {
-		return fmt.Errorf("population %d: need at least 2", key.Population)
+	if key.Population < 2 || key.Population > neat.MaxPopulationSize {
+		return fmt.Errorf("population %d outside [2, %d]", key.Population, neat.MaxPopulationSize)
 	}
 	if key.Generations < 1 {
 		return fmt.Errorf("generations %d: need at least 1", key.Generations)

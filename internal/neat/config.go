@@ -27,8 +27,8 @@ import (
 // the values used throughout the paper reproduction; the zero value is
 // not usable.
 type Config struct {
-	// PopulationSize is the number of genomes per generation. The paper
-	// runs NEAT's classic 150.
+	// PopulationSize is the number of genomes per generation, at most
+	// MaxPopulationSize. The paper runs NEAT's classic 150.
 	PopulationSize int
 
 	// NumInputs and NumOutputs fix the sensor/actuator interface; the
@@ -193,11 +193,20 @@ func DefaultConfig(numInputs, numOutputs int) Config {
 	}
 }
 
+// MaxPopulationSize bounds every population: far above any run this
+// repository makes (at most 400 genomes; the CLIs default to 150), yet
+// small enough that a population at the bound fits in memory on every
+// workload. A size from outside the program (a job spec, a population
+// document) is checked against it before anything is allocated.
+const MaxPopulationSize = 10000
+
 // Validate reports configuration errors before a run starts.
 func (c Config) Validate() error {
 	switch {
 	case c.PopulationSize <= 0:
 		return fmt.Errorf("neat: population size %d must be positive", c.PopulationSize)
+	case c.PopulationSize > MaxPopulationSize:
+		return fmt.Errorf("neat: population size %d above the bound %d", c.PopulationSize, MaxPopulationSize)
 	case c.NumInputs <= 0:
 		return fmt.Errorf("neat: need at least one input, have %d", c.NumInputs)
 	case c.NumOutputs <= 0:

@@ -31,6 +31,14 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("accepted zero population")
 	}
+	bad.PopulationSize = MaxPopulationSize
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("rejected the bound: %v", err)
+	}
+	bad.PopulationSize = MaxPopulationSize + 1
+	if bad.Validate() == nil {
+		t.Fatal("accepted a population above the bound")
+	}
 	bad = cfg
 	bad.NumInputs = 0
 	if bad.Validate() == nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/hw/hwsim"
+	"repro/internal/neat"
+	"repro/internal/store"
 )
 
 // FuzzWatch feeds arbitrary bodies to the client's SSE parser: a
@@ -91,4 +94,51 @@ func generationBlocks(body []byte) int {
 		}
 	}
 	return n
+}
+
+// FuzzSubmit posts arbitrary bodies to POST /jobs on a daemon whose
+// executor returns at once, so no evolution runs. The handler never
+// panics or answers 5xx, and every job it admits (202) has a key whose
+// name parses back to it (store.ParseKeyFilename: the checkpoint file
+// and the cluster ring both go by that name) and a population within
+// neat.MaxPopulationSize.
+func FuzzSubmit(f *testing.F) {
+	for _, seed := range []string{
+		`{"workload":"cartpole","population":16,"generations":2,"seed":5}`,
+		`{"workload":"cartpole","population":16,"islands":2,"migration_every":1}`,
+		`{"workload":"mountaincar","objectives":"fitness+genes+energy"}`,
+		`{"workload":"cartpole","population":4611686018427387904}`,
+		`{"workload":"alien-ram","population":-1,"generations":-1,"seed":18446744073709551615}`,
+		`{"workload":"cartpole","islands":2,"objectives":"fitness+genes"}`,
+		`{"workload":"no-such-env"}`,
+		`{"workload":`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sched := NewScheduler(Config{MaxRunning: 1, Executor: execFunc(func(context.Context, *Job, hwsim.Sink) (Outcome, error) {
+			return Outcome{}, nil
+		})})
+		defer sched.Drain(5 * time.Second)
+		rr := httptest.NewRecorder()
+		NewServer(sched).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		if rr.Code >= 500 {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+		if rr.Code != http.StatusAccepted {
+			return
+		}
+		var st Status
+		if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+			t.Fatalf("202 body: %v (%s)", err, rr.Body)
+		}
+		key := st.Spec.key()
+		if k, ok := store.ParseKeyFilename(key.String()); !ok || k != key {
+			t.Fatalf("admitted key %+v: its name %q parses to %+v (%v)", key, key.String(), k, ok)
+		}
+		if st.Spec.Population > neat.MaxPopulationSize {
+			t.Fatalf("admitted population %d, bound %d", st.Spec.Population, neat.MaxPopulationSize)
+		}
+	})
 }

@@ -445,6 +445,38 @@ func TestSpecKeyStringIsStable(t *testing.T) {
 	}
 }
 
+// TestSubmitPopulationBounded: a POST /jobs whose population is past
+// neat.MaxPopulationSize is refused with 400 at admission, for every
+// run kind, and the daemon keeps serving. A population of 1<<62 once
+// passed admission, and allocating it panicked a scheduler worker,
+// which took the daemon down.
+func TestSubmitPopulationBounded(t *testing.T) {
+	_, c, _ := startDaemon(t, Config{MaxRunning: 1})
+	for _, body := range []string{
+		`{"workload":"cartpole","population":4611686018427387904}`,
+		`{"workload":"cartpole","population":4611686018427387904,"islands":2}`,
+		`{"workload":"cartpole","population":4611686018427387904,"objectives":"fitness+genes"}`,
+	} {
+		resp, err := http.Post(c.Base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /jobs %s: status %d, want 400 (%s)", body, resp.StatusCode, msg)
+		}
+	}
+	resp, err := http.Get(c.Base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz after the refusals: status %d", resp.StatusCode)
+	}
+}
+
 // execFunc adapts a function to the Executor interface.
 type execFunc func(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error)
 

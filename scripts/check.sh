@@ -20,7 +20,7 @@
 # cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one verifies the
 # committed run at boot and replays it from disk, a one-iteration smoke
-# over the kernel, narrow batch feed, vector sin/cos, acrobot,
+# over the kernel, narrow batch feed, vector sin/cos, cartpole, acrobot,
 # mountaincar, lunarlander and bipedal batch, whole-RAM-job, checkpoint
 # codec, stored-run decode,
 # replay and store benchmarks, boot verification (BenchmarkRecover)
@@ -30,9 +30,9 @@
 # regenerates it), and a
 # short fuzz smoke over the untrusted-input decoders (trace parser,
 # binary genome record, NEAT population document, store manifest, the
-# worker's /island/step body, the client's SSE parser), the one-pass
-# genome validator, the vector sin/cos kernel, the fused sigmoid
-# vertex kernel and the batch environments. The trace parser,
+# worker's /island/step body, the POST /jobs body, the client's SSE
+# parser), the one-pass genome validator, the vector sin/cos kernel,
+# the fused sigmoid vertex kernel and the batch environments. The trace parser,
 # validator, sin/cos, sigmoid and batch environment fuzzers are
 # differential: each checks the fast code against its reference
 # implementation (FuzzSinCosSlice checks every lane against
@@ -44,7 +44,10 @@
 # only what the encoder writes: whatever Restore accepts, Save writes
 # back byte for byte (Save(Restore(x)) == x). The /island/step fuzzer
 # checks that a worker answers any body with 200, 400 or 404 and never
-# steps a session past its generation budget. The SSE parser fuzzer
+# steps a session past its generation budget. The POST /jobs fuzzer
+# (FuzzSubmit) checks that the daemon answers any body without a 5xx
+# and admits only jobs whose key name parses back to the key and whose
+# population is within neat.MaxPopulationSize. The SSE parser fuzzer
 # (FuzzWatch) checks that Watch returns on any event-stream body, runs
 # its callback at most once per generation event and returns no error
 # only with a terminal state.
@@ -294,7 +297,7 @@ wait "$w1" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 rm -rf "$smokedir"
 
-echo "== bench smoke (kernel + narrow batch feed + sin/cos + acrobot, mountaincar, lunarlander and bipedal batch + batch + whole RAM job + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
+echo "== bench smoke (kernel + narrow batch feed + sin/cos + cartpole, acrobot, mountaincar, lunarlander and bipedal batch + batch + whole RAM job + checkpoint codec + stored-run decode + replay trajectory + store benches, 1 iteration)"
 # The NetworkFeed/EvaluateGeneration patterns are prefixes, so
 # BenchmarkNetworkFeedBatch, BenchmarkNetworkFeedBatchNarrow (width 4,
 # 3 active lanes, on 2-, 8- and 24-input genomes: the shape of most
@@ -311,7 +314,7 @@ go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
 go test -run=NONE -bench='BenchmarkSinCosSlice' \
     -benchtime=1x ./internal/vmath/
-go test -run=NONE -bench='BenchmarkAcrobotStepAll|BenchmarkMountainCarStepAll|BenchmarkLunarLanderStepAll|BenchmarkBipedalStepAll' \
+go test -run=NONE -bench='BenchmarkCartPoleStepAll|BenchmarkAcrobotStepAll|BenchmarkMountainCarStepAll|BenchmarkLunarLanderStepAll|BenchmarkBipedalStepAll' \
     -benchtime=1x ./internal/env/
 go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint' \
     -benchtime=1x ./internal/neat/
@@ -341,7 +344,7 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid vertex and batch environments against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; client SSE parser)"
+echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid vertex and batch environments against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; POST /jobs body; client SSE parser)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the
 # multi-kilobyte population corpus entries. FuzzRestore's oracle is
@@ -368,5 +371,6 @@ go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./interna
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 go test -run=NONE -fuzz=FuzzIslandStep -fuzztime=5s -fuzzminimizetime=50x ./internal/cluster/
 go test -run=NONE -fuzz=FuzzWatch -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
+go test -run=NONE -fuzz=FuzzSubmit -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
 
 echo "ok"
