@@ -56,7 +56,7 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 5, "periodic checkpoint interval in generations (with -checkpoint-dir)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long running jobs may finish after SIGTERM before being checkpointed and cancelled")
 
-		storeDir      = flag.String("store-dir", "", "persistent run-store root; completed results survive restarts and replay without re-evolving")
+		storeDir      = flag.String("store-dir", "", "persistent run-store root; completed results survive restarts and replay without re-evolving; the run cache then keeps about 8 MB of stored runs in memory, most recently used first")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "run-store size budget for GC, LRU eviction past it (0 = unbounded)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "evict run-store artifacts older than this on GC (0 = no age limit)")
 		ckptMaxAge    = flag.Duration("checkpoint-max-age", 24*time.Hour, "GC sweeps checkpoints older than this (0 = keep forever)")

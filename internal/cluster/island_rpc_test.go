@@ -103,6 +103,21 @@ func TestWorkerOpenPopulationBounded(t *testing.T) {
 	}
 }
 
+// TestWorkerOpenGenerationsBounded: /island/open refuses a session
+// whose generation budget is past the bound, before any island is
+// built.
+func TestWorkerOpenGenerationsBounded(t *testing.T) {
+	mux := http.NewServeMux()
+	NewWorkerAPI().Routes(mux)
+	body := `{"session":"long","spec":{"Workload":"cartpole","Population":8,` +
+		`"Generations":4611686018427387904,"Islands":2,"MigrationEvery":1,"Seed":5},"islands":[0,1]}`
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/island/open", strings.NewReader(body)))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("open with generations 1<<62: status %d, want 400 (%s)", rr.Code, rr.Body)
+	}
+}
+
 // jsonChampion is a cartpole champion as builds before the binary
 // genome record put it on the wire: a JSON genome object.
 const jsonChampion = `{"island":1,"fitness":9.333333333333334,"genome":{"id":5,"fitness":9.333333333333334,"nodes":[` +

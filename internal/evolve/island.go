@@ -72,10 +72,11 @@ func (s IslandSpec) Validate() error {
 		return fmt.Errorf("island: population %d above the bound %d", s.Population, neat.MaxPopulationSize)
 	case s.Population%s.Islands != 0:
 		return fmt.Errorf("island: population %d not divisible by %d islands", s.Population, s.Islands)
-	case s.Generations < 1:
-		return fmt.Errorf("island: generations %d must be positive", s.Generations)
 	case s.MigrationEvery < 1:
 		return fmt.Errorf("island: migrationEvery %d must be positive", s.MigrationEvery)
+	}
+	if err := CheckGenerations(s.Generations); err != nil {
+		return fmt.Errorf("island: %w", err)
 	}
 	if _, err := WorkloadByName(s.Workload); err != nil {
 		return err

@@ -38,6 +38,29 @@ func TestIslandSpecValidate(t *testing.T) {
 	}
 }
 
+// TestGenerationsBounded: CheckGenerations accepts [1,
+// generationBound], and the island and Pareto validators refuse a
+// budget past it. A budget of 1<<62 was once admitted and ran until
+// cancelled.
+func TestGenerationsBounded(t *testing.T) {
+	for _, n := range []int{1, 50, generationBound} {
+		if err := CheckGenerations(n); err != nil {
+			t.Errorf("CheckGenerations(%d): %v", n, err)
+		}
+	}
+	for _, n := range []int{0, -1, generationBound + 1, 1 << 62} {
+		if CheckGenerations(n) == nil {
+			t.Errorf("CheckGenerations(%d) accepted it", n)
+		}
+		island := islandSpec()
+		island.Generations = n
+		pareto := ParetoSpec{Workload: "cartpole", Population: 16, Generations: n, Seed: 1, Objectives: DefaultParetoObjectives()}
+		if island.Validate() == nil || pareto.Validate() == nil {
+			t.Errorf("generations %d: island %v, pareto %v", n, island.Validate(), pareto.Validate())
+		}
+	}
+}
+
 func TestIslandSeedDistinct(t *testing.T) {
 	seen := map[uint64]int{}
 	for i := 0; i < 64; i++ {

@@ -198,11 +198,11 @@ type ParetoSpec struct {
 
 // Validate reports spec errors before any population is built.
 func (s ParetoSpec) Validate() error {
-	switch {
-	case s.Population < 2 || s.Population > neat.MaxPopulationSize:
+	if s.Population < 2 || s.Population > neat.MaxPopulationSize {
 		return fmt.Errorf("pareto: population %d outside [2, %d]", s.Population, neat.MaxPopulationSize)
-	case s.Generations < 1:
-		return fmt.Errorf("pareto: generations %d must be positive", s.Generations)
+	}
+	if err := CheckGenerations(s.Generations); err != nil {
+		return fmt.Errorf("pareto: %w", err)
 	}
 	if _, err := WorkloadByName(s.Workload); err != nil {
 		return err

@@ -528,6 +528,23 @@ func (r *Runner) finishGeneration(envSteps, macs, updates int64, evalDur time.Du
 // demand without stopping it.
 func (r *Runner) RequestCheckpoint() { r.ckptReq.Store(true) }
 
+// generationBound bounds every run's generation budget: far above any
+// run this repository makes (the CLIs default to 5–50 generations, the
+// benchmark's largest is 50), yet a budget from outside the program —
+// a job spec, an island session — cannot make a run that holds a
+// worker until it is cancelled, growing its history by a record per
+// generation.
+const generationBound = 10000
+
+// CheckGenerations rejects a generation budget outside
+// [1, generationBound]; every run kind's validation applies it.
+func CheckGenerations(n int) error {
+	if n < 1 || n > generationBound {
+		return fmt.Errorf("generations %d outside [1, %d]", n, generationBound)
+	}
+	return nil
+}
+
 // Run executes steps until the population reaches maxGenerations,
 // stopping early when the target fitness is reached or ctx is
 // cancelled. The loop is bounded by the population's own generation

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -33,6 +34,10 @@ import (
 // type keyed by store.Key: memory first, then the persistent store,
 // then a computation that is committed back. A kind contributes only
 // its validation, compute body, store codec, and record rendering.
+//
+// Memory is bounded only where the store can stand in for it: a run
+// the attached store holds may be evicted past a byte budget, and its
+// next request is an ordinary store hit (heldList).
 
 // studyKey identifies one unique multi-run study. seed is the study
 // base seed; per-run seeds derive from it via evolve.RunSeed, a
@@ -53,6 +58,17 @@ type flight[V any] struct {
 	err  error
 }
 
+// succeeded reports whether the computation completed without error,
+// never blocking.
+func (f *flight[V]) succeeded() bool {
+	select {
+	case <-f.done:
+		return f.err == nil
+	default:
+		return false
+	}
+}
+
 // flightMap memoizes computations with singleflight semantics: the
 // first requester of a key computes, concurrent requesters of the same
 // key block on that computation, later requesters get the cached
@@ -69,22 +85,27 @@ type flightMap[K comparable, V any] struct {
 // peek returns the memoized value for key only when its computation
 // already completed successfully — never blocking and never computing.
 func (fm *flightMap[K, V]) peek(key K) (V, bool) {
-	var zero V
 	fm.mu.Lock()
 	f, ok := fm.m[key]
 	fm.mu.Unlock()
-	if !ok {
+	if !ok || !f.succeeded() {
+		var zero V
 		return zero, false
 	}
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return zero, false
-		}
-		return f.val, true
-	default:
-		return zero, false
+	return f.val, true
+}
+
+// forget drops key's entry if its computation completed successfully
+// and evictable accepts its value; an in-flight entry stays.
+func (fm *flightMap[K, V]) forget(key K, evictable func(V) bool) bool {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	f, ok := fm.m[key]
+	if !ok || !f.succeeded() || !evictable(f.val) {
+		return false
 	}
+	delete(fm.m, key)
+	return true
 }
 
 // get returns the memoized value for key, computing it via compute if
@@ -175,9 +196,10 @@ type JobOutcome struct {
 
 // tier caches one run kind: a singleflight memory map over the
 // persistent store, both keyed by store.Key. The kind supplies the
-// functions; the tier owns lookup, load, quarantine, commit and peek.
+// functions; the tier owns lookup, load, quarantine, commit, peek and
+// eviction.
 type tier[R any] struct {
-	mem flightMap[store.Key, R]
+	mem flightMap[store.Key, entry[R]]
 	// check rejects a key this kind cannot run, before any lookup.
 	check func(store.Key) error
 	// compute runs a cache miss. resumed reports a restored checkpoint:
@@ -196,6 +218,14 @@ type tier[R any] struct {
 	summary func(R) (solved bool, best float64, gens int)
 }
 
+// entry is a tier's memoized run and the byte length of its store
+// payload files, 0 when the attached store does not hold it: only an
+// entry with bytes may be evicted.
+type entry[R any] struct {
+	run   R
+	bytes int64
+}
+
 // get resolves req.Key through memory, then the store, then compute.
 func (t *tier[R]) get(req *JobRequest) (R, JobOutcome, error) {
 	var out JobOutcome
@@ -203,77 +233,121 @@ func (t *tier[R]) get(req *JobRequest) (R, JobOutcome, error) {
 		var zero R
 		return zero, out, err
 	}
-	run, err := t.mem.get(req.Key, func() (R, error) {
-		if run, ok := t.load(req.Key); ok {
+	run, err := t.memo(req.Key, func() (entry[R], error) {
+		if e, ok := t.load(req.Key); ok {
 			out.Stored = true
-			return run, nil
+			return e, nil
 		}
 		out.Computed = true
 		run, resumed, err := t.compute(req.Key, req)
+		e := entry[R]{run: run}
 		if err == nil && !resumed {
-			t.commit(req, run)
+			e.bytes = t.commit(req, run)
 		}
 		out.Resumed = resumed
-		return run, err
+		return e, err
 	})
 	return run, out, err
+}
+
+// memo resolves key through the memory map, filling a miss with fill,
+// and keeps the held list current: a run this call filled joins it if
+// the store holds it, and a hit refreshes the run's recency. It joins
+// only once its flight is complete, so the list never holds an
+// in-flight key.
+func (t *tier[R]) memo(key store.Key, fill func() (entry[R], error)) (R, error) {
+	filled := false
+	e, err := t.mem.get(key, func() (entry[R], error) {
+		filled = true
+		return fill()
+	})
+	if err != nil {
+		return e.run, err
+	}
+	if filled {
+		held.add(key, e.bytes)
+	} else {
+		held.touch(key)
+	}
+	return e.run, nil
 }
 
 // load rehydrates a run from the attached store. Any failure degrades
 // to a miss; a payload whose bytes verify but do not decode is as
 // corrupt as a checksum mismatch, so it is quarantined and the
 // recompute can commit a fresh artifact.
-func (t *tier[R]) load(key store.Key) (R, bool) {
-	var zero R
+func (t *tier[R]) load(key store.Key) (entry[R], bool) {
 	s := activeStore.Load()
 	if s == nil {
-		return zero, false
+		return entry[R]{}, false
 	}
 	art, ok := s.Get(key)
 	if !ok {
-		return zero, false
+		return entry[R]{}, false
 	}
 	run, err := t.decode(key, art)
 	if err != nil {
 		s.QuarantineKey(key, fmt.Sprintf("decode: %v", err))
-		return zero, false
+		return entry[R]{}, false
 	}
-	return run, true
+	return entry[R]{run, payloadBytes(art.Files)}, true
 }
 
 // commit writes a computed run to the attached store, best-effort: a
 // failed commit only means the next cold process recomputes. The
 // artifact's Meta is the run's summary, so it reads what the job
 // reported. Its time, encode and Put, is charged to req.Phases as
-// commit_ns.
-func (t *tier[R]) commit(req *JobRequest, run R) {
+// commit_ns. It returns the payload bytes the store now holds for the
+// run, 0 when it holds none.
+func (t *tier[R]) commit(req *JobRequest, run R) int64 {
 	s := activeStore.Load()
 	if s == nil {
-		return
+		return 0
 	}
 	start := time.Now()
+	var stored int64
 	if files, err := t.encode(req.Key, run); err == nil {
 		var meta store.Meta
 		meta.Solved, meta.BestFitness, meta.Generations = t.summary(run)
-		s.Put(req.Key, meta, files)
+		if s.Put(req.Key, meta, files) == nil {
+			stored = payloadBytes(files)
+		}
 	}
 	if req.Phases != nil {
 		req.Phases.AddInt("commit_ns", time.Since(start).Nanoseconds())
 	}
+	return stored
+}
+
+// payloadBytes is the byte length of a run's store payload files:
+// what a reload reads.
+func payloadBytes(files map[string][]byte) int64 {
+	var n int64
+	for _, b := range files {
+		n += int64(len(b))
+	}
+	return n
 }
 
 // peek answers key from memory or the store without ever computing. A
 // store hit is memoized, so repeated peeks read disk once.
 func (t *tier[R]) peek(key store.Key) (run R, stored, ok bool) {
-	if run, ok := t.mem.peek(key); ok {
-		return run, false, true
+	if e, ok := t.mem.peek(key); ok {
+		held.touch(key)
+		return e.run, false, true
 	}
 	loaded, ok := t.load(key)
 	if !ok {
 		return run, false, false
 	}
-	run, err := t.mem.get(key, func() (R, error) { return loaded, nil })
+	run, err := t.memo(key, func() (entry[R], error) { return loaded, nil })
 	return run, true, err == nil
+}
+
+// forget evicts key's run from memory if the store holds it and it is
+// not in flight, reporting whether it did.
+func (t *tier[R]) forget(key store.Key) bool {
+	return t.mem.forget(key, func(e entry[R]) bool { return e.bytes > 0 })
 }
 
 // kind is a run kind as the job path sees it, whatever its result type.
@@ -281,6 +355,7 @@ type kind interface {
 	validate(store.Key) error
 	resolve(JobRequest) (JobOutcome, error)
 	replay(store.Key, hwsim.Sink) (JobOutcome, bool)
+	forget(store.Key) bool
 }
 
 func (t *tier[R]) validate(key store.Key) error { return t.check(key) }
@@ -362,9 +437,98 @@ func ResetCaches() {
 	runTier.mem.reset()
 	islandTier.mem.reset()
 	paretoTier.mem.reset()
+	held.reset()
 	studyCache.reset()
 	priceCache.reset()
 	evolutionsRun.Store(0)
+}
+
+// heldBudget bounds the store payload bytes of the runs on the held
+// list. 8 MB is about five of the largest runs the benchmark serves (a
+// RAM-game run at pop 50 stores 1.4–2.2 MB), and it covers the working
+// set of a daemon replaying committed runs: the benchmark's replay
+// rounds read 6.5 MB from 12 runs. A decoded run takes about three
+// times its payload in memory (a control run at pop 150 stores about
+// 140 KB and holds 440 KB), so the held runs stay in the tens of MB.
+// Payload bytes are exact and what a reload costs to read.
+const heldBudget = 8 << 20
+
+// heldList is the one least-recently-used list of evictable runs,
+// across the scalar, island and Pareto tiers: completed runs the
+// attached store holds, each charged its store payload bytes. A run
+// joins when its tier loads it from the store or commits it, and moves
+// to the back on every memory hit; each join evicts from the front
+// while the list's bytes exceed heldBudget. A run the store does not
+// hold — no store attached, a failed commit, a resumed run — never
+// joins, and stays in memory for the process's life.
+type heldList struct {
+	mu      sync.Mutex
+	lru     list.List // of heldRun, least recently used first
+	at      map[store.Key]*list.Element
+	bytes   int64
+	evicted int64
+}
+
+// heldRun is one list element: a run's key and its payload bytes.
+type heldRun struct {
+	key   store.Key
+	bytes int64
+}
+
+var held heldList
+
+// add enters a completed run the store holds (bytes > 0) as the most
+// recently used and evicts past the budget.
+func (h *heldList) add(key store.Key, bytes int64) {
+	if bytes <= 0 {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if el, ok := h.at[key]; ok {
+		h.lru.MoveToBack(el)
+		return
+	}
+	if h.at == nil {
+		h.at = map[store.Key]*list.Element{}
+	}
+	h.at[key] = h.lru.PushBack(heldRun{key, bytes})
+	h.bytes += bytes
+	for h.bytes > heldBudget {
+		r := h.lru.Remove(h.lru.Front()).(heldRun)
+		delete(h.at, r.key)
+		h.bytes -= r.bytes
+		if kindOf(r.key).forget(r.key) {
+			h.evicted++
+		}
+	}
+}
+
+// touch marks key's run, if listed, as the most recently used.
+func (h *heldList) touch(key store.Key) {
+	h.mu.Lock()
+	if el, ok := h.at[key]; ok {
+		h.lru.MoveToBack(el)
+	}
+	h.mu.Unlock()
+}
+
+// reset empties the list, leaving every run in memory unevictable.
+func (h *heldList) reset() {
+	h.mu.Lock()
+	h.lru.Init()
+	h.at = nil
+	h.bytes, h.evicted = 0, 0
+	h.mu.Unlock()
+}
+
+// HeldRuns reports the held list: how many runs it holds, their store
+// payload bytes, and how many runs it has evicted since the caches
+// were last reset.
+func HeldRuns() (runs int, bytes, evicted int64) {
+	held.mu.Lock()
+	defer held.mu.Unlock()
+	return held.lru.Len(), held.bytes, held.evicted
 }
 
 // evolutionsExecuted reports how many evolution computations ran since

@@ -135,3 +135,23 @@ func TestPopulationBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerationsBounded: a key whose generation budget is past the
+// bound is refused by Validate and by Resolve, for every run kind,
+// before anything runs. A RAM-game key with 1<<62 generations was once
+// admitted and ran until cancelled, one record per generation.
+func TestGenerationsBounded(t *testing.T) {
+	for _, key := range []store.Key{
+		{Workload: "alien-ram", Population: 16, Generations: 1 << 62, Seed: 1},
+		{Workload: "cartpole", Population: 16, Generations: 1 << 20, Seed: 1},
+		{Workload: "cartpole", Population: 16, Generations: 1 << 62, Seed: 1, Islands: 2, MigrationEvery: 1},
+		{Workload: "cartpole", Population: 16, Generations: 1 << 62, Seed: 1, Objectives: "fitness+genes"},
+	} {
+		if err := Validate(key); err == nil {
+			t.Errorf("%s: Validate accepted it", key)
+		}
+		if _, err := Resolve(JobRequest{Key: key}); err == nil {
+			t.Errorf("%s: Resolve accepted it", key)
+		}
+	}
+}

@@ -55,8 +55,14 @@ type historyDoc struct {
 var activeStore atomic.Pointer[store.Store]
 
 // UseStore attaches (or with nil detaches) the persistent run store
-// every run tier reads through and writes back to.
-func UseStore(s *store.Store) { activeStore.Store(s) }
+// every run tier reads through and writes back to. A run is evictable
+// only while the store it was held by is attached, so a change of
+// store empties the held list.
+func UseStore(s *store.Store) {
+	if activeStore.Swap(s) != s {
+		held.reset()
+	}
+}
 
 // encodeRun renders a scalar run as its three payload files.
 func encodeRun(key store.Key, e *evolved) (map[string][]byte, error) {

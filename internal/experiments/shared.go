@@ -162,10 +162,7 @@ func checkRun(key store.Key) error {
 	if key.Population < 2 || key.Population > neat.MaxPopulationSize {
 		return fmt.Errorf("population %d outside [2, %d]", key.Population, neat.MaxPopulationSize)
 	}
-	if key.Generations < 1 {
-		return fmt.Errorf("generations %d: need at least 1", key.Generations)
-	}
-	return nil
+	return evolve.CheckGenerations(key.Generations)
 }
 
 // computeRun is the scalar cache-miss body: one evolution with a trace
@@ -201,9 +198,9 @@ func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	}
 	// Cached entries are read-only (History/Pop/trace; re-scoring uses
 	// the self-contained ScoreGenome), so drop the evaluation engine
-	// before the cache pins this runner for the process lifetime —
-	// otherwise every finished daemon job keeps its batch planes and
-	// environment pool live and GC scan time grows with jobs completed.
+	// before the cache holds this runner — for the process lifetime
+	// when no store backs it — otherwise every held run keeps its batch
+	// planes and environment pool live and GC scan time grows with them.
 	r.ReleaseEvalState()
 	return &evolved{runner: r, trace: tr, solved: solved}, resumed, nil
 }

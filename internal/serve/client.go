@@ -65,7 +65,8 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 
 // apiError decodes a non-2xx response into an error. 429 responses
 // come back as *ShedError carrying the Retry-After hint, so callers
-// can distinguish shed load from failure.
+// can distinguish shed load from failure, and a 404 for a job id the
+// daemon does not hold wraps ErrUnknownJob.
 func apiError(resp *http.Response) error {
 	var body errorBody
 	json.NewDecoder(resp.Body).Decode(&body)
@@ -73,12 +74,15 @@ func apiError(resp *http.Response) error {
 	if msg == "" {
 		msg = resp.Status
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
 		after := body.RetryAfter
 		if after == 0 {
 			after, _ = strconv.Atoi(resp.Header.Get("Retry-After"))
 		}
 		return &ShedError{Reason: msg, RetryAfter: after}
+	case resp.StatusCode == http.StatusNotFound && msg == unknownJob:
+		return fmt.Errorf("%s: %w", resp.Status, ErrUnknownJob)
 	}
 	return fmt.Errorf("%s: %s", resp.Status, msg)
 }
@@ -168,7 +172,9 @@ func (e *watchDropped) Unwrap() error { return e.err }
 // history on every subscription, and the client skips the records it
 // already delivered, so fn sees each generation exactly once across
 // any number of reconnects. Progress resets the attempt budget —
-// only consecutive fruitless reconnects exhaust it.
+// only consecutive fruitless reconnects exhaust it. A job the daemon
+// does not hold (never issued, or finished and dropped) ends the watch
+// at once with an error wrapping ErrUnknownJob.
 func (c *Client) Watch(ctx context.Context, id string, fn func(hwsim.Record) error) (Status, error) {
 	pol := c.Retry.withDefaults()
 	attempts := pol.MaxAttempts
@@ -201,6 +207,9 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(hwsim.Record) err
 			st, jerr := c.Job(ctx, id)
 			if jerr == nil && st.State.Terminal() {
 				return st, nil
+			}
+			if errors.Is(jerr, ErrUnknownJob) {
+				return Status{}, jerr
 			}
 			if err = jerr; err == nil {
 				err = fmt.Errorf("serve: event stream of job %s ended while it is %s", id, st.State)

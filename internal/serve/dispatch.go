@@ -255,10 +255,13 @@ func (d *Dispatcher) dispatch(ctx context.Context, j *Job, sink hwsim.Sink) (Out
 		if ctx.Err() != nil {
 			return Outcome{}, err
 		}
-		if errors.Is(err, errRebalanced) {
+		if errors.Is(err, errRebalanced) || errors.Is(err, ErrUnknownJob) {
 			// The coordinator moved the still-queued job off a healthy
-			// worker; retry resolves the new ring owner. No failure is
-			// reported — nothing is wrong with the old worker.
+			// worker, or the worker finished the job and dropped it
+			// (maxFinished) before the watch read its end; retry
+			// resolves the ring owner, which replays a finished run from
+			// its cache or store. No failure is reported — nothing is
+			// wrong with the old worker.
 			lastErr = err
 			continue
 		}
@@ -321,6 +324,9 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 		sink.Record(rec)
 		return nil
 	})
+	if errors.Is(err, ErrUnknownJob) {
+		return Outcome{}, err
+	}
 	if err != nil {
 		return Outcome{}, &workerFailure{err}
 	}

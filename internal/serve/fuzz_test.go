@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
 	"repro/internal/store"
@@ -100,14 +101,16 @@ func generationBlocks(body []byte) int {
 // executor returns at once, so no evolution runs. The handler never
 // panics or answers 5xx, and every job it admits (202) has a key whose
 // name parses back to it (store.ParseKeyFilename: the checkpoint file
-// and the cluster ring both go by that name) and a population within
-// neat.MaxPopulationSize.
+// and the cluster ring both go by that name), a population within
+// neat.MaxPopulationSize and a generation budget within the bound
+// evolve.CheckGenerations holds runs to.
 func FuzzSubmit(f *testing.F) {
 	for _, seed := range []string{
 		`{"workload":"cartpole","population":16,"generations":2,"seed":5}`,
 		`{"workload":"cartpole","population":16,"islands":2,"migration_every":1}`,
 		`{"workload":"mountaincar","objectives":"fitness+genes+energy"}`,
 		`{"workload":"cartpole","population":4611686018427387904}`,
+		`{"workload":"alien-ram","population":16,"generations":4611686018427387904}`,
 		`{"workload":"alien-ram","population":-1,"generations":-1,"seed":18446744073709551615}`,
 		`{"workload":"cartpole","islands":2,"objectives":"fitness+genes"}`,
 		`{"workload":"no-such-env"}`,
@@ -139,6 +142,9 @@ func FuzzSubmit(f *testing.F) {
 		}
 		if st.Spec.Population > neat.MaxPopulationSize {
 			t.Fatalf("admitted population %d, bound %d", st.Spec.Population, neat.MaxPopulationSize)
+		}
+		if err := evolve.CheckGenerations(st.Spec.Generations); err != nil {
+			t.Fatalf("admitted %v", err)
 		}
 	})
 }

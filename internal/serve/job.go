@@ -109,6 +109,8 @@ func (sp Spec) key() store.Key {
 type Job struct {
 	ID   string
 	Spec Spec
+	// seq is the job's admission number, its place in Jobs.
+	seq int
 
 	stream *stream
 	// done closes when the job reaches a terminal state.

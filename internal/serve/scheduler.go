@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,8 +115,20 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("serve: load shed (%s), retry after %ds", e.Reason, e.RetryAfter)
 }
 
-// ErrUnknownJob is returned for job ids the store has never seen.
+// ErrUnknownJob is returned for job ids the scheduler does not hold:
+// never issued, or finished and dropped past maxFinished.
 var ErrUnknownJob = errors.New("serve: unknown job")
+
+// maxFinished bounds the finished jobs a scheduler keeps, with their
+// status and record log, for GET /jobs/{id} and its event stream: past
+// it the longest-finished job is dropped and its id answers 404 like
+// one never issued. Queued and running jobs are always kept. A client
+// watching its job has the result in the stream's done event, and a
+// dropped job's run is still in the run cache or the store, so
+// resubmitting it replays the same stream. A generation record holds
+// about 850 bytes, so 256 finished 50-generation jobs hold about 11 MB,
+// the scale of the run cache's budget.
+const maxFinished = 256
 
 // Scheduler owns the job store, the admission policy, and the worker
 // pool. All methods are safe for concurrent use.
@@ -128,9 +141,11 @@ type Scheduler struct {
 	queue chan *Job
 	wg    sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// finished holds the ids of terminal jobs still in jobs, longest
+	// finished first.
+	finished []string
 	active   map[string]int // queued+running per client
 	seq      int
 	draining bool
@@ -178,6 +193,10 @@ func NewScheduler(cfg Config) *Scheduler {
 	})
 	s.counters.Child("cache").OnSnapshot(func(c *hwsim.Counters) {
 		c.SetInt("evolutions_executed", experiments.EvolutionsExecuted())
+		runs, bytes, evicted := experiments.HeldRuns()
+		c.SetInt("held_runs", int64(runs))
+		c.SetInt("held_bytes", bytes)
+		c.SetInt("evicted", evicted)
 	})
 	if cfg.Store != nil {
 		// Attach the disk tier under the run cache and mount its
@@ -258,6 +277,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	s.seq++
 	j := &Job{
 		ID:     fmt.Sprintf("job-%04d", s.seq),
+		seq:    s.seq,
 		Spec:   spec,
 		stream: newStream(),
 		done:   make(chan struct{}),
@@ -274,7 +294,6 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		}
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
 	s.active[client]++
 	s.ctrJobs.AddInt("admitted", 1)
 	return j, nil
@@ -288,14 +307,15 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every job in submission order.
+// Jobs returns every job the scheduler holds, in submission order.
 func (s *Scheduler) Jobs() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+	out := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j)
 	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return a.seq - b.seq })
 	return out
 }
 
@@ -461,9 +481,10 @@ func (s *Scheduler) runJob(j *Job) {
 }
 
 // finishJob finalizes a job exactly once: terminal state, client slot
-// release and outcome counters, and only then the end of its stream
-// and done channel — so a client that has seen the job end finds it
-// counted and may submit again at once.
+// release, outcome counters and the drop of the longest-finished job
+// past maxFinished, and only then the end of its stream and done
+// channel — so a client that has seen the job end finds it counted and
+// may submit again at once.
 func (s *Scheduler) finishJob(j *Job, state State, msg string) {
 	if !j.terminate(state, msg) {
 		return
@@ -475,6 +496,11 @@ func (s *Scheduler) finishJob(j *Job, state State, msg string) {
 	s.mu.Lock()
 	if s.active[client]--; s.active[client] <= 0 {
 		delete(s.active, client)
+	}
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > maxFinished {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
 	switch state {

@@ -71,6 +71,10 @@ type errorBody struct {
 	RetryAfter int    `json:"retry_after_seconds,omitempty"`
 }
 
+// unknownJob is the 404 body of every job route for an id the
+// scheduler does not hold.
+const unknownJob = "unknown job"
+
 // maxBody bounds the request bodies the daemon decodes itself (a job
 // spec, a cluster join); either is well under 1 KB.
 const maxBody = 1 << 20
@@ -147,7 +151,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.sched.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: unknownJob})
 		return
 	}
 	st := j.Status()
@@ -177,7 +181,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, err := s.sched.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: unknownJob})
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Status())
@@ -186,7 +190,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	j, err := s.sched.CheckpointJob(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: unknownJob})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.Status())
@@ -273,7 +277,7 @@ func (s *Server) handleStorePurge(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.sched.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: unknownJob})
 		return
 	}
 	flusher, ok := w.(http.Flusher)

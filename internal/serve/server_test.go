@@ -477,6 +477,29 @@ func TestSubmitPopulationBounded(t *testing.T) {
 	}
 }
 
+// TestSubmitGenerationsBounded: a POST /jobs whose generation budget
+// is past the bound is refused with 400 at admission, for every run
+// kind. A RAM-game job with 1<<62 generations was once admitted and
+// ran until cancelled, holding a worker and growing its record log.
+func TestSubmitGenerationsBounded(t *testing.T) {
+	_, c, _ := startDaemon(t, Config{MaxRunning: 1})
+	for _, body := range []string{
+		`{"workload":"alien-ram","population":16,"generations":4611686018427387904}`,
+		`{"workload":"cartpole","generations":4611686018427387904,"islands":2}`,
+		`{"workload":"cartpole","generations":4611686018427387904,"objectives":"fitness+genes"}`,
+	} {
+		resp, err := http.Post(c.Base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /jobs %s: status %d, want 400 (%s)", body, resp.StatusCode, msg)
+		}
+	}
+}
+
 // execFunc adapts a function to the Executor interface.
 type execFunc func(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error)
 

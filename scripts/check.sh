@@ -219,8 +219,13 @@ echo "$out2" | grep -q "stored=true" || { echo "restart did not replay from the 
 cat "$smokedir/boot3.log"
 grep -q ": 1 verified, 0 quarantined," "$smokedir/boot3.log" \
     || { echo "restart did not verify the committed run at boot" >&2; exit 1; }
-"$smokedir/genesysctl" -addr "$addr" metrics | grep -q '"store_hits": 1' \
+"$smokedir/genesysctl" -addr "$addr" metrics > "$smokedir/metrics3.json"
+grep -q '"store_hits": 1' "$smokedir/metrics3.json" \
     || { echo "metrics missing the store hit" >&2; exit 1; }
+# The replayed run is in the store, so the run cache holds it as
+# evictable: one held run.
+grep -q '"held_runs": 1' "$smokedir/metrics3.json" \
+    || { echo "metrics do not show the replayed run held" >&2; exit 1; }
 kill -TERM "$daemon"
 wait "$daemon" || { echo "genesysd exited non-zero on SIGTERM" >&2; exit 1; }
 
