@@ -81,10 +81,7 @@ func acrobotTrigArgs(th1, th2 float64) (a2, a12, a1 float64) {
 // Spong acrobot model at angular velocities dth1 and dth2 under the
 // given torque; the angle derivatives are the velocities themselves. The
 // caller supplies the trig of the same state at acrobotTrigArgs: cos θ2,
-// sin θ2, cos(θ1+θ2−π/2) and cos(θ1−π/2). The scalar Step computes them
-// with math.Cos/math.Sin and the batch with the vector kernel, which is
-// bit-identical, so both run the same float operations. Arguments and
-// results are scalars, which Go's register ABI passes in registers.
+// sin θ2, cos(θ1+θ2−π/2) and cos(θ1−π/2).
 func acrobotDeriv(dth1, dth2, torque, cos2, sin2, cos12, cos1 float64) (ddth1, ddth2 float64) {
 	m, l1, lc, i, g := acLinkMass, acLinkLen1, acLinkCOM, acInertia, acGravity
 
@@ -111,8 +108,10 @@ var (
 	acRK4Weight = [4]float64{1, 2, 2, 1}
 )
 
-// Step implements Env using one RK4 step, run as the batch runs it
-// (acrobotBatch.StepAll), one lane.
+// Step implements Env using one RK4 step. The batch's vector kernel
+// (vmath.AcrobotStep) twins its compiled instructions, acrobotDeriv's
+// and advance's, so a change here must be made there too;
+// FuzzAcrobotStep compares the two.
 func (a *Acrobot) Step(action []float64) ([]float64, float64, bool) {
 	torque := 0.0
 	if len(action) > 0 {

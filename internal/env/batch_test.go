@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/vmath"
 )
 
 // swapCols exchanges two lane columns of a plane with the given row
@@ -166,13 +168,38 @@ func TestGenericBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// withoutVec runs fn with the vector kernels off, as on a host without
+// AVX2+FMA.
+func withoutVec(fn func()) {
+	saved := vmath.HaveVec
+	vmath.HaveVec = false
+	defer func() { vmath.HaveVec = saved }()
+	fn()
+}
+
+// fuzzAction reads one fuzzed byte as an action: 0x80, 0x81 and 0x82
+// are NaN, +Inf and −Inf, every other byte a value in [−4, 4) in steps
+// of 1/32.
+func fuzzAction(c byte) float64 {
+	switch c {
+	case 0x80:
+		return math.NaN()
+	case 0x81:
+		return math.Inf(1)
+	case 0x82:
+		return math.Inf(-1)
+	}
+	return float64(int8(c)) / 32
+}
+
 // FuzzBatchMatchesScalar reads an environment (any registered one, by
 // its index in Names), a width of 1–9 and every lane's 8-byte episode
 // seed from the input, then reads the action planes from the rest of
-// it, one byte per action as a value in [−4, 4) in steps of 1/32, from
-// the start again when it runs out (all zeros when there is none).
-// NewBatch's batch must match scalar envs bit for bit, with finished
-// lanes compacted out of the active prefix, as in TestBatchMatchesScalar.
+// it, one byte per action (fuzzAction), from the start again when it
+// runs out (all zeros when there is none). NewBatch's batch must match
+// scalar envs bit for bit, with finished lanes compacted out of the
+// active prefix, as in TestBatchMatchesScalar, on the host's path and
+// again with the vector kernels off.
 func FuzzBatchMatchesScalar(f *testing.F) {
 	names := Names()
 	seed := func(name string, width byte, laneSeeds []uint64, acts ...byte) []byte {
@@ -188,6 +215,9 @@ func FuzzBatchMatchesScalar(f *testing.F) {
 	f.Add(seed("lunarlander", 6, []uint64{21, 22, 23, 24, 25, 26, 27}, 0, 0, 0x40, 0, 0x20, 0, 0, 0x30))
 	f.Add(seed("bipedal", 3, []uint64{31, 32, 33, 34}, 0x7F, 0x10, 0x81, 0xF0, 0x05))
 	f.Add([]byte{0})
+	for _, name := range names { // non-finite actions
+		f.Add(seed(name, 3, []uint64{41, 42, 43}, 0x80, 0x10, 0x81, 0x82, 0xF0, 0x80))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hdr [2]byte
@@ -200,20 +230,24 @@ func FuzzBatchMatchesScalar(f *testing.F) {
 			data = data[copy(s[:], data):]
 			seeds[lane] = binary.LittleEndian.Uint64(s[:])
 		}
-		b, err := NewBatch(name, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := 0
-		driveBatchVsScalar(t, b, seeds, func(actions []float64) {
-			for i := range actions {
-				actions[i] = 0
-				if len(data) > 0 {
-					actions[i] = float64(int8(data[next%len(data)])) / 32
-					next++
-				}
+		drive := func() {
+			b, err := NewBatch(name, width)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			next := 0
+			driveBatchVsScalar(t, b, seeds, func(actions []float64) {
+				for i := range actions {
+					actions[i] = 0
+					if len(data) > 0 {
+						actions[i] = fuzzAction(data[next%len(data)])
+						next++
+					}
+				}
+			})
+		}
+		drive()
+		withoutVec(drive)
 	})
 }
 
@@ -324,6 +358,165 @@ func TestAcrobotBatchSwingUp(t *testing.T) {
 	if tipEnds == 0 {
 		t.Fatal("no episode ended by the tip")
 	}
+}
+
+// fuzzState reads 8 fuzzed bytes as one component of an Acrobot state
+// within ±bound: a top byte of 0xFF is a NaN carrying the low bits as
+// its payload, 0xFE is ±bound and 0xFD is ±0 (the low bit picks the
+// sign), and any other value is the low 53 bits as a fraction of the
+// range.
+func fuzzState(u uint64, bound float64) float64 {
+	sign := 1.0
+	if u&1 != 0 {
+		sign = -1
+	}
+	switch u >> 56 {
+	case 0xFF:
+		return math.Copysign(math.Float64frombits(0x7FF0000000000001|u&0x000FFFFFFFFFFFFF), sign)
+	case 0xFE:
+		return sign * bound
+	case 0xFD:
+		return math.Copysign(0, sign)
+	}
+	return bound * (float64(u&(1<<53-1))/(1<<52) - 1)
+}
+
+// fuzzStateBits is fuzzState's inverse for the fractions, to write
+// seeds: the bits that read as about v within ±bound.
+func fuzzStateBits(v, bound float64) uint64 {
+	return uint64((v/bound + 1) * (1 << 52))
+}
+
+// FuzzAcrobotStep checks the acrobot batch's vector step lane by lane.
+// The input's first two bytes give a width of 1–9 and an active count
+// of 1 to that width; then each lane of the batch reads 42 bytes (zeros
+// when the input runs out): θ1, θ2, θ1' and θ2' (fuzzState within π, 4π
+// and 9π: finite angles, as wrapAngle needs, and a NaN anywhere), the
+// torque as raw float64 bits (±Inf and NaN included) and the step count
+// modulo the budget. One StepAll must leave each active lane's state,
+// step count, observation, reward and done bit-equal to a scalar
+// Acrobot's Step from the same state and torque, and every inactive
+// lane, state and plane columns, as it was: on the host's path and with
+// the vector kernel off.
+func FuzzAcrobotStep(f *testing.F) {
+	type lane struct {
+		th1, th2, dth1, dth2, torque uint64
+		steps                        uint16
+	}
+	seed := func(width, active byte, lanes ...lane) []byte {
+		b := []byte{width - 1, active - 1}
+		for _, l := range lanes {
+			for _, u := range []uint64{l.th1, l.th2, l.dth1, l.dth2, l.torque} {
+				b = binary.LittleEndian.AppendUint64(b, u)
+			}
+			b = binary.LittleEndian.AppendUint16(b, l.steps)
+		}
+		return b
+	}
+	pi := func(v float64) uint64 { return fuzzStateBits(v, math.Pi) }
+	v1 := func(v float64) uint64 { return fuzzStateBits(v, acMaxVel1) }
+	v2 := func(v float64) uint64 { return fuzzStateBits(v, acMaxVel2) }
+	tq := math.Float64bits
+	calm := lane{pi(0.05), pi(-0.02), v1(0.1), v2(-0.1), tq(0.5), 3}
+	f.Add(seed(1, 1, calm))
+	f.Add(seed(9, 7, calm, // every lane in the range, near its edges
+		lane{pi(3.1), pi(-3.1), v1(12.5), v2(-28), tq(-1), 10},
+		lane{0xFE << 56, 0xFE<<56 | 1, 0xFE << 56, 0xFE<<56 | 1, tq(1), 20},
+		lane{0xFD << 56, 0xFD<<56 | 1, 0xFD << 56, 0xFD<<56 | 1, tq(math.Copysign(0, -1)), 0},
+		lane{pi(-2), pi(2.5), v1(-9), v2(20), tq(0.999), 250},
+		lane{pi(1), pi(1), v1(3), v2(3), tq(-0.3), 100},
+		lane{pi(-0.5), pi(0.7), v1(-1), v2(4), tq(0.2), 400},
+	))
+	f.Add(seed(5, 5, calm, // the tip above the bar, and the budget's last step
+		lane{pi(3.1), pi(0.1), v1(0), v2(0), tq(0), 7},
+		lane{pi(0.3), pi(-0.4), v1(0.2), v2(-0.2), tq(-0.7), acBudget - 1},
+		calm, calm))
+	f.Add(seed(6, 6, calm, // non-finite torques
+		lane{pi(0.1), pi(0.2), v1(1), v2(-1), tq(math.Inf(1)), 1},
+		lane{pi(0.1), pi(0.2), v1(1), v2(-1), tq(math.Inf(-1)), 1},
+		lane{pi(0.1), pi(0.2), v1(1), v2(-1), tq(math.NaN()), 1},
+		lane{pi(0.1), pi(0.2), v1(1), v2(-1), 0xFFF4000000000001, 1}, // a signalling NaN
+		lane{pi(0.1), pi(0.2), v1(1), v2(-1), tq(1e300), 1}))
+	f.Add(seed(8, 8, calm, // NaN in each component, the decline path
+		lane{0xFF<<56 | 5, pi(0.2), v1(1), v2(-1), tq(0.1), 1},
+		lane{pi(0.1), 0xFF<<56 | 6, v1(1), v2(-1), tq(0.1), 1},
+		calm, calm,
+		lane{pi(0.1), pi(0.2), 0xFF<<56 | 7, v2(-1), tq(0.1), 1},
+		lane{pi(0.1), pi(0.2), v1(1), 0xFF<<56 | 8, tq(0.1), 1},
+		calm))
+	f.Add(seed(9, 3))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hdr [2]byte
+		data = data[copy(hdr[:], data):]
+		width := 1 + int(hdr[0])%9
+		active := 1 + int(hdr[1])%width
+		start := make([]Acrobot, width)
+		torque := make([]float64, width)
+		for i := range start {
+			var buf [42]byte
+			data = data[copy(buf[:], data):]
+			u := func(k int) uint64 { return binary.LittleEndian.Uint64(buf[8*k:]) }
+			start[i] = Acrobot{
+				th1:   fuzzState(u(0), math.Pi),
+				th2:   fuzzState(u(1), math.Pi),
+				dth1:  fuzzState(u(2), acMaxVel1),
+				dth2:  fuzzState(u(3), acMaxVel2),
+				steps: int(binary.LittleEndian.Uint16(buf[40:])) % acBudget,
+			}
+			torque[i] = math.Float64frombits(u(4))
+		}
+		check := func() {
+			b := newAcrobotBatch(width)
+			for i := range start {
+				l := &b.lanes[i]
+				l.th1, l.th2, l.dth1, l.dth2, l.steps = start[i].th1, start[i].th2, start[i].dth1, start[i].dth2, start[i].steps
+			}
+			unset := math.Float64frombits(0x7FF0DEAD0000BEEF) // a NaN no step writes
+			obs := make([]float64, 6*width)
+			rewards := make([]float64, width)
+			for i := range obs {
+				obs[i] = unset
+			}
+			for i := range rewards {
+				rewards[i] = unset
+			}
+			done := make([]bool, width)
+			b.StepAll(obs, rewards, done, torque, active)
+			same := func(what string, lane int, got, want float64) {
+				t.Helper()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("lane %d of %d (%d active) %s: batch %v (%016x), want %v (%016x)",
+						lane, width, active, what, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			for i := range start {
+				want := start[i]
+				wantObs := []float64{unset, unset, unset, unset, unset, unset}
+				wantReward, wantDone := unset, false
+				if i < active {
+					wantObs, wantReward, wantDone = want.Step(torque[i : i+1])
+				}
+				got := &b.lanes[i]
+				same("θ1", i, got.th1, want.th1)
+				same("θ2", i, got.th2, want.th2)
+				same("θ1'", i, got.dth1, want.dth1)
+				same("θ2'", i, got.dth2, want.dth2)
+				if got.steps != want.steps {
+					t.Fatalf("lane %d: batch steps %d, want %d", i, got.steps, want.steps)
+				}
+				for k, v := range wantObs {
+					same(fmt.Sprintf("obs[%d]", k), i, obs[k*width+i], v)
+				}
+				same("reward", i, rewards[i], wantReward)
+				if done[i] != wantDone {
+					t.Fatalf("lane %d of %d (%d active): batch done %v, want %v", i, width, active, done[i], wantDone)
+				}
+			}
+		}
+		check()
+		withoutVec(check)
+	})
 }
 
 // TestMountainCarBatchPushWithVelocity drives the native mountaincar
@@ -581,7 +774,8 @@ func TestBipedalBatchGait(t *testing.T) {
 // run width 64 with every lane active; the "-narrow" ones width 4 with
 // 3 active lanes, the occupancy of most control-workload steps (a
 // topology group is usually one genome's 2–3 episodes), where each
-// call's fixed cost shows.
+// call's fixed cost shows; "native-mid" width 16 with 15 active lanes,
+// the mean occupancy of acrobot's steps in the control workload.
 func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
 	for _, c := range []struct {
 		name          string
@@ -592,6 +786,7 @@ func benchStepAll(b *testing.B, name string, native func(width int) Batch) {
 		{"generic", func(w int) Batch { return laneBatchOf(name, w) }, 64, 64},
 		{"native-narrow", native, 4, 3},
 		{"generic-narrow", func(w int) Batch { return laneBatchOf(name, w) }, 4, 3},
+		{"native-mid", native, 16, 15},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			width, active := c.width, c.active

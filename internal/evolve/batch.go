@@ -62,14 +62,13 @@ func batchWidthFor(units, max int) int {
 }
 
 // laneSet is one width-class of batch rollout state: a vectorized
-// environment plus the per-lane planes and bookkeeping the scheduler
-// threads through it. Workers keep one per width (at most max/4 + 1,
+// environment plus the per-lane bookkeeping the scheduler threads
+// through it (its observation and action planes are rows of the
+// network's batch state). Workers keep one per width (at most max/4 + 1,
 // in practice a handful), so steady-state generations allocate
 // nothing.
 type laneSet struct {
 	be        env.Batch
-	obsPlane  []float64 // [obsRow][lane] struct-of-arrays plane
-	actPlane  []float64 // [actRow][lane]
 	rew       []float64 // per-lane step reward
 	laneSum   []float64 // per-lane episode reward sum
 	done      []bool    // per-lane episode-over flags
@@ -391,8 +390,6 @@ func (w *evalWorker) ensureLaneSet(r *Runner, width int) (*laneSet, error) {
 	}
 	ls := &laneSet{
 		be:        be,
-		obsPlane:  make([]float64, be.ObservationSize()*width),
-		actPlane:  make([]float64, be.ActionSize()*width),
 		rew:       make([]float64, width),
 		laneSum:   make([]float64, width),
 		done:      make([]bool, width),
@@ -489,14 +486,10 @@ func (r *Runner) runBatchRange(w *evalWorker, grp *evalGroup, lo, hi int, perEp 
 	bp, st := slot.bp, slot.st
 	be := ls.be
 	obsRows := be.ObservationSize()
-	// When the program's inputs are the position prefix (every NEAT
-	// genome), the observation plane aliases the batch state's input
-	// rows: environment resets and steps write activations in place and
-	// FeedBatchInto skips its ingest copy.
-	obsPlane := ls.obsPlane
-	if alias := bp.ObsPlane(st); alias != nil {
-		obsPlane = alias
-	}
+	// The environment and the network share planes: resets and steps
+	// write observations into the batch state's input rows, and steps
+	// read actions from its output rows.
+	obsPlane, actPlane := bp.ObsPlane(st), bp.ActPlane(st)
 
 	active, next := 0, lo
 	for active < width && next < hi {
@@ -510,10 +503,10 @@ func (r *Runner) runBatchRange(w *evalWorker, grp *evalGroup, lo, hi int, perEp 
 	verts := int64(bp.NumVertices() - bp.NumInputs())
 
 	for active > 0 {
-		if err := bp.FeedBatchInto(st, ls.actPlane, obsPlane, active); err != nil {
+		if err := bp.FeedBatchInto(st, active); err != nil {
 			return chunkResult{err: err}
 		}
-		be.StepAll(obsPlane, ls.rew, ls.done, ls.actPlane, active)
+		be.StepAll(obsPlane, ls.rew, ls.done, actPlane, active)
 		// The done check rides along with the reward sums, so quiet
 		// steps (no lane finished, the common case) skip the retire
 		// sweep entirely.

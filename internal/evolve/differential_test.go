@@ -10,6 +10,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/neat"
 	"repro/internal/network"
+	"repro/internal/vmath"
 )
 
 // evaluateReference is the executable specification of
@@ -125,7 +126,9 @@ func compareRuns(t *testing.T, want, got *Runner, label string) {
 // of randomized NEAT genomes evaluated by the batch engine must equal
 // the serial reference bit for bit — fitness, PRNG-driven
 // reproduction, and work ledgers. A narrow batch width forces lane
-// backfill and swap-retire on every generation.
+// backfill and swap-retire on every generation. Each workload's
+// "scalar-path" subtest runs the batch engine again with the vector
+// kernels off, as on a host without AVX2+FMA.
 func TestBatchMatchesScalarAllWorkloads(t *testing.T) {
 	for _, name := range WorkloadNames() {
 		name := name
@@ -133,6 +136,13 @@ func TestBatchMatchesScalarAllWorkloads(t *testing.T) {
 			ref := evolveGens(t, name, 97, 20, 2, nil)
 			batch := evolveGens(t, name, 97, 20, 2, func(r *Runner) { r.batchWidth = 6 })
 			compareRuns(t, ref, batch, name)
+			t.Run("scalar-path", func(t *testing.T) {
+				saved := vmath.HaveVec
+				vmath.HaveVec = false
+				defer func() { vmath.HaveVec = saved }()
+				batch := evolveGens(t, name, 97, 20, 2, func(r *Runner) { r.batchWidth = 6 })
+				compareRuns(t, ref, batch, name+"/scalar-path")
+			})
 		})
 	}
 }

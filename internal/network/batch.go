@@ -21,10 +21,10 @@ type Program struct {
 func (pr Program) IsZero() bool { return pr.p == nil }
 
 // NumInputs returns the observation width the program expects.
-func (pr Program) NumInputs() int { return len(pr.p.inputs) }
+func (pr Program) NumInputs() int { return pr.p.numIn }
 
 // NumOutputs returns the action width the program produces.
-func (pr Program) NumOutputs() int { return len(pr.p.outputs) }
+func (pr Program) NumOutputs() int { return pr.p.numOut }
 
 // Instantiate wraps the program with fresh scalar evaluation state —
 // the same Network the serial path has always used.
@@ -48,7 +48,7 @@ func sameTopology(a, b *program) bool {
 	}
 	if a.topoHash != b.topoHash ||
 		len(a.ids) != len(b.ids) || a.macs != b.macs ||
-		len(a.inputs) != len(b.inputs) || len(a.outputs) != len(b.outputs) ||
+		a.numIn != b.numIn || a.numOut != b.numOut ||
 		len(a.evalPos) != len(b.evalPos) || len(a.layerEnd) != len(b.layerEnd) {
 		return false
 	}
@@ -61,7 +61,6 @@ func sameTopology(a, b *program) bool {
 		return true
 	}
 	if !eq32(a.edgeOff, b.edgeOff) || !eq32(a.edgePos, b.edgePos) ||
-		!eq32(a.inputs, b.inputs) || !eq32(a.outputs, b.outputs) ||
 		!eq32(a.evalPos, b.evalPos) || !eq32(a.layerEnd, b.layerEnd) {
 		return false
 	}
@@ -94,8 +93,8 @@ func topoHashOf(p *program) uint64 {
 	}
 	mix32(p.edgeOff)
 	mix32(p.edgePos)
-	mix32(p.inputs)
-	mix32(p.outputs)
+	mix(uint64(p.numIn))
+	mix(uint64(p.numOut))
 	mix32(p.evalPos)
 	mix32(p.layerEnd)
 	for i := range p.act {
@@ -121,11 +120,6 @@ type BatchProgram struct {
 	biasL  []float64
 	respL  []float64
 	edgeWL []float64
-	// inPrefix records that the inputs sit at positions 0..n-1 in
-	// order (true for every genome whose input ids precede the rest —
-	// the NEAT numbering convention), which lets ObsPlane alias the
-	// observation plane onto the state's input rows.
-	inPrefix bool
 	// layers is the eval schedule split by longest-path layer, so no
 	// vertex reads another of its own layer.
 	layers []batchLayer
@@ -170,13 +164,6 @@ func NewBatch(exemplar Program, width int) *BatchProgram {
 	for lane := 0; lane < width; lane++ {
 		bp.setLane(lane, p)
 	}
-	bp.inPrefix = true
-	for i, pos := range p.inputs {
-		if int(pos) != i {
-			bp.inPrefix = false
-			break
-		}
-	}
 	start := int32(0)
 	for _, end := range p.layerEnd {
 		var ly batchLayer
@@ -199,10 +186,10 @@ func NewBatch(exemplar Program, width int) *BatchProgram {
 func (bp *BatchProgram) Width() int { return bp.width }
 
 // NumInputs returns the observation width of every lane.
-func (bp *BatchProgram) NumInputs() int { return len(bp.p.inputs) }
+func (bp *BatchProgram) NumInputs() int { return bp.p.numIn }
 
 // NumOutputs returns the action width of every lane.
-func (bp *BatchProgram) NumOutputs() int { return len(bp.p.outputs) }
+func (bp *BatchProgram) NumOutputs() int { return bp.p.numOut }
 
 // NumVertices returns the per-lane node count.
 func (bp *BatchProgram) NumVertices() int { return len(bp.p.ids) }
@@ -258,17 +245,19 @@ func (bp *BatchProgram) SwapLanes(a, b int) {
 	}
 }
 
-// ObsPlane returns the slice of st that doubles as this batch's
-// observation plane — the input rows of the activation state — or nil
-// when the program's inputs are not the position prefix. Writing
-// observations there directly (environment reset and step output) lets
-// FeedBatchInto skip its ingest copy: it detects the aliasing and
-// reads the rows in place.
+// ObsPlane returns the rows of st that are this batch's observation
+// plane: the inputs' activation rows, which the compiler places first.
+// Environment resets and steps write observations there, and
+// FeedBatchInto reads them in place.
 func (bp *BatchProgram) ObsPlane(st *BatchState) []float64 {
-	if !bp.inPrefix {
-		return nil
-	}
-	return st.vals[:len(bp.p.inputs)*bp.width]
+	return st.vals[:bp.p.numIn*bp.width]
+}
+
+// ActPlane returns the rows of st that are this batch's action plane:
+// the outputs' activation rows, which the compiler places last.
+// FeedBatchInto writes them, and environment steps read them in place.
+func (bp *BatchProgram) ActPlane(st *BatchState) []float64 {
+	return st.vals[len(st.vals)-bp.p.numOut*bp.width:]
 }
 
 // NewState allocates evaluation state sized for this batch.
@@ -280,42 +269,30 @@ func (bp *BatchProgram) NewState() *BatchState {
 	}
 }
 
-// FeedBatchInto evaluates the first active lanes on one observation
-// plane, writing output activation planes into dst. obs and dst are
-// struct-of-arrays: obs[i*Width+lane] is input i of lane, and
-// dst[o*Width+lane] is output o of lane (rows beyond the active prefix
-// are left untouched in dst). Per lane it performs exactly the float
-// operations of Network.FeedInto in exactly the same order — the batch
-// engine's byte-equality guarantee. It walks the schedule layer by
-// layer. A layer's sum-aggregated sigmoid vertices (the default gene)
-// are one vmath.SigmoidLayer.Eval call, which on AVX2+FMA hosts sums,
-// scales, clamps and squashes each 4-lane group of every row in
-// registers, two groups' chains at a time, with a kernel bit-identical
-// to the scalar expression; any other vertex accumulates its row, then
-// activates lane by lane. Vertices of one layer never read each other, so this
-// order within a layer changes no result.
+// FeedBatchInto evaluates the first active lanes of st on the
+// observations in its ObsPlane rows, leaving the outputs in its
+// ActPlane rows. Both are struct-of-arrays: row i holds input (output)
+// i of every lane, lane l at column l. Per lane it performs exactly
+// the float operations of Network.FeedInto in exactly the same order —
+// the batch engine's byte-equality guarantee. It walks the schedule
+// layer by layer. A layer's sum-aggregated sigmoid vertices (the
+// default gene) are one vmath.SigmoidLayer.Eval call, which on
+// AVX2+FMA hosts sums, scales, clamps and squashes each 4-lane group of
+// every row in registers, two groups' chains at a time, with a kernel
+// bit-identical to the scalar expression; any other vertex accumulates
+// its row, then activates lane by lane. Vertices of one layer never
+// read each other, so this order within a layer changes no result.
 // Zero allocations in steady state.
-func (bp *BatchProgram) FeedBatchInto(st *BatchState, dst, obs []float64, active int) error {
+func (bp *BatchProgram) FeedBatchInto(st *BatchState, active int) error {
 	p := bp.p
 	w := bp.width
 	if active < 0 || active > w {
 		return fmt.Errorf("network: active %d out of range [0,%d]", active, w)
 	}
-	if len(obs) < len(p.inputs)*w {
-		return fmt.Errorf("network: observation plane %d floats, want %d", len(obs), len(p.inputs)*w)
-	}
-	if len(dst) < len(p.outputs)*w {
-		return fmt.Errorf("network: destination plane %d floats, want %d", len(dst), len(p.outputs)*w)
-	}
 	if len(st.vals) != len(p.ids)*w {
 		return fmt.Errorf("network: state sized for %d floats, want %d", len(st.vals), len(p.ids)*w)
 	}
 	vals := st.vals
-	if !(bp.inPrefix && len(obs) > 0 && &obs[0] == &vals[0]) {
-		for i, pos := range p.inputs {
-			copy(vals[int(pos)*w:int(pos)*w+active], obs[i*w:i*w+active])
-		}
-	}
 	acc := st.acc[:active]
 	for i := range bp.layers {
 		ly := &bp.layers[i]
@@ -354,9 +331,6 @@ func (bp *BatchProgram) FeedBatchInto(st *BatchState, dst, obs []float64, active
 				row[l] = Activate(act, bRow[l]+rRow[l]*a[l])
 			}
 		}
-	}
-	for i, pos := range p.outputs {
-		copy(dst[i*w:i*w+active], vals[int(pos)*w:int(pos)*w+active])
 	}
 	return nil
 }

@@ -15,16 +15,16 @@ func feedBoth(t *testing.T, progs []Program, bp *BatchProgram, st *BatchState, a
 	t.Helper()
 	w := bp.Width()
 	ni, no := bp.NumInputs(), bp.NumOutputs()
-	obs := make([]float64, ni*w)
+	obs := bp.ObsPlane(st)
 	for lane := 0; lane < active; lane++ {
 		for i := 0; i < ni; i++ {
 			obs[i*w+lane] = rnd.Float64()*4 - 2
 		}
 	}
-	dst := make([]float64, no*w)
-	if err := bp.FeedBatchInto(st, dst, obs, active); err != nil {
+	if err := bp.FeedBatchInto(st, active); err != nil {
 		t.Fatal(err)
 	}
+	dst := bp.ActPlane(st)
 	scalarObs := make([]float64, ni)
 	scalarOut := make([]float64, no)
 	for lane := 0; lane < active; lane++ {
@@ -239,16 +239,11 @@ func TestBatchErrors(t *testing.T) {
 	}
 	bp := NewBatch(pr, 4)
 	st := bp.NewState()
-	obs := make([]float64, bp.NumInputs()*4)
-	dst := make([]float64, bp.NumOutputs()*4)
-	if err := bp.FeedBatchInto(st, dst, obs, 5); err == nil {
+	if err := bp.FeedBatchInto(st, 5); err == nil {
 		t.Fatal("active > width must fail")
 	}
-	if err := bp.FeedBatchInto(st, dst, obs[:1], 4); err == nil {
-		t.Fatal("short obs plane must fail")
-	}
-	if err := bp.FeedBatchInto(st, dst[:1], obs, 4); err == nil {
-		t.Fatal("short dst plane must fail")
+	if err := bp.FeedBatchInto(NewBatch(pr, 8).NewState(), 4); err == nil {
+		t.Fatal("a state of another width must fail")
 	}
 	if err := bp.SetLane(9, pr); err == nil {
 		t.Fatal("lane out of range must fail")
@@ -272,13 +267,12 @@ func TestFeedBatchZeroAlloc(t *testing.T) {
 	}
 	bp := NewBatch(pr, 16)
 	st := bp.NewState()
-	obs := make([]float64, bp.NumInputs()*16)
-	dst := make([]float64, bp.NumOutputs()*16)
+	obs := bp.ObsPlane(st)
 	for i := range obs {
 		obs[i] = float64(i%7) * 0.1
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := bp.FeedBatchInto(st, dst, obs, 16); err != nil {
+		if err := bp.FeedBatchInto(st, 16); err != nil {
 			t.Fatal(err)
 		}
 	})

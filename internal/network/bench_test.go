@@ -85,16 +85,15 @@ func BenchmarkNetworkFeedBatch(b *testing.B) {
 	const width = 32
 	bp := NewBatch(pr, width)
 	st := bp.NewState()
-	obs := make([]float64, bp.NumInputs()*width)
+	obs := bp.ObsPlane(st)
 	for i := range obs {
 		obs[i] = 0.25 * float64(i%9)
 	}
-	dst := make([]float64, bp.NumOutputs()*width)
 	b.ReportMetric(float64(bp.NumEdges()), "edges")
 	b.ReportMetric(width, "lanes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i += width {
-		if err := bp.FeedBatchInto(st, dst, obs, width); err != nil {
+		if err := bp.FeedBatchInto(st, width); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,15 +120,14 @@ func BenchmarkNetworkFeedBatchNarrow(b *testing.B) {
 			const width, active = 4, 3
 			bp := NewBatch(pr, width)
 			st := bp.NewState()
-			obs := make([]float64, bp.NumInputs()*width)
+			obs := bp.ObsPlane(st)
 			for i := range obs {
 				obs[i] = 0.25 * float64(i%9)
 			}
-			dst := make([]float64, bp.NumOutputs()*width)
 			b.ReportMetric(float64(bp.NumEdges()), "edges")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := bp.FeedBatchInto(st, dst, obs, active); err != nil {
+				if err := bp.FeedBatchInto(st, active); err != nil {
 					b.Fatal(err)
 				}
 			}

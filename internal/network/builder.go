@@ -25,8 +25,9 @@ type Builder struct {
 	outAdj []int32 // CSR out-neighbors (dense indices)
 	fill   []int32 // per-vertex fill cursors for the CSR passes
 	queue  []int32 // Kahn worklist
-	posOf  []int32 // dense index → final (depth-major) vertex position
-	depOff []int32 // per-depth position offsets
+	order  []int32 // dense indices in (depth, id) order
+	posOf  []int32 // dense index → final vertex position
+	depOff []int32 // per-depth offsets into order
 }
 
 // grow returns s resized to n, reallocating only when capacity is
@@ -63,8 +64,8 @@ func (b *Builder) Compile(g *gene.Genome) (Program, error) {
 }
 
 // compile runs the full pass: dense id remap, CSR adjacency, Kahn
-// longest-path layering, depth-major vertex placement, and the fan-in
-// CSR in final-position space.
+// longest-path layering, vertex placement, and the fan-in CSR in
+// final-position space.
 func (b *Builder) compile(g *gene.Genome) (*program, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
@@ -143,9 +144,8 @@ func (b *Builder) compile(g *gene.Genome) (*program, error) {
 		}
 	}
 
-	// Vertex placement in (depth, id) order — a stable counting sort,
-	// since g.Nodes is already ascending by id. After the placement
-	// loop, depOff[d] is the end position of depth d.
+	// The schedule runs the vertices in (depth, id) order: a stable
+	// counting sort, since g.Nodes is already ascending by id.
 	b.depOff = grow(b.depOff, int(maxDepth)+2)
 	clear(b.depOff)
 	for i := 0; i < nv; i++ {
@@ -154,14 +154,17 @@ func (b *Builder) compile(g *gene.Genome) (*program, error) {
 	for d := int32(0); d <= maxDepth; d++ {
 		b.depOff[d+1] += b.depOff[d]
 	}
-	b.posOf = grow(b.posOf, nv)
+	b.order = grow(b.order, nv)
 	for i := 0; i < nv; i++ {
 		d := b.depth[i]
-		b.posOf[i] = b.depOff[d]
+		b.order[b.depOff[d]] = int32(i)
 		b.depOff[d]++
 	}
 
-	// Fill the program's flat per-vertex attribute arrays.
+	// Vertex placement: the inputs first and the outputs last, each in
+	// id order, and every other vertex between them in schedule order.
+	// So a batch's observation and action planes are fixed rows of its
+	// activation state.
 	numIn, numOut := 0, 0
 	for _, n := range g.Nodes {
 		switch n.Type {
@@ -171,6 +174,27 @@ func (b *Builder) compile(g *gene.Genome) (*program, error) {
 			numOut++
 		}
 	}
+	b.posOf = grow(b.posOf, nv)
+	in, out := int32(0), int32(nv-numOut)
+	for i, n := range g.Nodes {
+		switch n.Type {
+		case gene.Input:
+			b.posOf[i] = in
+			in++
+		case gene.Output:
+			b.posOf[i] = out
+			out++
+		}
+	}
+	mid := int32(numIn)
+	for _, i := range b.order {
+		if t := g.Nodes[i].Type; t != gene.Input && t != gene.Output {
+			b.posOf[i] = mid
+			mid++
+		}
+	}
+
+	// Fill the program's flat per-vertex attribute arrays.
 	p := &program{
 		ids:     make([]int32, nv),
 		bias:    make([]float64, nv),
@@ -180,8 +204,8 @@ func (b *Builder) compile(g *gene.Genome) (*program, error) {
 		edgeOff: make([]int32, nv+1),
 		edgePos: make([]int32, ne),
 		edgeW:   make([]float64, ne),
-		inputs:  make([]int32, 0, numIn),
-		outputs: make([]int32, 0, numOut),
+		numIn:   numIn,
+		numOut:  numOut,
 		macs:    ne,
 	}
 	for i, n := range g.Nodes {
@@ -191,15 +215,6 @@ func (b *Builder) compile(g *gene.Genome) (*program, error) {
 		p.resp[pos] = n.Response
 		p.act[pos] = n.Activation
 		p.agg[pos] = n.Aggregation
-	}
-	// IO positions in genome (ascending id) order.
-	for i, n := range g.Nodes {
-		switch n.Type {
-		case gene.Input:
-			p.inputs = append(p.inputs, b.posOf[i])
-		case gene.Output:
-			p.outputs = append(p.outputs, b.posOf[i])
-		}
 	}
 
 	// Fan-in CSR in final-position space. Connections are visited in
@@ -226,28 +241,26 @@ func (b *Builder) compile(g *gene.Genome) (*program, error) {
 		b.fill[dp]++
 	}
 
-	// Evaluation schedule: non-input vertices stuck at depth 0 (no
-	// enabled fan-in) still need a vertex update for their bias; they
-	// form a pseudo-layer evaluated first. Layers 1..maxDepth are
-	// contiguous position ranges in the depth-major layout.
+	// Evaluation schedule: the non-input vertices in order, one layer
+	// per depth. Non-input vertices stuck at depth 0 (no enabled
+	// fan-in) still need a vertex update for their bias; they form a
+	// pseudo-layer evaluated first.
 	p.evalPos = make([]int32, 0, nv-numIn)
 	p.layerEnd = make([]int32, 0, int(maxDepth)+1)
-	for i, n := range g.Nodes {
-		if b.depth[i] == 0 && n.Type != gene.Input {
-			p.evalPos = append(p.evalPos, b.posOf[i])
-		}
-	}
-	if len(p.evalPos) > 0 {
-		p.layerEnd = append(p.layerEnd, int32(len(p.evalPos)))
-	}
-	for d := int32(1); d <= maxDepth; d++ {
-		start, end := b.depOff[d-1], b.depOff[d]
-		if end <= start {
+	layer := int32(-1) // the depth of the layer being filled
+	for _, i := range b.order {
+		if g.Nodes[i].Type == gene.Input {
 			continue
 		}
-		for pos := start; pos < end; pos++ {
-			p.evalPos = append(p.evalPos, pos)
+		if d := b.depth[i]; d != layer {
+			if layer >= 0 {
+				p.layerEnd = append(p.layerEnd, int32(len(p.evalPos)))
+			}
+			layer = d
 		}
+		p.evalPos = append(p.evalPos, b.posOf[i])
+	}
+	if layer >= 0 {
 		p.layerEnd = append(p.layerEnd, int32(len(p.evalPos)))
 	}
 	p.topoHash = topoHashOf(p)

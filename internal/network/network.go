@@ -15,9 +15,9 @@ import (
 // (and be shared across generations through a Cache — the software
 // mirror of the paper's genome-level reuse).
 type program struct {
-	// Per-vertex attributes, indexed by position in evaluation
-	// (topological) order: inputs first, then hidden by layer, outputs
-	// wherever their dependencies place them.
+	// Per-vertex attributes, indexed by position: the numIn inputs
+	// first and the numOut outputs last, each in id order, and the
+	// other vertices between them in (layer, id) order.
 	ids  []int32
 	bias []float64
 	resp []float64
@@ -32,14 +32,11 @@ type program struct {
 	edgePos []int32
 	edgeW   []float64
 
-	// inputs and outputs are positions of the io nodes in genome
-	// (ascending id) order.
-	inputs  []int32
-	outputs []int32
+	numIn, numOut int
 
-	// evalPos lists the non-input vertex positions in update order;
-	// layerEnd[l] is the end index (into evalPos) of layer l — the unit
-	// the vectorize routine packs (Plan).
+	// evalPos lists the non-input vertex positions in update order,
+	// (layer, id); layerEnd[l] is the end index (into evalPos) of layer
+	// l — the unit the vectorize routine packs (Plan).
 	evalPos  []int32
 	layerEnd []int32
 
@@ -67,7 +64,7 @@ func (p *program) instantiate() *Network {
 	return &Network{
 		prog:   p,
 		values: make([]float64, len(p.ids)),
-		out:    make([]float64, len(p.outputs)),
+		out:    make([]float64, p.numOut),
 	}
 }
 
@@ -81,10 +78,10 @@ func New(g *gene.Genome) (*Network, error) {
 }
 
 // NumInputs returns the observation width the network expects.
-func (n *Network) NumInputs() int { return len(n.prog.inputs) }
+func (n *Network) NumInputs() int { return n.prog.numIn }
 
 // NumOutputs returns the action width the network produces.
-func (n *Network) NumOutputs() int { return len(n.prog.outputs) }
+func (n *Network) NumOutputs() int { return n.prog.numOut }
 
 // NumVertices returns the node count.
 func (n *Network) NumVertices() int { return len(n.prog.ids) }
@@ -112,16 +109,14 @@ func (n *Network) Feed(obs []float64) ([]float64, error) {
 // allocation-free with a caller-owned destination.
 func (n *Network) FeedInto(dst, obs []float64) error {
 	p := n.prog
-	if len(obs) != len(p.inputs) {
-		return fmt.Errorf("network: observation width %d, want %d", len(obs), len(p.inputs))
+	if len(obs) != p.numIn {
+		return fmt.Errorf("network: observation width %d, want %d", len(obs), p.numIn)
 	}
-	if len(dst) != len(p.outputs) {
-		return fmt.Errorf("network: destination width %d, want %d", len(dst), len(p.outputs))
+	if len(dst) != p.numOut {
+		return fmt.Errorf("network: destination width %d, want %d", len(dst), p.numOut)
 	}
 	vals := n.values
-	for i, pos := range p.inputs {
-		vals[pos] = obs[i]
-	}
+	copy(vals, obs)
 	for _, pos := range p.evalPos {
 		lo, hi := p.edgeOff[pos], p.edgeOff[pos+1]
 		var a float64
@@ -150,9 +145,7 @@ func (n *Network) FeedInto(dst, obs []float64) error {
 			vals[pos] = Activate(p.act[pos], pre)
 		}
 	}
-	for i, pos := range p.outputs {
-		dst[i] = vals[pos]
-	}
+	copy(dst, vals[len(vals)-p.numOut:])
 	return nil
 }
 

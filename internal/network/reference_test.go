@@ -208,6 +208,56 @@ func TestCompiledMatchesReferenceExactly(t *testing.T) {
 	}
 }
 
+// TestCompiledPlacement pins the compiled layout on randomly evolved
+// genomes: the inputs at the first positions and the outputs at the
+// last, each in id order, so a batch's observation and action planes
+// are fixed rows of its state; and a schedule whose layers hold the
+// reference's vertices in the reference's order, so the placement
+// moves no vertex to another layer and changes no sum order, Plan
+// stage or result.
+func TestCompiledPlacement(t *testing.T) {
+	r := rng.New(11)
+	for trial := 0; trial < 8; trial++ {
+		g := evolvedGenome(t, 2+int(r.Intn(6)), 1+int(r.Intn(3)), 24, 6, uint64(300+trial))
+		ref, err := newRefNet(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := net.prog
+		in, out := g.InputIDs(), g.OutputIDs()
+		if got := p.ids[:len(in)]; fmt.Sprint(got) != fmt.Sprint(in) {
+			t.Fatalf("trial %d: first positions hold %v, want the inputs %v", trial, got, in)
+		}
+		if got := p.ids[len(p.ids)-len(out):]; fmt.Sprint(got) != fmt.Sprint(out) {
+			t.Fatalf("trial %d: last positions hold %v, want the outputs %v", trial, got, out)
+		}
+		var got, want [][]int32
+		start := int32(0)
+		for _, end := range p.layerEnd {
+			var layer []int32
+			for _, pos := range p.evalPos[start:end] {
+				layer = append(layer, p.ids[pos])
+			}
+			got = append(got, layer)
+			start = end
+		}
+		for _, layer := range ref.layers {
+			var ids []int32
+			for _, pos := range layer {
+				ids = append(ids, ref.order[pos].id)
+			}
+			want = append(want, ids)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: schedule layers %v, want the reference's %v", trial, got, want)
+		}
+	}
+}
+
 func refIndex(n *refNet, id int32) int {
 	for i, v := range n.order {
 		if v.id == id {

@@ -2,6 +2,7 @@ package vmath
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -284,5 +285,45 @@ func BenchmarkSinCosScalarLoop(b *testing.B) {
 			sinDst[j] = math.Sin(x)
 			cosDst[j] = math.Cos(x)
 		}
+	})
+}
+
+// TestAcrobotStepDeclines pins AcrobotStep's decline contract: a group
+// with a trig argument outside the window, first or in a later RK4
+// stage, is marked Declined and left exactly as it was, and a group
+// beside it inside the window is stepped; with the vector kernel off
+// every group is declined. FuzzAcrobotStep (env) pins the stepped
+// lanes against the scalar Step.
+func TestAcrobotStepDeclines(t *testing.T) {
+	check := func(t *testing.T, stepped bool) {
+		t.Helper()
+		groups := make([]AcrobotGroup, 3)
+		for i := range groups {
+			for l := range 4 {
+				g := &groups[i]
+				g.Th1[l], g.Th2[l], g.Dth2[l], g.Torque[l] = 0.1*float64(l), -0.2, 0.5, 1
+			}
+		}
+		groups[0].Th2[2] = math.NaN() // the first stage's θ2
+		groups[2].Dth1[1] = 1 << 40   // the second stage's θ1 = θ1 + 0.1·θ1'
+		before := append([]AcrobotGroup(nil), groups...)
+		AcrobotStep(groups)
+		for i, g := range groups {
+			want := before[i]
+			want.Declined = g.Declined
+			unchanged := fmt.Sprint(g) == fmt.Sprint(want)
+			if i != 1 || !stepped {
+				if !g.Declined || !unchanged {
+					t.Fatalf("group %d: Declined %v, unchanged %v; want a declined group left as it was", i, g.Declined, unchanged)
+				}
+			} else if g.Declined || unchanged {
+				t.Fatalf("group %d: Declined %v, unchanged %v; want it stepped", i, g.Declined, unchanged)
+			}
+		}
+	}
+	check(t, HaveVec)
+	t.Run("scalar-path", func(t *testing.T) {
+		forceScalar(t)
+		check(t, false)
 	})
 }

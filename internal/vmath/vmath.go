@@ -7,9 +7,10 @@
 // scalar fallback. That property is what lets the batch engine promise
 // byte-equal results to the serial reference path while still
 // vectorizing its hot spots: a SigmoidLayer evaluates the
-// sum-and-sigmoid vertices of a network layer in one fused kernel, and
+// sum-and-sigmoid vertices of a network layer in one fused kernel,
 // SinCosSlice computes the trig of the classic-control batch
-// environments.
+// environments, and AcrobotStep runs Acrobot's whole RK4 step, its
+// sines and cosines SinCosSlice's, on 4-lane groups.
 package vmath
 
 import "math"
@@ -145,5 +146,41 @@ func SinCosSlice(sinDst, cosDst, src []float64) {
 	for ; i < len(src); i++ {
 		sinDst[i] = math.Sin(src[i])
 		cosDst[i] = math.Cos(src[i])
+	}
+}
+
+// AcrobotGroup is four lanes of the Spong acrobot (env's Acrobot) as
+// AcrobotStep reads and writes them: lane l of every row is one lane.
+type AcrobotGroup struct {
+	// Read: the joint angles θ1 and θ2, their velocities θ1' and θ2',
+	// and the torque before its clamp. A stepped group's state is
+	// written back advanced.
+	Th1, Th2, Dth1, Dth2, Torque [4]float64
+	// Written: cos θ1, sin θ1, cos θ2, sin θ2 and cos(θ2+θ1) of the
+	// advanced state.
+	Cos1, Sin1, Cos2, Sin2, Cos21 [4]float64
+	// Declined reports that AcrobotStep left the group's lanes as they
+	// were.
+	Declined bool
+}
+
+// AcrobotStep advances every group one step of env's scalar
+// Acrobot.Step, bit for bit: the torque clamped to ±1, four RK4 stages
+// of the Spong derivative at dt = 0.2, the angles wrapped into [−π, π]
+// and the velocities clamped to ±4π and ±9π, then the trig of the
+// observation and the done test. On hosts with AVX2+FMA one kernel
+// takes each group whole in registers. Each of its packed operations
+// is the twin of one instruction of the compiled scalar code, with the
+// same constants and no FMA, and its sines and cosines are
+// SinCosSlice's. A group with any trig argument outside the sin/cos
+// window (NaN, ±Inf, |x| ≥ 2^29), in any RK4 stage or in the result,
+// is declined before any of it is written; on other hosts every group
+// is. The caller steps a declined group's lanes with the scalar code.
+func AcrobotStep(groups []AcrobotGroup) {
+	if acrobotStepAccel(groups) {
+		return
+	}
+	for i := range groups {
+		groups[i].Declined = true
 	}
 }

@@ -22,6 +22,13 @@ func sigmoidRowsVec(vals, w, bias, resp *float64, off, src, rows *int32, nrows, 
 //go:noescape
 func sinCosVec(sinDst, cosDst, src *float64, n int) int
 
+// acrobotStepVec is the whole Acrobot step on n 4-lane groups
+// (sincos_amd64.s, beside sinCosVec, whose constant table, window check
+// and polynomials it shares). It sets every group's Declined.
+//
+//go:noescape
+func acrobotStepVec(groups *AcrobotGroup, n int)
+
 // cpuidLeaf and xgetbv0 are thin wrappers over CPUID / XGETBV(0),
 // used once at init to decide whether the vector kernels are safe.
 func cpuidLeaf(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -70,4 +77,12 @@ func sinCosVecAccel(sinDst, cosDst, src []float64) int {
 		return 0
 	}
 	return sinCosVec(&sinDst[0], &cosDst[0], &src[0], len(src))
+}
+
+func acrobotStepAccel(groups []AcrobotGroup) bool {
+	if !HaveVec || len(groups) == 0 {
+		return false
+	}
+	acrobotStepVec(&groups[0], len(groups))
+	return true
 }

@@ -11,3 +11,5 @@ func sigmoidRowsAccel(vals, w, bias, resp []float64, off, src, rows []int32, str
 }
 
 func sinCosVecAccel(sinDst, cosDst, src []float64) int { return 0 }
+
+func acrobotStepAccel(groups []AcrobotGroup) bool { return false }

@@ -32,14 +32,16 @@
 # binary genome record, NEAT population document, store manifest, the
 # worker's /island/step body, the POST /jobs body, the client's SSE
 # parser), the one-pass genome validator, the vector sin/cos kernel,
-# the fused sigmoid vertex kernel and the batch environments. The trace parser,
-# validator, sin/cos, sigmoid and batch environment fuzzers are
-# differential: each checks the fast code against its reference
-# implementation (FuzzSinCosSlice checks every lane against
-# math.Sin/math.Cos bit for bit, FuzzSigmoidRows every lane against the
-# scalar sigmoid vertex, both on the host's path and with the vector
-# kernel off, and FuzzBatchMatchesScalar every lane of NewBatch's batch
-# against a scalar env). The binary
+# the fused sigmoid vertex kernel, the acrobot step kernel and the
+# batch environments. The trace parser, validator, sin/cos, sigmoid,
+# acrobot and batch environment fuzzers are differential: each checks
+# the fast code against its reference implementation (FuzzSinCosSlice
+# checks every lane against math.Sin/math.Cos bit for bit,
+# FuzzSigmoidRows every lane against the scalar sigmoid vertex,
+# FuzzAcrobotStep every lane of one acrobot batch step against the
+# scalar Step, and FuzzBatchMatchesScalar every lane of NewBatch's
+# batch against a scalar env, the last three both on the host's path
+# and with the vector kernels off). The binary
 # genome record and population fuzzers check that the decoder accepts
 # only what the encoder writes: whatever Restore accepts, Save writes
 # back byte for byte (Save(Restore(x)) == x). The /island/step fuzzer
@@ -314,7 +316,8 @@ echo "== bench smoke (kernel + narrow batch feed + sin/cos + cartpole, acrobot, 
 # cases; BenchmarkAcrobotStepAll, BenchmarkMountainCarStepAll,
 # BenchmarkLunarLanderStepAll and BenchmarkBipedalStepAll their native
 # and generic batches, each at width 64 with every lane active and at
-# width 4 with 3 active lanes.
+# width 4 with 3 active lanes, and the native one at width 16 with 15
+# active lanes.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
 go test -run=NONE -bench='BenchmarkSinCosSlice' \
@@ -349,7 +352,7 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid vertex and batch environments against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; POST /jobs body; client SSE parser)"
+echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid vertex, acrobot step and batch environments against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; POST /jobs body; client SSE parser)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the
 # multi-kilobyte population corpus entries. FuzzRestore's oracle is
@@ -362,13 +365,18 @@ echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid ver
 # FuzzSigmoidRows reads a width of 4–8 lanes, an active count, 1–3
 # vertices with a fan-in of 0–3 each and every lane of the rows from raw
 # bits, and also checks that no source row changes and nothing past a
-# row is written. FuzzBatchMatchesScalar reads a registered environment,
-# a width of 1–9, every lane's seed and the action planes, and drives
-# NewBatch's batch against scalar envs bit for bit, retiring finished
-# lanes by swap as the batch scheduler does.
+# row is written. FuzzAcrobotStep reads a width of 1–9, an active
+# count and every lane's state (NaN allowed anywhere) and torque (any
+# bits), steps the acrobot batch once and checks each active lane
+# against the scalar Step and each inactive one unchanged.
+# FuzzBatchMatchesScalar reads a registered environment, a width of
+# 1–9, every lane's seed and the action planes (NaN and ±Inf among the
+# actions), and drives NewBatch's batch against scalar envs bit for
+# bit, retiring finished lanes by swap as the batch scheduler does.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
 go test -run=NONE -fuzz=FuzzSinCosSlice -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
 go test -run=NONE -fuzz=FuzzSigmoidRows -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
+go test -run=NONE -fuzz=FuzzAcrobotStep -fuzztime=5s -fuzzminimizetime=50x ./internal/env/
 go test -run=NONE -fuzz=FuzzBatchMatchesScalar -fuzztime=5s -fuzzminimizetime=50x ./internal/env/
 go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRecord -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
