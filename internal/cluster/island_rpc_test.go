@@ -136,6 +136,13 @@ var stepSpec = evolve.IslandSpec{Workload: "cartpole", Population: 8, Generation
 // island of stepSpec, and the session's group.
 func openSession(tb testing.TB) (http.Handler, *evolve.IslandGroup) {
 	tb.Helper()
+	_, h, g := openWorker(tb)
+	return h, g
+}
+
+// openWorker is openSession that also returns the worker.
+func openWorker(tb testing.TB) (*WorkerAPI, http.Handler, *evolve.IslandGroup) {
+	tb.Helper()
 	w := NewWorkerAPI()
 	g, err := evolve.NewIslandGroup(stepSpec, []int{0, 1})
 	if err != nil {
@@ -144,7 +151,7 @@ func openSession(tb testing.TB) (http.Handler, *evolve.IslandGroup) {
 	w.sessions["s"] = g
 	mux := http.NewServeMux()
 	w.Routes(mux)
-	return mux, g
+	return w, mux, g
 }
 
 // postStep serves one /island/step body.

@@ -109,9 +109,9 @@ var (
 )
 
 // Step implements Env using one RK4 step. The batch's vector kernel
-// (vmath.AcrobotStep) twins its compiled instructions, acrobotDeriv's
-// and advance's, so a change here must be made there too;
-// FuzzAcrobotStep compares the two.
+// (vmath.AcrobotStep) twins its compiled instructions, acrobotDeriv's,
+// advance's and acrobotDone's, so a change here must be made there
+// too; FuzzAcrobotStep compares the two.
 func (a *Acrobot) Step(action []float64) ([]float64, float64, bool) {
 	torque := 0.0
 	if len(action) > 0 {

@@ -40,23 +40,26 @@ type Batch interface {
 	StepAll(obs, rewards []float64, done []bool, actions []float64, active int)
 	// SwapLanes exchanges the episode state of two lanes.
 	SwapLanes(a, b int)
-	// LaneEnv returns the scalar Env backing one lane, for a fitness
-	// function that reads the final state of a finished episode, or nil
-	// for CartPole, whose batch keeps its state in planes and whose
-	// fitness is its summed reward. Every other batch is built on
-	// laneBatch, whose lanes are values of the task's scalar type.
+	// LaneEnv returns the scalar Env of one lane, distinct per lane,
+	// for a fitness function that reads the final state of a finished
+	// episode, or nil for CartPole, whose fitness is its summed reward.
+	// It stays the lane's until the lane is next reset, swapped or
+	// stepped.
 	LaneEnv(lane int) Env
 }
 
-// NewBatch constructs a width-lane batch of the named environment.
-// Every classic-control task is native: each step computes the trig of
-// all active lanes with the vector sin/cos kernel, a few calls per step
-// (CartPole's pole angle; one call per RK4 stage for Acrobot's three
-// arguments and one for its observation; MountainCar's cos(3·pos);
-// LunarLander's attitude; Bipedal's four joint cosines, then its
-// lidar's terrain sines), and runs the physics it shares with the
-// scalar Step per lane. Mario and the RAM titles step each lane with
-// the scalar Step.
+// NewBatch constructs a batch of the named environment of any width ≥ 1.
+// Every classic-control task is native. Acrobot, MountainCar and
+// LunarLander are groupBatches: they keep their lanes' state in 4-lane
+// vector groups and step them all in one vmath kernel call
+// (AcrobotStep, MountainCarStep, LunarLanderStep), which reads the
+// action rows and writes the observation, reward and done of each
+// active lane in place. CartPole keeps its state in planes and Bipedal
+// in scalar lanes; each computes its trig with the vector sin/cos
+// kernel (CartPole's pole angle; Bipedal's four joint cosines, then its
+// lidar's terrain sines) and runs the physics it shares with the scalar
+// Step per lane. Mario and the RAM titles step each lane with the
+// scalar Step.
 func NewBatch(name string, width int) (Batch, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("env: batch width %d < 1", width)
@@ -88,12 +91,13 @@ type envPtr[E any] interface {
 	Env
 }
 
-// laneBatch is the Batch of every task but CartPole: one value of the
-// task's scalar Env type per lane, so LaneEnv hands a fitness function
-// the lane's own environment. Its StepAll runs the scalar Step on each
-// lane's action column, which is each lane's exact scalar operation
-// sequence (Reset fully re-initializes a lane, as the serial runner
-// relies on). The native batches embed it and replace only StepAll.
+// laneBatch is the Batch of Bipedal, Mario and the RAM titles: one
+// value of the task's scalar Env type per lane, so LaneEnv hands a
+// fitness function the lane's own environment. Its StepAll runs the
+// scalar Step on each lane's action column, which is each lane's exact
+// scalar operation sequence (Reset fully re-initializes a lane, as the
+// serial runner relies on). Bipedal's native batch embeds it and
+// replaces only StepAll.
 type laneBatch[E any, P envPtr[E]] struct {
 	width int
 	lanes []E
@@ -140,5 +144,93 @@ func (b *laneBatch[E, P]) StepAll(obs, rewards []float64, done []bool, actions [
 		}
 		rewards[lane] = r
 		done[lane] = d
+	}
+}
+
+// groupLane constrains a scalar environment E whose batch keeps every
+// lane's state in 4-lane vector groups of type G: *E is the Env, load
+// sets its state to column c of g, and store writes its state there.
+type groupLane[E, G any] interface {
+	*E
+	Env
+	load(g *G, c int)
+	store(g *G, c int)
+}
+
+// groupBatch is what the Acrobot, MountainCar and LunarLander batches
+// share: every lane's state lives in 4-lane vmath groups between steps
+// (lane l is column l&3 of group l>>2), and each batch's StepAll is one
+// call of its task's vmath step kernel, which reads the action rows and
+// writes the observation, reward and done of every active lane in
+// place, then stepScalar for each group the kernel declined (a trig
+// argument outside its window, or a host without AVX2+FMA). The kernel
+// is bit-identical to the scalar Step, so a lane is bit-equal to a
+// scalar env driven with the same seed and actions. Each lane also has
+// a scalar env, which holds the lane's state only while ResetLane,
+// SwapLanes, LaneEnv or stepScalar has it loaded, so LaneEnv hands a
+// fitness function a distinct env per lane without allocating.
+type groupBatch[E, G any, P groupLane[E, G]] struct {
+	width  int
+	groups []G
+	envs   []E       // each lane's scalar env
+	act    []float64 // a declined lane's action column
+}
+
+// newGroupBatch builds width lanes of the named environment.
+func newGroupBatch[E, G any, P groupLane[E, G]](name string, width int) groupBatch[E, G, P] {
+	b := groupBatch[E, G, P]{width: width, groups: make([]G, (width+3)/4), envs: make([]E, width)}
+	for i := range b.envs {
+		b.envs[i] = *factories[name]().(P)
+	}
+	b.act = make([]float64, P(&b.envs[0]).ActionSize())
+	return b
+}
+
+// lane loads lane l's state into its scalar env and returns the env.
+func (b *groupBatch[E, G, P]) lane(l int) P {
+	e := P(&b.envs[l])
+	e.load(&b.groups[l>>2], l&3)
+	return e
+}
+
+// setLane stores e's state as lane l's.
+func (b *groupBatch[E, G, P]) setLane(l int, e P) { e.store(&b.groups[l>>2], l&3) }
+
+func (b *groupBatch[E, G, P]) Name() string         { return P(&b.envs[0]).Name() }
+func (b *groupBatch[E, G, P]) ObservationSize() int { return P(&b.envs[0]).ObservationSize() }
+func (b *groupBatch[E, G, P]) ActionSize() int      { return len(b.act) }
+func (b *groupBatch[E, G, P]) MaxSteps() int        { return P(&b.envs[0]).MaxSteps() }
+func (b *groupBatch[E, G, P]) Width() int           { return b.width }
+func (b *groupBatch[E, G, P]) LaneEnv(lane int) Env { return b.lane(lane) }
+
+func (b *groupBatch[E, G, P]) ResetLane(lane int, seed uint64, obs []float64) {
+	e := P(&b.envs[lane])
+	for i, v := range e.Reset(seed) {
+		obs[i*b.width+lane] = v
+	}
+	b.setLane(lane, e)
+}
+
+func (b *groupBatch[E, G, P]) SwapLanes(i, j int) {
+	ei, ej := b.lane(i), b.lane(j)
+	b.setLane(i, ej)
+	b.setLane(j, ei)
+}
+
+// stepScalar runs the scalar Step on the active lanes of group g, which
+// the kernel declined and left as they were.
+func (b *groupBatch[E, G, P]) stepScalar(g int, obs, rewards []float64, done []bool, actions []float64, active int) {
+	w := b.width
+	for lane := 4 * g; lane < min(4*g+4, active); lane++ {
+		for i := range b.act {
+			b.act[i] = actions[i*w+lane]
+		}
+		e := b.lane(lane)
+		col, r, d := e.Step(b.act)
+		b.setLane(lane, e)
+		for i, v := range col {
+			obs[i*w+lane] = v
+		}
+		rewards[lane], done[lane] = r, d
 	}
 }

@@ -263,11 +263,11 @@ func TestNewBatchErrors(t *testing.T) {
 
 // TestNativeBatchRegistered pins which batch NewBatch serves for each
 // environment, by type: CartPole's struct-of-arrays batch, which has no
-// lane envs; a native StepAll over the lane container for the other
-// four classic-control tasks; and the lane container itself for Mario
-// and the RAM titles. A lane container's LaneEnv is the lane's own
-// scalar env (the acrobot and mountaincar fitness functions
-// type-assert it).
+// lane envs; the vector-group batches of Acrobot, MountainCar and
+// LunarLander; Bipedal's native StepAll over the lane container; and
+// the lane container itself for Mario and the RAM titles. Every other
+// batch's LaneEnv is a distinct scalar env per lane (the acrobot and
+// mountaincar fitness functions type-assert it).
 func TestNativeBatchRegistered(t *testing.T) {
 	native := map[string]string{
 		"cartpole":    "*env.cartPoleBatch",
@@ -469,8 +469,7 @@ func FuzzAcrobotStep(f *testing.F) {
 		check := func() {
 			b := newAcrobotBatch(width)
 			for i := range start {
-				l := &b.lanes[i]
-				l.th1, l.th2, l.dth1, l.dth2, l.steps = start[i].th1, start[i].th2, start[i].dth1, start[i].dth2, start[i].steps
+				b.setLane(i, &start[i])
 			}
 			unset := math.Float64frombits(0x7FF0DEAD0000BEEF) // a NaN no step writes
 			obs := make([]float64, 6*width)
@@ -497,7 +496,7 @@ func FuzzAcrobotStep(f *testing.F) {
 				if i < active {
 					wantObs, wantReward, wantDone = want.Step(torque[i : i+1])
 				}
-				got := &b.lanes[i]
+				got := b.lane(i)
 				same("θ1", i, got.th1, want.th1)
 				same("θ2", i, got.th2, want.th2)
 				same("θ1'", i, got.dth1, want.dth1)
@@ -517,6 +516,366 @@ func FuzzAcrobotStep(f *testing.F) {
 		check()
 		withoutVec(check)
 	})
+}
+
+// unsetBits is a NaN no step writes: the planes' prefill in the step
+// fuzzers.
+const unsetBits = 0x7FF0DEAD0000BEEF
+
+// sameBits fails unless got and want have the same bits.
+func sameBits(t *testing.T, what string, lane int, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("lane %d %s: batch %v (%016x), want %v (%016x)", lane, what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// checkStepPlanes steps lanes [0, active) of b once on actions, the
+// observation and reward planes prefilled with unsetBits and every done
+// flag with true, and fails unless each active lane's observation
+// column, reward and done equal what want returns for it (the scalar
+// Step from the lane's start state), and each other lane's are as
+// prefilled.
+func checkStepPlanes(t *testing.T, b Batch, actions []float64, active int, want func(lane int) ([]float64, float64, bool)) {
+	t.Helper()
+	width, rows := b.Width(), b.ObservationSize()
+	obs := make([]float64, rows*width)
+	rewards := make([]float64, width)
+	done := make([]bool, width)
+	for _, p := range [][]float64{obs, rewards} {
+		for i := range p {
+			p[i] = math.Float64frombits(unsetBits)
+		}
+	}
+	for i := range done {
+		done[i] = true
+	}
+	b.StepAll(obs, rewards, done, actions, active)
+	for lane := 0; lane < width; lane++ {
+		unset := math.Float64frombits(unsetBits)
+		wantObs, wantReward, wantDone := make([]float64, rows), unset, true
+		for r := range wantObs {
+			wantObs[r] = unset
+		}
+		if lane < active {
+			wantObs, wantReward, wantDone = want(lane)
+		}
+		for r, v := range wantObs {
+			sameBits(t, fmt.Sprintf("obs[%d] of %d (%d active)", r, width, active), lane, obs[r*width+lane], v)
+		}
+		sameBits(t, "reward", lane, rewards[lane], wantReward)
+		if done[lane] != wantDone {
+			t.Fatalf("lane %d of %d (%d active): batch done %v, want %v", lane, width, active, done[lane], wantDone)
+		}
+	}
+}
+
+// fuzzActions reads n raw float64 action bits per lane from data (zeros
+// when it runs out) into an action plane of the given width, row r of
+// lane l at r*width+l, and returns the rest of data.
+func fuzzActions(data []byte, width, lane, n int, actions []float64) []byte {
+	for r := 0; r < n; r++ {
+		var u [8]byte
+		data = data[copy(u[:], data):]
+		actions[r*width+lane] = math.Float64frombits(binary.LittleEndian.Uint64(u[:]))
+	}
+	return data
+}
+
+// FuzzMountainCarStep checks the mountaincar batch's vector step lane by
+// lane, as FuzzAcrobotStep does acrobot's. The input's first two bytes
+// give a width of 1–9 and an active count of 1 to that width; then each
+// lane reads 50 bytes (zeros when the input runs out): the position,
+// velocity and highest position (fuzzState within 1.2, 0.07 and 1.2,
+// NaN allowed in each), the step count modulo the budget, and its three
+// actions as raw float64 bits (±Inf, NaN, a signalling NaN and −0
+// included). One StepAll must leave each active lane's state,
+// observation, reward and done bit-equal to a scalar MountainCar's Step
+// from the same state and actions, and every inactive lane, state and
+// plane columns, as it was: on the host's path and with the vector
+// kernel off.
+func FuzzMountainCarStep(f *testing.F) {
+	type lane struct {
+		pos, vel, maxPos uint64
+		steps            uint16
+		acts             [3]float64
+	}
+	seed := func(width, active byte, lanes ...lane) []byte {
+		b := []byte{width - 1, active - 1}
+		for _, l := range lanes {
+			for _, u := range []uint64{l.pos, l.vel, l.maxPos} {
+				b = binary.LittleEndian.AppendUint64(b, u)
+			}
+			b = binary.LittleEndian.AppendUint16(b, l.steps)
+			for _, a := range l.acts {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a))
+			}
+		}
+		return b
+	}
+	p := func(v float64) uint64 { return fuzzStateBits(v, 1.2) }
+	v := func(x float64) uint64 { return fuzzStateBits(x, mcMaxSpeed) }
+	left, coast, right := [3]float64{1, 0, 0}, [3]float64{0, 1, 0}, [3]float64{0, 0, 1}
+	calm := lane{p(-0.5), v(0.01), p(-0.45), 3, right}
+	f.Add(seed(1, 1, calm))
+	f.Add(seed(7, 6, calm, // the left wall moving left, the goal, the budget's last step
+		lane{0xFE<<56 | 1, 0xFE<<56 | 1, p(-0.4), 10, left},
+		lane{p(0.49), v(0.05), p(0.49), 50, right},
+		lane{p(-0.3), v(-0.02), p(0.1), mcBudget - 1, coast},
+		lane{0xFD << 56, 0xFD<<56 | 1, 0xFD << 56, 0, coast},
+		lane{p(0.6), v(0.07), p(0.6), 100, left},
+		calm))
+	f.Add(seed(9, 9, calm, // non-finite, tied and signed-zero actions
+		lane{p(-0.5), v(0), p(-0.5), 1, [3]float64{math.Inf(1), math.Inf(1), 0}},
+		lane{p(-0.5), v(0), p(-0.5), 1, [3]float64{math.NaN(), 1, 2}},
+		lane{p(-0.5), v(0), p(-0.5), 1, [3]float64{1, math.NaN(), 2}},
+		lane{p(-0.5), v(0), p(-0.5), 1, [3]float64{math.Float64frombits(0x7FF4000000000001), 0, 0}}, // a signalling NaN
+		lane{p(-0.5), v(0), p(-0.5), 1, [3]float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}},
+		lane{p(-0.5), v(0), p(-0.5), 1, [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}},
+		lane{p(-0.5), v(0), p(-0.5), 1, [3]float64{0, 0, 0}},
+		calm))
+	f.Add(seed(8, 8, calm, // NaN in each component, the decline path
+		lane{0xFF<<56 | 5, v(0.01), p(-0.5), 1, right},
+		calm, calm,
+		lane{p(-0.5), 0xFF<<56 | 6, p(-0.5), 1, left},
+		lane{p(-0.5), v(0.01), 0xFF<<56 | 7, 1, coast},
+		calm, calm))
+	f.Add(seed(9, 3))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hdr [2]byte
+		data = data[copy(hdr[:], data):]
+		width := 1 + int(hdr[0])%9
+		active := 1 + int(hdr[1])%width
+		start := make([]MountainCar, width)
+		actions := make([]float64, 3*width)
+		for i := range start {
+			var buf [26]byte
+			data = data[copy(buf[:], data):]
+			u := func(k int) uint64 { return binary.LittleEndian.Uint64(buf[8*k:]) }
+			start[i] = MountainCar{
+				pos:    fuzzState(u(0), 1.2),
+				vel:    fuzzState(u(1), mcMaxSpeed),
+				maxPos: fuzzState(u(2), 1.2),
+				steps:  int(binary.LittleEndian.Uint16(buf[24:])) % mcBudget,
+			}
+			data = fuzzActions(data, width, i, 3, actions)
+		}
+		check := func() {
+			b := newMountainCarBatch(width)
+			for i := range start {
+				b.setLane(i, &start[i])
+			}
+			wants := make([]MountainCar, width)
+			copy(wants, start)
+			checkStepPlanes(t, b, actions, active, func(l int) ([]float64, float64, bool) {
+				return wants[l].Step([]float64{actions[l], actions[width+l], actions[2*width+l]})
+			})
+			for i, want := range wants {
+				got := b.lane(i)
+				sameBits(t, "pos", i, got.pos, want.pos)
+				sameBits(t, "vel", i, got.vel, want.vel)
+				sameBits(t, "maxPos", i, got.maxPos, want.maxPos)
+				if got.steps != want.steps {
+					t.Fatalf("lane %d: batch steps %d, want %d", i, got.steps, want.steps)
+				}
+			}
+		}
+		check()
+		withoutVec(check)
+	})
+}
+
+// FuzzLunarLanderStep checks the lunarlander batch's vector step lane by
+// lane, as FuzzAcrobotStep does acrobot's. The input's first two bytes
+// give a width of 1–9 and an active count of 1 to that width; then each
+// lane reads 83 bytes (zeros when the input runs out): x, y, vx, vy, the
+// attitude and its rate (fuzzState within 1.2, 2, 2, 2, π and 5: the
+// pad, the ground, the playfield's edges and attitudes past π/4 all in
+// reach, NaN allowed in each), a byte whose low two bits are the leg
+// contacts, the step count modulo the budget, and its four actions as
+// raw float64 bits. Every lane starts awake, neither landed nor crashed,
+// as StepAll's lanes are. One StepAll must leave each active lane's
+// state, its kept shaping potential, observation, reward and done
+// bit-equal to a scalar LunarLander's Step from the same state and
+// actions (and the potential to the scalar's shaping of the new state),
+// and every inactive lane, state and plane columns, as it was: on the
+// host's path and with the vector kernel off.
+func FuzzLunarLanderStep(f *testing.F) {
+	type lane struct {
+		x, y, vx, vy, angle, vA uint64
+		legs                    byte
+		steps                   uint16
+		acts                    [4]float64
+	}
+	seed := func(width, active byte, lanes ...lane) []byte {
+		b := []byte{width - 1, active - 1}
+		for _, l := range lanes {
+			for _, u := range []uint64{l.x, l.y, l.vx, l.vy, l.angle, l.vA} {
+				b = binary.LittleEndian.AppendUint64(b, u)
+			}
+			b = append(b, l.legs)
+			b = binary.LittleEndian.AppendUint16(b, l.steps)
+			for _, a := range l.acts {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a))
+			}
+		}
+		return b
+	}
+	x := func(v float64) uint64 { return fuzzStateBits(v, 1.2) }
+	two := func(v float64) uint64 { return fuzzStateBits(v, 2) }
+	ang := func(v float64) uint64 { return fuzzStateBits(v, math.Pi) }
+	va := func(v float64) uint64 { return fuzzStateBits(v, 5) }
+	act := func(a int) [4]float64 { // argmax a
+		var c [4]float64
+		c[a] = 1
+		return c
+	}
+	calm := lane{x(0.1), two(0.8), two(0.05), two(-0.1), ang(0.05), va(0.1), 0, 20, act(0)}
+	f.Add(seed(1, 1, calm))
+	f.Add(seed(9, 8, calm, // a soft pad landing, a crash off the pad, a hard landing on it, flyaways past |x| > 1 and y > 1.5, the budget's last step
+		lane{x(0.05), two(0.003), two(0.01), two(-0.2), ang(0.1), va(0), 0, 30, act(0)},
+		lane{x(0.5), two(0.003), two(0.01), two(-0.2), ang(0.1), va(0), 0, 30, act(0)},
+		lane{x(0), two(0.003), two(0), two(-0.5), ang(0), va(0), 0, 30, act(2)},
+		lane{x(0.999), two(0.5), two(1), two(0), ang(0.1), va(0), 0, 30, act(1)},
+		lane{x(-0.2), two(1.499), two(0), two(1), ang(-0.1), va(0), 0, 30, act(3)},
+		lane{x(0.2), two(0.5), two(0), two(0), ang(0.2), va(-0.5), 3, llBudget - 1, act(2)},
+		lane{0xFD << 56, 0xFD<<56 | 1, 0xFD << 56, 0xFD<<56 | 1, 0xFD << 56, 0xFD<<56 | 1, 0, 0, act(0)},
+		calm))
+	f.Add(seed(8, 8, calm, // each action, attitudes past π/4, legs down
+		lane{x(0.1), two(0.8), two(0), two(0), ang(1), va(1), 1, 5, act(1)},
+		lane{x(0.1), two(0.8), two(0), two(0), ang(-2.5), va(-1), 2, 5, act(2)},
+		lane{x(0.1), two(0.8), two(0), two(0), ang(3.1), va(4), 3, 5, act(3)},
+		lane{x(-0.1), two(0.8), two(0), two(0), ang(-0.7), va(0.2), 0, 5, act(0)},
+		lane{x(0.1), two(0.8), two(0), two(0), ang(0.3), va(1), 0, 5, [4]float64{0, 1, 1, 0}},
+		lane{x(0.1), two(0.8), two(0), two(0), ang(0.3), va(1), 0, 5, [4]float64{math.NaN(), math.Inf(1), 0, math.Inf(1)}},
+		lane{x(0.1), two(0.8), two(0), two(0), ang(0.3), va(1), 0, 5, [4]float64{math.Float64frombits(0x7FF4000000000001), math.Copysign(0, -1), 0, math.Inf(-1)}}))
+	f.Add(seed(8, 8, calm, // NaN in each component, the decline path for the attitude
+		lane{0xFF<<56 | 5, two(0.8), two(0), two(0), ang(0.1), va(0), 0, 5, act(1)},
+		lane{x(0.1), 0xFF<<56 | 6, two(0), two(0), ang(0.1), va(0), 0, 5, act(2)},
+		lane{x(0.1), two(0.8), 0xFF<<56 | 7, two(0), ang(0.1), va(0), 0, 5, act(3)},
+		lane{x(0.1), two(0.8), two(0), 0xFF<<56 | 8, ang(0.1), va(0), 0, 5, act(0)},
+		lane{x(0.1), two(0.8), two(0), two(0), 0xFF<<56 | 9, va(0), 0, 5, act(1)},
+		lane{x(0.1), two(0.8), two(0), two(0), ang(0.1), 0xFF<<56 | 10, 0, 5, act(2)},
+		calm))
+	f.Add(seed(9, 3))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hdr [2]byte
+		data = data[copy(hdr[:], data):]
+		width := 1 + int(hdr[0])%9
+		active := 1 + int(hdr[1])%width
+		start := make([]LunarLander, width)
+		actions := make([]float64, 4*width)
+		for i := range start {
+			var buf [51]byte
+			data = data[copy(buf[:], data):]
+			u := func(k int) uint64 { return binary.LittleEndian.Uint64(buf[8*k:]) }
+			start[i] = LunarLander{
+				x: fuzzState(u(0), 1.2), y: fuzzState(u(1), 2),
+				vx: fuzzState(u(2), 2), vy: fuzzState(u(3), 2),
+				angle: fuzzState(u(4), math.Pi), vA: fuzzState(u(5), 5),
+				leg1: buf[48]&1 != 0, leg2: buf[48]&2 != 0,
+				steps: int(binary.LittleEndian.Uint16(buf[49:])) % llBudget,
+				awake: true,
+			}
+			data = fuzzActions(data, width, i, 4, actions)
+		}
+		check := func() {
+			b := newLunarLanderBatch(width)
+			for i := range start {
+				b.setLane(i, &start[i])
+			}
+			wants := make([]LunarLander, width)
+			copy(wants, start)
+			checkStepPlanes(t, b, actions, active, func(l int) ([]float64, float64, bool) {
+				return wants[l].Step([]float64{actions[l], actions[width+l], actions[2*width+l], actions[3*width+l]})
+			})
+			for i, want := range wants {
+				got := b.lane(i)
+				for _, c := range []struct {
+					what      string
+					got, want float64
+				}{
+					{"x", got.x, want.x}, {"y", got.y, want.y}, {"vx", got.vx, want.vx}, {"vy", got.vy, want.vy},
+					{"angle", got.angle, want.angle}, {"vA", got.vA, want.vA},
+					{"shaping", b.groups[i>>2].Shaping[i&3], want.shaping()},
+				} {
+					sameBits(t, c.what, i, c.got, c.want)
+				}
+				if got.leg1 != want.leg1 || got.leg2 != want.leg2 || got.steps != want.steps ||
+					got.landed != want.landed || got.crashed != want.crashed || got.awake != want.awake {
+					t.Fatalf("lane %d: batch legs %v %v steps %d landed %v crashed %v awake %v, want %v %v %d %v %v %v", i,
+						got.leg1, got.leg2, got.steps, got.landed, got.crashed, got.awake,
+						want.leg1, want.leg2, want.steps, want.landed, want.crashed, want.awake)
+				}
+			}
+		}
+		check()
+		withoutVec(check)
+	})
+}
+
+// TestStepKernelsTakeOrdinaryGroups pins that the differential tests
+// above ran the vector kernels: on a host with AVX2+FMA, one step of
+// freshly reset lanes (a whole group and a partial one) declines no
+// group of the acrobot, mountaincar or lunarlander batch; without it
+// every group is declined.
+func TestStepKernelsTakeOrdinaryGroups(t *testing.T) {
+	t.Logf("vector kernels enabled: %v", vmath.HaveVec)
+	const width, active = 8, 7
+	ac, mc, ll := newAcrobotBatch(width), newMountainCarBatch(width), newLunarLanderBatch(width)
+	for _, c := range []struct {
+		b        Batch
+		declined func(g int) bool
+	}{
+		{ac, func(g int) bool { return ac.groups[g].Declined }},
+		{mc, func(g int) bool { return mc.groups[g].Declined }},
+		{ll, func(g int) bool { return ll.groups[g].Declined }},
+	} {
+		obs := make([]float64, c.b.ObservationSize()*width)
+		actions := make([]float64, c.b.ActionSize()*width)
+		for i := range actions {
+			actions[i] = float64(i%5) / 4
+		}
+		for lane := 0; lane < active; lane++ {
+			c.b.ResetLane(lane, uint64(lane+1), obs)
+		}
+		c.b.StepAll(obs, make([]float64, width), make([]bool, width), actions, active)
+		for g := 0; g < 2; g++ {
+			if c.declined(g) == vmath.HaveVec {
+				t.Fatalf("%s group %d: Declined %v with vector kernels %v", c.b.Name(), g, c.declined(g), vmath.HaveVec)
+			}
+		}
+	}
+}
+
+// TestGroupBatchLaneOpsAllocateNothing pins that the group batches'
+// lane operations, which the batch engine calls at every episode's end,
+// allocate nothing: LaneEnv hands out the lane's own scalar env, and
+// ResetLane and SwapLanes go through it.
+func TestGroupBatchLaneOpsAllocateNothing(t *testing.T) {
+	const width = 6
+	for _, name := range []string{"acrobot", "mountaincar", "lunarlander"} {
+		b, err := NewBatch(name, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := make([]float64, b.ObservationSize()*width)
+		seed := uint64(1)
+		if n := testing.AllocsPerRun(50, func() {
+			for lane := 0; lane < width; lane++ {
+				b.ResetLane(lane, seed, obs)
+				seed++
+			}
+			b.SwapLanes(1, 4)
+			for lane := 0; lane < width; lane++ {
+				_ = b.LaneEnv(lane)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: %v allocations per round of lane operations, want 0", name, n)
+		}
+	}
 }
 
 // TestMountainCarBatchPushWithVelocity drives the native mountaincar

@@ -78,24 +78,14 @@ func (l *LunarLander) Reset(seed uint64) []float64 {
 }
 
 func (l *LunarLander) observe() []float64 {
-	l.observeInto(l.obs[:], 1)
-	return l.obs[:]
-}
-
-// observeInto writes the observation to dst[0], dst[stride], …,
-// dst[7*stride]: the scalar Step's own array, or a lane's column of a
-// batch's observation plane.
-func (l *LunarLander) observeInto(dst []float64, stride int) {
 	b := func(v bool) float64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	dst[0*stride], dst[1*stride] = l.x, l.y
-	dst[2*stride], dst[3*stride] = l.vx, l.vy
-	dst[4*stride], dst[5*stride] = l.angle, l.vA
-	dst[6*stride], dst[7*stride] = b(l.leg1), b(l.leg2)
+	l.obs = [8]float64{l.x, l.y, l.vx, l.vy, l.angle, l.vA, b(l.leg1), b(l.leg2)}
+	return l.obs[:]
 }
 
 // shaping is the gym potential function: closer / slower / more upright
@@ -125,9 +115,9 @@ func (l *LunarLander) Step(action []float64) ([]float64, float64, bool) {
 // advance runs one step of the dynamics under action a (0 coast,
 // 1 left, 2 main, 3 right), given the cosine and sine of the current
 // attitude, and returns the step's reward and whether the episode is
-// over. The scalar Step computes the trig with math.Cos/math.Sin and
-// the batch with the vector kernel, which is bit-identical, so both run
-// the same float operations.
+// over. The batch's vector kernel (vmath.LunarLanderStep) twins the
+// compiled instructions of Step, advance and shaping, so a change here
+// must be made there too; FuzzLunarLanderStep compares the two.
 func (l *LunarLander) advance(a int, cosA, sinA float64) (float64, bool) {
 	prev := l.shaping()
 	fuel := 0.0

@@ -2,49 +2,51 @@ package env
 
 import "repro/internal/vmath"
 
-// lunarLanderBatch is the native LunarLander batch: a laneBatch of
-// LunarLander values whose StepAll gathers the attitude of every active
-// lane into one row and makes one vector sin/cos call for all of them
-// before running the scalar Step's own advance per lane and writing the
-// lane's observation straight into the plane. The kernel is
-// bit-identical to math.Cos/math.Sin, so a lane is bit-equal to a
-// scalar LunarLander driven with the same seed and actions. StepAll
-// never steps a finished lane (the Batch contract), so Step's guard for
-// an episode already over has no twin here.
+// lunarLanderBatch is the native LunarLander batch: a groupBatch of
+// vmath.LunarLanderGroup values whose StepAll is one
+// vmath.LunarLanderStep call. A group keeps the shaping potential of
+// each lane's state beside it: a step's starting potential is the one
+// the last step (or store) left, bit for bit the value the scalar
+// advance recomputes, so the kernel computes one potential per step.
+// StepAll never steps a finished lane (the Batch contract), so the
+// groups keep no awake flag: a lane is awake until it lands or crashes.
 type lunarLanderBatch struct {
-	laneBatch[LunarLander, *LunarLander]
-	arg, sin, cos []float64 // attitude per lane, padded to the 4-lane quantum
+	groupBatch[LunarLander, vmath.LunarLanderGroup, *LunarLander]
 }
 
 func newLunarLanderBatch(width int) *lunarLanderBatch {
-	// Pad lanes start at 0 and later hold a retired lane's last
-	// attitude; their results are never read.
-	padded := (width + 3) &^ 3
-	return &lunarLanderBatch{
-		laneBatch: *newLaneBatch[LunarLander]("lunarlander", width),
-		arg:       make([]float64, padded),
-		sin:       make([]float64, padded),
-		cos:       make([]float64, padded),
-	}
+	return &lunarLanderBatch{newGroupBatch[LunarLander, vmath.LunarLanderGroup]("lunarlander", width)}
 }
 
 func (b *lunarLanderBatch) StepAll(obs, rewards []float64, done []bool, actions []float64, active int) {
-	w := b.width
-	lanes := b.lanes[:active]
-	arg := b.arg[:active]
-	for lane := range lanes {
-		arg[lane] = lanes[lane].angle
+	groups := b.groups[:(active+3)/4]
+	vmath.LunarLanderStep(groups, obs, rewards, done, actions, b.width, active)
+	for g := range groups {
+		if groups[g].Declined {
+			b.stepScalar(g, obs, rewards, done, actions, active)
+		}
 	}
-	n := (active + 3) &^ 3
-	vmath.SinCosSlice(b.sin[:n], b.cos[:n], b.arg[:n])
-	sin, cos := b.sin[:active], b.cos[:active]
-	act0, act1 := actions[0*w:0*w+active], actions[1*w:1*w+active]
-	act2, act3 := actions[2*w:2*w+active], actions[3*w:3*w+active]
-	rw, dn := rewards[:active], done[:active]
-	for lane := range lanes {
-		l := &lanes[lane]
-		col := [4]float64{act0[lane], act1[lane], act2[lane], act3[lane]}
-		rw[lane], dn[lane] = l.advance(argmax(col[:]), cos[lane], sin[lane])
-		l.observeInto(obs[lane:], w)
+}
+
+// flagBits is v as a group's flag row holds it: every bit set for true.
+func flagBits(v bool) int64 {
+	if v {
+		return -1
 	}
+	return 0
+}
+
+// load sets l's state to column c of g.
+func (l *LunarLander) load(g *vmath.LunarLanderGroup, c int) {
+	l.x, l.y, l.vx, l.vy, l.angle, l.vA = g.X[c], g.Y[c], g.Vx[c], g.Vy[c], g.Angle[c], g.VA[c]
+	l.leg1, l.leg2, l.steps = g.Leg1[c] != 0, g.Leg2[c] != 0, int(g.Steps[c])
+	l.landed, l.crashed = g.Landed[c] != 0, g.Crashed[c] != 0
+	l.awake = !l.landed && !l.crashed
+}
+
+// store writes l's state, with its shaping potential, to column c of g.
+func (l *LunarLander) store(g *vmath.LunarLanderGroup, c int) {
+	g.X[c], g.Y[c], g.Vx[c], g.Vy[c], g.Angle[c], g.VA[c] = l.x, l.y, l.vx, l.vy, l.angle, l.vA
+	g.Shaping[c], g.Steps[c] = l.shaping(), int64(l.steps)
+	g.Leg1[c], g.Leg2[c], g.Landed[c], g.Crashed[c] = flagBits(l.leg1), flagBits(l.leg2), flagBits(l.landed), flagBits(l.crashed)
 }

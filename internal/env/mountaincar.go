@@ -69,9 +69,10 @@ func (m *MountainCar) Step(action []float64) ([]float64, float64, bool) {
 
 // advance runs one step of the dynamics under action a (0 left,
 // 1 coast, 2 right), given cos3 = cos(3·pos) of the current position,
-// and reports whether the episode is over. The scalar Step computes
-// cos3 with math.Cos and the batch with the vector kernel, which is
-// bit-identical, so both run the same float operations.
+// and reports whether the episode is over. The batch's vector kernel
+// (vmath.MountainCarStep) twins the compiled instructions of Step and
+// advance, so a change here must be made there too;
+// FuzzMountainCarStep compares the two.
 func (m *MountainCar) advance(a int, cos3 float64) bool {
 	m.vel += float64(a-1)*mcForce - cos3*mcGravity
 	m.vel = clamp(m.vel, -mcMaxSpeed, mcMaxSpeed)

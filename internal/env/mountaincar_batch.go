@@ -2,47 +2,34 @@ package env
 
 import "repro/internal/vmath"
 
-// mountainCarBatch is the native MountainCar batch: a laneBatch of
-// MountainCar values whose StepAll gathers 3·pos of every active lane
-// into one row and makes one vector sin/cos call for all of them
-// before running the scalar Step's own advance per lane. The kernel is
-// bit-identical to math.Cos, so a lane is bit-equal to a scalar
-// MountainCar driven with the same seed and actions.
+// mountainCarBatch is the native MountainCar batch: a groupBatch of
+// vmath.MountainCarGroup values whose StepAll is one
+// vmath.MountainCarStep call. Of the positions a step leaves, clamped
+// to the track, only NaN puts cos(3·pos) outside the kernel's window.
 type mountainCarBatch struct {
-	laneBatch[MountainCar, *MountainCar]
-	arg, sin, cos []float64 // 3·pos per lane, padded to the 4-lane quantum
+	groupBatch[MountainCar, vmath.MountainCarGroup, *MountainCar]
 }
 
 func newMountainCarBatch(width int) *mountainCarBatch {
-	// Pad lanes start at 0 and later hold a retired lane's last
-	// argument; their results are never read.
-	padded := (width + 3) &^ 3
-	return &mountainCarBatch{
-		laneBatch: *newLaneBatch[MountainCar]("mountaincar", width),
-		arg:       make([]float64, padded),
-		sin:       make([]float64, padded),
-		cos:       make([]float64, padded),
-	}
+	return &mountainCarBatch{newGroupBatch[MountainCar, vmath.MountainCarGroup]("mountaincar", width)}
 }
 
 func (b *mountainCarBatch) StepAll(obs, rewards []float64, done []bool, actions []float64, active int) {
-	w := b.width
-	lanes := b.lanes[:active]
-	arg := b.arg[:active]
-	for lane := range lanes {
-		arg[lane] = 3 * lanes[lane].pos
+	groups := b.groups[:(active+3)/4]
+	vmath.MountainCarStep(groups, obs, rewards, done, actions, b.width, active)
+	for g := range groups {
+		if groups[g].Declined {
+			b.stepScalar(g, obs, rewards, done, actions, active)
+		}
 	}
-	n := (active + 3) &^ 3
-	vmath.SinCosSlice(b.sin[:n], b.cos[:n], b.arg[:n])
-	cos := b.cos[:active]
-	act0, act1, act2 := actions[0*w:0*w+active], actions[1*w:1*w+active], actions[2*w:2*w+active]
-	obs0, obs1 := obs[0*w:0*w+active], obs[1*w:1*w+active]
-	rw, dn := rewards[:active], done[:active]
-	for lane := range lanes {
-		m := &lanes[lane]
-		col := [3]float64{act0[lane], act1[lane], act2[lane]}
-		dn[lane] = m.advance(argmax(col[:]), cos[lane])
-		obs0[lane], obs1[lane] = m.pos, m.vel
-		rw[lane] = -1
-	}
+}
+
+// load sets m's state to column c of g.
+func (m *MountainCar) load(g *vmath.MountainCarGroup, c int) {
+	m.pos, m.vel, m.maxPos, m.steps = g.Pos[c], g.Vel[c], g.MaxPos[c], int(g.Steps[c])
+}
+
+// store writes m's state to column c of g.
+func (m *MountainCar) store(g *vmath.MountainCarGroup, c int) {
+	g.Pos[c], g.Vel[c], g.MaxPos[c], g.Steps[c] = m.pos, m.vel, m.maxPos, int64(m.steps)
 }

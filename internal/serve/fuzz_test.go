@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
@@ -145,6 +146,59 @@ func FuzzSubmit(f *testing.F) {
 		}
 		if err := evolve.CheckGenerations(st.Spec.Generations); err != nil {
 			t.Fatalf("admitted %v", err)
+		}
+	})
+}
+
+// FuzzClusterJoin posts arbitrary bodies to a coordinator's POST
+// /cluster/join. It never answers 5xx. A 200 adds exactly one alive
+// member, with the body's addr, to GET /cluster; any other answer
+// leaves the membership as it was: empty.
+func FuzzClusterJoin(f *testing.F) {
+	for _, seed := range []string{
+		`{"addr":"http://127.0.0.1:7001"}`,
+		`{"addr":""}`,
+		`{"Addr":"http://w1","extra":[1,2]}`,
+		`{"addr":7}`,
+		`{"addr":"http://w1","addr":"http://w2"}`,
+		`{"addr":"\u0000\ud800 \xff"}`,
+		`{"addr":"http://a"}{"addr":"http://b"}`,
+		`{"addr":`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sched := NewScheduler(Config{MaxRunning: 1})
+		defer sched.Drain(0)
+		server := NewServer(sched)
+		server.EnableCluster(cluster.NewMembership(cluster.MembershipConfig{}))
+		rr := httptest.NewRecorder()
+		server.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/cluster/join", bytes.NewReader(body)))
+		if rr.Code >= 500 {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+		get := httptest.NewRecorder()
+		server.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/cluster", nil))
+		var status ClusterStatus
+		if err := json.Unmarshal(get.Body.Bytes(), &status); err != nil {
+			t.Fatalf("GET /cluster: %v (%s)", err, get.Body)
+		}
+		if rr.Code != http.StatusOK {
+			if len(status.Members) != 0 {
+				t.Fatalf("a %d join left members %+v", rr.Code, status.Members)
+			}
+			return
+		}
+		var req struct {
+			Addr string `json:"addr"`
+		}
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		if len(status.Members) != 1 || status.Members[0].Addr != req.Addr || !status.Members[0].Alive {
+			t.Fatalf("a 200 join of %q left members %+v, want that one alive member", req.Addr, status.Members)
 		}
 	})
 }

@@ -290,40 +290,168 @@ func BenchmarkSinCosScalarLoop(b *testing.B) {
 
 // TestAcrobotStepDeclines pins AcrobotStep's decline contract: a group
 // with a trig argument outside the window, first or in a later RK4
-// stage, is marked Declined and left exactly as it was, and a group
-// beside it inside the window is stepped; with the vector kernel off
-// every group is declined. FuzzAcrobotStep (env) pins the stepped
-// lanes against the scalar Step.
+// stage, is marked Declined and left exactly as it was, its lanes'
+// plane entries included, and a group beside it inside the window is
+// stepped; with the vector kernel off every group is declined.
+// FuzzAcrobotStep (env) pins the stepped lanes against the scalar Step.
 func TestAcrobotStepDeclines(t *testing.T) {
 	check := func(t *testing.T, stepped bool) {
 		t.Helper()
+		const lanes = 12
 		groups := make([]AcrobotGroup, 3)
 		for i := range groups {
 			for l := range 4 {
 				g := &groups[i]
-				g.Th1[l], g.Th2[l], g.Dth2[l], g.Torque[l] = 0.1*float64(l), -0.2, 0.5, 1
+				g.Th1[l], g.Th2[l], g.Dth2[l] = 0.1*float64(l), -0.2, 0.5
 			}
 		}
 		groups[0].Th2[2] = math.NaN() // the first stage's θ2
 		groups[2].Dth1[1] = 1 << 40   // the second stage's θ1 = θ1 + 0.1·θ1'
-		before := append([]AcrobotGroup(nil), groups...)
-		AcrobotStep(groups)
-		for i, g := range groups {
-			want := before[i]
-			want.Declined = g.Declined
-			unchanged := fmt.Sprint(g) == fmt.Sprint(want)
-			if i != 1 || !stepped {
-				if !g.Declined || !unchanged {
-					t.Fatalf("group %d: Declined %v, unchanged %v; want a declined group left as it was", i, g.Declined, unchanged)
-				}
-			} else if g.Declined || unchanged {
-				t.Fatalf("group %d: Declined %v, unchanged %v; want it stepped", i, g.Declined, unchanged)
-			}
+		obs, rewards, done, actions := stepPlanes(6, 1, lanes)
+		for i := range actions {
+			actions[i] = 1
 		}
+		before := append([]AcrobotGroup(nil), groups...)
+		AcrobotStep(groups, obs, rewards, done, actions, lanes, lanes)
+		checkDeclines(t, groups, before, obs, rewards, done, lanes, stepped, func(g *AcrobotGroup) *bool { return &g.Declined })
 	}
 	check(t, HaveVec)
 	t.Run("scalar-path", func(t *testing.T) {
 		forceScalar(t)
 		check(t, false)
 	})
+}
+
+// stepPlanes returns the planes of a step over lanes lanes of obsRows
+// observation and actRows action rows, every observation and reward
+// set to a NaN no step writes.
+func stepPlanes(obsRows, actRows, lanes int) (obs, rewards []float64, done []bool, actions []float64) {
+	obs = make([]float64, obsRows*lanes)
+	rewards = make([]float64, lanes)
+	for _, p := range [][]float64{obs, rewards} {
+		for i := range p {
+			p[i] = math.Float64frombits(0x7FF0DEAD0000BEEF)
+		}
+	}
+	return obs, rewards, make([]bool, lanes), make([]float64, actRows*lanes)
+}
+
+// checkDeclines fails unless group 1 alone was stepped (when stepped),
+// writing its lanes' plane entries, and every other group was declined
+// and left as it was, with its lanes' plane entries unwritten.
+func checkDeclines[G any](t *testing.T, groups, before []G, obs, rewards []float64, done []bool, stride int, stepped bool, declined func(*G) *bool) {
+	t.Helper()
+	for i := range groups {
+		want := before[i]
+		*declined(&want) = *declined(&groups[i])
+		unchanged := fmt.Sprint(groups[i]) == fmt.Sprint(want)
+		written := false
+		for l := 4 * i; l < 4*i+4; l++ {
+			written = written || done[l] || !math.IsNaN(rewards[l])
+			for r := 0; r < len(obs)/stride; r++ {
+				written = written || math.Float64bits(obs[r*stride+l]) != 0x7FF0DEAD0000BEEF
+			}
+		}
+		if i != 1 || !stepped {
+			if !*declined(&groups[i]) || !unchanged || written {
+				t.Fatalf("group %d: Declined %v, unchanged %v, planes written %v; want a declined group left as it was",
+					i, *declined(&groups[i]), unchanged, written)
+			}
+		} else if *declined(&groups[i]) || unchanged || !written {
+			t.Fatalf("group %d: Declined %v, unchanged %v, planes written %v; want it stepped", i, *declined(&groups[i]), unchanged, written)
+		}
+	}
+}
+
+// TestMountainCarAndLunarLanderStepDecline pins the decline contract of
+// the other two step kernels as TestAcrobotStepDeclines does
+// AcrobotStep's: a NaN position (MountainCar's cos(3·pos)) or attitude
+// (LunarLander's sine and cosine) in one active lane declines its group
+// unwritten while the group beside it steps; a NaN in an inactive lane
+// declines nothing; with the vector kernel off every group is declined.
+func TestMountainCarAndLunarLanderStepDecline(t *testing.T) {
+	const lanes = 12
+	mc := func(t *testing.T, stepped bool) {
+		t.Helper()
+		groups := make([]MountainCarGroup, 4) // the fourth holds only inactive lanes
+		for i := range groups {
+			for l := range 4 {
+				groups[i].Pos[l], groups[i].MaxPos[l] = -0.5+0.01*float64(l), -1.2
+			}
+		}
+		groups[0].Pos[3] = math.NaN()
+		groups[2].Pos[1] = math.Inf(1)
+		groups[3].Pos[0] = math.NaN()
+		obs, rewards, done, actions := stepPlanes(2, 3, lanes)
+		before := append([]MountainCarGroup(nil), groups...)
+		MountainCarStep(groups[:3], obs, rewards, done, actions, lanes, lanes)
+		checkDeclines(t, groups[:3], before, obs, rewards, done, lanes, stepped, func(g *MountainCarGroup) *bool { return &g.Declined })
+		if fmt.Sprint(groups[3]) != fmt.Sprint(before[3]) {
+			t.Fatal("a group past the active lanes was written")
+		}
+	}
+	ll := func(t *testing.T, stepped bool) {
+		t.Helper()
+		groups := make([]LunarLanderGroup, 3)
+		for i := range groups {
+			for l := range 4 {
+				g := &groups[i]
+				g.Y[l], g.Angle[l], g.VA[l] = 1, 0.05*float64(l), 0.1
+			}
+		}
+		groups[0].Angle[0] = math.NaN()
+		groups[2].Angle[2] = 1 << 30
+		obs, rewards, done, actions := stepPlanes(8, 4, lanes)
+		before := append([]LunarLanderGroup(nil), groups...)
+		LunarLanderStep(groups, obs, rewards, done, actions, lanes, lanes)
+		checkDeclines(t, groups, before, obs, rewards, done, lanes, stepped, func(g *LunarLanderGroup) *bool { return &g.Declined })
+
+		// Lanes 9–11 inactive: group 2's out-of-window lane 10 is
+		// ignored, and its one active lane steps.
+		groups = append(groups[:0], before...)
+		obs, rewards, done, actions = stepPlanes(8, 4, lanes)
+		LunarLanderStep(groups, obs, rewards, done, actions, lanes, 9)
+		if groups[2].Declined == stepped || (stepped && math.IsNaN(rewards[8])) || !math.IsNaN(rewards[9]) {
+			t.Fatalf("group 2 with one active lane: Declined %v, rewards %v", groups[2].Declined, rewards[8:])
+		}
+	}
+	for _, c := range []struct {
+		name string
+		fn   func(*testing.T, bool)
+	}{{"mountaincar", mc}, {"lunarlander", ll}} {
+		t.Run(c.name, func(t *testing.T) { c.fn(t, HaveVec) })
+		t.Run(c.name+"/scalar-path", func(t *testing.T) {
+			forceScalar(t)
+			c.fn(t, false)
+		})
+	}
+}
+
+// TestStepPlanesPanic pins the step kernels' plane checks: a lane count
+// past the groups or the stride, or a plane shorter than its lanes'
+// rows, panics before anything is written.
+func TestStepPlanesPanic(t *testing.T) {
+	for _, c := range []struct {
+		name                 string
+		groups, stride, act  int
+		obs, rew, done, acts int
+	}{
+		{"active-past-groups", 1, 8, 5, 16, 8, 8, 24},
+		{"active-past-stride", 2, 4, 5, 16, 8, 8, 24},
+		{"active-negative", 1, 4, -1, 8, 4, 4, 12},
+		{"obs-short", 1, 4, 4, 7, 4, 4, 12},
+		{"actions-short", 1, 4, 4, 8, 4, 4, 11},
+		{"rewards-short", 1, 4, 4, 8, 3, 4, 12},
+		{"done-short", 1, 4, 4, 8, 4, 3, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			MountainCarStep(make([]MountainCarGroup, c.groups), make([]float64, c.obs), make([]float64, c.rew),
+				make([]bool, c.done), make([]float64, c.acts), c.stride, c.act)
+		})
+	}
 }

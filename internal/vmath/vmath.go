@@ -8,9 +8,12 @@
 // byte-equal results to the serial reference path while still
 // vectorizing its hot spots: a SigmoidLayer evaluates the
 // sum-and-sigmoid vertices of a network layer in one fused kernel,
-// SinCosSlice computes the trig of the classic-control batch
-// environments, and AcrobotStep runs Acrobot's whole RK4 step, its
-// sines and cosines SinCosSlice's, on 4-lane groups.
+// SinCosSlice computes the trig of the CartPole and Bipedal batch
+// environments, and AcrobotStep, MountainCarStep and LunarLanderStep
+// each run one task's whole step, its sines and cosines SinCosSlice's,
+// on the 4-lane groups its batch keeps its lanes' state in, reading
+// the actions and writing the observations, rewards and done flags of
+// the batch's planes in place.
 package vmath
 
 import "math"
@@ -149,38 +152,135 @@ func SinCosSlice(sinDst, cosDst, src []float64) {
 	}
 }
 
-// AcrobotGroup is four lanes of the Spong acrobot (env's Acrobot) as
-// AcrobotStep reads and writes them: lane l of every row is one lane.
-type AcrobotGroup struct {
-	// Read: the joint angles θ1 and θ2, their velocities θ1' and θ2',
-	// and the torque before its clamp. A stepped group's state is
-	// written back advanced.
-	Th1, Th2, Dth1, Dth2, Torque [4]float64
-	// Written: cos θ1, sin θ1, cos θ2, sin θ2 and cos(θ2+θ1) of the
-	// advanced state.
-	Cos1, Sin1, Cos2, Sin2, Cos21 [4]float64
-	// Declined reports that AcrobotStep left the group's lanes as they
-	// were.
+// The step kernels below run one batch environment's whole step on
+// 4-lane groups, lane l of a batch being column l&3 of group l>>2. They
+// share the batch's planes: lane l's action r is actions[r*stride+l],
+// its observation r is obs[r*stride+l], and rewards[l] and done[l] are
+// its reward and done flag. A call steps lanes [0, active) and touches
+// no plane entry of a lane at or past active, nor any column of such a
+// lane in groups. A group with a trig argument of an active lane
+// outside the sin/cos window (NaN, ±Inf, |x| ≥ 2^29) is declined
+// before any of it is written: its Declined is set and its lanes are
+// left, state and planes, for the caller to step with the scalar code.
+// On hosts without AVX2+FMA every group is. Each kernel's packed
+// operations are the twins of the instructions of the compiled scalar
+// step, with its constants and no FMA, and its sines and cosines are
+// SinCosSlice's, so a stepped lane is bit-equal to the scalar's.
+
+// checkPlanes panics unless lanes [0, active) fit in ngroups groups and
+// in a row of the stride, and the planes hold them: obsRows observation
+// rows, actRows action rows, a reward and a done flag per lane.
+func checkPlanes(ngroups, obsRows, actRows int, obs, rewards []float64, done []bool, actions []float64, stride, active int) {
+	if active < 0 || active > stride || active > 4*ngroups {
+		panic("vmath: step lanes outside the groups or the row")
+	}
+	if active > 0 && (len(obs) < (obsRows-1)*stride+active || len(actions) < (actRows-1)*stride+active ||
+		len(rewards) < active || len(done) < active) {
+		panic("vmath: step plane shorter than its lanes")
+	}
+}
+
+// MountainCarGroup is four lanes of env's MountainCar as
+// MountainCarStep reads and writes them.
+type MountainCarGroup struct {
+	// The position, the velocity, the highest position the episode's
+	// steps have left, and the steps taken.
+	Pos, Vel, MaxPos [4]float64
+	Steps            [4]int64
+	// Declined reports that MountainCarStep left the group as it was.
 	Declined bool
 }
 
-// AcrobotStep advances every group one step of env's scalar
-// Acrobot.Step, bit for bit: the torque clamped to ±1, four RK4 stages
-// of the Spong derivative at dt = 0.2, the angles wrapped into [−π, π]
-// and the velocities clamped to ±4π and ±9π, then the trig of the
-// observation and the done test. On hosts with AVX2+FMA one kernel
-// takes each group whole in registers. Each of its packed operations
-// is the twin of one instruction of the compiled scalar code, with the
-// same constants and no FMA, and its sines and cosines are
-// SinCosSlice's. A group with any trig argument outside the sin/cos
-// window (NaN, ±Inf, |x| ≥ 2^29), in any RK4 stage or in the result,
-// is declined before any of it is written; on other hosts every group
-// is. The caller steps a declined group's lanes with the scalar code.
-func AcrobotStep(groups []AcrobotGroup) {
-	if acrobotStepAccel(groups) {
+// MountainCarStep advances lanes [0, active) one MountainCar.Step on
+// the planes' 3 action and 2 observation rows: the argmax of the
+// actions, cos(3·pos), the push and gravity, the speed and position
+// clamps, the left wall's stop, the highest position, then the
+// observation, the reward of −1 and the goal-or-budget done test.
+func MountainCarStep(groups []MountainCarGroup, obs, rewards []float64, done []bool, actions []float64, stride, active int) {
+	checkPlanes(len(groups), 2, 3, obs, rewards, done, actions, stride, active)
+	if active == 0 {
 		return
 	}
-	for i := range groups {
+	if HaveVec {
+		mountainCarStepVec(&groups[0], &obs[0], &rewards[0], &done[0], &actions[0], stride, active)
+		return
+	}
+	for i := range groups[:(active+3)/4] {
+		groups[i].Declined = true
+	}
+}
+
+// LunarLanderGroup is four lanes of env's LunarLander as
+// LunarLanderStep reads and writes them. A flag row holds −1 (every
+// bit set) for true and 0 for false.
+type LunarLanderGroup struct {
+	// The position, velocity, attitude and angular velocity.
+	X, Y, Vx, Vy, Angle, VA [4]float64
+	// Shaping is the gym potential of the lane's state: the step's
+	// reward is the change in it.
+	Shaping [4]float64
+	Steps   [4]int64
+	// The leg contacts, and whether the episode ended in a landing or a
+	// crash.
+	Leg1, Leg2, Landed, Crashed [4]int64
+	// Declined reports that LunarLanderStep left the group as it was.
+	Declined bool
+}
+
+// LunarLanderStep advances lanes [0, active), each an episode still
+// running, one LunarLander.Step on the planes' 4 action and 8
+// observation rows: the argmax of the actions, the attitude's sine and
+// cosine, the thrusters, gravity and the integration, the ground's
+// landing or crash, the playfield's flyaway, the new potential, then
+// the observation, the reward (the landing or crash bonus, the change
+// in potential, the fuel) and the done test. The step starts from the
+// potential in Shaping, which must be the one of the lane's state, and
+// leaves the new state's there.
+func LunarLanderStep(groups []LunarLanderGroup, obs, rewards []float64, done []bool, actions []float64, stride, active int) {
+	checkPlanes(len(groups), 8, 4, obs, rewards, done, actions, stride, active)
+	if active == 0 {
+		return
+	}
+	if HaveVec {
+		lunarLanderStepVec(&groups[0], &obs[0], &rewards[0], &done[0], &actions[0], stride, active)
+		return
+	}
+	for i := range groups[:(active+3)/4] {
+		groups[i].Declined = true
+	}
+}
+
+// AcrobotGroup is four lanes of the Spong acrobot (env's Acrobot) as
+// AcrobotStep reads and writes them.
+type AcrobotGroup struct {
+	// The joint angles θ1 and θ2, their velocities θ1' and θ2', and the
+	// steps taken.
+	Th1, Th2, Dth1, Dth2 [4]float64
+	Steps                [4]int64
+	// Declined reports that AcrobotStep left the group as it was.
+	Declined bool
+}
+
+// AcrobotStep advances lanes [0, active) one Acrobot.Step on the
+// planes' action row and 6 observation rows, bit for bit: the torque
+// clamped to ±1, four RK4 stages of the Spong derivative at dt = 0.2,
+// the angles wrapped into [−π, π] and the velocities clamped to ±4π and
+// ±9π, then the observation (cos θ1, sin θ1, cos θ2, sin θ2, θ1', θ2'),
+// the reward of −1 and the done test (the tip above the bar, or the
+// budget spent). The kernel keeps a group's step in registers;
+// inactive lanes step from a zero state whose results are not written.
+// A group is declined for a trig argument outside the window in any
+// RK4 stage or in the result.
+func AcrobotStep(groups []AcrobotGroup, obs, rewards []float64, done []bool, actions []float64, stride, active int) {
+	checkPlanes(len(groups), 6, 1, obs, rewards, done, actions, stride, active)
+	if active == 0 {
+		return
+	}
+	if HaveVec {
+		acrobotStepVec(&groups[0], &obs[0], &rewards[0], &done[0], &actions[0], stride, active)
+		return
+	}
+	for i := range groups[:(active+3)/4] {
 		groups[i].Declined = true
 	}
 }

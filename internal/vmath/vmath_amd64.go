@@ -22,12 +22,21 @@ func sigmoidRowsVec(vals, w, bias, resp *float64, off, src, rows *int32, nrows, 
 //go:noescape
 func sinCosVec(sinDst, cosDst, src *float64, n int) int
 
-// acrobotStepVec is the whole Acrobot step on n 4-lane groups
-// (sincos_amd64.s, beside sinCosVec, whose constant table, window check
-// and polynomials it shares). It sets every group's Declined.
+// mountainCarStepVec, lunarLanderStepVec and acrobotStepVec are the
+// whole steps of three batch environments on the 4-lane groups of lanes
+// [0, active) (sincos_amd64.s, beside sinCosVec, whose constant table,
+// window check and polynomials they share). Each reads the action rows
+// and writes the observation rows, the rewards and the done flags of
+// the active lanes in place, and sets every group's Declined.
 //
 //go:noescape
-func acrobotStepVec(groups *AcrobotGroup, n int)
+func mountainCarStepVec(groups *MountainCarGroup, obs, rewards *float64, done *bool, actions *float64, stride, active int)
+
+//go:noescape
+func lunarLanderStepVec(groups *LunarLanderGroup, obs, rewards *float64, done *bool, actions *float64, stride, active int)
+
+//go:noescape
+func acrobotStepVec(groups *AcrobotGroup, obs, rewards *float64, done *bool, actions *float64, stride, active int)
 
 // cpuidLeaf and xgetbv0 are thin wrappers over CPUID / XGETBV(0),
 // used once at init to decide whether the vector kernels are safe.
@@ -77,12 +86,4 @@ func sinCosVecAccel(sinDst, cosDst, src []float64) int {
 		return 0
 	}
 	return sinCosVec(&sinDst[0], &cosDst[0], &src[0], len(src))
-}
-
-func acrobotStepAccel(groups []AcrobotGroup) bool {
-	if !HaveVec || len(groups) == 0 {
-		return false
-	}
-	acrobotStepVec(&groups[0], len(groups))
-	return true
 }

@@ -12,4 +12,16 @@ func sigmoidRowsAccel(vals, w, bias, resp []float64, off, src, rows []int32, str
 
 func sinCosVecAccel(sinDst, cosDst, src []float64) int { return 0 }
 
-func acrobotStepAccel(groups []AcrobotGroup) bool { return false }
+// The step kernels are never called here: HaveVec is false.
+
+func mountainCarStepVec(groups *MountainCarGroup, obs, rewards *float64, done *bool, actions *float64, stride, active int) {
+	panic("vmath: no step kernel")
+}
+
+func lunarLanderStepVec(groups *LunarLanderGroup, obs, rewards *float64, done *bool, actions *float64, stride, active int) {
+	panic("vmath: no step kernel")
+}
+
+func acrobotStepVec(groups *AcrobotGroup, obs, rewards *float64, done *bool, actions *float64, stride, active int) {
+	panic("vmath: no step kernel")
+}

@@ -30,26 +30,34 @@
 # regenerates it), and a
 # short fuzz smoke over the untrusted-input decoders (trace parser,
 # binary genome record, NEAT population document, store manifest, the
-# worker's /island/step body, the POST /jobs body, the client's SSE
-# parser), the one-pass genome validator, the vector sin/cos kernel,
-# the fused sigmoid vertex kernel, the acrobot step kernel and the
-# batch environments. The trace parser, validator, sin/cos, sigmoid,
-# acrobot and batch environment fuzzers are differential: each checks
-# the fast code against its reference implementation (FuzzSinCosSlice
-# checks every lane against math.Sin/math.Cos bit for bit,
-# FuzzSigmoidRows every lane against the scalar sigmoid vertex,
-# FuzzAcrobotStep every lane of one acrobot batch step against the
-# scalar Step, and FuzzBatchMatchesScalar every lane of NewBatch's
-# batch against a scalar env, the last three both on the host's path
-# and with the vector kernels off). The binary
+# worker's /island/open, /island/step, /island/result and /island/close
+# bodies, the POST /jobs and POST /cluster/join bodies, the client's
+# SSE parser), the one-pass genome validator, the vector sin/cos
+# kernel, the fused sigmoid vertex kernel, the acrobot, mountaincar and
+# lunarlander step kernels and the batch environments. The trace
+# parser, validator, sin/cos, sigmoid, step kernel and batch
+# environment fuzzers are differential: each checks the fast code
+# against its reference implementation (FuzzSinCosSlice checks every
+# lane against math.Sin/math.Cos bit for bit, FuzzSigmoidRows every
+# lane against the scalar sigmoid vertex, FuzzAcrobotStep,
+# FuzzMountainCarStep and FuzzLunarLanderStep every lane of one batch
+# step against the scalar Step, and FuzzBatchMatchesScalar every lane
+# of NewBatch's batch against a scalar env, the last four both on the
+# host's path and with the vector kernels off). The binary
 # genome record and population fuzzers check that the decoder accepts
 # only what the encoder writes: whatever Restore accepts, Save writes
 # back byte for byte (Save(Restore(x)) == x). The /island/step fuzzer
 # checks that a worker answers any body with 200, 400 or 404 and never
-# steps a session past its generation budget. The POST /jobs fuzzer
+# steps a session past its generation budget; FuzzIslandSession that
+# /island/result and /island/close answer only those codes and a 200
+# close removes exactly the named session; FuzzIslandOpen that
+# /island/open answers only 200 or 400 and a 200 opens exactly the
+# named session with one runner per listed island. The POST /jobs fuzzer
 # (FuzzSubmit) checks that the daemon answers any body without a 5xx
 # and admits only jobs whose key name parses back to the key and whose
-# population is within neat.MaxPopulationSize. The SSE parser fuzzer
+# population is within neat.MaxPopulationSize; FuzzClusterJoin that a
+# coordinator answers any join body without a 5xx and a 200 adds
+# exactly the body's address as one alive member. The SSE parser fuzzer
 # (FuzzWatch) checks that Watch returns on any event-stream body, runs
 # its callback at most once per generation event and returns no error
 # only with a terminal state.
@@ -352,7 +360,7 @@ go test -run=NONE -bench=. -benchtime=1x .
 diff -r "$resdir" results || { echo "root benches changed results/" >&2; exit 1; }
 rm -rf "$resdir"
 
-echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid vertex, acrobot step and batch environments against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/step body; POST /jobs body; client SSE parser)"
+echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid vertex, acrobot, mountaincar and lunarlander steps and batch environments against their references; genome record and neat population, Save(Restore(x)) == x; store manifest; /island/* bodies; POST /jobs and /cluster/join bodies; client SSE parser)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the
 # multi-kilobyte population corpus entries. FuzzRestore's oracle is
@@ -368,7 +376,10 @@ echo "== fuzz smoke (trace parser, genome validator, vector sin/cos, sigmoid ver
 # row is written. FuzzAcrobotStep reads a width of 1–9, an active
 # count and every lane's state (NaN allowed anywhere) and torque (any
 # bits), steps the acrobot batch once and checks each active lane
-# against the scalar Step and each inactive one unchanged.
+# against the scalar Step and each inactive one unchanged;
+# FuzzMountainCarStep and FuzzLunarLanderStep do the same for their
+# batches, with every action row as raw bits. FuzzIslandOpen skips a
+# body whose population decodes above 64 to keep each run small.
 # FuzzBatchMatchesScalar reads a registered environment, a width of
 # 1–9, every lane's seed and the action planes (NaN and ±Inf among the
 # actions), and drives NewBatch's batch against scalar envs bit for
@@ -377,13 +388,18 @@ go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/
 go test -run=NONE -fuzz=FuzzSinCosSlice -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
 go test -run=NONE -fuzz=FuzzSigmoidRows -fuzztime=5s -fuzzminimizetime=50x ./internal/vmath/
 go test -run=NONE -fuzz=FuzzAcrobotStep -fuzztime=5s -fuzzminimizetime=50x ./internal/env/
+go test -run=NONE -fuzz=FuzzMountainCarStep -fuzztime=5s -fuzzminimizetime=50x ./internal/env/
+go test -run=NONE -fuzz=FuzzLunarLanderStep -fuzztime=5s -fuzzminimizetime=50x ./internal/env/
 go test -run=NONE -fuzz=FuzzBatchMatchesScalar -fuzztime=5s -fuzzminimizetime=50x ./internal/env/
 go test -run=NONE -fuzz=FuzzValidate -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRecord -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 go test -run=NONE -fuzz=FuzzIslandStep -fuzztime=5s -fuzzminimizetime=50x ./internal/cluster/
+go test -run=NONE -fuzz=FuzzIslandSession -fuzztime=5s -fuzzminimizetime=50x ./internal/cluster/
+go test -run=NONE -fuzz=FuzzIslandOpen -fuzztime=5s -fuzzminimizetime=50x ./internal/cluster/
 go test -run=NONE -fuzz=FuzzWatch -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
 go test -run=NONE -fuzz=FuzzSubmit -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
+go test -run=NONE -fuzz=FuzzClusterJoin -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
 
 echo "ok"
