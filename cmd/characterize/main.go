@@ -8,6 +8,10 @@
 //
 //	characterize -workload lunarlander -generations 60 -trace out.trace
 //	characterize -workload cartpole -runs 8 -records records.json
+//
+// With -runs > 1 it runs a study of independent runs and prints its
+// convergence statistics. Ctrl-C prints the partial study; a study
+// does not checkpoint, so running it again starts every run afresh.
 package main
 
 import (
@@ -51,14 +55,11 @@ func main() {
 		runs        = flag.Int("runs", 1, "independent runs; >1 prints the convergence study instead of per-generation rows")
 		recordsOut  = flag.String("records", "", "write per-generation counter records to this file as JSON")
 		resilience  = flag.Bool("resilience", false, "run the fault-rate resilience sweep for the workload instead of the characterization")
-		ckptDir     = flag.String("checkpoint-dir", "", "directory for per-run population checkpoints; an interrupted study resumes from them")
-		ckptEvery   = flag.Int("checkpoint-every", 5, "checkpoint interval in generations (with -checkpoint-dir)")
 	)
 	flag.Parse()
 
 	// Ctrl-C or SIGTERM cancels the study at the next generation
-	// boundary; the partial results, records and checkpoints below
-	// still flush.
+	// boundary; the partial results and records below still flush.
 	ctx, stop := signalctx.Notify(context.Background())
 	defer stop()
 
@@ -86,13 +87,13 @@ func main() {
 
 	if *runs > 1 {
 		study, err := evolve.RunStudyContext(ctx, *workload, cfg, *runs, *generations, *seed,
-			evolve.StudyOptions{Sink: log, CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery})
+			evolve.StudyOptions{Sink: log})
 		if err != nil && !errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "characterize:", err)
 			os.Exit(1)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "characterize: interrupted; partial study follows (resume with the same -checkpoint-dir)")
+			fmt.Fprintln(os.Stderr, "characterize: interrupted; partial study follows")
 		}
 		fmt.Printf("%s: %d runs × up to %d generations (pop %d)\n",
 			*workload, *runs, *generations, *pop)

@@ -110,9 +110,9 @@ func main() {
 		}()
 	}
 
-	// The checkpoint directory must exist before the first job tries to
-	// write into it — store.Open creates it when a store is configured,
-	// but a store-less worker (the common fleet shape) has only this.
+	// The checkpoint directory must exist before the first job saves
+	// into it: neither store.Open nor a checkpoint handle creates it,
+	// with a store or without one (the common fleet worker shape).
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "genesysd:", err)

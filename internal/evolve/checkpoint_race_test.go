@@ -3,11 +3,12 @@ package evolve
 import (
 	"context"
 	"os"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/hw/hwsim"
+	"repro/internal/store"
 )
 
 // TestConcurrentCheckpointResumeBitIdentical is the race-detector
@@ -42,14 +43,14 @@ func TestConcurrentCheckpointResumeBitIdentical(t *testing.T) {
 	// generation boundary) so the test is deterministic on any
 	// scheduler: every generation carries a pending request, and the
 	// copier provably observes a mid-run checkpoint file.
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "live.ckpt")
-	copied := filepath.Join(dir, "midrun.ckpt")
+	ckpts := store.NewCheckpoints(t.TempDir(), store.OSFS{})
+	key := store.Key{Workload: "mountaincar", Population: 30, Generations: budget, Seed: seed}
+	var copied []byte
 	b, err := NewRunner("mountaincar", smallConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.CheckpointPath = ckpt
+	checkpointTo(b, ckpts, key)
 	log := &hwsim.Log{}
 	bound := make(chan struct{})
 	acked := make(chan struct{})
@@ -66,10 +67,8 @@ func TestConcurrentCheckpointResumeBitIdentical(t *testing.T) {
 			// Copy the first checkpoint that materializes: a mid-run
 			// boundary snapshot. Saves go through temp+rename, so a
 			// read here sees a complete file.
-			if _, err := os.Stat(copied); err != nil {
-				if data, err := os.ReadFile(ckpt); err == nil {
-					os.WriteFile(copied, data, 0o644)
-				}
+			if copied == nil {
+				copied, _ = ckpts.Load(key)
 			}
 			acked <- struct{}{}
 		}
@@ -94,15 +93,15 @@ func TestConcurrentCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("sink saw %d records, want %d", log.Len(), budget)
 	}
 
-	if _, err := os.Stat(copied); err != nil {
-		t.Fatalf("no mid-run checkpoint captured: %v", err)
+	if copied == nil {
+		t.Fatal("no mid-run checkpoint captured")
 	}
 
 	// Resume from the mid-run snapshot: the continuation must be the
 	// reference history's tail, stat for stat.
-	c, resumed, err := ResumeRunner("mountaincar", smallConfig(), seed, copied)
-	if err != nil || !resumed {
-		t.Fatalf("resume: resumed=%v err=%v", resumed, err)
+	c, err := RestoreRunner("mountaincar", copied, seed)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
 	}
 	cut := c.Pop.Generation
 	if cut < 1 || cut >= budget {
@@ -126,23 +125,28 @@ func TestConcurrentCheckpointResumeBitIdentical(t *testing.T) {
 // TestTwoWritersOneCheckpoint is the partitioned-worker case: a worker
 // cut off from the coordinator keeps running a job while the
 // coordinator re-dispatches its key to another worker, and both save
-// the key's one checkpoint file. Two runs of one key checkpoint every
-// generation to one path at once. Both must finish, every checkpoint a
-// concurrent reader sees must restore, and the file they leave is the
-// last boundary before the budget.
+// the key's one checkpoint file. Two runs of one key, each saving
+// through a handle of its own, checkpoint every generation to one
+// directory at once. Both must finish with no failed save, every
+// checkpoint a concurrent reader sees must restore (and none may fail
+// its digest, which Load would report by removing the file), and the
+// file they leave is the last boundary before the budget.
 func TestTwoWritersOneCheckpoint(t *testing.T) {
 	const seed, budget = 13, 8
 	dir := t.TempDir()
-	path := filepath.Join(dir, "mountaincar-p30-g8-s13.ckpt")
+	key := store.Key{Workload: "mountaincar", Population: 30, Generations: budget, Seed: seed}
 	errs := make([]error, 2)
+	phases := make([]*hwsim.Counters, 2)
 	var writers sync.WaitGroup
 	for i := range errs {
 		r, err := NewRunner("mountaincar", smallConfig(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.CheckpointPath = path
+		checkpointTo(r, store.NewCheckpoints(dir, store.OSFS{}), key)
 		r.CheckpointEvery = 1
+		phases[i] = hwsim.New("phases")
+		r.Phases = phases[i]
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
@@ -150,6 +154,8 @@ func TestTwoWritersOneCheckpoint(t *testing.T) {
 		}()
 	}
 
+	spy := &removeSpy{FS: store.OSFS{}}
+	reader := store.NewCheckpoints(dir, spy)
 	stop := make(chan struct{})
 	var reads int
 	var readErr error
@@ -162,11 +168,11 @@ func TestTwoWritersOneCheckpoint(t *testing.T) {
 				return
 			default:
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
+			doc, ok := reader.Load(key)
+			if !ok {
 				continue // no checkpoint yet
 			}
-			if _, err := RestoreRunner("mountaincar", data, seed); err != nil {
+			if _, err := RestoreRunner("mountaincar", doc, seed); err != nil {
 				readErr = err
 				return
 			}
@@ -181,23 +187,32 @@ func TestTwoWritersOneCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Errorf("writer %d: %v", i, err)
 		}
+		if n := phases[i].IntValue("checkpoint_errors"); n != 0 {
+			t.Errorf("writer %d: %d failed saves", i, n)
+		}
 	}
 	if readErr != nil {
 		t.Fatalf("a concurrent reader saw a checkpoint that does not restore (after %d good reads): %v", reads, readErr)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if n := spy.removed.Load(); n != 0 {
+		t.Fatalf("a concurrent reader saw %d checkpoints fail their digest (after %d good reads)", n, reads)
 	}
-	last, err := RestoreRunner("mountaincar", data, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.Pop.Generation != budget-1 {
+	if last := resume(t, reader, key); last.Pop.Generation != budget-1 {
 		t.Fatalf("final checkpoint at generation %d, want %d", last.Pop.Generation, budget-1)
 	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 || ents[0].Name() != key.String()+".ckpt" {
 		t.Fatalf("checkpoint dir holds %d entries, want only the checkpoint", len(ents))
 	}
 	t.Logf("%d concurrent reads restored", reads)
+}
+
+// removeSpy counts the removals made through it.
+type removeSpy struct {
+	store.FS
+	removed atomic.Int64
+}
+
+func (s *removeSpy) RemoveAll(path string) error {
+	s.removed.Add(1)
+	return s.FS.RemoveAll(path)
 }

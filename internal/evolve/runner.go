@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -103,11 +101,15 @@ type Runner struct {
 	// generation (the GenStats counter tree), tagged with the workload
 	// name.
 	Sink hwsim.Sink
-	// CheckpointPath, together with CheckpointEvery, makes Run persist
-	// the population to this file at generation boundaries (atomic
-	// temp-file + rename, so a crash mid-write never corrupts the last
-	// good checkpoint) and on context cancellation.
-	CheckpointPath string
+	// Checkpoint, when set, receives the population document
+	// (neat.(*Population).Save) at the generation boundaries Run
+	// checkpoints: every CheckpointEvery generations, at a
+	// RequestCheckpoint, and when ctx is cancelled. Restored with
+	// RestoreRunner, the document continues the run bit-identically. A
+	// checkpoint only shortens a resume, so a failed one (a document
+	// that does not save, or an error from the hook) is counted as
+	// checkpoint_errors in Phases and the run goes on.
+	Checkpoint func(doc []byte) error
 	// CheckpointEvery is the checkpoint interval in generations; 0
 	// disables periodic checkpoints.
 	CheckpointEvery int
@@ -118,7 +120,7 @@ type Runner struct {
 	// Phases, when set, receives per-phase wall-clock accounting from
 	// every Step: evaluate_ns / speciate_ns / reproduce_ns accumulated
 	// across generations, plus a generations count, and checkpoint_ns
-	// for every checkpoint Run saves. Wall-clock is
+	// and checkpoint_errors for the checkpoints Run saves. Wall-clock is
 	// host-dependent by nature, so it lives only in this live counter
 	// node (surfaced through /metrics) and is deliberately kept out of
 	// GenStats and the per-generation record stream, which are pinned
@@ -228,23 +230,6 @@ func RestoreRunner(workloadName string, data []byte, seed uint64) (*Runner, erro
 		return nil, err
 	}
 	return newRunner(w, workloadName, pop, seed), nil
-}
-
-// ResumeRunner is RestoreRunner over the checkpoint file at path when
-// one exists, and NewRunner otherwise (an empty path included);
-// resumed reports which. A checkpoint that does not restore is removed
-// and the run starts fresh: kept, it would fail every retry of its key
-// until garbage collection aged it out, and the run is deterministic,
-// so recomputing it costs time but never changes the result.
-func ResumeRunner(workloadName string, cfg neat.Config, seed uint64, path string) (r *Runner, resumed bool, err error) {
-	if data, rerr := os.ReadFile(path); rerr == nil {
-		if r, err = RestoreRunner(workloadName, data, seed); err == nil {
-			return r, true, nil
-		}
-		os.Remove(path)
-	}
-	r, err = NewRunner(workloadName, cfg, seed)
-	return r, false, err
 }
 
 // newRunner wires a runner and its op-count recorder around pop.
@@ -523,7 +508,7 @@ func (r *Runner) finishGeneration(envSteps, macs, updates int64, evalDur time.Du
 // executing: the save itself still happens on the Run goroutine,
 // between Step calls, where the population is quiescent — so the
 // written checkpoint is always a consistent boundary snapshot and the
-// call is race-free by construction. A no-op when CheckpointPath is
+// call is race-free by construction. A no-op when Checkpoint is
 // unset. This is what lets a serving layer checkpoint a live job on
 // demand without stopping it.
 func (r *Runner) RequestCheckpoint() { r.ckptReq.Store(true) }
@@ -552,16 +537,12 @@ func CheckGenerations(n int) error {
 // continues where the interrupted run stopped rather than replaying
 // the full budget. It reports whether the task was solved; a
 // cancellation returns ctx.Err() after a final checkpoint (when
-// checkpointing is configured), so the run can resume at the exact
-// boundary it was cut at.
+// Checkpoint is set), so the run can resume at the exact boundary it
+// was cut at.
 func (r *Runner) Run(ctx context.Context, maxGenerations int) (bool, error) {
 	for r.Pop.Generation < maxGenerations {
 		if err := ctx.Err(); err != nil {
-			if r.CheckpointPath != "" {
-				if serr := r.checkpoint(); serr != nil {
-					return false, errors.Join(err, serr)
-				}
-			}
+			r.checkpoint()
 			return false, err
 		}
 		st, err := r.Step(ctx)
@@ -570,10 +551,8 @@ func (r *Runner) Run(ctx context.Context, maxGenerations int) (bool, error) {
 			// same pre-Epoch boundary as the pre-step check above (the
 			// PRNG is untouched during evaluation), so the checkpoint
 			// resumes bit-identically by re-evaluating the generation.
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) && r.CheckpointPath != "" {
-				if serr := r.checkpoint(); serr != nil {
-					return false, errors.Join(err, serr)
-				}
+			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+				r.checkpoint()
 			}
 			return false, err
 		}
@@ -585,59 +564,31 @@ func (r *Runner) Run(ctx context.Context, maxGenerations int) (bool, error) {
 		// would, after a crash before that, resume a finished run.
 		periodic := r.CheckpointEvery > 0 && r.Pop.Generation%r.CheckpointEvery == 0
 		requested := r.ckptReq.Swap(false)
-		if r.CheckpointPath != "" && r.Pop.Generation < maxGenerations && (periodic || requested) {
-			if err := r.checkpoint(); err != nil {
-				return false, fmt.Errorf("checkpoint: %w", err)
-			}
+		if r.Pop.Generation < maxGenerations && (periodic || requested) {
+			r.checkpoint()
 		}
 	}
 	return false, nil
 }
 
-// checkpoint saves to CheckpointPath, charging the time to Phases.
-func (r *Runner) checkpoint() error {
+// checkpoint hands the population document to the Checkpoint hook, if
+// set, charging its time to Phases as checkpoint_ns and a failure as
+// checkpoint_errors.
+func (r *Runner) checkpoint() {
+	if r.Checkpoint == nil {
+		return
+	}
 	start := time.Now()
-	err := r.SaveCheckpoint(r.CheckpointPath)
+	doc, err := r.Pop.Save()
+	if err == nil {
+		err = r.Checkpoint(doc)
+	}
 	if r.Phases != nil {
 		r.Phases.AddInt("checkpoint_ns", time.Since(start).Nanoseconds())
+		if err != nil {
+			r.Phases.AddInt("checkpoint_errors", 1)
+		}
 	}
-	return err
-}
-
-// SaveCheckpoint atomically persists the population state: the
-// document neat's Save returns is written to a staging file of this
-// save's own ("<name>.tmp<random>" in the target directory) and
-// renamed over path, so an interrupted save leaves the previous
-// checkpoint intact and any number of processes may save to one path
-// at once: each rename installs one complete checkpoint, and a reader
-// never sees a mix of two. A population that does not save (a NaN
-// fitness, say) fails before any file is made.
-func (r *Runner) SaveCheckpoint(path string) error {
-	data, err := r.Pop.Save()
-	if err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if err == nil {
-		// CreateTemp makes the file 0600; workers sharing the
-		// directory must be able to resume from each other's saves.
-		err = f.Chmod(0o644)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 // Champion returns the clone of the best genome at the most recent

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 
@@ -48,15 +47,6 @@ type StudyOptions struct {
 	// name and run index; it must be safe for concurrent use
 	// (hwsim.Log is). Nil discards.
 	Sink hwsim.Sink
-	// CheckpointDir, when set with CheckpointEvery, makes every run
-	// checkpoint its population to <dir>/<workload>-run<NNN>.ckpt and
-	// resume from that file when it already exists — an interrupted
-	// study picks up each run at its last generation boundary.
-	CheckpointDir string
-	// CheckpointEvery is the per-run checkpoint interval in
-	// generations; 0 disables periodic checkpoints (a cancelled run
-	// still saves a final checkpoint when CheckpointDir is set).
-	CheckpointEvery int
 	// Parallelism caps the number of runs in flight; 0 means
 	// runtime.NumCPU(). Callers embedding studies in a wider parallel
 	// pipeline pass their own cap so total concurrency stays bounded.
@@ -65,9 +55,9 @@ type StudyOptions struct {
 
 // RunStudyContext executes runs independent evolutions, each up to
 // maxGenerations, with per-run seeds derived by RunSeed, cancellation
-// via ctx, and the per-generation records and per-run checkpoint/resume
-// opt asks for. At most opt.Parallelism runs are in flight, and every
-// run's error is aggregated with errors.Join. A run that panics (e.g.
+// via ctx, and the per-generation records opt asks for. At most
+// opt.Parallelism runs are in flight, and every run's error is
+// aggregated with errors.Join. A run that panics (e.g.
 // inside a fitness evaluation path the worker pool does not cover) is
 // recovered into that run's StudyResult.Err without taking down the
 // study.
@@ -96,11 +86,7 @@ func RunStudyContext(ctx context.Context, workload string, cfg neat.Config, runs
 				res.Err = err
 				return
 			}
-			var ckpt string
-			if opt.CheckpointDir != "" {
-				ckpt = filepath.Join(opt.CheckpointDir, fmt.Sprintf("%s-run%03d.ckpt", workload, run))
-			}
-			r, _, err := ResumeRunner(workload, cfg, RunSeed(seed, run), ckpt)
+			r, err := NewRunner(workload, cfg, RunSeed(seed, run))
 			if err != nil {
 				res.Err = err
 				return
@@ -109,8 +95,6 @@ func RunStudyContext(ctx context.Context, workload string, cfg neat.Config, runs
 			if opt.Sink != nil {
 				r.Sink = hwsim.Tagged{Sink: opt.Sink, Workload: workload, Run: run}
 			}
-			r.CheckpointPath = ckpt
-			r.CheckpointEvery = opt.CheckpointEvery
 			res.Solved, res.Err = r.Run(ctx, maxGenerations)
 			res.History = r.History
 		}(run)

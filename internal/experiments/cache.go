@@ -161,9 +161,9 @@ type JobRequest struct {
 	// per phase, per checkpoint and for its store commit (metrics only,
 	// never stored).
 	Phases *hwsim.Counters
-	// CheckpointPath, CheckpointEvery and OnRunner apply to scalar
-	// runs only; see SharedRequest.
-	CheckpointPath  string
+	// Checkpoints, CheckpointEvery and OnRunner apply to scalar runs
+	// only; see SharedRequest.
+	Checkpoints     *store.Checkpoints
 	CheckpointEvery int
 	OnRunner        func(*evolve.Runner)
 	// RunIslands, when set, computes an island run in place of the

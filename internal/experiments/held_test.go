@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -163,24 +162,13 @@ func TestHeldNeverEvicts(t *testing.T) {
 		withTestStore(t, store.Config{})
 		ResetCaches()
 		// Plant generation 1 of the 2-generation key as its checkpoint.
-		ckpt := filepath.Join(t.TempDir(), "resume.ckpt")
-		g1 := persistReq(777101)
-		g1.Generations = 1
-		r, err := RunShared(g1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Runner.SaveCheckpoint(ckpt); err != nil {
-			t.Fatal(err)
-		}
-		ResetCaches()
 		req := persistReq(777101)
-		req.CheckpointPath, req.CheckpointEvery = ckpt, 1
+		key := store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations, Seed: req.Seed}
+		req.Checkpoints, req.CheckpointEvery = plantCheckpoint(t, t.TempDir(), key), 1
 		res, err := RunShared(req)
 		if err != nil || !res.Resumed {
 			t.Fatalf("resume: %v, Resumed=%v", err, res != nil && res.Resumed)
 		}
-		key := store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations, Seed: req.Seed}
 		next := uint64(200)
 		for evictions() == 0 {
 			mustResolve(t, ramKey(next))

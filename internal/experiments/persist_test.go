@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/hw/hwsim"
+	"repro/internal/neat"
 	"repro/internal/store"
 )
 
@@ -17,6 +18,28 @@ import (
 // entries alias these keys.
 func persistReq(seed uint64) SharedRequest {
 	return SharedRequest{Workload: "cartpole", Population: 16, Generations: 2, Seed: seed}
+}
+
+// plantCheckpoint saves generation 1 of key's run, evolved under a
+// one-generation key, as key's checkpoint in dir, and returns the
+// handle on dir. The caches are reset afterwards.
+func plantCheckpoint(t *testing.T, dir string, key store.Key) *store.Checkpoints {
+	t.Helper()
+	g1 := SharedRequest{Workload: key.Workload, Population: key.Population, Generations: 1, Seed: key.Seed}
+	r, err := RunShared(g1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := r.Runner.Pop.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetCaches()
+	ckpts := store.NewCheckpoints(dir, store.OSFS{})
+	if err := ckpts.Save(key, doc); err != nil {
+		t.Fatal(err)
+	}
+	return ckpts
 }
 
 func withTestStore(t *testing.T, cfg store.Config) *store.Store {
@@ -149,22 +172,11 @@ func TestStoreSkipsResumedRuns(t *testing.T) {
 	ResetCaches()
 
 	// Produce a mid-run checkpoint for the 2-generation key: evolve the
-	// same seed one generation and save its population at the path the
-	// 2-generation request will look at.
-	ckpt := filepath.Join(t.TempDir(), "cartpole-p16-g2-s777003.ckpt")
-	g1 := persistReq(777003)
-	g1.Generations = 1
-	r, err := RunShared(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Runner.SaveCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	ResetCaches()
-
+	// same seed one generation and save its population as the
+	// 2-generation key's checkpoint.
+	key := store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777003}
 	full := persistReq(777003)
-	full.CheckpointPath = ckpt
+	full.Checkpoints = plantCheckpoint(t, t.TempDir(), key)
 	full.CheckpointEvery = 1
 	res, err := RunShared(full)
 	if err != nil {
@@ -173,14 +185,16 @@ func TestStoreSkipsResumedRuns(t *testing.T) {
 	if !res.Resumed {
 		t.Fatal("run did not resume from the planted checkpoint")
 	}
-	if s.Has(store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777003}) {
+	if s.Has(key) {
 		t.Fatal("resumed run was committed to the store")
 	}
 }
 
 // TestUnreadableCheckpointRecomputes: a checkpoint that does not
-// restore never fails its key. The run starts fresh, matches an
-// uninterrupted run, commits to the store, and the file is removed.
+// restore never fails its key, whether it fails its digest (a torn or
+// foreign file) or carries a valid digest over a document that does
+// not restore. The run starts fresh, matches an uninterrupted run,
+// commits to the store, and the file is removed.
 func TestUnreadableCheckpointRecomputes(t *testing.T) {
 	ResetCaches()
 	ref, err := RunShared(persistReq(777006))
@@ -191,34 +205,103 @@ func TestUnreadableCheckpointRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777006}
+	garbage := []byte(`{"generation":3,"genomes":[{"id":`)
 
-	s := withTestStore(t, store.Config{})
+	for _, digested := range []bool{false, true} {
+		s := withTestStore(t, store.Config{})
+		ResetCaches()
+		req := persistReq(777006)
+		dir := t.TempDir()
+		req.Checkpoints, req.CheckpointEvery = store.NewCheckpoints(dir, store.OSFS{}), 1
+		ckpt := filepath.Join(dir, key.String()+".ckpt")
+		if digested {
+			err = req.Checkpoints.Save(key, garbage)
+		} else {
+			err = os.WriteFile(ckpt, garbage, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunShared(req)
+		if err != nil {
+			t.Fatalf("digested=%v: unreadable checkpoint failed the run: %v", digested, err)
+		}
+		if got.Resumed {
+			t.Fatalf("digested=%v: run reports resuming from an unreadable checkpoint", digested)
+		}
+		gotHist, err := json.Marshal(got.Runner.History)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotHist) != string(wantHist) {
+			t.Fatalf("digested=%v: history differs from the uninterrupted run:\n%s\n%s", digested, gotHist, wantHist)
+		}
+		if !s.Has(key) {
+			t.Fatalf("digested=%v: recomputed run was not committed", digested)
+		}
+		if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+			t.Fatalf("digested=%v: unreadable checkpoint left behind (stat: %v)", digested, err)
+		}
+	}
+}
+
+// TestFlippedCheckpointBitRecomputes: one weight bit flipped in a saved
+// checkpoint leaves a document that still restores, into a different
+// run. The digest refuses it, so the resubmitted run does not resume
+// and ends with the uninterrupted run's final population.
+func TestFlippedCheckpointBitRecomputes(t *testing.T) {
 	ResetCaches()
-	req := persistReq(777006)
-	req.CheckpointPath = filepath.Join(t.TempDir(), "garbage.ckpt")
-	req.CheckpointEvery = 1
-	if err := os.WriteFile(req.CheckpointPath, []byte(`{"generation":3,"genomes":[{"id":`), 0o644); err != nil {
+	key := store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777009}
+	ref, err := RunShared(persistReq(key.Seed))
+	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := ref.Runner.Pop.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetCaches()
+
+	dir := t.TempDir()
+	ckpts := plantCheckpoint(t, dir, key)
+	// Flip the sign bit of the first genome's first weight: the file
+	// becomes the document saved with that weight negated, followed by
+	// the original digest.
+	doc, _ := ckpts.Load(key)
+	pop, err := neat.Restore(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop.Genomes[0].Conns[0].Weight *= -1
+	flipped, err := pop.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key.String()+".ckpt")
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(flipped, file[len(doc):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	req := persistReq(key.Seed)
+	req.Checkpoints, req.CheckpointEvery = ckpts, 1
 	got, err := RunShared(req)
 	if err != nil {
-		t.Fatalf("unreadable checkpoint failed the run: %v", err)
+		t.Fatal(err)
 	}
 	if got.Resumed {
-		t.Fatal("run reports resuming from an unreadable checkpoint")
+		t.Fatal("the run resumed from a checkpoint with a flipped bit")
 	}
-	gotHist, err := json.Marshal(got.Runner.History)
+	final, err := got.Runner.Pop.Save()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(gotHist) != string(wantHist) {
-		t.Fatalf("history differs from the uninterrupted run:\n%s\n%s", gotHist, wantHist)
-	}
-	if !s.Has(store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777006}) {
-		t.Fatal("recomputed run was not committed")
-	}
-	if _, err := os.Stat(req.CheckpointPath); !os.IsNotExist(err) {
-		t.Fatalf("unreadable checkpoint left behind (stat: %v)", err)
+	if !bytes.Equal(final, want) {
+		t.Fatal("final population differs from the uninterrupted run's")
 	}
 }
 
@@ -358,7 +441,7 @@ func TestPhasesChargeCheckpointAndCommit(t *testing.T) {
 	withTestStore(t, store.Config{})
 	ResetCaches()
 	req := persistReq(777004)
-	req.CheckpointPath = filepath.Join(t.TempDir(), "phases.ckpt")
+	req.Checkpoints = store.NewCheckpoints(t.TempDir(), store.OSFS{})
 	req.CheckpointEvery = 1
 	for _, step := range []struct {
 		name          string

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
@@ -34,7 +33,7 @@ type SharedRequest struct {
 	// Ctx cancels a cache-miss evolution; nil means Background. A
 	// cancelled compute is evicted from the cache (concurrent waiters
 	// share the cancellation error; a later identical request
-	// recomputes — and resumes from CheckpointPath if one was written).
+	// recomputes — and resumes from its checkpoint if one was saved).
 	Ctx context.Context
 	// Sink, when set, receives this run's per-generation records live
 	// while it evolves. Only the computing request streams; a request
@@ -45,17 +44,14 @@ type SharedRequest struct {
 	// GOMAXPROCS); a scheduler running many jobs passes 1 so its own
 	// worker slots are the only parallelism.
 	Parallelism int
-	// CheckpointPath + CheckpointEvery enable the PR 2 checkpoint
-	// machinery on a cache miss: the run persists at generation
-	// boundaries, resumes from an existing file at that path, and the
-	// file is removed after an uninterrupted completion. The path
-	// should encode the key (store.CheckpointPath), so a stale
-	// checkpoint never shadows a fresh run of a different key, and
-	// every process running the key shares it: saves stage through
-	// files of their own, so a worker taking over a dead or partitioned
-	// worker's job resumes from its checkpoint and then writes the same
-	// file without the two ever interleaving.
-	CheckpointPath  string
+	// Checkpoints + CheckpointEvery enable checkpointing on a cache
+	// miss: the run resumes from the key's checkpoint in Checkpoints
+	// when one restores, saves one every CheckpointEvery generations,
+	// and removes it once the run completes. Every process running the
+	// key shares its one checkpoint file, so a worker taking over a dead
+	// or partitioned worker's job resumes from its checkpoint, and saves
+	// stage through files of their own, so the two never interleave.
+	Checkpoints     *store.Checkpoints
 	CheckpointEvery int
 	// OnRunner, when set, is called with the live runner just before a
 	// cache-miss run starts — the hook a serving layer uses to wire
@@ -106,7 +102,7 @@ func RunShared(req SharedRequest) (*SharedRun, error) {
 		Sink:            req.Sink,
 		Parallelism:     req.Parallelism,
 		Phases:          req.Phases,
-		CheckpointPath:  req.CheckpointPath,
+		Checkpoints:     req.Checkpoints,
 		CheckpointEvery: req.CheckpointEvery,
 		OnRunner:        req.OnRunner,
 	})
@@ -169,9 +165,8 @@ func checkRun(key store.Key) error {
 // recorder attached, run on the requesting goroutine under the key's
 // singleflight slot.
 func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
-	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = key.Population
-	r, resumed, err := evolve.ResumeRunner(key.Workload, cfg, key.Seed, req.CheckpointPath)
+	ckpts := req.Checkpoints
+	r, resumed, err := startRun(key, ckpts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -180,8 +175,10 @@ func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	r.Phases = req.Phases
 	tr := &trace.Trace{}
 	r.SetRecorder(tr)
-	r.CheckpointPath = req.CheckpointPath
-	r.CheckpointEvery = req.CheckpointEvery
+	if ckpts != nil {
+		r.Checkpoint = func(doc []byte) error { return ckpts.Save(key, doc) }
+		r.CheckpointEvery = req.CheckpointEvery
+	}
 	if req.OnRunner != nil {
 		req.OnRunner(r)
 	}
@@ -191,10 +188,10 @@ func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 		return nil, false, err
 	}
 	// A completed run's checkpoint has served its purpose; removing it
-	// keeps a later run that reuses the path (same key after a cache
-	// reset) from "resuming" a finished population.
-	if req.CheckpointPath != "" {
-		os.Remove(req.CheckpointPath)
+	// keeps a later run of the key (after a cache reset) from "resuming"
+	// a finished population.
+	if ckpts != nil {
+		ckpts.Remove(key)
 	}
 	// Cached entries are read-only (History/Pop/trace; re-scoring uses
 	// the self-contained ScoreGenome), so drop the evaluation engine
@@ -203,4 +200,25 @@ func computeRun(key store.Key, req *JobRequest) (*evolved, bool, error) {
 	// planes and environment pool live and GC scan time grows with them.
 	r.ReleaseEvalState()
 	return &evolved{runner: r, trace: tr, solved: solved}, resumed, nil
+}
+
+// startRun restores key's checkpoint from ckpts when one loads, and
+// starts a fresh run otherwise; resumed reports which. A checkpoint
+// that loads but does not restore (a population document of another
+// format version) is removed: kept, it would fail every retry of its
+// key until GC aged it out, and the run is deterministic, so
+// recomputing it costs time but never changes the result.
+func startRun(key store.Key, ckpts *store.Checkpoints) (r *evolve.Runner, resumed bool, err error) {
+	if ckpts != nil {
+		if doc, ok := ckpts.Load(key); ok {
+			if r, err := evolve.RestoreRunner(key.Workload, doc, key.Seed); err == nil {
+				return r, true, nil
+			}
+			ckpts.Remove(key)
+		}
+	}
+	cfg := neat.DefaultConfig(1, 1)
+	cfg.PopulationSize = key.Population
+	r, err = evolve.NewRunner(key.Workload, cfg, key.Seed)
+	return r, false, err
 }

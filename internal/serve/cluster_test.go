@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/experiments"
 	"repro/internal/hw/hwsim"
-	"repro/internal/store"
 )
 
 // Seeds 9800s: cluster mode. See the seed-range note in server_test.go.
@@ -175,7 +175,7 @@ func TestClusterFailoverResumes(t *testing.T) {
 	// the victim.
 	key := spec.withDefaults().key()
 	waitFor(t, 20*time.Second, "victim checkpoint", func() bool {
-		_, err := os.Stat(store.CheckpointPath(ckptDir, key))
+		_, err := os.Stat(filepath.Join(ckptDir, key.String()+".ckpt"))
 		return err == nil
 	})
 	victim.kill(t)

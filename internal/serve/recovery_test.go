@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,5 +209,150 @@ func TestStoreFaultDegradationNeverFailsJobs(t *testing.T) {
 	}
 	if q := st.Quarantined(); len(q) < 1 {
 		t.Fatal("no quarantined artifacts after bit-rot degradation")
+	}
+}
+
+// watchSpec submits spec and watches it to its end, returning the final
+// status and every streamed record.
+func watchSpec(t *testing.T, c *Client, spec Spec) (Status, []string) {
+	t.Helper()
+	ctx := context.Background()
+	sub, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []string
+	final, err := c.Watch(ctx, sub.ID, func(r hwsim.Record) error {
+		recs = append(recs, marshalRec(t, r))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return final, recs
+}
+
+// TestFailedCheckpointSaveKeepsJob: a checkpoint only shortens a
+// resume, so a save that fails does not fail its job. The daemon's
+// checkpoint directory is replaced by a regular file after boot: every
+// save fails, the job completes with the uninterrupted record stream,
+// and checkpoint_errors counts the failed saves.
+func TestFailedCheckpointSaveKeepsJob(t *testing.T) {
+	resetPersistence(t)
+	spec := Spec{Workload: "mountaincar", Population: 30, Generations: 6, Seed: seedRecovery + 60}
+	_, ref, _ := startDaemon(t, Config{MaxRunning: 1, MaxQueue: 4})
+	_, want := watchSpec(t, ref, spec)
+	experiments.ResetCaches()
+
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sched, c, _ := startDaemon(t, Config{MaxRunning: 1, MaxQueue: 4, CheckpointDir: dir, CheckpointEvery: 1})
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	final, got := watchSpec(t, c, spec)
+	if final.State != StateDone {
+		t.Fatalf("job with failing saves: state %s (err %q), want done", final.State, final.Error)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("streamed %d records differing from the uninterrupted run's %d", len(got), len(want))
+	}
+	if n := sched.Counters().Snapshot().Int("phases/checkpoint_errors"); n < 1 {
+		t.Fatalf("phases/checkpoint_errors = %d, want >= 1", n)
+	}
+}
+
+// TestCheckpointFaultsNeverFailJobs: a daemon with a store saves its
+// checkpoints through the store's FS, so a FaultFS faults them like
+// any store file. Under torn writes, then bit rot, then failed writes,
+// a job cancelled after a checkpoint save and then resubmitted never
+// fails: the damaged or missing checkpoint is no checkpoint, so the
+// resubmission recomputes and ends with the uninterrupted run's final
+// population.
+func TestCheckpointFaultsNeverFailJobs(t *testing.T) {
+	resetPersistence(t)
+	ctx := context.Background()
+	spec := slowSpec(seedRecovery+70, 6)
+	key := spec.withDefaults().key()
+	shared := experiments.SharedRequest{Workload: key.Workload, Population: key.Population,
+		Generations: key.Generations, Seed: key.Seed}
+	finalPop := func() []byte {
+		t.Helper()
+		run, err := experiments.RunShared(shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := run.Runner.Pop.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	want := finalPop()
+
+	for _, tc := range []struct {
+		name string
+		// saved reports whether a checkpoint file outlives the save the
+		// cancellation makes.
+		saved bool
+		fault func() *store.FaultFS
+	}{
+		{"torn writes", true, func() *store.FaultFS { return &store.FaultFS{Seed: 3, TornWriteEvery: 1} }},
+		{"bit rot", true, func() *store.FaultFS { return &store.FaultFS{Seed: 4, BitRotEvery: 1} }},
+		{"failed writes", false, func() *store.FaultFS { return &store.FaultFS{WriteFailEvery: 1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			experiments.ResetCaches()
+			ckpt := t.TempDir()
+			ffs := tc.fault()
+			ffs.Inner = store.OSFS{}
+			st, err := store.Open(store.Config{Root: t.TempDir(), CheckpointDir: ckpt, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, c, _ := startDaemon(t, Config{
+				MaxRunning: 1, MaxQueue: 4,
+				CheckpointDir: ckpt, CheckpointEvery: 1,
+				Store: st,
+			})
+			sub, err := c.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, c, sub.ID, 30*time.Second, func(s Status) bool { return s.Generations >= 2 })
+			if _, err := c.Cancel(ctx, sub.ID); err != nil {
+				t.Fatal(err)
+			}
+			cut := waitStatus(t, c, sub.ID, 30*time.Second, func(s Status) bool { return s.State.Terminal() })
+			if cut.State != StateCancelled {
+				t.Fatalf("cancelled job: state %s (err %q)", cut.State, cut.Error)
+			}
+			path := filepath.Join(ckpt, key.String()+".ckpt")
+			if _, err := os.Stat(path); (err == nil) != tc.saved {
+				t.Fatalf("checkpoint after the cancel: %v, want present=%v", err, tc.saved)
+			}
+			if n := sched.Counters().Snapshot().Int("phases/checkpoint_errors"); (n > 0) == tc.saved {
+				t.Fatalf("phases/checkpoint_errors = %d", n)
+			}
+
+			final, _ := watchSpec(t, c, spec)
+			if final.State != StateDone {
+				t.Fatalf("resubmitted job: state %s (err %q), want done", final.State, final.Error)
+			}
+			if final.Resumed {
+				t.Fatal("resubmitted job resumed from a faulted checkpoint")
+			}
+			if got := finalPop(); !bytes.Equal(got, want) {
+				t.Fatal("final population differs from the uninterrupted run's")
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("checkpoint left after the job completed (stat: %v)", err)
+			}
+		})
 	}
 }

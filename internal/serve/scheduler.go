@@ -49,10 +49,13 @@ type Config struct {
 	// cores.
 	RunnerParallelism int
 	// CheckpointDir, when set, gives every cache-miss job a
-	// checkpoint file named by its cache key (store.CheckpointPath), so
-	// an interrupted job (cancel, drain, or a fleet worker's death)
-	// resumes when the same spec is resubmitted or re-dispatched to
-	// any process sharing the directory.
+	// checkpoint file named by its cache key, so an interrupted job
+	// (cancel, drain, or a fleet worker's death) resumes when the same
+	// spec is resubmitted or re-dispatched to any process sharing the
+	// directory. With a Store whose own CheckpointDir is set, jobs save
+	// through the store's handle on that directory (genesysd passes one
+	// directory to both), so the store's FS covers checkpoints too;
+	// otherwise through a handle on CheckpointDir on the OS filesystem.
 	CheckpointDir string
 	// CheckpointEvery is the periodic checkpoint interval in
 	// generations (with CheckpointDir); 0 means 5.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/evolve"
+	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
 )
 
@@ -44,7 +45,7 @@ func TestParseKeyFilenameIslandFields(t *testing.T) {
 
 // TestParseKeyFilenameOwnerSuffix pins that the legacy worker-owned
 // checkpoint form "<key>~<owner>.ckpt" names no key: a run key has one
-// checkpoint file, CheckpointPath's "<key>.ckpt", which parses back.
+// checkpoint file, the handle's "<key>.ckpt", which parses back.
 func TestParseKeyFilenameOwnerSuffix(t *testing.T) {
 	for _, name := range []string{
 		"cartpole-p64-g30-s42~a1b2c3d4.ckpt",
@@ -57,9 +58,9 @@ func TestParseKeyFilenameOwnerSuffix(t *testing.T) {
 		}
 	}
 	key := Key{Workload: "cartpole", Population: 64, Generations: 30, Seed: 42, Islands: 2, MigrationEvery: 5}
-	path := CheckpointPath("ckpt", key)
+	path := NewCheckpoints("ckpt", OSFS{}).path(key)
 	if got, ok := ParseKeyFilename(filepath.Base(path)); !ok || got != key || filepath.Dir(path) != "ckpt" {
-		t.Errorf("CheckpointPath = %q, parses to %+v, %v; want %+v in ckpt", path, got, ok, key)
+		t.Errorf("checkpoint path %q parses to %+v, %v; want %+v in ckpt", path, got, ok, key)
 	}
 }
 
@@ -121,9 +122,9 @@ func TestKeyStringIslandValidate(t *testing.T) {
 }
 
 // TestGCDuringCheckpointSave: a GC pass that lands inside a save must
-// leave the save's staging file alone, or the save's rename fails and
-// the job with it. A Runner checkpoints every generation into the
-// store's checkpoint directory while another goroutine loops GC.
+// leave the save's staging file alone, or the save's rename fails. A
+// Runner checkpoints every generation through the store's handle while
+// another goroutine loops GC; no save may fail.
 func TestGCDuringCheckpointSave(t *testing.T) {
 	ckptDir := t.TempDir()
 	s := openTest(t, Config{CheckpointDir: ckptDir, CheckpointMaxAge: time.Hour})
@@ -134,8 +135,9 @@ func TestGCDuringCheckpointSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.CheckpointPath = CheckpointPath(ckptDir, key)
+	r.Checkpoint = func(doc []byte) error { return s.Checkpoints().Save(key, doc) }
 	r.CheckpointEvery = 1
+	r.Phases = hwsim.New("phases")
 
 	stop, passes := make(chan struct{}), make(chan int)
 	go func() {
@@ -157,8 +159,11 @@ func TestGCDuringCheckpointSave(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run failed under %d concurrent GC passes: %v", n, err)
 	}
-	if _, err := os.Stat(r.CheckpointPath); err != nil {
-		t.Fatalf("the last checkpoint: %v", err)
+	if failed := r.Phases.IntValue("checkpoint_errors"); failed != 0 {
+		t.Fatalf("%d saves failed under %d concurrent GC passes", failed, n)
+	}
+	if _, ok := s.Checkpoints().Load(key); !ok {
+		t.Fatal("the last checkpoint does not load")
 	}
 }
 

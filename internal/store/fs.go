@@ -58,7 +58,9 @@ var ErrDiskFull = errors.New("store: injected disk full")
 // draws for TornWriteEvery and WriteFailEvery; ReadFile and Open share
 // one count for BitRotEvery. Periods are in units of those calls:
 // TornWriteEvery=3 tears every third write. Calls made from several
-// goroutines at once draw their indices in the order they arrive.
+// goroutines at once draw their indices in the order they arrive. A
+// store's checkpoint handle shares its FS, so checkpoint saves and
+// loads draw indices as commits and reads do.
 type FaultFS struct {
 	Inner FS
 	// Seed selects which byte/bit each injected fault hits.

@@ -4,7 +4,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -91,7 +90,19 @@ func (s *Store) GC() GCResult {
 		}
 	}
 
-	res.CheckpointsSwept = s.sweepCheckpointsLocked(now)
+	// Checkpoints that can never be useful again go: those whose run
+	// already has a committed artifact (the run finished; resume is
+	// moot), those older than CheckpointMaxAge (a cancelled job nobody
+	// resubmitted; a ".ckpt" whose name parses to no key ages out like
+	// any orphan), and save staging older than staleAfter (an
+	// interrupted save's leftover; a younger one may be a save in
+	// flight, whose rename must not fail).
+	res.CheckpointsSwept = s.ckpts.sweep(func(e fs.DirEntry, staging bool, key Key, ok bool) bool {
+		if staging {
+			return olderThan(e, now, staleAfter)
+		}
+		return ok && s.Has(key) || s.cfg.CheckpointMaxAge > 0 && olderThan(e, now, s.cfg.CheckpointMaxAge)
+	})
 	res.TmpSwept = s.sweepTmp(now)
 
 	s.gcCtr.AddInt("evicted_age", int64(res.EvictedAge))
@@ -114,45 +125,6 @@ func (s *Store) sweepTmp(now time.Time) int {
 	swept := 0
 	for _, e := range entries {
 		if olderThan(e, now, staleAfter) && s.fs.RemoveAll(filepath.Join(s.tmpDir(), e.Name())) == nil {
-			swept++
-		}
-	}
-	return swept
-}
-
-// sweepCheckpointsLocked reclaims checkpoint files that can never be
-// useful again: checkpoints whose run already has a committed artifact
-// (the run finished; resume is moot), checkpoints older than
-// CheckpointMaxAge (a cancelled job nobody resubmitted — the leak this
-// sweep exists to fix), and ".ckpt.tmp*" staging files older than
-// staleAfter (an interrupted save's leftover; a younger one may be a
-// save in flight, whose rename must not fail). Files that don't parse
-// as checkpoint names age out under CheckpointMaxAge if they end in
-// ".ckpt" and are otherwise left alone.
-func (s *Store) sweepCheckpointsLocked(now time.Time) int {
-	if s.cfg.CheckpointDir == "" {
-		return 0
-	}
-	entries, err := s.fs.ReadDir(s.cfg.CheckpointDir)
-	if err != nil {
-		return 0
-	}
-	swept := 0
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		var remove bool
-		switch {
-		case strings.Contains(name, ".ckpt.tmp"):
-			remove = olderThan(e, now, staleAfter)
-		case strings.HasSuffix(name, ".ckpt"):
-			key, ok := ParseKeyFilename(name)
-			remove = ok && s.Has(key) ||
-				s.cfg.CheckpointMaxAge > 0 && olderThan(e, now, s.cfg.CheckpointMaxAge)
-		}
-		if remove && s.fs.RemoveAll(filepath.Join(s.cfg.CheckpointDir, name)) == nil {
 			swept++
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -59,28 +58,13 @@ func (s *Store) Recover() RecoveryReport {
 	// Checkpoints: completed runs' checkpoints are reclaimed; the rest
 	// are interrupted runs to re-enqueue. A key has one checkpoint name,
 	// so each interrupted key is listed once.
-	if s.cfg.CheckpointDir != "" {
-		entries, err := s.fs.ReadDir(s.cfg.CheckpointDir)
-		if err == nil {
-			for _, e := range entries {
-				name := e.Name()
-				if e.IsDir() || !strings.HasSuffix(name, ".ckpt") {
-					continue
-				}
-				key, ok := ParseKeyFilename(name)
-				if !ok {
-					continue
-				}
-				if s.Has(key) {
-					if s.fs.RemoveAll(filepath.Join(s.cfg.CheckpointDir, name)) == nil {
-						rep.CheckpointsSwept++
-					}
-					continue
-				}
-				rep.Interrupted = append(rep.Interrupted, key)
-			}
+	rep.CheckpointsSwept = s.ckpts.sweep(func(_ fs.DirEntry, _ bool, key Key, ok bool) bool {
+		completed := ok && s.Has(key)
+		if ok && !completed {
+			rep.Interrupted = append(rep.Interrupted, key)
 		}
-	}
+		return completed
+	})
 	sort.Slice(rep.Interrupted, func(i, j int) bool {
 		return rep.Interrupted[i].String() < rep.Interrupted[j].String()
 	})

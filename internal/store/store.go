@@ -39,8 +39,8 @@
 // too old to have a live writer, and duplicate commits of a key are
 // idempotent (evolution is deterministic, so two processes committing
 // the same key wrote the same bytes). They may share one checkpoint
-// directory too: a run key has one checkpoint file (CheckpointPath),
-// and every save stages through a file of its own before its rename.
+// directory too: a run key has one checkpoint file, and every save
+// stages through a file of its own before its rename (Checkpoints).
 package store
 
 import (
@@ -164,18 +164,9 @@ func (k Key) validate() error {
 	return nil
 }
 
-// CheckpointPath is the one checkpoint file of key's run in dir,
-// "<dir>/<key>.ckpt", whichever process writes it: saves stage through
-// files of their own and commit by rename (evolve.Runner.SaveCheckpoint),
-// so a job re-dispatched to another worker resumes from the file its
-// first owner left.
-func CheckpointPath(dir string, key Key) string {
-	return filepath.Join(dir, key.String()+".ckpt")
-}
-
-// ParseKeyFilename is the inverse of Key.String and CheckpointPath: it
-// recovers a Key from an artifact or checkpoint name of the canonical
-// form
+// ParseKeyFilename is the inverse of Key.String and of a checkpoint's
+// file name: it recovers a Key from an artifact or checkpoint name of
+// the canonical form
 //
 //	<workload>-p<P>-g<G>-s<S>[-i<I>-m<M>][-o<objectives>][.ckpt]
 //
@@ -343,10 +334,12 @@ type Config struct {
 	// MaxAge bounds artifact idle time (since last hit or commit; a
 	// boot's Recover is neither); GC evicts older ones. 0 = unlimited.
 	MaxAge time.Duration
-	// CheckpointDir, when set, is swept by GC and Recover: checkpoint
-	// files of completed runs (their artifact exists) are removed, stale
-	// ones past CheckpointMaxAge are removed, and orphaned ones are
-	// reported by Recover for re-enqueueing.
+	// CheckpointDir, when set, is the directory of the store's
+	// checkpoint handle (Store.Checkpoints), which goes through FS like
+	// every other store file, and it is swept by GC and Recover:
+	// checkpoint files of completed runs (their artifact exists) are
+	// removed, stale ones past CheckpointMaxAge are removed, and orphaned
+	// ones are reported by Recover for re-enqueueing.
 	CheckpointDir string
 	// CheckpointMaxAge bounds how long an orphaned checkpoint may sit
 	// before GC reclaims it (a cancelled job whose spec is never
@@ -374,6 +367,8 @@ type Store struct {
 	// token, drawn at Open, makes this Store's staging and quarantine
 	// names unique among every Store sharing the root.
 	token string
+	// ckpts is the handle on CheckpointDir, nil when it is unset.
+	ckpts *Checkpoints
 
 	counters *hwsim.Counters
 	ops      *hwsim.Counters
@@ -394,6 +389,9 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	}
+	if cfg.CheckpointDir != "" {
+		s.ckpts = NewCheckpoints(cfg.CheckpointDir, s.fs)
+	}
 	s.counters = hwsim.New("store")
 	s.ops = s.counters.Child("ops")
 	s.gcCtr = s.counters.Child("gc")
@@ -409,6 +407,11 @@ func Open(cfg Config) (*Store, error) {
 // Counters exposes the store's hwsim registry node (mounted under the
 // daemon's /metrics tree as "store").
 func (s *Store) Counters() *hwsim.Counters { return s.counters }
+
+// Checkpoints returns the handle on the store's checkpoint directory,
+// nil when Config.CheckpointDir is unset. Its file operations go
+// through the store's FS, so a FaultFS faults checkpoints too.
+func (s *Store) Checkpoints() *Checkpoints { return s.ckpts }
 
 func (s *Store) runsDir() string { return filepath.Join(s.cfg.Root, "runs") }
 func (s *Store) tmpDir() string  { return filepath.Join(s.cfg.Root, "tmp") }

@@ -1,9 +1,15 @@
 #!/bin/sh
 # check.sh — the repository's local verification gate.
 #
-# Runs, in order: gofmt (fails on any unformatted file), go vet, a full
-# build, the full test suite, go vet and go test over the separate bench
-# module, the race detector over the packages that
+# Runs, in order: gofmt (fails on any unformatted file), the file
+# operation gate (non-test Go under internal/ may call an os file
+# operation — ReadFile, WriteFile, Create, CreateTemp, Open, OpenFile,
+# Rename, Remove, RemoveAll, Mkdir, MkdirAll, Chmod — only in
+# internal/store/fs.go, so every file a run writes, reads or removes
+# goes through the store's FS seam, where a fault or crash-point FS
+# sees it), go vet, a full build, the full test suite, go vet and go
+# test over the separate bench module, the race detector over the
+# packages that
 # exercise concurrency (the evolve evaluation pool and study runner, the
 # compiled-network kernel and its reuse cache, the hardware counter
 # registry, fault injector included, the experiment harness's
@@ -70,6 +76,15 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "unformatted files:" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+
+echo "== file operation gate (os file operations only in internal/store/fs.go)"
+fileops=$(grep -rnE '\bos\.(ReadFile|WriteFile|Create|CreateTemp|Open|OpenFile|Rename|Remove|RemoveAll|Mkdir|MkdirAll|Chmod)\b' \
+    --include='*.go' internal | grep -v '_test\.go:' | grep -v '^internal/store/fs\.go:' || true)
+if [ -n "$fileops" ]; then
+    echo "os file operations outside internal/store/fs.go:" >&2
+    echo "$fileops" >&2
     exit 1
 fi
 
